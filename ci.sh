@@ -31,6 +31,16 @@ cargo build --release --offline
 echo "== test =="
 cargo test -q --offline --workspace
 
+echo "== ledger: the benchmark package builds against this tree =="
+# The end-to-end benchmark (BENCHMARK.json) is a package of its own,
+# outside the workspace, with path dependencies on the product crates —
+# and a change that claims a gain may not edit it. Its unit tests include
+# "stepper counts equal `explore` counts", so a product change that
+# breaks the benchmark's build or its count agreement fails here instead
+# of failing every benchmark run afterwards.
+cargo test -q --release --offline \
+    --manifest-path crates/bench/src/bin/ledger/Cargo.toml
+
 # Parallel-search smokes. Both guard the jobs-invariance contract of
 # docs/EXPLORER.md: the report must be byte-identical for every --jobs
 # value, and throughput must not fall off a cliff between runs.

@@ -185,9 +185,10 @@ pub struct Config {
     /// and no chunk pipelining. The batched path is result-equivalent by
     /// construction (see [`stateful`]); this escape hatch exists so the
     /// differential oracle tests (and a worried user) can check that
-    /// claim on any workload. Also settable via the
-    /// `RECLOSE_SCALAR_COMMIT=1` environment variable. Excluded from the
-    /// checkpoint config digest — it cannot change any result.
+    /// claim on any workload. This field (the CLI's `--scalar-commit`)
+    /// is the only way to select it; no environment variable does.
+    /// Excluded from the checkpoint config digest — it cannot change any
+    /// result.
     pub scalar_commit: bool,
 }
 

@@ -26,13 +26,13 @@
 
 use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
-use crate::executor::{ExecCtx, Executor, KeyArena, NodeExpansion, SuccOutcome};
+use crate::executor::{ExecCtx, Executor, KeyArena, NodeExpansion, StatefulExpansion, SuccOutcome};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
-use crate::state::{decode_state, encode_state, ComponentInterner, GlobalState};
+use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A persistent reproducing path: a parent-pointer list whose nodes are
 /// shared between all successors of a state, so queuing a successor
@@ -131,37 +131,33 @@ impl super::SearchDriver for StatefulParallel {
     }
 }
 
-/// One frontier entry: a committed (sealed) state awaiting expansion.
+/// One frontier entry: a committed (sealed) state awaiting expansion,
+/// held as its **store key** — the compressed component-ID tuple the
+/// commit already has in hand for every winner (the raw canonical
+/// encoding under `--no-compress`) — not as a live state. A
+/// [`GlobalState`] exists only while a worker expands the entry
+/// ([`rebuild`], DESIGN §14), so a frontier level costs a few dozen
+/// bytes per entry instead of a private heap graph each.
 struct FrontierItem {
-    state: GlobalState,
+    key: Box<[u8]>,
     depth: usize,
     path: Trace,
 }
 
 impl Spoolable for FrontierItem {
-    /// The engine's interner when collapse compression is on: spooled
-    /// states are then stored as component-ID tuples (the memoized
-    /// per-component cache makes re-encoding a pushed state's tuple a
-    /// table lookup, not a re-serialization). The record *length* is a
-    /// pure function of the entry either way, so chunk boundaries stay
-    /// deterministic.
-    type Cx = Option<Arc<ComponentInterner>>;
-
-    fn spool_encode(&self, cx: &Self::Cx, out: &mut Vec<u8>) {
+    /// `depth ‖ path ‖ key`; the key takes the remaining bytes, so the
+    /// record needs no interner to write or to read back.
+    fn spool_encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.depth as u64);
         let path = self.path.to_vec();
         put_u64(out, path.len() as u64);
         for d in &path {
             checkpoint::put_decision(out, d);
         }
-        // The state's encoding takes the remaining bytes.
-        match cx {
-            Some(interner) => out.extend_from_slice(&self.state.fingerprint_and_intern(interner).1),
-            None => out.extend_from_slice(&encode_state(&self.state)),
-        }
+        out.extend_from_slice(&self.key);
     }
 
-    fn spool_decode(cx: &Self::Cx, bytes: &[u8]) -> Option<Self> {
+    fn spool_decode(bytes: &[u8]) -> Option<Self> {
         let mut r = ByteReader::new(bytes);
         let depth = usize::try_from(r.u64()?).ok()?;
         let n = usize::try_from(r.u64()?).ok()?;
@@ -172,21 +168,55 @@ impl Spoolable for FrontierItem {
         for _ in 0..n {
             path = path.push(checkpoint::read_decision(&mut r)?);
         }
-        let state = match cx {
-            Some(interner) => interner.decode_compressed(&bytes[r.pos()..])?,
-            None => decode_state(&bytes[r.pos()..])?,
-        };
-        Some(FrontierItem { state, depth, path })
+        let key = Box::from(&bytes[r.pos()..]);
+        Some(FrontierItem { key, depth, path })
     }
 }
 
-/// A worker's expansion of one frontier item.
+/// The state a frontier key denotes, built for the moment it is
+/// expanded: through the worker's component cache when the run
+/// compresses, by decoding the raw encoding otherwise.
+///
+/// # Panics
+///
+/// Panics when `key` does not decode. Keys are this run's own store
+/// keys, so that means a spool or checkpoint file was damaged on disk.
+fn rebuild(
+    interner: Option<&ComponentInterner>,
+    cache: &mut ComponentCache,
+    key: &[u8],
+) -> GlobalState {
+    match interner {
+        Some(i) => i.materialize(cache, key),
+        None => decode_state(key),
+    }
+    .expect("frontier key does not decode (damaged spool or checkpoint file?)")
+}
+
+/// One child of an expanded frontier item, as the commit reads it: the
+/// decision that reaches it and, for a violating transition, what it
+/// violated. A successor *state* is gone by the time this exists — the
+/// worker keyed it (see [`Expanded::keys`]) and dropped it on the spot.
+struct Child {
+    decision: Decision,
+    /// `None` for a successor state.
+    violation: Option<(ViolationKind, Option<usize>)>,
+}
+
+/// A worker's expansion of one frontier item, reduced to what the
+/// ordered commit reads. An in-memory level is a single chunk, so these
+/// records exist for *every* child of the widest level at once
+/// (duplicates included): they hold no state, no sleep set and no
+/// visible event.
 struct Expanded {
-    expansion: NodeExpansion,
-    /// Per child, aligned with the expansion's child list: the state's
-    /// stable fingerprint and canonical encoding (`(0, empty)` for
-    /// violation outcomes), arena-flattened. Computed worker-side so
-    /// the sequential commit only compares bytes.
+    /// The item had no enabled transition and that is a deadlock.
+    deadlock: bool,
+    /// The children in expansion order (none at a dead end).
+    children: Vec<Child>,
+    /// Per child, aligned with `children`: the state's stable
+    /// fingerprint and store key (`(0, empty)` for violation outcomes),
+    /// arena-flattened. Computed worker-side so the sequential commit
+    /// only compares bytes.
     keys: KeyArena,
     transitions: usize,
     truncated: bool,
@@ -199,9 +229,42 @@ struct Expanded {
     por_fallback: bool,
 }
 
-/// One worker's batch for a round: the items it expanded (tagged with
-/// their frontier index) plus its private coverage map.
-type WorkerBatch = (Vec<(usize, Expanded)>, Option<Coverage>);
+impl Expanded {
+    /// Strip an expansion down to its commit record, dropping every
+    /// successor state while the worker that built it still has it in
+    /// cache, and move the item's counters out of `cx` (left zeroed for
+    /// the worker's next item).
+    fn lean(se: StatefulExpansion, cx: &mut ExecCtx) -> Expanded {
+        let (deadlock, children) = match se.expansion {
+            NodeExpansion::DeadEnd { deadlock } => (deadlock, Vec::new()),
+            NodeExpansion::Children(cs) => {
+                let lean = cs.into_iter().map(|c| Child {
+                    decision: Decision {
+                        process: c.process,
+                        choices: c.choices,
+                    },
+                    violation: match c.outcome {
+                        SuccOutcome::State(..) => None,
+                        SuccOutcome::Violation(kind, process) => Some((kind, process)),
+                    },
+                });
+                (false, lean.collect())
+            }
+        };
+        Expanded {
+            deadlock,
+            children,
+            keys: se.keys,
+            transitions: std::mem::take(&mut cx.transitions),
+            truncated: std::mem::take(&mut cx.truncated),
+            shared_components: std::mem::take(&mut cx.shared_components),
+            total_components: std::mem::take(&mut cx.total_components),
+            tosses_taken: std::mem::take(&mut cx.tosses_taken),
+            por_skipped: se.por_skipped,
+            por_fallback: se.por_fallback,
+        }
+    }
+}
 
 /// The level-synchronous frontier search (`jobs == 1`: the sequential
 /// BFS driver; `jobs > 1`: the parallel engine — same report either way).
@@ -246,8 +309,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     // flip this switch to check exactly that. Pipelining (expanding
     // chunk c+1 while chunk c commits) requires the batched path: only
     // deferred admits make a discarded prefetch side-effect-free.
-    let scalar_commit =
-        cfg.scalar_commit || std::env::var("RECLOSE_SCALAR_COMMIT").is_ok_and(|v| v == "1");
+    let scalar_commit = cfg.scalar_commit;
     let pipeline = match std::env::var("RECLOSE_PIPELINE").ok().as_deref() {
         Some("0") => false,
         Some("1") => true,
@@ -313,7 +375,6 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             program_hash,
             config_digest,
             &store,
-            &interner,
             interner.as_deref(),
         )
         .unwrap_or_else(|e| panic!("resume failed: {e}"));
@@ -321,12 +382,12 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
         checkpoints = r.checkpoints_written;
         report = r.report;
         resumed_level = Some(level);
-        frontier = FrontierSpool::new(spool_budget, dir.clone(), level as u64, interner.clone());
+        frontier = FrontierSpool::new(spool_budget, dir.clone(), level as u64);
         for (item, cost) in r.frontier {
             frontier.push(item, cost).expect("respool resumed frontier");
         }
     } else {
-        frontier = FrontierSpool::new(spool_budget, dir.clone(), 0, interner.clone());
+        frontier = FrontierSpool::new(spool_budget, dir.clone(), 0);
         let init = exec.initial();
         let (h0, enc0) = match &interner {
             Some(i) => init.fingerprint_and_intern(i),
@@ -340,7 +401,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
         } else {
             let cost = enc0.len();
             let item = FrontierItem {
-                state: init,
+                key: enc0.into(),
                 depth: 0,
                 path: Trace::default(),
             };
@@ -349,6 +410,12 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     }
     report.frontier_spilled_entries += frontier.spooled();
 
+    // One component cache per worker, kept for the whole run and lent to
+    // whichever thread runs that worker for a chunk: an out-of-core run
+    // has hundreds of chunks, and none of them should decode a component
+    // its worker has already seen. Grown on demand (most explorations are
+    // tiny and single-worker), bounded by the interner's table.
+    let mut caches: Vec<ComponentCache> = Vec::new();
     let mut stop = false;
     while !frontier.is_empty() && !stop {
         // Checkpoint at the level boundary — the only instant where the
@@ -394,12 +461,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             break;
         }
         let epoch = (level + 1) as u32; // successors seal into the next level
-        let mut next = FrontierSpool::new(
-            spool_budget,
-            dir.clone(),
-            (level + 1) as u64,
-            interner.clone(),
-        );
+        let mut next = FrontierSpool::new(spool_budget, dir.clone(), (level + 1) as u64);
         let mut base = 0usize; // frontier offset of the current chunk
 
         // One chunk's parallel expansion. On the batched path this has
@@ -411,72 +473,65 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
         // assignments aside, which are documented timing-dependent and
         // report-invisible). Scalar mode keeps the historical inline
         // admits for the differential oracle.
-        let expand_chunk = |chunk: &[FrontierItem], chunk_base: usize| {
-            let n = chunk.len();
-            let cursor = AtomicUsize::new(0);
-            let workers = jobs.min(n).min(hw).max(1);
-            let mut slots: Vec<Option<Expanded>> = (0..n).map(|_| None).collect();
-            let mut chunk_cov: Option<Coverage> = None;
-            let per_worker: Vec<WorkerBatch> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (store, cursor) = (&store, &cursor);
-                        let interner = &interner;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let mut cx = ExecCtx::with_coverage(remaining, cov.take());
-                                cx.interner = interner.clone();
-                                let se = exec.expand_stateful(&mut cx, &chunk[i].state, |h, e| {
-                                    store.contains_sealed_before(h, e, epoch)
-                                });
-                                if scalar_commit {
-                                    for (j, (h, enc)) in se.keys.iter().enumerate() {
-                                        if !enc.is_empty() {
-                                            store.admit(h, enc, rank(chunk_base + i, j));
-                                        }
-                                    }
-                                }
-                                cov = cx.coverage.take();
-                                out.push((
-                                    i,
-                                    Expanded {
-                                        expansion: se.expansion,
-                                        keys: se.keys,
-                                        transitions: cx.transitions,
-                                        truncated: cx.truncated,
-                                        shared_components: cx.shared_components,
-                                        total_components: cx.total_components,
-                                        tosses_taken: cx.tosses_taken,
-                                        por_skipped: se.por_skipped,
-                                        por_fallback: se.por_fallback,
-                                    },
-                                ));
-                            }
-                            (out, cov)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for (out, cov) in per_worker {
-                for (i, e) in out {
-                    slots[i] = Some(e);
+        let expand_chunk =
+            |chunk: &[FrontierItem], chunk_base: usize, caches: &mut Vec<ComponentCache>| {
+                let n = chunk.len();
+                let cursor = AtomicUsize::new(0);
+                let workers = jobs.min(n).min(hw).max(1);
+                if caches.len() < workers {
+                    caches.resize_with(workers, ComponentCache::default);
                 }
-                if let Some(theirs) = cov {
+                let slots: Vec<OnceLock<Expanded>> = (0..n).map(|_| OnceLock::new()).collect();
+                // One worker's share of the chunk: claim items through the
+                // cursor, rebuild each from its key, expand it, and leave
+                // only the lean commit record in the item's slot — the
+                // item's state and all its successors die here, on the
+                // thread that built them. Returns the worker's coverage.
+                let run = |cache: &mut ComponentCache| -> Option<Coverage> {
+                    let cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
+                    let mut cx = ExecCtx::with_coverage(remaining, cov);
+                    cx.interner = interner.clone();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let state = rebuild(interner.as_deref(), cache, &chunk[i].key);
+                        let se = exec.expand_stateful(&mut cx, &state, |h, e| {
+                            store.contains_sealed_before(h, e, epoch)
+                        });
+                        if scalar_commit {
+                            for (j, (h, enc)) in se.keys.iter().enumerate() {
+                                if !enc.is_empty() {
+                                    store.admit(h, enc, rank(chunk_base + i, j));
+                                }
+                            }
+                        }
+                        let claimed_once = slots[i].set(Expanded::lean(se, &mut cx)).is_ok();
+                        assert!(claimed_once, "the cursor hands out each item once");
+                    }
+                    cx.coverage
+                };
+                let per_worker: Vec<Option<Coverage>> = std::thread::scope(|scope| {
+                    let run = &run;
+                    let handles: Vec<_> = caches[..workers]
+                        .iter_mut()
+                        .map(|cache| scope.spawn(move || run(cache)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("frontier worker panicked"))
+                        .collect()
+                });
+                let mut chunk_cov: Option<Coverage> = None;
+                for theirs in per_worker.into_iter().flatten() {
                     match &mut chunk_cov {
                         Some(mine) => mine.merge(&theirs),
                         None => chunk_cov = Some(theirs),
                     }
                 }
-            }
-            (slots, chunk_cov)
-        };
+                (slots, chunk_cov)
+            };
 
         // The chunk loop, double-buffered: while the main thread commits
         // chunk c, the workers may already be expanding chunk c+1
@@ -486,7 +541,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
         // bounded by this level's epoch, a set this level's own seals
         // can never enter. Pipelining stays within the level: the next
         // chunk only exists once this level's spool has it.
-        type PendingChunk = (Vec<FrontierItem>, Vec<Option<Expanded>>, Option<Coverage>);
+        type PendingChunk = (Vec<FrontierItem>, Vec<OnceLock<Expanded>>, Option<Coverage>);
         let mut pending: Option<PendingChunk> = None;
         loop {
             let (chunk, slots, chunk_cov) = match pending.take() {
@@ -498,7 +553,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                     else {
                         break;
                     };
-                    let (slots, cov) = expand_chunk(&chunk, base);
+                    let (slots, cov) = expand_chunk(&chunk, base, &mut caches);
                     (chunk, slots, cov)
                 }
             };
@@ -518,11 +573,11 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             if !scalar_commit {
                 let cap: usize = slots
                     .iter()
-                    .map(|s| s.as_ref().map_or(0, |e| e.keys.len()))
+                    .map(|s| s.get().map_or(0, |e| e.keys.len()))
                     .sum();
                 let mut admits: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
                 for (i, slot) in slots.iter().enumerate() {
-                    let e = slot.as_ref().expect("every frontier item is expanded");
+                    let e = slot.get().expect("every frontier item is expanded");
                     for (j, (h, enc)) in e.keys.iter().enumerate() {
                         if !enc.is_empty() {
                             admits.push((h, rank(base + i, j), enc));
@@ -550,17 +605,15 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             } else {
                 let cap: usize = slots
                     .iter()
-                    .map(|s| s.as_ref().map_or(0, |e| e.keys.len()))
+                    .map(|s| s.get().map_or(0, |e| e.keys.len()))
                     .sum();
                 let mut probes: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
                 for (i, slot) in slots.iter().enumerate() {
-                    let e = slot.as_ref().expect("every frontier item is expanded");
-                    if let NodeExpansion::Children(cs) = &e.expansion {
-                        for (j, c) in cs.iter().enumerate() {
-                            if matches!(c.outcome, SuccOutcome::State(..)) {
-                                let (h, enc) = e.keys.get(j);
-                                probes.push((h, rank(base + i, j), enc));
-                            }
+                    let e = slot.get().expect("every frontier item is expanded");
+                    for (j, c) in e.children.iter().enumerate() {
+                        if c.violation.is_none() {
+                            let (h, enc) = e.keys.get(j);
+                            probes.push((h, rank(base + i, j), enc));
                         }
                     }
                 }
@@ -579,7 +632,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
             match next_chunk {
                 Some(nc) => {
                     let prefetched = std::thread::scope(|scope| {
-                        let handle = scope.spawn(|| expand_chunk(&nc, base + n));
+                        let handle = scope.spawn(|| expand_chunk(&nc, base + n, &mut caches));
                         commit_chunk(
                             &chunk,
                             slots,
@@ -593,7 +646,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                             &mut next,
                             &mut stop,
                         );
-                        handle.join().unwrap()
+                        handle.join().expect("prefetching worker panicked")
                     });
                     chunks_overlapped += 1;
                     pending = Some((nc, prefetched.0, prefetched.1));
@@ -662,7 +715,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
 #[allow(clippy::too_many_arguments)]
 fn commit_chunk(
     chunk: &[FrontierItem],
-    slots: Vec<Option<Expanded>>,
+    slots: Vec<OnceLock<Expanded>>,
     flags: &[bool],
     base: usize,
     epoch: u32,
@@ -679,7 +732,7 @@ fn commit_chunk(
             break;
         }
         let item = &chunk[i];
-        let e = slot.expect("every frontier item is expanded");
+        let e = slot.into_inner().expect("every frontier item is expanded");
         report.transitions += e.transitions;
         report.truncated |= e.truncated;
         report.shared_components += e.shared_components;
@@ -687,61 +740,52 @@ fn commit_chunk(
         report.tosses_taken += e.tosses_taken;
         report.por_skipped_procs += e.por_skipped;
         report.por_proviso_fallbacks += e.por_fallback as usize;
-        match e.expansion {
-            NodeExpansion::DeadEnd { deadlock } => {
-                if deadlock {
+        if e.deadlock {
+            report.violations.push(Violation {
+                kind: ViolationKind::Deadlock,
+                process: None,
+                trace: item.path.to_vec(),
+            });
+            *stop |= report.violations.len() >= cfg.max_violations;
+        }
+        for (j, c) in e.children.into_iter().enumerate() {
+            if *stop {
+                break;
+            }
+            match c.violation {
+                None => {
+                    let (h, enc) = e.keys.get(j);
+                    let won = if scalar_commit {
+                        store.seal_if_winner(h, enc, rank(base + i, j), epoch)
+                    } else {
+                        let f = flags[fx];
+                        fx += 1;
+                        f
+                    };
+                    if won {
+                        report.states += 1;
+                        report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
+                        if item.depth + 1 >= cfg.max_depth {
+                            report.truncated = true;
+                        } else {
+                            // Cost rule 1 of the spool's chunking
+                            // contract: the key length.
+                            let fi = FrontierItem {
+                                key: enc.into(),
+                                depth: item.depth + 1,
+                                path: item.path.push(c.decision),
+                            };
+                            next.push(fi, enc.len()).expect("spool next frontier");
+                        }
+                    }
+                }
+                Some((kind, process)) => {
                     report.violations.push(Violation {
-                        kind: ViolationKind::Deadlock,
-                        process: None,
-                        trace: item.path.to_vec(),
+                        kind,
+                        process,
+                        trace: item.path.pushed_vec(c.decision),
                     });
                     *stop |= report.violations.len() >= cfg.max_violations;
-                }
-            }
-            NodeExpansion::Children(cs) => {
-                for (j, c) in cs.into_iter().enumerate() {
-                    if *stop {
-                        break;
-                    }
-                    let decision = Decision {
-                        process: c.process,
-                        choices: c.choices,
-                    };
-                    match c.outcome {
-                        SuccOutcome::State(s, _) => {
-                            let (h, enc) = e.keys.get(j);
-                            let won = if scalar_commit {
-                                store.seal_if_winner(h, enc, rank(base + i, j), epoch)
-                            } else {
-                                let f = flags[fx];
-                                fx += 1;
-                                f
-                            };
-                            if won {
-                                report.states += 1;
-                                report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
-                                if item.depth + 1 >= cfg.max_depth {
-                                    report.truncated = true;
-                                } else {
-                                    let cost = enc.len();
-                                    let fi = FrontierItem {
-                                        state: *s,
-                                        depth: item.depth + 1,
-                                        path: item.path.push(decision),
-                                    };
-                                    next.push(fi, cost).expect("spool next frontier");
-                                }
-                            }
-                        }
-                        SuccOutcome::Violation(kind, process) => {
-                            report.violations.push(Violation {
-                                kind,
-                                process,
-                                trace: item.path.pushed_vec(decision),
-                            });
-                            *stop |= report.violations.len() >= cfg.max_violations;
-                        }
-                    }
                 }
             }
         }
@@ -861,4 +905,77 @@ fn stateful_dfs(exec: &Executor<'_>) -> Report {
     report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
     report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn path() -> Trace {
+        let first = Decision {
+            process: 1,
+            choices: vec![2, 0],
+        };
+        let second = Decision {
+            process: 0,
+            choices: vec![],
+        };
+        Trace::default().push(first).push(second)
+    }
+
+    /// The spool and checkpoint record of a frontier item is
+    /// `depth ‖ path ‖ key`, byte for byte what it was when the item
+    /// held a live state and the record its encoding: files written
+    /// before and after mean the same.
+    #[test]
+    fn spool_record_is_depth_path_key() {
+        let item = FrontierItem {
+            key: Box::from([165u8, 1, 2, 0, 7, 1, 3]),
+            depth: 300,
+            path: path(),
+        };
+        let mut out = Vec::new();
+        item.spool_encode(&mut out);
+        #[rustfmt::skip]
+        let golden = [
+            0xAC, 0x02,             // depth 300
+            2,                      // two decisions
+            1, 2, 2, 0,             // P1[2,0]
+            0, 0,                   // P0
+            165, 1, 2, 0, 7, 1, 3,  // the key takes the rest
+        ];
+        assert_eq!(out, golden);
+    }
+
+    #[test]
+    fn spool_roundtrip_is_the_identity_for_both_key_kinds() {
+        let prog = cfgir::compile(
+            "chan c[1]; sem s = 1; proc m() { sem_wait(s); send(c, 1); } process m(); process m();",
+        )
+        .unwrap();
+        let state = GlobalState::initial(&prog);
+        let interner = ComponentInterner::new();
+        let compressed = state.fingerprint_and_intern(&interner).1;
+        let raw = state.fingerprint_and_encode().1;
+        assert_ne!(compressed, raw);
+        for key in [&compressed, &raw] {
+            let item = FrontierItem {
+                key: key.as_slice().into(),
+                depth: 17,
+                path: path(),
+            };
+            let mut out = Vec::new();
+            item.spool_encode(&mut out);
+            let back = FrontierItem::spool_decode(&out).expect("own record decodes");
+            assert_eq!(back.key, item.key);
+            assert_eq!(back.depth, item.depth);
+            assert_eq!(back.path.to_vec(), item.path.to_vec());
+            // A record cut inside its header is rejected, not guessed at.
+            assert!(FrontierItem::spool_decode(&out[..3]).is_none());
+        }
+        // Either kind of key rebuilds the state it was taken from.
+        let mut cache = ComponentCache::default();
+        assert_eq!(rebuild(Some(&interner), &mut cache, &compressed), state);
+        assert_eq!(rebuild(None, &mut cache, &raw), state);
+    }
 }

@@ -377,16 +377,14 @@ pub fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<(), String
 
 /// Load a checkpoint: rebuild the store's tiers (and the component
 /// interner, when compression is on) and return the level, report, and
-/// frontier to continue from. `cx` is the spool decode context — the
-/// same `Option<Arc<ComponentInterner>>` the engine runs with, which
-/// must wrap `interner` itself so the decoded frontier and the future
-/// interning agree on IDs.
+/// frontier to continue from. `interner` must be the one the engine
+/// goes on to run with: the frontier comes back as the ID tuples that
+/// were written, and only the reloaded table gives them their meaning.
 pub(crate) fn resume<T: Spoolable>(
     dir: &Path,
     program_hash: u64,
     digest: u64,
     store: &TieredStore,
-    cx: &T::Cx,
     interner: Option<&crate::state::ComponentInterner>,
 ) -> Result<Resumed<T>, String> {
     validate(dir, program_hash, digest)?;
@@ -478,7 +476,7 @@ pub(crate) fn resume<T: Spoolable>(
         return Err(format!("{}: bad header", f_path.display()));
     }
     let rest = &fbuf[fr.pos()..];
-    let frontier = FrontierSpool::<T>::decode_snapshot(cx, rest, fcount)
+    let frontier = FrontierSpool::<T>::decode_snapshot(rest, fcount)
         .ok_or_else(|| format!("{}: torn frontier snapshot", f_path.display()))?;
 
     Ok(Resumed {

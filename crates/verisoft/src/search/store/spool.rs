@@ -10,10 +10,29 @@
 //! the same rank order an unbounded run processes them in — spooling
 //! changes *where* an entry waits, never *when* it runs.
 //!
-//! Chunk boundaries are derived from entry byte sizes against a fixed
+//! Chunk boundaries are derived from entry byte *costs* against a fixed
 //! budget — a deterministic function of the entry sequence alone, so
 //! chunking is identical for any worker count (and the report identical
 //! for any memory limit; see `search::stateful`'s commit argument).
+//!
+//! ## The chunking contract: two cost rules
+//!
+//! An entry's cost is one of two numbers, depending on where it waited:
+//!
+//! 1. an entry that stayed in the **memory head** costs what its pusher
+//!    said ([`FrontierSpool::push`]'s `cost`; the frontier engine passes
+//!    the length of the state's store key);
+//! 2. an entry **read back from disk** costs the length of its spool
+//!    record — for a frontier item `depth ‖ path ‖ key`, so more than
+//!    rule 1 would have charged it. A resumed checkpoint re-pushes every
+//!    entry at its record length for the same reason.
+//!
+//! Both are pure functions of the entry, and which rule applies is a
+//! pure function of the entry sequence and the budget, so chunking stays
+//! deterministic. The rules are *not* interchangeable: the operational
+//! counters (`frontier_spilled_entries`, `pipeline_chunks`, checkpoint
+//! and segment counts) depend on where the chunk boundaries fall, so a
+//! change to either rule changes them.
 //!
 //! Spool files (`spool-<level>.bin`) use the shared framing of
 //! [`crate::state::encode`] and are deleted when the spool drops; a
@@ -33,15 +52,10 @@ use std::sync::Arc;
 /// (`FrontierItem` rebuilds its persistent trace from the decision
 /// list; prefix sharing is lost, the decisions are not).
 pub trait Spoolable: Sized {
-    /// Encode/decode context threaded through every spool operation —
-    /// the frontier items use it to carry the run's component interner
-    /// (compressed items store ID tuples that only the interner can
-    /// expand). `()` for self-contained entries.
-    type Cx;
     /// Append the entry's spool encoding to `out`.
-    fn spool_encode(&self, cx: &Self::Cx, out: &mut Vec<u8>);
+    fn spool_encode(&self, out: &mut Vec<u8>);
     /// Decode one entry from its spool encoding.
-    fn spool_decode(cx: &Self::Cx, bytes: &[u8]) -> Option<Self>;
+    fn spool_decode(bytes: &[u8]) -> Option<Self>;
 }
 
 struct DiskPart {
@@ -53,11 +67,11 @@ struct DiskPart {
 }
 
 /// A FIFO of search-frontier entries with a bounded in-memory head and
-/// a disk tail. `T` also carries a byte cost per entry (supplied at
-/// push — the state encoding length the committer already knows) that
-/// drives both the memory budget and chunk boundaries.
+/// a disk tail. Every entry carries a byte cost — supplied at push for
+/// the memory head, the record length for entries read back from disk
+/// (the module docs' chunking contract) — that drives both the memory
+/// budget and chunk boundaries.
 pub struct FrontierSpool<T: Spoolable> {
-    cx: T::Cx,
     ram: VecDeque<(T, usize)>,
     ram_bytes: usize,
     budget: usize,
@@ -71,11 +85,9 @@ pub struct FrontierSpool<T: Spoolable> {
 impl<T: Spoolable> FrontierSpool<T> {
     /// An empty spool keeping at most ~`budget` bytes of entries in
     /// memory; the overflow goes to `spool-<tag>.bin` under `dir`.
-    /// With no `dir`, the budget is ignored (fully in-memory). `cx` is
-    /// the entry type's encode/decode context ([`Spoolable::Cx`]).
-    pub fn new(budget: usize, dir: Option<Arc<SpillDir>>, tag: u64, cx: T::Cx) -> Self {
+    /// With no `dir`, the budget is ignored (fully in-memory).
+    pub fn new(budget: usize, dir: Option<Arc<SpillDir>>, tag: u64) -> Self {
         FrontierSpool {
-            cx,
             ram: VecDeque::new(),
             ram_bytes: 0,
             budget,
@@ -113,7 +125,7 @@ impl<T: Spoolable> FrontierSpool<T> {
             return Ok(());
         }
         self.scratch.clear();
-        item.spool_encode(&self.cx, &mut self.scratch);
+        item.spool_encode(&mut self.scratch);
         let d = match &mut self.disk {
             Some(d) => d,
             None => {
@@ -131,10 +143,7 @@ impl<T: Spoolable> FrontierSpool<T> {
                 })
             }
         };
-        let mut frame = Vec::with_capacity(self.scratch.len() + 8);
-        put_u64(&mut frame, self.scratch.len() as u64);
-        d.writer.write_all(&frame)?;
-        d.writer.write_all(&self.scratch)?;
+        write_framed(&mut d.writer, &mut self.scratch)?;
         d.pending += 1;
         self.spooled += 1;
         Ok(())
@@ -197,10 +206,10 @@ impl<T: Spoolable> FrontierSpool<T> {
             }
         };
         let len = read_varint(reader)? as usize;
-        let mut buf = vec![0u8; len];
-        reader.read_exact(&mut buf)?;
+        self.scratch.resize(len, 0);
+        reader.read_exact(&mut self.scratch)?;
         d.pending -= 1;
-        let item = T::spool_decode(&self.cx, &buf)
+        let item = T::spool_decode(&self.scratch)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "torn spool record"))?;
         Ok(Some((item, len)))
     }
@@ -211,14 +220,10 @@ impl<T: Spoolable> FrontierSpool<T> {
     /// entry count.
     pub fn snapshot(&mut self, out: &mut impl Write) -> io::Result<usize> {
         let mut n = 0usize;
-        let mut buf = Vec::new();
         for (item, _) in &self.ram {
-            buf.clear();
-            item.spool_encode(&self.cx, &mut buf);
-            let mut frame = Vec::with_capacity(8);
-            put_u64(&mut frame, buf.len() as u64);
-            out.write_all(&frame)?;
-            out.write_all(&buf)?;
+            self.scratch.clear();
+            item.spool_encode(&mut self.scratch);
+            write_framed(out, &mut self.scratch)?;
             n += 1;
         }
         if let Some(d) = &mut self.disk {
@@ -241,16 +246,27 @@ impl<T: Spoolable> FrontierSpool<T> {
     /// Decode `count` length-prefixed records from `bytes` (a snapshot
     /// written by [`FrontierSpool::snapshot`]), yielding `(entry, cost)`
     /// pairs to re-push into a fresh spool.
-    pub fn decode_snapshot(cx: &T::Cx, bytes: &[u8], count: usize) -> Option<Vec<(T, usize)>> {
+    pub fn decode_snapshot(bytes: &[u8], count: usize) -> Option<Vec<(T, usize)>> {
         let mut r = ByteReader::new(bytes);
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             let len = usize::try_from(r.u64()?).ok()?;
             let rec = r.take(len)?;
-            out.push((T::spool_decode(cx, rec)?, len));
+            out.push((T::spool_decode(rec)?, len));
         }
         (r.remaining() == 0).then_some(out)
     }
+}
+
+/// Write `record` behind its length prefix. The prefix is appended to
+/// `record` itself and the two halves written in swapped order, so
+/// framing an entry allocates nothing (`record` is left holding both).
+fn write_framed(out: &mut impl Write, record: &mut Vec<u8>) -> io::Result<()> {
+    let len = record.len();
+    put_u64(record, len as u64);
+    let (body, prefix) = record.split_at(len);
+    out.write_all(prefix)?;
+    out.write_all(body)
 }
 
 /// Byte length of the `put_header` preamble (magic + version varint).
@@ -296,11 +312,10 @@ mod tests {
     struct Item(Vec<u8>);
 
     impl Spoolable for Item {
-        type Cx = ();
-        fn spool_encode(&self, _cx: &(), out: &mut Vec<u8>) {
+        fn spool_encode(&self, out: &mut Vec<u8>) {
             out.extend_from_slice(&self.0);
         }
-        fn spool_decode(_cx: &(), bytes: &[u8]) -> Option<Self> {
+        fn spool_decode(bytes: &[u8]) -> Option<Self> {
             Some(Item(bytes.to_vec()))
         }
     }
@@ -314,7 +329,7 @@ mod tests {
         let dir = SpillDir::temp().unwrap();
         let all = items(40);
         // Budget fits only the first few entries; the rest hit disk.
-        let mut spool = FrontierSpool::new(6, Some(dir), 3, ());
+        let mut spool = FrontierSpool::new(6, Some(dir), 3);
         for it in &all {
             spool.push(it.clone(), it.0.len()).unwrap();
         }
@@ -331,7 +346,7 @@ mod tests {
 
     #[test]
     fn unbounded_spool_stays_in_memory() {
-        let mut spool: FrontierSpool<Item> = FrontierSpool::new(usize::MAX, None, 0, ());
+        let mut spool: FrontierSpool<Item> = FrontierSpool::new(usize::MAX, None, 0);
         for it in items(10) {
             let c = it.0.len();
             spool.push(it, c).unwrap();
@@ -345,7 +360,7 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_are_cost_driven_and_nonempty() {
-        let mut spool: FrontierSpool<Item> = FrontierSpool::new(usize::MAX, None, 0, ());
+        let mut spool: FrontierSpool<Item> = FrontierSpool::new(usize::MAX, None, 0);
         for it in items(9) {
             let c = it.0.len();
             spool.push(it, c).unwrap();
@@ -363,7 +378,7 @@ mod tests {
     fn snapshot_roundtrips_without_consuming() {
         let dir = SpillDir::temp().unwrap();
         let all = items(25);
-        let mut spool = FrontierSpool::new(4, Some(dir), 7, ());
+        let mut spool = FrontierSpool::new(4, Some(dir), 7);
         for it in &all {
             spool.push(it.clone(), it.0.len()).unwrap();
         }
@@ -371,7 +386,7 @@ mod tests {
         let n = spool.snapshot(&mut snap).unwrap();
         assert_eq!(n, 25);
         assert_eq!(spool.len(), 25, "snapshot consumes nothing");
-        let decoded = FrontierSpool::<Item>::decode_snapshot(&(), &snap, n).unwrap();
+        let decoded = FrontierSpool::<Item>::decode_snapshot(&snap, n).unwrap();
         assert_eq!(
             decoded.iter().map(|(i, _)| i.clone()).collect::<Vec<_>>(),
             all

@@ -38,10 +38,10 @@
 //! [`GlobalState::fingerprint_and_intern`]: super::GlobalState::fingerprint_and_intern
 
 use super::encode::{
-    check_header, decode_obj_state, decode_proc_state, put_header, put_u64, ByteReader,
+    check_header, decode_obj_state, decode_proc_state, put_header, put_u64, ByteReader, Encode,
     INTERN_MAGIC,
 };
-use super::{CowArc, GlobalState};
+use super::{CowArc, GlobalState, ObjState, ProcState};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -85,6 +85,27 @@ pub struct ComponentInterner {
     batch_ops: AtomicUsize,
     batch_items: AtomicUsize,
     locks_avoided: AtomicUsize,
+}
+
+/// Decoded components by interner ID, for
+/// [`ComponentInterner::materialize`]: one dense slot vector per
+/// component kind (process and object encodings share the ID space but
+/// not a decoder), tagged with the token of the interner the entries
+/// were decoded under.
+///
+/// A cache belongs to **one worker**. A table shared between workers
+/// would put every `GlobalState::clone` and drop of every worker — one
+/// reference-count write per component each — on the same few hundred
+/// cache lines; private caches keep that traffic thread-local and make
+/// every materialized state private to the worker that built it. The
+/// price is one decode per (worker, component), and a size bounded by
+/// the interner's own table, which is resident anyway.
+#[derive(Debug, Default)]
+pub struct ComponentCache {
+    /// 0 (no interner's token) until first used.
+    token: u64,
+    procs: Vec<Option<CowArc<ProcState>>>,
+    objects: Vec<Option<CowArc<ObjState>>>,
 }
 
 impl Default for ComponentInterner {
@@ -307,29 +328,70 @@ impl ComponentInterner {
         self.payload.load(Ordering::Relaxed)
     }
 
-    /// Rebuild the state a compressed ID tuple denotes (the spool's
-    /// decode path, and the debug oracle for
-    /// [`GlobalState::fingerprint_and_intern`]). `None` when the tuple
-    /// is malformed or references an unknown ID.
-    pub fn decode_compressed(&self, cenc: &[u8]) -> Option<GlobalState> {
-        let mut r = ByteReader::new(cenc);
+    /// Rebuild the state a compressed ID tuple denotes, taking every
+    /// component from `cache`: a hit is a reference-count bump; a miss
+    /// decodes the component's interned bytes once, seeds its sub-hash
+    /// and its intern memo from them, and publishes it to the cache. A
+    /// materialized state therefore fingerprints and re-interns *warm* —
+    /// [`GlobalState::fingerprint_and_intern`] answers every component
+    /// a transition did not touch from the memo, exactly as it does for
+    /// a successor that shares its parent's allocations. This is how the
+    /// frontier engine turns a stored key back into a state for the
+    /// moment it is expanded (DESIGN §14). A cache last used with another
+    /// interner is emptied first. `None` when the tuple is malformed or
+    /// references an unknown ID.
+    pub fn materialize(&self, cache: &mut ComponentCache, tuple: &[u8]) -> Option<GlobalState> {
+        if cache.token != self.token {
+            *cache = ComponentCache {
+                token: self.token,
+                ..ComponentCache::default()
+            };
+        }
+        let mut r = ByteReader::new(tuple);
         let _raw_len = r.u64()?;
-        let table = self.table.read().unwrap();
-        let component = |r: &mut ByteReader<'_>| -> Option<Arc<[u8]>> {
-            let id = u32::try_from(r.u64()?).ok()?;
-            table.get(id as usize).cloned()
-        };
+        // Every ID takes at least one byte, which bounds both counts
+        // before anything is allocated for them.
         let np = usize::try_from(r.u64()?).ok()?;
-        let mut procs = Vec::with_capacity(np.min(1024));
+        let mut procs = Vec::with_capacity(np.min(r.remaining()));
         for _ in 0..np {
-            procs.push(CowArc::new(decode_proc_state(&component(&mut r)?)?));
+            procs.push(self.component(&mut cache.procs, r.u64()?, decode_proc_state)?);
         }
         let no = usize::try_from(r.u64()?).ok()?;
-        let mut objects = Vec::with_capacity(no.min(1024));
+        let mut objects = Vec::with_capacity(no.min(r.remaining()));
         for _ in 0..no {
-            objects.push(CowArc::new(decode_obj_state(&component(&mut r)?)?));
+            objects.push(self.component(&mut cache.objects, r.u64()?, decode_obj_state)?);
         }
         (r.remaining() == 0).then_some(GlobalState { procs, objects })
+    }
+
+    /// The cached handle of component `id`, decoding and publishing it
+    /// on a miss.
+    fn component<T: Encode + Clone>(
+        &self,
+        slots: &mut Vec<Option<CowArc<T>>>,
+        id: u64,
+        decode: fn(&[u8]) -> Option<T>,
+    ) -> Option<CowArc<T>> {
+        let id = u32::try_from(id).ok()?;
+        if let Some(Some(hit)) = slots.get(id as usize) {
+            return Some(hit.clone());
+        }
+        let bytes = self.get(id)?;
+        let fresh = CowArc::new(decode(&bytes)?);
+        fresh.sub_hash_from_encoding(&bytes);
+        fresh.set_intern_memo(self.token, id, bytes.len() as u32);
+        if slots.len() <= id as usize {
+            slots.resize(id as usize + 1, None);
+        }
+        slots[id as usize] = Some(fresh.clone());
+        Some(fresh)
+    }
+
+    /// [`ComponentInterner::materialize`] with a throw-away cache: every
+    /// component is decoded afresh. The debug oracle of
+    /// [`GlobalState::fingerprint_and_intern`].
+    pub fn decode_compressed(&self, cenc: &[u8]) -> Option<GlobalState> {
+        self.materialize(&mut ComponentCache::default(), cenc)
     }
 
     /// Append the table entries not yet on disk to the table file at
@@ -515,12 +577,7 @@ mod tests {
 
     #[test]
     fn compressed_tuple_roundtrips_through_the_interner() {
-        let prog = cfgir::compile(
-            "chan c[2]; sem s = 1; int g = 3; \
-             proc m() { send(c, g); sem_wait(s); g = g + 1; sem_signal(s); } \
-             process m(); process m();",
-        )
-        .unwrap();
+        let prog = cfgir::compile(TWO_PROCS).unwrap();
         let mut s = GlobalState::initial(&prog);
         let i = ComponentInterner::new();
         let (fp, cenc) = s.fingerprint_and_intern(&i);
@@ -537,6 +594,137 @@ mod tests {
         assert_ne!(cenc, cenc3);
         // The two tuples share every component but the mutated one.
         assert_eq!(i.decode_compressed(&cenc3).as_ref(), Some(&s));
+    }
+
+    const TWO_PROCS: &str = "chan c[2]; sem s = 1; int g = 3; \
+         proc m() { send(c, g); sem_wait(s); g = g + 1; sem_signal(s); } \
+         process m(); process m();";
+
+    /// The initial state of `prog` and up to `more` states reachable
+    /// from it, breadth-first, with no reduction and the environment
+    /// enumerated (the corpus programs are open).
+    fn reachable(prog: &cfgir::CfgProgram, more: usize) -> Vec<GlobalState> {
+        use crate::executor::{ExecCtx, Executor, Scheduled, SuccOutcome};
+        let cfg = crate::search::Config {
+            env_mode: crate::interp::EnvMode::Enumerate,
+            ..crate::search::Config::exhaustive()
+        };
+        let exec = Executor::new(prog, &cfg);
+        let mut cx = ExecCtx::new(&exec, 10_000);
+        let mut states = vec![exec.initial()];
+        let mut next = 0;
+        while next < states.len() && states.len() <= more {
+            let procs = match exec.schedule(&states[next]) {
+                Scheduled::Init(pid) => vec![pid],
+                Scheduled::Procs(procs) => procs,
+                Scheduled::DeadEnd { .. } => Vec::new(),
+            };
+            for pid in procs {
+                for (_, outcome) in exec.successors(&mut cx, &states[next], pid) {
+                    if let SuccOutcome::State(s, _) = outcome {
+                        states.push(*s);
+                    }
+                }
+            }
+            next += 1;
+        }
+        states.truncate(more + 1);
+        states
+    }
+
+    /// Every state comes back from its tuple equal to the original and
+    /// *warm*: re-keying it returns the identical tuple without a single
+    /// component going back through the interner.
+    fn assert_materializes_warm(states: &[GlobalState], what: &str) {
+        let i = ComponentInterner::new();
+        let mut cache = ComponentCache::default();
+        for s in states {
+            let (fp, tuple) = s.fingerprint_and_intern(&i);
+            let (entries, batches) = (i.len(), i.batch_stats());
+            let back = i
+                .materialize(&mut cache, &tuple)
+                .unwrap_or_else(|| panic!("{what}: own tuple does not materialize"));
+            assert_eq!(&back, s, "{what}");
+            assert_eq!(back.fingerprint_and_intern(&i), (fp, tuple), "{what}");
+            assert_eq!(i.len(), entries, "{what}: re-keying interned a component");
+            assert_eq!(
+                i.batch_stats(),
+                batches,
+                "{what}: re-keying took the cold path"
+            );
+        }
+    }
+
+    #[test]
+    fn materialized_states_equal_the_originals_and_rekey_warm() {
+        let prog = cfgir::compile(TWO_PROCS).unwrap();
+        assert_materializes_warm(&reachable(&prog, 200), "two-process program");
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(corpus).expect("corpus directory") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "mc") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                let prog = cfgir::compile(&src).unwrap();
+                let states = reachable(&prog, 200);
+                assert_materializes_warm(&states, &path.display().to_string());
+                seen += 1;
+            }
+        }
+        assert!(seen >= 14, "only {seen} corpus programs found");
+    }
+
+    #[test]
+    fn a_cache_is_never_hit_under_another_interners_token() {
+        let prog = cfgir::compile(TWO_PROCS).unwrap();
+        let s = GlobalState::initial(&prog);
+        let mut t = s.clone();
+        *t.object_mut(1) = ObjState::Sem(0);
+        // Each interner numbers its own four components 0..4, and the
+        // two sets differ, so some ID means one thing under `a` and
+        // another under `b`: a hit across interners would show.
+        let (a, b) = (ComponentInterner::new(), ComponentInterner::new());
+        let (_, tuple_a) = s.fingerprint_and_intern(&a);
+        let (_, tuple_b) = t.fingerprint_and_intern(&b);
+        assert!((0..4).any(|id| a.get(id) != b.get(id)));
+        let mut cache = ComponentCache::default();
+        assert_eq!(a.materialize(&mut cache, &tuple_a), Some(s.clone()));
+        assert_eq!(b.materialize(&mut cache, &tuple_b), Some(t));
+        assert_eq!(a.materialize(&mut cache, &tuple_a), Some(s));
+    }
+
+    #[test]
+    fn malformed_and_unknown_id_tuples_are_none() {
+        let prog = cfgir::compile(TWO_PROCS).unwrap();
+        let s = GlobalState::initial(&prog);
+        let i = ComponentInterner::new();
+        let (_, tuple) = s.fingerprint_and_intern(&i);
+        let mut cache = ComponentCache::default();
+        for cut in 0..tuple.len() {
+            assert_eq!(i.materialize(&mut cache, &tuple[..cut]), None, "cut {cut}");
+        }
+        let mut long = tuple.clone();
+        long.push(0);
+        assert_eq!(i.materialize(&mut cache, &long), None, "trailing byte");
+        let varints = |vs: &[u64]| {
+            let mut out = Vec::new();
+            for v in vs {
+                put_u64(&mut out, *v);
+            }
+            out
+        };
+        // raw len, one process, an ID nobody assigned, no objects.
+        let unknown = varints(&[0, 1, i.len() as u64, 0]);
+        assert_eq!(i.materialize(&mut cache, &unknown), None);
+        // An ID past `u32`, and a count no tuple could hold.
+        let wide = varints(&[0, 1, u64::MAX, 0]);
+        assert_eq!(i.materialize(&mut cache, &wide), None);
+        assert_eq!(i.materialize(&mut cache, &varints(&[0, u64::MAX])), None);
+        // A process slot naming an object's encoding must not panic.
+        let chan_id = u64::from(tuple[tuple.len() - 2]);
+        let _ = i.materialize(&mut cache, &varints(&[0, 1, chan_id, 0]));
+        // And the cache is still good for well-formed tuples afterwards.
+        assert_eq!(i.materialize(&mut cache, &tuple), Some(s));
     }
 
     #[test]

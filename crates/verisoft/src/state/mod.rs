@@ -38,7 +38,7 @@ pub mod intern;
 
 pub use cow::CowArc;
 pub use encode::{decode_state, encode_state};
-pub use intern::ComponentInterner;
+pub use intern::{ComponentCache, ComponentInterner};
 
 use crate::value::{Addr, Value};
 use cfgir::{CfgProgram, NodeId, ObjId, ProcId, VarId, VarKind};
