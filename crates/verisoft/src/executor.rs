@@ -14,11 +14,15 @@
 //! drivers can give every worker its own context and merge afterwards.
 
 use crate::coverage::Coverage;
-use crate::interp::{execute_transition_with, TransitionResult, VisibleEvent};
+use crate::interp::{
+    execute_transition_noting_spawn, execute_transition_with, next_op_object, TransitionResult,
+    VisibleEvent,
+};
 use crate::por::{enabled_processes, independent, persistent_set, StaticInfo};
 use crate::report::{Decision, ViolationKind};
 use crate::search::Config;
-use crate::state::{GlobalState, Status};
+use crate::state::intern::{MemoEntry, MemoOutcome};
+use crate::state::{ComponentCache, GlobalState, Status, TransitionMemo};
 use cfgir::{CfgProgram, NodeKind};
 use std::collections::BTreeSet;
 
@@ -137,6 +141,36 @@ pub struct StatefulExpansion {
     /// Whether the ignoring/cycle proviso forced full expansion here.
     pub por_fallback: bool,
 }
+
+/// One child of a [`FrontierExpansion`], as the frontier engine's
+/// ordered commit reads it: the decision that reaches it and, for a
+/// violating transition, what it violated. There is no successor
+/// *state* here: the worker keyed it (or took its key from the
+/// transition memo without ever building it) and the key is all the
+/// commit needs.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct LeanChild {
+    pub decision: Decision,
+    /// `None` for a successor state.
+    pub violation: Option<(ViolationKind, Option<usize>)>,
+}
+
+/// One level of POR-aware expansion, over children of type `C`: what
+/// [`StatefulExpansion`] holds for `C = ChildSucc`, and what the
+/// frontier engine gets with `C = LeanChild`.
+pub(crate) struct PorExpansion<C> {
+    /// `Some(deadlock)` when the state has no enabled transition.
+    pub dead_end: Option<bool>,
+    /// The children in expansion order (none at a dead end).
+    pub children: Vec<C>,
+    /// Per child, aligned with `children`: see [`StatefulExpansion::keys`].
+    pub keys: KeyArena,
+    pub por_skipped: usize,
+    pub por_fallback: bool,
+}
+
+/// [`Executor::expand_frontier`]'s result.
+pub(crate) type FrontierExpansion = PorExpansion<LeanChild>;
 
 /// Everything below one node of the decision tree, expanded one level.
 ///
@@ -329,12 +363,20 @@ impl<'a> Executor<'a> {
             );
         }
         if self.cfg.por {
+            // `procs` is a subsequence of `enabled`, so one walk over
+            // `enabled` tells the two apart.
             let procs = persistent_set(self.prog, &self.info, state, &enabled);
-            let skipped = enabled
-                .iter()
-                .copied()
-                .filter(|p| !procs.contains(p))
-                .collect();
+            let mut skipped = Vec::with_capacity(enabled.len() - procs.len());
+            let mut scheduled = procs.iter().peekable();
+            for p in enabled {
+                if scheduled.next_if_eq(&&p).is_none() {
+                    skipped.push(p);
+                }
+            }
+            debug_assert!(
+                scheduled.next().is_none(),
+                "persistent set ⊆ enabled, in order"
+            );
             (Scheduled::Procs(procs), skipped)
         } else {
             (Scheduled::Procs(enabled), Vec::new())
@@ -381,6 +423,19 @@ impl<'a> Executor<'a> {
         state: &GlobalState,
         pid: usize,
     ) -> Vec<(Vec<u32>, SuccOutcome)> {
+        self.successors_noting_spawn(cx, state, pid, &mut false)
+    }
+
+    /// [`Executor::successors`], setting `spawned` when any execution of
+    /// the enumeration reached a `Spawn` node (see
+    /// [`execute_transition_noting_spawn`]).
+    fn successors_noting_spawn(
+        &self,
+        cx: &mut ExecCtx,
+        state: &GlobalState,
+        pid: usize,
+        spawned: &mut bool,
+    ) -> Vec<(Vec<u32>, SuccOutcome)> {
         let mut out = Vec::new();
         let mut pending: Vec<Vec<u32>> = vec![Vec::new()];
         while let Some(choices) = pending.pop() {
@@ -390,7 +445,7 @@ impl<'a> Executor<'a> {
             }
             let mut s = state.clone();
             cx.transitions += 1;
-            match execute_transition_with(
+            let (result, spawns) = execute_transition_noting_spawn(
                 self.prog,
                 &mut s,
                 pid,
@@ -398,7 +453,9 @@ impl<'a> Executor<'a> {
                 self.cfg.env_mode,
                 &self.cfg.limits,
                 cx.coverage.as_mut(),
-            ) {
+            );
+            *spawned |= spawns;
+            match result {
                 TransitionResult::Completed { event } => {
                     let (shared, total) = s.sharing_with(state);
                     cx.shared_components += shared;
@@ -566,90 +623,298 @@ impl<'a> Executor<'a> {
         state: &GlobalState,
         closes_cycle: F,
     ) -> StatefulExpansion {
-        let (sched, skipped) = self.schedule_por(state);
-        let mut children = Vec::new();
-        let mut keys = KeyArena::default();
-        let expand_proc =
-            |cx: &mut ExecCtx, children: &mut Vec<ChildSucc>, keys: &mut KeyArena, pid: usize| {
-                for (choices, outcome) in self.successors(cx, state, pid) {
-                    match &outcome {
-                        SuccOutcome::State(s, _) => {
-                            keys.push_with(|out| cx.state_key_into(s, out));
-                        }
-                        SuccOutcome::Violation(..) => keys.push_violation(),
-                    }
-                    children.push(ChildSucc {
-                        process: pid,
-                        choices,
-                        outcome,
-                        sleep: BTreeSet::new(),
-                    });
+        let e = self.expand_por(cx, state, closes_cycle, |cx, children, keys, pid| {
+            for (choices, outcome) in self.successors(cx, state, pid) {
+                match &outcome {
+                    SuccOutcome::State(s, _) => keys.push_with(|out| cx.state_key_into(s, out)),
+                    SuccOutcome::Violation(..) => keys.push_violation(),
                 }
-            };
-        match sched {
-            Scheduled::DeadEnd { deadlock } => StatefulExpansion {
-                expansion: NodeExpansion::DeadEnd { deadlock },
-                keys,
-                por_skipped: 0,
-                por_fallback: false,
-            },
-            Scheduled::Init(pid) => {
-                expand_proc(cx, &mut children, &mut keys, pid);
-                StatefulExpansion {
-                    expansion: NodeExpansion::Children(children),
-                    keys,
-                    por_skipped: 0,
-                    por_fallback: false,
-                }
+                children.push(ChildSucc {
+                    process: pid,
+                    choices,
+                    outcome,
+                    sleep: BTreeSet::new(),
+                });
             }
+        });
+        StatefulExpansion {
+            expansion: match e.dead_end {
+                Some(deadlock) => NodeExpansion::DeadEnd { deadlock },
+                None => NodeExpansion::Children(e.children),
+            },
+            keys: e.keys,
+            por_skipped: e.por_skipped,
+            por_fallback: e.por_fallback,
+        }
+    }
+
+    /// The schedule-expand-fall-back skeleton of
+    /// [`Executor::expand_stateful`], over any representation of a
+    /// child: `step(cx, children, keys, pid)` appends process `pid`'s
+    /// outcomes to `children` and one key each to `keys` — `(0, empty)`
+    /// for a violating outcome, which is how the fallback tells the two
+    /// kinds apart.
+    fn expand_por<C>(
+        &self,
+        cx: &mut ExecCtx,
+        state: &GlobalState,
+        closes_cycle: impl Fn(u64, &[u8]) -> bool,
+        mut step: impl FnMut(&mut ExecCtx, &mut Vec<C>, &mut KeyArena, usize),
+    ) -> PorExpansion<C> {
+        let (sched, skipped) = self.schedule_por(state);
+        let mut e = PorExpansion {
+            dead_end: None,
+            children: Vec::new(),
+            keys: KeyArena::default(),
+            por_skipped: 0,
+            por_fallback: false,
+        };
+        match sched {
+            Scheduled::DeadEnd { deadlock } => e.dead_end = Some(deadlock),
+            Scheduled::Init(pid) => step(cx, &mut e.children, &mut e.keys, pid),
             Scheduled::Procs(procs) => {
                 for &t in &procs {
                     if cx.truncated {
                         break;
                     }
-                    expand_proc(cx, &mut children, &mut keys, t);
+                    step(cx, &mut e.children, &mut e.keys, t);
                 }
-                let mut por_skipped = skipped.len();
-                let mut por_fallback = false;
+                e.por_skipped = skipped.len();
                 // Two fallbacks to full expansion. (1) The proviso: a
                 // State child (nonempty encoding) already known to the
                 // driver's store may close a cycle — expand everything so
-                // nothing is ignored around it. (2) A Violation child:
-                // the persistent-set argument assumes every selected
-                // transition leads to a successor the search keeps
-                // exploring, but a violating transition *cuts* its path —
-                // a skipped process whose own violation was simultaneously
-                // enabled (e.g. two processes both at failing assertions)
-                // would be masked for good. Violating states are rare, so
-                // expanding them fully costs almost nothing and restores
-                // verdict-set completeness.
-                let cuts_path = children
-                    .iter()
-                    .any(|c| matches!(c.outcome, SuccOutcome::Violation(..)));
+                // nothing is ignored around it. (2) A Violation child
+                // (empty encoding): the persistent-set argument assumes
+                // every selected transition leads to a successor the
+                // search keeps exploring, but a violating transition
+                // *cuts* its path — a skipped process whose own violation
+                // was simultaneously enabled (e.g. two processes both at
+                // failing assertions) would be masked for good. Violating
+                // states are rare, so expanding them fully costs almost
+                // nothing and restores verdict-set completeness.
                 if !skipped.is_empty()
                     && !cx.truncated
-                    && (cuts_path
-                        || keys
-                            .iter()
-                            .any(|(h, e)| !e.is_empty() && closes_cycle(h, e)))
+                    && (e.keys.iter().any(|(_, enc)| enc.is_empty())
+                        || e.keys.iter().any(|(h, enc)| closes_cycle(h, enc)))
                 {
-                    por_fallback = true;
-                    por_skipped = 0;
+                    e.por_fallback = true;
+                    e.por_skipped = 0;
                     for &t in &skipped {
                         if cx.truncated {
                             break;
                         }
-                        expand_proc(cx, &mut children, &mut keys, t);
+                        step(cx, &mut e.children, &mut e.keys, t);
                     }
-                }
-                StatefulExpansion {
-                    expansion: NodeExpansion::Children(children),
-                    keys,
-                    por_skipped,
-                    por_fallback,
                 }
             }
         }
+        e
+    }
+
+    /// [`Executor::expand_stateful`] for the frontier engine: the same
+    /// children in the same order with the same keys, reduced to what the
+    /// ordered commit reads ([`LeanChild`]), and — when `cx` carries the
+    /// run's interner — computed through the worker's lent component
+    /// cache and transition memo (DESIGN §15): a process's outcomes are
+    /// looked up under `(its component ID, the ID of its leading visible
+    /// operation's object)` and, on a hit, each child's key is the
+    /// parent's tuple with one or two IDs replaced. No successor state
+    /// exists on that path. Without an interner (`--no-compress`) `lent`
+    /// goes unused and every transition goes through the interpreter,
+    /// which is what makes that mode the memo's reference.
+    pub(crate) fn expand_frontier<F: Fn(u64, &[u8]) -> bool>(
+        &self,
+        cx: &mut ExecCtx,
+        state: &GlobalState,
+        mut lent: (&mut ComponentCache, &mut TransitionMemo),
+        closes_cycle: F,
+    ) -> FrontierExpansion {
+        let memoised = match &cx.interner {
+            Some(interner) => {
+                lent.1.view(interner, state);
+                true
+            }
+            None => false,
+        };
+        self.expand_por(cx, state, closes_cycle, |cx, children, keys, pid| {
+            if memoised {
+                self.step_through_memo(cx, &mut lent, state, pid, children, keys);
+            } else {
+                self.step_interpreted(cx, state, pid, children, keys, |_, _| {});
+            }
+        })
+    }
+
+    /// Process `pid`'s outcomes from `state` through the interpreter,
+    /// each keyed and appended as a [`LeanChild`]; `each` sees every
+    /// outcome once it is keyed (so a successor's intern memos are warm).
+    /// Returns whether a `Spawn` node was executed.
+    fn step_interpreted(
+        &self,
+        cx: &mut ExecCtx,
+        state: &GlobalState,
+        pid: usize,
+        children: &mut Vec<LeanChild>,
+        keys: &mut KeyArena,
+        mut each: impl FnMut(&[u32], &SuccOutcome),
+    ) -> bool {
+        let mut spawned = false;
+        for (choices, outcome) in self.successors_noting_spawn(cx, state, pid, &mut spawned) {
+            match &outcome {
+                SuccOutcome::State(s, _) => keys.push_with(|out| cx.state_key_into(s, out)),
+                SuccOutcome::Violation(..) => keys.push_violation(),
+            }
+            each(&choices, &outcome);
+            children.push(LeanChild {
+                decision: Decision {
+                    process: pid,
+                    choices,
+                },
+                violation: match outcome {
+                    SuccOutcome::State(..) => None,
+                    SuccOutcome::Violation(kind, process) => Some((kind, process)),
+                },
+            });
+        }
+        spawned
+    }
+
+    /// Process `pid`'s outcomes from the state `memo` views: from the
+    /// memo when it has them and the item's budget covers them, through
+    /// the interpreter otherwise — recording the answer unless the
+    /// transition spawned or the budget cut the enumeration short.
+    fn step_through_memo(
+        &self,
+        cx: &mut ExecCtx,
+        (cache, memo): &mut (&mut ComponentCache, &mut TransitionMemo),
+        state: &GlobalState,
+        pid: usize,
+        children: &mut Vec<LeanChild>,
+        keys: &mut KeyArena,
+    ) {
+        let object = next_op_object(self.prog, state, pid).map(|o| o.index());
+        let key = memo.key(pid, object);
+        let left = cx.budget.saturating_sub(cx.transitions);
+        match memo.get(key) {
+            Some(entry) if entry.executions <= left => {
+                let first = children.len();
+                let mut completed = 0;
+                for (choices, outcome) in &entry.outcomes {
+                    let violation = match outcome {
+                        MemoOutcome::State {
+                            proc,
+                            object: wrote,
+                        } => {
+                            completed += 1;
+                            let wrote = object.zip(wrote.as_ref());
+                            keys.push_with(|out| memo.child_key(pid, proc, wrote, out));
+                            None
+                        }
+                        MemoOutcome::Violation(kind) => {
+                            keys.push_violation();
+                            Some((kind.clone(), Some(pid)))
+                        }
+                    };
+                    children.push(LeanChild {
+                        decision: Decision {
+                            process: pid,
+                            choices: choices.clone(),
+                        },
+                        violation,
+                    });
+                }
+                let total = completed * memo.components();
+                let charged = [
+                    entry.executions,
+                    entry.tosses_taken,
+                    total - entry.unshared,
+                    total,
+                ];
+                if cfg!(debug_assertions) {
+                    self.assert_hit_is_what_the_interpreter_does(
+                        cx,
+                        state,
+                        pid,
+                        (&children[first..], keys, charged),
+                    );
+                }
+                cx.transitions += charged[0];
+                cx.tosses_taken += charged[1];
+                cx.shared_components += charged[2];
+                cx.total_components += charged[3];
+                memo.stats.hits += 1;
+            }
+            _ => {
+                let before = (cx.transitions, cx.tosses_taken);
+                let mut entry = MemoEntry::default();
+                let spawned =
+                    self.step_interpreted(cx, state, pid, children, keys, |choices, outcome| {
+                        let outcome = match outcome {
+                            SuccOutcome::State(s, _) => {
+                                let (proc, wrote, unshared) =
+                                    memo.observe(cache, state, s, pid, object);
+                                entry.unshared += unshared;
+                                MemoOutcome::State {
+                                    proc,
+                                    object: wrote,
+                                }
+                            }
+                            SuccOutcome::Violation(kind, _) => MemoOutcome::Violation(kind.clone()),
+                        };
+                        entry.outcomes.push((choices.to_vec(), outcome));
+                    });
+                if spawned {
+                    memo.stats.bypass_spawn += 1;
+                } else if cx.truncated {
+                    memo.stats.bypass_budget += 1;
+                } else {
+                    entry.executions = cx.transitions - before.0;
+                    entry.tosses_taken = cx.tosses_taken - before.1;
+                    memo.record(key, entry);
+                    memo.stats.misses += 1;
+                }
+            }
+        }
+    }
+
+    /// The debug-build oracle of a memo hit: run the interpreter on the
+    /// same process of the same state, under the budget the hit saw and
+    /// with no coverage sink (a hit marks nothing), and require the same
+    /// children, the same keys and fingerprints, and the same charges to
+    /// `cx`. This is what makes `cargo test` a differential run of the
+    /// memo against the interpreter.
+    fn assert_hit_is_what_the_interpreter_does(
+        &self,
+        cx: &ExecCtx,
+        state: &GlobalState,
+        pid: usize,
+        (children, keys, charged): (&[LeanChild], &KeyArena, [usize; 4]),
+    ) {
+        let mut oracle = ExecCtx::with_coverage(cx.budget - cx.transitions, None);
+        oracle.interner = cx.interner.clone();
+        let (mut want, mut want_keys) = (Vec::new(), KeyArena::default());
+        let spawned = self.step_interpreted(
+            &mut oracle,
+            state,
+            pid,
+            &mut want,
+            &mut want_keys,
+            |_, _| {},
+        );
+        assert!(!spawned, "a spawning transition was memoised");
+        assert!(!oracle.truncated, "a hit was taken past the item's budget");
+        assert_eq!(children, want, "memoised outcomes of process {pid}");
+        let first = keys.len() - children.len();
+        for j in 0..want.len() {
+            assert_eq!(keys.get(first + j), want_keys.get(j), "memoised key {j}");
+        }
+        let interpreted = [
+            oracle.transitions,
+            oracle.tosses_taken,
+            oracle.shared_components,
+            oracle.total_components,
+        ];
+        assert_eq!(charged, interpreted, "memoised charges of process {pid}");
     }
 
     /// Replay a decision sequence from the initial state, returning the

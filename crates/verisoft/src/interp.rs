@@ -262,6 +262,26 @@ pub fn execute_transition_with(
     limits: &ExecLimits,
     coverage: Option<&mut Coverage>,
 ) -> TransitionResult {
+    execute_transition_noting_spawn(prog, state, pid, choices, env_mode, limits, coverage).0
+}
+
+/// [`execute_transition_with`], also saying whether the transition
+/// reached a `Spawn` node. A spawn reads `procs.len()` against
+/// [`ExecLimits::max_procs`] and appends a process, so it is the one
+/// operation whose result is not a function of the running process and
+/// the object of its leading visible operation alone — the frontier
+/// engine's transition memo (DESIGN §15) must not record such a
+/// transition.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute_transition_noting_spawn(
+    prog: &CfgProgram,
+    state: &mut GlobalState,
+    pid: usize,
+    choices: &[u32],
+    env_mode: EnvMode,
+    limits: &ExecLimits,
+    coverage: Option<&mut Coverage>,
+) -> (TransitionResult, bool) {
     let mut cx = Exec {
         prog,
         state,
@@ -271,8 +291,10 @@ pub fn execute_transition_with(
         env_mode,
         limits,
         coverage,
+        spawned: false,
     };
-    cx.run()
+    let result = cx.run();
+    (result, cx.spawned)
 }
 
 struct Exec<'a> {
@@ -284,6 +306,8 @@ struct Exec<'a> {
     env_mode: EnvMode,
     limits: &'a ExecLimits,
     coverage: Option<&'a mut Coverage>,
+    /// Set when a `Spawn` node is reached, whether or not it succeeds.
+    spawned: bool,
 }
 
 enum Flow {
@@ -619,6 +643,7 @@ impl<'a> Exec<'a> {
                 }
             }
             NodeKind::Spawn { callee, args } => {
+                self.spawned = true;
                 if self.state.procs.len() >= self.limits.max_procs {
                     return Err(TransitionResult::RuntimeError(RtError::TooManyProcesses));
                 }

@@ -62,7 +62,7 @@ pub use interp::{
     TransitionResult, VisibleEvent,
 };
 pub use por::{enabled_processes, independent, persistent_set, StaticInfo};
-pub use report::{Decision, Report, Violation, ViolationKind};
+pub use report::{Decision, MemoStats, Report, Violation, ViolationKind};
 pub use search::{
     driver_for, explore, replay, validate_checkpoint, BfsDriver, Config, Engine, ParallelStateless,
     SearchDriver, StateStore, StatefulDfs, StatefulParallel, StatelessDfs, TieredStore,

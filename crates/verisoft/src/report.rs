@@ -72,6 +72,40 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// Hit, miss and bypass counts of a frontier worker's transition memo
+/// (DESIGN §15), or of all of a run's memos added up
+/// ([`Report::memo`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Per-process successor lookups answered from the memo instead of
+    /// interpreting.
+    pub hits: usize,
+    /// Lookups that ran the interpreter and recorded the answer.
+    pub misses: usize,
+    /// Interpreter runs left unrecorded because the transition executed
+    /// a `Spawn` node.
+    pub bypass_spawn: usize,
+    /// Interpreter runs left unrecorded because the item's transition
+    /// budget ended inside the enumeration.
+    pub bypass_budget: usize,
+}
+
+impl MemoStats {
+    /// Every lookup: hits, misses and both kinds of bypass.
+    pub fn lookups(&self) -> usize {
+        self.hits + self.misses + self.bypass_spawn + self.bypass_budget
+    }
+}
+
+impl std::ops::AddAssign for MemoStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bypass_spawn += other.bypass_spawn;
+        self.bypass_budget += other.bypass_budget;
+    }
+}
+
 /// Aggregate results of one state-space exploration.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -190,6 +224,15 @@ pub struct Report {
     /// expansion under the double-buffered pipeline (operational;
     /// 0 when pipelining is off or every level fit in one chunk).
     pub pipeline_overlapped_chunks: usize,
+    /// What the frontier workers' transition memos (DESIGN §15) did,
+    /// summed over workers. Operational like the batch counters above,
+    /// and more so: every worker has a memo of its own and claims items
+    /// through a shared cursor, so at `jobs > 1` which lookups hit
+    /// depends on thread timing; a resumed run starts with empty memos;
+    /// and `--no-compress` has none. These counts are therefore in no
+    /// determinism key, no checkpoint and no golden — `--stats` prints
+    /// them and that is all.
+    pub memo: MemoStats,
 }
 
 impl Report {
@@ -260,6 +303,7 @@ impl Report {
         self.prefilter_rebuilds += other.prefilter_rebuilds;
         self.pipeline_chunks += other.pipeline_chunks;
         self.pipeline_overlapped_chunks += other.pipeline_overlapped_chunks;
+        self.memo += other.memo;
     }
 }
 

@@ -87,8 +87,9 @@ struct Shard {
 
 /// One slot of the sharded tree, in DFS order.
 enum Item {
-    /// Resolved during sharding; the fragment is merged as-is.
-    Terminal(Report),
+    /// Resolved during sharding; the fragment is merged as-is. Boxed:
+    /// a `Report` is several times a [`Shard`].
+    Terminal(Box<Report>),
     /// Waiting for a worker.
     Open(Shard),
 }
@@ -189,7 +190,10 @@ impl<'e, 'a> Sharder<'e, 'a> {
         let mut out = Vec::new();
         if sh.depth >= cfg.max_depth {
             self.root.truncated = true;
-            out.push(Item::Terminal(trace_end(cfg.collect_traces, &sh.events)));
+            out.push(Item::Terminal(Box::new(trace_end(
+                cfg.collect_traces,
+                &sh.events,
+            ))));
             return out;
         }
         match self
@@ -205,7 +209,7 @@ impl<'e, 'a> Sharder<'e, 'a> {
                         trace: sh.path.clone(),
                     });
                 }
-                out.push(Item::Terminal(frag));
+                out.push(Item::Terminal(Box::new(frag)));
             }
             NodeExpansion::Children(cs) => {
                 self.expansions += 1;
@@ -260,7 +264,7 @@ fn child_item(
                 process,
                 trace: path,
             });
-            Item::Terminal(frag)
+            Item::Terminal(Box::new(frag))
         }
     }
 }
@@ -782,7 +786,7 @@ impl super::SearchDriver for ParallelStateless {
             match item {
                 Item::Terminal(frag) => {
                     slots.push(ItemSlot {
-                        fragments: [(vec![i as u32], frag)].into(),
+                        fragments: [(vec![i as u32], *frag)].into(),
                         outstanding: 0,
                         skipped: false,
                     });

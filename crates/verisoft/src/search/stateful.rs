@@ -26,10 +26,12 @@
 
 use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
-use crate::executor::{ExecCtx, Executor, KeyArena, NodeExpansion, StatefulExpansion, SuccOutcome};
+use crate::executor::{
+    ExecCtx, Executor, FrontierExpansion, KeyArena, LeanChild, NodeExpansion, SuccOutcome,
+};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
-use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState};
+use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -193,16 +195,6 @@ fn rebuild(
     .expect("frontier key does not decode (damaged spool or checkpoint file?)")
 }
 
-/// One child of an expanded frontier item, as the commit reads it: the
-/// decision that reaches it and, for a violating transition, what it
-/// violated. A successor *state* is gone by the time this exists — the
-/// worker keyed it (see [`Expanded::keys`]) and dropped it on the spot.
-struct Child {
-    decision: Decision,
-    /// `None` for a successor state.
-    violation: Option<(ViolationKind, Option<usize>)>,
-}
-
 /// A worker's expansion of one frontier item, reduced to what the
 /// ordered commit reads. An in-memory level is a single chunk, so these
 /// records exist for *every* child of the widest level at once
@@ -212,7 +204,7 @@ struct Expanded {
     /// The item had no enabled transition and that is a deadlock.
     deadlock: bool,
     /// The children in expansion order (none at a dead end).
-    children: Vec<Child>,
+    children: Vec<LeanChild>,
     /// Per child, aligned with `children`: the state's stable
     /// fingerprint and store key (`(0, empty)` for violation outcomes),
     /// arena-flattened. Computed worker-side so the sequential commit
@@ -230,38 +222,20 @@ struct Expanded {
 }
 
 impl Expanded {
-    /// Strip an expansion down to its commit record, dropping every
-    /// successor state while the worker that built it still has it in
-    /// cache, and move the item's counters out of `cx` (left zeroed for
-    /// the worker's next item).
-    fn lean(se: StatefulExpansion, cx: &mut ExecCtx) -> Expanded {
-        let (deadlock, children) = match se.expansion {
-            NodeExpansion::DeadEnd { deadlock } => (deadlock, Vec::new()),
-            NodeExpansion::Children(cs) => {
-                let lean = cs.into_iter().map(|c| Child {
-                    decision: Decision {
-                        process: c.process,
-                        choices: c.choices,
-                    },
-                    violation: match c.outcome {
-                        SuccOutcome::State(..) => None,
-                        SuccOutcome::Violation(kind, process) => Some((kind, process)),
-                    },
-                });
-                (false, lean.collect())
-            }
-        };
+    /// An item's commit record: its expansion plus the item's counters,
+    /// moved out of `cx` (left zeroed for the worker's next item).
+    fn new(fe: FrontierExpansion, cx: &mut ExecCtx) -> Expanded {
         Expanded {
-            deadlock,
-            children,
-            keys: se.keys,
+            deadlock: fe.dead_end == Some(true),
+            children: fe.children,
+            keys: fe.keys,
             transitions: std::mem::take(&mut cx.transitions),
             truncated: std::mem::take(&mut cx.truncated),
             shared_components: std::mem::take(&mut cx.shared_components),
             total_components: std::mem::take(&mut cx.total_components),
             tosses_taken: std::mem::take(&mut cx.tosses_taken),
-            por_skipped: se.por_skipped,
-            por_fallback: se.por_fallback,
+            por_skipped: fe.por_skipped,
+            por_fallback: fe.por_fallback,
         }
     }
 }
@@ -300,8 +274,12 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     // Never spawn more workers than the host can run: oversubscribed
     // `--jobs` used to create idle threads that only added scheduling
     // noise. The clamp is invisible in the report — worker count never
-    // influences results (the determinism argument above).
-    let hw = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
+    // influences results (the determinism argument above). Asked at most
+    // once, and only when a second thread could be used: the query is
+    // 10 µs of a five-state exploration.
+    let hw = OnceLock::new();
+    let hw =
+        || *hw.get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()));
     // Commit-path selection. `scalar_commit` forces the historical
     // reference path (per-successor admits in the workers, per-child
     // seals in the commit loop); the batched path is the default and is
@@ -310,11 +288,12 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     // chunk c+1 while chunk c commits) requires the batched path: only
     // deferred admits make a discarded prefetch side-effect-free.
     let scalar_commit = cfg.scalar_commit;
-    let pipeline = match std::env::var("RECLOSE_PIPELINE").ok().as_deref() {
-        Some("0") => false,
-        Some("1") => true,
-        _ => !scalar_commit && hw >= 2,
+    let pipeline_forced = match std::env::var("RECLOSE_PIPELINE").ok().as_deref() {
+        Some("0") => Some(false),
+        Some("1") => Some(true),
+        _ => None,
     };
+    let pipeline = || pipeline_forced.unwrap_or_else(|| !scalar_commit && hw() >= 2);
     let mut chunks_committed = 0usize;
     let mut chunks_overlapped = 0usize;
     let checkpointing = cfg.checkpoint_dir.is_some();
@@ -410,12 +389,14 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     }
     report.frontier_spilled_entries += frontier.spooled();
 
-    // One component cache per worker, kept for the whole run and lent to
-    // whichever thread runs that worker for a chunk: an out-of-core run
-    // has hundreds of chunks, and none of them should decode a component
-    // its worker has already seen. Grown on demand (most explorations are
-    // tiny and single-worker), bounded by the interner's table.
-    let mut caches: Vec<ComponentCache> = Vec::new();
+    // One component cache and one transition memo per worker, kept for
+    // the whole run and lent to whichever thread runs that worker for a
+    // chunk: an out-of-core run has hundreds of chunks, and none of them
+    // should decode a component, or interpret a transition, its worker
+    // has already seen. Grown on demand (most explorations are tiny and
+    // single-worker); the cache is bounded by the interner's table, the
+    // memo by its distinct (process, object) pairs.
+    let mut caches: Vec<(ComponentCache, TransitionMemo)> = Vec::new();
     let mut stop = false;
     while !frontier.is_empty() && !stop {
         // Checkpoint at the level boundary — the only instant where the
@@ -474,12 +455,17 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
         // report-invisible). Scalar mode keeps the historical inline
         // admits for the differential oracle.
         let expand_chunk =
-            |chunk: &[FrontierItem], chunk_base: usize, caches: &mut Vec<ComponentCache>| {
+            |chunk: &[FrontierItem],
+             chunk_base: usize,
+             caches: &mut Vec<(ComponentCache, TransitionMemo)>| {
                 let n = chunk.len();
                 let cursor = AtomicUsize::new(0);
-                let workers = jobs.min(n).min(hw).max(1);
+                let workers = match jobs.min(n) {
+                    0 | 1 => 1,
+                    wanted => wanted.min(hw()),
+                };
                 if caches.len() < workers {
-                    caches.resize_with(workers, ComponentCache::default);
+                    caches.resize_with(workers, Default::default);
                 }
                 let slots: Vec<OnceLock<Expanded>> = (0..n).map(|_| OnceLock::new()).collect();
                 // One worker's share of the chunk: claim items through the
@@ -487,7 +473,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                 // only the lean commit record in the item's slot — the
                 // item's state and all its successors die here, on the
                 // thread that built them. Returns the worker's coverage.
-                let run = |cache: &mut ComponentCache| -> Option<Coverage> {
+                let run = |(cache, memo): &mut (ComponentCache, TransitionMemo)| {
                     let cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
                     let mut cx = ExecCtx::with_coverage(remaining, cov);
                     cx.interner = interner.clone();
@@ -497,17 +483,20 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                             break;
                         }
                         let state = rebuild(interner.as_deref(), cache, &chunk[i].key);
-                        let se = exec.expand_stateful(&mut cx, &state, |h, e| {
-                            store.contains_sealed_before(h, e, epoch)
-                        });
+                        let fe = exec.expand_frontier(
+                            &mut cx,
+                            &state,
+                            (&mut *cache, &mut *memo),
+                            |h, e| store.contains_sealed_before(h, e, epoch),
+                        );
                         if scalar_commit {
-                            for (j, (h, enc)) in se.keys.iter().enumerate() {
+                            for (j, (h, enc)) in fe.keys.iter().enumerate() {
                                 if !enc.is_empty() {
                                     store.admit(h, enc, rank(chunk_base + i, j));
                                 }
                             }
                         }
-                        let claimed_once = slots[i].set(Expanded::lean(se, &mut cx)).is_ok();
+                        let claimed_once = slots[i].set(Expanded::new(fe, &mut cx)).is_ok();
                         assert!(claimed_once, "the cursor hands out each item once");
                     }
                     cx.coverage
@@ -516,7 +505,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                     let run = &run;
                     let handles: Vec<_> = caches[..workers]
                         .iter_mut()
-                        .map(|cache| scope.spawn(move || run(cache)))
+                        .map(|lent| scope.spawn(move || run(lent)))
                         .collect();
                     handles
                         .into_iter()
@@ -622,7 +611,7 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
 
             // Commit this chunk — overlapped with the next chunk's
             // expansion when pipelining is on and the level has one.
-            let next_chunk = if pipeline {
+            let next_chunk = if !frontier.is_empty() && pipeline() {
                 frontier
                     .next_chunk(chunk_budget)
                     .expect("read frontier spool")
@@ -700,6 +689,9 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
     report.prefilter_rebuilds = pf_rebuilds;
     report.pipeline_chunks = chunks_committed;
     report.pipeline_overlapped_chunks = chunks_overlapped;
+    for (_, memo) in &caches {
+        report.memo += memo.stats;
+    }
     report
 }
 

@@ -38,11 +38,13 @@
 //! [`GlobalState::fingerprint_and_intern`]: super::GlobalState::fingerprint_and_intern
 
 use super::encode::{
-    check_header, decode_obj_state, decode_proc_state, put_header, put_u64, ByteReader, Encode,
-    INTERN_MAGIC,
+    check_header, decode_obj_state, decode_proc_state, put_header, put_u64, varint_len, ByteReader,
+    Encode, INTERN_MAGIC,
 };
 use super::{CowArc, GlobalState, ObjState, ProcState};
+use crate::report::{MemoStats, ViolationKind};
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -106,6 +108,277 @@ pub struct ComponentCache {
     token: u64,
     procs: Vec<Option<CowArc<ProcState>>>,
     objects: Vec<Option<CowArc<ObjState>>>,
+}
+
+impl ComponentCache {
+    /// Empty the cache unless its entries were decoded under `token`.
+    fn adopt(&mut self, token: u64) {
+        if self.token != token {
+            *self = ComponentCache {
+                token,
+                ..ComponentCache::default()
+            };
+        }
+    }
+}
+
+/// Store `comp` as component `id` unless the slot is taken.
+fn publish<T: Clone>(slots: &mut Vec<Option<CowArc<T>>>, id: u32, comp: &CowArc<T>) {
+    let id = id as usize;
+    if slots.len() <= id {
+        slots.resize(id + 1, None);
+    }
+    slots[id].get_or_insert_with(|| comp.clone());
+}
+
+/// What a memoised successor needs of one component it does not take
+/// from its parent: the ID that goes into the child's tuple, the
+/// sub-hash that goes into its fingerprint, and the encoded length that
+/// goes into the tuple's leading raw-length varint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Changed {
+    pub id: u32,
+    pub sub_hash: u64,
+    pub len: u32,
+}
+
+/// One outcome of a memoised transition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum MemoOutcome {
+    /// The transition ends in this violation.
+    Violation(ViolationKind),
+    /// The successor is its parent with the running process replaced
+    /// and, when the leading visible operation wrote its object, that
+    /// object too.
+    State {
+        proc: Changed,
+        object: Option<Changed>,
+    },
+}
+
+/// Everything `Executor::successors` answers for one process of one
+/// state, as a function of the two components it reads.
+#[derive(Debug, Default)]
+pub(crate) struct MemoEntry {
+    /// Per outcome, in `successors` order: the choice vector and result.
+    pub outcomes: Vec<(Vec<u32>, MemoOutcome)>,
+    /// Interpreter executions the enumeration cost (`NeedChoice`
+    /// re-runs included): what a hit charges to `ExecCtx::transitions`.
+    pub executions: usize,
+    /// `ExecCtx::tosses_taken` over the completed outcomes.
+    pub tosses_taken: usize,
+    /// Components the completed outcomes do not share with the parent,
+    /// summed (allocation identity, so a write of an equal value counts).
+    pub unshared: usize,
+}
+
+/// The state whose transitions are being looked up, as the memo reads
+/// it: per component (processes, then objects) the interner ID, the
+/// sub-hash and the encoded length, plus the raw encoded length of the
+/// whole state. Reused from item to item.
+#[derive(Debug, Default)]
+struct ParentView {
+    ids: Vec<u32>,
+    subs: Vec<u64>,
+    lens: Vec<u32>,
+    nprocs: usize,
+    raw: usize,
+}
+
+/// A frontier worker's memo of `Executor::successors`, keyed on interner
+/// IDs (DESIGN §15).
+///
+/// A transition reads and writes the running process and the object of
+/// its leading visible operation, nothing else (§2 of the paper; the
+/// interpreter is written so, and every miss checks it), so the whole
+/// answer for process `pid` of a state is a function of `(ID of
+/// procs[pid], ID of that object | none)`. A state space of hundreds of
+/// thousands of states is built from a few hundred components, so almost
+/// every lookup after the first levels is a hit, and a hit builds the
+/// child's store key from the parent's IDs without a state to clone,
+/// mutate, encode, intern or free.
+///
+/// Like the [`ComponentCache`] it lives beside, a memo belongs to **one
+/// worker** for the whole run and is lent to whichever thread runs that
+/// worker for a chunk: no lock, no shared cache line, and the recorded
+/// IDs mean what they meant because the run has one interner (a memo
+/// last used under another interner's token is emptied first). It is
+/// not checkpointed; a resumed run refills it.
+#[derive(Debug, Default)]
+pub(crate) struct TransitionMemo {
+    /// 0 (no interner's token) until first used.
+    token: u64,
+    entries: HashMap<(u32, Option<u32>), MemoEntry>,
+    parent: ParentView,
+    pub(crate) stats: MemoStats,
+}
+
+impl TransitionMemo {
+    /// Point the memo at `state`, the parent of the lookups that follow.
+    /// Every component must be interned under `interner`: a materialized
+    /// state is (its memos were seeded with it); any other state is
+    /// keyed once here.
+    pub(crate) fn view(&mut self, interner: &ComponentInterner, state: &GlobalState) {
+        if self.token != interner.token() {
+            self.entries.clear();
+            self.token = interner.token();
+        }
+        if !self.read_parent(state) {
+            state.fingerprint_and_intern_into(interner, &mut Vec::new());
+            let warm = self.read_parent(state);
+            assert!(warm, "keying a state interns every component");
+        }
+    }
+
+    /// Fill the parent view from the components' memos; false when one
+    /// of them has none under this memo's token.
+    fn read_parent(&mut self, state: &GlobalState) -> bool {
+        let token = self.token;
+        let p = &mut self.parent;
+        p.ids.clear();
+        p.subs.clear();
+        p.lens.clear();
+        p.nprocs = state.procs.len();
+        p.raw = varint_len(state.procs.len() as u64) + varint_len(state.objects.len() as u64);
+        let mut read = |c: Option<Changed>| {
+            let c = c?;
+            p.ids.push(c.id);
+            p.subs.push(c.sub_hash);
+            p.lens.push(c.len);
+            p.raw += c.len as usize;
+            Some(())
+        };
+        state
+            .procs
+            .iter()
+            .all(|c| read(changed(c, token)).is_some())
+            && state
+                .objects
+                .iter()
+                .all(|c| read(changed(c, token)).is_some())
+    }
+
+    /// The memo key of process `pid`'s next transition from the viewed
+    /// state, `object` being the index of its leading visible
+    /// operation's object.
+    pub(crate) fn key(&self, pid: usize, object: Option<usize>) -> (u32, Option<u32>) {
+        let p = &self.parent;
+        (p.ids[pid], object.map(|o| p.ids[p.nprocs + o]))
+    }
+
+    /// The entry recorded under `key`, if any.
+    pub(crate) fn get(&self, key: (u32, Option<u32>)) -> Option<&MemoEntry> {
+        self.entries.get(&key)
+    }
+
+    /// Record a completed enumeration.
+    pub(crate) fn record(&mut self, key: (u32, Option<u32>), entry: MemoEntry) {
+        self.entries.insert(key, entry);
+    }
+
+    /// Number of components of the viewed state.
+    pub(crate) fn components(&self) -> usize {
+        self.parent.ids.len()
+    }
+
+    /// Append to `out` the store key of the viewed state's successor
+    /// that differs from it in process `pid` and, when given, in object
+    /// `object.0`, and return that successor's fingerprint: byte for
+    /// byte and bit for bit what
+    /// [`GlobalState::fingerprint_and_intern_into`] computes from the
+    /// successor itself.
+    pub(crate) fn child_key(
+        &self,
+        pid: usize,
+        proc: &Changed,
+        object: Option<(usize, &Changed)>,
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        let p = &self.parent;
+        let object = object.map(|(o, c)| (p.nprocs + o, c));
+        let of = |slot: usize| match object {
+            Some((o, c)) if slot == o => (c.id, c.sub_hash),
+            _ if slot == pid => (proc.id, proc.sub_hash),
+            _ => (p.ids[slot], p.subs[slot]),
+        };
+        let mut raw = p.raw - p.lens[pid] as usize + proc.len as usize;
+        if let Some((o, c)) = object {
+            raw = raw - p.lens[o] as usize + c.len as usize;
+        }
+        let mut h = crate::hash::StableHasher::new();
+        put_u64(out, raw as u64);
+        for slots in [0..p.nprocs, p.nprocs..p.ids.len()] {
+            h.write_u64(slots.len() as u64);
+            put_u64(out, slots.len() as u64);
+            for slot in slots {
+                let (id, sub) = of(slot);
+                h.write_u64(sub);
+                put_u64(out, u64::from(id));
+            }
+        }
+        h.finish()
+    }
+
+    /// What a miss learns from one successor `child` of `parent` through
+    /// process `pid`, `child` having just been keyed (so its memos are
+    /// warm): the process as the child has it, the object of the leading
+    /// visible operation if the child no longer shares it, and how many
+    /// components the two states do not share. The unshared components
+    /// are published to `cache`, so the worker that later expands the
+    /// child does not decode them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the child differs from its parent anywhere but in
+    /// `procs[pid]`, `objects[object]` and processes appended by a
+    /// spawn: the memo's key would not determine the transition.
+    pub(crate) fn observe(
+        &self,
+        cache: &mut ComponentCache,
+        parent: &GlobalState,
+        child: &GlobalState,
+        pid: usize,
+        object: Option<usize>,
+    ) -> (Changed, Option<Changed>, usize) {
+        let token = self.token;
+        cache.adopt(token);
+        let warm = "a keyed state has every component interned";
+        let mut unshared = child.procs.len() - parent.procs.len();
+        for (k, (c, p)) in child.procs.iter().zip(&parent.procs).enumerate() {
+            if !CowArc::ptr_eq(c, p) {
+                assert_eq!(k, pid, "transition of process {pid} wrote process {k}");
+                unshared += 1;
+            }
+        }
+        let mut wrote = None;
+        for (k, (c, p)) in child.objects.iter().zip(&parent.objects).enumerate() {
+            if !CowArc::ptr_eq(c, p) {
+                assert_eq!(
+                    Some(k),
+                    object,
+                    "transition of process {pid} wrote object {k}, not the object of its visible operation"
+                );
+                unshared += 1;
+                let c = changed(c, token).expect(warm);
+                publish(&mut cache.objects, c.id, &child.objects[k]);
+                wrote = Some(c);
+            }
+        }
+        let proc = changed(&child.procs[pid], token).expect(warm);
+        publish(&mut cache.procs, proc.id, &child.procs[pid]);
+        (proc, wrote, unshared)
+    }
+}
+
+/// A component's ID, sub-hash and encoded length under `token`, when it
+/// has been interned under it.
+fn changed<T: Encode>(c: &CowArc<T>, token: u64) -> Option<Changed> {
+    let (id, len) = c.intern_memo(token)?;
+    Some(Changed {
+        id,
+        sub_hash: c.sub_hash(),
+        len,
+    })
 }
 
 impl Default for ComponentInterner {
@@ -341,12 +614,7 @@ impl ComponentInterner {
     /// interner is emptied first. `None` when the tuple is malformed or
     /// references an unknown ID.
     pub fn materialize(&self, cache: &mut ComponentCache, tuple: &[u8]) -> Option<GlobalState> {
-        if cache.token != self.token {
-            *cache = ComponentCache {
-                token: self.token,
-                ..ComponentCache::default()
-            };
-        }
+        cache.adopt(self.token);
         let mut r = ByteReader::new(tuple);
         let _raw_len = r.u64()?;
         // Every ID takes at least one byte, which bounds both counts
@@ -380,10 +648,7 @@ impl ComponentInterner {
         let fresh = CowArc::new(decode(&bytes)?);
         fresh.sub_hash_from_encoding(&bytes);
         fresh.set_intern_memo(self.token, id, bytes.len() as u32);
-        if slots.len() <= id as usize {
-            slots.resize(id as usize + 1, None);
-        }
-        slots[id as usize] = Some(fresh.clone());
+        publish(slots, id, &fresh);
         Some(fresh)
     }
 
@@ -600,11 +865,21 @@ mod tests {
          proc m() { send(c, g); sem_wait(s); g = g + 1; sem_signal(s); } \
          process m(); process m();";
 
+    /// The processes a search expands at `state` (none at a dead end).
+    fn scheduled(exec: &crate::executor::Executor<'_>, state: &GlobalState) -> Vec<usize> {
+        use crate::executor::Scheduled;
+        match exec.schedule(state) {
+            Scheduled::Init(pid) => vec![pid],
+            Scheduled::Procs(procs) => procs,
+            Scheduled::DeadEnd { .. } => Vec::new(),
+        }
+    }
+
     /// The initial state of `prog` and up to `more` states reachable
     /// from it, breadth-first, with no reduction and the environment
     /// enumerated (the corpus programs are open).
     fn reachable(prog: &cfgir::CfgProgram, more: usize) -> Vec<GlobalState> {
-        use crate::executor::{ExecCtx, Executor, Scheduled, SuccOutcome};
+        use crate::executor::{ExecCtx, Executor, SuccOutcome};
         let cfg = crate::search::Config {
             env_mode: crate::interp::EnvMode::Enumerate,
             ..crate::search::Config::exhaustive()
@@ -614,12 +889,7 @@ mod tests {
         let mut states = vec![exec.initial()];
         let mut next = 0;
         while next < states.len() && states.len() <= more {
-            let procs = match exec.schedule(&states[next]) {
-                Scheduled::Init(pid) => vec![pid],
-                Scheduled::Procs(procs) => procs,
-                Scheduled::DeadEnd { .. } => Vec::new(),
-            };
-            for pid in procs {
+            for pid in scheduled(&exec, &states[next]) {
                 for (_, outcome) in exec.successors(&mut cx, &states[next], pid) {
                     if let SuccOutcome::State(s, _) = outcome {
                         states.push(*s);
@@ -672,6 +942,157 @@ mod tests {
             }
         }
         assert!(seen >= 14, "only {seen} corpus programs found");
+    }
+
+    /// Walk `prog` level by level from its initial state, expanding
+    /// every state twice — through a worker's cache and memo, and
+    /// through `Executor::successors` + `ExecCtx::state_key_into` — and
+    /// compare child by child: decision, violation, fingerprint, key
+    /// bytes, and what each expansion charged its context. Returns the
+    /// memo's counts.
+    fn assert_memo_agrees_with_the_interpreter(
+        prog: &cfgir::CfgProgram,
+        max_states: usize,
+        what: &str,
+    ) -> MemoStats {
+        use crate::executor::{ExecCtx, Executor, SuccOutcome};
+        let cfg = crate::search::Config {
+            env_mode: crate::interp::EnvMode::Enumerate,
+            ..crate::search::Config::exhaustive()
+        };
+        let exec = Executor::new(prog, &cfg);
+        let interner = Arc::new(ComponentInterner::new());
+        let (mut cache, mut memo) = (ComponentCache::default(), TransitionMemo::default());
+        let context = || {
+            let mut cx = ExecCtx::with_coverage(100_000, None);
+            cx.interner = Some(Arc::clone(&interner));
+            cx
+        };
+        let mut level = vec![exec.initial().fingerprint_and_intern(&interner).1];
+        let mut seen: std::collections::HashSet<Vec<u8>> = level.iter().cloned().collect();
+        while !level.is_empty() && seen.len() <= max_states {
+            let mut next = Vec::new();
+            for tuple in &level {
+                let state = interner.materialize(&mut cache, tuple).expect("own tuple");
+                let mut cx = context();
+                let lent = (&mut cache, &mut memo);
+                let fe = exec.expand_frontier(&mut cx, &state, lent, |_, _| false);
+                let mut rx = context();
+                let procs = scheduled(&exec, &state);
+                assert_eq!(fe.dead_end.is_some(), procs.is_empty(), "{what}");
+                let mut j = 0;
+                for pid in procs {
+                    for (choices, outcome) in exec.successors(&mut rx, &state, pid) {
+                        let (child, (fp, key)) = (&fe.children[j], fe.keys.get(j));
+                        assert_eq!(
+                            (child.decision.process, &child.decision.choices),
+                            (pid, &choices)
+                        );
+                        match outcome {
+                            SuccOutcome::State(s, _) => {
+                                let mut want = Vec::new();
+                                let want_fp = rx.state_key_into(&s, &mut want);
+                                assert_eq!(child.violation, None, "{what}");
+                                assert_eq!((fp, key), (want_fp, &want[..]), "{what}: child {j}");
+                                if seen.insert(want.clone()) {
+                                    next.push(want);
+                                }
+                            }
+                            SuccOutcome::Violation(kind, process) => {
+                                assert_eq!(child.violation, Some((kind, process)), "{what}");
+                                assert_eq!((fp, key), (0, &[][..]), "{what}");
+                            }
+                        }
+                        j += 1;
+                    }
+                }
+                assert_eq!(j, fe.children.len(), "{what}: extra memoised children");
+                assert_eq!(
+                    (
+                        cx.transitions,
+                        cx.tosses_taken,
+                        cx.shared_components,
+                        cx.total_components
+                    ),
+                    (
+                        rx.transitions,
+                        rx.tosses_taken,
+                        rx.shared_components,
+                        rx.total_components
+                    ),
+                    "{what}: charges"
+                );
+                assert!(!cx.truncated && !rx.truncated, "{what}: budget too small");
+            }
+            level = next;
+        }
+        memo.stats
+    }
+
+    #[test]
+    fn memoised_expansion_equals_the_interpreter_child_by_child() {
+        let two = assert_memo_agrees_with_the_interpreter(
+            &cfgir::compile(TWO_PROCS).unwrap(),
+            400,
+            "two-process program",
+        );
+        assert!(two.hits > 0 && two.misses > 0, "{two:?}");
+        assert_eq!((two.bypass_spawn, two.bypass_budget), (0, 0));
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let (mut programs, mut hits) = (0, 0);
+        for entry in std::fs::read_dir(corpus).expect("corpus directory") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "mc") {
+                let prog = cfgir::compile(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                let stats = assert_memo_agrees_with_the_interpreter(
+                    &prog,
+                    400,
+                    &path.display().to_string(),
+                );
+                // `spawn_pool.mc`'s `main` spawns in its first transition;
+                // nothing else in the corpus does.
+                let spawns = path.file_name().is_some_and(|n| n == "spawn_pool.mc");
+                assert_eq!(stats.bypass_spawn > 0, spawns, "{}", path.display());
+                programs += 1;
+                hits += stats.hits;
+            }
+        }
+        assert!(programs >= 14, "only {programs} corpus programs found");
+        assert!(
+            hits > 0,
+            "the corpus never repeated a (process, object) pair"
+        );
+    }
+
+    #[test]
+    fn a_memo_is_emptied_under_another_interners_token() {
+        let prog = cfgir::compile(TWO_PROCS).unwrap();
+        let mut memo = TransitionMemo::default();
+        let (a, b) = (ComponentInterner::new(), ComponentInterner::new());
+        memo.view(&a, &GlobalState::initial(&prog));
+        let key = memo.key(0, None);
+        memo.record(key, MemoEntry::default());
+        assert!(memo.get(key).is_some());
+        memo.view(&b, &GlobalState::initial(&prog));
+        assert!(memo.get(key).is_none(), "IDs of `a` mean nothing under `b`");
+    }
+
+    #[test]
+    #[should_panic(expected = "wrote object 0")]
+    fn a_transition_that_writes_a_second_object_is_refused() {
+        let prog = cfgir::compile(TWO_PROCS).unwrap();
+        let i = ComponentInterner::new();
+        let parent = GlobalState::initial(&prog);
+        let mut memo = TransitionMemo::default();
+        memo.view(&i, &parent);
+        // A "transition" of process 0 on the semaphore (object 1) that
+        // also touches the channel (object 0).
+        let mut child = parent.clone();
+        child.proc_mut(0);
+        *child.object_mut(1) = ObjState::Sem(0);
+        child.object_mut(0);
+        child.fingerprint_and_intern(&i);
+        memo.observe(&mut ComponentCache::default(), &parent, &child, 0, Some(1));
     }
 
     #[test]

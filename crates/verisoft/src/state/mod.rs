@@ -38,6 +38,7 @@ pub mod intern;
 
 pub use cow::CowArc;
 pub use encode::{decode_state, encode_state};
+pub(crate) use intern::TransitionMemo;
 pub use intern::{ComponentCache, ComponentInterner};
 
 use crate::value::{Addr, Value};

@@ -489,6 +489,18 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 100.0 * report.pipeline_overlapped_chunks as f64 / report.pipeline_chunks as f64
             );
         }
+        let memo = report.memo;
+        if memo.lookups() > 0 {
+            println!(
+                "stats: transition memo: {} hit(s), {} miss(es), {} bypassed \
+                 (spawn {}, budget {})",
+                memo.hits,
+                memo.misses,
+                memo.bypass_spawn + memo.bypass_budget,
+                memo.bypass_spawn,
+                memo.bypass_budget
+            );
+        }
     }
     if let Some(cov) = &report.coverage {
         let (covered, total) = cov.totals();

@@ -120,6 +120,9 @@ fn killed_and_resumed_runs_complete_byte_identically() {
                 surface(&baseline),
                 "kill(jobs={kill_jobs},mem={kill_mem}) → resume(jobs={resume_jobs},mem={resume_mem})"
             );
+            // The transition memo is not part of a checkpoint: the
+            // resumed run starts with none and fills its own.
+            assert!(killed.memo.misses > 0 && resumed.memo.misses > 0);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -331,66 +331,161 @@ fn stateful_parallel_first_violation_is_jobs_invariant() {
     }
 }
 
+/// One configuration with collapse compression on and off: the report —
+/// the full key, the rendered bytes, the *logical* visited-store totals
+/// (which always count raw canonical encodings), the sharing counters
+/// and the coverage **map** — must be identical. `--no-compress` has no
+/// interner and therefore no transition memo (DESIGN §15): it interprets
+/// every transition, so on the frontier engines this also holds the memo
+/// against the interpreter through the engine's public surface. Returns
+/// the compressed run's report.
+fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Config) -> Report {
+    let run = |no_compress| {
+        explore(
+            prog,
+            &Config {
+                no_compress,
+                ..config.clone()
+            },
+        )
+    };
+    let (on, off) = (run(false), run(true));
+    assert_eq!(key(&on), key(&off), "{tag}");
+    assert_eq!(
+        format!("{on}").into_bytes(),
+        format!("{off}").into_bytes(),
+        "{tag}: rendered bytes differ"
+    );
+    assert_eq!(
+        (on.visited_states, on.visited_bytes),
+        (off.visited_states, off.visited_bytes),
+        "{tag}: logical store totals must not see compression"
+    );
+    assert_eq!(
+        (on.tosses_taken, on.shared_components, on.total_components),
+        (
+            off.tosses_taken,
+            off.shared_components,
+            off.total_components
+        ),
+        "{tag}: toss and sharing counters"
+    );
+    // A memo hit marks no node — the miss that made its entry already
+    // did — so the merged map must equal the one the interpreter marks
+    // transition by transition.
+    assert_eq!(on.coverage, off.coverage, "{tag}: coverage maps");
+    assert_eq!(off.memo.lookups(), 0, "{tag}: no interner, no memo");
+    // And the `off` run really ran without compression.
+    assert_eq!(off.interner_entries, 0, "{tag}: compression was off");
+    assert_eq!(
+        off.store_stored_bytes, off.visited_bytes,
+        "{tag}: uncompressed stored == raw"
+    );
+    assert_eq!(
+        on.memo.lookups() > 0,
+        config.engine != Engine::Stateful && on.transitions > 0,
+        "{tag}: the memo belongs to the frontier engines"
+    );
+    on
+}
+
+/// Every stateful engine and worker count, and the frontier engines
+/// also under a budget small enough to spill and spool.
+fn compression_matrix() -> Vec<(Engine, usize, usize)> {
+    let mut matrix = vec![
+        (Engine::Stateful, 1, usize::MAX),
+        (Engine::Bfs, 1, usize::MAX),
+    ];
+    for jobs in [1, 2, 8] {
+        for mem_limit in [usize::MAX, 512] {
+            matrix.push((Engine::StatefulParallel, jobs, mem_limit));
+        }
+    }
+    matrix
+}
+
 #[test]
 fn compression_modes_produce_byte_identical_reports() {
     // Collapse compression (`no_compress: false`, the default) changes
-    // only the stored representation of visited states; the report —
-    // including the *logical* visited-store byte total, which always
-    // counts raw canonical encodings — must be byte-identical with
-    // compression on and off, for every stateful engine and worker
-    // count.
+    // only the stored representation of visited states — and, on the
+    // frontier engines, whether a transition is interpreted or looked up
+    // in the worker's memo. Neither may show. `spawn_pool.mc` is the
+    // memo's spawn bypass: `main`'s first transition reads the process
+    // count, so it is interpreted every time.
     for (name, prog) in closed_corpus() {
-        let base = Config {
-            max_depth: 300,
-            max_transitions: 2_000_000,
-            max_violations: usize::MAX,
-            ..Config::default()
-        };
-        for (engine, jobs) in [
-            (Engine::Stateful, 1),
-            (Engine::Bfs, 1),
-            (Engine::StatefulParallel, 1),
-            (Engine::StatefulParallel, 2),
-            (Engine::StatefulParallel, 8),
-        ] {
-            let run = |no_compress| {
-                explore(
-                    &prog,
-                    &Config {
-                        engine,
-                        jobs,
-                        no_compress,
-                        ..base.clone()
-                    },
-                )
+        for (engine, jobs, mem_limit) in compression_matrix() {
+            let tag = format!("{name}: {engine:?} jobs={jobs} mem_limit={mem_limit}");
+            let config = Config {
+                engine,
+                jobs,
+                mem_limit,
+                max_depth: 300,
+                max_transitions: 2_000_000,
+                max_violations: usize::MAX,
+                track_coverage: true,
+                ..Config::default()
             };
-            let on = run(false);
-            let off = run(true);
-            let tag = format!("{name}: {engine:?} jobs={jobs}");
-            assert_eq!(key(&on), key(&off), "{tag}");
-            assert_eq!(
-                (on.visited_states, on.visited_bytes),
-                (off.visited_states, off.visited_bytes),
-                "{tag}: logical store totals must not see compression"
-            );
-            assert_eq!(
-                format!("{on}").into_bytes(),
-                format!("{off}").into_bytes(),
-                "{tag}: rendered bytes differ"
-            );
+            let on = assert_compression_invisible(&tag, &prog, &config);
+            assert!(!on.truncated, "{tag}: caps must not mask the comparison");
             // And the modes really were different under the hood.
             assert!(on.interner_entries > 0, "{tag}: compression was on");
             assert!(
                 on.store_stored_bytes <= on.visited_bytes,
                 "{tag}: tuples are never larger than raw encodings here"
             );
-            assert_eq!(off.interner_entries, 0, "{tag}: compression was off");
-            assert_eq!(
-                off.store_stored_bytes, off.visited_bytes,
-                "{tag}: uncompressed stored == raw"
-            );
+            if engine != Engine::Stateful {
+                assert_eq!(
+                    on.memo.bypass_spawn > 0,
+                    name == "spawn_pool.mc",
+                    "{tag}: only spawn_pool spawns"
+                );
+                assert_eq!(on.memo.bypass_budget, 0, "{tag}: the budget was never near");
+            }
         }
     }
+}
+
+#[test]
+fn a_budget_that_ends_inside_a_memoised_toss_truncates_where_the_interpreter_does() {
+    // Each process's first transition is a send followed by a four-way
+    // toss: five interpreter executions, recorded at level 0 and met
+    // again — same process component, same channel component — at level
+    // 1 after the *other* process has moved. Sweeping the cap over every
+    // value up to the full search puts the level-start remainder below
+    // five with the entry already in the memo, where a hit would have
+    // charged all five and left `truncated` unset.
+    let tosser = compile(
+        "chan a[8]; chan b[8]; \
+         proc p() { send(a, 0); int x = VS_toss(3); send(a, x); } \
+         proc q() { send(b, 0); int y = VS_toss(3); send(b, y); } \
+         process p(); process q();",
+    )
+    .unwrap();
+    let base = Config {
+        engine: Engine::Bfs,
+        por: false,
+        max_violations: usize::MAX,
+        ..Config::default()
+    };
+    let full = explore(&tosser, &base);
+    assert!(!full.truncated && full.tosses_taken > 0);
+    let mut budget_bypasses = 0;
+    for max_transitions in 1..=full.transitions + 1 {
+        for (engine, jobs, mem_limit) in compression_matrix() {
+            let tag = format!("cap={max_transitions}: {engine:?} jobs={jobs} mem={mem_limit}");
+            let config = Config {
+                engine,
+                jobs,
+                mem_limit,
+                max_transitions,
+                ..base.clone()
+            };
+            let on = assert_compression_invisible(&tag, &tosser, &config);
+            assert!(on.truncated || max_transitions >= full.transitions, "{tag}");
+            budget_bypasses += on.memo.bypass_budget;
+        }
+    }
+    assert!(budget_bypasses > 0, "no cap landed inside a memoised toss");
 }
 
 /// A deliberately skewed decision tree: a long unary spine of sends, then
