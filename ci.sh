@@ -351,9 +351,8 @@ echo "== perf gate: fresh medians vs committed baselines =="
 # Two things are failures of their own, not skips. A fresh record with
 # no committed baseline: a new bench record must land together with its
 # baseline, or the gate checks nothing for it. And a baseline recorded
-# under another `hardware_threads`: the harness sizes jobs sweeps and
-# the engine its chunk pipeline from that number, so such medians
-# describe a different program. Both are fixed the same way — re-record
+# under another `hardware_threads`: the engine clamps its worker count
+# to that number, so such medians describe a different program. Both are fixed the same way — re-record
 # on this host with `RECLOSE_BENCH_DIR=. cargo bench -p reclose-bench
 # --bench <name>` (under `taskset -c <cpu>` for the two pinned benches
 # above) and commit the file: one ordinary recording, or per record the
@@ -428,25 +427,6 @@ done
 perf_gate BENCH_precision.json "$JR" \
     || { echo "perf gate: precision failed (see above)"; exit 1; }
 echo "  BENCH_precision.json: front-end records present, schema complete"
-
-echo "== bench smoke: close_pipeline + JSON schema =="
-RECLOSE_BENCH_DIR="$SMOKE" cargo bench -q --offline -p reclose-bench \
-    --bench close_pipeline > "$SMOKE/close_bench.log" 2>&1 \
-    || { cat "$SMOKE/close_bench.log"; exit 1; }
-JC="$SMOKE/BENCH_close_pipeline.json"
-[ -f "$JC" ] || { echo "close_pipeline: $JC was not written"; exit 1; }
-for rec in "close_pipeline/workers/cold/1" "close_pipeline/workers/cold/8" \
-           "close_pipeline/workers/warm/1" \
-           "close_pipeline/gen_branchy_400/cold/1"; do
-    grep -q "$rec" "$JC" \
-        || { echo "close_pipeline: record $rec missing from JSON"; exit 1; }
-done
-for field in hardware_threads name min_ns median_ns mean_ns \
-             elements elements_per_sec; do
-    grep -q "\"$field\"" "$JC" \
-        || { echo "close_pipeline: field $field missing from JSON"; exit 1; }
-done
-echo "  BENCH_close_pipeline.json: cold/warm records present, schema complete"
 
 echo "== bench smoke: corpus_fuzz sweep + JSON schema =="
 RECLOSE_BENCH_DIR="$SMOKE" $ONE_CPU cargo bench -q --offline -p reclose-bench \

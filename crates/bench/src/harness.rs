@@ -174,23 +174,12 @@ impl Criterion {
     /// Attach a derived numeric field to an already-recorded benchmark
     /// (matched by its full `group/function/param` name); it is emitted
     /// as an extra `"key": value` pair in that record's JSON object.
-    /// Lets benches report quantities computed *across* measurements —
-    /// e.g. parallel efficiency, which needs the single-job median too.
+    /// Lets benches report quantities computed outside the timed loop.
     /// Unknown names are ignored (the record may have been skipped).
     pub fn annotate(&mut self, name: &str, key: &str, value: f64) {
         if let Some(r) = self.records.iter_mut().rev().find(|r| r.name == name) {
             r.annotations.push((key.to_string(), value));
         }
-    }
-
-    /// The median wall time of an already-recorded benchmark, by full
-    /// name — the cross-measurement input for [`Criterion::annotate`].
-    pub fn median_of(&self, name: &str) -> Option<Duration> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.name == name)
-            .map(|r| r.median)
     }
 
     /// Render the collected records as the `BENCH_*.json` document.
@@ -401,8 +390,6 @@ mod tests {
         let mut c = Criterion::default().sample_size(2);
         c.bench_function("grp/jobs/1", |b| b.iter(|| 1 + 1));
         c.bench_function("grp/jobs/2", |b| b.iter(|| 2 + 2));
-        assert!(c.median_of("grp/jobs/1").is_some());
-        assert!(c.median_of("grp/jobs/9").is_none());
         c.annotate("grp/jobs/2", "parallelism_efficiency", 0.5);
         c.annotate("grp/jobs/9", "ignored", 1.0); // unknown name: dropped
         let json = c.render_json();

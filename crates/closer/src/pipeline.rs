@@ -26,8 +26,8 @@
 //!
 //! Every pass records [`PassMetrics`] — invocations, cache hits, fact
 //! counts, wall time — surfaced by `reclose close --stats` and the
-//! `close_pipeline` benchmark. See `docs/PIPELINE.md` for the design
-//! notes.
+//! ledger benchmark's `closer.pipeline.*` layers. See
+//! `docs/PIPELINE.md` for the design notes.
 
 use crate::partition::{refine, RefineOptions, RefineReport};
 use crate::refine_cex::{refine_cex, CexOptions, CexReport};

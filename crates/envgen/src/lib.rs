@@ -274,7 +274,7 @@ pub fn synthesize(prog: &CfgProgram) -> Result<Synthesized, EnvGenError> {
 
 /// Explore the naive baseline `S × E_S` end to end: synthesize the
 /// explicit §3 environment, then run the composed closed system through
-/// the same executor/driver API every other consumer uses (so the naive
+/// the same [`verisoft::explore`] every other consumer uses (so the naive
 /// baseline benefits from POR, sleep sets, and — with
 /// [`verisoft::Engine::Parallel`] — sharded parallel search, exactly
 /// like the transformed program it is compared against).
@@ -289,8 +289,7 @@ pub fn explore_naive(
     config: &verisoft::Config,
 ) -> Result<(Synthesized, verisoft::Report), EnvGenError> {
     let syn = synthesize(prog)?;
-    let exec = verisoft::Executor::new(&syn.program, config);
-    let report = verisoft::driver_for(config.engine).run(&exec);
+    let report = verisoft::explore(&syn.program, config);
     Ok((syn, report))
 }
 
@@ -539,7 +538,7 @@ mod tests {
         for engine in [
             verisoft::Engine::Stateless,
             verisoft::Engine::Stateful,
-            verisoft::Engine::Bfs,
+            verisoft::Engine::StatefulParallel,
             verisoft::Engine::Parallel,
         ] {
             let r = explore(

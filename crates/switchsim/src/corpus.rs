@@ -10,11 +10,11 @@
 //!
 //! 1. **close** the open program via [`closer::Pipeline`];
 //! 2. **explore** the closed program with every engine family —
-//!    sequential DFS, frontier BFS, parallel frontier, stateless (tree)
-//!    search — crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and the
-//!    `--no-compress` / `--scalar-commit` escape hatches;
+//!    sequential DFS, the breadth-first frontier search, stateless
+//!    (tree) search — crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and
+//!    the `--no-compress` / scalar-commit reference paths;
 //! 3. **compare**: reports must be *byte-identical* within a
-//!    deterministic family (frontier engines across jobs and storage
+//!    deterministic family (the frontier engine across jobs and storage
 //!    modes; sharded stateless across jobs), and the *verdict set* —
 //!    distinct `(kind, process)` pairs — must agree across families and
 //!    reduction modes.
@@ -624,7 +624,7 @@ pub fn cross_check(
         explore(prog, &c)
     };
 
-    let baseline = go(Engine::Bfs, false, 1, false, false);
+    let baseline = go(Engine::StatefulParallel, false, 1, false, false);
     if baseline.truncated {
         return Ok(CheckOutcome::TooBig);
     }
@@ -653,41 +653,36 @@ pub fn cross_check(
     let dfs_por = go(Engine::Stateful, true, 1, false, false);
     check_verdicts("stateful dfs +por", &dfs_por)?;
 
-    // Frontier family, POR off: byte-identical to the BFS baseline for
-    // every worker count and storage mode.
+    // Frontier family, POR off: byte-identical to the jobs=1 baseline
+    // for every worker count and storage mode.
     for (label, jobs, nc, scalar) in [
-        ("frontier jobs=1", 1, false, false),
         ("frontier jobs=2", 2, false, false),
         ("frontier jobs=8", 8, false, false),
+        ("frontier jobs=1 --no-compress", 1, true, false),
         ("frontier jobs=2 --no-compress", 2, true, false),
-        ("frontier jobs=2 --scalar-commit", 2, false, true),
+        ("frontier jobs=2 scalar commit", 2, false, true),
     ] {
         let r = go(Engine::StatefulParallel, false, jobs, nc, scalar);
         let s = r.to_string();
         if s != base_str {
             return Err(format!(
-                "{label}: report not byte-identical to bfs jobs=1\n{label}: {s}\nbfs: {base_str}"
+                "{label}: report not byte-identical to frontier jobs=1\n\
+                 {label}: {s}\nfrontier jobs=1: {base_str}"
             ));
         }
     }
-    let bfs_nc = go(Engine::Bfs, false, 1, true, false);
-    if bfs_nc.to_string() != base_str {
-        return Err(format!(
-            "bfs --no-compress: report drifted\ngot: {bfs_nc}\nwant: {base_str}"
-        ));
-    }
 
-    // Frontier family, POR on: byte-identical to BFS+POR across jobs,
-    // verdict-equal to the exhaustive baseline.
-    let bfs_por = go(Engine::Bfs, true, 1, false, false);
-    check_verdicts("bfs +por", &bfs_por)?;
-    let base_por_str = bfs_por.to_string();
-    for jobs in [1usize, 2, 8] {
+    // Frontier family, POR on: byte-identical across jobs, verdict-equal
+    // to the exhaustive baseline.
+    let por = go(Engine::StatefulParallel, true, 1, false, false);
+    check_verdicts("frontier +por", &por)?;
+    let base_por_str = por.to_string();
+    for jobs in [2usize, 8] {
         let r = go(Engine::StatefulParallel, true, jobs, false, false);
         let s = r.to_string();
         if s != base_por_str {
             return Err(format!(
-                "frontier +por jobs={jobs}: report not byte-identical to bfs +por\n\
+                "frontier +por jobs={jobs}: report not byte-identical to jobs=1\n\
                  got: {s}\nwant: {base_por_str}"
             ));
         }
@@ -763,7 +758,10 @@ pub fn close_and_check(src: &str, limits: &OracleLimits) -> Result<CheckOutcome,
                 ..closer::CexOptions::default()
             };
             let (refined, _) = closer::refine_cex(&run.program, &run.closed, &opts);
-            let r = explore(&refined, &base_config(&limits, Engine::Bfs, false, 1));
+            let r = explore(
+                &refined,
+                &base_config(&limits, Engine::StatefulParallel, false, 1),
+            );
             if r.truncated {
                 return Err(format!(
                     "refined close: truncated while the unrefined baseline completed\n{r}"

@@ -501,7 +501,7 @@ impl<'a> Executor<'a> {
     /// With `sleep: Some(..)` the stateless-DFS sleep-set rules apply —
     /// sleeping processes are skipped and per-child sleep sets are
     /// computed from the done-list, exactly as
-    /// [`crate::search::StatelessDfs`] visits them. With `None` (the
+    /// [`Engine::Stateless`](crate::Engine::Stateless) visits them. With `None` (the
     /// explicit-state engines, which prune by visited states instead)
     /// no sleep bookkeeping is done and children carry empty sets.
     ///

@@ -11,10 +11,10 @@
 //! - [`executor`] — the [`Executor`] layer: a pure `schedule` /
 //!   `successors` / `replay` transition-system API over a validated
 //!   program, shared by every engine;
-//! - [`search`] — the [`SearchDriver`] engines over that API: stateless
-//!   (VeriSoft-faithful) DFS, stateful DFS, BFS, and deterministic
-//!   sharded parallel stateless search, with deterministic replay of
-//!   reported traces;
+//! - [`search`] — the engines over that API: stateless
+//!   (VeriSoft-faithful) DFS, stateful DFS, the breadth-first frontier
+//!   search, and deterministic sharded parallel stateless search, with
+//!   deterministic replay of reported traces;
 //! - [`por`] — persistent-set and sleep-set partial-order reduction;
 //! - [`report`] — violations (deadlock, assertion, divergence, runtime
 //!   error), statistics, trace sets.
@@ -64,9 +64,7 @@ pub use interp::{
 pub use por::{enabled_processes, independent, persistent_set, StaticInfo};
 pub use report::{Decision, MemoStats, Report, Violation, ViolationKind};
 pub use search::{
-    driver_for, explore, replay, validate_checkpoint, BfsDriver, Config, Engine, ParallelStateless,
-    SearchDriver, StateStore, StatefulDfs, StatefulParallel, StatelessDfs, TieredStore,
-    VisitedStore,
+    explore, replay, validate_checkpoint, Config, Engine, StateStore, TieredStore, VisitedStore,
 };
 pub use state::{
     decode_state, dynamic_spec, encode_state, spec_daemon, spec_display_name, spec_proc,
@@ -876,7 +874,7 @@ mod bfs_tests {
         let bfs = explore(
             &prog,
             &Config {
-                engine: Engine::Bfs,
+                engine: Engine::StatefulParallel,
                 ..Config::default()
             },
         );
@@ -895,7 +893,11 @@ mod bfs_tests {
             process p2();
         "#;
         let prog = compile(src).unwrap();
-        for engine in [Engine::Stateless, Engine::Stateful, Engine::Bfs] {
+        for engine in [
+            Engine::Stateless,
+            Engine::Stateful,
+            Engine::StatefulParallel,
+        ] {
             let r = explore(
                 &prog,
                 &Config {
@@ -918,7 +920,7 @@ mod bfs_tests {
         let r = explore(
             &prog,
             &Config {
-                engine: Engine::Bfs,
+                engine: Engine::StatefulParallel,
                 max_depth: 1_000_000,
                 ..Config::default()
             },

@@ -218,11 +218,11 @@ pub struct Report {
     /// construction — a filter is only ever trusted after containment
     /// of every live fingerprint is verified.
     pub prefilter_rebuilds: usize,
-    /// Frontier chunks committed by the stateful engines (operational).
+    /// Frontier chunks committed by the frontier engine (operational).
     pub pipeline_chunks: usize,
-    /// Chunks whose commit overlapped the next chunk's parallel
-    /// expansion under the double-buffered pipeline (operational;
-    /// 0 when pipelining is off or every level fit in one chunk).
+    /// Always 0: nothing overlaps a chunk's commit (EXPERIMENTS.md E18).
+    /// Kept because the frozen ledger benchmark reads it by name; goes
+    /// with the next benchmark-only PR.
     pub pipeline_overlapped_chunks: usize,
     /// What the frontier workers' transition memos (DESIGN §15) did,
     /// summed over workers. Operational like the batch counters above,

@@ -1,29 +1,28 @@
-//! Systematic state-space exploration: search drivers over the
+//! Systematic state-space exploration: searches over the
 //! [`Executor`](crate::executor::Executor) transition-system API.
 //!
 //! The engines share one transition semantics (the executor layer) and
-//! differ only in search policy:
+//! differ only in search policy; [`explore`] dispatches on
+//! [`Config::engine`]:
 //!
-//! - [`Engine::Stateless`] ([`StatelessDfs`]) — the faithful VeriSoft
-//!   search: no state is ever stored; the depth-bounded tree of decision
-//!   sequences is explored with persistent sets and sleep sets pruning
-//!   it. Completeness for deadlocks and assertion violations holds on
+//! - [`Engine::Stateless`] — the faithful VeriSoft search: no state is
+//!   ever stored; the depth-bounded tree of decision sequences is
+//!   explored with persistent sets and sleep sets pruning it.
+//!   Completeness for deadlocks and assertion violations holds on
 //!   acyclic state spaces (and "complete coverage up to some depth" in
 //!   general), exactly the guarantee \[God97\] gives.
-//! - [`Engine::Stateful`] ([`StatefulDfs`]) — a conventional
-//!   explicit-state DFS that stores full visited states (not hashes, so
-//!   no collision unsoundness), used when the state space has cycles or
-//!   when benchmarks need exhaustive state counts.
-//! - [`Engine::Bfs`] ([`BfsDriver`]) — explicit-state breadth-first:
-//!   the first violation reported has a *shortest* reproducing trace.
-//! - [`Engine::Parallel`] ([`ParallelStateless`]) — deterministic
-//!   sharded stateless search: the decision-prefix tree is split into
-//!   shards explored by worker threads — with idle workers *stealing*
+//! - [`Engine::Stateful`] — a conventional explicit-state DFS that
+//!   stores full visited states (not hashes, so no collision
+//!   unsoundness), used when the state space has cycles or when
+//!   benchmarks need exhaustive state counts.
+//! - [`Engine::Parallel`] — deterministic sharded stateless search: the
+//!   decision-prefix tree is split into shards explored by worker threads — with idle workers *stealing*
 //!   prefix-splits of pending subtrees — and results merged in shard
 //!   order so the report is byte-identical for any worker count (see
 //!   [`parallel`]).
-//! - [`Engine::StatefulParallel`] ([`StatefulParallel`]) — deterministic
-//!   parallel explicit-state frontier search over a tiered, spillable
+//! - [`Engine::StatefulParallel`] — deterministic explicit-state
+//!   breadth-first frontier search (the first violation reported has a
+//!   *shortest* reproducing trace) over a tiered, spillable
 //!   [`TieredStore`] with a jobs-invariant admission order (see
 //!   [`store`]); byte-identical reports for any worker count, any
 //!   memory budget, and across checkpoint/resume.
@@ -42,9 +41,6 @@ pub mod stateful;
 pub mod stateless;
 pub mod store;
 
-pub use parallel::ParallelStateless;
-pub use stateful::{BfsDriver, StatefulDfs, StatefulParallel};
-pub use stateless::StatelessDfs;
 pub use store::{StateStore, TieredStore, VisitedStore};
 
 /// Validate a checkpoint directory against the program and configuration
@@ -78,20 +74,15 @@ pub enum Engine {
     Stateless,
     /// Explicit-state DFS storing visited states.
     Stateful,
-    /// Explicit-state breadth-first search: the first violation reported
-    /// has a *shortest* reproducing trace (best for debugging; stores
-    /// visited states like [`Engine::Stateful`]). Runs the frontier
-    /// algorithm of [`Engine::StatefulParallel`] on a single worker, so
-    /// the two are byte-identical by construction.
-    Bfs,
     /// Sharded stateless search across [`Config::jobs`] worker threads;
     /// deterministic — same report for any job count.
     Parallel,
-    /// Parallel explicit-state frontier search across [`Config::jobs`]
-    /// worker threads, sharing a lock-striped visited store with a
-    /// jobs-invariant admission order; deterministic — same report for
-    /// any job count, and equal to [`Engine::Bfs`] (the same algorithm
-    /// on one worker) byte for byte.
+    /// Explicit-state breadth-first frontier search across
+    /// [`Config::jobs`] worker threads, sharing a lock-striped visited
+    /// store with a jobs-invariant admission order; deterministic — same
+    /// report for any job count. The first violation reported has a
+    /// *shortest* reproducing trace (best for debugging); the CLI's
+    /// `--bfs` is this engine at `jobs = 1`.
     StatefulParallel,
 }
 
@@ -130,8 +121,9 @@ pub struct Config {
     pub collect_traces: bool,
     /// Record which CFG nodes were executed ([`Report::coverage`]).
     pub track_coverage: bool,
-    /// Worker threads for [`Engine::Parallel`] (ignored by the
-    /// sequential engines; `0` means 1).
+    /// Worker threads for [`Engine::Parallel`] and
+    /// [`Engine::StatefulParallel`] (ignored by the two sequential
+    /// engines; `0` means 1). Never changes a report.
     pub jobs: usize,
     /// Target shard count for [`Engine::Parallel`]'s sharding pass.
     /// Deliberately *never* derived from `jobs`: the shard set — and
@@ -179,16 +171,14 @@ pub struct Config {
     /// checkpoint config digest — it changes the on-disk record format,
     /// so resuming a checkpoint across compression modes is rejected.
     pub no_compress: bool,
-    /// Force the stateful frontier engines onto the scalar reference
-    /// commit path: per-successor store admission inside the workers and
-    /// per-child `seal_if_winner` in the ordered commit, with no batching
-    /// and no chunk pipelining. The batched path is result-equivalent by
-    /// construction (see [`stateful`]); this escape hatch exists so the
-    /// differential oracle tests (and a worried user) can check that
-    /// claim on any workload. This field (the CLI's `--scalar-commit`)
-    /// is the only way to select it; no environment variable does.
-    /// Excluded from the checkpoint config digest — it cannot change any
-    /// result.
+    /// Test oracle: run the frontier engine on the scalar reference
+    /// commit path — per-successor store admission inside the workers
+    /// and per-child `seal_if_winner` in the ordered commit, no
+    /// batching. The batched path is result-equivalent by construction
+    /// (see [`stateful`]); the differential tests and the fuzz matrix
+    /// set this field to check that claim, and nothing else selects it
+    /// (no CLI flag, no environment variable). Excluded from the
+    /// checkpoint config digest — it cannot change any result.
     pub scalar_commit: bool,
 }
 
@@ -232,29 +222,6 @@ impl Config {
     }
 }
 
-/// A search policy over the executor's transition-system API.
-///
-/// Implementations own all search-side state (visited sets, DFS paths,
-/// result accumulation); the executor they are handed is immutable and
-/// shareable. [`explore`] is the convenience entry point that builds the
-/// executor and dispatches on [`Config::engine`], but drivers can be run
-/// directly against a hand-built [`Executor`] too.
-pub trait SearchDriver {
-    /// Explore from the executor's initial state and report the result.
-    fn run(&mut self, exec: &Executor<'_>) -> Report;
-}
-
-/// The driver implementing an engine selection.
-pub fn driver_for(engine: Engine) -> Box<dyn SearchDriver> {
-    match engine {
-        Engine::Stateless => Box::new(StatelessDfs),
-        Engine::Stateful => Box::new(StatefulDfs),
-        Engine::Bfs => Box::new(BfsDriver),
-        Engine::Parallel => Box::new(ParallelStateless),
-        Engine::StatefulParallel => Box::new(StatefulParallel),
-    }
-}
-
 /// Explore the state space of `prog` under `config`.
 ///
 /// # Panics
@@ -262,7 +229,12 @@ pub fn driver_for(engine: Engine) -> Box<dyn SearchDriver> {
 /// Panics when `prog` fails [`cfgir::validate()`] (malformed graphs).
 pub fn explore(prog: &CfgProgram, config: &Config) -> Report {
     let exec = Executor::new(prog, config);
-    driver_for(config.engine).run(&exec)
+    match config.engine {
+        Engine::Stateless => stateless::dfs(&exec),
+        Engine::Stateful => stateful::dfs(&exec),
+        Engine::Parallel => parallel::sharded(&exec),
+        Engine::StatefulParallel => stateful::frontier(&exec),
+    }
 }
 
 /// Replay a decision sequence from the initial state, returning the final

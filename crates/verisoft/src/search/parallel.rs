@@ -3,7 +3,7 @@
 //! The decision-prefix tree is split in two passes:
 //!
 //! 1. **Sharding** (sequential, deterministic): the tree is expanded in
-//!    exact [`StatelessDfs`](super::StatelessDfs) order — same child
+//!    exact [`Engine::Stateless`](super::Engine::Stateless) order — same child
 //!    ordering, same sleep sets — until roughly
 //!    [`Config::shard_target`](super::Config::shard_target) open
 //!    subtrees exist. Outcomes fully resolved during sharding
@@ -68,11 +68,6 @@ use crate::state::GlobalState;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-
-/// Deterministic sharded stateless search across
-/// [`Config::jobs`](super::Config::jobs) worker threads, with idle
-/// workers stealing prefix-splits of pending subtrees.
-pub struct ParallelStateless;
 
 /// An unexplored subtree: everything a worker needs to continue the DFS
 /// exactly where the sharding pass (or a donating walk) stopped.
@@ -773,98 +768,100 @@ fn commit_item(
     w.finish()
 }
 
-impl super::SearchDriver for ParallelStateless {
-    fn run(&mut self, exec: &Executor<'_>) -> Report {
-        let cfg = exec.config();
-        // 0 selects the adaptive target inside the sharding pass.
-        let (mut items, root) = Sharder::shard(exec, cfg.shard_target);
+/// Deterministic sharded stateless search across
+/// [`Config::jobs`](super::Config::jobs) worker threads, with idle
+/// workers stealing prefix-splits of pending subtrees
+/// ([`Engine::Parallel`](super::Engine::Parallel)).
+pub(super) fn sharded(exec: &Executor<'_>) -> Report {
+    let cfg = exec.config();
+    // 0 selects the adaptive target inside the sharding pass.
+    let (mut items, root) = Sharder::shard(exec, cfg.shard_target);
 
-        let mut slots = Vec::with_capacity(items.len());
-        let mut entries: VecDeque<Entry> = VecDeque::new();
-        let mut top_shards: Vec<Option<Shard>> = Vec::with_capacity(items.len());
-        for (i, item) in items.drain(..).enumerate() {
-            match item {
-                Item::Terminal(frag) => {
-                    slots.push(ItemSlot {
-                        fragments: [(vec![i as u32], *frag)].into(),
-                        outstanding: 0,
-                        skipped: false,
-                    });
-                    top_shards.push(None);
-                }
-                Item::Open(sh) => {
-                    slots.push(ItemSlot {
-                        fragments: BTreeMap::new(),
-                        outstanding: 1,
-                        skipped: false,
-                    });
-                    entries.push_back(Entry {
-                        key: vec![i as u32],
-                        shard: sh.clone(),
-                    });
-                    top_shards.push(Some(sh));
-                }
+    let mut slots = Vec::with_capacity(items.len());
+    let mut entries: VecDeque<Entry> = VecDeque::new();
+    let mut top_shards: Vec<Option<Shard>> = Vec::with_capacity(items.len());
+    for (i, item) in items.drain(..).enumerate() {
+        match item {
+            Item::Terminal(frag) => {
+                slots.push(ItemSlot {
+                    fragments: [(vec![i as u32], *frag)].into(),
+                    outstanding: 0,
+                    skipped: false,
+                });
+                top_shards.push(None);
+            }
+            Item::Open(sh) => {
+                slots.push(ItemSlot {
+                    fragments: BTreeMap::new(),
+                    outstanding: 1,
+                    skipped: false,
+                });
+                entries.push_back(Entry {
+                    key: vec![i as u32],
+                    shard: sh.clone(),
+                });
+                top_shards.push(Some(sh));
             }
         }
-        let open_count = entries.len();
-        // Split the transition cap across shards so the aggregate stays
-        // close to the configured cap, like the sequential engines. The
-        // shard count is jobs-invariant, so the split is too.
-        let shard_budget = (cfg.max_transitions / open_count.max(1)).max(1);
-        let pool = Pool {
-            inner: Mutex::new(PoolInner {
-                queue: entries,
-                active: 0,
-            }),
-            cv: Condvar::new(),
-            hungry: AtomicUsize::new(0),
-            discard: AtomicUsize::new(usize::MAX),
-            book: Mutex::new(Book {
-                slots,
-                prefix_done: 0,
-                prefix_violations: 0,
-            }),
-            cap: cfg.max_violations,
-            budget: shard_budget,
-        };
-        pool.book
-            .lock()
-            .unwrap()
-            .advance(pool.cap, pool.budget, &pool.discard);
-
-        if open_count > 0 {
-            // More workers than shards is useful here: the extras go
-            // hungry immediately, which is precisely the steal signal.
-            // But never more than the host can actually run — threads
-            // past `available_parallelism` only add scheduling noise
-            // and donation churn. The clamp cannot affect the report:
-            // worker count never influences results (the fragment book
-            // and ordered commit are jobs-invariant), only wall clock.
-            let hw = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
-            let jobs = cfg.jobs.max(1).min(hw);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| worker(exec, &pool));
-                }
-            });
-        }
-
-        // Ordered commit: fold item results in tree order on top of the
-        // sharding-pass fragment, stopping at the violation cap.
-        let Pool {
-            book, cap, budget, ..
-        } = pool;
-        let book = book.into_inner().unwrap();
-        let mut final_report = root;
-        for (slot, sh) in book.slots.into_iter().zip(&top_shards) {
-            if final_report.violations.len() >= cap {
-                break;
-            }
-            final_report.merge(commit_item(exec, slot, sh.as_ref(), budget, cap));
-        }
-        final_report.violations.truncate(cap);
-        final_report
     }
+    let open_count = entries.len();
+    // Split the transition cap across shards so the aggregate stays
+    // close to the configured cap, like the sequential engines. The
+    // shard count is jobs-invariant, so the split is too.
+    let shard_budget = (cfg.max_transitions / open_count.max(1)).max(1);
+    let pool = Pool {
+        inner: Mutex::new(PoolInner {
+            queue: entries,
+            active: 0,
+        }),
+        cv: Condvar::new(),
+        hungry: AtomicUsize::new(0),
+        discard: AtomicUsize::new(usize::MAX),
+        book: Mutex::new(Book {
+            slots,
+            prefix_done: 0,
+            prefix_violations: 0,
+        }),
+        cap: cfg.max_violations,
+        budget: shard_budget,
+    };
+    pool.book
+        .lock()
+        .unwrap()
+        .advance(pool.cap, pool.budget, &pool.discard);
+
+    if open_count > 0 {
+        // More workers than shards is useful here: the extras go
+        // hungry immediately, which is precisely the steal signal.
+        // But never more than the host can actually run — threads
+        // past `available_parallelism` only add scheduling noise
+        // and donation churn. The clamp cannot affect the report:
+        // worker count never influences results (the fragment book
+        // and ordered commit are jobs-invariant), only wall clock.
+        let hw = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
+        let jobs = cfg.jobs.max(1).min(hw);
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| worker(exec, &pool));
+            }
+        });
+    }
+
+    // Ordered commit: fold item results in tree order on top of the
+    // sharding-pass fragment, stopping at the violation cap.
+    let Pool {
+        book, cap, budget, ..
+    } = pool;
+    let book = book.into_inner().unwrap();
+    let mut final_report = root;
+    for (slot, sh) in book.slots.into_iter().zip(&top_shards) {
+        if final_report.violations.len() >= cap {
+            break;
+        }
+        final_report.merge(commit_item(exec, slot, sh.as_ref(), budget, cap));
+    }
+    final_report.violations.truncate(cap);
+    final_report
 }
 
 #[cfg(test)]

@@ -1,28 +1,30 @@
-//! Explicit-state drivers: DFS over stored visited states, the
-//! level-synchronous frontier BFS ([`BfsDriver`]), and the deterministic
-//! parallel frontier engine ([`StatefulParallel`]) backed by the tiered
-//! spillable [`TieredStore`](super::store).
+//! Explicit-state searches: DFS over stored visited states
+//! ([`Engine::Stateful`](super::Engine::Stateful)) and the deterministic
+//! level-synchronous frontier search
+//! ([`Engine::StatefulParallel`](super::Engine::StatefulParallel)) backed
+//! by the tiered spillable [`TieredStore`](super::store).
 //!
-//! All three apply persistent-set partial-order reduction with the
+//! Both apply persistent-set partial-order reduction with the
 //! ignoring/cycle proviso through
 //! [`Executor::expand_stateful`](crate::executor::Executor::expand_stateful):
 //! a state is expanded over its persistent set only, unless one of the
-//! reduced successors is already in the driver's visited store — an edge
+//! reduced successors is already in the search's visited store — an edge
 //! that may close a cycle — in which case the state is fully expanded so
 //! no process is ignored around the cycle (docs/EXPLORER.md §5). The
 //! proviso predicate is a pure function of the state and a
 //! timing-independent store snapshot, so every report stays
 //! byte-identical for any worker count.
 //!
-//! The frontier engines additionally run **out of core** when
+//! The frontier search additionally runs **out of core** when
 //! [`Config::mem_limit`](super::Config::mem_limit) is finite: sealed
 //! states spill to disk segments, the frontier spools to disk past its
 //! RAM budget, and each level is processed in bounded-memory *chunks*.
 //! Chunked processing is byte-identical to unbounded processing by
-//! construction — see the commit-order argument at [`frontier_search`]
-//! — and with a [`Config::checkpoint_dir`](super::Config::checkpoint_dir)
-//! the engine checkpoints at level boundaries so a killed run can
-//! `--resume` and complete with the identical report.
+//! construction — see the commit-order argument at
+//! [`FrontierRun::run_level`] — and with a
+//! [`Config::checkpoint_dir`](super::Config::checkpoint_dir) the search
+//! checkpoints at level boundaries so a killed run can `--resume` and
+//! complete with the identical report.
 
 use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
@@ -79,57 +81,6 @@ impl Trace {
         let mut out = self.to_vec();
         out.push(decision);
         out
-    }
-}
-
-/// Explicit-state depth-first search storing full visited states (not
-/// hashes, so no collision unsoundness); terminates on cyclic state
-/// spaces. The POR proviso consults the visited set as of each
-/// expansion, which is sound for any exploration order (see
-/// `expand_stateful`'s cycle argument).
-pub struct StatefulDfs;
-
-impl super::SearchDriver for StatefulDfs {
-    fn run(&mut self, exec: &Executor<'_>) -> Report {
-        stateful_dfs(exec)
-    }
-}
-
-/// Explicit-state breadth-first search: the first violation reported has
-/// a *shortest* reproducing trace (best for debugging).
-///
-/// Runs the same level-synchronous frontier algorithm as
-/// [`StatefulParallel`] on a single worker, so the two are equal by
-/// construction — including the POR proviso, whose predicate (successor
-/// already *sealed*, i.e. committed in an earlier level) depends only on
-/// the frontier level, never on intra-level processing order.
-pub struct BfsDriver;
-
-impl super::SearchDriver for BfsDriver {
-    fn run(&mut self, exec: &Executor<'_>) -> Report {
-        frontier_search(exec, 1)
-    }
-}
-
-/// Deterministic parallel explicit-state search over
-/// [`Config::jobs`](super::Config::jobs) worker threads.
-///
-/// The engine is level-synchronous breadth-first: each round, workers
-/// expand the frontier's states concurrently (claiming items through an
-/// atomic cursor) and *admit* every successor to the shared
-/// [`VisitedStore`] tagged with its shard-lexicographic discovery rank
-/// `(frontier index, successor index)`. The round then commits
-/// sequentially in rank order: a successor joins the next frontier iff
-/// its rank is the store's winning (minimal) occurrence of that state,
-/// so the explored set, the violation order, every reproducing trace,
-/// and all counters are byte-identical for any worker count — and
-/// identical to the sequential [`BfsDriver`], which is this engine on
-/// one worker.
-pub struct StatefulParallel;
-
-impl super::SearchDriver for StatefulParallel {
-    fn run(&mut self, exec: &Executor<'_>) -> Report {
-        frontier_search(exec, exec.config().jobs.max(1))
     }
 }
 
@@ -240,143 +191,151 @@ impl Expanded {
     }
 }
 
-/// The level-synchronous frontier search (`jobs == 1`: the sequential
-/// BFS driver; `jobs > 1`: the parallel engine — same report either way).
+/// The deterministic level-synchronous frontier search over
+/// [`Config::jobs`](super::Config::jobs) worker threads
+/// ([`Engine::StatefulParallel`](super::Engine::StatefulParallel)).
+/// Breadth-first, so the first violation reported has a *shortest*
+/// reproducing trace.
 ///
-/// ## Why chunking (and therefore spilling) cannot change the report
-///
-/// Under a finite memory budget a level is consumed in FIFO *chunks*
-/// ([`FrontierSpool::next_chunk`]); each chunk is expanded and committed
-/// before the next is read. This is byte-identical to processing the
-/// whole level at once because:
-///
-/// 1. **Ranks are global to the level.** Chunk `c` starting at frontier
-///    offset `base` commits with ranks `rank(base + i, j)` — the exact
-///    ranks a single-chunk run assigns — and chunk bases are strictly
-///    increasing, so the level-minimal rank of any state appears in the
-///    earliest chunk that discovers it, where `seal_if_winner` crowns
-///    the same winner the unbounded commit would.
-/// 2. **The proviso is epoch-bounded.** Workers probe
-///    `contains_sealed_before(h, e, level+1)`: entries sealed by
-///    *earlier chunks of the same level* carry epoch `level+1` and are
-///    invisible, so every chunk sees exactly the sealed set a
-///    single-chunk run's phase sees.
-/// 3. **Budgets are level-fixed.** The per-item transition budget is the
-///    level-start remainder for every chunk, and the violation cap cuts
-///    at a rank — both independent of chunk boundaries.
-///
-/// Chunk boundaries themselves depend only on entry byte sizes against
-/// a fixed budget, never on timing, so the whole argument also holds
-/// for any worker count.
-fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
-    let cfg = exec.config();
-    let jobs = jobs.max(1);
-    // Never spawn more workers than the host can run: oversubscribed
-    // `--jobs` used to create idle threads that only added scheduling
-    // noise. The clamp is invisible in the report — worker count never
-    // influences results (the determinism argument above). Asked at most
-    // once, and only when a second thread could be used: the query is
-    // 10 µs of a five-state exploration.
-    let hw = OnceLock::new();
-    let hw =
-        || *hw.get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()));
-    // Commit-path selection. `scalar_commit` forces the historical
-    // reference path (per-successor admits in the workers, per-child
-    // seals in the commit loop); the batched path is the default and is
-    // result-identical by construction — the differential oracle tests
-    // flip this switch to check exactly that. Pipelining (expanding
-    // chunk c+1 while chunk c commits) requires the batched path: only
-    // deferred admits make a discarded prefetch side-effect-free.
-    let scalar_commit = cfg.scalar_commit;
-    let pipeline_forced = match std::env::var("RECLOSE_PIPELINE").ok().as_deref() {
-        Some("0") => Some(false),
-        Some("1") => Some(true),
-        _ => None,
-    };
-    let pipeline = || pipeline_forced.unwrap_or_else(|| !scalar_commit && hw() >= 2);
-    let mut chunks_committed = 0usize;
-    let mut chunks_overlapped = 0usize;
-    let checkpointing = cfg.checkpoint_dir.is_some();
-    assert!(
-        !(checkpointing && cfg.track_coverage),
-        "coverage maps are not checkpointed; disable --coverage to checkpoint"
-    );
-    let dir: Option<Arc<SpillDir>> = match (&cfg.checkpoint_dir, cfg.mem_limit) {
-        (Some(d), _) => Some(SpillDir::at(d).expect("create checkpoint directory")),
-        (None, usize::MAX) => None,
-        (None, _) => Some(SpillDir::temp().expect("create spill temp directory")),
-    };
-    // Budget split: half for the visited store's resident tier, a
-    // quarter for the frontier spool's memory head, a quarter for the
-    // in-flight chunk. Unbounded runs never touch the filesystem.
-    let (store_budget, spool_budget, chunk_budget) = if cfg.mem_limit == usize::MAX {
-        (usize::MAX, usize::MAX, usize::MAX)
+/// Each level, workers expand the frontier's states concurrently
+/// (claiming items through an atomic cursor) and every successor is
+/// admitted to the shared [`TieredStore`] tagged with its
+/// shard-lexicographic discovery rank `(frontier index, successor
+/// index)`. The level then commits sequentially in rank order: a
+/// successor joins the next frontier iff its rank is the store's winning
+/// (minimal) occurrence of that state, so the explored set, the
+/// violation order, every reproducing trace, and all counters are
+/// byte-identical for any worker count. The POR proviso's predicate
+/// (successor already *sealed*, i.e. committed in an earlier level)
+/// depends only on the frontier level, never on intra-level processing
+/// order.
+pub(super) fn frontier(exec: &Executor<'_>) -> Report {
+    let mut run = FrontierRun::new(exec);
+    if exec.config().resume {
+        run.resume();
     } else {
-        let m = cfg.mem_limit;
-        ((m / 2).max(1), (m / 4).max(1), (m / 4).max(1))
-    };
-    // The per-run component interner behind collapse compression: every
-    // store/spool/checkpoint record becomes a compact varint tuple of dense
-    // component IDs. IDs are assignment-order-dependent (and so may vary
-    // with worker timing), which is harmless — they never appear in a
-    // report, and checkpoints persist the assignment so resumed tuples
-    // keep meaning the same states.
-    let interner: Option<Arc<ComponentInterner>> =
-        (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));
-    let store = TieredStore::new_with(store_budget, dir.clone(), interner.is_some());
-    let every = if cfg.checkpoint_every == 0 {
-        32
-    } else {
-        cfg.checkpoint_every
-    };
-    let (program_hash, config_digest) = if checkpointing {
-        (
-            cfgir::program_content_hash(exec.program()),
-            checkpoint::config_digest(cfg),
-        )
-    } else {
-        (0, 0)
-    };
+        run.start();
+    }
+    while run.run_level() {}
+    run.finish()
+}
 
-    let mut report = Report::default();
-    let mut coverage = cfg.track_coverage.then(|| Coverage::new(exec.program()));
-    let mut level: usize = 0;
-    let mut checkpoints = 0usize;
-    let mut resumed_level = None;
-    let mut frontier;
-    if cfg.resume {
-        let dirp = cfg
-            .checkpoint_dir
-            .as_deref()
-            .expect("--resume requires a checkpoint directory");
-        let r = checkpoint::resume::<FrontierItem>(
-            dirp,
-            program_hash,
-            config_digest,
-            &store,
-            interner.as_deref(),
-        )
-        .unwrap_or_else(|e| panic!("resume failed: {e}"));
-        level = r.level;
-        checkpoints = r.checkpoints_written;
-        report = r.report;
-        resumed_level = Some(level);
-        frontier = FrontierSpool::new(spool_budget, dir.clone(), level as u64);
-        for (item, cost) in r.frontier {
-            frontier.push(item, cost).expect("respool resumed frontier");
+/// Everything one frontier search owns between levels.
+struct FrontierRun<'e, 'p> {
+    exec: &'e Executor<'p>,
+    /// The host's hardware threads. Asked at most once, and only when a
+    /// chunk could use a second worker: the query is 10 µs of a
+    /// five-state exploration.
+    hw: Option<usize>,
+    dir: Option<Arc<SpillDir>>,
+    spool_budget: usize,
+    chunk_budget: usize,
+    /// The per-run component interner behind collapse compression: every
+    /// store/spool/checkpoint record becomes a compact varint tuple of
+    /// dense component IDs. IDs are assignment-order-dependent (and so
+    /// may vary with worker timing), which is harmless — they never
+    /// appear in a report, and checkpoints persist the assignment so
+    /// resumed tuples keep meaning the same states.
+    interner: Option<Arc<ComponentInterner>>,
+    store: TieredStore,
+    /// `(program hash, config digest)` when the run checkpoints.
+    identity: Option<(u64, u64)>,
+    /// The sealed states awaiting expansion at `level`.
+    frontier: FrontierSpool<FrontierItem>,
+    level: usize,
+    resumed_level: Option<usize>,
+    /// One component cache and one transition memo per worker, kept for
+    /// the whole run and lent to whichever thread runs that worker for a
+    /// chunk: an out-of-core run has hundreds of chunks, and none of them
+    /// should decode a component, or interpret a transition, its worker
+    /// has already seen. Grown on demand (most explorations are tiny and
+    /// single-worker); the cache is bounded by the interner's table, the
+    /// memo by its distinct (process, object) pairs.
+    leases: Vec<(ComponentCache, TransitionMemo)>,
+    coverage: Option<Coverage>,
+    report: Report,
+    /// The violation cap was reached: nothing further commits.
+    stop: bool,
+}
+
+/// What is fixed for every chunk of one level, plus the cursor over it.
+struct Level {
+    /// The per-item transition budget: the *level-start* remainder.
+    remaining: usize,
+    /// Successors seal into the next level.
+    epoch: u32,
+    /// Frontier offset of the current chunk.
+    base: usize,
+    next: FrontierSpool<FrontierItem>,
+}
+
+impl<'e, 'p> FrontierRun<'e, 'p> {
+    /// A run with its store, interner and budgets set up and an empty
+    /// frontier; [`FrontierRun::start`] or [`FrontierRun::resume`]
+    /// fills it.
+    fn new(exec: &'e Executor<'p>) -> Self {
+        let cfg = exec.config();
+        let checkpointing = cfg.checkpoint_dir.is_some();
+        assert!(
+            !(checkpointing && cfg.track_coverage),
+            "coverage maps are not checkpointed; disable --coverage to checkpoint"
+        );
+        let dir: Option<Arc<SpillDir>> = match (&cfg.checkpoint_dir, cfg.mem_limit) {
+            (Some(d), _) => Some(SpillDir::at(d).expect("create checkpoint directory")),
+            (None, usize::MAX) => None,
+            (None, _) => Some(SpillDir::temp().expect("create spill temp directory")),
+        };
+        // Budget split: half for the visited store's resident tier, a
+        // quarter for the frontier spool's memory head, a quarter for the
+        // in-flight chunk. Unbounded runs never touch the filesystem.
+        let (store_budget, spool_budget, chunk_budget) = if cfg.mem_limit == usize::MAX {
+            (usize::MAX, usize::MAX, usize::MAX)
+        } else {
+            let m = cfg.mem_limit;
+            ((m / 2).max(1), (m / 4).max(1), (m / 4).max(1))
+        };
+        let interner = (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));
+        FrontierRun {
+            exec,
+            hw: None,
+            store: TieredStore::new_with(store_budget, dir.clone(), interner.is_some()),
+            identity: checkpointing.then(|| {
+                (
+                    cfgir::program_content_hash(exec.program()),
+                    checkpoint::config_digest(cfg),
+                )
+            }),
+            frontier: FrontierSpool::new(spool_budget, dir.clone(), 0),
+            dir,
+            spool_budget,
+            chunk_budget,
+            interner,
+            level: 0,
+            resumed_level: None,
+            leases: Vec::new(),
+            coverage: cfg.track_coverage.then(|| Coverage::new(exec.program())),
+            report: Report::default(),
+            stop: false,
         }
-    } else {
-        frontier = FrontierSpool::new(spool_budget, dir.clone(), 0);
-        let init = exec.initial();
-        let (h0, enc0) = match &interner {
+    }
+
+    /// An empty spool for the frontier of `level`.
+    fn spool(&self, level: usize) -> FrontierSpool<FrontierItem> {
+        FrontierSpool::new(self.spool_budget, self.dir.clone(), level as u64)
+    }
+
+    /// Seal the initial state and make it level 0's frontier.
+    fn start(&mut self) {
+        let init = self.exec.initial();
+        let (h0, enc0) = match &self.interner {
             Some(i) => init.fingerprint_and_intern(i),
             None => init.fingerprint_and_encode(),
         };
-        store.admit(h0, &enc0, rank(0, 0));
-        store.seal(h0, &enc0, 0);
-        report.states = 1;
-        if cfg.max_depth == 0 {
-            report.truncated = true;
+        self.store.admit(h0, &enc0, rank(0, 0));
+        self.store.seal(h0, &enc0, 0);
+        self.report.states = 1;
+        if self.exec.config().max_depth == 0 {
+            self.report.truncated = true;
         } else {
             let cost = enc0.len();
             let item = FrontierItem {
@@ -384,411 +343,410 @@ fn frontier_search(exec: &Executor<'_>, jobs: usize) -> Report {
                 depth: 0,
                 path: Trace::default(),
             };
-            frontier.push(item, cost).expect("spool initial frontier");
+            self.frontier
+                .push(item, cost)
+                .expect("spool initial frontier");
+        }
+        self.report.frontier_spilled_entries += self.frontier.spooled();
+    }
+
+    /// Reload store, interner, report and frontier from the checkpoint in
+    /// [`Config::checkpoint_dir`](super::Config::checkpoint_dir).
+    fn resume(&mut self) {
+        let dirp = self
+            .exec
+            .config()
+            .checkpoint_dir
+            .as_deref()
+            .expect("--resume requires a checkpoint directory");
+        let (program_hash, config_digest) = self.identity.expect("resuming implies checkpointing");
+        let r = checkpoint::resume::<FrontierItem>(
+            dirp,
+            program_hash,
+            config_digest,
+            &self.store,
+            self.interner.as_deref(),
+        )
+        .unwrap_or_else(|e| panic!("resume failed: {e}"));
+        self.level = r.level;
+        self.resumed_level = Some(r.level);
+        self.report = r.report;
+        self.report.checkpoints_written = r.checkpoints_written;
+        self.frontier = self.spool(r.level);
+        for (item, cost) in r.frontier {
+            self.frontier
+                .push(item, cost)
+                .expect("respool resumed frontier");
+        }
+        self.report.frontier_spilled_entries += self.frontier.spooled();
+    }
+
+    /// Expand and commit the current frontier, leaving its winners as the
+    /// next one. Returns `false` once the search is over.
+    ///
+    /// ## Why chunking (and therefore spilling) cannot change the report
+    ///
+    /// Under a finite memory budget a level is consumed in FIFO *chunks*
+    /// ([`FrontierSpool::next_chunk`]); each chunk is expanded and
+    /// committed before the next is read. This is byte-identical to
+    /// processing the whole level at once because:
+    ///
+    /// 1. **Ranks are global to the level.** Chunk `c` starting at
+    ///    frontier offset `base` commits with ranks `rank(base + i, j)` —
+    ///    the exact ranks a single-chunk run assigns — and chunk bases are
+    ///    strictly increasing, so the level-minimal rank of any state
+    ///    appears in the earliest chunk that discovers it, where
+    ///    `seal_if_winner` crowns the same winner the unbounded commit
+    ///    would.
+    /// 2. **The proviso is epoch-bounded.** Workers probe
+    ///    `contains_sealed_before(h, e, level+1)`: entries sealed by
+    ///    *earlier chunks of the same level* carry epoch `level+1` and are
+    ///    invisible, so every chunk sees exactly the sealed set a
+    ///    single-chunk run's phase sees — the states committed by earlier
+    ///    levels, a set neither workers nor earlier chunks of this level
+    ///    can grow.
+    /// 3. **Budgets are level-fixed.** The per-item transition budget is
+    ///    the level-start remainder for every chunk — a value fixed before
+    ///    any worker or chunk runs, so the expansion of an item is a pure
+    ///    function of the item, never of sibling timing — and the
+    ///    violation cap cuts at a rank; both are independent of chunk
+    ///    boundaries.
+    ///
+    /// Chunk boundaries themselves depend only on entry byte sizes against
+    /// a fixed budget, never on timing, so the whole argument also holds
+    /// for any worker count.
+    fn run_level(&mut self) -> bool {
+        if self.frontier.is_empty() || self.stop || !self.checkpoint_if_due() {
+            return false;
+        }
+        let cfg = self.exec.config();
+        let remaining = cfg.max_transitions.saturating_sub(self.report.transitions);
+        if remaining == 0 {
+            self.report.truncated = true;
+            return false;
+        }
+        let mut lvl = Level {
+            remaining,
+            epoch: (self.level + 1) as u32,
+            base: 0,
+            next: self.spool(self.level + 1),
+        };
+        while !self.stop {
+            let Some(chunk) = self
+                .frontier
+                .next_chunk(self.chunk_budget)
+                .expect("read frontier spool")
+            else {
+                break;
+            };
+            let slots = self.expand_chunk(&chunk, &lvl);
+            self.commit_chunk(&chunk, slots, &mut lvl);
+        }
+        self.report.frontier_spilled_entries += lvl.next.spooled();
+        self.frontier = lvl.next;
+        self.level += 1;
+        self.store.end_of_level().expect("spill visited store");
+        true
+    }
+
+    /// Checkpoint at the level boundary — the only instant where the run
+    /// is exactly (sealed store, next frontier, report, level). Skipped on
+    /// the boundary just resumed at: that checkpoint already exists.
+    /// Returns `false` when the
+    /// [`abort_after_checkpoints`](super::Config::abort_after_checkpoints)
+    /// hook ends the run here.
+    fn checkpoint_if_due(&mut self) -> bool {
+        let cfg = self.exec.config();
+        let Some(identity) = self.identity else {
+            return true;
+        };
+        let every = match cfg.checkpoint_every {
+            0 => 32,
+            n => n,
+        };
+        let level = self.level;
+        if level == 0 || !level.is_multiple_of(every) || self.resumed_level == Some(level) {
+            return true;
+        }
+        let dirp = self
+            .dir
+            .as_ref()
+            .expect("checkpointing implies a spill dir");
+        checkpoint::write(
+            dirp.path(),
+            level,
+            &self.report,
+            self.report.checkpoints_written + 1,
+            identity,
+            (&self.store, self.interner.as_deref()),
+            &mut self.frontier,
+        )
+        .expect("write checkpoint");
+        self.report.checkpoints_written += 1;
+        if cfg
+            .abort_after_checkpoints
+            .is_some_and(|n| self.report.checkpoints_written >= n)
+        {
+            // A simulated kill at the first instant the checkpoint is
+            // durable. The partial report is marked truncated; a
+            // `--resume` run completes it.
+            self.report.truncated = true;
+            return false;
+        }
+        true
+    }
+
+    /// How many workers a chunk of `n` items gets. Never more than the
+    /// host can run: oversubscribed `--jobs` would create idle threads
+    /// that only add scheduling noise. The clamp is invisible in the
+    /// report — worker count never influences results.
+    fn workers_for(&mut self, n: usize) -> usize {
+        match self.exec.config().jobs.min(n) {
+            0 | 1 => 1,
+            wanted => wanted.min(*self.hw.get_or_insert_with(|| {
+                std::thread::available_parallelism().map_or(usize::MAX, |n| n.get())
+            })),
         }
     }
-    report.frontier_spilled_entries += frontier.spooled();
 
-    // One component cache and one transition memo per worker, kept for
-    // the whole run and lent to whichever thread runs that worker for a
-    // chunk: an out-of-core run has hundreds of chunks, and none of them
-    // should decode a component, or interpret a transition, its worker
-    // has already seen. Grown on demand (most explorations are tiny and
-    // single-worker); the cache is bounded by the interner's table, the
-    // memo by its distinct (process, object) pairs.
-    let mut caches: Vec<(ComponentCache, TransitionMemo)> = Vec::new();
-    let mut stop = false;
-    while !frontier.is_empty() && !stop {
-        // Checkpoint at the level boundary — the only instant where the
-        // loop state is exactly (sealed store, next frontier, report,
-        // level). Skipped on the boundary we just resumed at: that
-        // checkpoint already exists.
-        if checkpointing && level > 0 && level.is_multiple_of(every) && resumed_level != Some(level)
-        {
-            let dirp = dir.as_ref().expect("checkpointing implies a spill dir");
-            checkpoint::write(
-                dirp.path(),
-                level,
-                &report,
-                checkpoints + 1,
-                (program_hash, config_digest),
-                (&store, interner.as_deref()),
-                &mut frontier,
-            )
-            .expect("write checkpoint");
-            checkpoints += 1;
-            if cfg
-                .abort_after_checkpoints
-                .is_some_and(|n| checkpoints >= n)
-            {
-                // Test hook: a simulated kill at the first instant the
-                // checkpoint is durable. The partial report is marked
-                // truncated; a `--resume` run completes it.
-                report.truncated = true;
-                break;
+    /// One chunk's parallel expansion: each worker claims items through
+    /// the cursor, rebuilds each from its key, expands it, and leaves only
+    /// the lean commit record in the item's slot — the item's state and
+    /// all its successors die on the thread that built them.
+    ///
+    /// This makes **no store writes**: successors are admitted by
+    /// [`FrontierRun::commit_chunk`], in one batch. Only the scalar
+    /// reference path ([`Config::scalar_commit`](super::Config::scalar_commit))
+    /// admits inline, per successor.
+    fn expand_chunk(&mut self, chunk: &[FrontierItem], lvl: &Level) -> Vec<OnceLock<Expanded>> {
+        let n = chunk.len();
+        let workers = self.workers_for(n);
+        if self.leases.len() < workers {
+            self.leases.resize_with(workers, Default::default);
+        }
+        let exec = self.exec;
+        let cfg = exec.config();
+        let (store, interner) = (&self.store, &self.interner);
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<Expanded>> = (0..n).map(|_| OnceLock::new()).collect();
+        // One worker's share of the chunk; returns the worker's coverage.
+        let run = |(cache, memo): &mut (ComponentCache, TransitionMemo)| {
+            let cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
+            let mut cx = ExecCtx::with_coverage(lvl.remaining, cov);
+            cx.interner = interner.clone();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let state = rebuild(interner.as_deref(), cache, &chunk[i].key);
+                let fe =
+                    exec.expand_frontier(&mut cx, &state, (&mut *cache, &mut *memo), |h, e| {
+                        store.contains_sealed_before(h, e, lvl.epoch)
+                    });
+                if cfg.scalar_commit {
+                    for (j, (h, enc)) in fe.keys.iter().enumerate() {
+                        if !enc.is_empty() {
+                            store.admit(h, enc, rank(lvl.base + i, j));
+                        }
+                    }
+                }
+                let claimed_once = slots[i].set(Expanded::new(fe, &mut cx)).is_ok();
+                assert!(claimed_once, "the cursor hands out each item once");
+            }
+            cx.coverage
+        };
+        let per_worker: Vec<Option<Coverage>> = std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = self.leases[..workers]
+                .iter_mut()
+                .map(|lent| scope.spawn(move || run(lent)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("frontier worker panicked"))
+                .collect()
+        });
+        if let Some(mine) = &mut self.coverage {
+            for theirs in per_worker.into_iter().flatten() {
+                mine.merge(&theirs);
             }
         }
+        slots
+    }
 
-        // The per-item budget is the *level-start* remainder — a value
-        // fixed before any worker or chunk runs, so the expansion of an
-        // item is a pure function of the item, never of sibling timing
-        // or chunk boundaries. The same holds for the POR proviso:
-        // `contains_sealed_before` bounded by this level's epoch sees
-        // exactly the states committed by earlier levels, a set neither
-        // workers nor earlier chunks of this level can grow.
-        let remaining = cfg.max_transitions.saturating_sub(report.transitions);
-        if remaining == 0 {
-            report.truncated = true;
-            break;
-        }
-        let epoch = (level + 1) as u32; // successors seal into the next level
-        let mut next = FrontierSpool::new(spool_budget, dir.clone(), (level + 1) as u64);
-        let mut base = 0usize; // frontier offset of the current chunk
-
-        // One chunk's parallel expansion. On the batched path this has
-        // **no store writes at all**: successors are only admitted by
-        // the sequential phase below, after the previous chunk's commit
-        // completed without a stop cut. That deferral is what makes
-        // pipelining safe — a chunk expanded ahead of time and then
-        // discarded leaves zero trace in the store (interner ID
-        // assignments aside, which are documented timing-dependent and
-        // report-invisible). Scalar mode keeps the historical inline
-        // admits for the differential oracle.
-        let expand_chunk =
-            |chunk: &[FrontierItem],
-             chunk_base: usize,
-             caches: &mut Vec<(ComponentCache, TransitionMemo)>| {
-                let n = chunk.len();
-                let cursor = AtomicUsize::new(0);
-                let workers = match jobs.min(n) {
-                    0 | 1 => 1,
-                    wanted => wanted.min(hw()),
-                };
-                if caches.len() < workers {
-                    caches.resize_with(workers, Default::default);
+    /// Batched admission and winner flags for one expanded chunk: one
+    /// flag per successor *state* (violation children carry the empty
+    /// key and are skipped), in child order.
+    ///
+    /// Every successor of the chunk is admitted in one store call,
+    /// grouped by stripe; arrival order within the batch is immaterial —
+    /// admission keeps the minimum rank — so this equals the scalar
+    /// admits exactly. The winner flags are then final: every rank that
+    /// could beat a stored one was admitted by this or an earlier chunk
+    /// (later chunks only carry larger ranks), and at most one probe per
+    /// state holds the stored minimum, so per-stripe batching cannot
+    /// change any verdict. Flags past a stop cut are simply never read;
+    /// the extra seals they performed are report-invisible (seals only
+    /// gate spill contents and later-level probes, and the run is
+    /// stopping).
+    fn admit_and_seal(&self, slots: &[OnceLock<Expanded>], lvl: &Level) -> Vec<bool> {
+        let keys = || {
+            let cap: usize = slots
+                .iter()
+                .map(|s| s.get().map_or(0, |e| e.keys.len()))
+                .sum();
+            let mut out: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
+            for (i, slot) in slots.iter().enumerate() {
+                let e = slot.get().expect("every frontier item is expanded");
+                for (j, (h, enc)) in e.keys.iter().enumerate() {
+                    if !enc.is_empty() {
+                        out.push((h, rank(lvl.base + i, j), enc));
+                    }
                 }
-                let slots: Vec<OnceLock<Expanded>> = (0..n).map(|_| OnceLock::new()).collect();
-                // One worker's share of the chunk: claim items through the
-                // cursor, rebuild each from its key, expand it, and leave
-                // only the lean commit record in the item's slot — the
-                // item's state and all its successors die here, on the
-                // thread that built them. Returns the worker's coverage.
-                let run = |(cache, memo): &mut (ComponentCache, TransitionMemo)| {
-                    let cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
-                    let mut cx = ExecCtx::with_coverage(remaining, cov);
-                    cx.interner = interner.clone();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let state = rebuild(interner.as_deref(), cache, &chunk[i].key);
-                        let fe = exec.expand_frontier(
-                            &mut cx,
-                            &state,
-                            (&mut *cache, &mut *memo),
-                            |h, e| store.contains_sealed_before(h, e, epoch),
-                        );
-                        if scalar_commit {
-                            for (j, (h, enc)) in fe.keys.iter().enumerate() {
-                                if !enc.is_empty() {
-                                    store.admit(h, enc, rank(chunk_base + i, j));
-                                }
+            }
+            out
+        };
+        // `insert_batch` consumes its list (it drops disk-resident
+        // states and regroups the rest), so the probes are built afresh.
+        self.store.insert_batch(&mut keys());
+        self.store.seal_batch(&keys(), lvl.epoch)
+    }
+
+    /// The sequential ordered commit of one expanded chunk: fold items in
+    /// rank order; only winning occurrences enter the next frontier, and
+    /// the violation cap cuts at the same rank for every worker count.
+    /// The scalar reference path asks the store per child
+    /// (`seal_if_winner`) where the batched path reads the flags
+    /// [`FrontierRun::admit_and_seal`] computed for the whole chunk.
+    fn commit_chunk(
+        &mut self,
+        chunk: &[FrontierItem],
+        slots: Vec<OnceLock<Expanded>>,
+        lvl: &mut Level,
+    ) {
+        let cfg = self.exec.config();
+        let mut flags = if cfg.scalar_commit {
+            Vec::new()
+        } else {
+            self.admit_and_seal(&slots, lvl)
+        }
+        .into_iter();
+        let report = &mut self.report;
+        report.pipeline_chunks += 1;
+        for (i, slot) in slots.into_iter().enumerate() {
+            if self.stop {
+                break;
+            }
+            let item = &chunk[i];
+            let e = slot.into_inner().expect("every frontier item is expanded");
+            report.transitions += e.transitions;
+            report.truncated |= e.truncated;
+            report.shared_components += e.shared_components;
+            report.total_components += e.total_components;
+            report.tosses_taken += e.tosses_taken;
+            report.por_skipped_procs += e.por_skipped;
+            report.por_proviso_fallbacks += e.por_fallback as usize;
+            if e.deadlock {
+                report.violations.push(Violation {
+                    kind: ViolationKind::Deadlock,
+                    process: None,
+                    trace: item.path.to_vec(),
+                });
+                self.stop |= report.violations.len() >= cfg.max_violations;
+            }
+            for (j, c) in e.children.into_iter().enumerate() {
+                if self.stop {
+                    break;
+                }
+                match c.violation {
+                    None => {
+                        let (h, enc) = e.keys.get(j);
+                        let won = if cfg.scalar_commit {
+                            self.store
+                                .seal_if_winner(h, enc, rank(lvl.base + i, j), lvl.epoch)
+                        } else {
+                            flags.next().expect("one flag per successor state")
+                        };
+                        if won {
+                            report.states += 1;
+                            report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
+                            if item.depth + 1 >= cfg.max_depth {
+                                report.truncated = true;
+                            } else {
+                                // Cost rule 1 of the spool's chunking
+                                // contract: the key length.
+                                let fi = FrontierItem {
+                                    key: enc.into(),
+                                    depth: item.depth + 1,
+                                    path: item.path.push(c.decision),
+                                };
+                                lvl.next.push(fi, enc.len()).expect("spool next frontier");
                             }
                         }
-                        let claimed_once = slots[i].set(Expanded::new(fe, &mut cx)).is_ok();
-                        assert!(claimed_once, "the cursor hands out each item once");
                     }
-                    cx.coverage
-                };
-                let per_worker: Vec<Option<Coverage>> = std::thread::scope(|scope| {
-                    let run = &run;
-                    let handles: Vec<_> = caches[..workers]
-                        .iter_mut()
-                        .map(|lent| scope.spawn(move || run(lent)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("frontier worker panicked"))
-                        .collect()
-                });
-                let mut chunk_cov: Option<Coverage> = None;
-                for theirs in per_worker.into_iter().flatten() {
-                    match &mut chunk_cov {
-                        Some(mine) => mine.merge(&theirs),
-                        None => chunk_cov = Some(theirs),
+                    Some((kind, process)) => {
+                        report.violations.push(Violation {
+                            kind,
+                            process,
+                            trace: item.path.pushed_vec(c.decision),
+                        });
+                        self.stop |= report.violations.len() >= cfg.max_violations;
                     }
                 }
-                (slots, chunk_cov)
-            };
-
-        // The chunk loop, double-buffered: while the main thread commits
-        // chunk c, the workers may already be expanding chunk c+1
-        // (`pending`). Determinism is untouched because everything an
-        // expansion reads is frozen for the whole level — the per-item
-        // budget is the level-start remainder, and the proviso probe is
-        // bounded by this level's epoch, a set this level's own seals
-        // can never enter. Pipelining stays within the level: the next
-        // chunk only exists once this level's spool has it.
-        type PendingChunk = (Vec<FrontierItem>, Vec<OnceLock<Expanded>>, Option<Coverage>);
-        let mut pending: Option<PendingChunk> = None;
-        loop {
-            let (chunk, slots, chunk_cov) = match pending.take() {
-                Some(p) => p,
-                None => {
-                    let Some(chunk) = frontier
-                        .next_chunk(chunk_budget)
-                        .expect("read frontier spool")
-                    else {
-                        break;
-                    };
-                    let (slots, cov) = expand_chunk(&chunk, base, &mut caches);
-                    (chunk, slots, cov)
-                }
-            };
-            if stop {
-                // A prefetched chunk is discarded here with zero store
-                // side effects: its admits never happened.
-                break;
             }
-            let n = chunk.len();
-            chunks_committed += 1;
-
-            // Sequential batched admission (the scalar path admitted
-            // inline in the workers): every successor of the chunk in
-            // one store call, grouped by stripe. Arrival order within
-            // the batch is immaterial — admission keeps the minimum
-            // rank — so this equals the scalar admits exactly.
-            if !scalar_commit {
-                let cap: usize = slots
-                    .iter()
-                    .map(|s| s.get().map_or(0, |e| e.keys.len()))
-                    .sum();
-                let mut admits: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
-                for (i, slot) in slots.iter().enumerate() {
-                    let e = slot.get().expect("every frontier item is expanded");
-                    for (j, (h, enc)) in e.keys.iter().enumerate() {
-                        if !enc.is_empty() {
-                            admits.push((h, rank(base + i, j), enc));
-                        }
-                    }
-                }
-                store.insert_batch(&mut admits);
-            }
-            if let (Some(mine), Some(theirs)) = (&mut coverage, chunk_cov.as_ref()) {
-                mine.merge(theirs);
-            }
-
-            // Winner flags for the whole chunk in one batched pre-pass.
-            // Valid because winners are final once the chunk's admits
-            // are in: every rank that could beat a stored one was
-            // admitted by this or an earlier chunk (later chunks only
-            // carry larger ranks), and at most one probe per state holds
-            // the stored minimum, so per-stripe batching cannot change
-            // any verdict. Flags past a stop cut are simply never read;
-            // the extra seals they performed are report-invisible (seals
-            // only gate spill contents and later-level probes, and the
-            // run is stopping). Scalar mode seals per child instead.
-            let flags: Vec<bool> = if scalar_commit {
-                Vec::new()
-            } else {
-                let cap: usize = slots
-                    .iter()
-                    .map(|s| s.get().map_or(0, |e| e.keys.len()))
-                    .sum();
-                let mut probes: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
-                for (i, slot) in slots.iter().enumerate() {
-                    let e = slot.get().expect("every frontier item is expanded");
-                    for (j, c) in e.children.iter().enumerate() {
-                        if c.violation.is_none() {
-                            let (h, enc) = e.keys.get(j);
-                            probes.push((h, rank(base + i, j), enc));
-                        }
-                    }
-                }
-                store.seal_batch(&probes, epoch)
-            };
-
-            // Commit this chunk — overlapped with the next chunk's
-            // expansion when pipelining is on and the level has one.
-            let next_chunk = if !frontier.is_empty() && pipeline() {
-                frontier
-                    .next_chunk(chunk_budget)
-                    .expect("read frontier spool")
-            } else {
-                None
-            };
-            match next_chunk {
-                Some(nc) => {
-                    let prefetched = std::thread::scope(|scope| {
-                        let handle = scope.spawn(|| expand_chunk(&nc, base + n, &mut caches));
-                        commit_chunk(
-                            &chunk,
-                            slots,
-                            &flags,
-                            base,
-                            epoch,
-                            scalar_commit,
-                            cfg,
-                            &store,
-                            &mut report,
-                            &mut next,
-                            &mut stop,
-                        );
-                        handle.join().expect("prefetching worker panicked")
-                    });
-                    chunks_overlapped += 1;
-                    pending = Some((nc, prefetched.0, prefetched.1));
-                }
-                None => {
-                    commit_chunk(
-                        &chunk,
-                        slots,
-                        &flags,
-                        base,
-                        epoch,
-                        scalar_commit,
-                        cfg,
-                        &store,
-                        &mut report,
-                        &mut next,
-                        &mut stop,
-                    );
-                }
-            }
-            base += n;
         }
-        report.frontier_spilled_entries += next.spooled();
-        frontier = next;
-        level += 1;
-        store.end_of_level().expect("spill visited store");
+        lvl.base += chunk.len();
     }
-    report.visited_bytes = store.bytes();
-    report.visited_states = store.len();
-    report.coverage = coverage;
-    // Operational (non-deterministic-surface) IO counters.
-    report.store_peak_mem_bytes = report.store_peak_mem_bytes.max(store.peak_mem_bytes());
-    report.store_spilled_entries = store.spilled_entries();
-    report.store_segments = store.segment_count();
-    report.checkpoints_written = checkpoints;
-    report.store_stored_bytes = store.stored_bytes();
-    report.store_segments_compacted = store.segments_compacted();
-    report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
-    report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
-    // Batched-commit-path observability (also operational): how much the
-    // batch grouping and the tier-1 prefilter actually saved, and how
-    // often the pipeline found a chunk to overlap.
-    let (m_ops, m_items, m_avoided) = store.batch_stats();
-    let (i_ops, i_items, i_avoided) = interner.as_ref().map_or((0, 0, 0), |i| i.batch_stats());
-    report.store_batch_ops = m_ops + i_ops;
-    report.store_batch_items = m_items + i_items;
-    report.store_lock_acquisitions_avoided = m_avoided + i_avoided;
-    let (pf_probes, pf_hits, pf_rebuilds) = store.prefilter_stats();
-    report.prefilter_probes = pf_probes;
-    report.prefilter_hits = pf_hits;
-    report.prefilter_rebuilds = pf_rebuilds;
-    report.pipeline_chunks = chunks_committed;
-    report.pipeline_overlapped_chunks = chunks_overlapped;
-    for (_, memo) in &caches {
-        report.memo += memo.stats;
-    }
-    report
-}
 
-/// The sequential ordered commit of one expanded chunk: fold items in
-/// rank order; only winning occurrences enter the next frontier, and the
-/// violation cap cuts at the same rank for every worker count. On the
-/// batched path the winner verdicts were precomputed by
-/// [`TieredStore::seal_batch`] into `flags`, consumed here in the same
-/// child order they were built in (`flags` is empty — and unread — in
-/// scalar mode, which seals per child instead). Extracted from
-/// [`frontier_search`] so the pipeline can run it on the main thread
-/// while a scoped worker expands the next chunk.
-#[allow(clippy::too_many_arguments)]
-fn commit_chunk(
-    chunk: &[FrontierItem],
-    slots: Vec<OnceLock<Expanded>>,
-    flags: &[bool],
-    base: usize,
-    epoch: u32,
-    scalar_commit: bool,
-    cfg: &super::Config,
-    store: &TieredStore,
-    report: &mut Report,
-    next: &mut FrontierSpool<FrontierItem>,
-    stop: &mut bool,
-) {
-    let mut fx = 0usize; // running index into `flags`, one per State child
-    for (i, slot) in slots.into_iter().enumerate() {
-        if *stop {
-            break;
+    /// Fold the store's and the workers' totals into the report.
+    fn finish(self) -> Report {
+        let FrontierRun {
+            store,
+            interner,
+            leases,
+            coverage,
+            mut report,
+            ..
+        } = self;
+        report.visited_bytes = store.bytes();
+        report.visited_states = store.len();
+        report.coverage = coverage;
+        // Operational (non-deterministic-surface) IO counters.
+        report.store_peak_mem_bytes = report.store_peak_mem_bytes.max(store.peak_mem_bytes());
+        report.store_spilled_entries = store.spilled_entries();
+        report.store_segments = store.segment_count();
+        report.store_stored_bytes = store.stored_bytes();
+        report.store_segments_compacted = store.segments_compacted();
+        report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
+        report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
+        // Batched-commit-path observability (also operational): how much
+        // the batch grouping and the tier-1 prefilter actually saved.
+        let (m_ops, m_items, m_avoided) = store.batch_stats();
+        let (i_ops, i_items, i_avoided) = interner.as_ref().map_or((0, 0, 0), |i| i.batch_stats());
+        report.store_batch_ops = m_ops + i_ops;
+        report.store_batch_items = m_items + i_items;
+        report.store_lock_acquisitions_avoided = m_avoided + i_avoided;
+        let (pf_probes, pf_hits, pf_rebuilds) = store.prefilter_stats();
+        report.prefilter_probes = pf_probes;
+        report.prefilter_hits = pf_hits;
+        report.prefilter_rebuilds = pf_rebuilds;
+        for (_, memo) in &leases {
+            report.memo += memo.stats;
         }
-        let item = &chunk[i];
-        let e = slot.into_inner().expect("every frontier item is expanded");
-        report.transitions += e.transitions;
-        report.truncated |= e.truncated;
-        report.shared_components += e.shared_components;
-        report.total_components += e.total_components;
-        report.tosses_taken += e.tosses_taken;
-        report.por_skipped_procs += e.por_skipped;
-        report.por_proviso_fallbacks += e.por_fallback as usize;
-        if e.deadlock {
-            report.violations.push(Violation {
-                kind: ViolationKind::Deadlock,
-                process: None,
-                trace: item.path.to_vec(),
-            });
-            *stop |= report.violations.len() >= cfg.max_violations;
-        }
-        for (j, c) in e.children.into_iter().enumerate() {
-            if *stop {
-                break;
-            }
-            match c.violation {
-                None => {
-                    let (h, enc) = e.keys.get(j);
-                    let won = if scalar_commit {
-                        store.seal_if_winner(h, enc, rank(base + i, j), epoch)
-                    } else {
-                        let f = flags[fx];
-                        fx += 1;
-                        f
-                    };
-                    if won {
-                        report.states += 1;
-                        report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
-                        if item.depth + 1 >= cfg.max_depth {
-                            report.truncated = true;
-                        } else {
-                            // Cost rule 1 of the spool's chunking
-                            // contract: the key length.
-                            let fi = FrontierItem {
-                                key: enc.into(),
-                                depth: item.depth + 1,
-                                path: item.path.push(c.decision),
-                            };
-                            next.push(fi, enc.len()).expect("spool next frontier");
-                        }
-                    }
-                }
-                Some((kind, process)) => {
-                    report.violations.push(Violation {
-                        kind,
-                        process,
-                        trace: item.path.pushed_vec(c.decision),
-                    });
-                    *stop |= report.violations.len() >= cfg.max_violations;
-                }
-            }
-        }
+        report
     }
 }
 
-/// Explicit-state depth-first search. The POR proviso probes the visited
-/// set at expansion time: the last state of any reduced-graph cycle to
-/// be expanded necessarily sees its cycle successor already visited, so
-/// it is fully expanded and no enabled process is ignored forever.
-fn stateful_dfs(exec: &Executor<'_>) -> Report {
+/// Explicit-state depth-first search ([`Engine::Stateful`](super::Engine::Stateful))
+/// storing full visited states (not hashes, so no collision
+/// unsoundness); terminates on cyclic state spaces. The POR proviso
+/// probes the visited set at expansion time: the last state of any
+/// reduced-graph cycle to be expanded necessarily sees its cycle
+/// successor already visited, so it is fully expanded and no enabled
+/// process is ignored forever — sound for any exploration order (see
+/// `expand_stateful`'s cycle argument).
+pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     let cfg = exec.config();
     let interner: Option<Arc<ComponentInterner>> =
         (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));

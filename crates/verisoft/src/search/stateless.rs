@@ -7,16 +7,12 @@ use crate::state::GlobalState;
 use std::collections::BTreeSet;
 
 /// Depth-bounded stateless DFS with persistent sets and sleep sets; no
-/// state is ever stored.
-pub struct StatelessDfs;
-
-impl super::SearchDriver for StatelessDfs {
-    fn run(&mut self, exec: &Executor<'_>) -> Report {
-        let mut w = StatelessWalk::new(exec, exec.config().max_transitions);
-        let initial = exec.initial();
-        w.walk(initial, 0, BTreeSet::new());
-        w.finish()
-    }
+/// state is ever stored ([`Engine::Stateless`](super::Engine::Stateless)).
+pub(super) fn dfs(exec: &Executor<'_>) -> Report {
+    let mut w = StatelessWalk::new(exec, exec.config().max_transitions);
+    let initial = exec.initial();
+    w.walk(initial, 0, BTreeSet::new());
+    w.finish()
 }
 
 /// The reusable DFS core: walks the decision tree from a given state,

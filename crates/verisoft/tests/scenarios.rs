@@ -69,7 +69,11 @@ fn dining_philosophers_asymmetric_fix_verified() {
 
 #[test]
 fn philosophers_deadlock_found_by_every_engine() {
-    for engine in [Engine::Stateless, Engine::Stateful, Engine::Bfs] {
+    for engine in [
+        Engine::Stateless,
+        Engine::Stateful,
+        Engine::StatefulParallel,
+    ] {
         let r = run(
             &philosophers(false),
             &Config {

@@ -56,7 +56,9 @@ fn usage() -> String {
          --max-transitions N      transition cap (default 5000000)\n\
          --all                    report all violations, not just the first\n\
          --stateful               use the explicit-state engine\n\
-         --bfs                    explicit-state breadth-first (shortest traces)\n\
+         --bfs                    explicit-state breadth-first (shortest\n\
+                                  traces): the frontier engine, i.e.\n\
+                                  --stateful --jobs 1\n\
          --jobs N|auto            parallel search on N threads (`auto`: one per\n\
                                   hardware thread), deterministic: the report\n\
                                   is byte-identical for any N.\n\
@@ -81,14 +83,10 @@ fn usage() -> String {
                                   stateless engines add sleep sets\n\
          --no-compress            stateful engines: store full canonical\n\
                                   encodings instead of collapse-compressed\n\
-                                  component-ID tuples (escape hatch; the\n\
+                                  component-ID tuples (the oracle the\n\
+                                  compressed path is diffed against; the\n\
                                   report is byte-identical either way, but a\n\
                                   checkpoint cannot be resumed across modes)\n\
-         --scalar-commit          frontier engines: force the scalar reference\n\
-                                  commit path (per-successor store calls, no\n\
-                                  batching or chunk pipelining); the report is\n\
-                                  byte-identical either way — this exists so\n\
-                                  you can check that claim\n\
          --stats                  print states/sec, toss choices taken,\n\
                                   visited-store bytes and\n\
                                   state count, the compression ratio and\n\
@@ -96,8 +94,8 @@ fn usage() -> String {
                                   POR reduction counters, and (frontier\n\
                                   engines) peak resident store bytes, spilled\n\
                                   entries, segment and checkpoint counts,\n\
-                                  batched-commit and Bloom-prefilter savings,\n\
-                                  and the pipeline overlap ratio\n\
+                                  and batched-commit and Bloom-prefilter\n\
+                                  savings\n\
          --explain                replay and pretty-print each violation\n\
      run <file> <schedule...>     replay a schedule and print its events;\n\
                                   a schedule is decisions like P0 P1[2,0] P0\n\
@@ -337,17 +335,12 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         } else {
             EnvMode::Closed
         },
-        engine: match (flag("--bfs") || flag("--stateful"), jobs_arg.is_some()) {
-            (true, true) => Engine::StatefulParallel,
-            (true, false) => {
-                if flag("--bfs") {
-                    Engine::Bfs
-                } else {
-                    Engine::Stateful
-                }
-            }
-            (false, true) => Engine::Parallel,
-            (false, false) => Engine::Stateless,
+        // `--bfs` is the frontier engine; alone it runs at `jobs = 1`.
+        engine: match (flag("--bfs"), flag("--stateful"), jobs_arg.is_some()) {
+            (true, _, _) | (_, true, true) => Engine::StatefulParallel,
+            (false, true, false) => Engine::Stateful,
+            (false, false, true) => Engine::Parallel,
+            (false, false, false) => Engine::Stateless,
         },
         jobs: jobs_arg.unwrap_or(1),
         // `--por` is the (default-on) positive form; `--no-por` wins if
@@ -367,7 +360,6 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         resume: resume_dir.is_some(),
         abort_after_checkpoints: opt("--abort-after-checkpoints")?,
         no_compress: flag("--no-compress"),
-        scalar_commit: flag("--scalar-commit"),
         ..Config::default()
     };
     if prog.has_env_reads() && config.env_mode == EnvMode::Closed {
@@ -377,7 +369,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         );
     }
     let out_of_core = config.mem_limit != usize::MAX || config.checkpoint_dir.is_some();
-    if out_of_core && !matches!(config.engine, Engine::Bfs | Engine::StatefulParallel) {
+    if out_of_core && config.engine != Engine::StatefulParallel {
         return Err(
             "--mem-limit/--checkpoint-dir/--resume need the frontier engine: \
              pass --bfs, or --stateful with --jobs"
@@ -478,15 +470,6 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 report.prefilter_probes,
                 100.0 * report.prefilter_hits as f64 / report.prefilter_probes as f64,
                 report.prefilter_rebuilds
-            );
-        }
-        if report.pipeline_chunks > 0 {
-            println!(
-                "stats: pipeline: {}/{} chunk(s) overlapped with the next \
-                 chunk's expansion ({:.1}%)",
-                report.pipeline_overlapped_chunks,
-                report.pipeline_chunks,
-                100.0 * report.pipeline_overlapped_chunks as f64 / report.pipeline_chunks as f64
             );
         }
         let memo = report.memo;

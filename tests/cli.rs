@@ -154,6 +154,62 @@ fn explore_stateful_engine_flag() {
 }
 
 #[test]
+fn bfs_is_the_frontier_engine_at_one_worker() {
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    for por in ["--por", "--no-por"] {
+        let bfs = reclose(&["explore", workers, "--bfs", "--all", por]);
+        let one = reclose(&[
+            "explore",
+            workers,
+            "--stateful",
+            "--jobs",
+            "1",
+            "--all",
+            por,
+        ]);
+        assert!(bfs.status.success());
+        assert_eq!(bfs.stdout, one.stdout, "{por}");
+        assert_eq!(bfs.status.code(), one.status.code());
+    }
+    // The engine is not in the checkpoint's config digest: a run killed
+    // under `--bfs` completes under `--stateful --jobs 2`.
+    let dir = std::env::temp_dir().join(format!("reclose-cli-bfs-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let whole = reclose(&["explore", workers, "--bfs", "--all"]);
+    let killed = reclose(&[
+        "explore",
+        workers,
+        "--bfs",
+        "--all",
+        "--checkpoint-dir",
+        d,
+        "--checkpoint-every",
+        "4",
+        "--abort-after-checkpoints",
+        "1",
+    ]);
+    assert!(String::from_utf8_lossy(&killed.stdout).contains("(truncated)"));
+    let resumed = reclose(&[
+        "explore",
+        workers,
+        "--stateful",
+        "--jobs",
+        "2",
+        "--all",
+        "--resume",
+        d,
+    ]);
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(whole.stdout, resumed.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn graph_emits_dot() {
     let path = write_temp("open5.mc", OPEN_SRC);
     let out = reclose(&["graph", path.to_str().unwrap()]);

@@ -12,11 +12,7 @@ fn workers_src() -> String {
 
 fn frontier_config(jobs: usize) -> Config {
     Config {
-        engine: if jobs > 1 {
-            Engine::StatefulParallel
-        } else {
-            Engine::Bfs
-        },
+        engine: Engine::StatefulParallel,
         jobs,
         ..Config::default()
     }

@@ -206,8 +206,7 @@ fn trace_sets_are_jobs_invariant_on_figures() {
 #[test]
 fn stateful_parallel_is_jobs_invariant_on_corpus() {
     // The shared-visited-store frontier engine: byte-identical reports
-    // for every worker count, and equal to the sequential BFS driver on
-    // cap-free runs.
+    // for every worker count on cap-free runs.
     for (name, prog) in closed_corpus() {
         let base = Config {
             engine: Engine::StatefulParallel,
@@ -217,28 +216,17 @@ fn stateful_parallel_is_jobs_invariant_on_corpus() {
             track_coverage: true,
             ..Config::default()
         };
-        let bfs = explore(
-            &prog,
-            &Config {
-                engine: Engine::Bfs,
-                ..base.clone()
-            },
-        );
-        let runs: Vec<Report> = [1, 2, 4, 8]
-            .iter()
-            .map(|&jobs| {
-                explore(
-                    &prog,
-                    &Config {
-                        jobs,
-                        ..base.clone()
-                    },
-                )
-            })
-            .collect();
-        assert!(!bfs.truncated, "{name}: caps must not mask the comparison");
-        for r in &runs {
-            assert_eq!(key(&bfs), key(r), "{name}: must equal sequential BFS");
+        let one = explore(&prog, &base);
+        assert!(!one.truncated, "{name}: caps must not mask the comparison");
+        for jobs in [2, 4, 8] {
+            let r = explore(
+                &prog,
+                &Config {
+                    jobs,
+                    ..base.clone()
+                },
+            );
+            assert_eq!(key(&one), key(&r), "{name}: jobs={jobs} must equal jobs=1");
         }
     }
 }
@@ -248,8 +236,8 @@ fn stateful_por_reports_are_byte_identical_across_jobs() {
     // POR selection and the ignoring proviso must be pure functions of
     // the state (never of worker timing): with reduction on — and off —
     // the *rendered report bytes* and the full report key must match for
-    // jobs 1, 2 and 8, and match the sequential BFS driver. The cyclic
-    // ring program rides along to pin the proviso path itself.
+    // jobs 1, 2 and 8. The cyclic ring program rides along to pin the
+    // proviso path itself.
     let mut programs = closed_corpus();
     let ring = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/cyclic/ring.mc");
     programs.push((
@@ -267,14 +255,8 @@ fn stateful_por_reports_are_byte_identical_across_jobs() {
                 max_violations: usize::MAX,
                 ..Config::default()
             };
-            let bfs = explore(
-                &prog,
-                &Config {
-                    engine: Engine::Bfs,
-                    ..base.clone()
-                },
-            );
-            for jobs in [1, 2, 8] {
+            let one = explore(&prog, &base);
+            for jobs in [2, 8] {
                 let r = explore(
                     &prog,
                     &Config {
@@ -282,9 +264,9 @@ fn stateful_por_reports_are_byte_identical_across_jobs() {
                         ..base.clone()
                     },
                 );
-                assert_eq!(key(&bfs), key(&r), "{name}: por={por} jobs={jobs}");
+                assert_eq!(key(&one), key(&r), "{name}: por={por} jobs={jobs}");
                 assert_eq!(
-                    format!("{bfs}").into_bytes(),
+                    format!("{one}").into_bytes(),
                     format!("{r}").into_bytes(),
                     "{name}: por={por} jobs={jobs}: rendered bytes differ"
                 );
@@ -389,13 +371,10 @@ fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Co
     on
 }
 
-/// Every stateful engine and worker count, and the frontier engines
+/// Every stateful engine and worker count, and the frontier engine
 /// also under a budget small enough to spill and spool.
 fn compression_matrix() -> Vec<(Engine, usize, usize)> {
-    let mut matrix = vec![
-        (Engine::Stateful, 1, usize::MAX),
-        (Engine::Bfs, 1, usize::MAX),
-    ];
+    let mut matrix = vec![(Engine::Stateful, 1, usize::MAX)];
     for jobs in [1, 2, 8] {
         for mem_limit in [usize::MAX, 512] {
             matrix.push((Engine::StatefulParallel, jobs, mem_limit));
@@ -462,7 +441,7 @@ fn a_budget_that_ends_inside_a_memoised_toss_truncates_where_the_interpreter_doe
     )
     .unwrap();
     let base = Config {
-        engine: Engine::Bfs,
+        engine: Engine::StatefulParallel,
         por: false,
         max_violations: usize::MAX,
         ..Config::default()
@@ -583,14 +562,8 @@ fn skewed_tree_stateful_sweep_is_jobs_invariant() {
         track_coverage: true,
         ..Config::default()
     };
-    let bfs = explore(
-        &prog,
-        &Config {
-            engine: Engine::Bfs,
-            ..base.clone()
-        },
-    );
-    for jobs in [1, 2, 4, 8] {
+    let one = explore(&prog, &base);
+    for jobs in [2, 4, 8] {
         let par = explore(
             &prog,
             &Config {
@@ -598,7 +571,7 @@ fn skewed_tree_stateful_sweep_is_jobs_invariant() {
                 ..base.clone()
             },
         );
-        assert_eq!(key(&bfs), key(&par), "jobs={jobs}");
+        assert_eq!(key(&one), key(&par), "jobs={jobs}");
     }
 }
 

@@ -16,7 +16,11 @@ use reclose::prelude::*;
 fn matrix() -> Vec<(Engine, bool, usize)> {
     let mut m = Vec::new();
     for por in [true, false] {
-        for eng in [Engine::Stateless, Engine::Stateful, Engine::Bfs] {
+        for eng in [
+            Engine::Stateless,
+            Engine::Stateful,
+            Engine::StatefulParallel,
+        ] {
             m.push((eng, por, 1));
         }
         for jobs in [2, 8] {

@@ -345,7 +345,7 @@ fn engines_agree_on_closed_programs() {
         };
         let a = run(Engine::Stateless);
         let b = run(Engine::Stateful);
-        let c = run(Engine::Bfs);
+        let c = run(Engine::StatefulParallel);
         let d = run(Engine::Parallel);
         let kinds = |r: &Report| {
             let mut ks: Vec<String> = r.violations.iter().map(|v| v.kind.to_string()).collect();
