@@ -41,9 +41,10 @@ echo "== ledger: the benchmark package builds against this tree =="
 cargo test -q --release --offline \
     --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 
-# Parallel-search smokes. Both guard the jobs-invariance contract of
-# docs/EXPLORER.md: the report must be byte-identical for every --jobs
-# value, and throughput must not fall off a cliff between runs.
+# Search smokes. They guard the determinism contract of
+# docs/EXPLORER.md: the report must be byte-identical from run to run
+# and, on the frontier engine, for every --jobs value; and throughput
+# must not fall off a cliff between runs.
 BIN=target/release/reclose
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
@@ -98,7 +99,7 @@ sl_min=0 sl_max=0 sf_min=0 sf_max=0
 i=1
 while [ "$i" -le 10 ]; do
     s=$(date +%s%N)
-    "$BIN" explore "$SMOKE/switch.mc" --close --all --jobs 2 \
+    "$BIN" explore "$SMOKE/switch.mc" --close --all \
         --max-transitions 300000 > "$SMOKE/sl.txt" || :
     e=$(date +%s%N)
     sl=$(( (e - s) / 1000000 ))
@@ -136,8 +137,9 @@ fi
 
 echo "== fuzz smoke: 300-seed differential sweep =="
 # The adversarial corpus engine: generate open programs over a fixed
-# seed range, close each one, and cross-check every engine x POR x jobs
-# configuration against the full-interleaving baseline. Deterministic
+# seed range, close each one, and cross-check every engine, with the
+# frontier engine at POR on/off x jobs {1,2,8} x store mode, against
+# the full-interleaving baseline. Deterministic
 # (fixed seeds, no time-derived input); exits nonzero on any
 # divergence, panic, or generator-produced compile failure. The
 # wall-clock budget only bounds a pathological machine — the sweep

@@ -272,27 +272,6 @@ pub fn synthesize(prog: &CfgProgram) -> Result<Synthesized, EnvGenError> {
     })
 }
 
-/// Explore the naive baseline `S × E_S` end to end: synthesize the
-/// explicit §3 environment, then run the composed closed system through
-/// the same [`verisoft::explore`] every other consumer uses (so the naive
-/// baseline benefits from POR, sleep sets, and — with
-/// [`verisoft::Engine::Parallel`] — sharded parallel search, exactly
-/// like the transformed program it is compared against).
-///
-/// Returns the synthesized system alongside the exploration report.
-///
-/// # Errors
-///
-/// See [`EnvGenError`].
-pub fn explore_naive(
-    prog: &CfgProgram,
-    config: &verisoft::Config,
-) -> Result<(Synthesized, verisoft::Report), EnvGenError> {
-    let syn = synthesize(prog)?;
-    let report = verisoft::explore(&syn.program, config);
-    Ok((syn, report))
-}
-
 /// `proc feeder() { while (1) { t = VS_toss(span); v = t + lo; send(chan, v); } }`
 fn build_feeder(prog: &mut CfgProgram, name: &str, chan: ObjId, lo: i64, span: u32) -> ProcId {
     let id = ProcId(prog.procs.len() as u32);
@@ -489,38 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn explore_naive_runs_the_shared_search_api() {
-        let prog = compile(
-            r#"
-            input x : 0..7;
-            proc m() { int v = env_input(x); VS_assert(v != 5); }
-            process m();
-            "#,
-        )
-        .unwrap();
-        let cfg = Config {
-            max_violations: usize::MAX,
-            max_depth: 50,
-            ..Config::default()
-        };
-        let (syn, seq) = explore_naive(&prog, &cfg).unwrap();
-        assert!(syn.program.is_closed());
-        assert!(seq.count(|k| *k == ViolationKind::AssertionViolation) >= 1);
-        // The naive baseline rides the same driver seam: the parallel
-        // engine explores it too, with a jobs-invariant report.
-        let par_cfg = Config {
-            engine: verisoft::Engine::Parallel,
-            jobs: 4,
-            ..cfg
-        };
-        let (_, par) = explore_naive(&prog, &par_cfg).unwrap();
-        assert_eq!(
-            seq.count(|k| *k == ViolationKind::AssertionViolation) > 0,
-            par.count(|k| *k == ViolationKind::AssertionViolation) > 0
-        );
-    }
-
-    #[test]
     fn blocked_feeders_are_not_deadlocks_in_any_engine() {
         // After `m` terminates, the E_S feeder blocks forever on the full
         // delivery channel. DESIGN §7: daemons never make a dead end a
@@ -539,7 +486,6 @@ mod tests {
             verisoft::Engine::Stateless,
             verisoft::Engine::Stateful,
             verisoft::Engine::StatefulParallel,
-            verisoft::Engine::Parallel,
         ] {
             let r = explore(
                 &syn.program,

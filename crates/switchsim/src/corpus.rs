@@ -9,15 +9,14 @@
 //! each one through the full oracle matrix:
 //!
 //! 1. **close** the open program via [`closer::Pipeline`];
-//! 2. **explore** the closed program with every engine family —
-//!    sequential DFS, the breadth-first frontier search, stateless
-//!    (tree) search — crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and
-//!    the `--no-compress` / scalar-commit reference paths;
-//! 3. **compare**: reports must be *byte-identical* within a
-//!    deterministic family (the frontier engine across jobs and storage
-//!    modes; sharded stateless across jobs), and the *verdict set* —
-//!    distinct `(kind, process)` pairs — must agree across families and
-//!    reduction modes.
+//! 2. **explore** the closed program with every engine — sequential
+//!    DFS and stateless (tree) search, and the breadth-first frontier
+//!    search crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and the
+//!    `--no-compress` / scalar-commit reference paths;
+//! 3. **compare**: the frontier engine's reports must be
+//!    *byte-identical* across jobs and storage modes, and the *verdict
+//!    set* — distinct `(kind, process)` pairs — must agree across
+//!    engines and reduction modes.
 //!
 //! Any disagreement or panic is a [`Divergence`]; [`minimize`] shrinks
 //! the generating [`ProgSpec`] against the same oracle until no single
@@ -550,9 +549,9 @@ pub struct OracleLimits {
     pub max_depth: usize,
     /// Transition cap for the stateful/frontier runs.
     pub max_transitions: usize,
-    /// Transition cap for the (tree-shaped) stateless runs.
+    /// Transition cap for the (tree-shaped) stateless run.
     pub stateless_max_transitions: usize,
-    /// Skip the stateless family when the baseline state count exceeds
+    /// Skip the stateless search when the baseline state count exceeds
     /// this (its tree blows up combinatorially on concurrent programs).
     pub stateless_state_cap: usize,
 }
@@ -598,7 +597,7 @@ pub enum CheckOutcome {
         verdicts: BTreeSet<(String, Option<usize>)>,
         /// Exploration runs performed.
         runs: usize,
-        /// The stateless family was skipped (state count over the cap or
+        /// The stateless search was skipped (state count over the cap or
         /// its tree search truncated).
         stateless_skipped: bool,
     },
@@ -688,7 +687,7 @@ pub fn cross_check(
         }
     }
 
-    // Stateless family: the search tree can be exponentially larger than
+    // The stateless search: its tree can be exponentially larger than
     // the state graph, so it runs under its own caps and is skipped
     // (never failed) when it cannot finish.
     let mut stateless_skipped = baseline.states > limits.stateless_state_cap;
@@ -701,27 +700,6 @@ pub fn cross_check(
             stateless_skipped = true;
         } else {
             check_verdicts("stateless +sleep", &sl)?;
-            // Sharded stateless: jobs-invariant by contract; also
-            // verdict-equal since the tree completed.
-            let mut first: Option<String> = None;
-            for jobs in [1usize, 2, 8] {
-                let mut c = base_config(limits, Engine::Parallel, true, jobs);
-                c.max_transitions = limits.stateless_max_transitions;
-                runs += 1;
-                let r = explore(prog, &c);
-                check_verdicts(&format!("parallel stateless jobs={jobs}"), &r)?;
-                let s = r.to_string();
-                match &first {
-                    None => first = Some(s),
-                    Some(f) if *f != s => {
-                        return Err(format!(
-                            "parallel stateless jobs={jobs}: report differs across jobs\n\
-                             got: {s}\nwant: {f}"
-                        ));
-                    }
-                    _ => {}
-                }
-            }
         }
     }
 
@@ -1043,7 +1021,7 @@ pub struct FuzzSummary {
     pub checked: usize,
     /// Programs skipped because the baseline exploration truncated.
     pub too_big: usize,
-    /// Programs whose stateless-family runs were skipped.
+    /// Programs whose stateless run was skipped.
     pub stateless_skipped: usize,
     /// Total exploration runs across all checked programs.
     pub explore_runs: usize,

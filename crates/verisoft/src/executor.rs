@@ -61,7 +61,10 @@ pub struct ChildSucc {
     pub choices: Vec<u32>,
     /// Resulting state or violation.
     pub outcome: SuccOutcome,
-    /// Sleep set the child subtree starts with.
+    /// Sleep set the child subtree starts with. Filled only by
+    /// [`Executor::expand_children`] given a sleep set (empty from
+    /// [`Executor::expand_stateful`]); its one reader is the ledger
+    /// benchmark's stepper — see `expand_children`.
     pub sleep: BTreeSet<usize>,
 }
 
@@ -172,13 +175,9 @@ pub(crate) struct PorExpansion<C> {
 /// [`Executor::expand_frontier`]'s result.
 pub(crate) type FrontierExpansion = PorExpansion<LeanChild>;
 
-/// Everything below one node of the decision tree, expanded one level.
-///
-/// This is the *shard-split hook*: the sharding pass, the steal-capable
-/// parallel walk, and the parallel stateful frontier all split subtrees
-/// by calling [`Executor::expand_children`], so every engine sees the
-/// same child ordering — which is what makes a split (wherever and
-/// whenever it happens) invisible in the merged report.
+/// Everything below one node of the decision tree, expanded one level:
+/// what [`Executor::expand_children`] returns and the child-list half
+/// of a [`StatefulExpansion`].
 pub enum NodeExpansion {
     /// No enabled transitions.
     DeadEnd {
@@ -508,6 +507,15 @@ impl<'a> Executor<'a> {
     /// Enumeration charges `cx` and stops early when the budget runs
     /// out (`cx.truncated`), leaving the child list a prefix of the
     /// full one — callers treat that as a truncated run.
+    ///
+    /// No engine in this crate calls this: [`crate::search`]'s stateless
+    /// walk interleaves the same rules with its recursion. It stays
+    /// because the ledger benchmark's stepper
+    /// (`crates/bench/src/bin/ledger`, whose sources a product change may
+    /// not edit) re-states the stateless search over it; that package's
+    /// `stepper` tests hold its counts equal to `Engine::Stateless`'s,
+    /// which is this method's check. ROADMAP 3a(ii) deletes the stepper
+    /// and this method together.
     pub fn expand_children(
         &self,
         cx: &mut ExecCtx,

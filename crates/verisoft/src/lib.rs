@@ -12,9 +12,8 @@
 //!   `successors` / `replay` transition-system API over a validated
 //!   program, shared by every engine;
 //! - [`search`] — the engines over that API: stateless
-//!   (VeriSoft-faithful) DFS, stateful DFS, the breadth-first frontier
-//!   search, and deterministic sharded parallel stateless search, with
-//!   deterministic replay of reported traces;
+//!   (VeriSoft-faithful) DFS, stateful DFS and the breadth-first
+//!   frontier search, with deterministic replay of reported traces;
 //! - [`por`] — persistent-set and sleep-set partial-order reduction;
 //! - [`report`] — violations (deadlock, assertion, divergence, runtime
 //!   error), statistics, trace sets.

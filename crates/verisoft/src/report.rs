@@ -265,8 +265,7 @@ impl Report {
     /// Reports form a monoid under `merge` with [`Report::default`] as
     /// identity: counters add, `max_depth_seen` takes the maximum,
     /// `truncated` ORs, violations concatenate in order, trace sets and
-    /// coverage union. The parallel engine relies on this to combine
-    /// per-shard results in tree order.
+    /// coverage union.
     pub fn merge(&mut self, other: Report) {
         self.states += other.states;
         self.transitions += other.transitions;

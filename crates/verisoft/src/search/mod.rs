@@ -15,11 +15,6 @@
 //!   stores full visited states (not hashes, so no collision
 //!   unsoundness), used when the state space has cycles or when
 //!   benchmarks need exhaustive state counts.
-//! - [`Engine::Parallel`] — deterministic sharded stateless search: the
-//!   decision-prefix tree is split into shards explored by worker threads — with idle workers *stealing*
-//!   prefix-splits of pending subtrees — and results merged in shard
-//!   order so the report is byte-identical for any worker count (see
-//!   [`parallel`]).
 //! - [`Engine::StatefulParallel`] — deterministic explicit-state
 //!   breadth-first frontier search (the first violation reported has a
 //!   *shortest* reproducing trace) over a tiered, spillable
@@ -36,7 +31,6 @@ use crate::interp::{EnvMode, ExecLimits};
 use crate::report::Report;
 use cfgir::CfgProgram;
 
-pub mod parallel;
 pub mod stateful;
 pub mod stateless;
 pub mod store;
@@ -74,9 +68,6 @@ pub enum Engine {
     Stateless,
     /// Explicit-state DFS storing visited states.
     Stateful,
-    /// Sharded stateless search across [`Config::jobs`] worker threads;
-    /// deterministic — same report for any job count.
-    Parallel,
     /// Explicit-state breadth-first frontier search across
     /// [`Config::jobs`] worker threads, sharing a lock-striped visited
     /// store with a jobs-invariant admission order; deterministic — same
@@ -97,10 +88,7 @@ pub struct Config {
     pub limits: ExecLimits,
     /// Maximum path length in transitions.
     pub max_depth: usize,
-    /// Hard cap on transitions executed; exceeded ⇒ `truncated`. The
-    /// parallel engine gives the sharding pass the full cap and each
-    /// shard an equal share of it — the shard count does not depend on
-    /// the worker count, so neither does the cap's effect.
+    /// Hard cap on transitions executed; exceeded ⇒ `truncated`.
     pub max_transitions: usize,
     /// Use persistent-set partial-order reduction. The stateful engines
     /// additionally apply the ignoring/cycle proviso (full expansion when
@@ -108,7 +96,7 @@ pub struct Config {
     /// *and* assertion violations on cyclic state spaces — see
     /// [`crate::executor::Executor::expand_stateful`].
     pub por: bool,
-    /// Use sleep sets (stateless engines only).
+    /// Use sleep sets (stateless engine only).
     pub sleep_sets: bool,
     /// Stop after this many violations.
     pub max_violations: usize,
@@ -117,24 +105,13 @@ pub struct Config {
     /// (environment-feeder) processes never count either way.
     pub strict_termination_deadlock: bool,
     /// Collect the set of maximal visible-event traces (stateless
-    /// engines; disable reductions for exact trace sets).
+    /// engine; disable reductions for exact trace sets).
     pub collect_traces: bool,
     /// Record which CFG nodes were executed ([`Report::coverage`]).
     pub track_coverage: bool,
-    /// Worker threads for [`Engine::Parallel`] and
-    /// [`Engine::StatefulParallel`] (ignored by the two sequential
-    /// engines; `0` means 1). Never changes a report.
+    /// Worker threads for [`Engine::StatefulParallel`] (ignored by the
+    /// two sequential engines; `0` means 1). Never changes a report.
     pub jobs: usize,
-    /// Target shard count for [`Engine::Parallel`]'s sharding pass.
-    /// Deliberately *never* derived from `jobs`: the shard set — and
-    /// therefore the merged report — must be identical for any worker
-    /// count. `0` selects the adaptive target, which the sharding pass
-    /// derives from the tree statistics it observes (the average
-    /// branching factor of the nodes it expands) — still jobs-invariant,
-    /// because sharding is a sequential pass over the same tree prefix
-    /// regardless of worker count. A nonzero value pins the target
-    /// (default 64).
-    pub shard_target: usize,
     /// Soft byte budget for the frontier engines' resident search state
     /// (visited store + frontier). `usize::MAX` (the default) means
     /// unbounded: everything stays in memory and no disk is ever
@@ -197,7 +174,6 @@ impl Default for Config {
             collect_traces: false,
             track_coverage: false,
             jobs: 1,
-            shard_target: 64,
             mem_limit: usize::MAX,
             checkpoint_dir: None,
             checkpoint_every: 32,
@@ -232,7 +208,6 @@ pub fn explore(prog: &CfgProgram, config: &Config) -> Report {
     match config.engine {
         Engine::Stateless => stateless::dfs(&exec),
         Engine::Stateful => stateful::dfs(&exec),
-        Engine::Parallel => parallel::sharded(&exec),
         Engine::StatefulParallel => stateful::frontier(&exec),
     }
 }

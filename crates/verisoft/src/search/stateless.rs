@@ -9,17 +9,28 @@ use std::collections::BTreeSet;
 /// Depth-bounded stateless DFS with persistent sets and sleep sets; no
 /// state is ever stored ([`Engine::Stateless`](super::Engine::Stateless)).
 pub(super) fn dfs(exec: &Executor<'_>) -> Report {
-    let mut w = StatelessWalk::new(exec, exec.config().max_transitions);
-    let initial = exec.initial();
-    w.walk(initial, 0, BTreeSet::new());
-    w.finish()
+    let mut w = StatelessWalk {
+        cx: ExecCtx::new(exec, exec.config().max_transitions),
+        exec,
+        report: Report::default(),
+        stop: false,
+        path: Vec::new(),
+        events: Vec::new(),
+    };
+    w.walk(exec.initial(), 0, BTreeSet::new());
+    let StatelessWalk { cx, mut report, .. } = w;
+    report.transitions = cx.transitions;
+    report.truncated |= cx.truncated;
+    report.shared_components = cx.shared_components;
+    report.total_components = cx.total_components;
+    report.tosses_taken = cx.tosses_taken;
+    report.coverage = cx.coverage;
+    report
 }
 
-/// The reusable DFS core: walks the decision tree from a given state,
-/// optionally seeded with a decision/event prefix so the parallel driver
-/// can run it per shard (violation traces and collected traces then
-/// still start from the true initial state).
-pub(crate) struct StatelessWalk<'e, 'a> {
+/// The walk's state: the decision path and visible events from the
+/// initial state to the node being visited, and the report so far.
+struct StatelessWalk<'e, 'a> {
     exec: &'e Executor<'a>,
     cx: ExecCtx,
     report: Report,
@@ -28,39 +39,7 @@ pub(crate) struct StatelessWalk<'e, 'a> {
     events: Vec<VisibleEvent>,
 }
 
-impl<'e, 'a> StatelessWalk<'e, 'a> {
-    pub(crate) fn new(exec: &'e Executor<'a>, budget: usize) -> Self {
-        Self::with_prefix(exec, budget, Vec::new(), Vec::new())
-    }
-
-    /// A walk whose root sits `path`/`events` below the initial state.
-    pub(crate) fn with_prefix(
-        exec: &'e Executor<'a>,
-        budget: usize,
-        path: Vec<Decision>,
-        events: Vec<VisibleEvent>,
-    ) -> Self {
-        StatelessWalk {
-            cx: ExecCtx::new(exec, budget),
-            exec,
-            report: Report::default(),
-            stop: false,
-            path,
-            events,
-        }
-    }
-
-    /// Fold the execution context into the report and return it.
-    pub(crate) fn finish(mut self) -> Report {
-        self.report.transitions = self.cx.transitions;
-        self.report.truncated |= self.cx.truncated;
-        self.report.shared_components = self.cx.shared_components;
-        self.report.total_components = self.cx.total_components;
-        self.report.tosses_taken = self.cx.tosses_taken;
-        self.report.coverage = self.cx.coverage;
-        self.report
-    }
-
+impl StatelessWalk<'_, '_> {
     fn record_violation(&mut self, kind: ViolationKind, process: Option<usize>) {
         self.report.violations.push(Violation {
             kind,
@@ -78,7 +57,7 @@ impl<'e, 'a> StatelessWalk<'e, 'a> {
         }
     }
 
-    pub(crate) fn walk(&mut self, state: GlobalState, depth: usize, sleep: BTreeSet<usize>) {
+    fn walk(&mut self, state: GlobalState, depth: usize, sleep: BTreeSet<usize>) {
         if self.stop {
             return;
         }

@@ -46,7 +46,7 @@ use std::path::Path;
 pub const MANIFEST: &str = "checkpoint.bin";
 
 /// Digest of the configuration knobs that shape the explored state
-/// space. `jobs`, `mem_limit`, `shard_target`, and the checkpoint knobs
+/// space. `jobs`, `mem_limit`, and the checkpoint knobs
 /// themselves are excluded: they are determinism-invariant by
 /// construction, so resuming under different values is sound.
 /// `no_compress` is *included* even though it is report-invariant too —

@@ -62,6 +62,6 @@ pub mod prelude {
     pub use cfgir::{compile, CfgProgram};
     pub use closer::{close, close_source, Closed};
     pub use dataflow::analyze;
-    pub use envgen::{explore_naive, synthesize};
+    pub use envgen::synthesize;
     pub use verisoft::{explore, Config, Engine, EnvMode, Executor, Report};
 }

@@ -59,12 +59,11 @@ fn usage() -> String {
          --bfs                    explicit-state breadth-first (shortest\n\
                                   traces): the frontier engine, i.e.\n\
                                   --stateful --jobs 1\n\
-         --jobs N|auto            parallel search on N threads (`auto`: one per\n\
-                                  hardware thread), deterministic: the report\n\
-                                  is byte-identical for any N.\n\
-                                  Stateless runs the sharded work-stealing\n\
-                                  search; with --stateful or --bfs it runs the\n\
-                                  shared-visited-store frontier search\n\
+         --jobs N|auto            with --stateful or --bfs: the frontier search\n\
+                                  on N threads (`auto`: one per hardware\n\
+                                  thread), deterministic: the report is\n\
+                                  byte-identical for any N. The stateless\n\
+                                  search is sequential and rejects --jobs\n\
          --mem-limit BYTES        frontier engines: soft budget for resident\n\
                                   search state (suffixes k/m/g); excess spills\n\
                                   to disk, the report is byte-identical to an\n\
@@ -80,7 +79,7 @@ fn usage() -> String {
          --por / --no-por         enable (default) / disable partial-order\n\
                                   reduction. The stateful engines use\n\
                                   persistent sets with a cycle proviso; the\n\
-                                  stateless engines add sleep sets\n\
+                                  stateless engine adds sleep sets\n\
          --no-compress            stateful engines: store full canonical\n\
                                   encodings instead of collapse-compressed\n\
                                   component-ID tuples (the oracle the\n\
@@ -143,9 +142,31 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Fail closed on what subcommand `cmd` does not understand: every
+/// argument must be one of its `switches`, or one of its value-taking
+/// `options` followed by a value.
+fn check_args(
+    cmd: &str,
+    args: &[String],
+    switches: &[&str],
+    options: &[&str],
+) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if options.contains(&a.as_str()) {
+            if it.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("{cmd}: {a} needs a value"));
+            }
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("{cmd}: unknown option `{a}`"));
+        }
+    }
+    Ok(())
+}
+
 /// Parse a `--jobs` value: a thread count, or `auto` for one worker per
-/// hardware thread. Every engine is deterministic in the worker count,
-/// so `auto` never changes any output, only wall clock.
+/// hardware thread. Everything that takes `--jobs` is deterministic in
+/// the worker count, so `auto` never changes any output, only wall clock.
 fn parse_jobs(v: &str) -> Result<usize, String> {
     if v == "auto" {
         Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -200,6 +221,12 @@ fn check(path: &str) -> Result<(), String> {
 
 fn close_cmd(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    check_args(
+        "close",
+        &args[1..],
+        &["--dot", "--stats", "--refine", "--refine-cex"],
+        &["--jobs"],
+    )?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let jobs = args
         .iter()
@@ -292,6 +319,35 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
 
 fn explore_cmd(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    check_args(
+        "explore",
+        &args[1..],
+        &[
+            "--enumerate",
+            "--close",
+            "--refine-cex",
+            "--classify-violations",
+            "--all",
+            "--stateful",
+            "--bfs",
+            "--por",
+            "--no-por",
+            "--no-compress",
+            "--stats",
+            "--coverage",
+            "--explain",
+        ],
+        &[
+            "--depth",
+            "--max-transitions",
+            "--jobs",
+            "--mem-limit",
+            "--checkpoint-dir",
+            "--checkpoint-every",
+            "--resume",
+            "--abort-after-checkpoints",
+        ],
+    )?;
     let (_, mut prog) = load(path)?;
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt_val = |name: &str| {
@@ -339,7 +395,13 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         engine: match (flag("--bfs"), flag("--stateful"), jobs_arg.is_some()) {
             (true, _, _) | (_, true, true) => Engine::StatefulParallel,
             (false, true, false) => Engine::Stateful,
-            (false, false, true) => Engine::Parallel,
+            (false, false, true) => {
+                return Err(
+                    "--jobs needs the frontier engine: pass --stateful --jobs N, \
+                     or --bfs --jobs N (the stateless search is sequential)"
+                        .into(),
+                )
+            }
             (false, false, false) => Engine::Stateless,
         },
         jobs: jobs_arg.unwrap_or(1),
@@ -612,6 +674,12 @@ fn envgen_cmd(path: &str) -> Result<(), String> {
 }
 
 fn fuzz_cmd(args: &[String]) -> Result<(), String> {
+    check_args(
+        "fuzz",
+        args,
+        &["--no-minimize"],
+        &["--seeds", "--seed-start", "--budget", "--out"],
+    )?;
     let opt_val = |name: &str| {
         args.iter()
             .position(|a| a == name)

@@ -210,6 +210,50 @@ fn bfs_is_the_frontier_engine_at_one_worker() {
 }
 
 #[test]
+fn jobs_without_a_frontier_engine_is_a_usage_error() {
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    let out = reclose(&["explore", workers, "--all", "--jobs", "2"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing was explored");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--stateful --jobs N"), "{err}");
+    for engine in ["--stateful", "--bfs"] {
+        let out = reclose(&["explore", workers, engine, "--all", "--jobs", "2"]);
+        assert!(
+            out.status.success(),
+            "{engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn unknown_and_valueless_flags_are_rejected() {
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    for (args, named) in [
+        (
+            &["explore", workers, "--statefull", "--all"][..],
+            "--statefull",
+        ),
+        (&["explore", workers, "--stateful", "--jobs"], "--jobs"),
+        (&["explore", workers, "--depth"], "--depth"),
+        (&["explore", workers, "--depth", "--all"], "--depth"),
+        (&["explore", workers, "extra.mc"], "extra.mc"),
+        (&["close", workers, "--stat"], "--stat"),
+        (&["close", workers, "--jobs"], "--jobs"),
+        (&["fuzz", "--seed", "3"], "--seed"),
+        (&["fuzz", "--seeds"], "--seeds"),
+    ] {
+        let out = reclose(args);
+        assert!(!out.status.success(), "accepted {args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{}: ", args[0])), "{args:?}: {err}");
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn graph_emits_dot() {
     let path = write_temp("open5.mc", OPEN_SRC);
     let out = reclose(&["graph", path.to_str().unwrap()]);

@@ -1,7 +1,5 @@
-//! The parallel engines' contract: the report is byte-identical for any
-//! `--jobs` value, on every corpus program, in every relevant mode —
-//! for both the sharded work-stealing stateless engine and the
-//! shared-visited-store stateful frontier engine.
+//! The frontier engine's contract: the report is byte-identical for any
+//! `--jobs` value, on every corpus program, in every relevant mode.
 
 use reclose::prelude::*;
 use switchsim::rng::SplitMix64;
@@ -64,142 +62,25 @@ fn closed_corpus() -> Vec<(String, cfgir::CfgProgram)> {
 }
 
 #[test]
-fn explore_jobs1_equals_jobs4_on_corpus() {
-    for (name, prog) in closed_corpus() {
-        let base = Config {
-            engine: Engine::Parallel,
-            max_depth: 300,
-            max_transitions: 2_000_000,
-            max_violations: usize::MAX,
-            track_coverage: true,
-            ..Config::default()
-        };
-        let one = explore(
-            &prog,
-            &Config {
-                jobs: 1,
-                ..base.clone()
-            },
-        );
-        let four = explore(
-            &prog,
-            &Config {
-                jobs: 4,
-                ..base.clone()
-            },
-        );
-        assert_eq!(key(&one), key(&four), "{name}");
-        assert!(!one.truncated, "{name}: caps must not mask the comparison");
-    }
-}
-
-#[test]
-fn violation_schedules_replay_identically_across_jobs() {
+fn stateless_violation_schedules_replay_on_corpus() {
     // Open corpus programs explored under domain enumeration produce
-    // violations; every reported schedule must be identical across job
-    // counts and replay to the recorded violation.
+    // violations; every schedule the stateless search reports must
+    // replay to a violation.
     for (name, src) in corpus_files() {
         let prog = compile(&src).unwrap();
-        let base = Config {
-            engine: Engine::Parallel,
+        let config = Config {
             env_mode: EnvMode::Enumerate,
             max_depth: 300,
             max_transitions: 2_000_000,
             max_violations: usize::MAX,
             ..Config::default()
         };
-        let one = explore(
-            &prog,
-            &Config {
-                jobs: 1,
-                ..base.clone()
-            },
-        );
-        let four = explore(
-            &prog,
-            &Config {
-                jobs: 4,
-                ..base.clone()
-            },
-        );
-        assert_eq!(one.violations, four.violations, "{name}");
-        for v in &four.violations {
+        for v in &explore(&prog, &config).violations {
             assert!(
-                verisoft::replay(&prog, &v.trace, base.env_mode, &base.limits).is_err(),
+                verisoft::replay(&prog, &v.trace, config.env_mode, &config.limits).is_err(),
                 "{name}: schedule must replay into the violation: {v}"
             );
         }
-    }
-}
-
-#[test]
-fn first_violation_mode_is_jobs_invariant() {
-    // max_violations: 1 exercises the ordered-commit truncation path:
-    // racing workers may overshoot the cap, but the committed report may
-    // not depend on the worker count.
-    for (name, src) in corpus_files() {
-        let prog = compile(&src).unwrap();
-        let base = Config {
-            engine: Engine::Parallel,
-            env_mode: EnvMode::Enumerate,
-            max_depth: 300,
-            max_transitions: 2_000_000,
-            max_violations: 1,
-            ..Config::default()
-        };
-        let runs: Vec<Report> = [1, 2, 4, 8]
-            .iter()
-            .map(|&jobs| {
-                explore(
-                    &prog,
-                    &Config {
-                        jobs,
-                        ..base.clone()
-                    },
-                )
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(runs[0].violations, r.violations, "{name}");
-        }
-    }
-}
-
-#[test]
-fn trace_sets_are_jobs_invariant_on_figures() {
-    // Exact trace-set collection (the Figure 3 experiment's mode) across
-    // job counts, closed Figure 2/3 programs.
-    for (name, src) in [
-        ("fig2", reclose_bench::FIG2_P),
-        ("fig3", reclose_bench::FIG3_Q),
-    ] {
-        let open = compile(src).unwrap();
-        let prog = closer::close(&open, &dataflow::analyze(&open)).program;
-        let base = Config {
-            engine: Engine::Parallel,
-            collect_traces: true,
-            por: false,
-            sleep_sets: false,
-            max_violations: usize::MAX,
-            max_depth: 200,
-            ..Config::default()
-        };
-        let one = explore(
-            &prog,
-            &Config {
-                jobs: 1,
-                ..base.clone()
-            },
-        );
-        let four = explore(
-            &prog,
-            &Config {
-                jobs: 4,
-                ..base.clone()
-            },
-        );
-        assert_eq!(one.traces, four.traces, "{name}");
-        assert!(!one.traces.is_empty(), "{name}");
     }
 }
 
@@ -467,11 +348,8 @@ fn a_budget_that_ends_inside_a_memoised_toss_truncates_where_the_interpreter_doe
     assert!(budget_bypasses > 0, "no cap landed inside a memoised toss");
 }
 
-/// A deliberately skewed decision tree: a long unary spine of sends, then
-/// a bushy crown of toss branches. With `shard_target: 1` the sharding
-/// pass hands the whole tree to one worker as a single entry, so any
-/// parallelism the other workers contribute can only come from stealing
-/// donated subtrees off the spine-walking owner.
+/// A deliberately skewed decision tree: a long unary spine of sends,
+/// then a bushy crown of toss branches.
 const SKEWED: &str = r#"
     chan out[64];
     proc skew() {
@@ -485,73 +363,6 @@ const SKEWED: &str = r#"
     }
     process skew();
 "#;
-
-#[test]
-fn skewed_tree_with_stealing_matches_sequential() {
-    let prog = compile(SKEWED).unwrap();
-    let seq_cfg = Config {
-        max_violations: usize::MAX,
-        collect_traces: true,
-        track_coverage: true,
-        ..Config::default()
-    };
-    let seq = explore(&prog, &seq_cfg);
-    assert!(
-        !seq.violations.is_empty(),
-        "the a+b+c==6 leaf must be found"
-    );
-    for jobs in [1, 2, 4, 8] {
-        let par = explore(
-            &prog,
-            &Config {
-                engine: Engine::Parallel,
-                jobs,
-                shard_target: 1,
-                ..seq_cfg.clone()
-            },
-        );
-        assert_eq!(key(&seq), key(&par), "jobs={jobs}");
-    }
-}
-
-#[test]
-fn adaptive_shard_target_is_jobs_invariant() {
-    // `shard_target: 0` lets the sharding pass size the shard set from
-    // the branching it observes. The target is derived from a sequential
-    // pass over the tree prefix, never from the worker count, so the
-    // merged report must stay byte-identical across jobs — on every
-    // corpus program and on the skewed spine-and-crown tree.
-    let mut programs = closed_corpus();
-    programs.push(("skewed".into(), compile(SKEWED).unwrap()));
-    for (name, prog) in programs {
-        let base = Config {
-            engine: Engine::Parallel,
-            shard_target: 0,
-            max_depth: 300,
-            max_transitions: 2_000_000,
-            max_violations: usize::MAX,
-            track_coverage: true,
-            ..Config::default()
-        };
-        let seq = explore(
-            &prog,
-            &Config {
-                engine: Engine::Stateless,
-                ..base.clone()
-            },
-        );
-        for jobs in [1, 2, 4, 8] {
-            let par = explore(
-                &prog,
-                &Config {
-                    jobs,
-                    ..base.clone()
-                },
-            );
-            assert_eq!(key(&seq), key(&par), "{name}: jobs={jobs}");
-        }
-    }
-}
 
 #[test]
 fn skewed_tree_stateful_sweep_is_jobs_invariant() {
@@ -712,8 +523,8 @@ fn report_fields(r: &Report) -> (usize, usize, usize, bool, Vec<Violation>, usiz
 
 #[test]
 fn report_merge_is_a_monoid_under_seeded_fragments() {
-    // `Report::merge` is the parallel engines' only combination
-    // operator; the ordered commit relies on it being a monoid.
+    // `Report::merge` folds report fragments in order; it must be a
+    // monoid for the fold not to depend on how they are grouped.
     for seed in 0..64u64 {
         let mut rng = SplitMix64::new(seed);
         let a = seeded_report(&mut rng);
@@ -745,8 +556,7 @@ fn report_merge_is_a_monoid_under_seeded_fragments() {
 fn report_merge_trace_sets_union_and_violations_concatenate() {
     // Trace sets union (idempotent: merging a fragment carrying the
     // same maximal traces adds nothing), while violations concatenate
-    // in order — duplicates are preserved, as the ordered commit
-    // requires for deterministic cap cuts.
+    // in order, duplicates preserved.
     let mut rng = SplitMix64::new(7);
     for _ in 0..32 {
         let mut a = seeded_report(&mut rng);

@@ -11,8 +11,8 @@
 use reclose::prelude::*;
 
 /// The engine matrix a (closed, refined) pair is compared under.
-/// Single-worker engines run at `jobs = 1`; the deterministic parallel
-/// engines additionally run at 2 and 8 workers.
+/// Every engine runs at `jobs = 1`; the frontier engine additionally
+/// runs at 2 and 8 workers.
 fn matrix() -> Vec<(Engine, bool, usize)> {
     let mut m = Vec::new();
     for por in [true, false] {
@@ -24,7 +24,6 @@ fn matrix() -> Vec<(Engine, bool, usize)> {
             m.push((eng, por, 1));
         }
         for jobs in [2, 8] {
-            m.push((Engine::Parallel, por, jobs));
             m.push((Engine::StatefulParallel, por, jobs));
         }
     }
@@ -32,10 +31,10 @@ fn matrix() -> Vec<(Engine, bool, usize)> {
 }
 
 fn config(engine: Engine, por: bool, jobs: usize) -> Config {
-    // The tree engines get a smaller budget: where their unfolding
-    // exceeds it they are skipped anyway, and a cheap truncation beats
+    // The tree engine gets a smaller budget: where its unfolding
+    // exceeds it the run is skipped anyway, and a cheap truncation beats
     // burning the full graph-engine budget to find that out.
-    let stateless = matches!(engine, Engine::Stateless | Engine::Parallel);
+    let stateless = engine == Engine::Stateless;
     Config {
         engine,
         por,
@@ -168,7 +167,7 @@ fn refinement_preserves_verdicts_on_fuzz_seeds() {
             "{name}: exhaustive verdicts diverged"
         );
         let (engine, por, jobs) = m[seed as usize % m.len()];
-        if matches!(engine, Engine::Stateless | Engine::Parallel) && base.states > 1_200 {
+        if engine == Engine::Stateless && base.states > 1_200 {
             continue;
         }
         agree_under(&name, &closed.program, &refined, engine, por, jobs);

@@ -346,7 +346,6 @@ fn engines_agree_on_closed_programs() {
         let a = run(Engine::Stateless);
         let b = run(Engine::Stateful);
         let c = run(Engine::StatefulParallel);
-        let d = run(Engine::Parallel);
         let kinds = |r: &Report| {
             let mut ks: Vec<String> = r.violations.iter().map(|v| v.kind.to_string()).collect();
             ks.sort();
@@ -355,7 +354,6 @@ fn engines_agree_on_closed_programs() {
         };
         assert_eq!(kinds(&a), kinds(&b), "Loopy/{stmts}/{seed}");
         assert_eq!(kinds(&b), kinds(&c), "Loopy/{stmts}/{seed}");
-        assert_eq!(kinds(&c), kinds(&d), "Loopy/{stmts}/{seed}");
     }
 }
 
