@@ -243,7 +243,16 @@ cmp -s "$SMOKE/ooc_ref.txt" "$SMOKE/nc.txt" \
 "$BIN" explore corpus/workers.mc --stateful --all --jobs 2 --mem-limit 64 \
     --stats 2>/dev/null | grep -q "compression:" \
     || { echo "compression smoke: --stats shows no interner activity"; exit 1; }
-echo "  workers.mc: compression on/off byte-identical, interner engaged by default"
+# The DFS expands through the same transition memo; --no-compress is its
+# interpreter oracle.
+"$BIN" explore corpus/workers.mc --stateful --all > "$SMOKE/dfs.txt"
+"$BIN" explore corpus/workers.mc --stateful --all --no-compress > "$SMOKE/dfs_nc.txt"
+cmp -s "$SMOKE/dfs.txt" "$SMOKE/dfs_nc.txt" \
+    || { echo "compression smoke: --no-compress changed the DFS report"; exit 1; }
+"$BIN" explore corpus/workers.mc --stateful --all --stats 2>/dev/null \
+    | grep -q "transition memo:" \
+    || { echo "compression smoke: the DFS shows no transition memo"; exit 1; }
+echo "  workers.mc: compression on/off byte-identical, interner engaged by default (frontier + DFS)"
 
 echo "== out-of-core smoke: kill/resume on workers.mc =="
 # Kill the run right after its second level-boundary checkpoint, then

@@ -651,6 +651,15 @@ pub fn cross_check(
     check_verdicts("stateful dfs", &dfs)?;
     let dfs_por = go(Engine::Stateful, true, 1, false, false);
     check_verdicts("stateful dfs +por", &dfs_por)?;
+    // The DFS's memo oracle: `--no-compress` interprets every transition
+    // on the same traversal, so the report text must not change.
+    let nc = go(Engine::Stateful, true, 1, true, false).to_string();
+    if nc != dfs_por.to_string() {
+        return Err(format!(
+            "stateful dfs +por --no-compress: report not byte-identical to stateful dfs +por\n\
+             got: {nc}\nwant: {dfs_por}"
+        ));
+    }
 
     // Frontier family, POR off: byte-identical to the jobs=1 baseline
     // for every worker count and storage mode.

@@ -61,10 +61,10 @@ pub struct ChildSucc {
     pub choices: Vec<u32>,
     /// Resulting state or violation.
     pub outcome: SuccOutcome,
-    /// Sleep set the child subtree starts with. Filled only by
-    /// [`Executor::expand_children`] given a sleep set (empty from
-    /// [`Executor::expand_stateful`]); its one reader is the ledger
-    /// benchmark's stepper — see `expand_children`.
+    /// Sleep set the child subtree starts with, when
+    /// [`Executor::expand_children`] was given one (empty otherwise); its
+    /// one reader is the ledger benchmark's stepper — see
+    /// `expand_children`.
     pub sleep: BTreeSet<usize>,
 }
 
@@ -123,34 +123,11 @@ impl KeyArena {
     }
 }
 
-/// One level of POR-aware expansion for the stateful engines
-/// ([`Executor::expand_stateful`]): the children, their visited-store
-/// keys, and the partial-order-reduction bookkeeping the drivers fold
-/// into the [`crate::Report`].
-pub struct StatefulExpansion {
-    /// The node's children (or dead end), in deterministic order: the
-    /// persistent set's successors first (each process ascending), then
-    /// — only when the ignoring proviso fired — the successors of the
-    /// POR-skipped processes.
-    pub expansion: NodeExpansion,
-    /// Per child, aligned with the child list: the successor state's
-    /// stable fingerprint and canonical encoding (`(0, empty)` for
-    /// violation outcomes; empty arena for dead ends). Computed here so
-    /// drivers admit/dedup by comparing bytes without re-encoding.
-    pub keys: KeyArena,
-    /// Enabled processes whose expansion POR skipped at this state
-    /// (after any proviso fallback; 0 when the fallback fired).
-    pub por_skipped: usize,
-    /// Whether the ignoring/cycle proviso forced full expansion here.
-    pub por_fallback: bool,
-}
-
-/// One child of a [`FrontierExpansion`], as the frontier engine's
-/// ordered commit reads it: the decision that reaches it and, for a
-/// violating transition, what it violated. There is no successor
-/// *state* here: the worker keyed it (or took its key from the
-/// transition memo without ever building it) and the key is all the
-/// commit needs.
+/// One child of an [`Expansion`], as the stateful engines read it: the
+/// decision that reaches it and, for a violating transition, what it
+/// violated. There is no successor *state* here: the expansion keyed it
+/// (or took its key from the transition memo without ever building it)
+/// and the key is all a visited store needs.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct LeanChild {
     pub decision: Decision,
@@ -158,26 +135,31 @@ pub(crate) struct LeanChild {
     pub violation: Option<(ViolationKind, Option<usize>)>,
 }
 
-/// One level of POR-aware expansion, over children of type `C`: what
-/// [`StatefulExpansion`] holds for `C = ChildSucc`, and what the
-/// frontier engine gets with `C = LeanChild`.
-pub(crate) struct PorExpansion<C> {
+/// One level of POR-aware expansion for the stateful engines
+/// ([`Executor::expand`]): the children, their visited-store keys, and
+/// the partial-order-reduction bookkeeping the drivers fold into the
+/// [`crate::Report`].
+pub(crate) struct Expansion {
     /// `Some(deadlock)` when the state has no enabled transition.
     pub dead_end: Option<bool>,
-    /// The children in expansion order (none at a dead end).
-    pub children: Vec<C>,
-    /// Per child, aligned with `children`: see [`StatefulExpansion::keys`].
+    /// The children in deterministic order (none at a dead end): the
+    /// persistent set's successors first (each process ascending), then
+    /// — only when a fallback fired — the successors of the POR-skipped
+    /// processes.
+    pub children: Vec<LeanChild>,
+    /// Per child, aligned with `children`: the successor state's stable
+    /// fingerprint and store key (`(0, empty)` for violation outcomes),
+    /// so drivers admit/dedup by comparing bytes without re-encoding.
     pub keys: KeyArena,
+    /// Enabled processes whose expansion POR skipped at this state
+    /// (after any fallback; 0 when the fallback fired).
     pub por_skipped: usize,
+    /// Whether a fallback forced full expansion here.
     pub por_fallback: bool,
 }
 
-/// [`Executor::expand_frontier`]'s result.
-pub(crate) type FrontierExpansion = PorExpansion<LeanChild>;
-
 /// Everything below one node of the decision tree, expanded one level:
-/// what [`Executor::expand_children`] returns and the child-list half
-/// of a [`StatefulExpansion`].
+/// what [`Executor::expand_children`] returns.
 pub enum NodeExpansion {
     /// No enabled transitions.
     DeadEnd {
@@ -316,11 +298,6 @@ impl<'a> Executor<'a> {
     /// The exploration configuration.
     pub fn config(&self) -> &Config {
         &self.cfg
-    }
-
-    /// The static object-footprint analysis backing POR.
-    pub fn static_info(&self) -> &StaticInfo {
-        &self.info
     }
 
     /// The initial global state.
@@ -585,7 +562,7 @@ impl<'a> Executor<'a> {
                     // A Violation child cuts its path short, voiding the
                     // persistent-set assumption that the search keeps
                     // running past every selected transition — expand the
-                    // skipped processes too (see `expand_stateful`).
+                    // skipped processes too (see `Executor::expand`).
                     if !fell_back
                         && i == queue.len()
                         && !skipped.is_empty()
@@ -602,13 +579,13 @@ impl<'a> Executor<'a> {
         NodeExpansion::Children(children)
     }
 
-    /// Expand one node for the *stateful* engines: POR-reduced through
+    /// Expand one node for the stateful engines: POR-reduced through
     /// [`Executor::schedule_por`], with the **ignoring/cycle proviso**
     /// applied — when the persistent set's expansion produces a
-    /// successor for which `closes_cycle(fingerprint, encoding)` holds
-    /// (the driver's visited store already contains it, so the edge may
-    /// close a cycle in the explored graph), the skipped processes are
-    /// expanded too, restoring full expansion at this state.
+    /// successor for which `closes_cycle(fingerprint, key)` holds (the
+    /// driver's visited store already contains it, so the edge may close
+    /// a cycle in the explored graph), the skipped processes are expanded
+    /// too, restoring full expansion at this state.
     ///
     /// Persistent sets alone preserve every deadlock of a finite state
     /// space, but on cyclic graphs a process whose transitions are
@@ -618,59 +595,47 @@ impl<'a> Executor<'a> {
     /// expanded, an edge to an already-visited state — so that state is
     /// fully expanded and nothing is ignored around the cycle. The test
     /// is conservative (confluent diamonds trigger it too), trading some
-    /// reduction for soundness.
+    /// reduction for soundness, and it holds for any exploration order:
+    /// depth-first or level by level.
     ///
     /// Both the selection and the fallback are pure functions of
     /// `(state, closes_cycle)`; drivers keep the predicate
-    /// timing-independent (the sequential engines consult their visited
-    /// set, the frontier engine only *sealed* entries, fixed for a whole
-    /// round), so reports stay byte-identical for any worker count.
-    pub fn expand_stateful<F: Fn(u64, &[u8]) -> bool>(
+    /// timing-independent (the DFS consults its visited set, the frontier
+    /// engine only *sealed* entries, fixed for a whole round), so reports
+    /// stay byte-identical for any worker count.
+    ///
+    /// When `cx` carries the run's interner, each process's outcomes go
+    /// through the lent component cache and transition memo (DESIGN §15):
+    /// they are looked up under `(its component ID, the ID of its leading
+    /// visible operation's object)` and, on a hit, each child's key is the
+    /// parent's tuple with one or two IDs replaced — no successor state
+    /// exists on that path. Without an interner (`--no-compress`) `lent`
+    /// goes unused and every transition goes through the interpreter,
+    /// which is what makes that mode the memo's reference.
+    pub(crate) fn expand(
         &self,
         cx: &mut ExecCtx,
         state: &GlobalState,
-        closes_cycle: F,
-    ) -> StatefulExpansion {
-        let e = self.expand_por(cx, state, closes_cycle, |cx, children, keys, pid| {
-            for (choices, outcome) in self.successors(cx, state, pid) {
-                match &outcome {
-                    SuccOutcome::State(s, _) => keys.push_with(|out| cx.state_key_into(s, out)),
-                    SuccOutcome::Violation(..) => keys.push_violation(),
-                }
-                children.push(ChildSucc {
-                    process: pid,
-                    choices,
-                    outcome,
-                    sleep: BTreeSet::new(),
-                });
-            }
-        });
-        StatefulExpansion {
-            expansion: match e.dead_end {
-                Some(deadlock) => NodeExpansion::DeadEnd { deadlock },
-                None => NodeExpansion::Children(e.children),
-            },
-            keys: e.keys,
-            por_skipped: e.por_skipped,
-            por_fallback: e.por_fallback,
-        }
-    }
-
-    /// The schedule-expand-fall-back skeleton of
-    /// [`Executor::expand_stateful`], over any representation of a
-    /// child: `step(cx, children, keys, pid)` appends process `pid`'s
-    /// outcomes to `children` and one key each to `keys` — `(0, empty)`
-    /// for a violating outcome, which is how the fallback tells the two
-    /// kinds apart.
-    fn expand_por<C>(
-        &self,
-        cx: &mut ExecCtx,
-        state: &GlobalState,
+        mut lent: (&mut ComponentCache, &mut TransitionMemo),
         closes_cycle: impl Fn(u64, &[u8]) -> bool,
-        mut step: impl FnMut(&mut ExecCtx, &mut Vec<C>, &mut KeyArena, usize),
-    ) -> PorExpansion<C> {
+    ) -> Expansion {
+        let memoised = match &cx.interner {
+            Some(interner) => {
+                lent.1.view(interner, state);
+                true
+            }
+            None => false,
+        };
+        let mut step = |cx: &mut ExecCtx, e: &mut Expansion, pid| {
+            let (children, keys) = (&mut e.children, &mut e.keys);
+            if memoised {
+                self.step_through_memo(cx, &mut lent, state, pid, children, keys);
+            } else {
+                self.step_interpreted(cx, state, pid, children, keys, |_, _| {});
+            }
+        };
         let (sched, skipped) = self.schedule_por(state);
-        let mut e = PorExpansion {
+        let mut e = Expansion {
             dead_end: None,
             children: Vec::new(),
             keys: KeyArena::default(),
@@ -679,20 +644,20 @@ impl<'a> Executor<'a> {
         };
         match sched {
             Scheduled::DeadEnd { deadlock } => e.dead_end = Some(deadlock),
-            Scheduled::Init(pid) => step(cx, &mut e.children, &mut e.keys, pid),
+            Scheduled::Init(pid) => step(cx, &mut e, pid),
             Scheduled::Procs(procs) => {
                 for &t in &procs {
                     if cx.truncated {
                         break;
                     }
-                    step(cx, &mut e.children, &mut e.keys, t);
+                    step(cx, &mut e, t);
                 }
                 e.por_skipped = skipped.len();
                 // Two fallbacks to full expansion. (1) The proviso: a
-                // State child (nonempty encoding) already known to the
+                // State child (nonempty key) already known to the
                 // driver's store may close a cycle — expand everything so
                 // nothing is ignored around it. (2) A Violation child
-                // (empty encoding): the persistent-set argument assumes
+                // (empty key): the persistent-set argument assumes
                 // every selected transition leads to a successor the
                 // search keeps exploring, but a violating transition
                 // *cuts* its path — a skipped process whose own violation
@@ -702,8 +667,8 @@ impl<'a> Executor<'a> {
                 // nothing and restores verdict-set completeness.
                 if !skipped.is_empty()
                     && !cx.truncated
-                    && (e.keys.iter().any(|(_, enc)| enc.is_empty())
-                        || e.keys.iter().any(|(h, enc)| closes_cycle(h, enc)))
+                    && (e.keys.iter().any(|(_, key)| key.is_empty())
+                        || e.keys.iter().any(|(h, key)| closes_cycle(h, key)))
                 {
                     e.por_fallback = true;
                     e.por_skipped = 0;
@@ -711,46 +676,12 @@ impl<'a> Executor<'a> {
                         if cx.truncated {
                             break;
                         }
-                        step(cx, &mut e.children, &mut e.keys, t);
+                        step(cx, &mut e, t);
                     }
                 }
             }
         }
         e
-    }
-
-    /// [`Executor::expand_stateful`] for the frontier engine: the same
-    /// children in the same order with the same keys, reduced to what the
-    /// ordered commit reads ([`LeanChild`]), and — when `cx` carries the
-    /// run's interner — computed through the worker's lent component
-    /// cache and transition memo (DESIGN §15): a process's outcomes are
-    /// looked up under `(its component ID, the ID of its leading visible
-    /// operation's object)` and, on a hit, each child's key is the
-    /// parent's tuple with one or two IDs replaced. No successor state
-    /// exists on that path. Without an interner (`--no-compress`) `lent`
-    /// goes unused and every transition goes through the interpreter,
-    /// which is what makes that mode the memo's reference.
-    pub(crate) fn expand_frontier<F: Fn(u64, &[u8]) -> bool>(
-        &self,
-        cx: &mut ExecCtx,
-        state: &GlobalState,
-        mut lent: (&mut ComponentCache, &mut TransitionMemo),
-        closes_cycle: F,
-    ) -> FrontierExpansion {
-        let memoised = match &cx.interner {
-            Some(interner) => {
-                lent.1.view(interner, state);
-                true
-            }
-            None => false,
-        };
-        self.expand_por(cx, state, closes_cycle, |cx, children, keys, pid| {
-            if memoised {
-                self.step_through_memo(cx, &mut lent, state, pid, children, keys);
-            } else {
-                self.step_interpreted(cx, state, pid, children, keys, |_, _| {});
-            }
-        })
     }
 
     /// Process `pid`'s outcomes from `state` through the interpreter,

@@ -53,7 +53,7 @@ pub mod state;
 pub mod value;
 
 pub use coverage::Coverage;
-pub use executor::{ExecCtx, Executor, KeyArena, Scheduled, StatefulExpansion, SuccOutcome};
+pub use executor::{ExecCtx, Executor, KeyArena, Scheduled, SuccOutcome};
 pub use explain::explain_violation;
 pub use hash::{stable_hash, stable_hash_bytes, StableHasher};
 pub use interp::{

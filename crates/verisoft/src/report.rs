@@ -72,9 +72,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Hit, miss and bypass counts of a frontier worker's transition memo
-/// (DESIGN §15), or of all of a run's memos added up
-/// ([`Report::memo`]).
+/// Hit, miss and bypass counts of one transition memo (DESIGN §15), or
+/// of all of a run's memos added up ([`Report::memo`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemoStats {
     /// Per-process successor lookups answered from the memo instead of
@@ -153,8 +152,8 @@ pub struct Report {
     /// states (after proviso fallbacks; 0 for the stateless engines,
     /// which prune through sleep sets instead of counting).
     pub por_skipped_procs: usize,
-    /// States where the ignoring/cycle proviso forced full expansion
-    /// (see [`crate::executor::Executor::expand_stateful`]).
+    /// States where the ignoring/cycle proviso (or a violating child)
+    /// forced full expansion (see `Executor::expand`).
     pub por_proviso_fallbacks: usize,
     /// Executed-node coverage, when [`crate::Config::track_coverage`] is
     /// on.
@@ -163,7 +162,7 @@ pub struct Report {
     /// run (frontier engines; 0 otherwise). An *operational* metric, not
     /// part of the deterministic report surface: an interrupted-and-
     /// resumed run may legitimately peak differently than an
-    /// uninterrupted one. Merges by maximum.
+    /// uninterrupted one.
     pub store_peak_mem_bytes: usize,
     /// States spilled from the in-memory tier to disk segments
     /// (operational, like [`Report::store_peak_mem_bytes`]).
@@ -224,9 +223,10 @@ pub struct Report {
     /// Kept because the frozen ledger benchmark reads it by name; goes
     /// with the next benchmark-only PR.
     pub pipeline_overlapped_chunks: usize,
-    /// What the frontier workers' transition memos (DESIGN §15) did,
-    /// summed over workers. Operational like the batch counters above,
-    /// and more so: every worker has a memo of its own and claims items
+    /// What the stateful engines' transition memos (DESIGN §15) did: the
+    /// DFS's one memo, or the frontier workers' summed. Operational like
+    /// the batch counters above, and more so: every frontier worker has a
+    /// memo of its own and claims items
     /// through a shared cursor, so at `jobs > 1` which lookups hit
     /// depends on thread timing; a resumed run starts with empty memos;
     /// and `--no-compress` has none. These counts are therefore in no
@@ -258,51 +258,6 @@ impl Report {
     /// Count violations of a given kind.
     pub fn count(&self, pred: impl Fn(&ViolationKind) -> bool) -> usize {
         self.violations.iter().filter(|v| pred(&v.kind)).count()
-    }
-
-    /// Fold another report fragment into this one.
-    ///
-    /// Reports form a monoid under `merge` with [`Report::default`] as
-    /// identity: counters add, `max_depth_seen` takes the maximum,
-    /// `truncated` ORs, violations concatenate in order, trace sets and
-    /// coverage union.
-    pub fn merge(&mut self, other: Report) {
-        self.states += other.states;
-        self.transitions += other.transitions;
-        self.max_depth_seen = self.max_depth_seen.max(other.max_depth_seen);
-        self.truncated |= other.truncated;
-        self.violations.extend(other.violations);
-        self.traces.extend(other.traces);
-        self.visited_bytes += other.visited_bytes;
-        self.visited_states += other.visited_states;
-        self.shared_components += other.shared_components;
-        self.total_components += other.total_components;
-        self.tosses_taken += other.tosses_taken;
-        self.por_skipped_procs += other.por_skipped_procs;
-        self.por_proviso_fallbacks += other.por_proviso_fallbacks;
-        match (&mut self.coverage, other.coverage) {
-            (Some(mine), Some(theirs)) => mine.merge(&theirs),
-            (mine @ None, theirs @ Some(_)) => *mine = theirs,
-            _ => {}
-        }
-        self.store_peak_mem_bytes = self.store_peak_mem_bytes.max(other.store_peak_mem_bytes);
-        self.store_spilled_entries += other.store_spilled_entries;
-        self.store_segments += other.store_segments;
-        self.frontier_spilled_entries += other.frontier_spilled_entries;
-        self.checkpoints_written += other.checkpoints_written;
-        self.store_stored_bytes += other.store_stored_bytes;
-        self.interner_entries += other.interner_entries;
-        self.interner_bytes += other.interner_bytes;
-        self.store_segments_compacted += other.store_segments_compacted;
-        self.store_batch_ops += other.store_batch_ops;
-        self.store_batch_items += other.store_batch_items;
-        self.store_lock_acquisitions_avoided += other.store_lock_acquisitions_avoided;
-        self.prefilter_probes += other.prefilter_probes;
-        self.prefilter_hits += other.prefilter_hits;
-        self.prefilter_rebuilds += other.prefilter_rebuilds;
-        self.pipeline_chunks += other.pipeline_chunks;
-        self.pipeline_overlapped_chunks += other.pipeline_overlapped_chunks;
-        self.memo += other.memo;
     }
 }
 
@@ -364,87 +319,6 @@ mod tests {
         assert!(r.first_deadlock().is_some());
         assert_eq!(r.first_assert().unwrap().process, Some(1));
         assert_eq!(r.count(|k| *k == ViolationKind::Deadlock), 1);
-    }
-
-    fn sample(states: usize, kind: ViolationKind) -> Report {
-        Report {
-            states,
-            transitions: states * 3,
-            max_depth_seen: states,
-            truncated: states.is_multiple_of(2),
-            violations: vec![Violation {
-                kind,
-                process: Some(states),
-                trace: vec![Decision {
-                    process: states,
-                    choices: vec![states as u32],
-                }],
-            }],
-            traces: [vec![]].into_iter().collect(),
-            visited_bytes: states * 10,
-            visited_states: states,
-            shared_components: states,
-            total_components: states * 2,
-            por_skipped_procs: states,
-            por_proviso_fallbacks: states / 2,
-            coverage: None,
-            store_peak_mem_bytes: states * 100,
-            ..Report::default()
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn fields(
-        r: &Report,
-    ) -> (
-        usize,
-        usize,
-        usize,
-        bool,
-        Vec<Violation>,
-        usize,
-        usize,
-        usize,
-    ) {
-        (
-            r.states,
-            r.transitions,
-            r.max_depth_seen,
-            r.truncated,
-            r.violations.clone(),
-            r.traces.len(),
-            r.por_skipped_procs,
-            r.por_proviso_fallbacks,
-        )
-    }
-
-    #[test]
-    fn merge_identity() {
-        let a = sample(4, ViolationKind::Deadlock);
-        let mut left = Report::default();
-        left.merge(a.clone());
-        assert_eq!(fields(&left), fields(&a));
-        let mut right = a.clone();
-        right.merge(Report::default());
-        assert_eq!(fields(&right), fields(&a));
-    }
-
-    #[test]
-    fn merge_associativity() {
-        let a = sample(1, ViolationKind::Deadlock);
-        let b = sample(2, ViolationKind::AssertionViolation);
-        let c = sample(3, ViolationKind::Divergence);
-        // (a ⊕ b) ⊕ c
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        let mut ab_c = ab;
-        ab_c.merge(c.clone());
-        // a ⊕ (b ⊕ c)
-        let mut bc = b;
-        bc.merge(c);
-        let mut a_bc = a;
-        a_bc.merge(bc);
-        assert_eq!(fields(&ab_c), fields(&a_bc));
     }
 
     #[test]

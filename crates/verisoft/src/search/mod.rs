@@ -94,7 +94,7 @@ pub struct Config {
     /// additionally apply the ignoring/cycle proviso (full expansion when
     /// a reduced successor is already visited), preserving deadlocks
     /// *and* assertion violations on cyclic state spaces — see
-    /// [`crate::executor::Executor::expand_stateful`].
+    /// docs/EXPLORER.md §5.
     pub por: bool,
     /// Use sleep sets (stateless engine only).
     pub sleep_sets: bool,

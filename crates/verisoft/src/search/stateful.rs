@@ -4,16 +4,16 @@
 //! ([`Engine::StatefulParallel`](super::Engine::StatefulParallel)) backed
 //! by the tiered spillable [`TieredStore`](super::store).
 //!
-//! Both apply persistent-set partial-order reduction with the
-//! ignoring/cycle proviso through
-//! [`Executor::expand_stateful`](crate::executor::Executor::expand_stateful):
-//! a state is expanded over its persistent set only, unless one of the
-//! reduced successors is already in the search's visited store — an edge
-//! that may close a cycle — in which case the state is fully expanded so
-//! no process is ignored around the cycle (docs/EXPLORER.md §5). The
-//! proviso predicate is a pure function of the state and a
-//! timing-independent store snapshot, so every report stays
-//! byte-identical for any worker count.
+//! Both hold states as store keys (`FrontierItem`), rebuild one through a
+//! [`ComponentCache`] only to expand it, and expand it through
+//! `Executor::expand` and a transition memo: persistent-set partial-order
+//! reduction with the ignoring/cycle proviso — a state is expanded over
+//! its persistent set only, unless one of the reduced successors is
+//! already in the search's visited store (an edge that may close a
+//! cycle), in which case it is fully expanded so no process is ignored
+//! around the cycle (docs/EXPLORER.md §5). The proviso predicate is a
+//! pure function of the state and a timing-independent store snapshot,
+//! so every report stays byte-identical for any worker count.
 //!
 //! The frontier search additionally runs **out of core** when
 //! [`Config::mem_limit`](super::Config::mem_limit) is finite: sealed
@@ -28,11 +28,10 @@
 
 use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
-use crate::executor::{
-    ExecCtx, Executor, FrontierExpansion, KeyArena, LeanChild, NodeExpansion, SuccOutcome,
-};
+use crate::executor::{ExecCtx, Executor, Expansion, KeyArena, LeanChild};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
+use crate::state::intern::raw_len_of;
 use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,13 +83,13 @@ impl Trace {
     }
 }
 
-/// One frontier entry: a committed (sealed) state awaiting expansion,
-/// held as its **store key** — the compressed component-ID tuple the
-/// commit already has in hand for every winner (the raw canonical
-/// encoding under `--no-compress`) — not as a live state. A
-/// [`GlobalState`] exists only while a worker expands the entry
-/// ([`rebuild`], DESIGN §14), so a frontier level costs a few dozen
-/// bytes per entry instead of a private heap graph each.
+/// One search entry — a frontier level's or the DFS stack's: a state
+/// awaiting expansion, held as its **store key** — the compressed
+/// component-ID tuple the expansion already has in hand for every child
+/// (the raw canonical encoding under `--no-compress`) — not as a live
+/// state. A [`GlobalState`] exists only while the entry is expanded
+/// ([`rebuild`], DESIGN §14), so an entry costs a few dozen bytes
+/// instead of a private heap graph.
 struct FrontierItem {
     key: Box<[u8]>,
     depth: usize,
@@ -126,14 +125,15 @@ impl Spoolable for FrontierItem {
     }
 }
 
-/// The state a frontier key denotes, built for the moment it is
-/// expanded: through the worker's component cache when the run
-/// compresses, by decoding the raw encoding otherwise.
+/// The state a search key denotes, built for the moment it is
+/// expanded: through the component cache when the run compresses, by
+/// decoding the raw encoding otherwise.
 ///
 /// # Panics
 ///
 /// Panics when `key` does not decode. Keys are this run's own store
-/// keys, so that means a spool or checkpoint file was damaged on disk.
+/// keys, so that means a frontier spool or checkpoint file was damaged
+/// on disk; the DFS's keys never leave memory.
 fn rebuild(
     interner: Option<&ComponentInterner>,
     cache: &mut ComponentCache,
@@ -175,7 +175,7 @@ struct Expanded {
 impl Expanded {
     /// An item's commit record: its expansion plus the item's counters,
     /// moved out of `cx` (left zeroed for the worker's next item).
-    fn new(fe: FrontierExpansion, cx: &mut ExecCtx) -> Expanded {
+    fn new(fe: Expansion, cx: &mut ExecCtx) -> Expanded {
         Expanded {
             deadlock: fe.dead_end == Some(true),
             children: fe.children,
@@ -540,10 +540,9 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                     break;
                 }
                 let state = rebuild(interner.as_deref(), cache, &chunk[i].key);
-                let fe =
-                    exec.expand_frontier(&mut cx, &state, (&mut *cache, &mut *memo), |h, e| {
-                        store.contains_sealed_before(h, e, lvl.epoch)
-                    });
+                let fe = exec.expand(&mut cx, &state, (&mut *cache, &mut *memo), |h, e| {
+                    store.contains_sealed_before(h, e, lvl.epoch)
+                });
                 if cfg.scalar_commit {
                     for (j, (h, enc)) in fe.keys.iter().enumerate() {
                         if !enc.is_empty() {
@@ -740,107 +739,101 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
 
 /// Explicit-state depth-first search ([`Engine::Stateful`](super::Engine::Stateful))
 /// storing full visited states (not hashes, so no collision
-/// unsoundness); terminates on cyclic state spaces. The POR proviso
-/// probes the visited set at expansion time: the last state of any
-/// reduced-graph cycle to be expanded necessarily sees its cycle
-/// successor already visited, so it is fully expanded and no enabled
-/// process is ignored forever — sound for any exploration order (see
-/// `expand_stateful`'s cycle argument).
+/// unsoundness); terminates on cyclic state spaces. Its stack holds
+/// [`FrontierItem`]s under their fingerprints, children pushed in
+/// expansion order and popped last-in first-out; a popped item not yet
+/// visited is rebuilt through the run's one component cache and expanded
+/// through its one transition memo. The POR proviso probes the visited
+/// set at expansion time: the last state of any reduced-graph cycle to
+/// be expanded necessarily sees its cycle successor already visited, so
+/// it is fully expanded and no enabled process is ignored forever (see
+/// [`Executor::expand`]).
 pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     let cfg = exec.config();
     let interner: Option<Arc<ComponentInterner>> =
         (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));
     let mut cx = ExecCtx::new(exec, cfg.max_transitions);
     cx.interner = interner.clone();
+    let (mut cache, mut memo) = (ComponentCache::default(), TransitionMemo::default());
     let mut report = Report::default();
     let mut stop = false;
-    let record = |report: &mut Report,
-                  stop: &mut bool,
-                  kind: ViolationKind,
-                  process: Option<usize>,
-                  trace: Vec<Decision>| {
+    // Records a violation; true once the cap is reached.
+    let record = |report: &mut Report, kind, process, trace| {
         report.violations.push(Violation {
             kind,
             process,
             trace,
         });
-        if report.violations.len() >= cfg.max_violations {
-            *stop = true;
-        }
+        report.violations.len() >= cfg.max_violations
     };
-    // The visited set: canonical encodings bucketed by the (cheap,
-    // incrementally combined) fingerprint; membership compares bytes,
-    // per the collision-safety rule in [`crate::state::encode`]. Keyed
-    // by an already-mixed fingerprint, so the pass-through hasher
-    // applies here too.
+    // The visited set: store keys bucketed by the (cheap, incrementally
+    // combined) fingerprint; membership compares bytes, per the
+    // collision-safety rule in [`crate::state::encode`]. Keyed by an
+    // already-mixed fingerprint, so the pass-through hasher applies here
+    // too.
     let mut visited: HashMap<u64, Vec<Box<[u8]>>, crate::hash::FpBuildHasher> = HashMap::default();
-    // Work items carry their depth, (persistent) reproducing path, and
-    // the state's fingerprint + canonical encoding — computed once at
-    // discovery (`expand_stateful` needs them for the proviso anyway)
-    // and reused for the pop-time dedup instead of re-encoding.
-    type DfsItem = (GlobalState, usize, Trace, u64, Box<[u8]>);
-    let init = exec.initial();
-    let (h0, e0) = cx.state_key(&init);
-    let mut stack: Vec<DfsItem> = vec![(init, 0, Trace::default(), h0, e0.into_boxed_slice())];
+    let (h0, key0) = cx.state_key(&exec.initial());
+    let root = FrontierItem {
+        key: key0.into(),
+        depth: 0,
+        path: Trace::default(),
+    };
+    let mut stack = vec![(h0, root)];
     let mut stored_bytes = 0usize;
-    while let Some((state, depth, path, fp, enc)) = stack.pop() {
+    while let Some((fp, item)) = stack.pop() {
         if stop || cx.truncated {
             break;
         }
         let bucket = visited.entry(fp).or_default();
-        if bucket.iter().any(|e| **e == *enc) {
+        if bucket.iter().any(|k| **k == *item.key) {
             continue;
         }
         // `visited_bytes` is the *raw* logical total either way — a
         // compressed entry carries its raw length in the tuple prefix —
         // so the report is byte-identical across compression modes.
         report.visited_bytes += match &interner {
-            Some(_) => crate::state::intern::raw_len_of(&enc).expect("compressed tuple prefix"),
-            None => enc.len(),
+            Some(_) => raw_len_of(&item.key).expect("compressed tuple prefix"),
+            None => item.key.len(),
         };
-        stored_bytes += enc.len();
+        stored_bytes += item.key.len();
         report.visited_states += 1;
-        bucket.push(enc);
         report.states += 1;
-        report.max_depth_seen = report.max_depth_seen.max(depth);
-        if depth >= cfg.max_depth {
+        report.max_depth_seen = report.max_depth_seen.max(item.depth);
+        let state = (item.depth < cfg.max_depth)
+            .then(|| rebuild(interner.as_deref(), &mut cache, &item.key));
+        bucket.push(item.key);
+        let Some(state) = state else {
             report.truncated = true;
             continue;
-        }
-        let se = exec.expand_stateful(&mut cx, &state, |h, e| {
-            visited.get(&h).is_some_and(|b| b.iter().any(|x| **x == *e))
+        };
+        let e = exec.expand(&mut cx, &state, (&mut cache, &mut memo), |h, k| {
+            visited.get(&h).is_some_and(|b| b.iter().any(|x| **x == *k))
         });
-        report.por_skipped_procs += se.por_skipped;
-        report.por_proviso_fallbacks += se.por_fallback as usize;
-        match se.expansion {
-            NodeExpansion::DeadEnd { deadlock } => {
-                if deadlock {
-                    record(
-                        &mut report,
-                        &mut stop,
-                        ViolationKind::Deadlock,
-                        None,
-                        path.to_vec(),
-                    );
-                }
+        report.por_skipped_procs += e.por_skipped;
+        report.por_proviso_fallbacks += e.por_fallback as usize;
+        if e.dead_end == Some(true) {
+            stop |= record(
+                &mut report,
+                ViolationKind::Deadlock,
+                None,
+                item.path.to_vec(),
+            );
+        }
+        for (c, (h, key)) in e.children.into_iter().zip(e.keys.iter()) {
+            if stop {
+                break;
             }
-            NodeExpansion::Children(cs) => {
-                for (c, (h, e)) in cs.into_iter().zip(se.keys.iter()) {
-                    if stop {
-                        break;
-                    }
-                    let d = Decision {
-                        process: c.process,
-                        choices: c.choices,
-                    };
-                    match c.outcome {
-                        SuccOutcome::State(s, _) => {
-                            stack.push((*s, depth + 1, path.push(d), h, Box::from(e)))
-                        }
-                        SuccOutcome::Violation(k, pr) => {
-                            record(&mut report, &mut stop, k, pr, path.pushed_vec(d));
-                        }
-                    }
+            match c.violation {
+                None => stack.push((
+                    h,
+                    FrontierItem {
+                        key: key.into(),
+                        depth: item.depth + 1,
+                        path: item.path.push(c.decision),
+                    },
+                )),
+                Some((kind, process)) => {
+                    stop |= record(&mut report, kind, process, item.path.pushed_vec(c.decision));
                 }
             }
         }
@@ -854,6 +847,7 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     report.store_stored_bytes = stored_bytes;
     report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
     report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
+    report.memo = memo.stats;
     report
 }
 

@@ -185,8 +185,8 @@ struct ParentView {
     raw: usize,
 }
 
-/// A frontier worker's memo of `Executor::successors`, keyed on interner
-/// IDs (DESIGN §15).
+/// A stateful search's memo of `Executor::successors`, keyed on
+/// interner IDs (DESIGN §15).
 ///
 /// A transition reads and writes the running process and the object of
 /// its leading visible operation, nothing else (§2 of the paper; the
@@ -199,8 +199,8 @@ struct ParentView {
 /// mutate, encode, intern or free.
 ///
 /// Like the [`ComponentCache`] it lives beside, a memo belongs to **one
-/// worker** for the whole run and is lent to whichever thread runs that
-/// worker for a chunk: no lock, no shared cache line, and the recorded
+/// worker** (the DFS is one) for the whole run and is lent to whichever
+/// thread runs that worker for a chunk: no lock, no shared cache line, and the recorded
 /// IDs mean what they meant because the run has one interner (a memo
 /// last used under another interner's token is emptied first). It is
 /// not checkpointed; a resumed run refills it.
@@ -609,7 +609,7 @@ impl ComponentInterner {
     /// [`GlobalState::fingerprint_and_intern`] answers every component
     /// a transition did not touch from the memo, exactly as it does for
     /// a successor that shares its parent's allocations. This is how the
-    /// frontier engine turns a stored key back into a state for the
+    /// stateful engines turn a stored key back into a state for the
     /// moment it is expanded (DESIGN §14). A cache last used with another
     /// interner is emptied first. `None` when the tuple is malformed or
     /// references an unknown ID.
@@ -976,7 +976,7 @@ mod tests {
                 let state = interner.materialize(&mut cache, tuple).expect("own tuple");
                 let mut cx = context();
                 let lent = (&mut cache, &mut memo);
-                let fe = exec.expand_frontier(&mut cx, &state, lent, |_, _| false);
+                let fe = exec.expand(&mut cx, &state, lent, |_, _| false);
                 let mut rx = context();
                 let procs = scheduled(&exec, &state);
                 assert_eq!(fe.dead_end.is_some(), procs.is_empty(), "{what}");

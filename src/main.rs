@@ -103,7 +103,7 @@ fn usage() -> String {
      graph <file>                 print Graphviz DOT for every procedure\n\
      envgen <file>                synthesize the explicit most general environment\n\
      switchgen [--lines N] [--events N] [--trunks N]\n\
-               [--seed-deadlock] [--seed-assert] [--stub]\n\
+               [--seed-deadlock] [--seed-assert] [--stub] [--voicemail]\n\
                                   emit the synthetic switch application source\n\
      fuzz [options]               adversarial corpus engine: generate random open\n\
                                   programs, close them, and cross-check every\n\
@@ -126,12 +126,12 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     match cmd.as_str() {
-        "check" => check(args.get(1).ok_or_else(usage)?),
+        "check" => one_path(args, check),
         "close" => close_cmd(&args[1..]),
         "explore" => explore_cmd(&args[1..]),
         "run" => run_schedule(&args[1..]),
-        "graph" => graph(args.get(1).ok_or_else(usage)?),
-        "envgen" => envgen_cmd(args.get(1).ok_or_else(usage)?),
+        "graph" => one_path(args, graph),
+        "envgen" => one_path(args, envgen_cmd),
         "switchgen" => switchgen(&args[1..]),
         "fuzz" => fuzz_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
@@ -162,6 +162,13 @@ fn check_args(
         }
     }
     Ok(())
+}
+
+/// Run a subcommand that takes one path and nothing else.
+fn one_path(args: &[String], cmd: fn(&str) -> Result<(), String>) -> Result<(), String> {
+    let path = args.get(1).ok_or_else(usage)?;
+    check_args(&args[0], &args[2..], &[], &[])?;
+    cmd(path)
 }
 
 /// Parse a `--jobs` value: a thread count, or `auto` for one worker per
@@ -584,14 +591,17 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
 
 fn run_schedule(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    let (flags, tokens): (Vec<String>, Vec<String>) =
+        args[1..].iter().cloned().partition(|a| a.starts_with("--"));
+    check_args("run", &flags, &["--enumerate"], &[])?;
     let (_, prog) = load(path)?;
-    let env_mode = if args.iter().any(|a| a == "--enumerate") {
+    let env_mode = if flags.iter().any(|a| a == "--enumerate") {
         EnvMode::Enumerate
     } else {
         EnvMode::Closed
     };
     let mut trace = Vec::new();
-    for tok in args.iter().skip(1).filter(|a| !a.starts_with("--")) {
+    for tok in &tokens {
         trace.push(parse_decision(tok)?);
     }
     if trace.is_empty() {
@@ -734,6 +744,12 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn switchgen(args: &[String]) -> Result<(), String> {
+    check_args(
+        "switchgen",
+        args,
+        &["--seed-deadlock", "--seed-assert", "--stub", "--voicemail"],
+        &["--lines", "--events", "--trunks"],
+    )?;
     let opt = |name: &str, default: usize| {
         args.iter()
             .position(|a| a == name)

@@ -243,6 +243,14 @@ fn unknown_and_valueless_flags_are_rejected() {
         (&["close", workers, "--jobs"], "--jobs"),
         (&["fuzz", "--seed", "3"], "--seed"),
         (&["fuzz", "--seeds"], "--seeds"),
+        (&["switchgen", "--line", "3"], "--line"),
+        (&["switchgen", "--lines", "3", "--event", "4"], "--event"),
+        (&["switchgen", "--lines"], "--lines"),
+        (&["check", workers, "--bogus"], "--bogus"),
+        (&["check", workers, "extra.mc"], "extra.mc"),
+        (&["graph", workers, "--bogus"], "--bogus"),
+        (&["envgen", workers, "--bogus"], "--bogus"),
+        (&["run", workers, "P0", "--bogus"], "--bogus"),
     ] {
         let out = reclose(args);
         assert!(!out.status.success(), "accepted {args:?}");
@@ -284,6 +292,10 @@ fn switchgen_stub_flag() {
     let out = reclose(&["switchgen", "--lines", "1", "--stub"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("proc stub0"));
+    let all: Vec<&str> = "switchgen --lines 1 --events 1 --trunks 1 --seed-deadlock --voicemail"
+        .split(' ')
+        .collect();
+    assert!(reclose(&all).status.success(), "every documented option");
 }
 
 #[test]

@@ -2,7 +2,6 @@
 //! `--jobs` value, on every corpus program, in every relevant mode.
 
 use reclose::prelude::*;
-use switchsim::rng::SplitMix64;
 use verisoft::Violation;
 
 fn corpus_files() -> Vec<(String, String)> {
@@ -199,9 +198,9 @@ fn stateful_parallel_first_violation_is_jobs_invariant() {
 /// (which always count raw canonical encodings), the sharing counters
 /// and the coverage **map** — must be identical. `--no-compress` has no
 /// interner and therefore no transition memo (DESIGN §15): it interprets
-/// every transition, so on the frontier engines this also holds the memo
-/// against the interpreter through the engine's public surface. Returns
-/// the compressed run's report.
+/// every transition, so this also holds the memo against the interpreter
+/// through every stateful engine's public surface. Returns the
+/// compressed run's report.
 fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Config) -> Report {
     let run = |no_compress| {
         explore(
@@ -234,7 +233,7 @@ fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Co
         "{tag}: toss and sharing counters"
     );
     // A memo hit marks no node — the miss that made its entry already
-    // did — so the merged map must equal the one the interpreter marks
+    // did — so the run's map must equal the one the interpreter marks
     // transition by transition.
     assert_eq!(on.coverage, off.coverage, "{tag}: coverage maps");
     assert_eq!(off.memo.lookups(), 0, "{tag}: no interner, no memo");
@@ -246,8 +245,8 @@ fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Co
     );
     assert_eq!(
         on.memo.lookups() > 0,
-        config.engine != Engine::Stateful && on.transitions > 0,
-        "{tag}: the memo belongs to the frontier engines"
+        on.transitions > 0,
+        "{tag}: the memo serves every stateful engine"
     );
     on
 }
@@ -267,9 +266,9 @@ fn compression_matrix() -> Vec<(Engine, usize, usize)> {
 #[test]
 fn compression_modes_produce_byte_identical_reports() {
     // Collapse compression (`no_compress: false`, the default) changes
-    // only the stored representation of visited states — and, on the
-    // frontier engines, whether a transition is interpreted or looked up
-    // in the worker's memo. Neither may show. `spawn_pool.mc` is the
+    // only the stored representation of visited states — and whether a
+    // transition is interpreted or looked up in the memo. Neither may
+    // show. `spawn_pool.mc` is the
     // memo's spawn bypass: `main`'s first transition reads the process
     // count, so it is interpreted every time.
     for (name, prog) in closed_corpus() {
@@ -293,14 +292,12 @@ fn compression_modes_produce_byte_identical_reports() {
                 on.store_stored_bytes <= on.visited_bytes,
                 "{tag}: tuples are never larger than raw encodings here"
             );
-            if engine != Engine::Stateful {
-                assert_eq!(
-                    on.memo.bypass_spawn > 0,
-                    name == "spawn_pool.mc",
-                    "{tag}: only spawn_pool spawns"
-                );
-                assert_eq!(on.memo.bypass_budget, 0, "{tag}: the budget was never near");
-            }
+            assert_eq!(
+                on.memo.bypass_spawn > 0,
+                name == "spawn_pool.mc",
+                "{tag}: only spawn_pool spawns"
+            );
+            assert_eq!(on.memo.bypass_budget, 0, "{tag}: the budget was never near");
         }
     }
 }
@@ -484,100 +481,5 @@ fn every_reachable_corpus_state_roundtrips_through_the_encoder() {
                 "{name}: re-encoding is not stable"
             );
         }
-    }
-}
-
-/// Build a pseudo-random report from a deterministic seed, exercising
-/// every merged field.
-fn seeded_report(rng: &mut SplitMix64) -> Report {
-    let mut r = Report {
-        states: rng.below(100),
-        transitions: rng.below(1000),
-        max_depth_seen: rng.below(50),
-        truncated: rng.coin(),
-        ..Report::default()
-    };
-    for _ in 0..rng.below(4) {
-        r.violations.push(Violation {
-            kind: verisoft::ViolationKind::AssertionViolation,
-            process: Some(rng.below(4)),
-            trace: vec![verisoft::Decision {
-                process: rng.below(4),
-                choices: vec![rng.next_u64() as u32 % 8],
-            }],
-        });
-    }
-    r
-}
-
-fn report_fields(r: &Report) -> (usize, usize, usize, bool, Vec<Violation>, usize) {
-    (
-        r.states,
-        r.transitions,
-        r.max_depth_seen,
-        r.truncated,
-        r.violations.clone(),
-        r.traces.len(),
-    )
-}
-
-#[test]
-fn report_merge_is_a_monoid_under_seeded_fragments() {
-    // `Report::merge` folds report fragments in order; it must be a
-    // monoid for the fold not to depend on how they are grouped.
-    for seed in 0..64u64 {
-        let mut rng = SplitMix64::new(seed);
-        let a = seeded_report(&mut rng);
-        let b = seeded_report(&mut rng);
-        let c = seeded_report(&mut rng);
-
-        // Identity on both sides.
-        let mut left = Report::default();
-        left.merge(a.clone());
-        assert_eq!(report_fields(&left), report_fields(&a), "seed {seed}");
-        let mut right = a.clone();
-        right.merge(Report::default());
-        assert_eq!(report_fields(&right), report_fields(&a), "seed {seed}");
-
-        // Associativity: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        let mut ab_c = ab;
-        ab_c.merge(c.clone());
-        let mut bc = b.clone();
-        bc.merge(c.clone());
-        let mut a_bc = a.clone();
-        a_bc.merge(bc);
-        assert_eq!(report_fields(&ab_c), report_fields(&a_bc), "seed {seed}");
-    }
-}
-
-#[test]
-fn report_merge_trace_sets_union_and_violations_concatenate() {
-    // Trace sets union (idempotent: merging a fragment carrying the
-    // same maximal traces adds nothing), while violations concatenate
-    // in order, duplicates preserved.
-    let mut rng = SplitMix64::new(7);
-    for _ in 0..32 {
-        let mut a = seeded_report(&mut rng);
-        a.traces.insert(Vec::new());
-        let dup = a.clone();
-        let before_traces = a.traces.clone();
-        let before_violations = a.violations.clone();
-        a.merge(dup);
-        assert_eq!(a.traces, before_traces, "trace-set union is idempotent");
-        assert_eq!(
-            a.violations.len(),
-            before_violations.len() * 2,
-            "violations concatenate, preserving duplicates"
-        );
-        assert_eq!(
-            &a.violations[..before_violations.len()],
-            &before_violations[..]
-        );
-        assert_eq!(
-            &a.violations[before_violations.len()..],
-            &before_violations[..]
-        );
     }
 }
