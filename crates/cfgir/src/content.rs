@@ -1,14 +1,15 @@
-//! Stable content hashes over the IR, for artifact-store keys.
+//! Stable content hashes over the IR: *what a program is*, not where it
+//! sits in a source file.
 //!
-//! The closing pipeline (`closer::pipeline`) memoizes per-procedure
-//! analysis artifacts under keys derived from *what the procedure is*,
-//! not where it sits in the source file. These hashes therefore cover
+//! Three clients read them: the explorer's checkpoints, which record the
+//! program they belong to and refuse to resume any other one;
+//! `switchsim::progen::Dedupe`, which drops generated programs that
+//! differ only in layout; and the ledger benchmark. The hashes cover
 //! names, variable tables, node kinds, and arcs — and deliberately
-//! exclude [`crate::ir::Node::span`]: editing one procedure shifts the
-//! byte offsets of every procedure after it, and artifacts for those
-//! untouched procedures must still cache-hit.
+//! exclude [`crate::ir::Node::span`], so reformatting the source leaves
+//! them unchanged.
 //!
-//! Built on [`stablehash::StableHasher`], so keys are identical across
+//! Built on [`stablehash::StableHasher`], so hashes are identical across
 //! platforms, toolchains, and runs.
 
 use std::hash::{Hash, Hasher};

@@ -368,22 +368,25 @@ fn apply(proc: &mut CfgProc, n: NodeId, dst: VarId, classes: &[(i64, i64)]) {
     }
 }
 
+/// The §7 resource manager: one environment read whose three-way branch
+/// refines into three input classes.
+#[cfg(test)]
+pub(crate) const RESOURCE_MANAGER: &str = r#"
+    extern chan grant; extern chan deny;
+    input req : 0..255;
+    proc manager() {
+        int t = env_input(req);
+        if (t < 10) send(grant, 1);
+        else if (t < 100) send(grant, 2);
+        else send(deny, 0);
+    }
+    process manager();
+"#;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use verisoft::{explore, Config, EnvMode};
-
-    const RESOURCE_MANAGER: &str = r#"
-        extern chan grant; extern chan deny;
-        input req : 0..255;
-        proc manager() {
-            int t = env_input(req);
-            if (t < 10) send(grant, 1);
-            else if (t < 100) send(grant, 2);
-            else send(deny, 0);
-        }
-        process manager();
-    "#;
 
     fn trace_cfg(env: EnvMode) -> Config {
         Config {

@@ -3,52 +3,41 @@
 //! The closing transformation is a straight-line chain of passes:
 //!
 //! ```text
-//! parse → sema → normalize → cfg-build → canon → [refine]
-//!       → points-to → mod-ref → defuse → taint → transform
+//! parse → sema → normalize → cfg-build → [refine]
+//!       → points-to → mod-ref → defuse → taint → transform → [refine-cex]
 //! ```
 //!
-//! [`Pipeline`] runs that chain over a **content-hash-keyed artifact
-//! store**: every pass output is memoized under a [`stablehash`] key
-//! derived from exactly the inputs the pass reads. Whole-program passes
-//! (points-to, mod-ref, taint) are keyed by the program's span-free
-//! content hash; the per-procedure passes (defuse, transform) are keyed
-//! by the *procedure's* content hash combined with a key of the
-//! upstream *solution* (not the upstream program). Editing one
-//! procedure therefore re-runs the whole-program passes but — as long
-//! as their solutions are unchanged — recomputes the per-procedure
-//! chain only for the touched procedure; every other procedure's
-//! define-use graph and closed body come out of the store.
+//! [`Pipeline::close`] runs that chain once per call: each pass is one
+//! timed call whose output moves into the next, and nothing is kept
+//! between calls.
 //!
-//! Per-procedure solves on a cold store run on up to
-//! [`PipelineOptions::jobs`] worker threads via [`dataflow::par_map`];
-//! results are merged in [`cfgir::ProcId`] order, so the closed program
-//! and every [`ProcReport`] are byte-identical for any `jobs`.
+//! The per-procedure solves (defuse, transform, and taint's
+//! intraprocedural sweeps) run on up to [`PipelineOptions::jobs`] worker
+//! threads via [`dataflow::par_map`]; results are merged in
+//! [`cfgir::ProcId`] order, so the closed program and every
+//! [`ProcReport`](crate::ProcReport) are byte-identical for any `jobs`.
 //!
-//! Every pass records [`PassMetrics`] — invocations, cache hits, fact
-//! counts, wall time — surfaced by `reclose close --stats` and the
-//! ledger benchmark's `closer.pipeline.*` layers. See
-//! `docs/PIPELINE.md` for the design notes.
+//! Every pass records [`PassMetrics`] — runs, fact counts, wall time —
+//! surfaced by `reclose close --stats` and the ledger benchmark's
+//! `closer.pipeline.*` layers. See `docs/PIPELINE.md` for the design
+//! notes.
 
 use crate::partition::{refine, RefineOptions, RefineReport};
 use crate::refine_cex::{refine_cex, CexOptions, CexReport};
 use crate::semantic::{refine_semantic, SemanticOptions};
-use crate::transform::{assemble, close_proc, Closed, ProcReport};
-use cfgir::{proc_content_hash, program_content_hash, CfgProc, CfgProgram};
-use dataflow::{par_map, DefUse, Loc, ModRef, PointsTo, Taint};
+use crate::transform::{assemble, close_proc, Closed};
+use cfgir::CfgProgram;
+use dataflow::{par_map, DefUse};
 use minic::Diagnostics;
-use stablehash::{stable_hash, stable_hash_bytes};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The pass names, in execution order. `--stats` and the benchmark emit
 /// one metrics row per name, in this order, for every run.
-pub const PASSES: [&str; 12] = [
+pub const PASSES: [&str; 11] = [
     "parse",
     "sema",
     "normalize",
     "cfg-build",
-    "canon",
     "refine",
     "points-to",
     "mod-ref",
@@ -57,9 +46,6 @@ pub const PASSES: [&str; 12] = [
     "transform",
     "refine-cex",
 ];
-
-/// The front-half passes share one artifact (see [`Frontend`]).
-const FRONT: [&str; 5] = ["parse", "sema", "normalize", "cfg-build", "canon"];
 
 /// Options controlling a [`Pipeline`].
 #[derive(Debug, Clone)]
@@ -77,7 +63,8 @@ pub struct PipelineOptions {
     /// Run counterexample-guided toss refinement
     /// ([`crate::refine_cex`]) on the closed program. The refined
     /// program replaces [`Closed::program`] in the run result; the
-    /// per-procedure [`ProcReport`]s keep describing the raw transform.
+    /// per-procedure [`ProcReport`](crate::ProcReport)s keep describing
+    /// the raw transform.
     pub refine_cex: bool,
     /// Budgets for the counterexample refinement (when `refine_cex` is
     /// set).
@@ -102,16 +89,15 @@ impl Default for PipelineOptions {
 pub struct PassMetrics {
     /// Pass name (one of [`PASSES`]).
     pub name: &'static str,
-    /// Times the pass actually computed an artifact this run. For the
-    /// per-procedure passes this counts procedures computed.
+    /// Times the pass ran this call: one for a whole-program pass, one
+    /// per procedure for defuse and transform, zero for an optional pass
+    /// that is switched off.
     pub invocations: usize,
-    /// Artifacts served from the store instead of being recomputed.
-    pub cache_hits: usize,
-    /// Size of the pass output used this run (AST items, CFG nodes,
-    /// solver visits, define-use arcs, kept nodes — whatever "facts"
-    /// means for the pass), including cached artifacts.
+    /// Size of the pass output (AST items, CFG nodes, solver visits,
+    /// define-use arcs, kept nodes — whatever "facts" means for the
+    /// pass).
     pub facts: u64,
-    /// Wall time spent computing (zero on a full cache hit).
+    /// Wall time spent in the pass.
     pub wall: Duration,
 }
 
@@ -133,55 +119,18 @@ pub struct PipelineRun {
     pub passes: Vec<PassMetrics>,
 }
 
-/// Artifact of the front half: everything from source text to hashed
-/// CFG. Cached under a hash of the source bytes.
-struct Frontend {
-    prog: CfgProgram,
-    proc_hashes: Vec<u64>,
-    prog_hash: u64,
-    /// Fact counts for the five front passes, in [`FRONT`] order.
-    facts: [u64; 5],
-}
-
-/// Artifact of the refinement passes, cached under the pre-refinement
-/// program hash.
-struct Refined {
-    prog: CfgProgram,
-    reports: Vec<RefineReport>,
-    proc_hashes: Vec<u64>,
-    prog_hash: u64,
-}
-
-/// Points-to artifact (cached under the program content hash).
-struct PtsArt {
-    pts: PointsTo,
-    facts: u64,
-}
-
-/// MOD/REF artifact (cached under the program content hash).
-struct ModRefArt {
-    mr: ModRef,
-    facts: u64,
-}
-
-/// A memoizing pass manager for the closing front-end. Keep one value
-/// alive across [`close`](Pipeline::close) calls to get warm-cache
-/// incremental re-closing.
+/// The pass manager for the closing front-end: its options, and a
+/// [`close`](Pipeline::close) that runs the chain cold on every call.
 pub struct Pipeline {
     opts: PipelineOptions,
-    frontend: HashMap<u64, Arc<Frontend>>,
-    refined: HashMap<u64, Arc<Refined>>,
-    pts: HashMap<u64, Arc<PtsArt>>,
-    modref: HashMap<u64, Arc<ModRefArt>>,
-    taint: HashMap<u64, Arc<Taint>>,
-    defuse: HashMap<u64, Arc<DefUse>>,
-    transform: HashMap<u64, Arc<(CfgProc, ProcReport)>>,
-    refinecex: HashMap<u64, Arc<(CfgProgram, CexReport)>>,
 }
 
-/// Per-run metrics accumulator: a fixed row per pass, in order.
+/// Per-run metrics accumulator: a fixed row per pass, in order, and the
+/// instant the previous pass ended (each pass starts where the one
+/// before it stopped, so one clock read per pass times the chain).
 struct Metrics {
     rows: Vec<PassMetrics>,
+    last: Instant,
 }
 
 impl Metrics {
@@ -192,128 +141,33 @@ impl Metrics {
                 .map(|name| PassMetrics {
                     name,
                     invocations: 0,
-                    cache_hits: 0,
                     facts: 0,
                     wall: Duration::ZERO,
                 })
                 .collect(),
+            last: Instant::now(),
         }
     }
 
-    fn add(
-        &mut self,
-        name: &str,
-        invocations: usize,
-        cache_hits: usize,
-        facts: u64,
-        wall: Duration,
-    ) {
+    /// Record that pass `name` just ended.
+    fn add(&mut self, name: &str, invocations: usize, facts: u64) {
+        let now = Instant::now();
         let row = self
             .rows
             .iter_mut()
             .find(|r| r.name == name)
             .expect("unknown pass name");
-        row.invocations += invocations;
-        row.cache_hits += cache_hits;
-        row.facts += facts;
-        row.wall += wall;
+        row.invocations = invocations;
+        row.facts = facts;
+        row.wall = now - self.last;
+        self.last = now;
     }
 }
 
-/// The distinct procedures `proc` calls directly, in id order.
-fn direct_callees(proc: &CfgProc) -> Vec<cfgir::ProcId> {
-    let mut cs: Vec<cfgir::ProcId> = proc
-        .node_ids()
-        .filter_map(|n| match &proc.node(n).kind {
-            cfgir::NodeKind::Call { callee, .. } => Some(*callee),
-            _ => None,
-        })
-        .collect();
-    cs.sort_unstable();
-    cs.dedup();
-    cs
-}
-
-/// A stable key of the slice of the points-to solution `proc`'s
-/// define-use graph reads: the sets of its *own* pointer variables
-/// (loads and deref stores only ever dereference locals — MiniC has no
-/// pointer globals). An aliasing change anywhere else in the program
-/// leaves this key, and so the cached artifact, intact.
-fn pts_slice_key(proc: &CfgProc, pts: &PointsTo) -> u64 {
-    let entries: Vec<(u32, BTreeSet<Loc>)> = (0..proc.vars.len())
-        .filter_map(|vi| {
-            let v = cfgir::VarId(vi as u32);
-            let s = pts.of_loc(dataflow::loc_of(proc, v));
-            (!s.is_empty()).then_some((vi as u32, s))
-        })
-        .collect();
-    // The "-v2" tag invalidates artifacts computed from the
-    // flow-insensitive points-to domain that predates
-    // [`dataflow::flowpts`].
-    stable_hash(&("pts-slice-v2", entries))
-}
-
-/// A stable key of the slice of the MOD/REF solution `proc`'s
-/// define-use graph reads: for each direct callee, which of the
-/// *caller's* variables the call may clobber (reaching definitions asks
-/// exactly `may_mod(callee, loc_of(proc, v))`). A callee gaining a
-/// private temporary changes its global summary but not this slice.
-fn modref_slice_key(proc: &CfgProc, mr: &ModRef) -> u64 {
-    let per: Vec<(u32, Vec<u32>)> = direct_callees(proc)
-        .into_iter()
-        .map(|c| {
-            let clobbered: Vec<u32> = (0..proc.vars.len() as u32)
-                .filter(|&vi| mr.may_mod(c, dataflow::loc_of(proc, cfgir::VarId(vi))))
-                .collect();
-            (c.0, clobbered)
-        })
-        .collect();
-    stable_hash(&("mod-ref-slice", per))
-}
-
-/// A stable key of the slice of the taint solution the transform of
-/// `proc` reads: its own per-procedure facts and removed parameters,
-/// each direct callee's summary (removed parameters, tainted return),
-/// and the tainted-object set.
-fn taint_slice_key(proc: &CfgProc, taint: &Taint) -> u64 {
-    let pt = &taint.per_proc[proc.id.index()];
-    let callees: Vec<(u32, BTreeSet<usize>, bool)> = direct_callees(proc)
-        .into_iter()
-        .map(|c| {
-            (
-                c.0,
-                taint.tainted_params[c.index()].clone(),
-                taint.ret_tainted[c.index()],
-            )
-        })
-        .collect();
-    // "-v2": the flow-sensitive taint rewrite changed what the facts
-    // mean; stale flow-insensitive artifacts must not be served.
-    stable_hash(&(
-        "taint-slice-v2",
-        &pt.n_i,
-        &pt.v_i,
-        &pt.reads_env_mem,
-        &taint.tainted_params[proc.id.index()],
-        callees,
-        &taint.tainted_objects,
-    ))
-}
-
 impl Pipeline {
-    /// Create a pipeline with an empty artifact store.
+    /// Create a pipeline.
     pub fn new(opts: PipelineOptions) -> Self {
-        Pipeline {
-            opts,
-            frontend: HashMap::new(),
-            refined: HashMap::new(),
-            pts: HashMap::new(),
-            modref: HashMap::new(),
-            taint: HashMap::new(),
-            defuse: HashMap::new(),
-            transform: HashMap::new(),
-            refinecex: HashMap::new(),
-        }
+        Pipeline { opts }
     }
 
     /// Shorthand: default options with `jobs` workers.
@@ -324,303 +178,105 @@ impl Pipeline {
         })
     }
 
-    /// The options this pipeline was built with.
-    pub fn options(&self) -> &PipelineOptions {
-        &self.opts
-    }
-
-    /// Close `src`, reusing every artifact whose key matches a previous
-    /// run.
+    /// Close `src`, running every enabled pass once.
     ///
     /// # Errors
     ///
     /// Returns front-end diagnostics.
-    pub fn close(&mut self, src: &str) -> Result<PipelineRun, Diagnostics> {
+    pub fn close(&self, src: &str) -> Result<PipelineRun, Diagnostics> {
         let jobs = self.opts.jobs.max(1);
         let mut m = Metrics::new();
 
-        // --- parse → sema → normalize → cfg-build → canon -------------
-        let src_key = stable_hash(&("frontend", stable_hash_bytes(src.as_bytes())));
-        let fe = match self.frontend.get(&src_key) {
-            Some(fe) => {
-                let fe = fe.clone();
-                for (i, name) in FRONT.iter().enumerate() {
-                    m.add(name, 0, 1, fe.facts[i], Duration::ZERO);
-                }
-                fe
-            }
-            None => {
-                let t = Instant::now();
-                let ast = minic::parse(src).map_err(|d| {
-                    let mut ds = Diagnostics::new();
-                    ds.push(d);
-                    ds
-                })?;
-                let parse_facts = ast.items.len() as u64;
-                m.add("parse", 1, 0, parse_facts, t.elapsed());
+        // --- parse → sema → normalize → cfg-build ---------------------
+        let ast = minic::parse(src).map_err(|d| {
+            let mut ds = Diagnostics::new();
+            ds.push(d);
+            ds
+        })?;
+        m.add("parse", 1, ast.items.len() as u64);
 
-                let t = Instant::now();
-                let table = minic::sema::check(&ast)?;
-                let sema_facts = (table.objects.len()
-                    + table.globals.len()
-                    + table.inputs.len()
-                    + table.procs.len()
-                    + table.processes.len()) as u64;
-                m.add("sema", 1, 0, sema_facts, t.elapsed());
+        let table = minic::sema::check(&ast)?;
+        let sema_facts = table.objects.len()
+            + table.globals.len()
+            + table.inputs.len()
+            + table.procs.len()
+            + table.processes.len();
+        m.add("sema", 1, sema_facts as u64);
 
-                let t = Instant::now();
-                let norm = minic::normalize::normalize(&ast);
-                debug_assert!(minic::normalize::verify(&norm).is_ok());
-                let norm_facts = norm.items.len() as u64;
-                m.add("normalize", 1, 0, norm_facts, t.elapsed());
+        let norm = minic::normalize::normalize(&ast);
+        debug_assert!(minic::normalize::verify(&norm).is_ok());
+        m.add("normalize", 1, norm.items.len() as u64);
 
-                let t = Instant::now();
-                let prog = cfgir::build(&norm, &table);
-                debug_assert!(cfgir::validate(&prog).is_ok());
-                let build_facts = prog.procs.iter().map(|p| p.nodes.len() as u64).sum();
-                m.add("cfg-build", 1, 0, build_facts, t.elapsed());
-
-                let t = Instant::now();
-                let proc_hashes: Vec<u64> = prog.procs.iter().map(proc_content_hash).collect();
-                let prog_hash = program_content_hash(&prog);
-                let canon_facts = proc_hashes.len() as u64;
-                m.add("canon", 1, 0, canon_facts, t.elapsed());
-
-                let fe = Arc::new(Frontend {
-                    prog,
-                    proc_hashes,
-                    prog_hash,
-                    facts: [
-                        parse_facts,
-                        sema_facts,
-                        norm_facts,
-                        build_facts,
-                        canon_facts,
-                    ],
-                });
-                self.frontend.insert(src_key, fe.clone());
-                fe
-            }
-        };
+        let prog = cfgir::build(&norm, &table);
+        debug_assert!(cfgir::validate(&prog).is_ok());
+        m.add("cfg-build", 1, prog.node_count() as u64);
 
         // --- refine (optional) ---------------------------------------
-        let refined_art: Option<Arc<Refined>> = if self.opts.refine {
-            let key = stable_hash(&("refine", fe.prog_hash));
-            let art = match self.refined.get(&key) {
-                Some(a) => {
-                    m.add("refine", 0, 1, a.reports.len() as u64, Duration::ZERO);
-                    a.clone()
-                }
-                None => {
-                    let t = Instant::now();
-                    let (p1, mut reports) = refine(&fe.prog, &self.opts.refine_options);
-                    let (p2, more) = refine_semantic(&p1, &self.opts.semantic_options);
-                    reports.extend(more);
-                    let proc_hashes: Vec<u64> = p2.procs.iter().map(proc_content_hash).collect();
-                    let prog_hash = program_content_hash(&p2);
-                    m.add("refine", 1, 0, reports.len() as u64, t.elapsed());
-                    let a = Arc::new(Refined {
-                        prog: p2,
-                        reports,
-                        proc_hashes,
-                        prog_hash,
-                    });
-                    self.refined.insert(key, a.clone());
-                    a
-                }
-            };
-            Some(art)
+        let (prog, refine_reports) = if self.opts.refine {
+            let (p1, mut reports) = refine(&prog, &self.opts.refine_options);
+            let (p2, more) = refine_semantic(&p1, &self.opts.semantic_options);
+            reports.extend(more);
+            m.add("refine", 1, reports.len() as u64);
+            (p2, reports)
         } else {
-            None
-        };
-        let (prog, proc_hashes, prog_hash): (&CfgProgram, &[u64], u64) = match &refined_art {
-            Some(a) => (&a.prog, &a.proc_hashes, a.prog_hash),
-            None => (&fe.prog, &fe.proc_hashes, fe.prog_hash),
+            (prog, Vec::new())
         };
         let nprocs = prog.procs.len();
 
-        // --- points-to ------------------------------------------------
-        let pts_art = {
-            let key = stable_hash(&("points-to", prog_hash));
-            match self.pts.get(&key) {
-                Some(a) => {
-                    m.add("points-to", 0, 1, a.facts, Duration::ZERO);
-                    a.clone()
-                }
-                None => {
-                    let t = Instant::now();
-                    let pts = dataflow::pointsto::analyze(prog);
-                    let facts = pts.stats().visits;
-                    m.add("points-to", 1, 0, facts, t.elapsed());
-                    let a = Arc::new(PtsArt { pts, facts });
-                    self.pts.insert(key, a.clone());
-                    a
-                }
-            }
-        };
-        let pts = &pts_art.pts;
+        // --- points-to → mod-ref --------------------------------------
+        let pts = dataflow::pointsto::analyze(&prog);
+        m.add("points-to", 1, pts.stats().visits);
 
-        // --- mod-ref --------------------------------------------------
-        let mr_art = {
-            let key = stable_hash(&("mod-ref", prog_hash));
-            match self.modref.get(&key) {
-                Some(a) => {
-                    m.add("mod-ref", 0, 1, a.facts, Duration::ZERO);
-                    a.clone()
-                }
-                None => {
-                    let t = Instant::now();
-                    let mr = dataflow::modref::analyze(prog, pts);
-                    let facts = prog
-                        .procs
-                        .iter()
-                        .map(|p| (mr.mod_of(p.id).len() + mr.ref_of(p.id).len()) as u64)
-                        .sum();
-                    m.add("mod-ref", 1, 0, facts, t.elapsed());
-                    let a = Arc::new(ModRefArt { mr, facts });
-                    self.modref.insert(key, a.clone());
-                    a
-                }
-            }
-        };
-        let mr = &mr_art.mr;
-
-        // --- defuse (per procedure, parallel over cold entries) -------
-        let t = Instant::now();
-        let du_keys: Vec<u64> = proc_hashes
+        let mr = dataflow::modref::analyze(&prog, &pts);
+        let mr_facts: usize = prog
+            .procs
             .iter()
-            .zip(&prog.procs)
-            .map(|(&h, p)| {
-                stable_hash(&("defuse", h, pts_slice_key(p, pts), modref_slice_key(p, mr)))
-            })
-            .collect();
-        let missing: Vec<usize> = (0..nprocs)
-            .filter(|i| !self.defuse.contains_key(&du_keys[*i]))
-            .collect();
-        let computed = par_map(jobs, &missing, |_, &i| {
-            dataflow::defuse::analyze(prog, &prog.procs[i], pts, mr)
+            .map(|p| mr.mod_of(p.id).len() + mr.ref_of(p.id).len())
+            .sum();
+        m.add("mod-ref", 1, mr_facts as u64);
+
+        // --- defuse (per procedure) → taint ---------------------------
+        let dus: Vec<DefUse> = par_map(jobs, &prog.procs, |_, p| {
+            dataflow::defuse::analyze(&prog, p, &pts, &mr)
         });
-        for (&i, du) in missing.iter().zip(computed) {
-            self.defuse.insert(du_keys[i], Arc::new(du));
-        }
-        let dus: Vec<Arc<DefUse>> = du_keys
-            .iter()
-            .map(|k| self.defuse.get(k).expect("just inserted").clone())
-            .collect();
-        let du_facts: u64 = dus.iter().map(|d| d.arc_count() as u64).sum();
-        m.add(
-            "defuse",
-            missing.len(),
-            nprocs - missing.len(),
-            du_facts,
-            t.elapsed(),
-        );
+        let du_facts: usize = dus.iter().map(DefUse::arc_count).sum();
+        m.add("defuse", nprocs, du_facts as u64);
 
-        // --- taint ----------------------------------------------------
-        let taint_art = {
-            let key = stable_hash(&("taint", prog_hash));
-            match self.taint.get(&key) {
-                Some(a) => {
-                    m.add("taint", 0, 1, a.stats.visits, Duration::ZERO);
-                    a.clone()
-                }
-                None => {
-                    let t = Instant::now();
-                    let taint = dataflow::taint::analyze_jobs(prog, &dus, pts, jobs);
-                    m.add("taint", 1, 0, taint.stats.visits, t.elapsed());
-                    let a = Arc::new(taint);
-                    self.taint.insert(key, a.clone());
-                    a
-                }
-            }
-        };
-        let taint = &*taint_art;
+        let taint = dataflow::taint::analyze_jobs(&prog, &dus, &pts, jobs);
+        m.add("taint", 1, taint.stats.visits);
 
-        // --- transform (per procedure, parallel over cold entries) ----
-        let t = Instant::now();
-        let tr_keys: Vec<u64> = (0..nprocs)
-            .map(|i| {
-                stable_hash(&(
-                    "transform",
-                    proc_hashes[i],
-                    taint_slice_key(&prog.procs[i], taint),
-                ))
-            })
-            .collect();
-        let missing: Vec<usize> = (0..nprocs)
-            .filter(|i| !self.transform.contains_key(&tr_keys[*i]))
-            .collect();
-        let computed = par_map(jobs, &missing, |_, &i| {
-            close_proc(prog, &prog.procs[i], taint)
-        });
-        for (&i, pair) in missing.iter().zip(computed) {
-            self.transform.insert(tr_keys[i], Arc::new(pair));
-        }
-        let pairs: Vec<(CfgProc, ProcReport)> = tr_keys
-            .iter()
-            .map(|k| (**self.transform.get(k).expect("just inserted")).clone())
-            .collect();
-        let mut closed = assemble(prog, taint, pairs);
-        let tr_facts: u64 = closed
+        // --- transform (per procedure) --------------------------------
+        let pairs = par_map(jobs, &prog.procs, |_, p| close_proc(&prog, p, &taint));
+        let mut closed = assemble(&prog, &taint, pairs);
+        let tr_facts: usize = closed
             .reports
             .iter()
-            .map(|r| (r.nodes_kept + r.toss_nodes_inserted) as u64)
+            .map(|r| r.nodes_kept + r.toss_nodes_inserted)
             .sum();
-        m.add(
-            "transform",
-            missing.len(),
-            nprocs - missing.len(),
-            tr_facts,
-            t.elapsed(),
-        );
+        m.add("transform", nprocs, tr_facts as u64);
 
         // --- refine-cex (optional) ------------------------------------
         let cex_report = if self.opts.refine_cex {
-            let key = stable_hash(&(
-                "refine-cex",
-                prog_hash,
-                program_content_hash(&closed.program),
-            ));
-            let art = match self.refinecex.get(&key) {
-                Some(a) => {
-                    m.add(
-                        "refine-cex",
-                        0,
-                        1,
-                        a.1.outcomes_pruned as u64,
-                        Duration::ZERO,
-                    );
-                    a.clone()
-                }
-                None => {
-                    let t = Instant::now();
-                    let (refined, rep) = refine_cex(prog, &closed, &self.opts.cex_options);
-                    m.add("refine-cex", 1, 0, rep.outcomes_pruned as u64, t.elapsed());
-                    let a = Arc::new((refined, rep));
-                    self.refinecex.insert(key, a.clone());
-                    a
-                }
-            };
-            closed.program = art.0.clone();
-            Some(art.1.clone())
+            let (refined, rep) = refine_cex(&prog, &closed, &self.opts.cex_options);
+            m.add("refine-cex", 1, rep.outcomes_pruned as u64);
+            closed.program = refined;
+            Some(rep)
         } else {
             None
         };
 
         Ok(PipelineRun {
             closed,
-            program: prog.clone(),
-            refine_reports: refined_art
-                .as_ref()
-                .map(|a| a.reports.clone())
-                .unwrap_or_default(),
+            program: prog,
+            refine_reports,
             cex_report,
             passes: m.rows,
         })
     }
 }
 
-/// Close `src` through a fresh single-use pipeline with `jobs` workers.
+/// Close `src` through a pipeline with default options and `jobs`
+/// workers.
 ///
 /// # Errors
 ///
@@ -632,6 +288,9 @@ pub fn close_source_jobs(src: &str, jobs: usize) -> Result<PipelineRun, Diagnost
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::close;
+    use crate::partition::{close_with_refinement, RESOURCE_MANAGER};
+    use std::path::{Path, PathBuf};
 
     const SRC: &str = r#"
         extern chan evens;
@@ -658,8 +317,41 @@ mod tests {
         prog.procs.iter().map(cfgir::proc_to_listing).collect()
     }
 
-    fn row(run: &PipelineRun, name: &str) -> PassMetrics {
-        *run.passes.iter().find(|r| r.name == name).unwrap()
+    /// Every row's run and fact counts: the deterministic part of
+    /// [`PipelineRun::passes`].
+    fn counts(run: &PipelineRun) -> Vec<(&'static str, usize, u64)> {
+        run.passes
+            .iter()
+            .map(|r| (r.name, r.invocations, r.facts))
+            .collect()
+    }
+
+    /// Every `.mc` program under `corpus/`, recursively, sorted by path.
+    fn corpus() -> Vec<(PathBuf, String)> {
+        fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|x| x == "mc") {
+                    out.push(path);
+                }
+            }
+        }
+        let mut paths = Vec::new();
+        walk(
+            &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus"),
+            &mut paths,
+        );
+        paths.sort();
+        assert!(!paths.is_empty(), "no corpus programs found");
+        paths
+            .into_iter()
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).unwrap();
+                (p, src)
+            })
+            .collect()
     }
 
     #[test]
@@ -681,123 +373,124 @@ mod tests {
                 "jobs={jobs} changed the closed program"
             );
             assert_eq!(run.closed.reports, base.closed.reports);
-            for (a, b) in run.passes.iter().zip(&base.passes) {
-                assert_eq!(
-                    (a.invocations, a.cache_hits, a.facts),
-                    (b.invocations, b.cache_hits, b.facts),
-                    "jobs={jobs} changed {} counters",
-                    a.name
-                );
-            }
+            assert_eq!(counts(&run), counts(&base), "jobs={jobs} changed counters");
         }
     }
 
     #[test]
-    fn identical_rerun_hits_every_pass() {
-        let mut pl = Pipeline::with_jobs(1);
-        let cold = pl.close(SRC).unwrap();
-        let warm = pl.close(SRC).unwrap();
-        assert_eq!(
-            listings(&cold.closed.program),
-            listings(&warm.closed.program)
-        );
-        for r in &warm.passes {
-            if r.name == "refine" || r.name == "refine-cex" {
-                continue; // disabled in default options
-            }
-            assert_eq!(r.invocations, 0, "{} recomputed on a clean rerun", r.name);
-            assert!(r.cache_hits > 0, "{} did not hit the store", r.name);
-        }
-    }
-
-    #[test]
-    fn one_proc_edit_recomputes_only_that_chain() {
-        // `helper` sends a different constant; `p` and `drain` are
-        // untouched, and neither aliasing nor mod/ref nor taint
-        // summaries change shape.
+    fn a_pipeline_keeps_no_state_between_closes() {
+        // `helper` sends a different constant: a one-procedure edit.
         let edited = SRC.replace("send(link, n);", "send(link, n + 1);");
         assert_ne!(edited, SRC);
-        let mut pl = Pipeline::with_jobs(1);
-        let cold = pl.close(SRC).unwrap();
-        let nprocs = cold.program.procs.len();
-        assert_eq!(row(&cold, "defuse").invocations, nprocs);
-        assert_eq!(row(&cold, "transform").invocations, nprocs);
-
-        let warm = pl.close(&edited).unwrap();
-        // The whole-program passes rerun (the program changed) …
-        assert_eq!(row(&warm, "points-to").invocations, 1);
-        assert_eq!(row(&warm, "taint").invocations, 1);
-        // … but the per-procedure chain recomputes only `helper`.
-        assert_eq!(row(&warm, "defuse").invocations, 1);
-        assert_eq!(row(&warm, "defuse").cache_hits, nprocs - 1);
-        assert_eq!(row(&warm, "transform").invocations, 1);
-        assert_eq!(row(&warm, "transform").cache_hits, nprocs - 1);
-        assert!(warm.closed.program.is_closed());
+        let pl = Pipeline::with_jobs(1);
+        for src in [SRC, SRC, edited.as_str()] {
+            let reused = pl.close(src).unwrap();
+            let fresh = close_source_jobs(src, 1).unwrap();
+            assert_eq!(counts(&reused), counts(&fresh));
+            assert_eq!(
+                listings(&reused.closed.program),
+                listings(&fresh.closed.program)
+            );
+        }
     }
 
-    #[test]
-    fn refine_pass_runs_and_caches() {
-        let src = r#"
-            extern chan out;
-            input x : 0..1023;
-            proc p(int x) { if (x > 100) send(out, 1); else send(out, 2); }
-            process p(x);
-        "#;
-        let mut pl = Pipeline::new(PipelineOptions {
+    /// The pipeline's `refine` pass against [`close_with_refinement`],
+    /// the other way to refine and then close. Returns whether any
+    /// refinement fired.
+    fn assert_refine_matches(name: &str, src: &str) -> bool {
+        let run = Pipeline::new(PipelineOptions {
             refine: true,
             ..PipelineOptions::default()
-        });
-        let cold = pl.close(src).unwrap();
-        assert_eq!(row(&cold, "refine").invocations, 1);
-        let warm = pl.close(src).unwrap();
-        assert_eq!(row(&warm, "refine").invocations, 0);
-        assert_eq!(row(&warm, "refine").cache_hits, 1);
-        assert_eq!(cold.refine_reports, warm.refine_reports);
+        })
+        .close(src)
+        .unwrap();
+        let (direct, reports) = close_with_refinement(src, &RefineOptions::default()).unwrap();
+        assert_eq!(run.refine_reports, reports, "{name}: refine reports");
         assert_eq!(
-            listings(&cold.closed.program),
-            listings(&warm.closed.program)
+            listings(&run.closed.program),
+            listings(&direct.program),
+            "{name}: closed listings"
         );
+        assert_eq!(run.closed.reports, direct.reports, "{name}: close reports");
+        let row = run.passes.iter().find(|r| r.name == "refine").unwrap();
+        assert_eq!(
+            (row.invocations, row.facts),
+            (1, reports.len() as u64),
+            "{name}"
+        );
+        !reports.is_empty()
     }
 
     #[test]
-    fn refine_cex_pass_runs_caches_and_prunes() {
-        // `x > 10` is infeasible under the declared domain: the pass
-        // bypasses the toss; a warm rerun serves the refined program
-        // from the store.
-        let src = r#"
-            extern chan out;
-            input x : 0..3;
-            proc p(int x) { if (x > 10) send(out, 99); else send(out, 1); }
-            process p(x);
-        "#;
-        let mut pl = Pipeline::new(PipelineOptions {
+    fn refine_pass_matches_close_with_refinement() {
+        assert!(assert_refine_matches("RESOURCE_MANAGER", RESOURCE_MANAGER));
+        let fired = corpus()
+            .iter()
+            .filter(|(path, src)| assert_refine_matches(&path.display().to_string(), src))
+            .count();
+        assert!(fired > 0, "refinement fired on no corpus program");
+    }
+
+    #[test]
+    fn refine_cex_pass_matches_refine_cex_on_the_corpus() {
+        // Tighter budgets than the defaults keep the debug run short
+        // (the default classification budget alone costs `histogram.mc`
+        // half a minute); both sides get the same options.
+        let opts = CexOptions {
+            max_transitions: 50_000,
+            classify_budget: 5_000,
+            max_classified: 4,
+            ..CexOptions::default()
+        };
+        let pl = Pipeline::new(PipelineOptions {
             refine_cex: true,
+            cex_options: opts.clone(),
             ..PipelineOptions::default()
         });
-        let cold = pl.close(src).unwrap();
-        assert_eq!(row(&cold, "refine-cex").invocations, 1);
-        let rep = cold.cex_report.as_ref().expect("report present");
-        assert!(rep.outcomes_pruned >= 1, "{rep:?}");
-        let plain = close_source_jobs(src, 1).unwrap();
-        assert_ne!(
-            listings(&cold.closed.program),
-            listings(&plain.closed.program),
-            "refinement changed the closed program"
-        );
-        let warm = pl.close(src).unwrap();
-        assert_eq!(row(&warm, "refine-cex").invocations, 0);
-        assert_eq!(row(&warm, "refine-cex").cache_hits, 1);
-        assert_eq!(warm.cex_report, cold.cex_report);
-        assert_eq!(
-            listings(&warm.closed.program),
-            listings(&cold.closed.program)
-        );
+        let mut pruned = 0;
+        for (path, src) in corpus() {
+            let name = path.display();
+            let run = pl.close(&src).unwrap();
+            let open = cfgir::compile(&src).unwrap();
+            let closed = close(&open, &dataflow::analyze(&open));
+            let (refined, rep) = refine_cex(&open, &closed, &opts);
+            assert_eq!(
+                listings(&run.closed.program),
+                listings(&refined),
+                "{name}: refined listings"
+            );
+            assert_eq!(run.closed.reports, closed.reports, "{name}: close reports");
+            assert_eq!(run.cex_report.as_ref(), Some(&rep), "{name}: CexReport");
+            let row = run.passes.iter().find(|r| r.name == "refine-cex").unwrap();
+            assert_eq!(
+                (row.invocations, row.facts),
+                (1, rep.outcomes_pruned as u64),
+                "{name}"
+            );
+            pruned += rep.outcomes_pruned;
+        }
+        assert!(pruned > 0, "refine-cex pruned nothing on the corpus");
     }
 
     #[test]
     fn metrics_rows_follow_pass_order() {
         let run = close_source_jobs("proc m() { } process m();", 1).unwrap();
         let names: Vec<&str> = run.passes.iter().map(|r| r.name).collect();
-        assert_eq!(names, PASSES);
+        assert_eq!(
+            names,
+            [
+                "parse",
+                "sema",
+                "normalize",
+                "cfg-build",
+                "refine",
+                "points-to",
+                "mod-ref",
+                "defuse",
+                "taint",
+                "transform",
+                "refine-cex",
+            ]
+        );
     }
 }

@@ -96,8 +96,8 @@ pub fn close(prog: &CfgProgram, analysis: &Analysis) -> Closed {
 /// Assemble closed procedures into a closed program: Step 5 for spawn
 /// specs (drop arguments whose parameter was removed) plus final sanity
 /// checks. `pairs` must be in [`cfgir::ProcId`] order — the pipeline
-/// produces them per procedure, possibly from a memoization cache or
-/// parallel workers, and merges here deterministically.
+/// produces them per procedure, possibly on parallel workers, and merges
+/// here deterministically.
 pub(crate) fn assemble(
     prog: &CfgProgram,
     taint: &Taint,
@@ -187,8 +187,7 @@ fn is_marked(proc: &CfgProc, taint: &Taint, n: NodeId) -> bool {
 }
 
 /// Steps 3–5 for one procedure. Depends only on the procedure and the
-/// taint results — the property the pipeline's per-procedure memoization
-/// keys rely on.
+/// taint results, so the pipeline may close procedures on any worker.
 pub(crate) fn close_proc(
     prog: &CfgProgram,
     proc: &CfgProc,

@@ -142,13 +142,10 @@ pub fn analyze(prog: &CfgProgram, defuse: &[DefUse], pts: &crate::pointsto::Poin
 /// function of the previous state, the result is byte-identical for any
 /// `jobs`, and the least fixpoint is the same one the sequential
 /// Gauss-Seidel schedule reaches (everything grows monotonically).
-///
-/// `defuse` is generic over ownership so callers can pass either plain
-/// [`DefUse`] values or shared artifacts (`Arc<DefUse>`) from a
-/// memoization cache.
-pub fn analyze_jobs<D: std::borrow::Borrow<DefUse> + Sync>(
+/// `defuse` must be indexed by [`ProcId`].
+pub fn analyze_jobs(
     prog: &CfgProgram,
-    defuse: &[D],
+    defuse: &[DefUse],
     pts: &crate::pointsto::PointsTo,
     jobs: usize,
 ) -> Taint {
@@ -189,7 +186,7 @@ pub fn analyze_jobs<D: std::borrow::Borrow<DefUse> + Sync>(
     let mut per_proc;
     loop {
         let round = par_map(jobs, &prog.procs, |i, proc| {
-            intraproc(proc, defuse[i].borrow(), &fps[i], pts, &st)
+            intraproc(proc, &defuse[i], &fps[i], pts, &st)
         });
         let mut changed = false;
         per_proc = Vec::with_capacity(nprocs);

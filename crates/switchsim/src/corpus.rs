@@ -726,9 +726,7 @@ pub fn close_and_check(src: &str, limits: &OracleLimits) -> Result<CheckOutcome,
     let src_owned = src.to_string();
     let limits = *limits;
     let result = catch_unwind(AssertUnwindSafe(move || {
-        let mut pipeline = closer::Pipeline::new(closer::PipelineOptions::default());
-        let run = pipeline
-            .close(&src_owned)
+        let run = closer::close_source_jobs(&src_owned, 1)
             .map_err(|d| format!("compile/close failed:\n{d}"))?;
         if !run.closed.program.is_closed() {
             return Err("closing left an open interface".to_string());

@@ -32,7 +32,7 @@ fn usage() -> String {
      close <file> [options]       close the open interface (prints listings by default)\n\
          --dot                    print Graphviz DOT of the closed program\n\
          --stats                  per-procedure close reports plus per-pass\n\
-                                  pipeline metrics (runs, cache hits, facts, wall)\n\
+                                  pipeline metrics (runs, facts, wall)\n\
          --refine                 partition input domains first (interface\n\
                                   simplification) where the analysis allows it\n\
          --refine-cex             counterexample-guided toss refinement: replay\n\
@@ -203,14 +203,22 @@ fn parse_bytes(v: &str) -> Result<usize, String> {
         .ok_or_else(|| "--mem-limit: overflows".to_string())
 }
 
-fn load(path: &str) -> Result<(String, CfgProgram), String> {
+/// Read `path` and run `f` on its source, rendering any front-end
+/// diagnostics against that source.
+fn load_with<T>(
+    path: &str,
+    f: impl FnOnce(&str) -> Result<T, minic::Diagnostics>,
+) -> Result<T, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let prog = compile(&src).map_err(|d| format!("{path}:\n{}", d.render(&src)))?;
-    Ok((src, prog))
+    f(&src).map_err(|d| format!("{path}:\n{}", d.render(&src)))
+}
+
+fn load(path: &str) -> Result<CfgProgram, String> {
+    load_with(path, compile)
 }
 
 fn check(path: &str) -> Result<(), String> {
-    let (_, prog) = load(path)?;
+    let prog = load(path)?;
     println!(
         "ok: {} procedure(s), {} process(es), {} object(s), {} node(s){}",
         prog.procs.len(),
@@ -234,7 +242,6 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
         &["--dot", "--stats", "--refine", "--refine-cex"],
         &["--jobs"],
     )?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let jobs = args
         .iter()
         .position(|a| a == "--jobs")
@@ -242,15 +249,13 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
         .map(|v| parse_jobs(v))
         .transpose()?
         .unwrap_or(1);
-    let mut pipeline = closer::Pipeline::new(closer::PipelineOptions {
+    let pipeline = closer::Pipeline::new(closer::PipelineOptions {
         jobs,
         refine: args.iter().any(|a| a == "--refine"),
         refine_cex: args.iter().any(|a| a == "--refine-cex"),
         ..closer::PipelineOptions::default()
     });
-    let run = pipeline
-        .close(&src)
-        .map_err(|d| format!("{path}:\n{}", d.render(&src)))?;
+    let run = load_with(path, |src| pipeline.close(src))?;
     for r in &run.refine_reports {
         eprintln!(
             "refined {}::{:?} ({:?}): {} classes over a domain of {} (representatives {:?})",
@@ -308,10 +313,9 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
         }
         for p in &run.passes {
             println!(
-                "pass {}: {} run(s), {} cache hit(s), {} fact(s), {:.3} ms",
+                "pass {}: {} run(s), {} fact(s), {:.3} ms",
                 p.name,
                 p.invocations,
-                p.cache_hits,
                 p.facts,
                 p.wall.as_secs_f64() * 1e3
             );
@@ -355,7 +359,6 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             "--abort-after-checkpoints",
         ],
     )?;
-    let (_, mut prog) = load(path)?;
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt_val = |name: &str| {
         args.iter()
@@ -367,19 +370,20 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             .map(|v| v.parse::<usize>().map_err(|e| format!("{name}: {e}")))
             .transpose()
     };
-    // The pre-close program is kept around so `--classify-violations`
-    // can replay closed-program traces against the open semantics.
-    let mut open_prog = None;
-    if flag("--close") {
-        let open = prog.clone();
-        let closed = closer::close(&prog, &analyze(&prog));
-        prog = if flag("--refine-cex") {
-            closer::refine_cex(&open, &closed, &closer::CexOptions::default()).0
-        } else {
-            closed.program
-        };
-        open_prog = Some(open);
-    } else if flag("--refine-cex") {
+    // `--close` goes through the same pipeline as `reclose close`; the
+    // open program it closed is kept so `--classify-violations` can
+    // replay closed-program traces against the open semantics.
+    let (prog, open_prog) = if flag("--close") {
+        let pipeline = closer::Pipeline::new(closer::PipelineOptions {
+            refine_cex: flag("--refine-cex"),
+            ..closer::PipelineOptions::default()
+        });
+        let run = load_with(path, |src| pipeline.close(src))?;
+        (run.closed.program, Some(run.program))
+    } else {
+        (load(path)?, None)
+    };
+    if flag("--refine-cex") && open_prog.is_none() {
         return Err("--refine-cex needs --close (it refines the closing transformation)".into());
     }
     if flag("--classify-violations") && open_prog.is_none() {
@@ -594,7 +598,7 @@ fn run_schedule(args: &[String]) -> Result<(), String> {
     let (flags, tokens): (Vec<String>, Vec<String>) =
         args[1..].iter().cloned().partition(|a| a.starts_with("--"));
     check_args("run", &flags, &["--enumerate"], &[])?;
-    let (_, prog) = load(path)?;
+    let prog = load(path)?;
     let env_mode = if flags.iter().any(|a| a == "--enumerate") {
         EnvMode::Enumerate
     } else {
@@ -665,13 +669,13 @@ fn parse_decision(tok: &str) -> Result<verisoft::Decision, String> {
 }
 
 fn graph(path: &str) -> Result<(), String> {
-    let (_, prog) = load(path)?;
+    let prog = load(path)?;
     println!("{}", cfgir::program_to_dot(&prog));
     Ok(())
 }
 
 fn envgen_cmd(path: &str) -> Result<(), String> {
-    let (_, prog) = load(path)?;
+    let prog = load(path)?;
     let syn = synthesize(&prog).map_err(|e| e.to_string())?;
     println!(
         "// E_S: {} environment process(es), {} channel(s), {} domain value(s)",

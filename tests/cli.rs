@@ -93,6 +93,36 @@ fn close_stats_row_per_proc() {
 }
 
 #[test]
+fn close_stats_pass_rows_name_the_chain() {
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    let out = reclose(&["close", workers, "--stats"]);
+    assert!(out.status.success());
+    let s = String::from_utf8_lossy(&out.stdout);
+    let passes: Vec<&str> = s
+        .lines()
+        .filter_map(|l| l.strip_prefix("pass ")?.split(':').next())
+        .collect();
+    assert_eq!(
+        passes,
+        [
+            "parse",
+            "sema",
+            "normalize",
+            "cfg-build",
+            "refine",
+            "points-to",
+            "mod-ref",
+            "defuse",
+            "taint",
+            "transform",
+            "refine-cex",
+        ],
+        "{s}"
+    );
+    assert!(!s.contains("cache hit"), "{s}");
+}
+
+#[test]
 fn close_dot_is_graphviz() {
     let path = write_temp("open4.mc", OPEN_SRC);
     let out = reclose(&["close", path.to_str().unwrap(), "--dot"]);
