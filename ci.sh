@@ -211,7 +211,7 @@ full_states=$("$BIN" explore corpus/workers.mc --stateful --all --no-por \
 echo "  workers.mc: $por_states states reduced vs $full_states exhaustive"
 
 echo "== out-of-core smoke: spill determinism on workers.mc =="
-# A finite --mem-limit forces sealed states into tier-1 segments and the
+# A finite --mem-limit forces sealed states into the tier-1 log and the
 # frontier onto the spool mid-run; the report must stay byte-identical
 # to the unbounded run for every jobs x budget combination
 # (docs/EXPLORER.md §6).
@@ -338,7 +338,7 @@ RECLOSE_BENCH_DIR="$SMOKE" cargo bench -q --offline -p reclose-bench \
 JV="$SMOKE/BENCH_visited_store.json"
 [ -f "$JV" ] || { echo "visited_store: $JV was not written"; exit 1; }
 for op in insert insert_batch probe_hit_mem probe_hit_disk \
-          probe_hit_disk_compressed probe_miss spill compact; do
+          probe_hit_disk_compressed probe_miss spill; do
     grep -q "visited_store/$op" "$JV" \
         || { echo "visited_store: record $op missing from JSON"; exit 1; }
 done
@@ -351,7 +351,7 @@ if grep -q '"elements": 0[,}]' "$JV"; then
     echo "visited_store: a record reports zero elements"
     exit 1
 fi
-echo "  BENCH_visited_store.json: 8 records, schema complete"
+echo "  BENCH_visited_store.json: 7 records, schema complete"
 
 echo "== perf gate: fresh medians vs committed baselines =="
 # The bench smokes above just wrote fresh JSONs into $SMOKE; compare

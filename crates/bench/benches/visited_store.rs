@@ -2,7 +2,7 @@
 //! frontier engines: rank admission + sealing into the in-memory tier,
 //! membership probes against both tiers (an on-disk hit pays one
 //! positional read to confirm the encoding; a miss stays an O(1) index
-//! lookup), and the sealed-drain → segment-write spill cycle. The
+//! lookup), and the sealed-drain → log-append spill cycle. The
 //! element set is reachable states of the auto-closed
 //! `switchgen --lines 2` application, as in `state_ops`. Writes
 //! `BENCH_visited_store.json`; `ci.sh` checks the file's schema.
@@ -63,7 +63,7 @@ fn reachable_states(exec: &Executor<'_>) -> Vec<GlobalState> {
 }
 
 /// A store with every encoding admitted and sealed (epoch 1), either
-/// unbounded in memory or fully spilled to a tier-1 segment.
+/// unbounded in memory or fully spilled to the tier-1 log.
 fn sealed_store(encs: &[(u64, Vec<u8>)], spill: bool) -> TieredStore {
     let dir = spill.then(|| SpillDir::temp().expect("temp spill dir"));
     let store = TieredStore::new(if spill { 0 } else { usize::MAX }, dir);
@@ -72,8 +72,8 @@ fn sealed_store(encs: &[(u64, Vec<u8>)], spill: bool) -> TieredStore {
         store.seal_if_winner(*h, e, rank(j, 0), 1);
     }
     if spill {
-        store.end_of_level().expect("spill to segment");
-        assert_eq!(store.segment_count(), 1);
+        store.end_of_level().expect("spill to the log");
+        assert_eq!(store.spill_count(), 1);
     }
     store
 }
@@ -171,7 +171,7 @@ fn bench(c: &mut Criterion) {
             store.admit(*h, e, rank(j, 0));
             store.seal_if_winner(*h, e, rank(j, 0), 1);
         }
-        store.end_of_level().expect("spill to segment");
+        store.end_of_level().expect("spill to the log");
         store
     };
     g.bench_with_input(
@@ -201,32 +201,12 @@ fn bench(c: &mut Criterion) {
     });
 
     // The full spill cycle: admit + seal everything, then drain the
-    // sealed set into a synced segment and index it.
+    // sealed set into the synced log and index it.
     g.throughput(Throughput::Elements(n));
     g.bench_with_input(BenchmarkId::new("spill", n), &encs, |b, encs| {
         b.iter(|| {
             let store = sealed_store(encs, true);
             black_box(store.spilled_entries())
-        })
-    });
-
-    // Checkpoint-time segment compaction: spill in four small levels,
-    // then merge the shards into one segment and remap their index
-    // refs (the cost the checkpoint writer pays to cap file handles).
-    g.bench_with_input(BenchmarkId::new("compact", n), &encs, |b, encs| {
-        b.iter(|| {
-            let dir = SpillDir::temp().expect("temp spill dir");
-            let store = TieredStore::new(0, Some(dir));
-            for chunk in encs.chunks(encs.len() / 4 + 1) {
-                for (j, (h, e)) in chunk.iter().enumerate() {
-                    store.admit(*h, e, rank(j, 0));
-                    store.seal_if_winner(*h, e, rank(j, 0), 1);
-                }
-                store.end_of_level().expect("spill to segment");
-            }
-            let retired = store.compact_segments().expect("compact");
-            assert_eq!(retired, 4, "all four shard segments merge");
-            black_box(store.segment_count())
         })
     });
 

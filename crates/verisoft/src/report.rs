@@ -164,10 +164,11 @@ pub struct Report {
     /// resumed run may legitimately peak differently than an
     /// uninterrupted one.
     pub store_peak_mem_bytes: usize,
-    /// States spilled from the in-memory tier to disk segments
+    /// States spilled from the in-memory tier to the tier-1 log
     /// (operational, like [`Report::store_peak_mem_bytes`]).
     pub store_spilled_entries: usize,
-    /// On-disk segments sealed by the end of the run (operational).
+    /// Spills this run appended to the tier-1 log (operational; a
+    /// resumed run counts only its own).
     pub store_segments: usize,
     /// Frontier entries that overflowed the spool's RAM budget to disk
     /// (operational).
@@ -187,8 +188,9 @@ pub struct Report {
     /// (operational) — the one-copy-per-distinct-component cost that
     /// [`Report::store_stored_bytes`] amortises over every state.
     pub interner_bytes: usize,
-    /// Tier-1 segments retired by checkpoint-time compaction
-    /// (operational).
+    /// Always 0: tier 1 is one log, so nothing is compacted
+    /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark
+    /// reads it by name; goes with the next benchmark-only PR.
     pub store_segments_compacted: usize,
     /// Batched store/interner operations the frontier engines issued —
     /// one `insert_batch`/`seal_batch`/`intern_batch` call each
@@ -203,20 +205,13 @@ pub struct Report {
     /// the stripe lock once, and interner batches take one table write
     /// lock per run instead of one per fresh component (operational).
     pub store_lock_acquisitions_avoided: usize,
-    /// Tier-1 disk probes screened by the per-segment Bloom prefilter
-    /// (operational — probe counts depend on spill timing).
+    /// Always 0: no filter sits in front of the tier-1 index
+    /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark
+    /// reads it by name; goes with the next benchmark-only PR.
     pub prefilter_probes: usize,
-    /// Prefilter probes answered "definitely absent", skipping the
-    /// fingerprint-index walk and any segment reads (operational). A
-    /// Bloom filter has no false negatives, so a miss is exact for any
-    /// epoch bound.
+    /// Always 0, like [`Report::prefilter_probes`] and for the same
+    /// reason.
     pub prefilter_hits: usize,
-    /// Persisted per-segment Bloom filters that failed validation on
-    /// resume (missing, torn, or stale) and were rebuilt from the
-    /// segment's own fingerprints (operational). Rebuilds are safe by
-    /// construction — a filter is only ever trusted after containment
-    /// of every live fingerprint is verified.
-    pub prefilter_rebuilds: usize,
     /// Frontier chunks committed by the frontier engine (operational).
     pub pipeline_chunks: usize,
     /// Always 0: nothing overlaps a chunk's commit (EXPERIMENTS.md E18).

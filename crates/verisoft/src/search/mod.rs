@@ -116,10 +116,10 @@ pub struct Config {
     /// (visited store + frontier). `usize::MAX` (the default) means
     /// unbounded: everything stays in memory and no disk is ever
     /// touched. A finite budget makes the [`TieredStore`] spill sealed
-    /// states to disk segments and the frontier spool excess entries —
+    /// states to the tier-1 log and the frontier spool excess entries —
     /// the report is byte-identical either way (see [`store`]).
     pub mem_limit: usize,
-    /// Directory for spill segments and periodic checkpoints (frontier
+    /// Directory for the tier-1 log and periodic checkpoints (frontier
     /// engines). `None` with a finite [`Config::mem_limit`] spills into
     /// a self-cleaning temp dir; `Some` additionally enables
     /// checkpointing every [`Config::checkpoint_every`] frontier levels.

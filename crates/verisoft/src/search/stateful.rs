@@ -17,7 +17,7 @@
 //!
 //! The frontier search additionally runs **out of core** when
 //! [`Config::mem_limit`](super::Config::mem_limit) is finite: sealed
-//! states spill to disk segments, the frontier spools to disk past its
+//! states spill to the tier-1 log, the frontier spools to disk past its
 //! RAM budget, and each level is processed in bounded-memory *chunks*.
 //! Chunked processing is byte-identical to unbounded processing by
 //! construction — see the commit-order argument at
@@ -714,22 +714,17 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         // Operational (non-deterministic-surface) IO counters.
         report.store_peak_mem_bytes = report.store_peak_mem_bytes.max(store.peak_mem_bytes());
         report.store_spilled_entries = store.spilled_entries();
-        report.store_segments = store.segment_count();
+        report.store_segments = store.spill_count();
         report.store_stored_bytes = store.stored_bytes();
-        report.store_segments_compacted = store.segments_compacted();
         report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
         report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
         // Batched-commit-path observability (also operational): how much
-        // the batch grouping and the tier-1 prefilter actually saved.
+        // the batch grouping actually saved.
         let (m_ops, m_items, m_avoided) = store.batch_stats();
         let (i_ops, i_items, i_avoided) = interner.as_ref().map_or((0, 0, 0), |i| i.batch_stats());
         report.store_batch_ops = m_ops + i_ops;
         report.store_batch_items = m_items + i_items;
         report.store_lock_acquisitions_avoided = m_avoided + i_avoided;
-        let (pf_probes, pf_hits, pf_rebuilds) = store.prefilter_stats();
-        report.prefilter_probes = pf_probes;
-        report.prefilter_hits = pf_hits;
-        report.prefilter_rebuilds = pf_rebuilds;
         for (_, memo) in &leases {
             report.memo += memo.stats;
         }

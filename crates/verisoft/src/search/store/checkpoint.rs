@@ -5,10 +5,11 @@
 //! report-so-far, level number)` — nothing else survives a round. A
 //! checkpoint therefore persists exactly those four things:
 //!
-//! - **Sealed segments** (`seg-<id>.bin`) already on disk are immutable
-//!   and are referenced by id + committed byte length.
+//! - **The tier-1 log** (`tier1.bin`) is append-only and synced per
+//!   spill, so it is referenced by its committed byte length and record
+//!   count.
 //! - **Tier-0 sealed entries** are snapshotted (non-destructively) to
-//!   `mem-<level>.bin` in segment record format.
+//!   `mem-<level>.bin` in the log's record format.
 //! - **The frontier spool** is snapshotted to `frontier-<level>.bin`
 //!   without being consumed.
 //! - **The report and counters** go into the manifest itself.
@@ -18,7 +19,9 @@
 //! instant leaves either the old or the new checkpoint fully valid,
 //! never a torn one. Side files are written and synced *before* the
 //! rename and garbage-collected only *after* it, so whatever manifest
-//! survives only ever references complete files.
+//! survives only ever references complete files; a spill appended to
+//! the log after the rename lies past the committed length, which
+//! resume truncates.
 //!
 //! **Not stored**: coverage maps (`--coverage` is rejected when
 //! checkpointing), collected visible-event trace sets (the frontier
@@ -228,13 +231,7 @@ pub(crate) fn write<T: Spoolable>(
     (store, interner): (&TieredStore, Option<&crate::state::ComponentInterner>),
     frontier: &mut FrontierSpool<T>,
 ) -> io::Result<()> {
-    // 0. Merge small segments before snapshotting their metadata: the
-    // previous manifest keeps referencing the victims' files, which are
-    // GC'd only after the new manifest commits (step 4) — crash-safe at
-    // every instant.
-    store.compact_segments()?;
-
-    // 1. Tier-0 sealed entries, in segment record format.
+    // 1. Tier-0 sealed entries, in the log's record format.
     let mem = store.sealed_mem_snapshot();
     let mut buf = Vec::new();
     put_header(&mut buf, SEGMENT_MAGIC);
@@ -260,15 +257,9 @@ pub(crate) fn write<T: Spoolable>(
         None => (0, 0),
     };
 
-    // 2c. Per-segment Bloom prefilters (`seg-<id>.bloom`) — an advisory
-    // cache, written after the data they mirror but deliberately *not*
-    // recorded in the manifest: resume validates each file against the
-    // segment scan and rebuilds on any mismatch, so a filter torn by a
-    // crash here costs a rebuild, never correctness.
-    store.persist_prefilters()?;
-
-    // 3. The manifest, atomically renamed into place.
-    let segs = store.segment_meta();
+    // 3. The manifest, atomically renamed into place. The log was
+    // synced by every spill, so its current extent is durable.
+    let (log_bytes, log_entries) = store.log_extent();
     buf.clear();
     put_header(&mut buf, CHECKPOINT_MAGIC);
     put_u64(&mut buf, program_hash);
@@ -276,12 +267,8 @@ pub(crate) fn write<T: Spoolable>(
     put_u64(&mut buf, level as u64);
     put_u64(&mut buf, checkpoints_written as u64);
     put_report(&mut buf, report);
-    put_u64(&mut buf, segs.len() as u64);
-    for s in &segs {
-        put_u64(&mut buf, s.id as u64);
-        put_u64(&mut buf, s.byte_len);
-        put_u64(&mut buf, s.entries);
-    }
+    put_u64(&mut buf, log_bytes);
+    put_u64(&mut buf, log_entries);
     put_u64(&mut buf, mem.len() as u64);
     put_u64(&mut buf, fcount as u64);
     put_u64(&mut buf, ientries);
@@ -294,10 +281,7 @@ pub(crate) fn write<T: Spoolable>(
     }
 
     // 4. GC side files of older checkpoints (safe: the manifest no
-    // longer references them). Segment files whose id is not in the
-    // live meta were retired by compaction — same rule.
-    let live: std::collections::HashSet<String> =
-        segs.iter().map(|s| format!("seg-{}.bin", s.id)).collect();
+    // longer references them).
     if let Ok(entries) = std::fs::read_dir(dir) {
         for e in entries.flatten() {
             let name = e.file_name();
@@ -308,17 +292,6 @@ pub(crate) fn write<T: Spoolable>(
                         let _ = std::fs::remove_file(e.path());
                     }
                 }
-            }
-            if name.starts_with("seg-") && name.ends_with(".bin") && !live.contains(name.as_ref()) {
-                let _ = std::fs::remove_file(e.path());
-            }
-            // Bloom filters of retired segments (and torn `.tmp` files)
-            // go with them; live filters are validated at resume anyway.
-            if name.starts_with("seg-")
-                && (name.ends_with(".bloom") || name.ends_with(".bloom.tmp"))
-                && !live.contains(&name.replace(".bloom.tmp", ".bin").replace(".bloom", ".bin"))
-            {
-                let _ = std::fs::remove_file(e.path());
             }
         }
     }
@@ -398,14 +371,8 @@ pub(crate) fn resume<T: Spoolable>(
     let level = r.u64().ok_or_else(bad)? as usize;
     let checkpoints_written = r.u64().ok_or_else(bad)? as usize;
     let report = read_report(&mut r).ok_or_else(bad)?;
-    let nsegs = r.u64().ok_or_else(bad)? as usize;
-    let mut segs = Vec::with_capacity(nsegs);
-    for _ in 0..nsegs {
-        let id = r.u64().ok_or_else(bad)? as u32;
-        let byte_len = r.u64().ok_or_else(bad)?;
-        let entries = r.u64().ok_or_else(bad)?;
-        segs.push((id, byte_len, entries));
-    }
+    let log_bytes = r.u64().ok_or_else(bad)?;
+    let log_entries = r.u64().ok_or_else(bad)?;
     let mem_count = r.u64().ok_or_else(bad)? as usize;
     let fcount = r.u64().ok_or_else(bad)? as usize;
     let ientries = r.u64().ok_or_else(bad)?;
@@ -434,17 +401,16 @@ pub(crate) fn resume<T: Spoolable>(
         }
     }
 
-    // Sealed segments: scan and index.
-    for (id, byte_len, entries) in segs {
-        let n = store
-            .load_segment(id, byte_len)
-            .map_err(|e| format!("{}: seg-{id}.bin: {e}", dir.display()))?;
-        if n as u64 != entries {
-            return Err(format!(
-                "{}: seg-{id}.bin holds {n} records, manifest says {entries}",
-                dir.display()
-            ));
-        }
+    // The tier-1 log: truncate past the committed length, scan, index.
+    let log_path = dir.join(super::disk::LOG_FILE);
+    let n = store
+        .load_log(log_bytes)
+        .map_err(|e| format!("{}: {e}", log_path.display()))?;
+    if n as u64 != log_entries {
+        return Err(format!(
+            "{}: holds {n} records, manifest says {log_entries}",
+            log_path.display()
+        ));
     }
 
     // Tier-0 sealed entries.
@@ -574,5 +540,15 @@ mod tests {
         std::fs::write(dir.path().join(MANIFEST), b"RXXX....").unwrap();
         let e = validate(dir.path(), 11, 22).unwrap_err();
         assert!(e.contains("not a checkpoint manifest"), "{e}");
+        // A manifest of the v3 layout (a segment list, not one log) is
+        // refused by its header before anything else is read.
+        buf.clear();
+        buf.extend_from_slice(&CHECKPOINT_MAGIC);
+        put_u64(&mut buf, 3);
+        put_u64(&mut buf, 11);
+        put_u64(&mut buf, 22);
+        std::fs::write(dir.path().join(MANIFEST), &buf).unwrap();
+        let e = validate(dir.path(), 11, 22).unwrap_err();
+        assert!(e.contains("incompatible store format version"), "{e}");
     }
 }

@@ -1,4 +1,4 @@
-//! The per-stripe in-memory fingerprint index over tier-1 segments.
+//! The per-stripe in-memory fingerprint index over the tier-1 log.
 //!
 //! Spilling must not turn every membership probe into disk IO: the
 //! index keeps one `fingerprint -> [DiskRef]` map per lock stripe
@@ -71,22 +71,6 @@ impl FpIndex {
             .fetch_add(r.len as usize, Ordering::Relaxed);
     }
 
-    /// Repoint refs into compacted-away segments at their new homes
-    /// (`(old seg, old off) -> new ref`). Totals are unchanged —
-    /// compaction moves records, it does not add or drop them.
-    pub(crate) fn remap(&self, moves: &std::collections::HashMap<(u32, u64), DiskRef>) {
-        for stripe in &self.stripes {
-            let mut s = stripe.lock().unwrap();
-            for refs in s.values_mut() {
-                for r in refs.iter_mut() {
-                    if let Some(nr) = moves.get(&(r.seg, r.off)) {
-                        *r = *nr;
-                    }
-                }
-            }
-        }
-    }
-
     /// Whether any record under `fp` satisfies `pred` (which typically
     /// confirms the encoding against disk). The bucket is visited under
     /// the stripe lock; buckets hold one ref in all but colliding
@@ -103,25 +87,6 @@ impl FpIndex {
         let stripe = self.stripe(fp).lock().unwrap();
         if let Some(b) = stripe.get(&fp) {
             out.extend_from_slice(b);
-        }
-    }
-
-    /// Visit every indexed fingerprint, once per record (a colliding
-    /// fingerprint is visited once per ref). Sequential-phase only
-    /// (prefilter rebuilds): takes each stripe lock in turn.
-    pub(crate) fn for_each_fp(&self, mut f: impl FnMut(u64)) {
-        self.for_each_ref(|fp, _| f(fp));
-    }
-
-    /// Visit every `(fingerprint, ref)` pair. Sequential-phase only.
-    pub(crate) fn for_each_ref(&self, mut f: impl FnMut(u64, &DiskRef)) {
-        for stripe in &self.stripes {
-            let s = stripe.lock().unwrap();
-            for (&fp, refs) in s.iter() {
-                for r in refs {
-                    f(fp, r);
-                }
-            }
         }
     }
 
@@ -145,9 +110,8 @@ impl FpIndex {
 mod tests {
     use super::*;
 
-    fn dref(seg: u32, off: u64, len: u32, epoch: u32) -> DiskRef {
+    fn dref(off: u64, len: u32, epoch: u32) -> DiskRef {
         DiskRef {
-            seg,
             off,
             len,
             raw: len * 3, // distinct from len, like a compressed record
@@ -159,9 +123,9 @@ mod tests {
     fn insert_probe_and_counters() {
         let idx = FpIndex::new(4);
         assert!(!idx.candidates(9, |_| true), "empty");
-        idx.insert(9, dref(0, 10, 100, 1));
-        idx.insert(9, dref(0, 110, 50, 2)); // fingerprint collision
-        idx.insert(u64::MAX, dref(1, 10, 7, 1));
+        idx.insert(9, dref(10, 100, 1));
+        idx.insert(9, dref(110, 50, 2)); // fingerprint collision
+        idx.insert(u64::MAX, dref(160, 7, 1));
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.bytes(), 3 * 157, "logical total counts raw bytes");
         assert_eq!(idx.stored_bytes(), 157);
@@ -174,21 +138,5 @@ mod tests {
             false
         });
         assert_eq!(probes, 2, "colliding refs each get confirmed");
-    }
-
-    #[test]
-    fn remap_repoints_only_matching_refs() {
-        let idx = FpIndex::new(2);
-        idx.insert(1, dref(0, 10, 4, 1));
-        idx.insert(2, dref(1, 20, 8, 1));
-        let moves: std::collections::HashMap<(u32, u64), DiskRef> =
-            [((0, 10), dref(5, 99, 4, 1))].into_iter().collect();
-        idx.remap(&moves);
-        assert!(idx.candidates(1, |r| (r.seg, r.off) == (5, 99)));
-        assert!(
-            idx.candidates(2, |r| (r.seg, r.off) == (1, 20)),
-            "untouched"
-        );
-        assert_eq!((idx.len(), idx.stored_bytes()), (2, 12), "totals unchanged");
     }
 }

@@ -311,7 +311,7 @@ impl VisitedStore {
     }
 
     /// Remove **all sealed** entries, returning `(hash, epoch, enc)`
-    /// triples sorted by `(epoch, hash, enc)` — a deterministic segment
+    /// triples sorted by `(epoch, hash, enc)` — a deterministic spill
     /// layout regardless of `HashMap` iteration order. Candidates
     /// (unsealed entries) are left untouched: their ranks are still
     /// mutable and must stay in memory.

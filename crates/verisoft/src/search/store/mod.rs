@@ -7,22 +7,18 @@
 //!   the jobs-invariant rank admission protocol (previously
 //!   `search::visited`), now tracking the *epoch* (frontier level) each
 //!   entry was sealed in.
-//! - [`disk`] — tier 1: append-only on-disk segments of canonical state
-//!   encodings, written once and then only read back for full-state
-//!   collision confirmation.
+//! - [`disk`] — tier 1: one append-only log file of canonical state
+//!   encodings; every spill appends to it, and records are only read
+//!   back for full-state collision confirmation.
 //! - [`index`] — the per-stripe in-memory fingerprint index over tier 1:
 //!   membership probes stay O(1) hash lookups; a disk read happens only
 //!   when a fingerprint actually matches.
-//! - [`bloom`] — the lock-free Bloom prefilter in front of the index:
-//!   the common probe-miss is answered without taking any lock, and the
-//!   per-segment filters are persisted (and validated) across
-//!   checkpoints.
 //! - [`spool`] — bounded-memory FIFO spooling of the level-synchronous
 //!   frontier: excess entries spill to disk in rank order and are
 //!   re-admitted deterministically.
-//! - [`checkpoint`] — periodic level-boundary checkpoints (sealed
-//!   segments + frontier spool + report counters behind a versioned
-//!   manifest) and the resume path.
+//! - [`checkpoint`] — periodic level-boundary checkpoints (the tier-1
+//!   log's committed length + tier-0 snapshot + frontier spool + report
+//!   counters behind a versioned manifest) and the resume path.
 //!
 //! [`TieredStore`] composes tiers 0 and 1 behind the same admission
 //! protocol the in-memory store exposes, so the frontier search in
@@ -38,7 +34,6 @@
 //! so even `Report::visited_bytes`/`visited_states` match the unbounded
 //! run byte for byte.
 
-pub mod bloom;
 pub mod checkpoint;
 pub mod disk;
 pub mod index;
@@ -48,8 +43,7 @@ pub mod spool;
 pub use mem::{VisitedStore, STRIPES};
 pub use spool::{FrontierSpool, Spoolable};
 
-use bloom::Prefilter;
-use disk::{DiskRef, SegmentStore};
+use disk::{DiskRef, SpillLog};
 use index::FpIndex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -106,7 +100,7 @@ pub trait StateStore: Sync {
     fn bytes(&self) -> usize;
 }
 
-/// A directory used for spill segments, frontier spool files, and
+/// A directory used for the tier-1 log, frontier spool files, and
 /// checkpoints. Temp-created directories (`SpillDir::temp`) are removed
 /// on drop; user-supplied checkpoint directories are left alone.
 pub struct SpillDir {
@@ -152,19 +146,17 @@ impl Drop for SpillDir {
     }
 }
 
-/// Tier 1: the segment files plus the fingerprint index over them.
+/// Tier 1: the log file plus the fingerprint index over it.
 struct Tier1 {
-    segs: SegmentStore,
+    log: SpillLog,
     index: FpIndex,
-    prefilter: Prefilter,
-    dir: Arc<SpillDir>,
 }
 
 /// The two-tier visited store: tier 0 is the lock-striped in-memory
-/// [`VisitedStore`]; tier 1 is append-only on-disk segments behind an
+/// [`VisitedStore`]; tier 1 is one append-only log file behind an
 /// in-memory fingerprint index. When tier 0's payload exceeds the
-/// budget at a level boundary, all sealed entries are drained to a new
-/// segment ([`TieredStore::end_of_level`]); candidates stay resident
+/// budget at a level boundary, all sealed entries are appended to the
+/// log ([`TieredStore::end_of_level`]); candidates stay resident
 /// because their ranks are still mutable. Unbounded stores (budget
 /// `usize::MAX`, no spill dir) never touch the filesystem.
 pub struct TieredStore {
@@ -173,12 +165,11 @@ pub struct TieredStore {
     tier1: Option<Tier1>,
     peak_mem: AtomicUsize,
     spilled: AtomicUsize,
-    compacted: AtomicUsize,
 }
 
 impl TieredStore {
     /// A store holding at most ~`budget` payload bytes in memory,
-    /// spilling sealed entries into segments under `dir`. With no
+    /// spilling sealed entries into the log under `dir`. With no
     /// `dir`, the budget is ignored and the store is purely in-memory.
     pub fn new(budget: usize, dir: Option<Arc<SpillDir>>) -> Self {
         TieredStore::new_with(budget, dir, false)
@@ -196,14 +187,11 @@ impl TieredStore {
             mem: VisitedStore::new_with(STRIPES, compressed),
             budget,
             tier1: dir.map(|d| Tier1 {
-                segs: SegmentStore::new(Arc::clone(&d), compressed),
+                log: SpillLog::new(d, compressed),
                 index: FpIndex::new(STRIPES),
-                prefilter: Prefilter::new(),
-                dir: d,
             }),
             peak_mem: AtomicUsize::new(0),
             spilled: AtomicUsize::new(0),
-            compacted: AtomicUsize::new(0),
         }
     }
 
@@ -212,15 +200,10 @@ impl TieredStore {
     /// only to confirm a fingerprint match against the full encoding.
     fn on_disk(&self, hash: u64, enc: &[u8], epoch_bound: Option<u32>) -> bool {
         let Some(t1) = &self.tier1 else { return false };
-        // The prefilter answers the common miss lock-free; a "no" is
-        // definitive for any epoch bound (false negatives impossible).
-        if !t1.prefilter.may_contain(hash) {
-            return false;
-        }
         t1.index.candidates(hash, |r: &DiskRef| {
             epoch_bound.is_none_or(|b| r.epoch < b)
                 && r.len as usize == enc.len()
-                && t1.segs.confirm(r, enc).expect("tier-1 segment read")
+                && t1.log.confirm(r, enc).expect("tier-1 log read")
         })
     }
 
@@ -230,8 +213,8 @@ impl TieredStore {
     }
 
     /// Level-boundary maintenance: record the tier-0 peak and, when the
-    /// in-memory footprint exceeds the budget, drain every sealed entry
-    /// into a fresh tier-1 segment. The budget bounds *resident* bytes
+    /// in-memory footprint exceeds the budget, append every sealed entry
+    /// to the tier-1 log. The budget bounds *resident* bytes
     /// ([`VisitedStore::stored_bytes`]) — compression therefore defers
     /// spilling, which is report-invisible by the same argument that
     /// makes the budget itself report-invisible.
@@ -244,42 +227,33 @@ impl TieredStore {
         self.spill_sealed()
     }
 
-    /// Drain all sealed tier-0 entries into a new segment (no-op when
-    /// nothing is sealed or there is no spill directory).
+    /// Append all sealed tier-0 entries to the log (no-op when nothing
+    /// is sealed or there is no spill directory).
     pub fn spill_sealed(&self) -> io::Result<()> {
         let Some(t1) = &self.tier1 else { return Ok(()) };
         let records = self.mem.drain_sealed();
         if records.is_empty() {
             return Ok(());
         }
-        let refs = t1.segs.write_segment(&records)?;
-        let seg = refs.first().map(|(_, r)| r.seg);
-        let fps: Vec<u64> = refs.iter().map(|&(fp, _)| fp).collect();
-        for (fp, r) in refs {
+        for (fp, r) in t1.log.append(&records)? {
             t1.index.insert(fp, r);
-        }
-        if let Some(seg) = seg {
-            t1.prefilter.add_segment(seg, &fps, &t1.index);
         }
         self.spilled.fetch_add(records.len(), Ordering::Relaxed);
         Ok(())
     }
 
-    /// Load one pre-existing segment file (resume path): scan it,
-    /// register it with the segment store, and index its records.
-    pub(crate) fn load_segment(&self, id: u32, byte_len: u64) -> io::Result<usize> {
+    /// Reopen the log a manifest committed at `byte_len` bytes (resume
+    /// path): truncate what lies past it and index every record.
+    pub(crate) fn load_log(&self, byte_len: u64) -> io::Result<usize> {
         let t1 = self
             .tier1
             .as_ref()
             .expect("resume requires a spill directory");
-        let refs = t1.segs.reopen(id, byte_len)?;
+        let refs = t1.log.reopen(byte_len)?;
         let n = refs.len();
-        let fps: Vec<u64> = refs.iter().map(|&(fp, _)| fp).collect();
         for (fp, r) in refs {
             t1.index.insert(fp, r);
         }
-        t1.prefilter
-            .load_segment(id, &fps, t1.dir.path(), &t1.index);
         self.spilled.fetch_add(n, Ordering::Relaxed);
         Ok(n)
     }
@@ -290,14 +264,15 @@ impl TieredStore {
     }
 
     /// A sorted, non-destructive snapshot of every sealed tier-0 entry
-    /// — what a checkpoint persists alongside the sealed segments.
+    /// — what a checkpoint persists alongside the tier-1 log.
     pub(crate) fn sealed_mem_snapshot(&self) -> Vec<(u64, u32, Box<[u8]>)> {
         self.mem.sealed_snapshot()
     }
 
-    /// Per-segment metadata for the checkpoint manifest.
-    pub(crate) fn segment_meta(&self) -> Vec<disk::SegmentMeta> {
-        self.tier1.as_ref().map_or_else(Vec::new, |t| t.segs.meta())
+    /// The tier-1 log's `(byte_len, entries)` for the checkpoint
+    /// manifest.
+    pub(crate) fn log_extent(&self) -> (u64, u64) {
+        self.tier1.as_ref().map_or((0, 0), |t| t.log.extent())
     }
 
     /// Tier-0 resident payload bytes right now.
@@ -317,9 +292,9 @@ impl TieredStore {
         self.spilled.load(Ordering::Relaxed)
     }
 
-    /// Number of live tier-1 segment files.
-    pub fn segment_count(&self) -> usize {
-        self.tier1.as_ref().map_or(0, |t| t.segs.count())
+    /// Spills this store appended to the tier-1 log.
+    pub fn spill_count(&self) -> usize {
+        self.tier1.as_ref().map_or(0, |t| t.log.spills())
     }
 
     /// Bytes the store actually holds across tiers — equal to
@@ -331,11 +306,9 @@ impl TieredStore {
 
     /// Batch [`StateStore::admit`] over one worker batch's successors.
     /// Disk-resident states are filtered exactly like scalar `admit`
-    /// (a spilled state is sealed by definition), but the batch shape
-    /// pays off twice: the prefilter dismisses most items without an
-    /// index lookup, and the few disk confirms that remain are read in
-    /// `(segment, offset)` order — sequential positional reads instead
-    /// of a random walk. The survivors go through
+    /// (a spilled state is sealed by definition), but the disk confirms
+    /// are read in log-offset order — sequential positional reads
+    /// instead of a random walk. The survivors go through
     /// [`VisitedStore::insert_batch`], which groups them by stripe so
     /// each stripe lock is taken once per run instead of once per
     /// successor. Result-equivalent to scalar admission in any order
@@ -345,9 +318,6 @@ impl TieredStore {
             let mut cands: Vec<(u32, DiskRef)> = Vec::new();
             let mut refs = Vec::new();
             for (ix, &(h, _, e)) in items.iter().enumerate() {
-                if !t1.prefilter.may_contain(h) {
-                    continue;
-                }
                 refs.clear();
                 t1.index.collect_refs(h, &mut refs);
                 cands.extend(
@@ -357,16 +327,11 @@ impl TieredStore {
                 );
             }
             if !cands.is_empty() {
-                cands.sort_unstable_by_key(|&(_, r)| (r.seg, r.off));
+                cands.sort_unstable_by_key(|&(_, r)| r.off);
                 let mut dead = vec![false; items.len()];
                 for (ix, r) in cands {
                     let ix = ix as usize;
-                    if !dead[ix]
-                        && t1
-                            .segs
-                            .confirm(&r, items[ix].2)
-                            .expect("tier-1 segment read")
-                    {
+                    if !dead[ix] && t1.log.confirm(&r, items[ix].2).expect("tier-1 log read") {
                         dead[ix] = true;
                     }
                 }
@@ -393,65 +358,7 @@ impl TieredStore {
     pub fn batch_stats(&self) -> (usize, usize, usize) {
         self.mem.batch_stats()
     }
-
-    /// Segments retired by [`TieredStore::compact_segments`] over the
-    /// store's life.
-    pub fn segments_compacted(&self) -> usize {
-        self.compacted.load(Ordering::Relaxed)
-    }
-
-    /// Merge small live segments (≤ [`COMPACT_MAX_BYTES`], when at least
-    /// two qualify) into one, remapping their index refs. Called by the
-    /// checkpoint writer before it snapshots segment metadata: spills
-    /// happen per level, so long out-of-core runs would otherwise
-    /// accumulate hundreds of tiny segment files (and file handles).
-    /// Victim *files* are left for the checkpoint GC — the previous
-    /// manifest still references them until the new one commits.
-    /// Returns the number of segments retired.
-    pub fn compact_segments(&self) -> io::Result<usize> {
-        let Some(t1) = &self.tier1 else { return Ok(0) };
-        let victims: Vec<u32> = t1
-            .segs
-            .meta()
-            .iter()
-            .filter(|m| m.byte_len <= COMPACT_MAX_BYTES)
-            .map(|m| m.id)
-            .collect();
-        if victims.len() < 2 {
-            return Ok(0);
-        }
-        let moves: std::collections::HashMap<(u32, u64), DiskRef> =
-            t1.segs.compact(&victims)?.into_iter().collect();
-        t1.index.remap(&moves);
-        if let Some(merged) = moves.values().next().map(|r| r.seg) {
-            t1.prefilter.replace_segments(&victims, merged, &t1.index);
-        }
-        self.compacted.fetch_add(victims.len(), Ordering::Relaxed);
-        Ok(victims.len())
-    }
-
-    /// Persist every dirty per-segment Bloom filter next to its segment
-    /// (`seg-<id>.bloom`) — part of the checkpoint write. No-op without
-    /// a spill directory.
-    pub(crate) fn persist_prefilters(&self) -> io::Result<usize> {
-        let Some(t1) = &self.tier1 else { return Ok(0) };
-        t1.prefilter.persist(t1.dir.path())
-    }
-
-    /// Prefilter observability: `(probes, hits, rebuilds)` where a hit
-    /// is a probe answered "definitely absent" without an index lookup
-    /// and a rebuild is a persisted filter rejected at resume.
-    pub fn prefilter_stats(&self) -> (usize, usize, usize) {
-        self.tier1
-            .as_ref()
-            .map_or((0, 0, 0), |t| t.prefilter.stats())
-    }
 }
-
-/// Segments no larger than this are compaction candidates. Large
-/// segments are already IO-efficient; rewriting them would double the
-/// checkpoint's write amplification for no handle savings.
-pub(crate) const COMPACT_MAX_BYTES: u64 = 1 << 20;
 
 impl StateStore for TieredStore {
     fn admit(&self, hash: u64, enc: &[u8], rank: Rank) {
@@ -556,7 +463,7 @@ mod tests {
         assert_eq!(store.bytes(), total_bytes);
         store.end_of_level().unwrap();
         assert_eq!(store.mem_bytes(), 0, "all sealed entries spilled");
-        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.spill_count(), 1);
         assert_eq!(store.spilled_entries(), 20);
         // Logical totals are unchanged by the spill...
         assert_eq!(store.len(), 20);
@@ -582,7 +489,7 @@ mod tests {
             store.admit(*h, e, rank(i, 0));
         }
         store.end_of_level().unwrap();
-        assert_eq!(store.segment_count(), 0);
+        assert_eq!(store.spill_count(), 0);
         assert_eq!(store.len(), 4, "candidates stay in tier 0");
         // Their ranks are still mutable after the (empty) spill.
         let (h, e) = &ss[0];
@@ -652,36 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_segments_is_transparent_to_membership() {
-        let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new(0, Some(dir));
-        let ss = states(9);
-        for (level, chunk) in ss.chunks(3).enumerate() {
-            for (i, (h, e)) in chunk.iter().enumerate() {
-                store.admit(*h, e, rank(i, 0));
-                assert!(store.seal_if_winner(*h, e, rank(i, 0), level as u32 + 1));
-            }
-            store.end_of_level().unwrap(); // budget 0: one segment per level
-        }
-        assert_eq!(store.segment_count(), 3);
-        assert_eq!(store.compact_segments().unwrap(), 3);
-        assert_eq!(store.segment_count(), 1, "three victims, one merged");
-        assert_eq!(store.segments_compacted(), 3);
-        assert_eq!((store.len(), store.spilled_entries()), (9, 9));
-        for (level, chunk) in ss.chunks(3).enumerate() {
-            for (h, e) in chunk {
-                assert!(
-                    store.contains_sealed_before(*h, e, level as u32 + 2),
-                    "remapped refs confirm at the preserved epoch"
-                );
-                assert!(!store.contains_sealed_before(*h, e, level as u32 + 1));
-            }
-        }
-        // A second pass finds only the single merged segment: no-op.
-        assert_eq!(store.compact_segments().unwrap(), 0);
-    }
-
-    #[test]
     fn unbounded_store_never_creates_files() {
         let store = TieredStore::new(usize::MAX, None);
         let ss = states(8);
@@ -690,7 +567,7 @@ mod tests {
             store.seal_if_winner(*h, e, rank(i, 0), 1);
         }
         store.end_of_level().unwrap();
-        assert_eq!(store.segment_count(), 0);
+        assert_eq!(store.spill_count(), 0);
         assert_eq!(store.spilled_entries(), 0);
         assert_eq!(store.len(), 8);
         assert!(store.peak_mem_bytes() > 0);

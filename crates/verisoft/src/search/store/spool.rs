@@ -31,7 +31,7 @@
 //! pure function of the entry sequence and the budget, so chunking stays
 //! deterministic. The rules are *not* interchangeable: the operational
 //! counters (`frontier_spilled_entries`, `pipeline_chunks`, checkpoint
-//! and segment counts) depend on where the chunk boundaries fall, so a
+//! and spill counts) depend on where the chunk boundaries fall, so a
 //! change to either rule changes them.
 //!
 //! Spool files (`spool-<level>.bin`) use the shared framing of

@@ -192,7 +192,7 @@ pub fn encode_state(state: &GlobalState) -> Vec<u8> {
 }
 
 /// Streaming reader over varint-framed bytes: the decoding side of
-/// [`put_u64`]/[`put_i64`]. Public so the tiered store's segment,
+/// [`put_u64`]/[`put_i64`]. Public so the tiered store's log,
 /// spool, and checkpoint files (see [`crate::search::store`]) parse
 /// with the same integer forms the state encoding uses.
 pub struct ByteReader<'a> {
@@ -255,7 +255,8 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// File-type magic of the tiered store's append-only state segments.
+/// File-type magic of the tiered store's append-only tier-1 log (and of
+/// the checkpoint's tier-0 snapshot, which shares its record framing).
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RSEG";
 
 /// File-type magic of frontier spool (and spool snapshot) files.
@@ -270,8 +271,10 @@ pub const INTERN_MAGIC: [u8; 4] = *b"RITN";
 /// Version stamped into every on-disk header this crate writes. Bump on
 /// any layout change; readers reject mismatches instead of guessing.
 /// (v2: compressed ID-tuple records + the interner table side file;
-// v3: `tosses_taken` counter in the checkpointed report.)
-pub const STORE_FORMAT_VERSION: u64 = 3;
+/// v3: `tosses_taken` counter in the checkpointed report; v4: tier 1 is
+/// one log, committed as `(byte_len, entries)` instead of a segment
+/// list.)
+pub const STORE_FORMAT_VERSION: u64 = 4;
 
 /// Append a versioned container header: 4 magic bytes + format version.
 pub fn put_header(out: &mut Vec<u8>, magic: [u8; 4]) {
@@ -285,7 +288,7 @@ pub fn check_header(r: &mut ByteReader<'_>, magic: [u8; 4]) -> bool {
 }
 
 /// Append one framed state record: `[fingerprint][epoch][len][enc]`.
-/// The shared framing of segment files, checkpoint memory snapshots,
+/// The shared framing of the tier-1 log, checkpoint memory snapshots,
 /// and (with epoch 0) any future record stream over state encodings.
 pub fn put_record(out: &mut Vec<u8>, fp: u64, epoch: u32, enc: &[u8]) {
     put_u64(out, fp);
@@ -297,7 +300,7 @@ pub fn put_record(out: &mut Vec<u8>, fp: u64, epoch: u32, enc: &[u8]) {
 /// Read one record written by [`put_record`]. Returns
 /// `(fingerprint, epoch, payload_offset, payload)` — the offset is the
 /// absolute position of the payload within the reader's byte slice, so
-/// segment scanners can build direct-read references.
+/// log scanners can build direct-read references.
 pub fn read_record<'a>(r: &mut ByteReader<'a>) -> Option<(u64, u32, usize, &'a [u8])> {
     let fp = r.u64()?;
     let epoch = u32::try_from(r.u64()?).ok()?;

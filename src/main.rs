@@ -92,9 +92,8 @@ fn usage() -> String {
                                   interner size, the CoW sharing ratio, the\n\
                                   POR reduction counters, and (frontier\n\
                                   engines) peak resident store bytes, spilled\n\
-                                  entries, segment and checkpoint counts,\n\
-                                  and batched-commit and Bloom-prefilter\n\
-                                  savings\n\
+                                  entries, spill and checkpoint counts, and\n\
+                                  batched-commit savings\n\
          --explain                replay and pretty-print each violation\n\
      run <file> <schedule...>     replay a schedule and print its events;\n\
                                   a schedule is decisions like P0 P1[2,0] P0\n\
@@ -515,13 +514,12 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         if report.store_peak_mem_bytes > 0 {
             println!(
                 "stats: store: peak resident {} bytes, {} spilled state(s), \
-                 {} frontier entry(ies) spooled, {} segment(s) \
-                 ({} compacted away), {} checkpoint(s)",
+                 {} frontier entry(ies) spooled, {} spill(s) to the tier-1 \
+                 log, {} checkpoint(s)",
                 report.store_peak_mem_bytes,
                 report.store_spilled_entries,
                 report.frontier_spilled_entries,
                 report.store_segments,
-                report.store_segments_compacted,
                 report.checkpoints_written
             );
         }
@@ -533,16 +531,6 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 report.store_batch_items,
                 report.store_batch_items as f64 / report.store_batch_ops as f64,
                 report.store_lock_acquisitions_avoided
-            );
-        }
-        if report.prefilter_probes > 0 {
-            println!(
-                "stats: prefilter: {}/{} tier-1 probe(s) screened ({:.1}%), \
-                 {} filter(s) rebuilt on resume",
-                report.prefilter_hits,
-                report.prefilter_probes,
-                100.0 * report.prefilter_hits as f64 / report.prefilter_probes as f64,
-                report.prefilter_rebuilds
             );
         }
         let memo = report.memo;

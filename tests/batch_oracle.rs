@@ -58,7 +58,7 @@ const DEADLOCK_SRC: &str = r#"
 "#;
 
 /// The deterministic surface of a report: everything except the
-/// operational counters (batch sizes, prefilter hit rates, peak bytes),
+/// operational counters (batch sizes, peak bytes),
 /// which legitimately differ between the scalar and batched mechanics.
 fn surface(r: &Report) -> (String, usize, usize, usize, usize, usize, usize) {
     (

@@ -239,6 +239,43 @@ fn bfs_is_the_frontier_engine_at_one_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[cfg(unix)]
+#[test]
+fn a_deep_out_of_core_run_fits_in_64_file_handles() {
+    // 301 levels, each spilling under a one-byte budget: the tier-1 log
+    // keeps one handle open however many levels spill.
+    let src = "chan c[1];
+        proc p() {
+            int i = 0;
+            while (i < 100) {
+                send(c, i);
+                int x = recv(c);
+                VS_assert(x == i);
+                i = i + 1;
+            }
+        }
+        process p();";
+    let path = write_temp("deep_rounds.mc", src);
+    let p = path.to_str().unwrap();
+    let whole = reclose(&["explore", p, "--bfs"]);
+    assert!(String::from_utf8_lossy(&whole.stdout).contains("max depth: 301"));
+    let bounded = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -n 64; exec \"$0\" explore \"$1\" --bfs --mem-limit 1",
+        ])
+        .args([env!("CARGO_BIN_EXE_reclose"), p])
+        .output()
+        .expect("sh runs");
+    assert_eq!(
+        bounded.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&bounded.stderr)
+    );
+    assert_eq!(bounded.stdout, whole.stdout);
+}
+
 #[test]
 fn jobs_without_a_frontier_engine_is_a_usage_error() {
     let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");

@@ -19,7 +19,7 @@ fn frontier_config(jobs: usize) -> Config {
 }
 
 /// The deterministic surface of a report: everything except the
-/// operational IO counters (peak bytes, spill/segment/checkpoint
+/// operational IO counters (peak bytes, spill/checkpoint
 /// counts), which legitimately vary with the memory limit and with
 /// where a run was interrupted.
 fn surface(r: &Report) -> (String, usize, usize, usize, usize, usize, usize) {
@@ -238,88 +238,103 @@ fn resume_rejects_a_different_compression_mode() {
     }
 }
 
+/// One process, 100 `send`/`recv` rounds: a 301-level search in which a
+/// one-byte budget spills at every level.
+const DEEP_SRC: &str = "chan c[1];
+proc p() {
+    int i = 0;
+    while (i < 100) {
+        send(c, i);
+        int x = recv(c);
+        VS_assert(x == i);
+        i = i + 1;
+    }
+}
+process p();";
+
 #[test]
-fn compaction_retires_segments_without_changing_membership() {
-    // Under a tiny budget every level spills a small segment; each
-    // checkpoint then compacts the accumulated shards into one merged
-    // segment and GCs the retired files after the manifest rename.
-    // None of this may leak into the report surface.
-    let prog = compile(&workers_src()).unwrap();
+fn every_spill_appends_to_one_log_file() {
+    // Tier 1 is one append-only log however many levels spill, so a
+    // deep run holds one tier-1 file (and one handle) even when no
+    // checkpoint ever falls due.
+    let prog = compile(DEEP_SRC).unwrap();
     let baseline = explore(&prog, &frontier_config(1));
-    let dir = temp_dir("compact");
-    let killed = explore(
+    assert_eq!(baseline.max_depth_seen, 301);
+    let dir = temp_dir("deep");
+    let report = explore(
         &prog,
         &Config {
-            mem_limit: 16,
+            mem_limit: 1,
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 1,
-            abort_after_checkpoints: Some(3),
+            checkpoint_every: 1000,
             ..frontier_config(1)
         },
     );
-    assert!(killed.truncated);
-    assert!(
-        killed.store_segments_compacted > 0,
-        "several small segments accumulated and were merged"
-    );
-    let resumed = explore(
-        &prog,
-        &Config {
-            mem_limit: 16,
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-            ..frontier_config(2)
-        },
-    );
-    assert_eq!(surface(&resumed), surface(&baseline));
+    assert_eq!(surface(&report), surface(&baseline));
+    assert_eq!(report.checkpoints_written, 0);
+    assert!(report.store_segments > 250, "nearly every level spilled");
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["tier1.bin"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn stale_or_torn_bloom_prefilters_are_rebuilt_on_resume() {
-    // Per-segment Bloom prefilter files (`seg-<id>.bloom`) are an
-    // advisory cache: they are deliberately *not* in the checkpoint
-    // manifest, so a crash can leave them missing, torn, or stale. On
-    // resume every filter is validated (format checksum + exact entry
-    // count + containment of every live fingerprint) and rebuilt from
-    // the segment's own fingerprints on any mismatch — a damaged file
-    // may cost a rebuild but can never produce a wrong probe miss.
+fn resume_truncates_a_post_manifest_spill_and_a_torn_log_tail() {
+    // A crash after the manifest commits can leave the log longer than
+    // the committed length: a whole spill that landed after the rename,
+    // then a torn append. Resume truncates both away, and the report is
+    // byte-identical under a different worker count.
     let prog = compile(&workers_src()).unwrap();
     let baseline = explore(&prog, &frontier_config(1));
-    let dir = temp_dir("bloom");
-    let killed = explore(
-        &prog,
-        &Config {
-            mem_limit: 16,
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: 1,
-            abort_after_checkpoints: Some(3),
-            ..frontier_config(2)
-        },
-    );
+    let dir = temp_dir("log-tail");
+    let config = Config {
+        mem_limit: 16,
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        abort_after_checkpoints: Some(3),
+        ..frontier_config(1)
+    };
+    let killed = explore(&prog, &config);
     assert!(killed.truncated);
-    assert!(killed.store_segments > 0, "the tiny budget spilled");
-    let mut blooms: Vec<_> = std::fs::read_dir(&dir)
+    let log = dir.join("tier1.bin");
+    let committed = std::fs::metadata(&log)
+        .expect("the tiny budget spilled")
+        .len();
+    let manifest: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
         .unwrap()
-        .filter_map(|e| {
-            let p = e.unwrap().path();
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            (name.starts_with("seg-") && name.ends_with(".bloom")).then_some(p)
+        .map(|e| e.unwrap().path())
+        .filter(|p| !p.ends_with("tier1.bin") && !p.ends_with("intern.bin"))
+        .map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            (p, bytes)
         })
         .collect();
-    blooms.sort();
-    // Checkpoint-time compaction merges small segments, so a single
-    // filter may be all that survives the kill — damage whatever is
-    // there, each file a different way: garbage, torn tail, gone.
-    assert!(!blooms.is_empty(), "a per-segment filter was persisted");
-    std::fs::write(&blooms[0], b"not a bloom filter at all").unwrap();
-    if let Some(second) = blooms.get(1) {
-        let torn = std::fs::read(second).unwrap();
-        std::fs::write(second, &torn[..torn.len() / 2]).unwrap();
+    // Run one more level, so a real spill appends to the log, then put
+    // checkpoint 3's manifest and side files back: the crash landed
+    // after that spill and before the next rename.
+    let further = explore(
+        &prog,
+        &Config {
+            resume: true,
+            abort_after_checkpoints: Some(4),
+            ..config.clone()
+        },
+    );
+    assert!(further.truncated && further.store_segments > 0);
+    for (p, bytes) in &manifest {
+        std::fs::write(p, bytes).unwrap();
     }
-    if let Some(third) = blooms.get(2) {
-        std::fs::remove_file(third).unwrap();
-    }
+    use std::io::Write;
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&log)
+        .unwrap()
+        .write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x7F])
+        .unwrap();
+    assert!(std::fs::metadata(&log).unwrap().len() > committed + 5);
 
     let resumed = explore(
         &prog,
@@ -327,15 +342,10 @@ fn stale_or_torn_bloom_prefilters_are_rebuilt_on_resume() {
             mem_limit: 16,
             checkpoint_dir: Some(dir.clone()),
             resume: true,
-            ..frontier_config(1)
+            ..frontier_config(2)
         },
     );
     assert_eq!(surface(&resumed), surface(&baseline));
-    assert!(
-        resumed.prefilter_rebuilds >= blooms.len().min(3),
-        "every damaged filter was rebuilt, not trusted: {} rebuilds",
-        resumed.prefilter_rebuilds
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
