@@ -65,35 +65,6 @@ for p in corpus/*.mc; do
     echo "  $p: jobs {1,2,8} byte-identical"
 done
 
-echo "== determinism smoke: close --jobs {1,2,8} over the corpus =="
-# The closing pipeline solves the per-procedure passes on worker
-# threads; the closed output, the close reports and every pass's run
-# and fact counts must be byte-identical for every --jobs value. Only
-# the wall time ending each `pass NAME: ...` line is legitimately
-# nondeterministic, so only it is stripped before the --stats
-# comparison.
-for p in corpus/*.mc corpus/cyclic/*.mc; do
-    "$BIN" close "$p" --jobs 1 > "$SMOKE/close1.txt"
-    "$BIN" close "$p" --stats --jobs 1 2>/dev/null \
-        | sed '/^pass /s/, [0-9.]* ms$//' > "$SMOKE/stats1.txt"
-    for j in 2 8; do
-        "$BIN" close "$p" --jobs "$j" > "$SMOKE/closeN.txt"
-        if ! cmp -s "$SMOKE/close1.txt" "$SMOKE/closeN.txt"; then
-            echo "close smoke: $p output differs between --jobs 1 and --jobs $j"
-            diff "$SMOKE/close1.txt" "$SMOKE/closeN.txt" || :
-            exit 1
-        fi
-        "$BIN" close "$p" --stats --jobs "$j" 2>/dev/null \
-            | sed '/^pass /s/, [0-9.]* ms$//' > "$SMOKE/statsN.txt"
-        if ! cmp -s "$SMOKE/stats1.txt" "$SMOKE/statsN.txt"; then
-            echo "close smoke: $p reports differ between --jobs 1 and --jobs $j"
-            diff "$SMOKE/stats1.txt" "$SMOKE/statsN.txt" || :
-            exit 1
-        fi
-    done
-    echo "  $p: closed output, reports + pass counts byte-identical for jobs {1,2,8}"
-done
-
 echo "== bench smoke: 10 iterations on switchgen --lines 2 =="
 "$BIN" switchgen --lines 2 > "$SMOKE/switch.mc"
 sl_min=0 sl_max=0 sf_min=0 sf_max=0

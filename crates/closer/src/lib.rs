@@ -59,10 +59,22 @@ pub use metrics::{compare, totals, BranchingReport, Totals};
 pub use partition::{
     close_with_refinement, reduce_tosses, refine, RefineOptions, RefineReport, RefinedKind,
 };
-pub use pipeline::{close_source_jobs, PassMetrics, Pipeline, PipelineOptions, PipelineRun};
+pub use pipeline::{PassMetrics, Pipeline, PipelineOptions, PipelineRun};
 pub use refine_cex::{classify_trace, refine_cex, verdict_set, CexOptions, CexReport, TraceClass};
 pub use semantic::{refine_semantic, SemanticOptions};
 pub use transform::{close, close_source, Closed, ProcReport, TossSite};
+
+/// A default [`Pipeline`]'s [`close`](Pipeline::close), under the name the
+/// frozen ledger benchmark still calls (with `jobs` 1). No product code
+/// calls it, and `jobs` is ignored: the chain is single-threaded. Deleted
+/// with the ledger's outside spans (ROADMAP item 3a(ii)).
+///
+/// # Errors
+///
+/// Returns front-end diagnostics.
+pub fn close_source_jobs(src: &str, _jobs: usize) -> Result<PipelineRun, minic::Diagnostics> {
+    Pipeline::new(PipelineOptions::default()).close(src)
+}
 
 #[cfg(test)]
 mod tests {

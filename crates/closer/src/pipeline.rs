@@ -7,15 +7,10 @@
 //!       → points-to → mod-ref → defuse → taint → transform → [refine-cex]
 //! ```
 //!
-//! [`Pipeline::close`] runs that chain once per call: each pass is one
-//! timed call whose output moves into the next, and nothing is kept
-//! between calls.
-//!
-//! The per-procedure solves (defuse, transform, and taint's
-//! intraprocedural sweeps) run on up to [`PipelineOptions::jobs`] worker
-//! threads via [`dataflow::par_map`]; results are merged in
-//! [`cfgir::ProcId`] order, so the closed program and every
-//! [`ProcReport`](crate::ProcReport) are byte-identical for any `jobs`.
+//! [`Pipeline::close`] runs that chain once per call, on the calling
+//! thread: each pass is one timed call whose output moves into the next,
+//! the per-procedure passes (defuse, transform) visit procedures in
+//! [`cfgir::ProcId`] order, and nothing is kept between calls.
 //!
 //! Every pass records [`PassMetrics`] — runs, fact counts, wall time —
 //! surfaced by `reclose close --stats` and the ledger benchmark's
@@ -27,7 +22,7 @@ use crate::refine_cex::{refine_cex, CexOptions, CexReport};
 use crate::semantic::{refine_semantic, SemanticOptions};
 use crate::transform::{assemble, close_proc, Closed};
 use cfgir::CfgProgram;
-use dataflow::{par_map, DefUse};
+use dataflow::DefUse;
 use minic::Diagnostics;
 use std::time::{Duration, Instant};
 
@@ -48,11 +43,8 @@ pub const PASSES: [&str; 11] = [
 ];
 
 /// Options controlling a [`Pipeline`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
-    /// Worker threads for the per-procedure solves. `0` and `1` both
-    /// mean inline execution; the output is identical for any value.
-    pub jobs: usize,
     /// Run the §7 refinement passes (interface simplification) before
     /// closing.
     pub refine: bool,
@@ -69,19 +61,6 @@ pub struct PipelineOptions {
     /// Budgets for the counterexample refinement (when `refine_cex` is
     /// set).
     pub cex_options: CexOptions,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            jobs: 1,
-            refine: false,
-            refine_options: RefineOptions::default(),
-            semantic_options: SemanticOptions::default(),
-            refine_cex: false,
-            cex_options: CexOptions::default(),
-        }
-    }
 }
 
 /// Metrics for one named pass over one [`Pipeline::close`] call.
@@ -170,21 +149,12 @@ impl Pipeline {
         Pipeline { opts }
     }
 
-    /// Shorthand: default options with `jobs` workers.
-    pub fn with_jobs(jobs: usize) -> Self {
-        Pipeline::new(PipelineOptions {
-            jobs,
-            ..PipelineOptions::default()
-        })
-    }
-
     /// Close `src`, running every enabled pass once.
     ///
     /// # Errors
     ///
     /// Returns front-end diagnostics.
     pub fn close(&self, src: &str) -> Result<PipelineRun, Diagnostics> {
-        let jobs = self.opts.jobs.max(1);
         let mut m = Metrics::new();
 
         // --- parse → sema → normalize → cfg-build ---------------------
@@ -236,17 +206,23 @@ impl Pipeline {
         m.add("mod-ref", 1, mr_facts as u64);
 
         // --- defuse (per procedure) → taint ---------------------------
-        let dus: Vec<DefUse> = par_map(jobs, &prog.procs, |_, p| {
-            dataflow::defuse::analyze(&prog, p, &pts, &mr)
-        });
+        let dus: Vec<DefUse> = prog
+            .procs
+            .iter()
+            .map(|p| dataflow::defuse::analyze(&prog, p, &pts, &mr))
+            .collect();
         let du_facts: usize = dus.iter().map(DefUse::arc_count).sum();
         m.add("defuse", nprocs, du_facts as u64);
 
-        let taint = dataflow::taint::analyze_jobs(&prog, &dus, &pts, jobs);
+        let taint = dataflow::taint::analyze(&prog, &dus, &pts);
         m.add("taint", 1, taint.stats.visits);
 
         // --- transform (per procedure) --------------------------------
-        let pairs = par_map(jobs, &prog.procs, |_, p| close_proc(&prog, p, &taint));
+        let pairs = prog
+            .procs
+            .iter()
+            .map(|p| close_proc(&prog, p, &taint))
+            .collect();
         let mut closed = assemble(&prog, &taint, pairs);
         let tr_facts: usize = closed
             .reports
@@ -273,16 +249,6 @@ impl Pipeline {
             passes: m.rows,
         })
     }
-}
-
-/// Close `src` through a pipeline with default options and `jobs`
-/// workers.
-///
-/// # Errors
-///
-/// Returns front-end diagnostics.
-pub fn close_source_jobs(src: &str, jobs: usize) -> Result<PipelineRun, Diagnostics> {
-    Pipeline::with_jobs(jobs).close(src)
 }
 
 #[cfg(test)]
@@ -354,27 +320,18 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_the_monolithic_closer() {
-        let run = close_source_jobs(SRC, 1).unwrap();
-        let direct = crate::close_source(SRC).unwrap();
-        assert_eq!(listings(&run.closed.program), listings(&direct.program));
-        assert_eq!(run.closed.reports, direct.reports);
+    fn default_close(src: &str) -> PipelineRun {
+        Pipeline::new(PipelineOptions::default())
+            .close(src)
+            .unwrap()
     }
 
     #[test]
-    fn output_is_identical_for_any_jobs() {
-        let base = close_source_jobs(SRC, 1).unwrap();
-        for jobs in [2, 3, 8] {
-            let run = close_source_jobs(SRC, jobs).unwrap();
-            assert_eq!(
-                listings(&run.closed.program),
-                listings(&base.closed.program),
-                "jobs={jobs} changed the closed program"
-            );
-            assert_eq!(run.closed.reports, base.closed.reports);
-            assert_eq!(counts(&run), counts(&base), "jobs={jobs} changed counters");
-        }
+    fn matches_the_monolithic_closer() {
+        let run = default_close(SRC);
+        let direct = crate::close_source(SRC).unwrap();
+        assert_eq!(listings(&run.closed.program), listings(&direct.program));
+        assert_eq!(run.closed.reports, direct.reports);
     }
 
     #[test]
@@ -382,10 +339,10 @@ mod tests {
         // `helper` sends a different constant: a one-procedure edit.
         let edited = SRC.replace("send(link, n);", "send(link, n + 1);");
         assert_ne!(edited, SRC);
-        let pl = Pipeline::with_jobs(1);
+        let pl = Pipeline::new(PipelineOptions::default());
         for src in [SRC, SRC, edited.as_str()] {
             let reused = pl.close(src).unwrap();
-            let fresh = close_source_jobs(src, 1).unwrap();
+            let fresh = default_close(src);
             assert_eq!(counts(&reused), counts(&fresh));
             assert_eq!(
                 listings(&reused.closed.program),
@@ -474,7 +431,7 @@ mod tests {
 
     #[test]
     fn metrics_rows_follow_pass_order() {
-        let run = close_source_jobs("proc m() { } process m();", 1).unwrap();
+        let run = default_close("proc m() { } process m();");
         let names: Vec<&str> = run.passes.iter().map(|r| r.name).collect();
         assert_eq!(
             names,

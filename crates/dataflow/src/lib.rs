@@ -42,7 +42,6 @@ pub mod flowpts;
 pub mod framework;
 pub mod loc;
 pub mod modref;
-pub mod par;
 pub mod pointsto;
 pub mod reachdefs;
 pub mod taint;
@@ -55,7 +54,6 @@ pub use flowpts::ProcFlowPts;
 pub use framework::{Direction, Solution, SolveStats, Worklist};
 pub use loc::{loc_of, Loc, LocTable};
 pub use modref::ModRef;
-pub use par::par_map;
 pub use pointsto::PointsTo;
 pub use reachdefs::ReachingDefs;
 pub use taint::{ProcTaint, Taint};
@@ -77,20 +75,14 @@ pub struct Analysis {
 
 /// Run every analysis the closing transformation needs.
 pub fn analyze(prog: &CfgProgram) -> Analysis {
-    analyze_jobs(prog, 1)
-}
-
-/// Like [`analyze`], with the per-procedure solves (define-use, taint
-/// sweeps) spread over up to `jobs` worker threads. The result is
-/// byte-identical for any `jobs` — see [`par::par_map`] and
-/// [`taint::analyze_jobs`].
-pub fn analyze_jobs(prog: &CfgProgram, jobs: usize) -> Analysis {
     let pts = pointsto::analyze(prog);
     let modref = modref::analyze(prog, &pts);
-    let defuse: Vec<DefUse> = par_map(jobs, &prog.procs, |_, p| {
-        defuse::analyze(prog, p, &pts, &modref)
-    });
-    let taint = taint::analyze_jobs(prog, &defuse, &pts, jobs);
+    let defuse: Vec<DefUse> = prog
+        .procs
+        .iter()
+        .map(|p| defuse::analyze(prog, p, &pts, &modref))
+        .collect();
+    let taint = taint::analyze(prog, &defuse, &pts);
     Analysis {
         pts,
         modref,

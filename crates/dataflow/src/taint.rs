@@ -50,7 +50,6 @@ use crate::defuse::DefUse;
 use crate::flowpts::{self, ProcFlowPts};
 use crate::framework::{self, SolveStats};
 use crate::loc::{loc_of, Loc, LocTable};
-use crate::par::par_map;
 use cfgir::{
     CfgProc, CfgProgram, NodeId, NodeKind, ObjId, Place, ProcId, Rvalue, SpawnArg, VarId, VarKind,
     VisOp,
@@ -129,26 +128,16 @@ impl Taint {
 }
 
 /// Run the analysis. `defuse` must be indexed by [`ProcId`].
-pub fn analyze(prog: &CfgProgram, defuse: &[DefUse], pts: &crate::pointsto::PointsTo) -> Taint {
-    analyze_jobs(prog, defuse, pts, 1)
-}
-
-/// Run the analysis with the intraprocedural sweeps of each round spread
-/// over up to `jobs` worker threads.
 ///
 /// The interprocedural fixpoint is a Jacobi iteration: every round runs
 /// all procedures against the *same* frozen summary state, then absorbs
 /// their contributions in procedure order. Each round is therefore a pure
-/// function of the previous state, the result is byte-identical for any
-/// `jobs`, and the least fixpoint is the same one the sequential
-/// Gauss-Seidel schedule reaches (everything grows monotonically).
-/// `defuse` must be indexed by [`ProcId`].
-pub fn analyze_jobs(
-    prog: &CfgProgram,
-    defuse: &[DefUse],
-    pts: &crate::pointsto::PointsTo,
-    jobs: usize,
-) -> Taint {
+/// function of the previous summary state — no procedure's sweep sees
+/// another's contribution from the same round — so a round's facts and
+/// visit counts do not depend on the order procedures are swept in, and
+/// the least fixpoint is the same one a Gauss-Seidel schedule reaches
+/// (everything grows monotonically).
+pub fn analyze(prog: &CfgProgram, defuse: &[DefUse], pts: &crate::pointsto::PointsTo) -> Taint {
     let nprocs = prog.procs.len();
     let mut st = State {
         tainted_params: vec![BTreeSet::new(); nprocs],
@@ -176,7 +165,11 @@ pub fn analyze_jobs(
     // Flow-sensitive pointer facts are taint-independent: solve them once
     // per procedure, outside the summary fixpoint.
     let mut stats = SolveStats::default();
-    let fps: Vec<ProcFlowPts> = par_map(jobs, &prog.procs, |_, p| flowpts::analyze(p, pts));
+    let fps: Vec<ProcFlowPts> = prog
+        .procs
+        .iter()
+        .map(|p| flowpts::analyze(p, pts))
+        .collect();
     for fp in &fps {
         stats.absorb(fp.stats);
     }
@@ -185,9 +178,14 @@ pub fn analyze_jobs(
     // stabilize. Everything grows monotonically, so this terminates.
     let mut per_proc;
     loop {
-        let round = par_map(jobs, &prog.procs, |i, proc| {
-            intraproc(proc, &defuse[i], &fps[i], pts, &st)
-        });
+        // Sweep every procedure against the frozen `st` before absorbing
+        // anything: the Jacobi schedule.
+        let round: Vec<_> = prog
+            .procs
+            .iter()
+            .enumerate()
+            .map(|(i, proc)| intraproc(proc, &defuse[i], &fps[i], pts, &st))
+            .collect();
         let mut changed = false;
         per_proc = Vec::with_capacity(nprocs);
         for (pt, contrib, s) in round {
@@ -210,6 +208,19 @@ pub fn analyze_jobs(
         tainted_locs: st.tainted_locs,
         stats,
     }
+}
+
+/// [`analyze`], under the name the frozen ledger benchmark still calls
+/// (with `jobs` 1). No product code calls it, and `jobs` is ignored: the
+/// analysis is single-threaded. Deleted with the ledger's outside spans
+/// (ROADMAP item 3a(ii)).
+pub fn analyze_jobs(
+    prog: &CfgProgram,
+    defuse: &[DefUse],
+    pts: &crate::pointsto::PointsTo,
+    _jobs: usize,
+) -> Taint {
+    analyze(prog, defuse, pts)
 }
 
 struct State {

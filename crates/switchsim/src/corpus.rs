@@ -726,7 +726,8 @@ pub fn close_and_check(src: &str, limits: &OracleLimits) -> Result<CheckOutcome,
     let src_owned = src.to_string();
     let limits = *limits;
     let result = catch_unwind(AssertUnwindSafe(move || {
-        let run = closer::close_source_jobs(&src_owned, 1)
+        let run = closer::Pipeline::new(closer::PipelineOptions::default())
+            .close(&src_owned)
             .map_err(|d| format!("compile/close failed:\n{d}"))?;
         if !run.closed.program.is_closed() {
             return Err("closing left an open interface".to_string());

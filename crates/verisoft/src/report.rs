@@ -192,18 +192,16 @@ pub struct Report {
     /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark
     /// reads it by name; goes with the next benchmark-only PR.
     pub store_segments_compacted: usize,
-    /// Batched store/interner operations the frontier engines issued —
-    /// one `insert_batch`/`seal_batch`/`intern_batch` call each
-    /// (operational, like [`Report::store_peak_mem_bytes`]: batch
-    /// boundaries follow chunking and so may differ across resumed
-    /// runs).
+    /// Batched store operations the frontier engine issued — one
+    /// `insert_batch`/`seal_batch` call each (operational, like
+    /// [`Report::store_peak_mem_bytes`]: batch boundaries follow chunking
+    /// and so may differ across resumed runs).
     pub store_batch_ops: usize,
     /// Items carried by those batched operations (operational).
     pub store_batch_items: usize,
-    /// Lock acquisitions the batched paths saved versus the scalar
+    /// Lock acquisitions the batched store calls saved versus the scalar
     /// one-lock-per-item reference path: items sharing a stripe run take
-    /// the stripe lock once, and interner batches take one table write
-    /// lock per run instead of one per fresh component (operational).
+    /// the stripe lock once (operational).
     pub store_lock_acquisitions_avoided: usize,
     /// Always 0: no filter sits in front of the tier-1 index
     /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark

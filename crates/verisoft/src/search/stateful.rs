@@ -224,8 +224,9 @@ pub(super) fn frontier(exec: &Executor<'_>) -> Report {
 struct FrontierRun<'e, 'p> {
     exec: &'e Executor<'p>,
     /// The host's hardware threads. Asked at most once, and only when a
-    /// chunk could use a second worker: the query is 10 µs of a
-    /// five-state exploration.
+    /// chunk could use a second worker: the query consults the cgroup CPU
+    /// quota, ≈ 60 µs per explore on a 2-vCPU Linux guest (EXPERIMENTS.md
+    /// E17), more than a five-state exploration costs without it.
     hw: Option<usize>,
     dir: Option<Arc<SpillDir>>,
     spool_budget: usize,
@@ -719,12 +720,12 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
         report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
         // Batched-commit-path observability (also operational): how much
-        // the batch grouping actually saved.
-        let (m_ops, m_items, m_avoided) = store.batch_stats();
-        let (i_ops, i_items, i_avoided) = interner.as_ref().map_or((0, 0, 0), |i| i.batch_stats());
-        report.store_batch_ops = m_ops + i_ops;
-        report.store_batch_items = m_items + i_items;
-        report.store_lock_acquisitions_avoided = m_avoided + i_avoided;
+        // the store's batch grouping actually saved.
+        (
+            report.store_batch_ops,
+            report.store_batch_items,
+            report.store_lock_acquisitions_avoided,
+        ) = store.batch_stats();
         for (_, memo) in &leases {
             report.memo += memo.stats;
         }

@@ -126,7 +126,7 @@ impl<T: Encode> CowArc<T> {
     /// [`super::GlobalState::fingerprint_and_intern`]): `(id, len)` when
     /// the memo matches `token`, without touching any bytes. A `None`
     /// means the caller should encode the component
-    /// ([`CowArc::encode_for_intern`]) and batch-intern it. `make_mut`
+    /// ([`CowArc::encode_for_intern`]) and intern it. `make_mut`
     /// drops the memo with the hash, so a successor re-encodes only the
     /// components its transition mutated.
     #[inline]
@@ -137,19 +137,17 @@ impl<T: Encode> CowArc<T> {
         }
     }
 
-    /// The cold half, step one: append the component's canonical
-    /// encoding to `flat` (a shared arena, so a state's cold components
-    /// cost one buffer instead of one allocation each), seed the
-    /// sub-hash cache from those bytes, and return the span's start and
-    /// the sub-hash.
-    pub(super) fn encode_for_intern(&self, flat: &mut Vec<u8>) -> (usize, u64) {
-        let start = flat.len();
-        self.inner.value.encode(flat);
-        let hash = self.sub_hash_from_encoding(&flat[start..]);
-        (start, hash)
+    /// The cold half, step one: replace `enc`'s contents with the
+    /// component's canonical encoding (a reused buffer, so a cold
+    /// component costs no allocation of its own), seed the sub-hash
+    /// cache from those bytes, and return the sub-hash.
+    pub(super) fn encode_for_intern(&self, enc: &mut Vec<u8>) -> u64 {
+        enc.clear();
+        self.inner.value.encode(enc);
+        self.sub_hash_from_encoding(enc)
     }
 
-    /// The cold half, step two: memoize the batch-assigned `(id, len)`
+    /// The cold half, step two: memoize the interner-assigned `(id, len)`
     /// under `token` (first writer wins, like the sub-hash cache).
     #[inline]
     pub(super) fn set_intern_memo(&self, token: u64, id: u32, len: u32) {

@@ -81,12 +81,6 @@ pub struct ComponentInterner {
     /// Total bytes across table entries.
     payload: AtomicUsize,
     persisted: Mutex<PersistCursor>,
-    /// Batch-path observability (operational, never in reports):
-    /// [`ComponentInterner::intern_batch`] calls, items they carried,
-    /// and lock acquisitions the grouping avoided vs. scalar interning.
-    batch_ops: AtomicUsize,
-    batch_items: AtomicUsize,
-    locks_avoided: AtomicUsize,
 }
 
 /// Decoded components by interner ID, for
@@ -409,9 +403,6 @@ impl ComponentInterner {
                 entries: 0,
                 bytes: 0,
             }),
-            batch_ops: AtomicUsize::new(0),
-            batch_items: AtomicUsize::new(0),
-            locks_avoided: AtomicUsize::new(0),
         }
     }
 
@@ -446,138 +437,6 @@ impl ComponentInterner {
         self.payload.fetch_add(bytes.len(), Ordering::Relaxed);
         map.insert(entry, id);
         id
-    }
-
-    /// Batch [`ComponentInterner::intern`]: the dense IDs of `encs`,
-    /// aligned with the input, grouping the lookups by stripe so each
-    /// stripe lock is taken once per run and the table write lock once
-    /// per run-with-new-entries — instead of once per component. ID
-    /// *values* may differ from the call order scalar interning would
-    /// assign (assignment order is already timing-dependent across
-    /// workers and documented harmless); equal byte strings still map to
-    /// equal IDs, which is the only property consumers rely on.
-    pub fn intern_batch(&self, encs: &[&[u8]]) -> Vec<u32> {
-        let mut ids = vec![0u32; encs.len()];
-        self.intern_batch_core(encs.len(), |ix| encs[ix], |ix, id| ids[ix] = id);
-        ids
-    }
-
-    /// [`ComponentInterner::intern_batch`] over `(slot, start, end)`
-    /// spans of one shared encoding arena, writing each span's ID
-    /// straight into `ids[slot]`. This is the hot entry point of
-    /// [`GlobalState::fingerprint_and_intern`]: the per-successor call
-    /// passes its thread-local scratch buffers through without building
-    /// a `Vec<&[u8]>`/`Vec<u32>` pair per state.
-    pub(crate) fn intern_batch_spans(
-        &self,
-        flat: &[u8],
-        cold: &[(usize, usize, usize)],
-        ids: &mut [u32],
-    ) {
-        self.intern_batch_core(
-            cold.len(),
-            |k| {
-                let (_, s, e) = cold[k];
-                &flat[s..e]
-            },
-            |k, id| ids[cold[k].0] = id,
-        );
-    }
-
-    /// The shared stripe-grouped lookup/assign pass behind both batch
-    /// entry points. `get(k)` yields the `k`-th encoding, `set(k, id)`
-    /// receives its ID; all per-call scratch lives in thread-local
-    /// buffers, so a batch allocates nothing beyond genuinely new table
-    /// entries.
-    fn intern_batch_core<'b>(
-        &self,
-        n: usize,
-        get: impl Fn(usize) -> &'b [u8],
-        mut set: impl FnMut(usize, u32),
-    ) {
-        if n == 0 {
-            return;
-        }
-        /// (stripe, index) order + fresh-entry + unresolved-index
-        /// scratch, reused across every batch on this thread.
-        type BatchScratch = (Vec<(u32, u32)>, Vec<u32>, Vec<u32>);
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<BatchScratch> =
-                const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-        }
-        SCRATCH.with(|sc| {
-            let (order, fresh, open) = &mut *sc.borrow_mut();
-            let nstripes = self.stripes.len();
-            // Each encoding is hashed exactly once; the (stripe, input
-            // index) pairs then sort without re-hashing.
-            order.clear();
-            order.extend((0..n).map(|ix| {
-                let h = crate::hash::stable_hash_bytes(get(ix));
-                (((h >> 32) as usize % nstripes) as u32, ix as u32)
-            }));
-            order.sort_unstable();
-            let (mut i, mut runs, mut table_locks, mut new_total) = (0, 0usize, 0usize, 0usize);
-            while i < order.len() {
-                let si = order[i].0;
-                let mut map = self.stripes[si as usize].lock().unwrap();
-                runs += 1;
-                // Within a run, unseen encodings are queued (`open`) and
-                // resolved in one assignment pass under the table lock;
-                // in-batch duplicates get one shared ID (only the first
-                // occurrence enters `fresh`).
-                fresh.clear();
-                open.clear();
-                while i < order.len() && order[i].0 == si {
-                    let ix = order[i].1 as usize;
-                    if let Some(&id) = map.get(get(ix)) {
-                        set(ix, id);
-                    } else {
-                        if !fresh.iter().any(|&p| get(p as usize) == get(ix)) {
-                            fresh.push(ix as u32);
-                        }
-                        open.push(ix as u32);
-                    }
-                    i += 1;
-                }
-                if !fresh.is_empty() {
-                    {
-                        // Stripe lock → table lock is the fixed acquisition
-                        // order, exactly like scalar `intern` — just once
-                        // per run instead of once per new component.
-                        let mut table = self.table.write().unwrap();
-                        table_locks += 1;
-                        for &ix in fresh.iter() {
-                            let entry: Arc<[u8]> = Arc::from(get(ix as usize));
-                            let id = u32::try_from(table.len())
-                                .expect("more than 2^32 distinct components");
-                            table.push(Arc::clone(&entry));
-                            self.payload
-                                .fetch_add(get(ix as usize).len(), Ordering::Relaxed);
-                            map.insert(entry, id);
-                            new_total += 1;
-                        }
-                    }
-                    for &ix in open.iter() {
-                        let ix = ix as usize;
-                        set(ix, *map.get(get(ix)).expect("assigned this run"));
-                    }
-                }
-            }
-            self.batch_ops.fetch_add(1, Ordering::Relaxed);
-            self.batch_items.fetch_add(n, Ordering::Relaxed);
-            self.locks_avoided
-                .fetch_add((n - runs) + (new_total - table_locks), Ordering::Relaxed);
-        });
-    }
-
-    /// Batch-path observability counters:
-    /// `(batch calls, items batched, lock acquisitions avoided)`.
-    pub fn batch_stats(&self) -> (usize, usize, usize) {
-        (
-            self.batch_ops.load(Ordering::Relaxed),
-            self.batch_items.load(Ordering::Relaxed),
-            self.locks_avoided.load(Ordering::Relaxed),
-        )
     }
 
     /// The encoding interned under `id`, if assigned.
@@ -789,32 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn intern_batch_matches_scalar_interning() {
-        let i = ComponentInterner::new();
-        let encs: Vec<Vec<u8>> = (0..40).map(|n| enc(&ObjState::Sem(n))).collect();
-        // Pre-intern a prefix so the batch mixes warm and cold entries,
-        // then feed a batch with in-batch duplicates.
-        for e in &encs[..10] {
-            i.intern(e);
-        }
-        let mut batch: Vec<&[u8]> = encs.iter().map(|e| e.as_slice()).collect();
-        batch.push(&encs[0]); // duplicate of a warm entry
-        batch.push(&encs[35]); // duplicate of a cold entry
-        let ids = i.intern_batch(&batch);
-        assert_eq!(ids.len(), 42);
-        assert_eq!(i.len(), 40, "40 distinct encodings");
-        for (ix, e) in batch.iter().enumerate() {
-            assert_eq!(ids[ix], i.intern(e), "batch ID agrees with scalar");
-        }
-        assert_eq!(ids[40], ids[0]);
-        assert_eq!(ids[41], ids[35]);
-        assert!(i.intern_batch(&[]).is_empty(), "empty batches are free");
-        let (ops, items, avoided) = i.batch_stats();
-        assert_eq!((ops, items), (1, 42), "empty batches are not counted");
-        assert!(avoided <= 42 + 30, "bounded by scalar lock count");
-    }
-
-    #[test]
     fn tokens_are_unique_per_interner() {
         assert_ne!(
             ComponentInterner::new().token(),
@@ -903,25 +736,27 @@ mod tests {
     }
 
     /// Every state comes back from its tuple equal to the original and
-    /// *warm*: re-keying it returns the identical tuple without a single
-    /// component going back through the interner.
+    /// *warm*: every materialised component carries an intern memo under
+    /// the interner's token, so re-keying it never takes the cold path
+    /// and returns the identical tuple.
     fn assert_materializes_warm(states: &[GlobalState], what: &str) {
         let i = ComponentInterner::new();
         let mut cache = ComponentCache::default();
         for s in states {
             let (fp, tuple) = s.fingerprint_and_intern(&i);
-            let (entries, batches) = (i.len(), i.batch_stats());
+            let entries = i.len();
             let back = i
                 .materialize(&mut cache, &tuple)
                 .unwrap_or_else(|| panic!("{what}: own tuple does not materialize"));
             assert_eq!(&back, s, "{what}");
+            let token = i.token();
+            assert!(
+                back.procs.iter().all(|c| c.intern_memo(token).is_some())
+                    && back.objects.iter().all(|c| c.intern_memo(token).is_some()),
+                "{what}: re-keying would take the cold path"
+            );
             assert_eq!(back.fingerprint_and_intern(&i), (fp, tuple), "{what}");
             assert_eq!(i.len(), entries, "{what}: re-keying interned a component");
-            assert_eq!(
-                i.batch_stats(),
-                batches,
-                "{what}: re-keying took the cold path"
-            );
         }
     }
 

@@ -411,66 +411,34 @@ impl GlobalState {
 
     /// [`Self::fingerprint_and_intern`] appending to a caller-supplied
     /// buffer (the key-arena entry point). All per-call working state —
-    /// the ID vector, the cold-component encoding arena, and the span
-    /// list — lives in thread-local scratch reused across the millions
-    /// of successor keys a run computes, so the only allocations left
-    /// on this path are genuinely new interner table entries.
+    /// the ID vector and the cold component's encoding buffer — lives in
+    /// thread-local scratch reused across the millions of successor keys
+    /// a run computes, so the only allocations left on this path are
+    /// genuinely new interner table entries.
     pub fn fingerprint_and_intern_into(
         &self,
         interner: &ComponentInterner,
         out: &mut Vec<u8>,
     ) -> u64 {
-        /// `(ids, flat, cold)` scratch for the two-pass intern.
-        type InternScratch = (Vec<u32>, Vec<u8>, Vec<(usize, usize, usize)>);
         thread_local! {
-            static SCRATCH: std::cell::RefCell<InternScratch> =
-                const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
+            /// `(ids, enc)` scratch: the tuple's IDs, and one cold
+            /// component's encoding.
+            static SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<u8>)> =
+                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
         }
         let base = out.len();
-        let token = interner.token();
-        let nprocs = self.procs.len();
         let mut h = crate::hash::StableHasher::new();
         // Raw encoded length first (see `intern::raw_len_of`): the
         // stores report logical bytes, not stored bytes.
         let mut raw = encode::varint_len(self.procs.len() as u64)
             + encode::varint_len(self.objects.len() as u64);
         SCRATCH.with(|sc| {
-            let (ids, flat, cold) = &mut *sc.borrow_mut();
+            let (ids, enc) = &mut *sc.borrow_mut();
             ids.clear();
-            ids.resize(nprocs + self.objects.len(), 0);
-            flat.clear();
-            cold.clear(); // (slot, start, end) spans into `flat`
-                          // Two-pass batched interning: pass one answers warm memos
-                          // from cached words and encodes every cold component into
-                          // the shared arena; the cold spans then go through
-                          // `intern_batch_spans` in a single call (one stripe lock per
-                          // stripe run, one table lock per run with new entries)
-                          // instead of one `intern` each. The fingerprint folds
-                          // sub-hashes in component order either way.
             h.write_u64(self.procs.len() as u64);
-            intern_scan(&self.procs, 0, token, &mut h, &mut raw, ids, flat, cold);
+            intern_scan(&self.procs, interner, &mut h, &mut raw, ids, enc);
             h.write_u64(self.objects.len() as u64);
-            intern_scan(
-                &self.objects,
-                nprocs,
-                token,
-                &mut h,
-                &mut raw,
-                ids,
-                flat,
-                cold,
-            );
-            if !cold.is_empty() {
-                interner.intern_batch_spans(flat, cold, ids);
-                for &(slot, s, e) in cold.iter() {
-                    let (id, len) = (ids[slot], (e - s) as u32);
-                    if slot < nprocs {
-                        self.procs[slot].set_intern_memo(token, id, len);
-                    } else {
-                        self.objects[slot - nprocs].set_intern_memo(token, id, len);
-                    }
-                }
-            }
+            intern_scan(&self.objects, interner, &mut h, &mut raw, ids, enc);
             encode::put_u64(out, raw as u64);
             encode::put_u64(out, self.procs.len() as u64);
             for id in &ids[..self.procs.len()] {
@@ -528,35 +496,32 @@ impl GlobalState {
     }
 }
 
-/// Pass one of [`GlobalState::fingerprint_and_intern`] over one
-/// component array (`base` = its slot offset in the combined ID
-/// vector): warm memos answer from cached words; cold components append
-/// their canonical encoding to the shared `flat` arena and record their
-/// `(slot, start, end)` span in `cold` for the batch-intern step. Folds
-/// each component's sub-hash into `h` and its encoded length into `raw`
-/// either way.
-#[allow(clippy::too_many_arguments)]
+/// [`GlobalState::fingerprint_and_intern`] over one component array:
+/// push each component's ID to `ids`, fold its sub-hash into `h` and its
+/// encoded length into `raw`. A warm memo answers from cached words; a
+/// cold component is encoded once into `enc`, interned, and memoised.
 fn intern_scan<T: encode::Encode>(
     comps: &[CowArc<T>],
-    base: usize,
-    token: u64,
+    interner: &ComponentInterner,
     h: &mut crate::hash::StableHasher,
     raw: &mut usize,
-    ids: &mut [u32],
-    flat: &mut Vec<u8>,
-    cold: &mut Vec<(usize, usize, usize)>,
+    ids: &mut Vec<u32>,
+    enc: &mut Vec<u8>,
 ) {
-    for (k, c) in comps.iter().enumerate() {
-        if let Some((id, len)) = c.intern_memo(token) {
-            h.write_u64(c.sub_hash());
-            *raw += len as usize;
-            ids[base + k] = id;
-        } else {
-            let (start, sub) = c.encode_for_intern(flat);
-            h.write_u64(sub);
-            *raw += flat.len() - start;
-            cold.push((base + k, start, flat.len()));
-        }
+    let token = interner.token();
+    for c in comps {
+        let (id, len, sub) = match c.intern_memo(token) {
+            Some((id, len)) => (id, len, c.sub_hash()),
+            None => {
+                let sub = c.encode_for_intern(enc);
+                let (id, len) = (interner.intern(enc), enc.len() as u32);
+                c.set_intern_memo(token, id, len);
+                (id, len, sub)
+            }
+        };
+        h.write_u64(sub);
+        *raw += len as usize;
+        ids.push(id);
     }
 }
 

@@ -40,9 +40,6 @@ fn usage() -> String {
                                   program, prune toss outcomes no concrete\n\
                                   environment can realise, and keep the result\n\
                                   only if the verdict set is unchanged\n\
-         --jobs N|auto            per-procedure solves on N threads (`auto`:\n\
-                                  one per hardware thread); the output is\n\
-                                  byte-identical for any N\n\
      explore <file> [options]     systematically explore the state space\n\
          --enumerate              run S x E_S by domain enumeration (open programs)\n\
          --close                  close the program first, then explore\n\
@@ -76,6 +73,9 @@ fn usage() -> String {
                                   final report is byte-identical to an\n\
                                   uninterrupted run, for any --jobs and any\n\
                                   --mem-limit\n\
+         --abort-after-checkpoints N\n\
+                                  test hook: stop the run, reported as\n\
+                                  truncated, right after its Nth checkpoint\n\
          --por / --no-por         enable (default) / disable partial-order\n\
                                   reduction. The stateful engines use\n\
                                   persistent sets with a cycle proviso; the\n\
@@ -94,6 +94,8 @@ fn usage() -> String {
                                   engines) peak resident store bytes, spilled\n\
                                   entries, spill and checkpoint counts, and\n\
                                   batched-commit savings\n\
+         --coverage               print covered/total CFG nodes, overall and\n\
+                                  per procedure (not with --checkpoint-dir)\n\
          --explain                replay and pretty-print each violation\n\
      run <file> <schedule...>     replay a schedule and print its events;\n\
                                   a schedule is decisions like P0 P1[2,0] P0\n\
@@ -239,17 +241,9 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
         "close",
         &args[1..],
         &["--dot", "--stats", "--refine", "--refine-cex"],
-        &["--jobs"],
+        &[],
     )?;
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| parse_jobs(v))
-        .transpose()?
-        .unwrap_or(1);
     let pipeline = closer::Pipeline::new(closer::PipelineOptions {
-        jobs,
         refine: args.iter().any(|a| a == "--refine"),
         refine_cex: args.iter().any(|a| a == "--refine-cex"),
         ..closer::PipelineOptions::default()

@@ -307,7 +307,10 @@ fn unknown_and_valueless_flags_are_rejected() {
         (&["explore", workers, "--depth", "--all"], "--depth"),
         (&["explore", workers, "extra.mc"], "extra.mc"),
         (&["close", workers, "--stat"], "--stat"),
-        (&["close", workers, "--jobs"], "--jobs"),
+        (
+            &["close", workers, "--jobs", "2"][..],
+            "unknown option `--jobs`",
+        ),
         (&["fuzz", "--seed", "3"], "--seed"),
         (&["fuzz", "--seeds"], "--seeds"),
         (&["switchgen", "--line", "3"], "--line"),

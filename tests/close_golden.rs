@@ -5,10 +5,6 @@
 //! the transformation's output — intended or not — shows up as a
 //! byte-level diff here. Regenerate with `BLESS=1 cargo test --test
 //! close_golden` and review the diff like any other code change.
-//!
-//! The text is asserted identical when produced through the pass
-//! pipeline at `jobs = 1` and `jobs = 8`, so the goldens also pin the
-//! determinism contract of the parallel per-procedure solves.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -26,11 +22,13 @@ fn corpus_files() -> Vec<PathBuf> {
     files
 }
 
-/// The canonical close output: every procedure listing of the closed
-/// program, then the per-procedure report lines in the `--stats`
-/// format.
-fn close_text(src: &str, jobs: usize) -> String {
-    let run = closer::close_source_jobs(src, jobs).unwrap();
+/// The canonical close output, through the pass pipeline: every
+/// procedure listing of the closed program, then the per-procedure
+/// report lines in the `--stats` format.
+fn close_text(src: &str) -> String {
+    let run = closer::Pipeline::new(closer::PipelineOptions::default())
+        .close(src)
+        .unwrap();
     let mut out = String::new();
     for p in &run.closed.program.procs {
         writeln!(out, "{}", cfgir::proc_to_listing(p)).unwrap();
@@ -67,12 +65,7 @@ fn corpus_close_output_matches_golden() {
     for file in corpus_files() {
         let name = file.file_stem().unwrap().to_str().unwrap();
         let src = std::fs::read_to_string(&file).unwrap();
-        let got = close_text(&src, 1);
-        assert_eq!(
-            got,
-            close_text(&src, 8),
-            "{name}: jobs=8 changed the closed output"
-        );
+        let got = close_text(&src);
         let golden_path = golden_dir.join(format!("{name}.close.txt"));
         if bless {
             std::fs::write(&golden_path, &got).unwrap();
