@@ -71,8 +71,11 @@ sl_min=0 sl_max=0 sf_min=0 sf_max=0
 i=1
 while [ "$i" -le 10 ]; do
     s=$(date +%s%N)
+    # 2M transitions keep the stateless run near 0.35 s: the walk answers
+    # from its transition memo at ≈ 0.18 µs a transition, and a run of
+    # 60 ms would time process start-up rather than throughput.
     "$BIN" explore "$SMOKE/switch.mc" --close --all \
-        --max-transitions 300000 > "$SMOKE/sl.txt" || :
+        --max-transitions 2000000 > "$SMOKE/sl.txt" || :
     e=$(date +%s%N)
     sl=$(( (e - s) / 1000000 ))
     s=$(date +%s%N)
@@ -224,7 +227,16 @@ cmp -s "$SMOKE/dfs.txt" "$SMOKE/dfs_nc.txt" \
 "$BIN" explore corpus/workers.mc --stateful --all --stats 2>/dev/null \
     | grep -q "transition memo:" \
     || { echo "compression smoke: the DFS shows no transition memo"; exit 1; }
-echo "  workers.mc: compression on/off byte-identical, interner engaged by default (frontier + DFS)"
+# So does the stateless walk, which also schedules from the memo's facts
+# table; --no-compress builds every node and interprets every transition.
+"$BIN" explore corpus/workers.mc --all > "$SMOKE/sl.txt"
+"$BIN" explore corpus/workers.mc --all --no-compress > "$SMOKE/sl_nc.txt"
+cmp -s "$SMOKE/sl.txt" "$SMOKE/sl_nc.txt" \
+    || { echo "compression smoke: --no-compress changed the stateless report"; exit 1; }
+"$BIN" explore corpus/workers.mc --all --stats 2>/dev/null \
+    | grep -q "transition memo:" \
+    || { echo "compression smoke: the stateless walk shows no transition memo"; exit 1; }
+echo "  workers.mc: compression on/off byte-identical, interner engaged by default (frontier + DFS + stateless)"
 
 echo "== out-of-core smoke: kill/resume on workers.mc =="
 # Kill the run right after its second level-boundary checkpoint, then

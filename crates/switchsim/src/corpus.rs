@@ -12,7 +12,8 @@
 //! 2. **explore** the closed program with every engine — sequential
 //!    DFS and stateless (tree) search, and the breadth-first frontier
 //!    search crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and the
-//!    `--no-compress` / scalar-commit reference paths;
+//!    `--no-compress` / scalar-commit reference paths (the DFS and the
+//!    stateless walk also run `--no-compress`, their memo oracles);
 //! 3. **compare**: the frontier engine's reports must be
 //!    *byte-identical* across jobs and storage modes, and the *verdict
 //!    set* — distinct `(kind, process)` pairs — must agree across
@@ -709,6 +710,18 @@ pub fn cross_check(
             stateless_skipped = true;
         } else {
             check_verdicts("stateless +sleep", &sl)?;
+            // The stateless walk's memo oracle: `--no-compress` builds
+            // every node and interprets every transition on the same
+            // tree, so the report text must not change.
+            sl_cfg.no_compress = true;
+            runs += 1;
+            let nc = explore(prog, &sl_cfg).to_string();
+            if nc != sl.to_string() {
+                return Err(format!(
+                    "stateless +sleep --no-compress: report not byte-identical to stateless +sleep\n\
+                     got: {nc}\nwant: {sl}"
+                ));
+            }
         }
     }
 

@@ -12,18 +12,25 @@
 //! worker needs); per-driver mutable scratch — the transition budget and
 //! optional coverage map — travels separately in [`ExecCtx`], so parallel
 //! drivers can give every worker its own context and merge afterwards.
+//!
+//! Every engine expands through `Executor::step` (the stateful engines
+//! via `Executor::expand`): the transition memo, or the interpreter on a
+//! miss. [`Executor::expand_children`] (with [`NodeExpansion`] and
+//! [`ChildSucc`]) and [`Executor::independent`] have only the ledger
+//! benchmark's stepper as callers; [`Executor::successors`] also has
+//! `closer::refine_cex`'s trace classifiers.
 
 use crate::coverage::Coverage;
 use crate::interp::{
     execute_transition_noting_spawn, execute_transition_with, next_op_object, TransitionResult,
     VisibleEvent,
 };
-use crate::por::{enabled_processes, independent, persistent_set, StaticInfo};
+use crate::por::{deadlock, independent, schedule, Live, ProcView, Schedule, StaticInfo};
 use crate::report::{Decision, ViolationKind};
 use crate::search::Config;
 use crate::state::intern::{MemoEntry, MemoOutcome};
-use crate::state::{ComponentCache, GlobalState, Status, TransitionMemo};
-use cfgir::{CfgProgram, NodeKind};
+use crate::state::{ComponentCache, GlobalState, TransitionMemo};
+use cfgir::CfgProgram;
 use std::collections::BTreeSet;
 
 /// What the executor offers a driver at a given state.
@@ -169,6 +176,10 @@ pub enum NodeExpansion {
     /// The node's children, in exact sequential-DFS visit order.
     Children(Vec<ChildSucc>),
 }
+
+/// Where a step sends its successors' visible events, when its caller
+/// collects traces: one per successor state, in child order.
+pub(crate) type Events<'s> = Option<&'s mut Vec<Option<VisibleEvent>>>;
 
 /// Per-driver (or per-worker) mutable execution scratch: the transition
 /// budget and optional coverage accumulator. Drivers fold the fields into
@@ -318,45 +329,42 @@ impl<'a> Executor<'a> {
     /// pure functions of `state`, which is what keeps every engine's
     /// report jobs-invariant.
     pub fn schedule_por(&self, state: &GlobalState) -> (Scheduled, Vec<usize>) {
-        // Initialization: processes still positioned at an invisible node
-        // run first, lowest index first — the system reaches its initial
-        // global state s0 before any scheduling choice is made (§2).
-        for (pid, ps) in state.procs.iter().enumerate() {
-            if let Status::AtNode(n) = ps.status {
-                let proc = self.prog.proc(ps.top().proc);
-                if !matches!(proc.node(n).kind, NodeKind::Visible { .. }) {
-                    return (Scheduled::Init(pid), Vec::new());
-                }
+        let mut procs = Vec::new();
+        match self.schedule_view(&self.live(state), &mut procs) {
+            Schedule::Init(pid) => (Scheduled::Init(pid), Vec::new()),
+            Schedule::DeadEnd { deadlock } => (Scheduled::DeadEnd { deadlock }, Vec::new()),
+            Schedule::Procs { scheduled } => {
+                let skipped = procs.split_off(scheduled);
+                (Scheduled::Procs(procs), skipped)
             }
         }
-        let enabled = enabled_processes(self.prog, state);
-        if enabled.is_empty() {
-            return (
-                Scheduled::DeadEnd {
-                    deadlock: self.deadend_is_deadlock(state),
-                },
-                Vec::new(),
-            );
+    }
+
+    /// `state` as the schedule rules read it.
+    pub(crate) fn live<'s>(&'s self, state: &'s GlobalState) -> Live<'s> {
+        Live {
+            prog: self.prog,
+            info: &self.info,
+            state,
         }
-        if self.cfg.por {
-            // `procs` is a subsequence of `enabled`, so one walk over
-            // `enabled` tells the two apart.
-            let procs = persistent_set(self.prog, &self.info, state, &enabled);
-            let mut skipped = Vec::with_capacity(enabled.len() - procs.len());
-            let mut scheduled = procs.iter().peekable();
-            for p in enabled {
-                if scheduled.next_if_eq(&&p).is_none() {
-                    skipped.push(p);
-                }
-            }
-            debug_assert!(
-                scheduled.next().is_none(),
-                "persistent set ⊆ enabled, in order"
-            );
-            (Scheduled::Procs(procs), skipped)
-        } else {
-            (Scheduled::Procs(enabled), Vec::new())
-        }
+    }
+
+    /// The program's static footprints.
+    pub(crate) fn info(&self) -> &StaticInfo {
+        &self.info
+    }
+
+    /// [`Executor::schedule_por`] over any [`ProcView`], appending the
+    /// scheduled and then the skipped processes to `out` (see
+    /// [`crate::por::schedule`]): the one set of rules behind the live
+    /// schedule and the stateless walk's ID-space one.
+    pub(crate) fn schedule_view(&self, v: &impl ProcView, out: &mut Vec<usize>) -> Schedule {
+        schedule(
+            &self.info,
+            (self.cfg.por, self.cfg.strict_termination_deadlock),
+            v,
+            out,
+        )
     }
 
     /// Whether a dead end at `state` counts as a system deadlock.
@@ -370,29 +378,23 @@ impl<'a> Executor<'a> {
     /// blocks forever). Strict mode deliberately does not fire for a
     /// system whose every process is a daemon feeder.
     pub fn deadend_is_deadlock(&self, state: &GlobalState) -> bool {
-        let mut any_nondaemon = false;
-        let mut stuck_nondaemon = false;
-        for p in &state.procs {
-            if crate::state::spec_daemon(self.prog, p.spec) {
-                continue;
-            }
-            any_nondaemon = true;
-            if p.status != Status::Terminated {
-                stuck_nondaemon = true;
-            }
-        }
-        stuck_nondaemon || (self.cfg.strict_termination_deadlock && any_nondaemon)
+        deadlock(&self.live(state), self.cfg.strict_termination_deadlock)
     }
 
     /// Whether `u`'s and `t`'s next transitions from `state` are
     /// independent (the sleep-set hook; delegates to [`crate::por`]).
+    /// Its one caller is [`Executor::expand_children`]; the stateless
+    /// walk reads next objects from its facts table instead.
     pub fn independent(&self, state: &GlobalState, u: usize, t: usize) -> bool {
         independent(self.prog, state, u, t)
     }
 
     /// Enumerate every outcome of process `pid`'s next transition from
     /// `state` (branching over toss / environment choices), charging the
-    /// executed transitions to `cx`.
+    /// executed transitions to `cx`. Every engine reaches it on a memo
+    /// miss (`Executor::step`); its direct callers are
+    /// `closer::refine_cex`'s trace classifiers and the ledger benchmark's
+    /// stepper.
     pub fn successors(
         &self,
         cx: &mut ExecCtx,
@@ -486,8 +488,8 @@ impl<'a> Executor<'a> {
     /// full one — callers treat that as a truncated run.
     ///
     /// No engine in this crate calls this: [`crate::search`]'s stateless
-    /// walk interleaves the same rules with its recursion. It stays
-    /// because the ledger benchmark's stepper
+    /// walk interleaves the same rules with its recursion, in ID space.
+    /// It stays because the ledger benchmark's stepper
     /// (`crates/bench/src/bin/ledger`, whose sources a product change may
     /// not edit) re-states the stateless search over it; that package's
     /// `stepper` tests hold its counts equal to `Engine::Stateless`'s,
@@ -619,20 +621,18 @@ impl<'a> Executor<'a> {
         mut lent: (&mut ComponentCache, &mut TransitionMemo),
         closes_cycle: impl Fn(u64, &[u8]) -> bool,
     ) -> Expansion {
-        let memoised = match &cx.interner {
-            Some(interner) => {
-                lent.1.view(interner, state);
-                true
-            }
-            None => false,
-        };
+        if let Some(interner) = &cx.interner {
+            lent.1.view(interner, state);
+        }
         let mut step = |cx: &mut ExecCtx, e: &mut Expansion, pid| {
-            let (children, keys) = (&mut e.children, &mut e.keys);
-            if memoised {
-                self.step_through_memo(cx, &mut lent, state, pid, children, keys);
-            } else {
-                self.step_interpreted(cx, state, pid, children, keys, |_, _| {});
-            }
+            self.step(
+                cx,
+                &mut lent,
+                state,
+                pid,
+                (&mut e.children, &mut e.keys),
+                None,
+            );
         };
         let (sched, skipped) = self.schedule_por(state);
         let mut e = Expansion {
@@ -684,6 +684,34 @@ impl<'a> Executor<'a> {
         e
     }
 
+    /// Process `pid`'s outcomes from `state`, appended to `children` and
+    /// `keys` (and each outcome's visible event to `events`, when given):
+    /// through the lent cache and memo when `cx` carries the run's
+    /// interner — the memo must then view `state` — and through the
+    /// interpreter otherwise (`--no-compress`), which is what makes that
+    /// mode the memo's reference.
+    pub(crate) fn step(
+        &self,
+        cx: &mut ExecCtx,
+        lent: &mut (&mut ComponentCache, &mut TransitionMemo),
+        state: &GlobalState,
+        pid: usize,
+        out: (&mut Vec<LeanChild>, &mut KeyArena),
+        mut events: Events<'_>,
+    ) {
+        if cx.interner.is_some() {
+            self.step_through_memo(cx, lent, state, pid, out, events);
+        } else {
+            let (children, keys) = out;
+            self.step_interpreted(cx, state, pid, children, keys, |_, outcome| {
+                if let (Some(events), SuccOutcome::State(_, ev)) = (events.as_deref_mut(), outcome)
+                {
+                    events.push(ev.clone());
+                }
+            });
+        }
+    }
+
     /// Process `pid`'s outcomes from `state` through the interpreter,
     /// each keyed and appended as a [`LeanChild`]; `each` sees every
     /// outcome once it is keyed (so a successor's intern memos are warm).
@@ -728,8 +756,8 @@ impl<'a> Executor<'a> {
         (cache, memo): &mut (&mut ComponentCache, &mut TransitionMemo),
         state: &GlobalState,
         pid: usize,
-        children: &mut Vec<LeanChild>,
-        keys: &mut KeyArena,
+        (children, keys): (&mut Vec<LeanChild>, &mut KeyArena),
+        mut events: Events<'_>,
     ) {
         let object = next_op_object(self.prog, state, pid).map(|o| o.index());
         let key = memo.key(pid, object);
@@ -743,10 +771,16 @@ impl<'a> Executor<'a> {
                         MemoOutcome::State {
                             proc,
                             object: wrote,
+                            event,
                         } => {
                             completed += 1;
                             let wrote = object.zip(wrote.as_ref());
                             keys.push_with(|out| memo.child_key(pid, proc, wrote, out));
+                            if let Some(events) = events.as_deref_mut() {
+                                events.push(
+                                    event.clone().map(|op| VisibleEvent { process: pid, op }),
+                                );
+                            }
                             None
                         }
                         MemoOutcome::Violation(kind) => {
@@ -770,11 +804,13 @@ impl<'a> Executor<'a> {
                     total,
                 ];
                 if cfg!(debug_assertions) {
+                    let events = events.as_deref().map(|e| &e[e.len() - completed..]);
                     self.assert_hit_is_what_the_interpreter_does(
                         cx,
                         state,
                         pid,
                         (&children[first..], keys, charged),
+                        events,
                     );
                 }
                 cx.transitions += charged[0];
@@ -789,13 +825,17 @@ impl<'a> Executor<'a> {
                 let spawned =
                     self.step_interpreted(cx, state, pid, children, keys, |choices, outcome| {
                         let outcome = match outcome {
-                            SuccOutcome::State(s, _) => {
+                            SuccOutcome::State(s, ev) => {
                                 let (proc, wrote, unshared) =
                                     memo.observe(cache, state, s, pid, object);
                                 entry.unshared += unshared;
+                                if let Some(events) = events.as_deref_mut() {
+                                    events.push(ev.clone());
+                                }
                                 MemoOutcome::State {
                                     proc,
                                     object: wrote,
+                                    event: ev.as_ref().map(|e| e.op.clone()),
                                 }
                             }
                             SuccOutcome::Violation(kind, _) => MemoOutcome::Violation(kind.clone()),
@@ -819,27 +859,37 @@ impl<'a> Executor<'a> {
     /// The debug-build oracle of a memo hit: run the interpreter on the
     /// same process of the same state, under the budget the hit saw and
     /// with no coverage sink (a hit marks nothing), and require the same
-    /// children, the same keys and fingerprints, and the same charges to
-    /// `cx`. This is what makes `cargo test` a differential run of the
-    /// memo against the interpreter.
+    /// children, the same keys and fingerprints, the same charges to
+    /// `cx`, and — when the hit produced them — the same visible events of
+    /// the successor states. This is what makes `cargo test` a
+    /// differential run of the memo against the interpreter.
     fn assert_hit_is_what_the_interpreter_does(
         &self,
         cx: &ExecCtx,
         state: &GlobalState,
         pid: usize,
         (children, keys, charged): (&[LeanChild], &KeyArena, [usize; 4]),
+        events: Option<&[Option<VisibleEvent>]>,
     ) {
         let mut oracle = ExecCtx::with_coverage(cx.budget - cx.transitions, None);
         oracle.interner = cx.interner.clone();
-        let (mut want, mut want_keys) = (Vec::new(), KeyArena::default());
+        let (mut want, mut want_keys, mut want_events) =
+            (Vec::new(), KeyArena::default(), Vec::new());
         let spawned = self.step_interpreted(
             &mut oracle,
             state,
             pid,
             &mut want,
             &mut want_keys,
-            |_, _| {},
+            |_, outcome| {
+                if let SuccOutcome::State(_, ev) = outcome {
+                    want_events.push(ev.clone());
+                }
+            },
         );
+        if let Some(events) = events {
+            assert_eq!(events, want_events, "memoised events of process {pid}");
+        }
         assert!(!spawned, "a spawning transition was memoised");
         assert!(!oracle.truncated, "a hit was taken past the item's budget");
         assert_eq!(children, want, "memoised outcomes of process {pid}");

@@ -18,24 +18,48 @@
 //! - **sleep sets**, the standard complementary technique, used by the
 //!   stateless engine.
 //!
+//! The rules read a state only through `ProcView`: per process, whether
+//! its initialization is pending, whether it has terminated or is a
+//! daemon, the object of its next visible operation, its footprint mask
+//! row, and whether it is enabled. A live state answers through `Live`;
+//! the stateless walk answers from its cached `ProcFacts` without
+//! building the state (DESIGN §15). Both run the one `schedule` and the
+//! one conflict closure.
+//!
 //! Completeness guarantees (deadlocks / assertion violations) hold for
 //! acyclic state spaces, matching the guarantee VeriSoft itself gives.
 
 use crate::interp::{enabled, next_op_object};
-use crate::state::{GlobalState, Status};
+use crate::state::{spec_daemon, GlobalState, Status};
 use cfgir::{CfgProgram, NodeKind, ObjId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-/// Per-thread scratch for [`persistent_set`]: (fut masks, next-op
-/// objects, closure membership, member next-object mask). Reused
-/// across calls so the per-state hot path performs no allocation
-/// beyond its result vector.
-type PsScratch = (Vec<u64>, Vec<Option<ObjId>>, Vec<bool>, Vec<u64>);
+/// Per-thread scratch for the conflict closure, reused across calls so
+/// the per-state hot path allocates nothing: per process its footprint
+/// row (`words` each) and next-op object, closure membership and the
+/// best closure's membership; the members' next-object mask; and the
+/// skipped processes while the output is partitioned.
+struct Scratch {
+    fut: Vec<u64>,
+    next_obj: Vec<Option<ObjId>>,
+    in_c: Vec<bool>,
+    best: Vec<bool>,
+    next_objs: Vec<u64>,
+    skipped: Vec<usize>,
+}
 
 thread_local! {
-    static SCRATCH: RefCell<PsScratch> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            fut: Vec::new(),
+            next_obj: Vec::new(),
+            in_c: Vec::new(),
+            best: Vec::new(),
+            next_objs: Vec::new(),
+            skipped: Vec::new(),
+        })
+    };
 }
 
 /// Static per-procedure information used by the reduction.
@@ -45,9 +69,9 @@ pub struct StaticInfo {
     /// callee) may operate on.
     pub proc_objects: Vec<BTreeSet<ObjId>>,
     /// `proc_objects` as bitmasks — one row of `words` u64 words per
-    /// procedure, row-major. [`persistent_set`] runs its conflict
-    /// closure over these (word-wise AND/OR) instead of allocating
-    /// `BTreeSet`s in the per-state hot path.
+    /// procedure, row-major. The conflict closure runs over these
+    /// (word-wise AND/OR) instead of allocating `BTreeSet`s in the
+    /// per-state hot path.
     masks: Vec<u64>,
     /// Words per mask row: `ceil(object count / 64)`, at least 1.
     words: usize,
@@ -139,45 +163,210 @@ impl StaticInfo {
     }
 }
 
-/// Compute a persistent set of process indices at `state`, given the
-/// enabled processes. Always returns a nonempty subset of `enabled_pids`
-/// when that slice is nonempty.
-pub fn persistent_set(
-    prog: &CfgProgram,
-    info: &StaticInfo,
-    state: &GlobalState,
-    enabled_pids: &[usize],
-) -> Vec<usize> {
-    if enabled_pids.len() <= 1 {
-        return enabled_pids.to_vec();
+/// What the schedule rules read of a state, process by process.
+pub(crate) trait ProcView {
+    /// Number of processes.
+    fn len(&self) -> usize;
+    /// Process `q` sits at an invisible node: its initialization
+    /// transition is pending.
+    fn pending_init(&self, q: usize) -> bool;
+    /// Process `q` has terminated.
+    fn terminated(&self, q: usize) -> bool;
+    /// Process `q` is a daemon (an environment feeder).
+    fn daemon(&self, q: usize) -> bool;
+    /// The object of process `q`'s next visible operation.
+    fn next_object(&self, q: usize) -> Option<ObjId>;
+    /// OR process `q`'s footprint row (the union over its call stack;
+    /// nothing once terminated) into `dst`.
+    fn or_footprint(&self, q: usize, dst: &mut [u64]);
+    /// Process `q`'s next operation is enabled.
+    fn enabled(&self, q: usize) -> bool;
+}
+
+/// A live state as a [`ProcView`].
+pub(crate) struct Live<'a> {
+    pub prog: &'a CfgProgram,
+    pub info: &'a StaticInfo,
+    pub state: &'a GlobalState,
+}
+
+impl ProcView for Live<'_> {
+    fn len(&self) -> usize {
+        self.state.procs.len()
     }
-    let nprocs = state.procs.len();
+
+    fn pending_init(&self, q: usize) -> bool {
+        let ps = &self.state.procs[q];
+        match ps.status {
+            Status::AtNode(n) => !matches!(
+                self.prog.proc(ps.top().proc).node(n).kind,
+                NodeKind::Visible { .. }
+            ),
+            Status::Terminated => false,
+        }
+    }
+
+    fn terminated(&self, q: usize) -> bool {
+        self.state.procs[q].status == Status::Terminated
+    }
+
+    fn daemon(&self, q: usize) -> bool {
+        spec_daemon(self.prog, self.state.procs[q].spec)
+    }
+
+    fn next_object(&self, q: usize) -> Option<ObjId> {
+        next_op_object(self.prog, self.state, q)
+    }
+
+    fn or_footprint(&self, q: usize, dst: &mut [u64]) {
+        if self.terminated(q) {
+            return;
+        }
+        for f in &self.state.procs[q].frames {
+            self.info.or_footprint(f.proc.index(), dst);
+        }
+        debug_assert!(
+            self.info
+                .future_objects(self.state, q)
+                .iter()
+                .all(|o| dst[o.index() / 64] & (1 << (o.index() % 64)) != 0),
+            "mask rows must agree with the set-based footprints"
+        );
+    }
+
+    fn enabled(&self, q: usize) -> bool {
+        enabled(self.prog, self.state, q)
+    }
+}
+
+/// One process's scheduling facts: everything [`ProcView`] asks of it
+/// except enabledness. Each is a function of the process component alone
+/// (its position, call stack and spec), which is what lets the stateless
+/// walk cache them under the component's interner ID (DESIGN §15).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ProcFacts {
+    pub pending_init: bool,
+    pub terminated: bool,
+    pub daemon: bool,
+    pub next_object: Option<ObjId>,
+    pub footprint: Box<[u64]>,
+}
+
+impl ProcFacts {
+    /// Process `q`'s facts as `v` has them.
+    pub(crate) fn of(info: &StaticInfo, v: &impl ProcView, q: usize) -> ProcFacts {
+        let mut footprint = vec![0; info.words].into_boxed_slice();
+        v.or_footprint(q, &mut footprint);
+        ProcFacts {
+            pending_init: v.pending_init(q),
+            terminated: v.terminated(q),
+            daemon: v.daemon(q),
+            next_object: v.next_object(q),
+            footprint,
+        }
+    }
+}
+
+/// What [`schedule`] decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Schedule {
+    /// Run this process's initialization transition first.
+    Init(usize),
+    /// The output list holds this many scheduled processes, then the
+    /// enabled processes POR skipped.
+    Procs { scheduled: usize },
+    /// No enabled transition; whether that is a system deadlock.
+    DeadEnd { deadlock: bool },
+}
+
+/// The schedule rules, over any [`ProcView`]:
+///
+/// - *init*: processes still positioned at an invisible node run first,
+///   lowest index first — the system reaches its initial global state
+///   s0 before any scheduling choice is made (§2);
+/// - *deadlock*: with nothing enabled, the dead end is a deadlock iff
+///   [`deadlock`] says so;
+/// - *persistent set*: with `por`, the enabled processes are narrowed to
+///   the smallest closure ([`persistent_set`]).
+///
+/// For [`Schedule::Procs`] it appends to `out` the scheduled processes
+/// (ascending), then the POR-skipped ones (ascending, none without POR).
+pub(crate) fn schedule(
+    info: &StaticInfo,
+    (por, strict): (bool, bool),
+    v: &impl ProcView,
+    out: &mut Vec<usize>,
+) -> Schedule {
+    let n = v.len();
+    if let Some(pid) = (0..n).find(|&q| v.pending_init(q)) {
+        return Schedule::Init(pid);
+    }
+    let base = out.len();
+    out.extend((0..n).filter(|&q| v.enabled(q)));
+    let enabled = out.len() - base;
+    if enabled == 0 {
+        return Schedule::DeadEnd {
+            deadlock: deadlock(v, strict),
+        };
+    }
+    let scheduled = if por {
+        reduce(info, v, &mut out[base..])
+    } else {
+        enabled
+    };
+    Schedule::Procs { scheduled }
+}
+
+/// Whether a dead end counts as a system deadlock: iff some *non-daemon*
+/// process is stuck short of termination, or — under `strict` — any
+/// non-daemon process exists at all. Daemons (synthesized environment
+/// feeders) never make a dead end a deadlock (DESIGN §7).
+pub(crate) fn deadlock(v: &impl ProcView, strict: bool) -> bool {
+    let mut any_nondaemon = false;
+    for q in (0..v.len()).filter(|&q| !v.daemon(q)) {
+        if !v.terminated(q) {
+            return true;
+        }
+        any_nondaemon = true;
+    }
+    strict && any_nondaemon
+}
+
+/// The conflict closure: reorder `enabled` (ascending) into the smallest
+/// seed's closure members followed by the rest, both ascending, and
+/// return the member count — nonzero whenever `enabled` is nonempty.
+fn reduce(info: &StaticInfo, v: &impl ProcView, enabled: &mut [usize]) -> usize {
+    if enabled.len() <= 1 {
+        return enabled.len();
+    }
+    let nprocs = v.len();
     let w = info.words;
     SCRATCH.with(|scratch| {
-        let (fut, next_obj, in_c, next_objs) = &mut *scratch.borrow_mut();
+        let Scratch {
+            fut,
+            next_obj,
+            in_c,
+            best,
+            next_objs,
+            skipped,
+        } = &mut *scratch.borrow_mut();
         // Per-state tables, computed once and shared by every seed's
-        // closure: each live process's future-footprint mask (union over
-        // its call stack) and the object of its next visible operation.
-        // These used to be rebuilt as `BTreeSet`s inside the fixpoint loop,
-        // which dominated the stateful engines' scheduling cost.
+        // closure: each live process's future-footprint row and the
+        // object of its next visible operation.
         fut.clear();
         fut.resize(nprocs * w, 0);
         next_obj.clear();
         for q in 0..nprocs {
-            next_obj.push(next_op_object(prog, state, q));
-            if state.procs[q].status != Status::Terminated {
-                for f in &state.procs[q].frames {
-                    info.or_footprint(f.proc.index(), &mut fut[q * w..(q + 1) * w]);
-                }
-            }
+            next_obj.push(v.next_object(q));
+            v.or_footprint(q, &mut fut[q * w..(q + 1) * w]);
         }
         let set_bit = |mask: &mut [u64], o: ObjId| mask[o.index() / 64] |= 1u64 << (o.index() % 64);
         in_c.clear();
         in_c.resize(nprocs, false);
         next_objs.clear();
         next_objs.resize(w, 0);
-        let mut best: Option<Vec<usize>> = None;
-        for &seed in enabled_pids {
+        let mut best_len = usize::MAX;
+        for &seed in enabled.iter() {
             in_c.fill(false);
             in_c[seed] = true;
             // Objects of next visible operations of members.
@@ -189,7 +378,7 @@ pub fn persistent_set(
             while changed {
                 changed = false;
                 for q in 0..nprocs {
-                    if in_c[q] || state.procs[q].status == Status::Terminated {
+                    if in_c[q] || v.terminated(q) {
                         continue;
                     }
                     let row = &fut[q * w..(q + 1) * w];
@@ -202,44 +391,66 @@ pub fn persistent_set(
                     }
                 }
             }
-            let members: Vec<usize> = enabled_pids.iter().copied().filter(|p| in_c[*p]).collect();
-            debug_assert!(!members.is_empty(), "seed is enabled and in its own set");
-            debug_assert!(
-                members.iter().all(|&q| {
-                    let fut_set = info.future_objects(state, q);
-                    q == seed
-                        || fut_set
-                            .iter()
-                            .any(|o| next_objs[o.index() / 64] & (1 << (o.index() % 64)) != 0)
-                }),
-                "mask closure must agree with the set-based footprints"
-            );
-            if best
-                .as_ref()
-                .map(|b| members.len() < b.len())
-                .unwrap_or(true)
-            {
-                best = Some(members);
+            let members = enabled.iter().filter(|&&p| in_c[p]).count();
+            debug_assert!(members > 0, "seed is enabled and in its own set");
+            if members < best_len {
+                best_len = members;
+                std::mem::swap(best, in_c);
+                in_c.resize(nprocs, false);
             }
-            if best.as_ref().map(|b| b.len() == 1).unwrap_or(false) {
+            if best_len == 1 {
                 break; // cannot do better
             }
         }
-        best.unwrap_or_else(|| enabled_pids.to_vec())
+        // Stable partition: members first, then the skipped processes.
+        skipped.clear();
+        let mut kept = 0;
+        for i in 0..enabled.len() {
+            let p = enabled[i];
+            if best[p] {
+                enabled[kept] = p;
+                kept += 1;
+            } else {
+                skipped.push(p);
+            }
+        }
+        enabled[kept..].copy_from_slice(skipped);
+        kept
     })
 }
 
-/// True when the next operations of the two processes are independent:
-/// they touch different objects (or at least one touches none — local
-/// assertions commute with everything).
-pub fn independent(prog: &CfgProgram, state: &GlobalState, a: usize, b: usize) -> bool {
-    match (
-        next_op_object(prog, state, a),
-        next_op_object(prog, state, b),
-    ) {
+/// Compute a persistent set of process indices at `state`, given the
+/// enabled processes. Always returns a nonempty subset of `enabled_pids`
+/// when that slice is nonempty.
+pub fn persistent_set(
+    prog: &CfgProgram,
+    info: &StaticInfo,
+    state: &GlobalState,
+    enabled_pids: &[usize],
+) -> Vec<usize> {
+    let mut out = enabled_pids.to_vec();
+    let members = reduce(info, &Live { prog, info, state }, &mut out);
+    out.truncate(members);
+    out
+}
+
+/// True when next operations on these objects are independent: they
+/// touch different objects (or at least one touches none — local
+/// assertions commute with everything). The sleep-set rule.
+pub(crate) fn independent_objects(a: Option<ObjId>, b: Option<ObjId>) -> bool {
+    match (a, b) {
         (Some(oa), Some(ob)) => oa != ob,
         _ => true,
     }
+}
+
+/// True when the next operations of the two processes are independent
+/// ([`independent_objects`] of their next objects).
+pub fn independent(prog: &CfgProgram, state: &GlobalState, a: usize, b: usize) -> bool {
+    independent_objects(
+        next_op_object(prog, state, a),
+        next_op_object(prog, state, b),
+    )
 }
 
 /// Enabled process indices at `state`.

@@ -5,12 +5,15 @@
 //! differ only in search policy; [`explore`] dispatches on
 //! [`Config::engine`]:
 //!
-//! - [`Engine::Stateless`] — the faithful VeriSoft search: no state is
-//!   ever stored; the depth-bounded tree of decision sequences is
-//!   explored with persistent sets and sleep sets pruning it.
+//! - [`Engine::Stateless`] — the faithful VeriSoft search: no visited
+//!   state is ever stored; the depth-bounded tree of decision sequences
+//!   is explored with persistent sets and sleep sets pruning it.
 //!   Completeness for deadlocks and assertion violations holds on
 //!   acyclic state spaces (and "complete coverage up to some depth" in
-//!   general), exactly the guarantee \[God97\] gives.
+//!   general), exactly the guarantee \[God97\] gives. Its nodes are
+//!   tuples of interned component IDs, scheduled from a facts table and
+//!   stepped from the transition memo; a node is built as a state only
+//!   when a lookup misses ([`stateless`]).
 //! - [`Engine::Stateful`] — a conventional explicit-state DFS that
 //!   stores full visited states (not hashes, so no collision
 //!   unsoundness), used when the state space has cycles or when
@@ -63,7 +66,10 @@ pub fn validate_checkpoint(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Depth-bounded stateless search with deterministic replayable traces
-    /// (VeriSoft's approach).
+    /// (VeriSoft's approach). No visited state is stored; the walk's
+    /// components are interned, and each tree node is held as its
+    /// component-ID tuple and built only when the facts table or the
+    /// transition memo misses (DESIGN §15).
     #[default]
     Stateless,
     /// Explicit-state DFS storing visited states.
@@ -139,11 +145,15 @@ pub struct Config {
     /// deterministically, at an instant where the checkpoint on disk is
     /// complete.
     pub abort_after_checkpoints: Option<usize>,
-    /// Disable collapse-style state compression in the stateful engines
-    /// (escape hatch; compression is on by default). With compression
-    /// the stores hold compact component-ID tuples interned by a
-    /// per-run [`crate::state::ComponentInterner`] instead of full
-    /// canonical encodings; reports are byte-identical either way.
+    /// Disable component interning in every engine (escape hatch;
+    /// interning is on by default). With it the stateful engines' stores
+    /// hold compact component-ID tuples interned by a per-run
+    /// [`crate::state::ComponentInterner`] instead of full canonical
+    /// encodings, and every engine answers repeated transitions from the
+    /// transition memo — the stateless walk its schedules from the facts
+    /// table too. Without it every transition is interpreted and every
+    /// state built, which makes this mode the memo's oracle; reports are
+    /// byte-identical either way.
     /// Unlike `jobs`/`mem_limit`, this flag **is** part of the
     /// checkpoint config digest — it changes the on-disk record format,
     /// so resuming a checkpoint across compression modes is rejected.

@@ -42,9 +42,11 @@ use super::encode::{
     Encode, INTERN_MAGIC,
 };
 use super::{CowArc, GlobalState, ObjState, ProcState};
+use crate::interp::EventOp;
+use crate::por::ProcFacts;
 use crate::report::{MemoStats, ViolationKind};
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -143,10 +145,12 @@ pub(crate) enum MemoOutcome {
     Violation(ViolationKind),
     /// The successor is its parent with the running process replaced
     /// and, when the leading visible operation wrote its object, that
-    /// object too.
+    /// object too; `event` is the visible operation performed (the
+    /// event's process is the one stepped, so it is not recorded).
     State {
         proc: Changed,
         object: Option<Changed>,
+        event: Option<EventOp>,
     },
 }
 
@@ -179,8 +183,53 @@ struct ParentView {
     raw: usize,
 }
 
-/// A stateful search's memo of `Executor::successors`, keyed on
-/// interner IDs (DESIGN §15).
+/// The key of a memo entry: the running process's component ID and the
+/// ID of its leading visible operation's object, if any.
+pub(crate) type MemoKey = (u32, Option<u32>);
+
+/// A multiply-rotate hasher for [`MemoKey`]s: two small integers need a
+/// few cycles of mixing, not SipHash, and the stateless walk looks keys
+/// up several times per tree node.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<MemoKey, V, BuildHasherDefault<IdHasher>>;
+
+/// A search's memo of `Executor::successors`, keyed on interner IDs
+/// (DESIGN §15).
 ///
 /// A transition reads and writes the running process and the object of
 /// its leading visible operation, nothing else (§2 of the paper; the
@@ -192,31 +241,55 @@ struct ParentView {
 /// child's store key from the parent's IDs without a state to clone,
 /// mutate, encode, intern or free.
 ///
+/// Beside the entries sits the stateless walk's **facts table**: per
+/// process component ID the [`ProcFacts`] the schedule rules read, and
+/// per memo key whether that process is enabled — enabledness reads the
+/// process and the object of its next operation, the same two components
+/// a transition reads. A cached fact is as checkable as a cached outcome:
+/// debug builds compare every schedule taken from the table with the one
+/// the live state gives.
+///
 /// Like the [`ComponentCache`] it lives beside, a memo belongs to **one
-/// worker** (the DFS is one) for the whole run and is lent to whichever
-/// thread runs that worker for a chunk: no lock, no shared cache line, and the recorded
-/// IDs mean what they meant because the run has one interner (a memo
-/// last used under another interner's token is emptied first). It is
-/// not checkpointed; a resumed run refills it.
+/// worker** (the DFS and the stateless walk are one) for the whole run
+/// and is lent to whichever thread runs that worker for a chunk: no lock,
+/// no shared cache line, and the recorded IDs mean what they meant
+/// because the run has one interner (a memo last used under another
+/// interner's token is emptied first, facts included). It is not
+/// checkpointed; a resumed run refills it.
 #[derive(Debug, Default)]
 pub(crate) struct TransitionMemo {
     /// 0 (no interner's token) until first used.
     token: u64,
-    entries: HashMap<(u32, Option<u32>), MemoEntry>,
+    /// Key → index into `entries`; an entry, once recorded, keeps its
+    /// index for the rest of the run.
+    index: IdMap<u32>,
+    entries: Vec<MemoEntry>,
+    /// Scheduling facts by process component ID.
+    facts: Vec<Option<ProcFacts>>,
+    /// Enabledness by memo key.
+    enabled: IdMap<bool>,
     parent: ParentView,
     pub(crate) stats: MemoStats,
 }
 
 impl TransitionMemo {
+    /// Empty the memo unless its entries were recorded under `token`.
+    pub(crate) fn adopt(&mut self, token: u64) {
+        if self.token != token {
+            self.index.clear();
+            self.entries.clear();
+            self.facts.clear();
+            self.enabled.clear();
+            self.token = token;
+        }
+    }
+
     /// Point the memo at `state`, the parent of the lookups that follow.
     /// Every component must be interned under `interner`: a materialized
     /// state is (its memos were seeded with it); any other state is
     /// keyed once here.
     pub(crate) fn view(&mut self, interner: &ComponentInterner, state: &GlobalState) {
-        if self.token != interner.token() {
-            self.entries.clear();
-            self.token = interner.token();
-        }
+        self.adopt(interner.token());
         if !self.read_parent(state) {
             state.fingerprint_and_intern_into(interner, &mut Vec::new());
             let warm = self.read_parent(state);
@@ -255,19 +328,64 @@ impl TransitionMemo {
     /// The memo key of process `pid`'s next transition from the viewed
     /// state, `object` being the index of its leading visible
     /// operation's object.
-    pub(crate) fn key(&self, pid: usize, object: Option<usize>) -> (u32, Option<u32>) {
+    pub(crate) fn key(&self, pid: usize, object: Option<usize>) -> MemoKey {
         let p = &self.parent;
         (p.ids[pid], object.map(|o| p.ids[p.nprocs + o]))
     }
 
+    /// The index of the entry recorded under `key`, if any.
+    #[inline]
+    pub(crate) fn find(&self, key: MemoKey) -> Option<u32> {
+        self.index.get(&key).copied()
+    }
+
+    /// The entry at an index [`TransitionMemo::find`] returned.
+    #[inline]
+    pub(crate) fn entry(&self, index: u32) -> &MemoEntry {
+        &self.entries[index as usize]
+    }
+
     /// The entry recorded under `key`, if any.
-    pub(crate) fn get(&self, key: (u32, Option<u32>)) -> Option<&MemoEntry> {
-        self.entries.get(&key)
+    pub(crate) fn get(&self, key: MemoKey) -> Option<&MemoEntry> {
+        self.find(key).map(|i| self.entry(i))
     }
 
     /// Record a completed enumeration.
-    pub(crate) fn record(&mut self, key: (u32, Option<u32>), entry: MemoEntry) {
-        self.entries.insert(key, entry);
+    pub(crate) fn record(&mut self, key: MemoKey, entry: MemoEntry) {
+        let next = u32::try_from(self.entries.len()).expect("fewer than 2^32 memo entries");
+        let index = *self.index.entry(key).or_insert(next);
+        if index == next {
+            self.entries.push(entry);
+        } else {
+            self.entries[index as usize] = entry;
+        }
+    }
+
+    /// The facts of the process component `id`, if recorded.
+    #[inline]
+    pub(crate) fn facts(&self, id: u32) -> Option<&ProcFacts> {
+        self.facts.get(id as usize)?.as_ref()
+    }
+
+    /// Record the facts of the process component `id`.
+    pub(crate) fn record_facts(&mut self, id: u32, facts: ProcFacts) {
+        let id = id as usize;
+        if self.facts.len() <= id {
+            self.facts.resize(id + 1, None);
+        }
+        self.facts[id] = Some(facts);
+    }
+
+    /// Whether the process whose next transition has memo key `key` is
+    /// enabled, if recorded.
+    #[inline]
+    pub(crate) fn enabled(&self, key: MemoKey) -> Option<bool> {
+        self.enabled.get(&key).copied()
+    }
+
+    /// Record the enabledness of the process under memo key `key`.
+    pub(crate) fn record_enabled(&mut self, key: MemoKey, enabled: bool) {
+        self.enabled.insert(key, enabled);
     }
 
     /// Number of components of the viewed state.
@@ -409,7 +527,7 @@ impl ComponentInterner {
     /// The interner's unique token (tags the per-allocation memos in
     /// [`CowArc`]).
     #[inline]
-    pub(super) fn token(&self) -> u64 {
+    pub(crate) fn token(&self) -> u64 {
         self.token
     }
 
@@ -489,6 +607,28 @@ impl ComponentInterner {
             objects.push(self.component(&mut cache.objects, r.u64()?, decode_obj_state)?);
         }
         (r.remaining() == 0).then_some(GlobalState { procs, objects })
+    }
+
+    /// [`ComponentInterner::materialize`] from the tuple's IDs already
+    /// decoded: `ids` holds `nprocs` process IDs, then the object IDs.
+    pub(crate) fn materialize_ids(
+        &self,
+        cache: &mut ComponentCache,
+        nprocs: usize,
+        ids: &[u32],
+    ) -> Option<GlobalState> {
+        cache.adopt(self.token);
+        let (procs, objects) = ids.split_at(nprocs);
+        Some(GlobalState {
+            procs: procs
+                .iter()
+                .map(|&id| self.component(&mut cache.procs, id.into(), decode_proc_state))
+                .collect::<Option<_>>()?,
+            objects: objects
+                .iter()
+                .map(|&id| self.component(&mut cache.objects, id.into(), decode_obj_state))
+                .collect::<Option<_>>()?,
+        })
     }
 
     /// The cached handle of component `id`, decoding and publishing it

@@ -80,20 +80,25 @@ fn usage() -> String {
                                   reduction. The stateful engines use\n\
                                   persistent sets with a cycle proviso; the\n\
                                   stateless engine adds sleep sets\n\
-         --no-compress            stateful engines: store full canonical\n\
-                                  encodings instead of collapse-compressed\n\
-                                  component-ID tuples (the oracle the\n\
-                                  compressed path is diffed against; the\n\
-                                  report is byte-identical either way, but a\n\
-                                  checkpoint cannot be resumed across modes)\n\
+         --no-compress            every engine: no component interning, so no\n\
+                                  transition memo and no facts table; every\n\
+                                  transition is interpreted and every state\n\
+                                  built (the stateful engines store full\n\
+                                  canonical encodings instead of component-ID\n\
+                                  tuples). The oracle the compressed path is\n\
+                                  diffed against: the report is byte-identical\n\
+                                  either way, but a checkpoint cannot be\n\
+                                  resumed across modes\n\
          --stats                  print states/sec, toss choices taken,\n\
                                   visited-store bytes and\n\
                                   state count, the compression ratio and\n\
                                   interner size, the CoW sharing ratio, the\n\
-                                  POR reduction counters, and (frontier\n\
-                                  engines) peak resident store bytes, spilled\n\
-                                  entries, spill and checkpoint counts, and\n\
-                                  batched-commit savings\n\
+                                  POR reduction counters, the transition\n\
+                                  memo's hits and misses (every engine), and\n\
+                                  (frontier engines) peak resident store\n\
+                                  bytes, spilled entries, spill and\n\
+                                  checkpoint counts, and batched-commit\n\
+                                  savings\n\
          --coverage               print covered/total CFG nodes, overall and\n\
                                   per procedure (not with --checkpoint-dir)\n\
          --explain                replay and pretty-print each violation\n\

@@ -184,6 +184,31 @@ fn explore_stateful_engine_flag() {
 }
 
 #[test]
+fn stateless_stats_show_the_memo_and_no_store() {
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    let out = reclose(&["explore", workers, "--all", "--stats"]);
+    assert!(out.status.success());
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(s.contains("stats: transition memo: "), "{s}");
+    // The stateless engine stores no state, so it has no store to
+    // compress: the interner it keys nodes with is not a store line.
+    assert!(!s.contains("compression:"), "{s}");
+    assert!(!s.contains("visited store:"), "{s}");
+    // `--no-compress` is the same walk with every transition
+    // interpreted: the same report, and no memo to show.
+    let nc = reclose(&["explore", workers, "--all", "--no-compress", "--stats"]);
+    let nc_s = String::from_utf8_lossy(&nc.stdout);
+    let report = |s: &str| {
+        s.lines()
+            .filter(|l| !l.starts_with("stats:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(report(&s), report(&nc_s));
+    assert!(!nc_s.contains("transition memo:"), "{nc_s}");
+}
+
+#[test]
 fn bfs_is_the_frontier_engine_at_one_worker() {
     let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
     for por in ["--por", "--no-por"] {

@@ -226,12 +226,13 @@ fn stateful_parallel_first_violation_is_jobs_invariant() {
 
 /// One configuration with collapse compression on and off: the report —
 /// the full key, the rendered bytes, the *logical* visited-store totals
-/// (which always count raw canonical encodings), the sharing counters
-/// and the coverage **map** — must be identical. `--no-compress` has no
-/// interner and therefore no transition memo (DESIGN §15): it interprets
-/// every transition, so this also holds the memo against the interpreter
-/// through every stateful engine's public surface. Returns the
-/// compressed run's report.
+/// (which always count raw canonical encodings), the sharing counters,
+/// the coverage **map** and the trace set — must be identical.
+/// `--no-compress` has no interner and therefore no transition memo and
+/// no facts table (DESIGN §15): it interprets every transition and
+/// schedules every state from the state itself, so this also holds the
+/// memo against the interpreter through every engine's public surface.
+/// Returns the compressed run's report.
 fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Config) -> Report {
     let run = |no_compress| {
         explore(
@@ -267,6 +268,7 @@ fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Co
     // did — so the run's map must equal the one the interpreter marks
     // transition by transition.
     assert_eq!(on.coverage, off.coverage, "{tag}: coverage maps");
+    assert_eq!(on.traces, off.traces, "{tag}: trace sets");
     assert_eq!(off.memo.lookups(), 0, "{tag}: no interner, no memo");
     // And the `off` run really ran without compression.
     assert_eq!(off.interner_entries, 0, "{tag}: compression was off");
@@ -277,9 +279,49 @@ fn assert_compression_invisible(tag: &str, prog: &cfgir::CfgProgram, config: &Co
     assert_eq!(
         on.memo.lookups() > 0,
         on.transitions > 0,
-        "{tag}: the memo serves every stateful engine"
+        "{tag}: the memo serves every engine"
     );
     on
+}
+
+/// The stateless walk's configurations: POR and sleep sets, no
+/// reduction, trace collection, and a transition cap that cuts the tree.
+fn stateless_matrix() -> [(&'static str, Config); 4] {
+    let base = Config {
+        engine: Engine::Stateless,
+        max_depth: 300,
+        max_transitions: 10_000,
+        max_violations: usize::MAX,
+        track_coverage: true,
+        ..Config::default()
+    };
+    [
+        ("por+sleep", base.clone()),
+        (
+            "no por",
+            Config {
+                por: false,
+                sleep_sets: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "traces",
+            Config {
+                por: false,
+                sleep_sets: false,
+                collect_traces: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "cut",
+            Config {
+                max_transitions: 300,
+                ..base
+            },
+        ),
+    ]
 }
 
 /// Every stateful engine and worker count, and the frontier engine
@@ -334,6 +376,72 @@ fn compression_modes_produce_byte_identical_reports() {
 }
 
 #[test]
+fn stateless_compression_modes_produce_byte_identical_reports() {
+    // The stateless walk schedules from the facts table and steps from
+    // the memo in ID space; `--no-compress` builds every node and
+    // interprets every transition. Neither may show, with or without
+    // reduction, trace collection or a cap.
+    for (name, prog) in closed_corpus() {
+        for (label, config) in stateless_matrix() {
+            let tag = format!("{name}: stateless {label}");
+            let on = assert_compression_invisible(&tag, &prog, &config);
+            assert_eq!(
+                on.interner_entries, 0,
+                "{tag}: no store, no compression line"
+            );
+            if label == "traces" && !on.truncated {
+                assert!(!on.traces.is_empty(), "{tag}: traces were collected");
+            }
+        }
+    }
+}
+
+/// The exact `(states, transitions, truncated)` the interpreting walk
+/// reported for two stateless runs whose process count changes what a
+/// process set must hold: 73 processes (`switchgen --lines 70 --events
+/// 1`, capped), and `spawn_pool.mc`, whose `main` spawns mid-walk. Sleep
+/// and done sets are bitsets of more than one word there.
+///
+/// The walk recurses once per tree level and the switch's first path is
+/// 1,403 transitions deep, more than a test thread's default stack
+/// holds in a debug build (the interpreting walk before it overflowed
+/// there too), so the comparison runs on a thread of its own.
+#[test]
+fn stateless_counts_hold_past_64_processes_and_across_spawns() {
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(stateless_counts_past_64_processes)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn stateless_counts_past_64_processes() {
+    let switch = switchsim::generate(&switchsim::SwitchConfig {
+        lines: 70,
+        events_per_line: 1,
+        ..switchsim::SwitchConfig::default()
+    });
+    let spawn_pool = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/spawn_pool.mc"),
+    )
+    .unwrap();
+    for (name, src, max_transitions, want) in [
+        ("switch70x1", switch, 2_000, (1_651, 2_000, true)),
+        ("spawn_pool.mc", spawn_pool, 5_000_000, (36, 35, false)),
+    ] {
+        let open = compile(&src).unwrap_or_else(|d| panic!("{name}: {d}"));
+        let prog = closer::close(&open, &dataflow::analyze(&open)).program;
+        let config = Config {
+            max_transitions,
+            ..Config::default()
+        };
+        let on = assert_compression_invisible(name, &prog, &config);
+        assert_eq!((on.states, on.transitions, on.truncated), want, "{name}");
+    }
+}
+
+#[test]
 fn a_budget_that_ends_inside_a_memoised_toss_truncates_where_the_interpreter_does() {
     // Each process's first transition is a send followed by a four-way
     // toss: five interpreter executions, recorded at level 0 and met
@@ -372,6 +480,17 @@ fn a_budget_that_ends_inside_a_memoised_toss_truncates_where_the_interpreter_doe
             assert!(on.truncated || max_transitions >= full.transitions, "{tag}");
             budget_bypasses += on.memo.bypass_budget;
         }
+        // The stateless walk meets the same entry in ID space: a hit the
+        // budget does not cover must build the node and truncate there.
+        let config = Config {
+            engine: Engine::Stateless,
+            max_transitions,
+            ..base.clone()
+        };
+        let tag = format!("cap={max_transitions}: stateless");
+        budget_bypasses += assert_compression_invisible(&tag, &tosser, &config)
+            .memo
+            .bypass_budget;
     }
     assert!(budget_bypasses > 0, "no cap landed inside a memoised toss");
 }
