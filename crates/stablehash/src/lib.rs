@@ -23,9 +23,11 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// The SplitMix64 output finalizer: an invertible 64-bit mixer.
+/// The SplitMix64 output finalizer: an invertible 64-bit mixer. Distinct
+/// inputs give distinct outputs, so a map can key an integer that packs
+/// small IDs by its mixed value under the pass-through [`FpHasher`].
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

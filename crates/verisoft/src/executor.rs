@@ -392,7 +392,8 @@ impl<'a> Executor<'a> {
     /// Enumerate every outcome of process `pid`'s next transition from
     /// `state` (branching over toss / environment choices), charging the
     /// executed transitions to `cx`. Every engine reaches it on a memo
-    /// miss (`Executor::step`); its direct callers are
+    /// miss (`Executor::step`); its direct callers are the stateless walk
+    /// once it has stopped recording (and its debug oracle),
     /// `closer::refine_cex`'s trace classifiers and the ledger benchmark's
     /// stepper.
     pub fn successors(

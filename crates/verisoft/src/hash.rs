@@ -12,5 +12,5 @@
 //! [`crate::state`].
 
 pub use stablehash::{
-    stable_hash, stable_hash_bytes, FpBuildHasher, FpHasher, StableBuildHasher, StableHasher,
+    mix64, stable_hash, stable_hash_bytes, FpBuildHasher, FpHasher, StableBuildHasher, StableHasher,
 };

@@ -60,7 +60,7 @@ pub use interp::{
     enabled, execute_transition, execute_transition_with, EnvMode, EventOp, ExecLimits, RtError,
     TransitionResult, VisibleEvent,
 };
-pub use por::{enabled_processes, independent, persistent_set, StaticInfo};
+pub use por::{enabled_processes, independent, StaticInfo};
 pub use report::{Decision, MemoStats, Report, Violation, ViolationKind};
 pub use search::{
     explore, replay, validate_checkpoint, Config, Engine, StateStore, TieredStore, VisitedStore,

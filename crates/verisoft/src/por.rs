@@ -287,7 +287,7 @@ pub(crate) enum Schedule {
 /// - *deadlock*: with nothing enabled, the dead end is a deadlock iff
 ///   [`deadlock`] says so;
 /// - *persistent set*: with `por`, the enabled processes are narrowed to
-///   the smallest closure ([`persistent_set`]).
+///   the smallest closure ([`reduce`]).
 ///
 /// For [`Schedule::Procs`] it appends to `out` the scheduled processes
 /// (ascending), then the POR-skipped ones (ascending, none without POR).
@@ -419,21 +419,6 @@ fn reduce(info: &StaticInfo, v: &impl ProcView, enabled: &mut [usize]) -> usize 
     })
 }
 
-/// Compute a persistent set of process indices at `state`, given the
-/// enabled processes. Always returns a nonempty subset of `enabled_pids`
-/// when that slice is nonempty.
-pub fn persistent_set(
-    prog: &CfgProgram,
-    info: &StaticInfo,
-    state: &GlobalState,
-    enabled_pids: &[usize],
-) -> Vec<usize> {
-    let mut out = enabled_pids.to_vec();
-    let members = reduce(info, &Live { prog, info, state }, &mut out);
-    out.truncate(members);
-    out
-}
-
 /// True when next operations on these objects are independent: they
 /// touch different objects (or at least one touches none — local
 /// assertions commute with everything). The sleep-set rule.
@@ -465,6 +450,18 @@ mod tests {
     use super::*;
     use crate::interp::{execute_transition, EnvMode, ExecLimits, TransitionResult};
     use cfgir::compile;
+
+    /// The persistent set [`schedule`] picks at `state`, with POR on.
+    fn persistent_set(prog: &CfgProgram, info: &StaticInfo, state: &GlobalState) -> Vec<usize> {
+        let mut out = Vec::new();
+        match schedule(info, (true, false), &Live { prog, info, state }, &mut out) {
+            Schedule::Procs { scheduled } => {
+                out.truncate(scheduled);
+                out
+            }
+            other => panic!("not a branching state: {other:?}"),
+        }
+    }
 
     /// Run initialization (invisible prefixes) so every process sits at a
     /// visible op or has terminated.
@@ -498,9 +495,8 @@ mod tests {
         .unwrap();
         let info = StaticInfo::build(&prog);
         let s = init(&prog);
-        let en = enabled_processes(&prog, &s);
-        assert_eq!(en, vec![0, 1]);
-        let ps = persistent_set(&prog, &info, &s, &en);
+        assert_eq!(enabled_processes(&prog, &s), vec![0, 1]);
+        let ps = persistent_set(&prog, &info, &s);
         assert_eq!(ps.len(), 1, "independent sends need not interleave");
         assert!(independent(&prog, &s, 0, 1));
     }
@@ -519,8 +515,7 @@ mod tests {
         .unwrap();
         let info = StaticInfo::build(&prog);
         let s = init(&prog);
-        let en = enabled_processes(&prog, &s);
-        let ps = persistent_set(&prog, &info, &s, &en);
+        let ps = persistent_set(&prog, &info, &s);
         assert_eq!(ps.len(), 2, "competing senders must both be explored");
         assert!(!independent(&prog, &s, 0, 1));
     }
@@ -544,8 +539,7 @@ mod tests {
         .unwrap();
         let info = StaticInfo::build(&prog);
         let s = init(&prog);
-        let en = enabled_processes(&prog, &s);
-        let ps = persistent_set(&prog, &info, &s, &en);
+        let ps = persistent_set(&prog, &info, &s);
         assert_eq!(ps, vec![1], "the {{pb}} singleton is chosen");
         // And the pa-seeded candidate indeed needs both processes: check
         // via the future-objects footprint.
@@ -609,8 +603,7 @@ mod tests {
         .unwrap();
         let info = StaticInfo::build(&prog);
         let s = init(&prog);
-        let en = enabled_processes(&prog, &s);
-        let ps = persistent_set(&prog, &info, &s, &en);
+        let ps = persistent_set(&prog, &info, &s);
         assert_eq!(ps.len(), 1);
         assert!(independent(&prog, &s, 0, 1));
     }

@@ -87,12 +87,21 @@ pub struct MemoStats {
     /// Interpreter runs left unrecorded because the item's transition
     /// budget ended inside the enumeration.
     pub bypass_budget: usize,
+    /// Interpreter runs left unrecorded because the stateless walk had
+    /// stopped recording: its running miss share said the tree does not
+    /// repeat (DESIGN §15).
+    pub bypass_cold: usize,
 }
 
 impl MemoStats {
-    /// Every lookup: hits, misses and both kinds of bypass.
+    /// Every lookup: hits, misses and every kind of bypass.
     pub fn lookups(&self) -> usize {
-        self.hits + self.misses + self.bypass_spawn + self.bypass_budget
+        self.hits + self.misses + self.bypassed()
+    }
+
+    /// Interpreter runs left unrecorded, for any reason.
+    pub fn bypassed(&self) -> usize {
+        self.bypass_spawn + self.bypass_budget + self.bypass_cold
     }
 }
 
@@ -102,6 +111,7 @@ impl std::ops::AddAssign for MemoStats {
         self.misses += other.misses;
         self.bypass_spawn += other.bypass_spawn;
         self.bypass_budget += other.bypass_budget;
+        self.bypass_cold += other.bypass_cold;
     }
 }
 

@@ -10,10 +10,11 @@
 //!   is explored with persistent sets and sleep sets pruning it.
 //!   Completeness for deadlocks and assertion violations holds on
 //!   acyclic state spaces (and "complete coverage up to some depth" in
-//!   general), exactly the guarantee \[God97\] gives. Its nodes are
-//!   tuples of interned component IDs, scheduled from a facts table and
-//!   stepped from the transition memo; a node is built as a state only
-//!   when a lookup misses ([`stateless`]).
+//!   general), exactly the guarantee \[God97\] gives. While the tree
+//!   repeats, its nodes are tuples of interned component IDs, scheduled
+//!   from a facts table and stepped from the transition memo, and a node
+//!   is built as a state only when a lookup misses; where it stops
+//!   repeating the walk interprets ([`stateless`]).
 //! - [`Engine::Stateful`] — a conventional explicit-state DFS that
 //!   stores full visited states (not hashes, so no collision
 //!   unsoundness), used when the state space has cycles or when
@@ -69,7 +70,9 @@ pub enum Engine {
     /// (VeriSoft's approach). No visited state is stored; the walk's
     /// components are interned, and each tree node is held as its
     /// component-ID tuple and built only when the facts table or the
-    /// transition memo misses (DESIGN §15).
+    /// transition memo misses — until the running miss share says the
+    /// tree does not repeat, after which misses are interpreted and
+    /// nothing more is interned (DESIGN §15).
     #[default]
     Stateless,
     /// Explicit-state DFS storing visited states.

@@ -1,30 +1,53 @@
-//! The stateless depth-first driver (VeriSoft's search), in ID space.
+//! VeriSoft's stateless depth-first search, in ID space while the tree
+//! repeats.
 //!
-//! The tree has millions of nodes but they are built from a few hundred
-//! distinct components, and every transition is one of a few hundred
-//! `(process, object)` answers. So the walk carries each node as its
-//! component-ID tuple, takes the schedule from the facts table and the
-//! children from the transition memo (DESIGN §15), and writes each child
-//! as its parent's IDs with one or two replaced: no state is built, keyed
-//! or freed on that path. A node is built (materialised through the
+//! The walk pays off when the tree is built from far fewer distinct
+//! components and `(process, object)` answers than it has nodes — true of
+//! the switch programs (12.2 M nodes of `switchgen --lines 2 --events 2`
+//! use 240 components and 635 answers), false of a program whose data
+//! tells every path apart, where each node brings a component never seen
+//! before. While it pays, the walk carries each node as its component-ID
+//! tuple, takes the schedule from the facts table and the children from
+//! the transition memo (DESIGN §15), and writes each child as its
+//! parent's IDs with one or two replaced: no state is built, keyed or
+//! freed on that path. A node is built (materialised through the
 //! component cache) only when a lookup misses — a component or key the
 //! table has not seen, a spawning transition, a budget too short for the
 //! recorded answer — and then the live state schedules it, teaches the
 //! facts table, and steps through `Executor::step`.
 //!
-//! `--no-compress` runs the same walk with no interner: every node is a
-//! raw canonical encoding, every lookup misses, and every transition is
-//! interpreted — the reference the memoised walk is diffed against.
+//! Every miss interns and records what it saw, for the rest of the run.
+//! So the walk watches its running miss share, and once it has missed
+//! [`COLD_MISSES`] times with more than one lookup in [`COLD_SHARE`]
+//! missing over the last [`COLD_MISSES`] lookups, it turns **cold**: it
+//! records nothing more, and every later miss is interpreted — the
+//! children are built states, stepped by `Executor::successors`, and so
+//! are all their descendants, each node holding its state for as long as
+//! it is on the path. Recorded answers still serve the ID-tuple nodes
+//! left on the path. What the memo, interner and cache hold therefore
+//! stays within a few thousand misses' worth when the tree does not
+//! repeat, and within one in [`COLD_SHARE`] lookups' worth when it does.
+//!
+//! `--no-compress` runs the same walk cold from the root: no interner,
+//! every node a built state, every transition interpreted — the
+//! reference the memoised walk is diffed against.
 
 use crate::executor::{ExecCtx, Executor, KeyArena, LeanChild, SuccOutcome};
 use crate::interp::{next_op_object, VisibleEvent};
 use crate::por::{independent_objects, ProcFacts, ProcView, Schedule};
 use crate::report::{Decision, Report, Violation, ViolationKind};
-use crate::state::encode::ByteReader;
-use crate::state::intern::MemoOutcome;
-use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
+use crate::state::intern::{read_tuple, MemoOutcome};
+use crate::state::{ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
 use cfgir::ObjId;
 use std::sync::Arc;
+
+/// Misses the walk records before it may turn cold, and the length (in
+/// lookups) of the window its miss share is read over.
+const COLD_MISSES: usize = 1 << 12;
+
+/// The walk turns cold when more than one lookup in `COLD_SHARE` missed
+/// over the last window.
+const COLD_SHARE: usize = 16;
 
 /// Depth-bounded stateless DFS with persistent sets and sleep sets; no
 /// state is ever stored ([`Engine::Stateless`](super::Engine::Stateless)).
@@ -40,6 +63,8 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     let mut w = Walk {
         exec,
         cx,
+        cold: interner.is_none(),
+        window: (0, 0),
         interner,
         cache: ComponentCache::default(),
         memo,
@@ -48,13 +73,16 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         path: Vec::new(),
         events: Vec::new(),
         ids: Vec::new(),
-        raw: Vec::new(),
         bits: Vec::new(),
         queue: Vec::new(),
         enabled: Vec::new(),
     };
-    let (_, key) = w.cx.state_key(&exec.initial());
-    let root = w.push_key(&key);
+    let root = if w.interner.is_some() {
+        let (_, key) = w.cx.state_key(&exec.initial());
+        Node::Ids(w.push_key(&key))
+    } else {
+        Node::Live(exec.initial())
+    };
     w.visit(root, 0, Bits::EMPTY);
     let Walk {
         cx,
@@ -75,11 +103,17 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     report
 }
 
-/// A tree node: its component-ID tuple `ids[start..end]` (`nprocs`
-/// process IDs, then the object IDs), or under `--no-compress` its raw
-/// encoding `raw[start..end]`.
+/// A tree node: its component-ID tuple on the walk's ID stack, or a built
+/// state once the walk is cold.
+enum Node {
+    Ids(Ids),
+    Live(GlobalState),
+}
+
+/// A component-ID tuple `ids[start..end]`: `nprocs` process IDs, then
+/// the object IDs.
 #[derive(Debug, Clone, Copy)]
-struct Node {
+struct Ids {
     start: usize,
     end: usize,
     nprocs: usize,
@@ -111,8 +145,8 @@ impl Bits {
 }
 
 /// One decision on the path from the root: an outcome of a memo entry,
-/// or a decision a miss produced. Resolved into [`Decision`]s only when
-/// a violation is recorded.
+/// or a decision the interpreter produced. Resolved into [`Decision`]s
+/// only when a violation is recorded.
 enum Step {
     Memo {
         process: usize,
@@ -123,13 +157,18 @@ enum Step {
 }
 
 /// The walk's state. Every per-node buffer is a stack that a node grows
-/// on entry and its parent truncates after it: the ID tuples, the raw
-/// encodings, the sleep and done sets, and the scheduled processes.
+/// on entry and its parent truncates after it: the ID tuples, the sleep
+/// and done sets, and the scheduled processes.
 struct Walk<'e, 'a> {
     exec: &'e Executor<'a>,
     cx: ExecCtx,
     /// The run's interner; `None` under `--no-compress`.
     interner: Option<Arc<ComponentInterner>>,
+    /// Nothing more is interned, learned or recorded; misses are
+    /// interpreted into built states.
+    cold: bool,
+    /// The memo's `(lookups, misses)` when the current window opened.
+    window: (usize, usize),
     cache: ComponentCache,
     memo: TransitionMemo,
     report: Report,
@@ -138,7 +177,6 @@ struct Walk<'e, 'a> {
     /// Visible events from the root (kept only when collecting traces).
     events: Vec<VisibleEvent>,
     ids: Vec<u32>,
-    raw: Vec<u8>,
     bits: Vec<u64>,
     queue: Vec<usize>,
     /// Per process of the node being scheduled: its enabledness, read
@@ -194,54 +232,34 @@ impl ProcView for Known<'_> {
 }
 
 impl Walk<'_, '_> {
-    /// Push the node a store key denotes: a compressed tuple's IDs, or a
-    /// raw encoding as it is.
-    fn push_key(&mut self, key: &[u8]) -> Node {
-        let bad = "the walk's own key";
-        if self.interner.is_none() {
-            let start = self.raw.len();
-            self.raw.extend_from_slice(key);
-            let nprocs = ByteReader::new(key).u64().expect(bad) as usize;
-            return Node {
-                start,
-                end: self.raw.len(),
-                nprocs,
-            };
-        }
+    /// Push the ID tuple a compressed store key denotes.
+    fn push_key(&mut self, key: &[u8]) -> Ids {
         let start = self.ids.len();
-        let nprocs = read_tuple(key, &mut self.ids).expect(bad);
-        Node {
+        let nprocs = read_tuple(key, &mut self.ids).expect("the walk's own key");
+        Ids {
             start,
             end: self.ids.len(),
             nprocs,
         }
     }
 
-    /// Drop `node` and everything pushed after it.
-    fn pop(&mut self, node: Node) {
-        match self.interner {
-            Some(_) => self.ids.truncate(node.start),
-            None => self.raw.truncate(node.start),
-        }
-    }
-
     /// The state `node` denotes.
-    fn materialize(&mut self, node: Node) -> GlobalState {
-        match &self.interner {
-            Some(i) => i.materialize_ids(
+    fn materialize(&mut self, node: Ids) -> GlobalState {
+        self.interner
+            .as_ref()
+            .expect("ID tuples exist only under an interner")
+            .materialize_ids(
                 &mut self.cache,
                 node.nprocs,
                 &self.ids[node.start..node.end],
-            ),
-            None => decode_state(&self.raw[node.start..node.end]),
-        }
-        .expect("the walk's own node")
+            )
+            .expect("the walk's own node")
     }
 
     /// Teach the facts table what the live `state` of `node` shows: each
     /// process component's facts and, under its memo key, enabledness.
-    fn learn(&mut self, node: Node, state: &GlobalState) {
-        if self.interner.is_none() {
+    fn learn(&mut self, node: Ids, state: &GlobalState) {
+        if self.cold {
             return;
         }
         let live = self.exec.live(state);
@@ -261,10 +279,26 @@ impl Walk<'_, '_> {
         }
     }
 
+    /// After a lookup that went through the memo: close the window once
+    /// it spans [`COLD_MISSES`] lookups, turning the walk cold when the
+    /// run has missed that often and the window's miss share is over
+    /// one in [`COLD_SHARE`].
+    fn watch_miss_share(&mut self) {
+        let s = self.memo.stats;
+        let (lookups, misses) = (s.hits + s.misses, s.misses);
+        let (opened, missed) = self.window;
+        if lookups - opened < COLD_MISSES {
+            return;
+        }
+        if misses >= COLD_MISSES && (misses - missed) * COLD_SHARE > lookups - opened {
+            self.cold = true;
+        }
+        self.window = (lookups, misses);
+    }
+
     /// The schedule of `node` from the facts table alone, appended to
-    /// `queue`; `None` when a fact is missing (or there is no table).
-    fn schedule_known(&mut self, node: Node) -> Option<Schedule> {
-        self.interner.as_ref()?;
+    /// `queue`; `None` when a fact is missing.
+    fn schedule_known(&mut self, node: Ids) -> Option<Schedule> {
         let ids = &self.ids[node.start..node.end];
         let memo = &self.memo;
         self.enabled.clear();
@@ -286,16 +320,22 @@ impl Walk<'_, '_> {
 
     /// The object of process `q`'s next operation at `node`: from the
     /// built state when there is one, from the facts table otherwise.
-    fn next_object(&self, node: Node, state: Option<&GlobalState>, q: usize) -> Option<ObjId> {
-        match state {
-            Some(s) => next_op_object(self.exec.program(), s, q),
-            None => {
+    fn next_object(
+        &self,
+        node: Option<Ids>,
+        state: Option<&GlobalState>,
+        q: usize,
+    ) -> Option<ObjId> {
+        match (state, node) {
+            (Some(s), _) => next_op_object(self.exec.program(), s, q),
+            (None, Some(node)) => {
                 let id = self.ids[node.start + q];
                 self.memo
                     .facts(id)
                     .expect("scheduled from facts")
                     .next_object
             }
+            (None, None) => unreachable!("a node is its IDs or a built state"),
         }
     }
 
@@ -326,7 +366,7 @@ impl Walk<'_, '_> {
     /// Push the sleep set of `node`'s children through `t`.
     fn push_child_sleep(
         &mut self,
-        node: Node,
+        node: Option<Ids>,
         (state, oracle): (Option<&GlobalState>, Option<&GlobalState>),
         (sleep, done): (Bits, Bits),
         t: usize,
@@ -394,13 +434,18 @@ impl Walk<'_, '_> {
             return;
         }
         let q0 = self.queue.len();
-        // `state` is the node built on a miss; `oracle` the node built
-        // only so debug builds can check what the facts table said.
-        let (mut state, mut oracle) = (None, None);
-        let sched = match self.schedule_known(node) {
+        // `state` is the node as a built state, when it is one or a miss
+        // built it; `oracle` the node built only so debug builds can
+        // check what the facts table said.
+        let (ids, mut state) = match node {
+            Node::Ids(ids) => (Some(ids), None),
+            Node::Live(s) => (None, Some(s)),
+        };
+        let mut oracle = None;
+        let sched = match ids.and_then(|node| self.schedule_known(node)) {
             Some(sched) => {
                 if cfg!(debug_assertions) {
-                    let o = self.materialize(node);
+                    let o = self.materialize(ids.expect("scheduled from facts"));
                     let mut want = Vec::new();
                     let live = self.exec.schedule_view(&self.exec.live(&o), &mut want);
                     assert_eq!(sched, live, "schedule from facts");
@@ -410,13 +455,14 @@ impl Walk<'_, '_> {
                 sched
             }
             None => {
-                let s = self.materialize(node);
-                self.learn(node, &s);
-                let sched = self
-                    .exec
-                    .schedule_view(&self.exec.live(&s), &mut self.queue);
-                state = Some(s);
-                sched
+                if state.is_none() {
+                    let node = ids.expect("a node is its IDs or a built state");
+                    let s = self.materialize(node);
+                    self.learn(node, &s);
+                    state = Some(s);
+                }
+                let s = state.as_ref().expect("built above");
+                self.exec.schedule_view(&self.exec.live(s), &mut self.queue)
             }
         };
         match sched {
@@ -427,13 +473,18 @@ impl Walk<'_, '_> {
                 }
             }
             Schedule::Init(pid) => {
-                self.step(node, (&mut state, oracle.as_ref()), depth, pid, sleep);
+                self.step(ids, (&mut state, oracle.as_ref()), depth, pid, sleep);
             }
             Schedule::Procs { scheduled } => {
+                let nprocs = match (&state, ids) {
+                    (Some(s), _) => s.procs.len(),
+                    (None, Some(node)) => node.nprocs,
+                    (None, None) => unreachable!("a node is its IDs or a built state"),
+                };
                 let d0 = self.bits.len();
                 let done = Bits {
                     start: d0,
-                    len: node.nprocs.div_ceil(64),
+                    len: nprocs.div_ceil(64),
                 };
                 self.bits.resize(d0 + done.len, 0);
                 let skipped = self.queue.len() - q0 - scheduled;
@@ -450,12 +501,12 @@ impl Walk<'_, '_> {
                     if !(cfg.sleep_sets && sleep.contains(&self.bits, t)) {
                         let child_sleep = if cfg.sleep_sets {
                             let built = (state.as_ref(), oracle.as_ref());
-                            self.push_child_sleep(node, built, (sleep, done), t)
+                            self.push_child_sleep(ids, built, (sleep, done), t)
                         } else {
                             Bits::EMPTY
                         };
                         let violated =
-                            self.step(node, (&mut state, oracle.as_ref()), depth, t, child_sleep);
+                            self.step(ids, (&mut state, oracle.as_ref()), depth, t, child_sleep);
                         self.bits.truncate(d0 + done.len);
                         if self.stop {
                             break;
@@ -489,33 +540,38 @@ impl Walk<'_, '_> {
         self.queue.truncate(q0);
     }
 
-    /// Step process `t` at `node` and visit each child under
+    /// Step process `t` at the node and visit each child under
     /// `child_sleep`, in outcome order; returns whether an outcome was a
     /// violation. Taken from the memo in ID space when the node has not
     /// been built and the memo holds an answer the budget covers;
-    /// otherwise the node is built (once) and stepped through
-    /// `Executor::step`.
+    /// otherwise the node is built (once) and stepped through the memo
+    /// while the walk records, through the interpreter once it is cold.
     fn step(
         &mut self,
-        node: Node,
+        ids: Option<Ids>,
         (state, oracle): (&mut Option<GlobalState>, Option<&GlobalState>),
         depth: usize,
         t: usize,
         child_sleep: Bits,
     ) -> bool {
         if state.is_none() {
+            let node = ids.expect("a node is its IDs or a built state");
             if let Some(entry) = self.hit(node, t) {
                 return self.visit_hit(node, oracle, depth, (t, entry), child_sleep);
             }
             *state = Some(self.materialize(node));
         }
         let state = state.as_ref().expect("built above");
-        self.visit_stepped(state, depth, t, child_sleep)
+        if self.cold {
+            self.visit_interpreted(state, depth, t, child_sleep)
+        } else {
+            self.visit_stepped(state, depth, t, child_sleep)
+        }
     }
 
     /// The memo entry of process `t`'s next transition at `node`, when
     /// the budget left covers its recorded executions.
-    fn hit(&self, node: Node, t: usize) -> Option<u32> {
+    fn hit(&self, node: Ids, t: usize) -> Option<u32> {
         let ids = &self.ids[node.start..node.end];
         let facts = self.memo.facts(ids[t])?;
         let object = facts.next_object.map(|o| ids[node.nprocs + o.index()]);
@@ -529,7 +585,7 @@ impl Walk<'_, '_> {
     /// and (when written) the object replaced.
     fn visit_hit(
         &mut self,
-        node: Node,
+        node: Ids,
         oracle: Option<&GlobalState>,
         depth: usize,
         (t, entry): (usize, u32),
@@ -585,7 +641,7 @@ impl Walk<'_, '_> {
                     if let (Some(o), Some(id)) = (object, wrote) {
                         self.ids[start + o] = id;
                     }
-                    let child = Node {
+                    let child = Ids {
                         start,
                         end: self.ids.len(),
                         nprocs: node.nprocs,
@@ -594,7 +650,7 @@ impl Walk<'_, '_> {
                         let got = self.materialize(child);
                         assert!(got == want, "child {j} of process {t} from its IDs");
                     }
-                    self.visit_child(child, depth, event, child_sleep);
+                    self.visit_child(Node::Ids(child), depth, event, child_sleep);
                 }
                 MemoOutcome::Violation(kind) => {
                     violated = true;
@@ -606,9 +662,9 @@ impl Walk<'_, '_> {
         violated
     }
 
-    /// [`Walk::step`] on the built `state`: through the memo when the
-    /// run has an interner (recording what it learns), through the
-    /// interpreter otherwise.
+    /// [`Walk::step`] on the built `state` while the walk records:
+    /// through the memo, recording what it learns, each child an ID
+    /// tuple.
     fn visit_stepped(
         &mut self,
         state: &GlobalState,
@@ -617,9 +673,11 @@ impl Walk<'_, '_> {
         child_sleep: Bits,
     ) -> bool {
         let (mut children, mut keys, mut events) = (Vec::new(), KeyArena::default(), Vec::new());
-        if let Some(i) = &self.interner {
-            self.memo.view(i, state);
-        }
+        let interner = self
+            .interner
+            .as_ref()
+            .expect("a recording walk has an interner");
+        self.memo.view(interner, state);
         let collect = self.exec.config().collect_traces;
         self.exec.step(
             &mut self.cx,
@@ -629,6 +687,7 @@ impl Walk<'_, '_> {
             (&mut children, &mut keys),
             collect.then_some(&mut events),
         );
+        self.watch_miss_share();
         let mut events = events.into_iter();
         let mut violated = false;
         for (
@@ -648,7 +707,7 @@ impl Walk<'_, '_> {
                 None => {
                     let child = self.push_key(keys.get(j).1);
                     let event = events.next().flatten();
-                    self.visit_child(child, depth, event, child_sleep);
+                    self.visit_child(Node::Ids(child), depth, event, child_sleep);
                 }
                 Some((kind, process)) => {
                     violated = true;
@@ -660,9 +719,51 @@ impl Walk<'_, '_> {
         violated
     }
 
-    /// Visit a pushed child one level down with its event on the trace,
-    /// then drop it.
+    /// [`Walk::step`] on the built `state` once the walk is cold: through
+    /// the interpreter, each child a built state.
+    fn visit_interpreted(
+        &mut self,
+        state: &GlobalState,
+        depth: usize,
+        t: usize,
+        child_sleep: Bits,
+    ) -> bool {
+        if self.interner.is_some() {
+            self.memo.stats.bypass_cold += 1;
+        }
+        let collect = self.exec.config().collect_traces;
+        let mut violated = false;
+        for (choices, outcome) in self.exec.successors(&mut self.cx, state, t) {
+            if self.stop || self.cx.truncated {
+                self.stop = true;
+                return violated;
+            }
+            self.path.push(Step::Taken(Decision {
+                process: t,
+                choices,
+            }));
+            match outcome {
+                SuccOutcome::State(s, ev) => {
+                    let event = ev.filter(|_| collect);
+                    self.visit_child(Node::Live(*s), depth, event, child_sleep);
+                }
+                SuccOutcome::Violation(kind, process) => {
+                    violated = true;
+                    self.record_violation(kind, process);
+                }
+            }
+            self.path.pop();
+        }
+        violated
+    }
+
+    /// Visit a child one level down with its event on the trace, then
+    /// drop it (an ID tuple's IDs with it).
     fn visit_child(&mut self, child: Node, depth: usize, event: Option<VisibleEvent>, sleep: Bits) {
+        let top = match &child {
+            Node::Ids(ids) => ids.start,
+            Node::Live(_) => self.ids.len(),
+        };
         let pushed = event.is_some();
         if let Some(ev) = event {
             self.events.push(ev);
@@ -671,7 +772,7 @@ impl Walk<'_, '_> {
         if pushed {
             self.events.pop();
         }
-        self.pop(child);
+        self.ids.truncate(top);
     }
 
     /// The debug-build oracle of a hit taken in ID space: interpret
@@ -722,19 +823,4 @@ impl Walk<'_, '_> {
         }
         states
     }
-}
-
-/// Append a compressed tuple's IDs to `out` — processes, then objects —
-/// and return the process count; `None` when the tuple is malformed.
-fn read_tuple(key: &[u8], out: &mut Vec<u32>) -> Option<usize> {
-    let mut r = ByteReader::new(key);
-    let _raw_len = r.u64()?;
-    let nprocs = usize::try_from(r.u64()?).ok()?;
-    for _ in 0..nprocs {
-        out.push(u32::try_from(r.u64()?).ok()?);
-    }
-    for _ in 0..r.u64()? {
-        out.push(u32::try_from(r.u64()?).ok()?);
-    }
-    Some(nprocs)
 }

@@ -42,11 +42,12 @@ use super::encode::{
     Encode, INTERN_MAGIC,
 };
 use super::{CowArc, GlobalState, ObjState, ProcState};
+use crate::hash::{mix64, FpBuildHasher};
 use crate::interp::EventOp;
 use crate::por::ProcFacts;
 use crate::report::{MemoStats, ViolationKind};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -104,6 +105,8 @@ pub struct ComponentCache {
     token: u64,
     procs: Vec<Option<CowArc<ProcState>>>,
     objects: Vec<Option<CowArc<ObjState>>>,
+    /// Scratch for the IDs of the tuple being materialized.
+    ids: Vec<u32>,
 }
 
 impl ComponentCache {
@@ -187,46 +190,19 @@ struct ParentView {
 /// ID of its leading visible operation's object, if any.
 pub(crate) type MemoKey = (u32, Option<u32>);
 
-/// A multiply-rotate hasher for [`MemoKey`]s: two small integers need a
-/// few cycles of mixing, not SipHash, and the stateless walk looks keys
-/// up several times per tree node.
-#[derive(Default)]
-struct IdHasher(u64);
+/// A map keyed by [`MemoKey`]s, stored under [`slot`]: a key packed into
+/// 64 bits and put through `stablehash`'s invertible mixer, so the
+/// pass-through [`FpBuildHasher`] indexes by well-mixed bits and distinct
+/// keys keep distinct slots.
+type IdMap<V> = HashMap<u64, V, FpBuildHasher>;
 
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_isize(&mut self, n: isize) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The slot of `key` in an [`IdMap`]. Interner IDs stay below `u32::MAX`
+/// ([`ComponentInterner::intern`]), so `object + 1` fits in the low half
+/// and the packing is injective; so is the mixer.
+#[inline]
+fn slot((proc, object): MemoKey) -> u64 {
+    mix64(u64::from(proc) << 32 | object.map_or(0, |o| u64::from(o) + 1))
 }
-
-type IdMap<V> = HashMap<MemoKey, V, BuildHasherDefault<IdHasher>>;
 
 /// A search's memo of `Executor::successors`, keyed on interner IDs
 /// (DESIGN §15).
@@ -336,7 +312,7 @@ impl TransitionMemo {
     /// The index of the entry recorded under `key`, if any.
     #[inline]
     pub(crate) fn find(&self, key: MemoKey) -> Option<u32> {
-        self.index.get(&key).copied()
+        self.index.get(&slot(key)).copied()
     }
 
     /// The entry at an index [`TransitionMemo::find`] returned.
@@ -353,7 +329,7 @@ impl TransitionMemo {
     /// Record a completed enumeration.
     pub(crate) fn record(&mut self, key: MemoKey, entry: MemoEntry) {
         let next = u32::try_from(self.entries.len()).expect("fewer than 2^32 memo entries");
-        let index = *self.index.entry(key).or_insert(next);
+        let index = *self.index.entry(slot(key)).or_insert(next);
         if index == next {
             self.entries.push(entry);
         } else {
@@ -380,12 +356,12 @@ impl TransitionMemo {
     /// enabled, if recorded.
     #[inline]
     pub(crate) fn enabled(&self, key: MemoKey) -> Option<bool> {
-        self.enabled.get(&key).copied()
+        self.enabled.get(&slot(key)).copied()
     }
 
     /// Record the enabledness of the process under memo key `key`.
     pub(crate) fn record_enabled(&mut self, key: MemoKey, enabled: bool) {
-        self.enabled.insert(key, enabled);
+        self.enabled.insert(slot(key), enabled);
     }
 
     /// Number of components of the viewed state.
@@ -548,7 +524,12 @@ impl ComponentInterner {
         let id = {
             // Stripe lock → table lock is the fixed acquisition order.
             let mut table = self.table.write().unwrap();
-            let id = u32::try_from(table.len()).expect("more than 2^32 distinct components");
+            // `u32::MAX` is never assigned, which keeps a memo key
+            // packable into 64 bits (`slot`).
+            let id = u32::try_from(table.len())
+                .ok()
+                .filter(|&id| id != u32::MAX)
+                .expect("fewer than 2^32 - 1 distinct components");
             table.push(Arc::clone(&entry));
             id
         };
@@ -591,26 +572,17 @@ impl ComponentInterner {
     /// interner is emptied first. `None` when the tuple is malformed or
     /// references an unknown ID.
     pub fn materialize(&self, cache: &mut ComponentCache, tuple: &[u8]) -> Option<GlobalState> {
-        cache.adopt(self.token);
-        let mut r = ByteReader::new(tuple);
-        let _raw_len = r.u64()?;
-        // Every ID takes at least one byte, which bounds both counts
-        // before anything is allocated for them.
-        let np = usize::try_from(r.u64()?).ok()?;
-        let mut procs = Vec::with_capacity(np.min(r.remaining()));
-        for _ in 0..np {
-            procs.push(self.component(&mut cache.procs, r.u64()?, decode_proc_state)?);
-        }
-        let no = usize::try_from(r.u64()?).ok()?;
-        let mut objects = Vec::with_capacity(no.min(r.remaining()));
-        for _ in 0..no {
-            objects.push(self.component(&mut cache.objects, r.u64()?, decode_obj_state)?);
-        }
-        (r.remaining() == 0).then_some(GlobalState { procs, objects })
+        let mut ids = std::mem::take(&mut cache.ids);
+        ids.clear();
+        let state =
+            read_tuple(tuple, &mut ids).and_then(|np| self.materialize_ids(cache, np, &ids));
+        cache.ids = ids;
+        state
     }
 
     /// [`ComponentInterner::materialize`] from the tuple's IDs already
-    /// decoded: `ids` holds `nprocs` process IDs, then the object IDs.
+    /// read ([`read_tuple`]): `ids` holds `nprocs` process IDs, then the
+    /// object IDs.
     pub(crate) fn materialize_ids(
         &self,
         cache: &mut ComponentCache,
@@ -618,17 +590,15 @@ impl ComponentInterner {
         ids: &[u32],
     ) -> Option<GlobalState> {
         cache.adopt(self.token);
-        let (procs, objects) = ids.split_at(nprocs);
-        Some(GlobalState {
-            procs: procs
-                .iter()
-                .map(|&id| self.component(&mut cache.procs, id.into(), decode_proc_state))
-                .collect::<Option<_>>()?,
-            objects: objects
-                .iter()
-                .map(|&id| self.component(&mut cache.objects, id.into(), decode_obj_state))
-                .collect::<Option<_>>()?,
-        })
+        let mut procs = Vec::with_capacity(nprocs);
+        for &id in &ids[..nprocs] {
+            procs.push(self.component(&mut cache.procs, id, decode_proc_state)?);
+        }
+        let mut objects = Vec::with_capacity(ids.len() - nprocs);
+        for &id in &ids[nprocs..] {
+            objects.push(self.component(&mut cache.objects, id, decode_obj_state)?);
+        }
+        Some(GlobalState { procs, objects })
     }
 
     /// The cached handle of component `id`, decoding and publishing it
@@ -636,10 +606,9 @@ impl ComponentInterner {
     fn component<T: Encode + Clone>(
         &self,
         slots: &mut Vec<Option<CowArc<T>>>,
-        id: u64,
+        id: u32,
         decode: fn(&[u8]) -> Option<T>,
     ) -> Option<CowArc<T>> {
-        let id = u32::try_from(id).ok()?;
         if let Some(Some(hit)) = slots.get(id as usize) {
             return Some(hit.clone());
         }
@@ -747,6 +716,24 @@ impl ComponentInterner {
         cur.bytes = byte_len;
         Ok(())
     }
+}
+
+/// Append a compressed tuple's IDs to `out` — its processes', then its
+/// objects' — and return the process count: the one reader of the tuple
+/// format [`GlobalState::fingerprint_and_intern`] writes. `None` when the
+/// tuple is malformed (an ID past `u32`, a short or overlong tuple), with
+/// `out` then holding whatever was read.
+pub(crate) fn read_tuple(tuple: &[u8], out: &mut Vec<u32>) -> Option<usize> {
+    let mut r = ByteReader::new(tuple);
+    let _raw_len = r.u64()?;
+    let nprocs = usize::try_from(r.u64()?).ok()?;
+    for _ in 0..nprocs {
+        out.push(u32::try_from(r.u64()?).ok()?);
+    }
+    for _ in 0..r.u64()? {
+        out.push(u32::try_from(r.u64()?).ok()?);
+    }
+    (r.remaining() == 0).then_some(nprocs)
 }
 
 /// The raw (uncompressed) encoded length a compressed tuple stands

@@ -536,12 +536,13 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         if memo.lookups() > 0 {
             println!(
                 "stats: transition memo: {} hit(s), {} miss(es), {} bypassed \
-                 (spawn {}, budget {})",
+                 (spawn {}, budget {}, cold {})",
                 memo.hits,
                 memo.misses,
-                memo.bypass_spawn + memo.bypass_budget,
+                memo.bypassed(),
                 memo.bypass_spawn,
-                memo.bypass_budget
+                memo.bypass_budget,
+                memo.bypass_cold
             );
         }
     }

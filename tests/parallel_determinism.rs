@@ -392,7 +392,39 @@ fn stateless_compression_modes_produce_byte_identical_reports() {
             if label == "traces" && !on.truncated {
                 assert!(!on.traces.is_empty(), "{tag}: traces were collected");
             }
+            assert_eq!(on.memo.bypass_cold, 0, "{tag}: the corpus repeats");
         }
+    }
+}
+
+#[test]
+fn the_stateless_walk_turns_cold_where_the_tree_does_not_repeat() {
+    // `acc` folds every toss into `h`, so each node below the root holds
+    // a component no other node has and every lookup misses. The walk
+    // must stop recording once its first window is all misses and
+    // interpret the rest, ID-tuple ancestors above built-state
+    // descendants, and still print what the interpreter prints.
+    let prog = compile(
+        "chan c[1]; \
+         proc acc() { int h = 0; int i = 0; \
+           while (i < 9) { int v = VS_toss(2); h = h * 3 + v; send(c, h); int x = recv(c); i = i + 1; } } \
+         process acc();",
+    )
+    .unwrap();
+    for (label, config) in stateless_matrix() {
+        let tag = format!("stateless {label}");
+        let config = Config {
+            max_transitions: 30_000,
+            ..config
+        };
+        let on = assert_compression_invisible(&tag, &prog, &config);
+        assert!(on.memo.bypass_cold > 0, "{tag}: {:?}", on.memo);
+        assert_eq!(
+            (on.memo.hits, on.memo.misses),
+            (0, 1 << 12),
+            "{tag}: {:?}",
+            on.memo
+        );
     }
 }
 
