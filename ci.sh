@@ -4,7 +4,61 @@
 # Everything here runs with zero registry access — the workspace has no
 # external crate dependencies (see DESIGN.md §9), so `--offline` is a
 # guarantee being enforced, not a limitation being worked around.
+#
+# `./ci.sh --mutants` runs only the oracle's own check, which the default
+# run leaves out: each tests/mutants/*.patch puts back one bug that a
+# past fix removed, and its `Caught-by:` header lines name the tests that
+# must fail with it applied. The mode copies the tree to a scratch
+# directory, checks that the named tests pass there, then applies each
+# patch in turn and runs them in release (so that the differential
+# oracle, not a debug assertion, is what catches the mutant). It fails
+# when a patch no longer applies, a mutant does not build, or a mutant
+# survives a test that names it.
 set -eu
+
+if [ "${1:-}" = "--mutants" ]; then
+    echo "== mutants: every tests/mutants/*.patch must be caught =="
+    MUT=$(mktemp -d)
+    trap 'rm -rf "$MUT"' EXIT
+    mkdir "$MUT/tree"
+    git ls-files -z -co --exclude-standard \
+        | tar --null --ignore-failed-read -T - -cf - 2>/dev/null \
+        | tar -xf - -C "$MUT/tree"
+    export CARGO_TARGET_DIR="$MUT/target"
+    in_tree() { (cd "$MUT/tree" && "$@") > "$MUT/log" 2>&1; }
+    sed -n 's/^Caught-by: //p' tests/mutants/*.patch | sort -u > "$MUT/tests"
+    while read -r args; do
+        # shellcheck disable=SC2086 # the header's words are cargo arguments
+        in_tree cargo test -q --release --offline $args \
+            || { cat "$MUT/log"; echo "mutants: \`$args\` fails without a mutant"; exit 1; }
+    done < "$MUT/tests"
+    fail=0
+    for p in tests/mutants/*.patch; do
+        name=$(basename "$p" .patch)
+        if ! git -C "$MUT/tree" apply "$PWD/$p"; then
+            echo "  $name: no longer applies"
+            fail=1
+            continue
+        fi
+        sed -n 's/^Caught-by: //p' "$p" > "$MUT/tests"
+        while read -r args; do
+            # shellcheck disable=SC2086 # the header's words are cargo arguments
+            if ! in_tree cargo test -q --release --offline --no-run $args; then
+                echo "  $name: does not build"
+                fail=1
+            elif in_tree cargo test -q --release --offline $args; then
+                echo "  $name: SURVIVES cargo test --release $args"
+                fail=1
+            else
+                echo "  $name: caught by $args"
+            fi
+        done < "$MUT/tests"
+        git -C "$MUT/tree" apply -R "$PWD/$p"
+    done
+    [ "$fail" -eq 0 ] || { echo "mutants: see above"; exit 1; }
+    echo "mutants: all caught"
+    exit 0
+fi
 
 echo "== fmt =="
 cargo fmt --all --check
@@ -112,17 +166,22 @@ fi
 
 echo "== fuzz smoke: 300-seed differential sweep =="
 # The adversarial corpus engine: generate open programs over a fixed
-# seed range, close each one, and cross-check every engine, with the
-# frontier engine at POR on/off x jobs {1,2,8} x store mode, against
+# seed range, close and refine each one, and run it through the fuzz
+# slice of the differential oracle (switchsim::oracle, docs/FUZZING.md):
+# every engine, the frontier at POR on/off x jobs x store mode, against
 # the full-interleaving baseline. Deterministic
 # (fixed seeds, no time-derived input); exits nonzero on any
 # divergence, panic, or generator-produced compile failure. The
 # wall-clock budget only bounds a pathological machine — the sweep
-# normally finishes in seconds.
+# normally finishes in seconds. The exploration count is exact — 13
+# legs for each of the 300 programs, one more for each of the 2 that
+# refinement changes — so a leg dropped from the table fails here.
 "$BIN" fuzz --seeds 300 --budget 120 > "$SMOKE/fuzz.txt" 2>&1 \
     || { echo "fuzz smoke: divergence or panic"; cat "$SMOKE/fuzz.txt"; exit 1; }
 grep -q "no divergences" "$SMOKE/fuzz.txt" \
     || { echo "fuzz smoke: summary does not report a clean run"; cat "$SMOKE/fuzz.txt"; exit 1; }
+grep -q "^explore runs: 3902," "$SMOKE/fuzz.txt" \
+    || { echo "fuzz smoke: expected 3902 explorations"; cat "$SMOKE/fuzz.txt"; exit 1; }
 sed 's/^/  /' "$SMOKE/fuzz.txt"
 
 echo "== POR smoke: differential verdict oracle on two corpus programs =="

@@ -14,7 +14,8 @@
 use reclose_bench::harness::{Criterion, Throughput};
 use reclose_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use switchsim::corpus::{self, FuzzOptions, OracleLimits};
+use switchsim::corpus::{self, FuzzOptions};
+use switchsim::oracle::OracleLimits;
 
 const SEEDS: u64 = 48;
 

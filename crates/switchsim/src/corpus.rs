@@ -5,19 +5,21 @@
 //! scaling experiments, this module generates programs of controlled
 //! *shape diversity* — arrays (constant and environment-tainted
 //! indices), internal channels with `send`/`recv`/`chan_len`, dynamic
-//! `spawn`, external event channels, and environment inputs — then runs
-//! each one through the full oracle matrix:
+//! `spawn`, external event channels, and environment inputs — then
+//! [`close_and_check`] runs each one through the [`FUZZ`] slice of the
+//! differential oracle ([`crate::oracle`]):
 //!
-//! 1. **close** the open program via [`closer::Pipeline`];
-//! 2. **explore** the closed program with every engine — sequential
-//!    DFS and stateless (tree) search, and the breadth-first frontier
-//!    search crossed with POR on/off, `jobs` ∈ {1, 2, 8}, and the
-//!    `--no-compress` / scalar-commit reference paths (the DFS and the
-//!    stateless walk also run `--no-compress`, their memo oracles);
-//! 3. **compare**: the frontier engine's reports must be
-//!    *byte-identical* across jobs and storage modes, and the *verdict
-//!    set* — distinct `(kind, process)` pairs — must agree across
-//!    engines and reduction modes.
+//! 1. **close** the open program via [`closer::Pipeline`], and refine
+//!    it with `closer::refine_cex`;
+//! 2. **explore** it under the slice's legs — the frontier search with
+//!    POR on and off across `jobs`, `--no-compress` and the scalar
+//!    commit path, the sequential DFS and the stateless walk each with
+//!    its `--no-compress` twin, and the refined program where
+//!    refinement changed it;
+//! 3. **compare** each leg with the leg the table names: byte for byte
+//!    where the report is a determinism contract, on the distinct
+//!    `(kind, process)` verdicts across engines and reduction modes,
+//!    on the violation kinds across refinement.
 //!
 //! Any disagreement or panic is a [`Divergence`]; [`minimize`] shrinks
 //! the generating [`ProgSpec`] against the same oracle until no single
@@ -27,13 +29,12 @@
 //! Everything is seeded ([`crate::rng::SplitMix64`]): the same seed
 //! range reproduces the same corpus, byte for byte, on every platform.
 
+use crate::oracle::{cross_check, CheckOutcome, OracleLimits, FUZZ};
 use crate::progen::Dedupe;
 use crate::rng::SplitMix64;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use verisoft::{explore, Config, Engine, Report};
 
 // ---------------------------------------------------------------------
 // Program specifications
@@ -539,202 +540,11 @@ pub fn generate(seed: u64) -> String {
     render(&gen_spec(seed))
 }
 
-// ---------------------------------------------------------------------
-// The differential oracle
-// ---------------------------------------------------------------------
-
-/// Exploration bounds for the oracle runs.
-#[derive(Debug, Clone, Copy)]
-pub struct OracleLimits {
-    /// Depth cap for every run.
-    pub max_depth: usize,
-    /// Transition cap for the stateful/frontier runs.
-    pub max_transitions: usize,
-    /// Transition cap for the (tree-shaped) stateless run.
-    pub stateless_max_transitions: usize,
-    /// Skip the stateless search when the baseline state count exceeds
-    /// this (its tree blows up combinatorially on concurrent programs).
-    pub stateless_state_cap: usize,
-}
-
-impl Default for OracleLimits {
-    fn default() -> Self {
-        OracleLimits {
-            max_depth: 600,
-            max_transitions: 400_000,
-            stateless_max_transitions: 2_000_000,
-            stateless_state_cap: 1200,
-        }
-    }
-}
-
-fn base_config(limits: &OracleLimits, engine: Engine, por: bool, jobs: usize) -> Config {
-    Config {
-        engine,
-        por,
-        sleep_sets: por,
-        jobs,
-        max_depth: limits.max_depth,
-        max_transitions: limits.max_transitions,
-        max_violations: usize::MAX,
-        ..Config::default()
-    }
-}
-
-/// The cross-engine observable: distinct `(kind, process)` verdicts.
-pub fn verdicts(r: &Report) -> BTreeSet<(String, Option<usize>)> {
-    r.violations
-        .iter()
-        .map(|v| (v.kind.to_string(), v.process))
-        .collect()
-}
-
-/// The outcome of one program's trip through the oracle matrix.
-#[derive(Debug, Clone)]
-pub enum CheckOutcome {
-    /// Every engine agreed.
-    Agreement {
-        /// The agreed verdict set.
-        verdicts: BTreeSet<(String, Option<usize>)>,
-        /// Exploration runs performed.
-        runs: usize,
-        /// The stateless search was skipped (state count over the cap or
-        /// its tree search truncated).
-        stateless_skipped: bool,
-    },
-    /// The baseline itself truncated: state space too large to judge.
-    TooBig,
-}
-
-/// Run the full differential matrix over one **closed** program.
-///
-/// `Err(detail)` is a divergence: two configurations that must agree
-/// did not. The detail names both configurations and embeds both
-/// reports.
-pub fn cross_check(
-    prog: &cfgir::CfgProgram,
-    limits: &OracleLimits,
-) -> Result<CheckOutcome, String> {
-    let mut runs = 0usize;
-    let mut go = |engine: Engine, por: bool, jobs: usize, nc: bool, scalar: bool| -> Report {
-        runs += 1;
-        let mut c = base_config(limits, engine, por, jobs);
-        c.no_compress = nc;
-        c.scalar_commit = scalar;
-        explore(prog, &c)
-    };
-
-    let baseline = go(Engine::StatefulParallel, false, 1, false, false);
-    if baseline.truncated {
-        return Ok(CheckOutcome::TooBig);
-    }
-    let want = verdicts(&baseline);
-    let base_str = baseline.to_string();
-
-    let check_verdicts = |label: &str, r: &Report| -> Result<(), String> {
-        if r.truncated {
-            return Err(format!(
-                "{label}: truncated while the baseline completed\n{label}: {r}\nbaseline: {baseline}"
-            ));
-        }
-        let got = verdicts(r);
-        if got != want {
-            return Err(format!(
-                "{label}: verdict set differs from baseline\n{label}: {r}\nbaseline: {baseline}"
-            ));
-        }
-        Ok(())
-    };
-
-    // Sequential DFS family: verdict-set equality (traversal order — and
-    // therefore the report text — legitimately differs).
-    let dfs = go(Engine::Stateful, false, 1, false, false);
-    check_verdicts("stateful dfs", &dfs)?;
-    let dfs_por = go(Engine::Stateful, true, 1, false, false);
-    check_verdicts("stateful dfs +por", &dfs_por)?;
-    // The DFS's memo oracle: `--no-compress` interprets every transition
-    // on the same traversal, so the report text must not change.
-    let nc = go(Engine::Stateful, true, 1, true, false).to_string();
-    if nc != dfs_por.to_string() {
-        return Err(format!(
-            "stateful dfs +por --no-compress: report not byte-identical to stateful dfs +por\n\
-             got: {nc}\nwant: {dfs_por}"
-        ));
-    }
-
-    // Frontier family, POR off: byte-identical to the jobs=1 baseline
-    // for every worker count and storage mode.
-    for (label, jobs, nc, scalar) in [
-        ("frontier jobs=2", 2, false, false),
-        ("frontier jobs=8", 8, false, false),
-        ("frontier jobs=1 --no-compress", 1, true, false),
-        ("frontier jobs=2 --no-compress", 2, true, false),
-        ("frontier jobs=2 scalar commit", 2, false, true),
-    ] {
-        let r = go(Engine::StatefulParallel, false, jobs, nc, scalar);
-        let s = r.to_string();
-        if s != base_str {
-            return Err(format!(
-                "{label}: report not byte-identical to frontier jobs=1\n\
-                 {label}: {s}\nfrontier jobs=1: {base_str}"
-            ));
-        }
-    }
-
-    // Frontier family, POR on: byte-identical across jobs, verdict-equal
-    // to the exhaustive baseline.
-    let por = go(Engine::StatefulParallel, true, 1, false, false);
-    check_verdicts("frontier +por", &por)?;
-    let base_por_str = por.to_string();
-    for jobs in [2usize, 8] {
-        let r = go(Engine::StatefulParallel, true, jobs, false, false);
-        let s = r.to_string();
-        if s != base_por_str {
-            return Err(format!(
-                "frontier +por jobs={jobs}: report not byte-identical to jobs=1\n\
-                 got: {s}\nwant: {base_por_str}"
-            ));
-        }
-    }
-
-    // The stateless search: its tree can be exponentially larger than
-    // the state graph, so it runs under its own caps and is skipped
-    // (never failed) when it cannot finish.
-    let mut stateless_skipped = baseline.states > limits.stateless_state_cap;
-    if !stateless_skipped {
-        let mut sl_cfg = base_config(limits, Engine::Stateless, true, 1);
-        sl_cfg.max_transitions = limits.stateless_max_transitions;
-        runs += 1;
-        let sl = explore(prog, &sl_cfg);
-        if sl.truncated {
-            stateless_skipped = true;
-        } else {
-            check_verdicts("stateless +sleep", &sl)?;
-            // The stateless walk's memo oracle: `--no-compress` builds
-            // every node and interprets every transition on the same
-            // tree, so the report text must not change.
-            sl_cfg.no_compress = true;
-            runs += 1;
-            let nc = explore(prog, &sl_cfg).to_string();
-            if nc != sl.to_string() {
-                return Err(format!(
-                    "stateless +sleep --no-compress: report not byte-identical to stateless +sleep\n\
-                     got: {nc}\nwant: {sl}"
-                ));
-            }
-        }
-    }
-
-    Ok(CheckOutcome::Agreement {
-        verdicts: want,
-        runs,
-        stateless_skipped,
-    })
-}
-
-/// Close `src` and run [`cross_check`], folding compile/close failures
-/// and engine panics into the divergence report. This is the per-seed
-/// oracle and also the minimizer's default interestingness test.
+/// Close `src`, refine it with `closer::refine_cex`, and run the
+/// [`FUZZ`](crate::oracle::FUZZ) slice of the oracle over both, folding
+/// compile/close failures and engine panics into the divergence report.
+/// This is the per-seed oracle and also the minimizer's default
+/// interestingness test.
 pub fn close_and_check(src: &str, limits: &OracleLimits) -> Result<CheckOutcome, String> {
     let src_owned = src.to_string();
     let limits = *limits;
@@ -745,37 +555,14 @@ pub fn close_and_check(src: &str, limits: &OracleLimits) -> Result<CheckOutcome,
         if !run.closed.program.is_closed() {
             return Err("closing left an open interface".to_string());
         }
-        let out = cross_check(&run.closed.program, &limits)?;
-        // Refinement leg: counterexample-guided toss refinement must be
-        // invisible to the oracle — same violation-kind set (its
-        // documented contract; traversal, schedules, and per-process
-        // attribution legitimately differ when outcomes are pruned).
-        if let CheckOutcome::Agreement { verdicts: want, .. } = &out {
-            let opts = closer::CexOptions {
-                max_depth: limits.max_depth,
-                max_transitions: limits.max_transitions,
-                ..closer::CexOptions::default()
-            };
-            let (refined, _) = closer::refine_cex(&run.program, &run.closed, &opts);
-            let r = explore(
-                &refined,
-                &base_config(&limits, Engine::StatefulParallel, false, 1),
-            );
-            if r.truncated {
-                return Err(format!(
-                    "refined close: truncated while the unrefined baseline completed\n{r}"
-                ));
-            }
-            let got: BTreeSet<String> = verdicts(&r).into_iter().map(|(k, _)| k).collect();
-            let want_kinds: BTreeSet<String> = want.iter().map(|(k, _)| k.clone()).collect();
-            if got != want_kinds {
-                return Err(format!(
-                    "refined close: verdict kinds differ from the unrefined oracle\n\
-                     refined: {got:?}\nunrefined: {want_kinds:?}\n{r}"
-                ));
-            }
-        }
-        Ok(out)
+        let opts = closer::CexOptions {
+            max_depth: limits.max_depth,
+            max_transitions: limits.max_transitions,
+            ..closer::CexOptions::default()
+        };
+        let (refined, _) = closer::refine_cex(&run.program, &run.closed, &opts);
+        let refined = (refined != run.closed.program).then_some(&refined);
+        cross_check(&run.closed.program, refined, &limits, FUZZ)
     }));
     match result {
         Ok(r) => r,
@@ -1038,7 +825,7 @@ pub struct FuzzSummary {
     pub compile_failures: usize,
     /// Programs successfully closed.
     pub closed: usize,
-    /// Programs that completed the full oracle matrix.
+    /// Programs that completed the fuzz slice of the oracle.
     pub checked: usize,
     /// Programs skipped because the baseline exploration truncated.
     pub too_big: usize,
@@ -1142,15 +929,11 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzSummary {
         }
 
         match close_and_check(&src, &opts.limits) {
-            Ok(CheckOutcome::Agreement {
-                runs,
-                stateless_skipped,
-                ..
-            }) => {
+            Ok(CheckOutcome::Agreement(runs)) => {
                 summary.closed += 1;
                 summary.checked += 1;
-                summary.explore_runs += runs;
-                if stateless_skipped {
+                summary.explore_runs += runs.legs.len();
+                if runs.stateless_skipped {
                     summary.stateless_skipped += 1;
                 }
             }
@@ -1313,17 +1096,26 @@ mod tests {
     }
 
     #[test]
-    fn oracle_agrees_on_a_seed_sample() {
+    fn fuzz_sweep_agrees_and_accounts_for_every_seed() {
         // A slice of the real matrix as a unit test; ci.sh runs the
-        // larger deterministic sweep through `reclose fuzz`.
+        // larger deterministic sweep through `reclose fuzz`. Every seed
+        // is generated or a compile failure, and every generated program
+        // is checked, too big or a content-hash duplicate.
         let opts = FuzzOptions {
-            seeds: 12,
+            seeds: 150,
+            minimize: false,
             ..FuzzOptions::default()
         };
         let summary = fuzz(&opts);
-        assert!(summary.ok(), "{summary:#?}");
-        assert!(summary.checked > 0, "{summary}");
-        assert_eq!(summary.compile_failures, 0, "{summary}");
+        assert!(summary.ok() && summary.checked > 0, "{summary:#?}");
+        assert_eq!(
+            summary.generated + summary.compile_failures,
+            summary.seeds_run as usize
+        );
+        assert_eq!(
+            summary.checked + summary.too_big + summary.duplicates,
+            summary.generated
+        );
     }
 
     #[test]
@@ -1336,29 +1128,5 @@ mod tests {
         let summary = fuzz(&opts);
         assert!(summary.seeds_run < u64::MAX);
         assert!(summary.elapsed >= Duration::from_millis(300));
-    }
-
-    #[test]
-    fn fuzz_dedupes_identical_programs() {
-        // Re-running the same seed range twice through one Dedupe-backed
-        // engine would skip everything; here we check the counter is
-        // wired by fuzzing a range wide enough to contain collisions of
-        // the *small* specs (empty-bodied mains collide readily).
-        let opts = FuzzOptions {
-            seeds: 150,
-            minimize: false,
-            ..FuzzOptions::default()
-        };
-        let summary = fuzz(&opts);
-        assert_eq!(
-            summary.generated + summary.compile_failures,
-            summary.seeds_run as usize
-        );
-        // generated counts all compiled programs; checked+too_big only
-        // the deduped survivors.
-        assert_eq!(
-            summary.checked + summary.too_big + summary.duplicates,
-            summary.generated
-        );
     }
 }

@@ -41,6 +41,7 @@
 use std::fmt::Write as _;
 
 pub mod corpus;
+pub mod oracle;
 pub mod progen;
 pub mod rng;
 

@@ -165,9 +165,10 @@ pub struct Config {
     /// commit path — per-successor store admission inside the workers
     /// and per-child `seal_if_winner` in the ordered commit, no
     /// batching. The batched path is result-equivalent by construction
-    /// (see [`stateful`]); the differential tests and the fuzz matrix
-    /// set this field to check that claim, and nothing else selects it
-    /// (no CLI flag, no environment variable). Excluded from the
+    /// (see [`stateful`]); the `scalar` legs of the differential oracle
+    /// (`switchsim::oracle`, which `reclose fuzz` and the differential
+    /// tests run) set this field to check that claim, and nothing else
+    /// selects it (no CLI flag, no environment variable). Excluded from the
     /// checkpoint config digest — it cannot change any result.
     pub scalar_commit: bool,
 }

@@ -697,7 +697,7 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
         seeds: num("--seeds")?.unwrap_or(200),
         budget: num("--budget")?.map(std::time::Duration::from_secs),
         minimize: !args.iter().any(|a| a == "--no-minimize"),
-        limits: switchsim::corpus::OracleLimits::default(),
+        limits: switchsim::oracle::OracleLimits::default(),
     };
     let summary = switchsim::corpus::fuzz(&opts);
     println!("{summary}");

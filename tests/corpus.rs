@@ -1,59 +1,25 @@
 //! Run the full pipeline over every sample program in `corpus/`.
 
 use reclose::prelude::*;
+use switchsim::oracle::{read_corpus, verdicts, CheckOutcome, OracleLimits};
 use verisoft::ViolationKind;
-
-fn corpus_files() -> Vec<(String, String)> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("corpus dir exists") {
-        let path = entry.unwrap().path();
-        if path.extension().map(|e| e == "mc").unwrap_or(false) {
-            out.push((
-                path.file_name().unwrap().to_string_lossy().into_owned(),
-                std::fs::read_to_string(&path).unwrap(),
-            ));
-        }
-    }
-    out.sort();
-    assert!(out.len() >= 6, "corpus populated");
-    out
-}
-
-/// `corpus/regressions/` holds pinned reproducers for divergences found
-/// by `reclose fuzz` (deliberately *not* picked up by [`corpus_files`]:
-/// unlike the main corpus these programs are allowed to contain failing
-/// assertions — what they pin is cross-engine agreement, not cleanness).
-fn regression_files() -> Vec<(String, String)> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("corpus")
-        .join("regressions");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("regressions dir exists") {
-        let path = entry.unwrap().path();
-        if path.extension().map(|e| e == "mc").unwrap_or(false) {
-            out.push((
-                path.file_name().unwrap().to_string_lossy().into_owned(),
-                std::fs::read_to_string(&path).unwrap(),
-            ));
-        }
-    }
-    out.sort();
-    assert!(out.len() >= 4, "regressions populated");
-    out
-}
 
 #[test]
 fn corpus_regressions_agree_across_the_oracle_matrix() {
-    use switchsim::corpus::{close_and_check, CheckOutcome, OracleLimits};
-    let limits = OracleLimits::default();
-    for (name, src) in regression_files() {
-        match close_and_check(&src, &limits) {
-            Ok(CheckOutcome::Agreement { verdicts, .. }) => {
+    // `corpus/regressions/` holds pinned reproducers for divergences
+    // found by `reclose fuzz`. Unlike the main corpus these programs may
+    // contain failing assertions: what they pin is cross-engine
+    // agreement, not cleanness.
+    let regressions = read_corpus("corpus/regressions");
+    assert!(regressions.len() >= 4, "regressions populated");
+    for (name, src) in regressions {
+        match switchsim::corpus::close_and_check(&src, &OracleLimits::default()) {
+            Ok(CheckOutcome::Agreement(runs)) => {
                 // The twin reproducers pin the POR violation-masking
                 // fix: the buggy schedulers reported only one of the
                 // two simultaneous per-process verdicts.
                 if name.contains("twin") {
+                    let verdicts = verdicts(&runs.legs[0].1);
                     assert!(
                         verdicts.len() >= 2,
                         "{name}: expected both per-process verdicts, got {verdicts:?}"
@@ -68,7 +34,7 @@ fn corpus_regressions_agree_across_the_oracle_matrix() {
 
 #[test]
 fn corpus_compiles_and_closes() {
-    for (name, src) in corpus_files() {
+    for (name, src) in read_corpus("corpus") {
         let open = compile(&src).unwrap_or_else(|d| panic!("{name}: {d}"));
         cfgir::validate(&open).unwrap_or_else(|e| panic!("{name}: {e}"));
         let closed = closer::close(&open, &dataflow::analyze(&open));
@@ -82,7 +48,7 @@ fn corpus_closed_explorations_are_wholesome() {
     // No runtime errors, divergences, or deadlocks in any closed corpus
     // program (assertion violations may legitimately appear as
     // over-approximations, checked against ground truth below).
-    for (name, src) in corpus_files() {
+    for (name, src) in read_corpus("corpus") {
         let open = compile(&src).unwrap();
         let closed = closer::close(&open, &dataflow::analyze(&open));
         let r = explore(
@@ -111,7 +77,7 @@ fn corpus_closed_explorations_are_wholesome() {
 
 #[test]
 fn corpus_ground_truth_verdicts_preserved() {
-    for (name, src) in corpus_files() {
+    for (name, src) in read_corpus("corpus") {
         let open = compile(&src).unwrap();
         let ground = explore(
             &open,

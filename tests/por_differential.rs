@@ -8,96 +8,39 @@
 //! different representatives of each Mazurkiewicz trace), and so may the
 //! *number* of duplicate reports of one underlying defect — so the
 //! oracle compares the set of distinct `(kind, process)` verdicts, plus
-//! the clean/violating judgment itself.
+//! the clean/violating judgment itself: the `POR` slice of
+//! `switchsim::oracle`, whose legs also hold each engine jobs-invariant.
 //!
-//! Three layers: the hand-written corpus, a randomized sweep over
-//! generated closed programs (fixed seeds — failures print the seed and
-//! the full source), and the cyclic ring program whose violation would
-//! be missed without the ignoring proviso.
+//! Three layers: the hand-written corpus, randomized sweeps over
+//! generated programs (fixed seeds — failures print the seed and the
+//! full source), and the cyclic ring program whose violation would be
+//! missed without the ignoring proviso.
 
 use reclose::prelude::*;
-use std::collections::BTreeSet;
+use switchsim::oracle::{assert_agrees, read_closed_corpus, OracleLimits, Runs, POR, VERDICTS};
 use switchsim::progen;
 
-/// The POR-invariant observable: the set of distinct violation verdicts.
-/// `Display` on `ViolationKind` folds runtime-error detail in.
-fn verdicts(r: &Report) -> BTreeSet<(String, Option<usize>)> {
-    r.violations
-        .iter()
-        .map(|v| (v.kind.to_string(), v.process))
-        .collect()
-}
-
-fn config(engine: Engine, por: bool, jobs: usize) -> Config {
-    Config {
-        engine,
-        por,
-        sleep_sets: por,
-        jobs,
+/// `prog` through `slice`. The `POR` slice is both stateful engines, POR
+/// on vs off, and the frontier across worker counts with and without
+/// reduction.
+fn agree(name: &str, prog: &cfgir::CfgProgram, slice: u16) -> Runs {
+    let limits = OracleLimits {
         max_depth: 300,
         max_transitions: 2_000_000,
-        max_violations: usize::MAX,
-        ..Config::default()
-    }
-}
-
-/// Both stateful engines, POR on vs off, across worker counts: same
-/// verdict set, and neither run truncated (a cap would mask a miss).
-fn assert_por_preserves_verdicts(name: &str, prog: &cfgir::CfgProgram) {
-    for engine in [Engine::Stateful, Engine::StatefulParallel] {
-        let full = explore(prog, &config(engine, false, 1));
-        assert!(!full.truncated, "{name}: {engine:?} exhaustive truncated");
-        let want = verdicts(&full);
-        let jobs_sweep: &[usize] = if engine == Engine::StatefulParallel {
-            &[1, 2, 8]
-        } else {
-            &[1] // the sequential DFS ignores `jobs`
-        };
-        for &jobs in jobs_sweep {
-            let reduced = explore(prog, &config(engine, true, jobs));
-            assert!(
-                !reduced.truncated,
-                "{name}: {engine:?} jobs={jobs} reduced truncated"
-            );
-            assert_eq!(
-                verdicts(&reduced),
-                want,
-                "{name}: {engine:?} jobs={jobs}: POR changed the verdicts\n\
-                 reduced: {reduced}\nexhaustive: {full}"
-            );
-            assert_eq!(
-                reduced.clean(),
-                full.clean(),
-                "{name}: {engine:?} jobs={jobs}: POR changed the clean judgment"
-            );
-        }
-    }
-}
-
-fn corpus_programs() -> Vec<(String, cfgir::CfgProgram)> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("corpus dir exists") {
-        let path = entry.unwrap().path();
-        if path.extension().map(|e| e == "mc").unwrap_or(false) {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let src = std::fs::read_to_string(&path).unwrap();
-            let open = compile(&src).unwrap_or_else(|d| panic!("{name}: {d}"));
-            out.push((
-                name,
-                closer::close(&open, &dataflow::analyze(&open)).program,
-            ));
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(out.len() >= 6, "corpus populated");
-    out
+        ..OracleLimits::default()
+    };
+    assert_agrees(name, prog, None, &limits, slice)
 }
 
 #[test]
 fn por_preserves_verdicts_on_corpus() {
-    for (name, prog) in corpus_programs() {
-        assert_por_preserves_verdicts(&name, &prog);
+    // Both stateful engines with POR on report the verdicts of the
+    // exhaustive frontier (the `VERDICTS` slice); the frontier's jobs
+    // legs are `Same` as its one-worker run in
+    // `tests/parallel_determinism.rs`.
+    for (name, prog) in read_closed_corpus("corpus") {
+        let runs = agree(&name, &prog, VERDICTS);
+        assert_eq!(runs.legs.len(), 4, "{name}: both engines, POR on and off");
     }
 }
 
@@ -113,8 +56,11 @@ fn por_preserves_verdicts_on_generated_programs() {
         let src = progen::generate_closed(procs, stmts, seed);
         let prog = cfgir::compile(&src)
             .unwrap_or_else(|d| panic!("seed {seed}: generated program invalid:\n{d}\n{src}"));
-        let name = format!("generated seed={seed} procs={procs} stmts={stmts}\n{src}");
-        assert_por_preserves_verdicts(&name, &prog);
+        agree(
+            &format!("generated seed={seed} procs={procs} stmts={stmts}\n{src}"),
+            &prog,
+            POR,
+        );
     }
 }
 
@@ -126,14 +72,13 @@ fn por_preserves_verdicts_on_corpus_engine_programs() {
     // assertions — the generator family that exposed the POR
     // violation-masking bug (see `corpus/regressions/`). Each program
     // is closed through the full pipeline first, then put through the
-    // same POR-on/POR-off verdict oracle as the hand-written corpus.
+    // same slice as the generated closed programs.
     for seed in 0..30u64 {
         let src = switchsim::corpus::generate(seed);
         let open = cfgir::compile(&src)
             .unwrap_or_else(|d| panic!("seed {seed}: generated program invalid:\n{d}\n{src}"));
-        let closed = closer::close(&open, &dataflow::analyze(&open)).program;
-        let name = format!("corpus-engine seed={seed}\n{src}");
-        assert_por_preserves_verdicts(&name, &closed);
+        let closed = closer::close(&open, &analyze(&open)).program;
+        agree(&format!("corpus-engine seed={seed}\n{src}"), &closed, POR);
     }
 }
 
@@ -145,23 +90,22 @@ fn ignoring_proviso_catches_the_ring_prober() {
     // must force full expansion when the ring closes its lap, so POR-on
     // still reports the violation — with fallbacks actually recorded.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/cyclic/ring.mc");
-    let src = std::fs::read_to_string(path).unwrap();
-    let prog = compile(&src).unwrap();
-    assert_por_preserves_verdicts("cyclic/ring.mc", &prog);
-    for engine in [Engine::Stateful, Engine::StatefulParallel] {
-        let reduced = explore(&prog, &config(engine, true, 1));
+    let prog = compile(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let runs = agree("cyclic/ring.mc", &prog, POR);
+    for leg in ["dfs", "frontier"] {
+        let reduced = runs.get(leg).unwrap();
         assert_eq!(
             reduced.count(|k| *k == verisoft::ViolationKind::AssertionViolation),
             1,
-            "{engine:?}: the prober's violation must be found under POR: {reduced}"
+            "{leg}: the prober's violation must be found under POR: {reduced}"
         );
         assert!(
             reduced.por_proviso_fallbacks > 0,
-            "{engine:?}: the ring must trigger the proviso"
+            "{leg}: the ring must trigger the proviso"
         );
         assert!(
             reduced.por_skipped_procs > 0,
-            "{engine:?}: the prober must be skipped on non-lap states"
+            "{leg}: the prober must be skipped on non-lap states"
         );
     }
 }
@@ -172,9 +116,20 @@ fn por_actually_reduces_on_independent_corpus_programs() {
     // reduced exploration visits strictly fewer states (this is what the
     // BENCH_por.json ablation measures as wall time).
     let mut reduced_on = Vec::new();
-    for (name, prog) in corpus_programs() {
-        let full = explore(&prog, &config(Engine::StatefulParallel, false, 1));
-        let red = explore(&prog, &config(Engine::StatefulParallel, true, 1));
+    for (name, prog) in read_closed_corpus("corpus") {
+        let run = |por| {
+            explore(
+                &prog,
+                &Config {
+                    engine: Engine::StatefulParallel,
+                    por,
+                    max_depth: 300,
+                    max_violations: usize::MAX,
+                    ..Config::default()
+                },
+            )
+        };
+        let (full, red) = (run(false), run(true));
         assert!(
             red.states <= full.states,
             "{name}: POR may never add states"
