@@ -316,6 +316,21 @@ if ! cmp -s "$SMOKE/ooc_ref.txt" "$SMOKE/ooc_resumed.txt"; then
     exit 1
 fi
 echo "  workers.mc: killed after 2 checkpoints, resumed byte-identical"
+# The same exploration twice must write the same checkpoint bytes: the
+# spill and the tier-0 snapshot are sorted, so no table iteration order
+# may leak into a file.
+for run in a b; do
+    rm -rf "$SMOKE/ckpt_$run"
+    "$BIN" explore corpus/workers.mc --stateful --all --jobs 1 --mem-limit 300 \
+        --checkpoint-dir "$SMOKE/ckpt_$run" --checkpoint-every 1 > /dev/null
+done
+[ "$(ls "$SMOKE/ckpt_a")" = "$(ls "$SMOKE/ckpt_b")" ] \
+    || { echo "out-of-core smoke: two runs wrote different checkpoint files"; exit 1; }
+for f in "$SMOKE/ckpt_a"/*; do
+    cmp "$f" "$SMOKE/ckpt_b/$(basename "$f")" \
+        || { echo "out-of-core smoke: checkpoint bytes differ between two runs"; exit 1; }
+done
+echo "  workers.mc: two --jobs 1 runs wrote byte-identical checkpoints"
 
 # The gated benches are built once, here, so that none of them is timed
 # in the seconds after its own compile.

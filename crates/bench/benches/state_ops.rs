@@ -141,12 +141,12 @@ fn bench(c: &mut Criterion) {
         |b, encs| {
             b.iter(|| {
                 let store = VisitedStore::default();
-                let mut items: Vec<(u64, u64, &[u8])> = encs
+                let items: Vec<(u64, u64, &[u8])> = encs
                     .iter()
                     .enumerate()
                     .map(|(j, (h, e))| (*h, rank(j, 0), e.as_slice()))
                     .collect();
-                store.insert_batch(&mut items);
+                store.insert_batch(&items);
                 let probes: Vec<(u64, u64, &[u8])> = encs
                     .iter()
                     .enumerate()

@@ -88,6 +88,19 @@ impl Hasher for StableHasher {
         }
     }
 
+    /// Bit-identical to `write(&i.to_ne_bytes())`, the trait's default,
+    /// but feeds the lane directly when no bytes are pending — fingerprints
+    /// and store keys write little else.
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        if self.pending_len == 0 {
+            self.len = self.len.wrapping_add(8);
+            self.lane(u64::from_le_bytes(i.to_ne_bytes()));
+        } else {
+            self.write(&i.to_ne_bytes());
+        }
+    }
+
     #[inline]
     fn finish(&self) -> u64 {
         let mut h = self.state;
@@ -159,11 +172,31 @@ mod tests {
     #[test]
     fn pinned_vectors() {
         // Pinned outputs: these must never change, across platforms or
-        // releases — shard assignment stability is the whole point.
-        assert_eq!(stable_hash(&42u64), stable_hash(&42u64));
-        let a = stable_hash(&(1u32, "abc", [4u8, 5, 6]));
-        let b = stable_hash(&(1u32, "abc", [4u8, 5, 6]));
-        assert_eq!(a, b);
+        // releases — shard assignment stability is the whole point. The
+        // digests were computed before `write_u64` had a fast path of its
+        // own, so the two `u64` sequences pin it to the byte path.
+        assert_eq!(stable_hash(&42u64), 0x2755_a0d3_64b4_28ba);
+        assert_eq!(
+            stable_hash(&(1u32, "abc", [4u8, 5, 6])),
+            0x6cb4_26d7_f192_fb94
+        );
+        assert_eq!(stable_hash_bytes(&[]), 0);
+        let bytes: Vec<u8> = (0u8..=41).collect();
+        assert_eq!(stable_hash_bytes(&bytes), 0xf88a_5973_e8a8_1cf2);
+        let mut h = StableHasher::new();
+        for x in [3u64, 0, u64::MAX, 0x0123_4567_89AB_CDEF] {
+            h.write_u64(x);
+        }
+        assert_eq!(h.finish(), 0x8e68_8056_72cb_bfe5);
+        // Lanes fed directly and through the byte path, interleaved.
+        let mut h = StableHasher::new();
+        h.write_u64(7);
+        h.write(&[1, 2, 3]);
+        h.write_u64(9);
+        h.write_u64(10);
+        h.write(&[4; 5]);
+        h.write_u64(11);
+        assert_eq!(h.finish(), 0xe1b0_9c95_7df4_84eb);
     }
 
     #[test]

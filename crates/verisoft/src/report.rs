@@ -202,8 +202,8 @@ pub struct Report {
     /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark
     /// reads it by name; goes with the next benchmark-only PR.
     pub store_segments_compacted: usize,
-    /// Batched store operations the frontier engine issued — one
-    /// `insert_batch`/`seal_batch` call each (operational, like
+    /// Batched store operations the frontier engine issued — one each
+    /// for a chunk's admit pass and its seal pass (operational, like
     /// [`Report::store_peak_mem_bytes`]: batch boundaries follow chunking
     /// and so may differ across resumed runs).
     pub store_batch_ops: usize,

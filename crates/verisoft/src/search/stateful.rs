@@ -26,6 +26,7 @@
 //! checkpoints at level boundaries so a killed run can `--resume` and
 //! complete with the identical report.
 
+use super::store::keyset::KeySet;
 use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
 use crate::executor::{ExecCtx, Executor, Expansion, KeyArena, LeanChild};
@@ -33,7 +34,6 @@ use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
 use crate::state::intern::raw_len_of;
 use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -591,26 +591,20 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// gate spill contents and later-level probes, and the run is
     /// stopping).
     fn admit_and_seal(&self, slots: &[OnceLock<Expanded>], lvl: &Level) -> Vec<bool> {
-        let keys = || {
-            let cap: usize = slots
-                .iter()
-                .map(|s| s.get().map_or(0, |e| e.keys.len()))
-                .sum();
-            let mut out: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
-            for (i, slot) in slots.iter().enumerate() {
-                let e = slot.get().expect("every frontier item is expanded");
-                for (j, (h, enc)) in e.keys.iter().enumerate() {
-                    if !enc.is_empty() {
-                        out.push((h, rank(lvl.base + i, j), enc));
-                    }
+        let cap: usize = slots
+            .iter()
+            .map(|s| s.get().map_or(0, |e| e.keys.len()))
+            .sum();
+        let mut keys: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
+        for (i, slot) in slots.iter().enumerate() {
+            let e = slot.get().expect("every frontier item is expanded");
+            for (j, (h, enc)) in e.keys.iter().enumerate() {
+                if !enc.is_empty() {
+                    keys.push((h, rank(lvl.base + i, j), enc));
                 }
             }
-            out
-        };
-        // `insert_batch` consumes its list (it drops disk-resident
-        // states and regroups the rest), so the probes are built afresh.
-        self.store.insert_batch(&mut keys());
-        self.store.seal_batch(&keys(), lvl.epoch)
+        }
+        self.store.admit_and_seal(&keys, lvl.epoch)
     }
 
     /// The sequential ordered commit of one expanded chunk: fold items in
@@ -762,12 +756,10 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         });
         report.violations.len() >= cfg.max_violations
     };
-    // The visited set: store keys bucketed by the (cheap, incrementally
+    // The visited set: store keys under the (cheap, incrementally
     // combined) fingerprint; membership compares bytes, per the
-    // collision-safety rule in [`crate::state::encode`]. Keyed by an
-    // already-mixed fingerprint, so the pass-through hasher applies here
-    // too.
-    let mut visited: HashMap<u64, Vec<Box<[u8]>>, crate::hash::FpBuildHasher> = HashMap::default();
+    // collision-safety rule in [`crate::state::encode`].
+    let mut visited = KeySet::<()>::default();
     let (h0, key0) = cx.state_key(&exec.initial());
     let root = FrontierItem {
         key: key0.into(),
@@ -780,8 +772,7 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         if stop || cx.truncated {
             break;
         }
-        let bucket = visited.entry(fp).or_default();
-        if bucket.iter().any(|k| **k == *item.key) {
+        if !visited.insert(fp, &item.key) {
             continue;
         }
         // `visited_bytes` is the *raw* logical total either way — a
@@ -795,15 +786,13 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         report.visited_states += 1;
         report.states += 1;
         report.max_depth_seen = report.max_depth_seen.max(item.depth);
-        let state = (item.depth < cfg.max_depth)
-            .then(|| rebuild(interner.as_deref(), &mut cache, &item.key));
-        bucket.push(item.key);
-        let Some(state) = state else {
+        if item.depth >= cfg.max_depth {
             report.truncated = true;
             continue;
-        };
+        }
+        let state = rebuild(interner.as_deref(), &mut cache, &item.key);
         let e = exec.expand(&mut cx, &state, (&mut cache, &mut memo), |h, k| {
-            visited.get(&h).is_some_and(|b| b.iter().any(|x| **x == *k))
+            visited.contains(h, k)
         });
         report.por_skipped_procs += e.por_skipped;
         report.por_proviso_fallbacks += e.por_fallback as usize;

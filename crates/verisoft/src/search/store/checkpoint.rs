@@ -424,7 +424,7 @@ pub(crate) fn resume<T: Spoolable>(
     while mr.remaining() > 0 {
         let (fp, epoch, _, enc) =
             read_record(&mut mr).ok_or_else(|| format!("{}: torn record", mem_path.display()))?;
-        store.load_sealed(fp, enc.into(), epoch);
+        store.load_sealed(fp, enc, epoch);
         loaded += 1;
     }
     if loaded != mem_count {

@@ -1,35 +1,34 @@
 //! The per-stripe in-memory fingerprint index over the tier-1 log.
 //!
 //! Spilling must not turn every membership probe into disk IO: the
-//! index keeps one `fingerprint -> [DiskRef]` map per lock stripe
-//! (striped exactly like tier 0, by the fingerprint's high bits), so a
-//! probe is an O(1) hash lookup that *misses* without touching disk.
-//! Only an actual fingerprint match pays for a positional read, and
-//! only to confirm the full encoding — the collision-safety rule of
+//! index keeps one `KeySet` of `fingerprint -> DiskRef` per lock
+//! stripe (striped exactly like tier 0, by the fingerprint's high bits),
+//! so a probe is an O(1) hash lookup that *misses* without touching
+//! disk. Only an actual fingerprint match pays for a positional read,
+//! and only to confirm the full encoding — the collision-safety rule of
 //! [`crate::state::encode`] carried over to disk: the index nominates,
-//! the stored bytes decide.
+//! the stored bytes decide. The keys themselves are on disk, so the
+//! index stores empty keys and its arenas stay empty; refs sharing a
+//! fingerprint come back in insertion order.
 //!
-//! Memory cost is ~40 bytes per spilled state (fingerprint + ref),
+//! Memory cost is one table slot per spilled state (fingerprint + ref),
 //! which is what makes the tiered store "1000x beyond RAM"-shaped: the
 //! full encodings (hundreds of bytes each) live on disk, the index
 //! keeps only fixed-size handles.
 
 use super::disk::DiskRef;
-use crate::hash::FpBuildHasher;
-use std::collections::HashMap;
+use super::keyset::KeySet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Fingerprint-keyed, so the pass-through hasher applies (see
-/// [`super::mem`]'s stripe maps).
-type IndexStripe = HashMap<u64, Vec<DiskRef>, FpBuildHasher>;
+const POISONED: &str = "fingerprint index lock poisoned by a panicked thread";
 
 /// The striped fingerprint index. Concurrency mirrors tier 0: workers
 /// probe concurrently during the frontier phase; inserts happen only in
 /// the sequential spill/resume paths but take the same locks for
 /// simplicity.
 pub(crate) struct FpIndex {
-    stripes: Vec<Mutex<IndexStripe>>,
+    stripes: Vec<Mutex<KeySet<DiskRef>>>,
     entries: AtomicUsize,
     /// Raw canonical-encoding bytes the indexed records stand for (the
     /// logical total behind `Report::visited_bytes`).
@@ -43,7 +42,7 @@ impl FpIndex {
     pub(crate) fn new(stripes: usize) -> Self {
         FpIndex {
             stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(IndexStripe::default()))
+                .map(|_| Mutex::new(KeySet::default()))
                 .collect(),
             entries: AtomicUsize::new(0),
             payload_raw: AtomicUsize::new(0),
@@ -52,18 +51,15 @@ impl FpIndex {
     }
 
     #[inline]
-    fn stripe(&self, fp: u64) -> &Mutex<IndexStripe> {
-        &self.stripes[(fp >> 32) as usize % self.stripes.len()]
+    fn stripe(&self, fp: u64) -> std::sync::MutexGuard<'_, KeySet<DiskRef>> {
+        self.stripes[(fp >> 32) as usize % self.stripes.len()]
+            .lock()
+            .expect(POISONED)
     }
 
     /// Publish a spilled record.
     pub(crate) fn insert(&self, fp: u64, r: DiskRef) {
-        self.stripe(fp)
-            .lock()
-            .unwrap()
-            .entry(fp)
-            .or_default()
-            .push(r);
+        self.stripe(fp).push(fp, &[], r);
         self.entries.fetch_add(1, Ordering::Relaxed);
         self.payload_raw
             .fetch_add(r.raw as usize, Ordering::Relaxed);
@@ -72,22 +68,19 @@ impl FpIndex {
     }
 
     /// Whether any record under `fp` satisfies `pred` (which typically
-    /// confirms the encoding against disk). The bucket is visited under
-    /// the stripe lock; buckets hold one ref in all but colliding
-    /// fingerprints, so `pred` runs at most once in the common case.
-    pub(crate) fn candidates(&self, fp: u64, mut pred: impl FnMut(&DiskRef) -> bool) -> bool {
-        let stripe = self.stripe(fp).lock().unwrap();
-        stripe.get(&fp).is_some_and(|b| b.iter().any(&mut pred))
+    /// confirms the encoding against disk), trying them in insertion
+    /// order under the stripe lock. All but colliding fingerprints hold
+    /// one ref, so `pred` runs at most once in the common case.
+    pub(crate) fn candidates(&self, fp: u64, pred: impl FnMut(&DiskRef) -> bool) -> bool {
+        self.stripe(fp).values(fp).any(pred)
     }
 
-    /// Append `fp`'s candidate refs to `out` (copied out under the
-    /// stripe lock, so the caller can confirm against disk without
-    /// holding it — the batch path sorts confirms by position first).
+    /// Append `fp`'s candidate refs to `out` in insertion order (copied
+    /// out under the stripe lock, so the caller can confirm against disk
+    /// without holding it — the batch path sorts confirms by position
+    /// first).
     pub(crate) fn collect_refs(&self, fp: u64, out: &mut Vec<DiskRef>) {
-        let stripe = self.stripe(fp).lock().unwrap();
-        if let Some(b) = stripe.get(&fp) {
-            out.extend_from_slice(b);
-        }
+        out.extend(self.stripe(fp).values(fp).copied());
     }
 
     /// Total records indexed (== states resident on disk).
@@ -131,12 +124,31 @@ mod tests {
         assert_eq!(idx.stored_bytes(), 157);
         assert!(idx.candidates(9, |r| r.epoch == 2));
         assert!(!idx.candidates(9, |r| r.epoch == 3));
-        assert!(!idx.candidates(8, |_| true), "no bucket, pred not run");
+        assert!(!idx.candidates(8, |_| true), "no entry, pred not run");
         let mut probes = 0;
         idx.candidates(9, |_| {
             probes += 1;
             false
         });
         assert_eq!(probes, 2, "colliding refs each get confirmed");
+    }
+
+    #[test]
+    fn colliding_refs_come_back_in_insertion_order() {
+        let idx = FpIndex::new(2);
+        let fp = 0x5EED_0000_0000_0042;
+        for off in [30, 10, 20] {
+            idx.insert(fp, dref(off, 5, 1));
+        }
+        idx.insert(fp ^ 1, dref(0, 5, 1)); // same stripe, other fingerprint
+        let mut out = Vec::new();
+        idx.collect_refs(fp, &mut out);
+        assert_eq!(out.iter().map(|r| r.off).collect::<Vec<_>>(), [30, 10, 20]);
+        let mut seen = Vec::new();
+        idx.candidates(fp, |r| {
+            seen.push(r.off);
+            r.off == 10
+        });
+        assert_eq!(seen, [30, 10], "stops at the first confirmed ref");
     }
 }

@@ -29,25 +29,28 @@
 //!
 //! ## Storage and collision safety
 //!
-//! Stripes and buckets are keyed by the canonical state's *stable*
-//! 64-bit hash ([`crate::state::GlobalState::fingerprint`], a
+//! Stripes are picked by the canonical state's *stable* 64-bit hash
+//! ([`crate::state::GlobalState::fingerprint`], a
 //! [`crate::hash::StableHasher`] — never SipHash, whose keys may drift
-//! between toolchains and would re-stripe the store). Buckets store each
-//! state's **canonical byte encoding**
-//! ([`crate::state::encode_state`]): one flat `Box<[u8]>` per state
-//! instead of a full `GlobalState` object graph, so membership is a
-//! `memcmp` and the per-state footprint is a few dozen to a few hundred
-//! bytes with a single allocation. Because the encoding is injective
-//! (see [`crate::state::encode`]), comparing encodings *is* comparing
-//! states — the collision-safety rule of [`crate::state`] is preserved
-//! verbatim: two distinct states sharing a hash land in the same bucket
-//! but never alias, so a collision costs a comparison, not a missed
-//! state. The same rule extends to tier 1 (see [`super::disk`]): the
-//! fingerprint index only nominates candidates, the stored bytes decide.
+//! between toolchains and would re-stripe the store). Each stripe is a
+//! `KeySet` (`store/keyset.rs`): every state's **store key** (its
+//! canonical byte encoding, [`crate::state::encode_state`], or its
+//! collapse-compressed tuple) is appended to the stripe's byte arena,
+//! and the stripe's table holds one inline `(offset, len, rank, seal
+//! epoch)` slot per fingerprint, so a stored state costs its key bytes
+//! plus one table slot and no allocation of its own. Membership is a
+//! `memcmp` against the arena.
+//! Because the encoding is injective (see [`crate::state::encode`]),
+//! comparing encodings *is* comparing states — the collision-safety
+//! rule of [`crate::state`] is preserved verbatim: two distinct states
+//! sharing a hash both stay stored (the second on the key set's side
+//! list) and never alias, so a collision costs a comparison, not a
+//! missed state. The same rule extends to tier 1 (see [`super::disk`]):
+//! the fingerprint index only nominates candidates, the stored bytes
+//! decide.
 
+use super::keyset::KeySet;
 use super::{Rank, StateStore};
-use crate::hash::FpBuildHasher;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -55,20 +58,37 @@ use std::sync::Mutex;
 /// enough that an empty store is cheap.
 pub const STRIPES: usize = 64;
 
-struct Entry {
-    /// The state's canonical encoding ([`crate::state::encode_state`]).
-    enc: Box<[u8]>,
+/// A stored state's admission record.
+struct Claim {
     rank: Rank,
     /// `Some(epoch)` once committed in the round that sealed it; sealed
     /// entries always win.
     sealed: Option<u32>,
 }
 
-/// One stripe: canonical encodings bucketed by their stable hash. The
-/// fingerprint key is already a SplitMix64-mixed digest, so the map uses
-/// the pass-through [`FpBuildHasher`] — SipHash would re-mix an already
-/// uniform value on every admit/seal/probe of the hot path.
-type Stripe = HashMap<u64, Vec<Entry>, FpBuildHasher>;
+/// One stripe: store keys under their stable hash (see the module docs).
+type Stripe = KeySet<Claim>;
+
+/// A batch's items grouped by stripe: `ix` lists item indices stripe by
+/// stripe, input order kept within a stripe, and stripe `s`'s run is
+/// `ix[start[s]..start[s + 1]]`. Built once per chunk by a counting sort
+/// and shared by [`VisitedStore::admit_ordered`] and
+/// [`VisitedStore::seal_ordered`].
+pub(crate) struct StripeOrder {
+    ix: Vec<u32>,
+    start: Vec<u32>,
+}
+
+impl StripeOrder {
+    /// The stripe runs, in stripe order, empty stripes skipped.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.start
+            .windows(2)
+            .enumerate()
+            .map(|(s, w)| (s, &self.ix[w[0] as usize..w[1] as usize]))
+            .filter(|(_, run)| !run.is_empty())
+    }
+}
 
 /// The lock-striped tier-0 visited store. See the module docs for the
 /// admission protocol.
@@ -86,7 +106,8 @@ pub struct VisitedStore {
     /// *Raw* canonical-encoding bytes the entries stand for — the
     /// logical total `bytes()` reports (== resident when uncompressed).
     payload: AtomicUsize,
-    /// Bytes the entries actually occupy in memory.
+    /// Key bytes the entries hold: the logical sum of their lengths,
+    /// which the spill budget bounds.
     stored: AtomicUsize,
     /// Batch-path observability (operational, never in the deterministic
     /// report surface): batch calls, items they carried, and stripe-lock
@@ -101,6 +122,8 @@ impl Default for VisitedStore {
         VisitedStore::new(STRIPES)
     }
 }
+
+const POISONED: &str = "tier-0 stripe lock poisoned by a panicked thread";
 
 impl VisitedStore {
     /// A store with `stripes` lock stripes (rounded up to at least 1),
@@ -137,11 +160,23 @@ impl VisitedStore {
         }
     }
 
+    /// The stripe index of `hash`: its high bits, since the stable hash
+    /// mixes well and low bits already pick the slot inside the stripe.
     #[inline]
-    fn stripe(&self, hash: u64) -> &Mutex<Stripe> {
-        // High bits: the stable hash mixes well, and low bits already
-        // pick the bucket inside the stripe map.
-        &self.stripes[(hash >> 32) as usize % self.stripes.len()]
+    fn stripe_of(&self, hash: u64) -> usize {
+        (hash >> 32) as usize % self.stripes.len()
+    }
+
+    #[inline]
+    fn stripe(&self, hash: u64) -> std::sync::MutexGuard<'_, Stripe> {
+        self.stripes[self.stripe_of(hash)].lock().expect(POISONED)
+    }
+
+    /// Count a newly stored key in the O(1) totals.
+    fn count_in(&self, enc: &[u8]) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.payload.fetch_add(self.raw_of(enc), Ordering::Relaxed);
+        self.stored.fetch_add(enc.len(), Ordering::Relaxed);
     }
 
     /// Offer a candidate discovery of the state encoded as `enc` at
@@ -149,58 +184,84 @@ impl VisitedStore {
     /// win. Safe to call concurrently from any number of workers — the
     /// outcome (minimal rank per state) is independent of arrival order.
     pub fn admit(&self, hash: u64, enc: &[u8], rank: Rank) {
-        let mut stripe = self.stripe(hash).lock().unwrap();
-        self.admit_locked(&mut stripe, hash, enc, rank);
+        self.admit_locked(&mut self.stripe(hash), hash, enc, rank);
     }
 
     /// [`VisitedStore::admit`]'s body under an already-held stripe lock.
     fn admit_locked(&self, stripe: &mut Stripe, hash: u64, enc: &[u8], rank: Rank) {
-        let bucket = stripe.entry(hash).or_default();
-        for e in bucket.iter_mut() {
-            if *e.enc == *enc {
-                if e.sealed.is_none() && rank < e.rank {
-                    e.rank = rank; // late-arriving smaller rank overrides
-                }
-                return;
-            }
+        let (claim, new) = stripe.get_or_insert(hash, enc, Claim { rank, sealed: None });
+        if new {
+            self.count_in(enc);
+        } else if claim.sealed.is_none() && rank < claim.rank {
+            claim.rank = rank; // late-arriving smaller rank overrides
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.payload.fetch_add(self.raw_of(enc), Ordering::Relaxed);
-        self.stored.fetch_add(enc.len(), Ordering::Relaxed);
-        bucket.push(Entry {
-            enc: enc.into(),
-            rank,
-            sealed: None,
-        });
+    }
+
+    /// Group `items` by stripe, keeping input order within a stripe.
+    pub(crate) fn stripe_order(&self, items: &[(u64, Rank, &[u8])]) -> StripeOrder {
+        let n = self.stripes.len();
+        let mut start = vec![0u32; n + 1];
+        for &(h, _, _) in items {
+            start[self.stripe_of(h) + 1] += 1;
+        }
+        for s in 0..n {
+            start[s + 1] += start[s];
+        }
+        let mut next = start.clone();
+        let mut ix = vec![0u32; items.len()];
+        for (i, &(h, _, _)) in items.iter().enumerate() {
+            let s = self.stripe_of(h);
+            ix[next[s] as usize] = i as u32;
+            next[s] += 1;
+        }
+        StripeOrder { ix, start }
+    }
+
+    /// Record one batch call over `items` items that took `runs` stripe
+    /// locks.
+    fn count_batch(&self, items: usize, runs: usize) {
+        self.batch_ops.fetch_add(1, Ordering::Relaxed);
+        self.batch_items.fetch_add(items, Ordering::Relaxed);
+        self.locks_avoided
+            .fetch_add(items - runs, Ordering::Relaxed);
     }
 
     /// Admit a worker batch of successors, acquiring each stripe lock
-    /// once per run instead of once per successor: `items` is reordered
-    /// by `(stripe, rank)` and admitted run by run. Byte-identical to
-    /// per-item [`VisitedStore::admit`] calls in any order, because
-    /// admission is min-rank-wins and therefore arrival-order-free.
-    pub fn insert_batch(&self, items: &mut [(u64, Rank, &[u8])]) {
-        if items.is_empty() {
-            return;
-        }
-        let nstripes = self.stripes.len();
-        items.sort_unstable_by_key(|&(h, r, _)| ((h >> 32) as usize % nstripes, r));
-        let mut runs = 0usize;
-        let mut i = 0;
-        while i < items.len() {
-            let si = (items[i].0 >> 32) as usize % nstripes;
-            let mut stripe = self.stripes[si].lock().unwrap();
+    /// once per run instead of once per successor: `items` is grouped by
+    /// stripe and admitted run by run. Byte-identical to per-item
+    /// [`VisitedStore::admit`] calls in any order, because admission is
+    /// min-rank-wins and therefore arrival-order-free.
+    pub fn insert_batch(&self, items: &[(u64, Rank, &[u8])]) {
+        self.admit_ordered(items, &self.stripe_order(items), &[]);
+    }
+
+    /// [`VisitedStore::insert_batch`] over an already built stripe
+    /// order, skipping the items `skip` flags: `skip` is empty (skip
+    /// nothing) or aligned with `items`. A batch left empty by the skips
+    /// counts as no batch at all.
+    pub(crate) fn admit_ordered(
+        &self,
+        items: &[(u64, Rank, &[u8])],
+        order: &StripeOrder,
+        skip: &[bool],
+    ) {
+        let live = |&ix: &u32| !skip.get(ix as usize).copied().unwrap_or(false);
+        let (mut runs, mut admitted) = (0, 0);
+        for (si, run) in order.runs() {
+            if !run.iter().any(live) {
+                continue;
+            }
+            let mut stripe = self.stripes[si].lock().expect(POISONED);
             runs += 1;
-            while i < items.len() && (items[i].0 >> 32) as usize % nstripes == si {
-                let (h, r, enc) = items[i];
+            for &ix in run.iter().filter(|ix| live(ix)) {
+                let (h, r, enc) = items[ix as usize];
                 self.admit_locked(&mut stripe, h, enc, r);
-                i += 1;
+                admitted += 1;
             }
         }
-        self.batch_ops.fetch_add(1, Ordering::Relaxed);
-        self.batch_items.fetch_add(items.len(), Ordering::Relaxed);
-        self.locks_avoided
-            .fetch_add(items.len() - runs, Ordering::Relaxed);
+        if admitted > 0 {
+            self.count_batch(admitted, runs);
+        }
     }
 
     /// The ordered commit's batched winner pass: for each probe
@@ -209,47 +270,43 @@ impl VisitedStore {
     /// the per-probe verdicts aligned with the input.
     ///
     /// Equal to calling [`VisitedStore::seal_if_winner`] per probe in
-    /// input order: within one probe's bucket the stored rank is the
-    /// minimum of all admitted ranks, so at most one probe of the batch
-    /// carries a matching rank — sealing one probe can never flip
-    /// another probe's verdict, and the stripe-grouped evaluation order
-    /// is unobservable. Call only after every candidate of the round was
+    /// input order: within one state the stored rank is the minimum of
+    /// all admitted ranks, so at most one probe of the batch carries a
+    /// matching rank — sealing one probe can never flip another probe's
+    /// verdict, and the stripe-grouped evaluation order is
+    /// unobservable. Call only after every candidate of the round was
     /// admitted (the ordered commit provides that barrier) and before
     /// any further admission.
     pub fn seal_batch(&self, probes: &[(u64, Rank, &[u8])], epoch: u32) -> Vec<bool> {
+        self.seal_ordered(probes, &self.stripe_order(probes), epoch)
+    }
+
+    /// [`VisitedStore::seal_batch`] over an already built stripe order.
+    pub(crate) fn seal_ordered(
+        &self,
+        probes: &[(u64, Rank, &[u8])],
+        order: &StripeOrder,
+        epoch: u32,
+    ) -> Vec<bool> {
         let mut flags = vec![false; probes.len()];
         if probes.is_empty() {
             return flags;
         }
-        let nstripes = self.stripes.len();
-        let mut order: Vec<u32> = (0..probes.len() as u32).collect();
-        // Stable: input (commit) order is preserved within a stripe run.
-        order.sort_by_key(|&ix| (probes[ix as usize].0 >> 32) as usize % nstripes);
-        let mut runs = 0usize;
-        let mut i = 0;
-        while i < order.len() {
-            let si = (probes[order[i] as usize].0 >> 32) as usize % nstripes;
-            let mut stripe = self.stripes[si].lock().unwrap();
+        let mut runs = 0;
+        for (si, run) in order.runs() {
+            let mut stripe = self.stripes[si].lock().expect(POISONED);
             runs += 1;
-            while i < order.len() && (probes[order[i] as usize].0 >> 32) as usize % nstripes == si {
-                let ix = order[i] as usize;
-                let (h, r, enc) = probes[ix];
-                if let Some(e) = stripe
-                    .get_mut(&h)
-                    .and_then(|b| b.iter_mut().find(|e| *e.enc == *enc))
-                {
-                    if e.sealed.is_none() && e.rank == r {
-                        e.sealed = Some(epoch);
-                        flags[ix] = true;
+            for &ix in run {
+                let (h, r, enc) = probes[ix as usize];
+                if let Some(c) = stripe.get_mut(h, enc) {
+                    if c.sealed.is_none() && c.rank == r {
+                        c.sealed = Some(epoch);
+                        flags[ix as usize] = true;
                     }
                 }
-                i += 1;
             }
         }
-        self.batch_ops.fetch_add(1, Ordering::Relaxed);
-        self.batch_items.fetch_add(probes.len(), Ordering::Relaxed);
-        self.locks_avoided
-            .fetch_add(probes.len() - runs, Ordering::Relaxed);
+        self.count_batch(probes.len(), runs);
         flags
     }
 
@@ -268,11 +325,9 @@ impl VisitedStore {
     /// round. Call only after every candidate of the round was admitted
     /// (the ordered commit provides that barrier).
     pub fn is_winner(&self, hash: u64, enc: &[u8], rank: Rank) -> bool {
-        let stripe = self.stripe(hash).lock().unwrap();
-        stripe
-            .get(&hash)
-            .and_then(|b| b.iter().find(|e| *e.enc == *enc))
-            .is_some_and(|e| e.sealed.is_none() && e.rank == rank)
+        self.stripe(hash)
+            .get(hash, enc)
+            .is_some_and(|c| c.sealed.is_none() && c.rank == rank)
     }
 
     /// Whether the state encoded as `enc` is **sealed** with an epoch
@@ -285,11 +340,9 @@ impl VisitedStore {
     /// timing, which keeps the proviso (and with it the whole report)
     /// jobs- and memory-limit-invariant.
     pub fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        let stripe = self.stripe(hash).lock().unwrap();
-        stripe.get(&hash).is_some_and(|b| {
-            b.iter()
-                .any(|e| e.sealed.is_some_and(|ep| ep < epoch_bound) && *e.enc == *enc)
-        })
+        self.stripe(hash)
+            .get(hash, enc)
+            .is_some_and(|c| c.sealed.is_some_and(|ep| ep < epoch_bound))
     }
 
     /// Whether the state is sealed at any epoch.
@@ -301,40 +354,29 @@ impl VisitedStore {
     /// *visited* and every later-round candidate loses. Idempotent (the
     /// first epoch sticks).
     pub fn seal(&self, hash: u64, enc: &[u8], epoch: u32) {
-        let mut stripe = self.stripe(hash).lock().unwrap();
-        if let Some(e) = stripe
-            .get_mut(&hash)
-            .and_then(|b| b.iter_mut().find(|e| *e.enc == *enc))
-        {
-            e.sealed.get_or_insert(epoch);
+        if let Some(c) = self.stripe(hash).get_mut(hash, enc) {
+            c.sealed.get_or_insert(epoch);
         }
     }
 
     /// Remove **all sealed** entries, returning `(hash, epoch, enc)`
     /// triples sorted by `(epoch, hash, enc)` — a deterministic spill
-    /// layout regardless of `HashMap` iteration order. Candidates
-    /// (unsealed entries) are left untouched: their ranks are still
-    /// mutable and must stay in memory.
+    /// layout regardless of table order. Candidates (unsealed entries)
+    /// are left in place: their ranks are still mutable and must stay in
+    /// memory. Each stripe is rebuilt from its candidates, so the table
+    /// and arena the sealed entries occupied are released.
     pub fn drain_sealed(&self) -> Vec<(u64, u32, Box<[u8]>)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let mut s = stripe.lock().unwrap();
-            for (hash, bucket) in s.iter_mut() {
-                let mut i = 0;
-                while i < bucket.len() {
-                    if let Some(epoch) = bucket[i].sealed {
-                        let e = bucket.swap_remove(i);
-                        self.count.fetch_sub(1, Ordering::Relaxed);
-                        self.payload
-                            .fetch_sub(self.raw_of(&e.enc), Ordering::Relaxed);
-                        self.stored.fetch_sub(e.enc.len(), Ordering::Relaxed);
-                        out.push((*hash, epoch, e.enc));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            s.retain(|_, b| !b.is_empty());
+            stripe.lock().expect(POISONED).drain_where(
+                |c| c.sealed.is_some(),
+                |hash, enc, c| {
+                    self.count.fetch_sub(1, Ordering::Relaxed);
+                    self.payload.fetch_sub(self.raw_of(enc), Ordering::Relaxed);
+                    self.stored.fetch_sub(enc.len(), Ordering::Relaxed);
+                    out.push((hash, c.sealed.expect("taken for its seal"), enc.into()));
+                },
+            );
         }
         out.sort_unstable_by(|a, b| (a.1, a.0, &a.2).cmp(&(b.1, b.0, &b.2)));
         out
@@ -345,35 +387,27 @@ impl VisitedStore {
     pub fn sealed_snapshot(&self) -> Vec<(u64, u32, Box<[u8]>)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let s = stripe.lock().unwrap();
-            for (hash, bucket) in s.iter() {
-                for e in bucket {
-                    if let Some(epoch) = e.sealed {
-                        out.push((*hash, epoch, e.enc.clone()));
-                    }
-                }
-            }
+            let s = stripe.lock().expect(POISONED);
+            out.extend(
+                s.iter()
+                    .filter_map(|(hash, enc, c)| Some((hash, c.sealed?, enc.into()))),
+            );
         }
         out.sort_unstable_by(|a, b| (a.1, a.0, &a.2).cmp(&(b.1, b.0, &b.2)));
         out
     }
 
     /// Insert an entry already known to be sealed (resume path). The
-    /// rank is immaterial — sealed entries never lose it.
-    pub fn insert_sealed(&self, hash: u64, enc: Box<[u8]>, epoch: u32) {
-        let mut stripe = self.stripe(hash).lock().unwrap();
-        let bucket = stripe.entry(hash).or_default();
-        if bucket.iter().any(|e| *e.enc == *enc) {
-            return;
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.payload.fetch_add(self.raw_of(&enc), Ordering::Relaxed);
-        self.stored.fetch_add(enc.len(), Ordering::Relaxed);
-        bucket.push(Entry {
-            enc,
+    /// rank is immaterial — sealed entries never lose it. A state
+    /// already stored is left as it is.
+    pub fn insert_sealed(&self, hash: u64, enc: &[u8], epoch: u32) {
+        let claim = Claim {
             rank: 0,
             sealed: Some(epoch),
-        });
+        };
+        if self.stripe(hash).get_or_insert(hash, enc, claim).1 {
+            self.count_in(enc);
+        }
     }
 
     /// Number of states currently stored (sealed or candidate).
@@ -394,25 +428,22 @@ impl VisitedStore {
         self.payload.load(Ordering::Relaxed)
     }
 
-    /// Bytes the entries actually occupy in memory — what the tiered
-    /// store's spill budget bounds (== [`VisitedStore::bytes`] when
-    /// uncompressed).
+    /// The sum of the stored keys' lengths — what the tiered store's
+    /// spill budget bounds (== [`VisitedStore::bytes`] when
+    /// uncompressed). Table slots and spare arena capacity are not
+    /// counted.
     pub fn stored_bytes(&self) -> usize {
         self.stored.load(Ordering::Relaxed)
     }
 
     /// Fused [`VisitedStore::is_winner`] + [`VisitedStore::seal`]: seal
     /// at `epoch` and return `true` iff `(enc, rank)` is the committed
-    /// winner. One lock acquisition and bucket scan instead of two —
-    /// this is the ordered commit's per-successor hot path.
+    /// winner. One lock acquisition and lookup instead of two — this is
+    /// the scalar commit's per-successor path.
     pub fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool {
-        let mut stripe = self.stripe(hash).lock().unwrap();
-        match stripe
-            .get_mut(&hash)
-            .and_then(|b| b.iter_mut().find(|e| *e.enc == *enc))
-        {
-            Some(e) if e.sealed.is_none() && e.rank == rank => {
-                e.sealed = Some(epoch);
+        match self.stripe(hash).get_mut(hash, enc) {
+            Some(c) if c.sealed.is_none() && c.rank == rank => {
+                c.sealed = Some(epoch);
                 true
             }
             _ => false,
@@ -548,13 +579,81 @@ mod tests {
         let b = other_state();
         assert_ne!(a, b);
         let store = VisitedStore::new(1);
-        let fake_hash = 42; // force both into one bucket
+        let fake_hash = 42; // force both under one fingerprint
         store.admit(fake_hash, &a, rank(0, 0));
         store.admit(fake_hash, &b, rank(0, 1));
         assert!(store.is_winner(fake_hash, &a, rank(0, 0)));
         assert!(store.is_winner(fake_hash, &b, rank(0, 1)));
         assert_eq!(store.len(), 2);
         assert_eq!(store.bytes(), a.len() + b.len());
+    }
+
+    #[test]
+    fn colliding_states_rank_seal_drain_and_reload_independently() {
+        // Two distinct states under one hand-picked fingerprint, admitted
+        // in an order that puts each one's minimum rank second.
+        let (a, b) = (state(), other_state());
+        let fp = 0x5EED_0000_0000_0042;
+        let store = VisitedStore::new(4);
+        store.admit(fp, &a, rank(4, 0));
+        store.admit(fp, &b, rank(3, 0));
+        store.admit(fp, &a, rank(2, 1));
+        store.admit(fp, &b, rank(1, 1));
+        assert!(store.is_winner(fp, &a, rank(2, 1)));
+        assert!(store.is_winner(fp, &b, rank(1, 1)));
+        assert!(!store.is_winner(fp, &a, rank(1, 1)), "b's rank is not a's");
+        // Sealing one leaves the other a candidate, in either probe.
+        assert!(store.seal_if_winner(fp, &b, rank(1, 1), 2));
+        assert!(store.contains_sealed_before(fp, &b, 3));
+        assert!(!store.contains_sealed_before(fp, &b, 2), "epoch bound");
+        assert!(!store.contains_sealed_before(fp, &a, 3), "a is unsealed");
+        store.seal(fp, &a, 1);
+        assert!(store.contains_sealed_before(fp, &a, 2));
+        assert!(!store.contains_sealed_before(fp, &b, 2));
+        // Drain and snapshot agree, in (epoch, hash, key) order.
+        let snap = store.sealed_snapshot();
+        let drained = store.drain_sealed();
+        assert_eq!(snap, drained);
+        let want: Vec<(u64, u32, Box<[u8]>)> =
+            vec![(fp, 1, a.clone().into()), (fp, 2, b.clone().into())];
+        assert_eq!(drained, want);
+        assert_eq!(
+            (store.len(), store.bytes(), store.stored_bytes()),
+            (0, 0, 0)
+        );
+        // Reloading deduplicates and restores each seal epoch.
+        for (h, ep, enc) in drained.iter().chain(&drained) {
+            store.insert_sealed(*h, enc, *ep);
+        }
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.bytes(), a.len() + b.len());
+        assert!(store.contains_sealed_before(fp, &a, 2));
+        assert!(!store.contains_sealed_before(fp, &b, 2));
+        assert!(store.contains_sealed_before(fp, &b, 3));
+        // Sealed entries keep winning against new candidates.
+        store.admit(fp, &a, rank(0, 0));
+        assert!(!store.is_winner(fp, &a, rank(0, 0)));
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn drain_keeps_candidates_and_orders_by_epoch_then_hash() {
+        let (a, b) = (state(), other_state());
+        let store = VisitedStore::new(2);
+        for (i, h) in [9u64 << 32, 3 << 32, 5 << 32].into_iter().enumerate() {
+            store.admit(h, &a, rank(i, 0));
+            store.seal(h, &a, 7 - i as u32 % 2);
+        }
+        store.admit(1, &b, rank(0, 0)); // a candidate: stays
+        let got: Vec<(u64, u32)> = store
+            .drain_sealed()
+            .into_iter()
+            .map(|(h, ep, _)| (h, ep))
+            .collect();
+        assert_eq!(got, [(3 << 32, 6), (5 << 32, 7), (9 << 32, 7)]);
+        assert_eq!(store.len(), 1);
+        assert!(store.is_winner(1, &b, rank(0, 0)), "candidate rank kept");
+        assert_eq!(store.stored_bytes(), b.len());
     }
 
     #[test]
@@ -581,7 +680,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         // Reloading a drained entry restores membership at its epoch.
         let (h, ep, enc) = drained.into_iter().next().unwrap();
-        store.insert_sealed(h, enc, ep);
+        store.insert_sealed(h, &enc, ep);
         assert!(store.contains_sealed_before(h, &a, 2));
         assert_eq!(store.len(), 2);
     }
@@ -602,7 +701,7 @@ mod tests {
         let drained = store.drain_sealed();
         assert_eq!((store.bytes(), store.stored_bytes()), (0, 0));
         let (hh, ep, enc) = drained.into_iter().next().unwrap();
-        store.insert_sealed(hh, enc, ep);
+        store.insert_sealed(hh, &enc, ep);
         assert_eq!((store.bytes(), store.stored_bytes()), (raw, cenc.len()));
     }
 
@@ -627,11 +726,11 @@ mod tests {
             let enc = if h == ha { &a } else { &b };
             scalar.admit(h, enc, r);
         }
-        let mut items: Vec<(u64, Rank, &[u8])> = offers
+        let items: Vec<(u64, Rank, &[u8])> = offers
             .iter()
             .map(|&(h, r)| (h, r, if h == ha { a.as_slice() } else { b.as_slice() }))
             .collect();
-        batched.insert_batch(&mut items);
+        batched.insert_batch(&items);
         assert_eq!(scalar.len(), batched.len());
         assert_eq!(scalar.bytes(), batched.bytes());
         for (h, enc, min) in [(ha, &a, rank(1, 2)), (hb, &b, rank(0, 0))] {

@@ -13,6 +13,9 @@
 //! - [`index`] — the per-stripe in-memory fingerprint index over tier 1:
 //!   membership probes stay O(1) hash lookups; a disk read happens only
 //!   when a fingerprint actually matches.
+//! - `keyset` — the one fingerprint-keyed key set behind tier 0, the
+//!   index and the depth-first search's visited set: keys in a byte
+//!   arena, one inline slot per fingerprint, collisions on a side list.
 //! - [`spool`] — bounded-memory FIFO spooling of the level-synchronous
 //!   frontier: excess entries spill to disk in rank order and are
 //!   re-admitted deterministically.
@@ -37,6 +40,7 @@
 pub mod checkpoint;
 pub mod disk;
 pub mod index;
+pub(crate) mod keyset;
 pub mod mem;
 pub mod spool;
 
@@ -259,7 +263,7 @@ impl TieredStore {
     }
 
     /// Insert an already-sealed entry into tier 0 (resume path).
-    pub(crate) fn load_sealed(&self, hash: u64, enc: Box<[u8]>, epoch: u32) {
+    pub(crate) fn load_sealed(&self, hash: u64, enc: &[u8], epoch: u32) {
         self.mem.insert_sealed(hash, enc, epoch);
     }
 
@@ -304,43 +308,54 @@ impl TieredStore {
         self.mem.stored_bytes() + self.tier1.as_ref().map_or(0, |t| t.index.stored_bytes())
     }
 
+    /// Flags, aligned with `items`, for the items already sealed on
+    /// disk (a spilled state is sealed by definition); empty when
+    /// nothing is spilled. The disk confirms are read in log-offset
+    /// order — sequential positional reads instead of a random walk.
+    fn on_disk_batch(&self, items: &[(u64, Rank, &[u8])]) -> Vec<bool> {
+        let Some(t1) = &self.tier1 else {
+            return Vec::new();
+        };
+        let mut cands: Vec<(u32, DiskRef)> = Vec::new();
+        let mut refs = Vec::new();
+        for (ix, &(h, _, e)) in items.iter().enumerate() {
+            refs.clear();
+            t1.index.collect_refs(h, &mut refs);
+            cands.extend(
+                refs.iter()
+                    .filter(|r| r.len as usize == e.len())
+                    .map(|&r| (ix as u32, r)),
+            );
+        }
+        if cands.is_empty() {
+            return Vec::new();
+        }
+        cands.sort_unstable_by_key(|&(_, r)| r.off);
+        let mut dead = vec![false; items.len()];
+        for (ix, r) in cands {
+            let ix = ix as usize;
+            if !dead[ix] && t1.log.confirm(&r, items[ix].2).expect("tier-1 log read") {
+                dead[ix] = true;
+            }
+        }
+        dead
+    }
+
     /// Batch [`StateStore::admit`] over one worker batch's successors.
-    /// Disk-resident states are filtered exactly like scalar `admit`
-    /// (a spilled state is sealed by definition), but the disk confirms
-    /// are read in log-offset order — sequential positional reads
-    /// instead of a random walk. The survivors go through
+    /// Disk-resident states are filtered exactly like scalar `admit` and
+    /// dropped from `items`; the survivors go through
     /// [`VisitedStore::insert_batch`], which groups them by stripe so
     /// each stripe lock is taken once per run instead of once per
     /// successor. Result-equivalent to scalar admission in any order
     /// because admission keeps the *minimum* rank per state.
     pub fn insert_batch(&self, items: &mut Vec<(u64, Rank, &[u8])>) {
-        if let Some(t1) = &self.tier1 {
-            let mut cands: Vec<(u32, DiskRef)> = Vec::new();
-            let mut refs = Vec::new();
-            for (ix, &(h, _, e)) in items.iter().enumerate() {
-                refs.clear();
-                t1.index.collect_refs(h, &mut refs);
-                cands.extend(
-                    refs.iter()
-                        .filter(|r| r.len as usize == e.len())
-                        .map(|&r| (ix as u32, r)),
-                );
-            }
-            if !cands.is_empty() {
-                cands.sort_unstable_by_key(|&(_, r)| r.off);
-                let mut dead = vec![false; items.len()];
-                for (ix, r) in cands {
-                    let ix = ix as usize;
-                    if !dead[ix] && t1.log.confirm(&r, items[ix].2).expect("tier-1 log read") {
-                        dead[ix] = true;
-                    }
-                }
-                let mut ix = 0;
-                items.retain(|_| {
-                    ix += 1;
-                    !dead[ix - 1]
-                });
-            }
+        let dead = self.on_disk_batch(items);
+        if !dead.is_empty() {
+            let mut ix = 0;
+            items.retain(|_| {
+                ix += 1;
+                !dead[ix - 1]
+            });
         }
         self.mem.insert_batch(items);
     }
@@ -351,6 +366,16 @@ impl TieredStore {
     /// so this delegates to [`VisitedStore::seal_batch`].
     pub fn seal_batch(&self, probes: &[(u64, Rank, &[u8])], epoch: u32) -> Vec<bool> {
         self.mem.seal_batch(probes, epoch)
+    }
+
+    /// [`TieredStore::insert_batch`] then [`TieredStore::seal_batch`]
+    /// over one list — a chunk's successors in commit order — grouped by
+    /// stripe once for both passes. Returns the per-item winner flags.
+    pub(crate) fn admit_and_seal(&self, items: &[(u64, Rank, &[u8])], epoch: u32) -> Vec<bool> {
+        let order = self.mem.stripe_order(items);
+        self.mem
+            .admit_ordered(items, &order, &self.on_disk_batch(items));
+        self.mem.seal_ordered(items, &order, epoch)
     }
 
     /// Tier-0 batch-path observability counters:
@@ -372,7 +397,7 @@ impl StateStore for TieredStore {
 
     fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool {
         // Winners are always tier-0 residents: disk-sealed states are
-        // filtered at admission, so no bucket scan on disk is needed.
+        // filtered at admission, so no lookup on disk is needed.
         self.mem.seal_if_winner(hash, enc, rank, epoch)
     }
 
@@ -447,6 +472,44 @@ mod tests {
         }
         let (ops, items, _) = store.batch_stats();
         assert_eq!((ops, items), (2, 8), "4 admits + 4 seals batched");
+    }
+
+    #[test]
+    fn admit_and_seal_matches_the_two_batch_calls() {
+        // Half the states spilled, then one list carrying every state
+        // twice, the second time at a smaller rank: the fused call must
+        // give the flags, totals and batch counters of the two calls.
+        let ss = states(8);
+        let list: Vec<(u64, Rank, &[u8])> = (0..2)
+            .flat_map(|round| {
+                ss.iter()
+                    .enumerate()
+                    .map(move |(i, (h, e))| (*h, rank(10 - round, i), e.as_slice()))
+            })
+            .collect();
+        let run = |fused: bool| {
+            let store = TieredStore::new(0, Some(SpillDir::temp().unwrap()));
+            for (i, (h, e)) in ss[..4].iter().enumerate() {
+                store.admit(*h, e, rank(i, 0));
+                store.seal_if_winner(*h, e, rank(i, 0), 1);
+            }
+            store.end_of_level().unwrap();
+            let flags = if fused {
+                store.admit_and_seal(&list, 2)
+            } else {
+                store.insert_batch(&mut list.clone());
+                store.seal_batch(&list, 2)
+            };
+            (flags, store.len(), store.mem.len(), store.batch_stats())
+        };
+        let want = run(false);
+        assert_eq!(run(true), want);
+        let winners: Vec<bool> = (0..16).map(|k| k >= 12).collect();
+        assert_eq!(
+            want.0, winners,
+            "new states win at their second, smaller rank"
+        );
+        assert_eq!((want.1, want.2), (8, 4));
     }
 
     #[test]

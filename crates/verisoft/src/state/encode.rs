@@ -6,7 +6,7 @@
 //! This module serializes a state into one flat, **canonical** byte
 //! string — LEB128 varints for every integer, explicit tags for every
 //! enum, length prefixes for every sequence — so the visited stores keep
-//! a single `Box<[u8]>` per state and equality is a `memcmp`.
+//! each state as its bytes in a key arena and equality is a `memcmp`.
 //!
 //! ## Canonicity (the collision-safety argument)
 //!
@@ -24,8 +24,8 @@
 //!
 //! Consequently the visited stores may compare *encodings* instead of
 //! states and keep the full collision-safety rule of [`crate::state`]:
-//! buckets are keyed by the 64-bit fingerprint, but membership is
-//! decided by comparing canonical byte strings, so two distinct states
+//! stored keys are filed under the 64-bit fingerprint, but membership
+//! is decided by comparing canonical byte strings, so two distinct states
 //! sharing a fingerprint cost a comparison, never a missed state.
 //!
 //! [`decode_state`] inverts the encoding (used by the roundtrip tests

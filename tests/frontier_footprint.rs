@@ -1,14 +1,18 @@
-//! The frontier engine's heap footprint per explored state.
+//! The stateful engines' heap footprint per explored state.
 //!
 //! A frontier entry is the state's store key — a few dozen bytes — and a
 //! `GlobalState` exists only while a worker expands it (DESIGN §14). When
 //! every entry, and every child of the level being committed, held a live
 //! state (a vector of shared components per state, plus whatever each
 //! transition copied), the same exploration needed a fifth more live heap
-//! and half as much again in resident memory (EXPERIMENTS E16). This test
-//! pins the first figure so that representation cannot come back
-//! unnoticed: it counts the bytes live in the allocator, which — unlike
-//! peak RSS — repeat to within a byte per state at one worker or two.
+//! and half as much again in resident memory (EXPERIMENTS E16). A stored
+//! state is its key's bytes in a byte arena plus one table slot, in the
+//! frontier's visited store and in the depth-first search's visited set
+//! alike; a `Vec` bucket and a boxed key per state took twice the heap
+//! (EXPERIMENTS E26). This test pins both figures so that neither
+//! representation can come back unnoticed: it counts the bytes live in
+//! the allocator, which — unlike peak RSS — repeat to within a byte per
+//! state at one worker or two.
 
 use reclose::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -44,9 +48,9 @@ static ALLOC: Counting = Counting;
 
 /// Peak live heap of `explore`, over what was live when it started, per
 /// state it reports.
-fn peak_bytes_per_state(prog: &CfgProgram, jobs: usize) -> (usize, Report) {
+fn peak_bytes_per_state(prog: &CfgProgram, engine: Engine, jobs: usize) -> (usize, Report) {
     let config = Config {
-        engine: Engine::StatefulParallel,
+        engine,
         jobs,
         max_violations: usize::MAX,
         ..Config::default()
@@ -68,25 +72,37 @@ fn frontier_heap_per_state_stays_under_the_pinned_ceiling() {
         ..switchsim::SwitchConfig::default()
     });
     let closed = close_source(&src).expect("the generated switch closes");
-    // Measured 220–221 B/state at either worker count, run after run; the
-    // same exploration with live states in the frontier and in the
-    // expansion records (the parent of the change that added this test)
-    // took 262. Most of either figure is the visited store and the
-    // reproducing paths, which every state pays for and this test does
-    // not separate out. The ceiling is the measurement plus 15 %.
-    const CEILING: usize = 254;
-    for jobs in [1, 2] {
-        let (per_state, report) = peak_bytes_per_state(&closed.program, jobs);
-        assert!(report.clean() && !report.truncated, "jobs={jobs}: {report}");
+    // Each figure is the whole run's peak heap over its states: the
+    // visited store (each state's key bytes in a stripe's arena plus one
+    // table slot), the frontier or stack of keys, the reproducing paths,
+    // and the interner and transition memo. Measured 112 B/state for the
+    // frontier at one worker and 114 at two, run after run, and 61 for
+    // the depth-first search (which explores 2.7 times as many states).
+    // With a bucket map — a `Vec` bucket and a boxed key per state — the
+    // same runs took 220–222 and 130; with live states in the frontier and
+    // in the expansion records, the frontier took 262. Each ceiling is
+    // the measurement plus 15 %.
+    let legs = [
+        (Engine::StatefulParallel, 1, 134_506, 131),
+        (Engine::StatefulParallel, 2, 134_506, 131),
+        (Engine::Stateful, 1, 365_415, 70),
+    ];
+    for (engine, jobs, states, ceiling) in legs {
+        let (per_state, report) = peak_bytes_per_state(&closed.program, engine, jobs);
+        assert!(
+            report.clean() && !report.truncated,
+            "{engine:?} jobs={jobs}: {report}"
+        );
         assert_eq!(
-            report.states, 134_506,
-            "jobs={jobs}: the pinned input changed"
+            report.states, states,
+            "{engine:?} jobs={jobs}: the pinned input changed"
         );
         assert!(
-            per_state <= CEILING,
-            "jobs={jobs}: {per_state} B of peak heap per state, ceiling {CEILING} — \
-             is the frontier holding live states again?"
+            per_state <= ceiling,
+            "{engine:?} jobs={jobs}: {per_state} B of peak heap per state, ceiling \
+             {ceiling} — is the visited store allocating per state, or the frontier \
+             holding live states again?"
         );
-        eprintln!("frontier footprint, jobs={jobs}: {per_state} B/state");
+        eprintln!("heap footprint, {engine:?} jobs={jobs}: {per_state} B/state");
     }
 }
