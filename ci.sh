@@ -173,15 +173,15 @@ echo "== fuzz smoke: 300-seed differential sweep =="
 # (fixed seeds, no time-derived input); exits nonzero on any
 # divergence, panic, or generator-produced compile failure. The
 # wall-clock budget only bounds a pathological machine — the sweep
-# normally finishes in seconds. The exploration count is exact — 13
+# normally finishes in seconds. The exploration count is exact — 12
 # legs for each of the 300 programs, one more for each of the 2 that
 # refinement changes — so a leg dropped from the table fails here.
 "$BIN" fuzz --seeds 300 --budget 120 > "$SMOKE/fuzz.txt" 2>&1 \
     || { echo "fuzz smoke: divergence or panic"; cat "$SMOKE/fuzz.txt"; exit 1; }
 grep -q "no divergences" "$SMOKE/fuzz.txt" \
     || { echo "fuzz smoke: summary does not report a clean run"; cat "$SMOKE/fuzz.txt"; exit 1; }
-grep -q "^explore runs: 3902," "$SMOKE/fuzz.txt" \
-    || { echo "fuzz smoke: expected 3902 explorations"; cat "$SMOKE/fuzz.txt"; exit 1; }
+grep -q "^explore runs: 3602," "$SMOKE/fuzz.txt" \
+    || { echo "fuzz smoke: expected 3602 explorations"; cat "$SMOKE/fuzz.txt"; exit 1; }
 sed 's/^/  /' "$SMOKE/fuzz.txt"
 
 echo "== POR smoke: differential verdict oracle on two corpus programs =="

@@ -14,7 +14,7 @@ use reclose_bench::{criterion_group, criterion_main};
 use std::collections::HashSet;
 use std::hint::black_box;
 use switchsim::SwitchConfig;
-use verisoft::search::store::{rank, VisitedStore};
+use verisoft::search::store::VisitedStore;
 use verisoft::state::{decode_state, encode_state};
 use verisoft::{ComponentInterner, Config, ExecCtx, Executor, GlobalState, Scheduled, SuccOutcome};
 
@@ -119,40 +119,29 @@ fn bench(c: &mut Criterion) {
         },
     );
 
-    // Visited-store insertion of canonical encodings (admit + seal, the
-    // parallel frontier's write path).
+    // Visited-store insertion of canonical encodings, one locked
+    // `insert` per state.
     g.bench_with_input(BenchmarkId::new("visited_insert", n), &encs, |b, encs| {
         b.iter(|| {
             let store = VisitedStore::default();
-            for (j, (h, e)) in encs.iter().enumerate() {
-                store.admit(*h, e, rank(j, 0));
-                store.seal(*h, e, 1);
+            for (h, e) in encs {
+                store.insert(*h, e, 1);
             }
             black_box(store.len())
         })
     });
 
-    // The same write path through the batched commit entry points: one
-    // stripe-grouped `insert_batch` for the admits and one `seal_batch`
-    // for the winner flags, as the frontier engines issue per chunk.
+    // The same insertions through the commit pass the frontier engine
+    // issues per chunk: one stripe-grouped `commit`, flags returned.
     g.bench_with_input(
         BenchmarkId::new("visited_insert_batch", n),
         &encs,
         |b, encs| {
             b.iter(|| {
                 let store = VisitedStore::default();
-                let items: Vec<(u64, u64, &[u8])> = encs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (h, e))| (*h, rank(j, 0), e.as_slice()))
-                    .collect();
-                store.insert_batch(&items);
-                let probes: Vec<(u64, u64, &[u8])> = encs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (h, e))| (*h, rank(j, 0), e.as_slice()))
-                    .collect();
-                black_box(store.seal_batch(&probes, 1));
+                let items: Vec<(u64, &[u8])> =
+                    encs.iter().map(|(h, e)| (*h, e.as_slice())).collect();
+                black_box(store.commit(&items, 1));
                 black_box(store.len())
             })
         },

@@ -1,5 +1,5 @@
 //! Micro-benchmark of the tiered visited store behind the out-of-core
-//! frontier engines: rank admission + sealing into the in-memory tier,
+//! frontier engines: inserting sealed states into the in-memory tier,
 //! membership probes against both tiers (an on-disk hit pays one
 //! positional read to confirm the encoding; a miss stays an O(1) index
 //! lookup), and the sealed-drain → log-append spill cycle. The
@@ -13,7 +13,7 @@ use reclose_bench::{criterion_group, criterion_main};
 use std::collections::HashSet;
 use std::hint::black_box;
 use switchsim::SwitchConfig;
-use verisoft::search::store::{rank, SpillDir, StateStore, TieredStore};
+use verisoft::search::store::{SpillDir, StateStore, TieredStore};
 use verisoft::state::encode_state;
 use verisoft::{ComponentInterner, Config, ExecCtx, Executor, GlobalState, Scheduled, SuccOutcome};
 
@@ -62,14 +62,13 @@ fn reachable_states(exec: &Executor<'_>) -> Vec<GlobalState> {
     states
 }
 
-/// A store with every encoding admitted and sealed (epoch 1), either
-/// unbounded in memory or fully spilled to the tier-1 log.
+/// A store with every encoding sealed (epoch 1), either unbounded in
+/// memory or fully spilled to the tier-1 log.
 fn sealed_store(encs: &[(u64, Vec<u8>)], spill: bool) -> TieredStore {
     let dir = spill.then(|| SpillDir::temp().expect("temp spill dir"));
     let store = TieredStore::new(if spill { 0 } else { usize::MAX }, dir);
-    for (j, (h, e)) in encs.iter().enumerate() {
-        store.admit(*h, e, rank(j, 0));
-        store.seal_if_winner(*h, e, rank(j, 0), 1);
+    for (h, e) in encs {
+        store.insert(*h, e, 1);
     }
     if spill {
         store.end_of_level().expect("spill to the log");
@@ -101,36 +100,24 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("visited_store");
     g.throughput(Throughput::Elements(n));
 
-    // The frontier's write path: admit + seal into the memory tier.
+    // Sealed insertion into the memory tier, one locked call per state.
     g.bench_with_input(BenchmarkId::new("insert", n), &encs, |b, encs| {
         b.iter(|| {
             let store = TieredStore::new(usize::MAX, None);
-            for (j, (h, e)) in encs.iter().enumerate() {
-                store.admit(*h, e, rank(j, 0));
-                store.seal_if_winner(*h, e, rank(j, 0), 1);
+            for (h, e) in encs {
+                store.insert(*h, e, 1);
             }
             black_box(store.len())
         })
     });
 
-    // The same write path through the batched commit entry points the
-    // frontier engines use per chunk: one stripe-grouped `insert_batch`
-    // plus one `seal_batch`, instead of two locked calls per state.
+    // The frontier's write path: the one stripe-grouped `commit` it
+    // issues per chunk, flags returned.
     g.bench_with_input(BenchmarkId::new("insert_batch", n), &encs, |b, encs| {
         b.iter(|| {
             let store = TieredStore::new(usize::MAX, None);
-            let mut items: Vec<(u64, u64, &[u8])> = encs
-                .iter()
-                .enumerate()
-                .map(|(j, (h, e))| (*h, rank(j, 0), e.as_slice()))
-                .collect();
-            store.insert_batch(&mut items);
-            let probes: Vec<(u64, u64, &[u8])> = encs
-                .iter()
-                .enumerate()
-                .map(|(j, (h, e))| (*h, rank(j, 0), e.as_slice()))
-                .collect();
-            black_box(store.seal_batch(&probes, 1));
+            let items: Vec<(u64, &[u8])> = encs.iter().map(|(h, e)| (*h, e.as_slice())).collect();
+            black_box(store.commit(&items, 1));
             black_box(store.len())
         })
     });
@@ -167,9 +154,8 @@ fn bench(c: &mut Criterion) {
     let spilled_compressed = {
         let dir = SpillDir::temp().expect("temp spill dir");
         let store = TieredStore::new_with(0, Some(dir), true);
-        for (j, (h, e)) in cencs.iter().enumerate() {
-            store.admit(*h, e, rank(j, 0));
-            store.seal_if_winner(*h, e, rank(j, 0), 1);
+        for (h, e) in &cencs {
+            store.insert(*h, e, 1);
         }
         store.end_of_level().expect("spill to the log");
         store
@@ -200,8 +186,8 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The full spill cycle: admit + seal everything, then drain the
-    // sealed set into the synced log and index it.
+    // The full spill cycle: seal everything, then drain tier 0 into
+    // the synced log and index it.
     g.throughput(Throughput::Elements(n));
     g.bench_with_input(BenchmarkId::new("spill", n), &encs, |b, encs| {
         b.iter(|| {

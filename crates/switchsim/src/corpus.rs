@@ -12,9 +12,8 @@
 //! 1. **close** the open program via [`closer::Pipeline`], and refine
 //!    it with `closer::refine_cex`;
 //! 2. **explore** it under the slice's legs — the frontier search with
-//!    POR on and off across `jobs`, `--no-compress` and the scalar
-//!    commit path, the sequential DFS and the stateless walk each with
-//!    its `--no-compress` twin, and the refined program where
+//!    POR on and off across `jobs` and `--no-compress`, the sequential
+//!    DFS and the stateless walk each with its `--no-compress` twin, and the refined program where
 //!    refinement changed it;
 //! 3. **compare** each leg with the leg the table names: byte for byte
 //!    where the report is a determinism contract, on the distinct

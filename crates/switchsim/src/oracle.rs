@@ -7,9 +7,9 @@
 //! defaults — `-por` (no reduction), `jN` (N workers), `spill` (a
 //! 256-byte budget: the frontier spills and spools, and a first-violation
 //! stop cut falls inside a multi-chunk level), `nc` (`--no-compress`),
-//! `scalar` ([`Config::scalar_commit`]), `traces` (trace collection),
-//! `cut` (a 300-transition cap) — and, as a prefix, `refined` (explore
-//! the program `closer::refine_cex` refined instead of the closed one).
+//! `traces` (trace collection), `cut` (a 300-transition cap) — and, as a
+//! prefix, `refined` (explore the program `closer::refine_cex` refined
+//! instead of the closed one).
 //! Each leg names an earlier leg and the relation its report must hold
 //! to that leg's ([`Against`]); each says which input sets run it
 //! ([`FUZZ`], [`VERDICTS`], [`UNREDUCED`], [`JOBS`], [`BATCH`], [`MEMO`],
@@ -35,10 +35,10 @@ pub enum Against {
     /// The deterministic surface, byte for byte: the `Display` text,
     /// the logical store totals, the toss, sharing and POR counters,
     /// the coverage map and the trace set — plus the batch counters
-    /// when both legs chunk the frontier alike and use the same commit
-    /// path. (A budget chunks a level by stored bytes, so under one the
-    /// compression mode changes the chunking; then a run that stops at
-    /// its violation cap may also have admitted other candidates.)
+    /// when both legs chunk the frontier alike. (A budget chunks a level
+    /// by stored bytes, so under one the compression mode changes the
+    /// chunking; then a run that stops at its violation cap may also
+    /// have committed other states.)
     Same(&'static str),
     /// The same distinct `(kind, process)` verdicts, hence the same
     /// clean judgment, and neither run truncated.
@@ -68,7 +68,8 @@ pub const UNREDUCED: u16 = 1 << 2;
 /// included: the stock corpus, the switch model, the skewed tree, the
 /// cyclic ring.
 pub const JOBS: u16 = 1 << 3;
-/// The batched commit path against the scalar one.
+/// The frontier's commit across worker counts, budgets and compression
+/// modes, on models whose reports are pinned.
 pub const BATCH: u16 = 1 << 4;
 /// Every engine without reduction beside its compression twin, the
 /// frontier at each worker count and budget: sweeps of tiny transition
@@ -109,13 +110,12 @@ pub const LEGS: &[(&str, Against, u16)] = &[
     ("frontier -por spill nc",       Same("frontier -por spill"),        MEMO),
     ("frontier -por j2 spill nc",    Same("frontier -por spill nc"),     MEMO),
     ("frontier -por j8 spill nc",    Same("frontier -por j2 spill nc"),  MEMO),
-    ("frontier -por j2 scalar",      Same("frontier -por j2"),           FUZZ),
     ("dfs -por",                     Verdicts("frontier -por"),          FUZZ | VERDICTS | MEMO | REFINE),
     ("dfs -por nc",                  Same("dfs -por"),                   MEMO),
     ("dfs",                          Verdicts("frontier -por"),          FUZZ | VERDICTS | COMPRESSION | REFINE),
     ("dfs nc",                       Same("dfs"),                        FUZZ | COMPRESSION),
     // The frontier with reduction: one class over jobs x budget x
-    // compression x commit path.
+    // compression.
     ("frontier",                     Verdicts("frontier -por"),          FUZZ | VERDICTS | JOBS | BATCH | COMPRESSION | REFINE),
     ("frontier j2",                  Same("frontier"),                   FUZZ | JOBS | BATCH | COMPRESSION),
     ("frontier j8",                  Same("frontier j2"),                FUZZ | JOBS | BATCH | COMPRESSION),
@@ -128,18 +128,6 @@ pub const LEGS: &[(&str, Against, u16)] = &[
     ("frontier spill nc",            Same("frontier spill"),             BATCH | COMPRESSION),
     ("frontier j2 spill nc",         Same("frontier spill nc"),          BATCH | COMPRESSION),
     ("frontier j8 spill nc",         Same("frontier j2 spill nc"),       BATCH | COMPRESSION),
-    ("frontier scalar",              Same("frontier"),                   BATCH),
-    ("frontier j2 scalar",           Same("frontier j2"),                BATCH),
-    ("frontier j8 scalar",           Same("frontier j8"),                BATCH),
-    ("frontier spill scalar",        Same("frontier spill"),             BATCH),
-    ("frontier j2 spill scalar",     Same("frontier j2 spill"),          BATCH),
-    ("frontier j8 spill scalar",     Same("frontier j8 spill"),          BATCH),
-    ("frontier nc scalar",           Same("frontier nc"),                BATCH),
-    ("frontier j2 nc scalar",        Same("frontier j2 nc"),             BATCH),
-    ("frontier j8 nc scalar",        Same("frontier j8 nc"),             BATCH),
-    ("frontier spill nc scalar",     Same("frontier spill nc"),          BATCH),
-    ("frontier j2 spill nc scalar",  Same("frontier j2 spill nc"),       BATCH),
-    ("frontier j8 spill nc scalar",  Same("frontier j8 spill nc"),       BATCH),
     // The stateless walk, under its own cap and gate.
     ("stateless",                    Verdicts("frontier -por"),          FUZZ | STATELESS | WALKS | REFINE),
     ("stateless nc",                 Same("stateless"),                  FUZZ | STATELESS | WALKS),
@@ -181,7 +169,6 @@ fn config(name: &str, limits: &OracleLimits) -> Config {
             "-por" => (c.por, c.sleep_sets) = (false, false),
             "spill" => c.mem_limit = 256,
             "nc" => c.no_compress = true,
-            "scalar" => c.scalar_commit = true,
             "traces" => c.collect_traces = true,
             "cut" => c.max_transitions = 300,
             _ => match word.strip_prefix('j').and_then(|n| n.parse().ok()) {
@@ -372,10 +359,9 @@ fn surface_diff(a: (&Config, &Report), b: (&Config, &Report)) -> Option<&'static
     // Under a budget the frontier chunks a level by stored bytes, so the
     // chunking follows the budget and the compression mode. It decides
     // the batch counters and, where a run stops at its violation cap,
-    // which of the level's candidates the store admitted.
+    // which of the level's states the store committed.
     let chunks = |c: &Config| (c.mem_limit, c.mem_limit != usize::MAX && c.no_compress);
     let same_chunks = chunks(ca) == chunks(cb);
-    let batches = same_chunks && ca.scalar_commit == cb.scalar_commit;
     let totals = same_chunks || a.violations.len() < ca.max_violations;
     let batch = |r: &Report| {
         (
@@ -395,7 +381,7 @@ fn surface_diff(a: (&Config, &Report), b: (&Config, &Report)) -> Option<&'static
         ("POR counters", por(a) == por(b)),
         ("coverage map", a.coverage == b.coverage),
         ("trace set", a.traces == b.traces),
-        ("batch counters", !batches || batch(a) == batch(b)),
+        ("batch counters", !same_chunks || batch(a) == batch(b)),
     ]
     .into_iter()
     .find(|(_, same)| !same)
@@ -416,7 +402,7 @@ fn postconditions(c: &Config, r: &Report) -> Result<(), &'static str> {
     if !c.no_compress && (r.interner_entries > 0) != (c.engine != Engine::Stateless) {
         return Err("compression was on, for a store only");
     }
-    if c.engine == Engine::StatefulParallel && !c.scalar_commit && r.store_batch_ops == 0 {
+    if c.engine == Engine::StatefulParallel && r.store_batch_ops == 0 {
         return Err("no batches issued");
     }
     Ok(())
@@ -491,7 +477,7 @@ mod tests {
                 );
             }
         }
-        // `reclose fuzz` explores at most 14 configurations a program.
-        assert_eq!(LEGS.iter().filter(|l| l.2 & FUZZ != 0).count(), 14);
+        // `reclose fuzz` explores at most 13 configurations a program.
+        assert_eq!(LEGS.iter().filter(|l| l.2 & FUZZ != 0).count(), 13);
     }
 }

@@ -202,16 +202,16 @@ pub struct Report {
     /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark
     /// reads it by name; goes with the next benchmark-only PR.
     pub store_segments_compacted: usize,
-    /// Batched store operations the frontier engine issued — one each
-    /// for a chunk's admit pass and its seal pass (operational, like
-    /// [`Report::store_peak_mem_bytes`]: batch boundaries follow chunking
-    /// and so may differ across resumed runs).
+    /// Store commits the frontier engine issued, one per chunk
+    /// (operational, like [`Report::store_peak_mem_bytes`]: batch
+    /// boundaries follow chunking and so may differ across resumed
+    /// runs).
     pub store_batch_ops: usize,
-    /// Items carried by those batched operations (operational).
+    /// Items carried by those commits (operational).
     pub store_batch_items: usize,
-    /// Lock acquisitions the batched store calls saved versus the scalar
-    /// one-lock-per-item reference path: items sharing a stripe run take
-    /// the stripe lock once (operational).
+    /// Lock acquisitions the commits saved versus one lock per item:
+    /// items sharing a stripe run take the stripe lock once
+    /// (operational).
     pub store_lock_acquisitions_avoided: usize,
     /// Always 0: no filter sits in front of the tier-1 index
     /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark

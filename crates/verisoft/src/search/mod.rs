@@ -79,10 +79,10 @@ pub enum Engine {
     Stateful,
     /// Explicit-state breadth-first frontier search across
     /// [`Config::jobs`] worker threads, sharing a lock-striped visited
-    /// store with a jobs-invariant admission order; deterministic — same
-    /// report for any job count. The first violation reported has a
-    /// *shortest* reproducing trace (best for debugging); the CLI's
-    /// `--bfs` is this engine at `jobs = 1`.
+    /// store that one thread commits to in a jobs-invariant order;
+    /// deterministic — same report for any job count. The first
+    /// violation reported has a *shortest* reproducing trace (best for
+    /// debugging); the CLI's `--bfs` is this engine at `jobs = 1`.
     StatefulParallel,
 }
 
@@ -161,16 +161,6 @@ pub struct Config {
     /// checkpoint config digest — it changes the on-disk record format,
     /// so resuming a checkpoint across compression modes is rejected.
     pub no_compress: bool,
-    /// Test oracle: run the frontier engine on the scalar reference
-    /// commit path — per-successor store admission inside the workers
-    /// and per-child `seal_if_winner` in the ordered commit, no
-    /// batching. The batched path is result-equivalent by construction
-    /// (see [`stateful`]); the `scalar` legs of the differential oracle
-    /// (`switchsim::oracle`, which `reclose fuzz` and the differential
-    /// tests run) set this field to check that claim, and nothing else
-    /// selects it (no CLI flag, no environment variable). Excluded from the
-    /// checkpoint config digest — it cannot change any result.
-    pub scalar_commit: bool,
 }
 
 impl Default for Config {
@@ -194,7 +184,6 @@ impl Default for Config {
             resume: false,
             abort_after_checkpoints: None,
             no_compress: false,
-            scalar_commit: false,
         }
     }
 }

@@ -27,7 +27,7 @@
 //! complete with the identical report.
 
 use super::store::keyset::KeySet;
-use super::store::{checkpoint, rank, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
+use super::store::{checkpoint, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
 use crate::executor::{ExecCtx, Executor, Expansion, KeyArena, LeanChild};
 use crate::report::{Decision, Report, Violation, ViolationKind};
@@ -198,17 +198,15 @@ impl Expanded {
 /// reproducing trace.
 ///
 /// Each level, workers expand the frontier's states concurrently
-/// (claiming items through an atomic cursor) and every successor is
-/// admitted to the shared [`TieredStore`] tagged with its
-/// shard-lexicographic discovery rank `(frontier index, successor
-/// index)`. The level then commits sequentially in rank order: a
-/// successor joins the next frontier iff its rank is the store's winning
-/// (minimal) occurrence of that state, so the explored set, the
-/// violation order, every reproducing trace, and all counters are
-/// byte-identical for any worker count. The POR proviso's predicate
-/// (successor already *sealed*, i.e. committed in an earlier level)
-/// depends only on the frontier level, never on intra-level processing
-/// order.
+/// (claiming items through an atomic cursor) without writing the shared
+/// [`TieredStore`]. The level then commits on one thread in commit
+/// order, `(frontier index, successor index)`: a successor joins the
+/// next frontier iff it is the first occurrence of its state, so the
+/// explored set, the violation order, every reproducing trace, and all
+/// counters are byte-identical for any worker count. The POR proviso's
+/// predicate (successor already *sealed*, i.e. committed in an earlier
+/// level) depends only on the frontier level, never on intra-level
+/// processing order.
 pub(super) fn frontier(exec: &Executor<'_>) -> Report {
     let mut run = FrontierRun::new(exec);
     if exec.config().resume {
@@ -265,8 +263,6 @@ struct Level {
     remaining: usize,
     /// Successors seal into the next level.
     epoch: u32,
-    /// Frontier offset of the current chunk.
-    base: usize,
     next: FrontierSpool<FrontierItem>,
 }
 
@@ -332,8 +328,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             Some(i) => init.fingerprint_and_intern(i),
             None => init.fingerprint_and_encode(),
         };
-        self.store.admit(h0, &enc0, rank(0, 0));
-        self.store.seal(h0, &enc0, 0);
+        self.store.insert(h0, &enc0, 0);
         self.report.states = 1;
         if self.exec.config().max_depth == 0 {
             self.report.truncated = true;
@@ -392,13 +387,13 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// committed before the next is read. This is byte-identical to
     /// processing the whole level at once because:
     ///
-    /// 1. **Ranks are global to the level.** Chunk `c` starting at
-    ///    frontier offset `base` commits with ranks `rank(base + i, j)` —
-    ///    the exact ranks a single-chunk run assigns — and chunk bases are
-    ///    strictly increasing, so the level-minimal rank of any state
-    ///    appears in the earliest chunk that discovers it, where
-    ///    `seal_if_winner` crowns the same winner the unbounded commit
-    ///    would.
+    /// 1. **Commit order is global to the level.** Chunks are consecutive
+    ///    slices of the frontier, committed one after another, each in
+    ///    `(frontier index, successor index)` order — so the chunks
+    ///    together commit the level's successors in exactly the order a
+    ///    single-chunk run does, and the first occurrence of any state,
+    ///    the one [`TieredStore::commit`] lets win, is the same
+    ///    occurrence the unbounded commit picks.
     /// 2. **The proviso is epoch-bounded.** Workers probe
     ///    `contains_sealed_before(h, e, level+1)`: entries sealed by
     ///    *earlier chunks of the same level* carry epoch `level+1` and are
@@ -429,7 +424,6 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         let mut lvl = Level {
             remaining,
             epoch: (self.level + 1) as u32,
-            base: 0,
             next: self.spool(self.level + 1),
         };
         while !self.stop {
@@ -515,10 +509,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// the lean commit record in the item's slot — the item's state and
     /// all its successors die on the thread that built them.
     ///
-    /// This makes **no store writes**: successors are admitted by
-    /// [`FrontierRun::commit_chunk`], in one batch. Only the scalar
-    /// reference path ([`Config::scalar_commit`](super::Config::scalar_commit))
-    /// admits inline, per successor.
+    /// This makes **no store writes**: successors are committed by
+    /// [`FrontierRun::commit_chunk`], in one pass.
     fn expand_chunk(&mut self, chunk: &[FrontierItem], lvl: &Level) -> Vec<OnceLock<Expanded>> {
         let n = chunk.len();
         let workers = self.workers_for(n);
@@ -544,13 +536,6 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 let fe = exec.expand(&mut cx, &state, (&mut *cache, &mut *memo), |h, e| {
                     store.contains_sealed_before(h, e, lvl.epoch)
                 });
-                if cfg.scalar_commit {
-                    for (j, (h, enc)) in fe.keys.iter().enumerate() {
-                        if !enc.is_empty() {
-                            store.admit(h, enc, rank(lvl.base + i, j));
-                        }
-                    }
-                }
                 let claimed_once = slots[i].set(Expanded::new(fe, &mut cx)).is_ok();
                 assert!(claimed_once, "the cursor hands out each item once");
             }
@@ -575,44 +560,15 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         slots
     }
 
-    /// Batched admission and winner flags for one expanded chunk: one
-    /// flag per successor *state* (violation children carry the empty
-    /// key and are skipped), in child order.
-    ///
-    /// Every successor of the chunk is admitted in one store call,
-    /// grouped by stripe; arrival order within the batch is immaterial —
-    /// admission keeps the minimum rank — so this equals the scalar
-    /// admits exactly. The winner flags are then final: every rank that
-    /// could beat a stored one was admitted by this or an earlier chunk
-    /// (later chunks only carry larger ranks), and at most one probe per
-    /// state holds the stored minimum, so per-stripe batching cannot
-    /// change any verdict. Flags past a stop cut are simply never read;
-    /// the extra seals they performed are report-invisible (seals only
-    /// gate spill contents and later-level probes, and the run is
-    /// stopping).
-    fn admit_and_seal(&self, slots: &[OnceLock<Expanded>], lvl: &Level) -> Vec<bool> {
-        let cap: usize = slots
-            .iter()
-            .map(|s| s.get().map_or(0, |e| e.keys.len()))
-            .sum();
-        let mut keys: Vec<(u64, u64, &[u8])> = Vec::with_capacity(cap);
-        for (i, slot) in slots.iter().enumerate() {
-            let e = slot.get().expect("every frontier item is expanded");
-            for (j, (h, enc)) in e.keys.iter().enumerate() {
-                if !enc.is_empty() {
-                    keys.push((h, rank(lvl.base + i, j), enc));
-                }
-            }
-        }
-        self.store.admit_and_seal(&keys, lvl.epoch)
-    }
-
-    /// The sequential ordered commit of one expanded chunk: fold items in
-    /// rank order; only winning occurrences enter the next frontier, and
-    /// the violation cap cuts at the same rank for every worker count.
-    /// The scalar reference path asks the store per child
-    /// (`seal_if_winner`) where the batched path reads the flags
-    /// [`FrontierRun::admit_and_seal`] computed for the whole chunk.
+    /// The sequential ordered commit of one expanded chunk. One
+    /// [`TieredStore::commit`] over every successor *state* of the chunk
+    /// (violation children carry the empty key and are left out), in
+    /// commit order, flags the first occurrences; then the items fold in
+    /// the same order: only flagged successors enter the next frontier,
+    /// and the violation cap cuts at the same child for every worker
+    /// count. Flags past a stop cut are never read; the states they
+    /// stored are report-invisible (they only gate spill contents and
+    /// later-level probes, and the run is stopping).
     fn commit_chunk(
         &mut self,
         chunk: &[FrontierItem],
@@ -620,12 +576,17 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         lvl: &mut Level,
     ) {
         let cfg = self.exec.config();
-        let mut flags = if cfg.scalar_commit {
-            Vec::new()
-        } else {
-            self.admit_and_seal(&slots, lvl)
+        let n = slots
+            .iter()
+            .map(|s| s.get().map_or(0, |e| e.keys.len()))
+            .sum();
+        let mut keys: Vec<(u64, &[u8])> = Vec::with_capacity(n);
+        for slot in &slots {
+            let e = slot.get().expect("every frontier item is expanded");
+            keys.extend(e.keys.iter().filter(|(_, enc)| !enc.is_empty()));
         }
-        .into_iter();
+        let mut flags = self.store.commit(&keys, lvl.epoch).into_iter();
+        drop(keys);
         let report = &mut self.report;
         report.pipeline_chunks += 1;
         for (i, slot) in slots.into_iter().enumerate() {
@@ -655,14 +616,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 }
                 match c.violation {
                     None => {
-                        let (h, enc) = e.keys.get(j);
-                        let won = if cfg.scalar_commit {
-                            self.store
-                                .seal_if_winner(h, enc, rank(lvl.base + i, j), lvl.epoch)
-                        } else {
-                            flags.next().expect("one flag per successor state")
-                        };
-                        if won {
+                        let enc = e.keys.get(j).1;
+                        if flags.next().expect("one flag per successor state") {
                             report.states += 1;
                             report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
                             if item.depth + 1 >= cfg.max_depth {
@@ -690,7 +645,6 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 }
             }
         }
-        lvl.base += chunk.len();
     }
 
     /// Fold the store's and the workers' totals into the report.
@@ -713,8 +667,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         report.store_stored_bytes = store.stored_bytes();
         report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
         report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
-        // Batched-commit-path observability (also operational): how much
-        // the store's batch grouping actually saved.
+        // Commit observability (also operational): how much the store's
+        // stripe grouping actually saved.
         (
             report.store_batch_ops,
             report.store_batch_items,

@@ -1,7 +1,7 @@
 //! Level-boundary checkpoints and the resume path.
 //!
 //! The frontier search's entire loop state at a level boundary is
-//! `(sealed visited set with epochs, next frontier in rank order,
+//! `(sealed visited set with epochs, next frontier in commit order,
 //! report-so-far, level number)` — nothing else survives a round. A
 //! checkpoint therefore persists exactly those four things:
 //!
@@ -303,7 +303,7 @@ pub(crate) struct Resumed<T> {
     pub level: usize,
     pub checkpoints_written: usize,
     pub report: Report,
-    /// The frontier at the checkpointed level boundary, in rank order,
+    /// The frontier at the checkpointed level boundary, in commit order,
     /// as `(entry, byte cost)` pairs to re-push into a fresh spool.
     pub frontier: Vec<(T, usize)>,
 }
@@ -424,7 +424,7 @@ pub(crate) fn resume<T: Spoolable>(
     while mr.remaining() > 0 {
         let (fp, epoch, _, enc) =
             read_record(&mut mr).ok_or_else(|| format!("{}: torn record", mem_path.display()))?;
-        store.load_sealed(fp, enc, epoch);
+        store.insert(fp, enc, epoch);
         loaded += 1;
     }
     if loaded != mem_count {

@@ -107,19 +107,6 @@ impl<V> KeySet<V> {
         self.get(fp, key).is_some()
     }
 
-    /// The payload of `key` under `fp`, mutably.
-    pub(crate) fn get_mut(&mut self, fp: u64, key: &[u8]) -> Option<&mut V> {
-        let s = self.table.get_mut(&fp)?;
-        if key_of(&self.arena, s) == key {
-            return Some(&mut s.val);
-        }
-        let arena = &self.arena;
-        self.side
-            .iter_mut()
-            .find(|(f, s)| *f == fp && key_of(arena, s) == key)
-            .map(|(_, s)| &mut s.val)
-    }
-
     /// The payload of `key` under `fp`, storing `key` with `val` first
     /// if it is absent; the flag is true when it was absent.
     pub(crate) fn get_or_insert(&mut self, fp: u64, key: &[u8], val: V) -> (&mut V, bool) {
@@ -177,26 +164,6 @@ impl<V> KeySet<V> {
             .chain(self.side.iter().map(|(fp, s)| (*fp, s)))
             .map(|(fp, s)| (fp, key_of(&self.arena, s), &s.val))
     }
-
-    /// Remove every key whose payload satisfies `take`, handing each to
-    /// `out` in no particular order. The keys that stay are copied into
-    /// a fresh table and arena, so the memory the removed keys held is
-    /// released, not kept as spare capacity.
-    pub(crate) fn drain_where(
-        &mut self,
-        mut take: impl FnMut(&V) -> bool,
-        mut out: impl FnMut(u64, &[u8], V),
-    ) {
-        let old = std::mem::take(self);
-        for (fp, s) in old.table.into_iter().chain(old.side) {
-            let key = key_of(&old.arena, &s);
-            if take(&s.val) {
-                out(fp, key, s.val);
-            } else {
-                self.push(fp, key, s.val);
-            }
-        }
-    }
 }
 
 impl KeySet<()> {
@@ -225,45 +192,19 @@ mod tests {
         let (v, new) = set.get_or_insert(FP, b"bb", 9);
         assert!(!new, "present: the offered payload is dropped");
         *v += 10;
-        *set.get_mut(FP, b"a").unwrap() += 100;
         assert_eq!(
             [b"a".as_slice(), b"bb", b""].map(|k| set.get(FP, k).copied()),
-            [Some(101), Some(12), Some(3)]
+            [Some(1), Some(12), Some(3)]
         );
         assert!(set.get(FP, b"c").is_none(), "fingerprint hit, key miss");
         assert!(set.get(FP + 1, b"a").is_none(), "key hit, fingerprint miss");
-        assert_eq!(set.values(FP).copied().collect::<Vec<_>>(), [101, 12, 3]);
+        assert_eq!(set.values(FP).copied().collect::<Vec<_>>(), [1, 12, 3]);
     }
 
     #[test]
-    fn drain_releases_what_it_takes_and_keeps_the_rest_findable() {
-        let mut set = KeySet::default();
-        for (i, k) in [b"k0", b"k1", b"k2", b"k3"].iter().enumerate() {
-            set.push(FP, *k, i);
-            set.push(i as u64, *k, i + 10);
-        }
-        let mut taken = Vec::new();
-        set.drain_where(|&v| v % 2 == 0, |fp, k, v| taken.push((fp, k.to_vec(), v)));
-        taken.sort();
-        assert_eq!(taken.len(), 4);
-        assert_eq!(taken[0], (0, b"k0".to_vec(), 10));
-        assert_eq!(taken[3], (FP, b"k2".to_vec(), 2));
-        assert_eq!(set.len(), 4);
-        assert_eq!(set.arena.len(), 4 * 2, "only the kept keys' bytes remain");
-        for (fp, k, v) in [
-            (FP, b"k1", 1),
-            (FP, b"k3", 3),
-            (1, b"k1", 11),
-            (3, b"k3", 13),
-        ] {
-            assert_eq!(set.get(fp, k), Some(&v));
-        }
-        assert!(set.get(FP, b"k0").is_none());
-        let mut all: Vec<_> = set.iter().map(|(fp, k, &v)| (fp, k.to_vec(), v)).collect();
-        all.sort();
-        assert_eq!(all.len(), 4);
-        set.drain_where(|_| true, |_, _, _| {});
-        assert_eq!((set.len(), set.arena.capacity()), (0, 0), "nothing kept");
+    fn a_tier_0_table_entry_is_24_bytes() {
+        // The fingerprint and a slot whose payload is the seal epoch.
+        assert_eq!(std::mem::size_of::<(u64, Slot<u32>)>(), 24);
     }
 
     #[test]

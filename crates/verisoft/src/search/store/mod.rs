@@ -3,10 +3,10 @@
 //!
 //! The module tree splits the storage subsystem by concern:
 //!
-//! - [`mem`] — tier 0: the lock-striped in-memory [`VisitedStore`] with
-//!   the jobs-invariant rank admission protocol (previously
-//!   `search::visited`), now tracking the *epoch* (frontier level) each
-//!   entry was sealed in.
+//! - [`mem`] — tier 0: the lock-striped in-memory [`VisitedStore`] and
+//!   its commit pass, where the first occurrence of a state in commit
+//!   order wins; each entry keeps the *epoch* (frontier level) it was
+//!   sealed in.
 //! - [`disk`] — tier 1: one append-only log file of canonical state
 //!   encodings; every spill appends to it, and records are only read
 //!   back for full-state collision confirmation.
@@ -17,25 +17,25 @@
 //!   index and the depth-first search's visited set: keys in a byte
 //!   arena, one inline slot per fingerprint, collisions on a side list.
 //! - [`spool`] — bounded-memory FIFO spooling of the level-synchronous
-//!   frontier: excess entries spill to disk in rank order and are
+//!   frontier: excess entries spill to disk in commit order and are
 //!   re-admitted deterministically.
 //! - [`checkpoint`] — periodic level-boundary checkpoints (the tier-1
 //!   log's committed length + tier-0 snapshot + frontier spool + report
 //!   counters behind a versioned manifest) and the resume path.
 //!
-//! [`TieredStore`] composes tiers 0 and 1 behind the same admission
-//! protocol the in-memory store exposes, so the frontier search in
+//! [`TieredStore`] composes tiers 0 and 1 behind the same commit pass
+//! the in-memory store exposes, so the frontier search in
 //! [`super::stateful`] is oblivious to where a sealed state resides.
 //!
 //! ## Why spilling cannot change a report
 //!
-//! Only **sealed** entries ever move to disk. Unsealed candidates stay
-//! in tier 0 because their rank is still mutable (a smaller rank may
-//! override them mid-round); a sealed entry's only observable property
-//! is *membership* (plus its seal epoch), which both tiers answer
-//! identically. `len()`/`bytes()` report logical totals across tiers,
-//! so even `Report::visited_bytes`/`visited_states` match the unbounded
-//! run byte for byte.
+//! Every stored entry is sealed: it entered the store as the winning
+//! occurrence of a commit. Its only observable property is
+//! *membership* (plus its seal epoch), which both tiers answer
+//! identically, so any entry may move to disk at a level boundary.
+//! `len()`/`bytes()` report logical totals across tiers, so even
+//! `Report::visited_bytes`/`visited_states` match the unbounded run
+//! byte for byte.
 
 pub mod checkpoint;
 pub mod disk;
@@ -54,36 +54,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A shard-lexicographic discovery rank: `(frontier item, successor)`
-/// packed so that `u64` ordering is the lexicographic order the
-/// sequential search discovers successors in.
-pub type Rank = u64;
-
-/// Pack a discovery rank.
-#[inline]
-pub fn rank(item: usize, succ: usize) -> Rank {
-    debug_assert!(item < (1 << 32) && succ < (1 << 32));
-    ((item as u64) << 32) | succ as u64
-}
-
-/// The storage protocol the frontier engines run against: concurrent
-/// rank-tagged admission, sequential epoch-tagged sealing, and the
-/// POR-proviso membership probe. Implemented by the in-memory tier
-/// ([`VisitedStore`]) and the tiered store ([`TieredStore`]) — the
-/// engine's determinism argument only uses this interface, so it holds
-/// for any implementation that keeps the protocol.
+/// The read side the frontier engine's workers run against while a
+/// level expands: the POR-proviso membership probe and the logical
+/// totals. Implemented by the in-memory tier ([`VisitedStore`]) and the
+/// tiered store ([`TieredStore`]); writes happen only in the serial
+/// commit ([`TieredStore::commit`]).
 pub trait StateStore: Sync {
-    /// Offer a candidate discovery of the state encoded as `enc` at
-    /// `rank`. Keeps the smallest rank per state; sealed entries
-    /// (whatever tier they live in) always win. Concurrency-safe: the
-    /// outcome is independent of arrival order.
-    fn admit(&self, hash: u64, enc: &[u8], rank: Rank);
-
-    /// Seal and return `true` iff `(enc, rank)` is the committed winner
-    /// of the round, stamping it with the frontier `epoch` it was
-    /// sealed in. Call from the sequential ordered commit only.
-    fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool;
-
     /// Whether the state is sealed with an epoch `< epoch_bound` — the
     /// ignoring-proviso probe. Bounding by epoch (not "any sealed")
     /// lets a level be processed in memory-bounded chunks: entries
@@ -92,10 +68,10 @@ pub trait StateStore: Sync {
     /// would — the report stays byte-identical for any memory limit.
     fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool;
 
-    /// Number of states stored across all tiers (sealed or candidate).
+    /// Number of states stored across all tiers.
     fn len(&self) -> usize;
 
-    /// True when no state was ever admitted.
+    /// True when no state was ever stored.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -159,9 +135,8 @@ struct Tier1 {
 /// The two-tier visited store: tier 0 is the lock-striped in-memory
 /// [`VisitedStore`]; tier 1 is one append-only log file behind an
 /// in-memory fingerprint index. When tier 0's payload exceeds the
-/// budget at a level boundary, all sealed entries are appended to the
-/// log ([`TieredStore::end_of_level`]); candidates stay resident
-/// because their ranks are still mutable. Unbounded stores (budget
+/// budget at a level boundary, all its entries are appended to the
+/// log ([`TieredStore::end_of_level`]). Unbounded stores (budget
 /// `usize::MAX`, no spill dir) never touch the filesystem.
 pub struct TieredStore {
     mem: VisitedStore,
@@ -199,25 +174,39 @@ impl TieredStore {
         }
     }
 
-    /// Whether `enc` is present on disk, optionally only when sealed
-    /// before `epoch_bound`. The index keeps probes O(1): disk is read
-    /// only to confirm a fingerprint match against the full encoding.
-    fn on_disk(&self, hash: u64, enc: &[u8], epoch_bound: Option<u32>) -> bool {
+    /// Whether `enc` is on disk, sealed before `epoch_bound`. The index
+    /// keeps probes O(1): disk is read only to confirm a fingerprint
+    /// match against the full encoding.
+    fn on_disk(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
         let Some(t1) = &self.tier1 else { return false };
         t1.index.candidates(hash, |r: &DiskRef| {
-            epoch_bound.is_none_or(|b| r.epoch < b)
+            r.epoch < epoch_bound
                 && r.len as usize == enc.len()
                 && t1.log.confirm(r, enc).expect("tier-1 log read")
         })
     }
 
-    /// Seal the state unconditionally (the initial state's admission).
-    pub fn seal(&self, hash: u64, enc: &[u8], epoch: u32) {
-        self.mem.seal(hash, enc, epoch);
+    /// Store the state in tier 0, sealed at `epoch`, unless tier 0
+    /// holds it; true when it was absent. Tier 1 is not consulted: this
+    /// is for the initial state and for resume's reload of tier 0, whose
+    /// entries are never on disk.
+    pub fn insert(&self, hash: u64, enc: &[u8], epoch: u32) -> bool {
+        self.mem.insert(hash, enc, epoch)
+    }
+
+    /// One chunk's commit: `items` are the chunk's successors in commit
+    /// order, `(frontier index, successor index)`. Skips the states
+    /// tier 1 holds, inserts the rest into tier 0 sealed at `epoch`, and
+    /// returns flags aligned with `items`: an item wins iff its state
+    /// was absent, so of several occurrences the first wins. See
+    /// [`VisitedStore::commit`].
+    pub fn commit(&self, items: &[(u64, &[u8])], epoch: u32) -> Vec<bool> {
+        self.mem
+            .commit_skipping(items, &self.on_disk_batch(items), epoch)
     }
 
     /// Level-boundary maintenance: record the tier-0 peak and, when the
-    /// in-memory footprint exceeds the budget, append every sealed entry
+    /// in-memory footprint exceeds the budget, append every tier-0 entry
     /// to the tier-1 log. The budget bounds *resident* bytes
     /// ([`VisitedStore::stored_bytes`]) — compression therefore defers
     /// spilling, which is report-invisible by the same argument that
@@ -231,8 +220,8 @@ impl TieredStore {
         self.spill_sealed()
     }
 
-    /// Append all sealed tier-0 entries to the log (no-op when nothing
-    /// is sealed or there is no spill directory).
+    /// Append all tier-0 entries to the log (no-op when tier 0 is empty
+    /// or there is no spill directory).
     pub fn spill_sealed(&self) -> io::Result<()> {
         let Some(t1) = &self.tier1 else { return Ok(()) };
         let records = self.mem.drain_sealed();
@@ -262,12 +251,7 @@ impl TieredStore {
         Ok(n)
     }
 
-    /// Insert an already-sealed entry into tier 0 (resume path).
-    pub(crate) fn load_sealed(&self, hash: u64, enc: &[u8], epoch: u32) {
-        self.mem.insert_sealed(hash, enc, epoch);
-    }
-
-    /// A sorted, non-destructive snapshot of every sealed tier-0 entry
+    /// A sorted, non-destructive snapshot of every tier-0 entry
     /// — what a checkpoint persists alongside the tier-1 log.
     pub(crate) fn sealed_mem_snapshot(&self) -> Vec<(u64, u32, Box<[u8]>)> {
         self.mem.sealed_snapshot()
@@ -312,13 +296,13 @@ impl TieredStore {
     /// disk (a spilled state is sealed by definition); empty when
     /// nothing is spilled. The disk confirms are read in log-offset
     /// order — sequential positional reads instead of a random walk.
-    fn on_disk_batch(&self, items: &[(u64, Rank, &[u8])]) -> Vec<bool> {
+    fn on_disk_batch(&self, items: &[(u64, &[u8])]) -> Vec<bool> {
         let Some(t1) = &self.tier1 else {
             return Vec::new();
         };
         let mut cands: Vec<(u32, DiskRef)> = Vec::new();
         let mut refs = Vec::new();
-        for (ix, &(h, _, e)) in items.iter().enumerate() {
+        for (ix, &(h, e)) in items.iter().enumerate() {
             refs.clear();
             t1.index.collect_refs(h, &mut refs);
             cands.extend(
@@ -334,76 +318,24 @@ impl TieredStore {
         let mut dead = vec![false; items.len()];
         for (ix, r) in cands {
             let ix = ix as usize;
-            if !dead[ix] && t1.log.confirm(&r, items[ix].2).expect("tier-1 log read") {
+            if !dead[ix] && t1.log.confirm(&r, items[ix].1).expect("tier-1 log read") {
                 dead[ix] = true;
             }
         }
         dead
     }
 
-    /// Batch [`StateStore::admit`] over one worker batch's successors.
-    /// Disk-resident states are filtered exactly like scalar `admit` and
-    /// dropped from `items`; the survivors go through
-    /// [`VisitedStore::insert_batch`], which groups them by stripe so
-    /// each stripe lock is taken once per run instead of once per
-    /// successor. Result-equivalent to scalar admission in any order
-    /// because admission keeps the *minimum* rank per state.
-    pub fn insert_batch(&self, items: &mut Vec<(u64, Rank, &[u8])>) {
-        let dead = self.on_disk_batch(items);
-        if !dead.is_empty() {
-            let mut ix = 0;
-            items.retain(|_| {
-                ix += 1;
-                !dead[ix - 1]
-            });
-        }
-        self.mem.insert_batch(items);
-    }
-
-    /// Batch [`StateStore::seal_if_winner`] over one chunk's commit
-    /// probes, preserving commit order per stripe. Winners are always
-    /// tier-0 residents (disk-sealed states are filtered at admission),
-    /// so this delegates to [`VisitedStore::seal_batch`].
-    pub fn seal_batch(&self, probes: &[(u64, Rank, &[u8])], epoch: u32) -> Vec<bool> {
-        self.mem.seal_batch(probes, epoch)
-    }
-
-    /// [`TieredStore::insert_batch`] then [`TieredStore::seal_batch`]
-    /// over one list — a chunk's successors in commit order — grouped by
-    /// stripe once for both passes. Returns the per-item winner flags.
-    pub(crate) fn admit_and_seal(&self, items: &[(u64, Rank, &[u8])], epoch: u32) -> Vec<bool> {
-        let order = self.mem.stripe_order(items);
-        self.mem
-            .admit_ordered(items, &order, &self.on_disk_batch(items));
-        self.mem.seal_ordered(items, &order, epoch)
-    }
-
-    /// Tier-0 batch-path observability counters:
-    /// `(batch calls, items batched, lock acquisitions avoided)`.
+    /// Tier-0 commit observability counters:
+    /// `(commit calls, items committed, lock acquisitions avoided)`.
     pub fn batch_stats(&self) -> (usize, usize, usize) {
         self.mem.batch_stats()
     }
 }
 
 impl StateStore for TieredStore {
-    fn admit(&self, hash: u64, enc: &[u8], rank: Rank) {
-        // A state on disk is sealed by definition: the candidate loses
-        // regardless of rank, so tier 0 never re-admits it.
-        if self.on_disk(hash, enc, None) {
-            return;
-        }
-        self.mem.admit(hash, enc, rank);
-    }
-
-    fn seal_if_winner(&self, hash: u64, enc: &[u8], rank: Rank, epoch: u32) -> bool {
-        // Winners are always tier-0 residents: disk-sealed states are
-        // filtered at admission, so no lookup on disk is needed.
-        self.mem.seal_if_winner(hash, enc, rank, epoch)
-    }
-
     fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
         self.mem.contains_sealed_before(hash, enc, epoch_bound)
-            || self.on_disk(hash, enc, Some(epoch_bound))
+            || self.on_disk(hash, enc, epoch_bound)
     }
 
     fn len(&self) -> usize {
@@ -415,12 +347,116 @@ impl StateStore for TieredStore {
     }
 }
 
+/// Shims for the benchmark ledger's frozen stepper
+/// (`crates/bench/src/bin/ledger/src/stepper.rs`), which still speaks the
+/// rank protocol this store replaced with [`TieredStore::commit`]. Each
+/// restates one of its calls in terms of the commit pass; nothing else
+/// calls them. ROADMAP item 3a(ii) deletes the stepper, and this block
+/// with it.
+mod ledger_shims {
+    use super::TieredStore;
+
+    /// The stepper's discovery rank, `(frontier item, successor)` packed
+    /// into a `u64`. The store ignores it: commit order is list order.
+    #[doc(hidden)]
+    pub fn rank(item: usize, succ: usize) -> u64 {
+        ((item as u64) << 32) | succ as u64
+    }
+
+    /// The `(hash, key)` items of rank-tagged ones.
+    fn keys<'a>(items: &[(u64, u64, &'a [u8])]) -> Vec<(u64, &'a [u8])> {
+        items.iter().map(|&(h, _, e)| (h, e)).collect()
+    }
+
+    impl TieredStore {
+        /// Stores nothing: [`TieredStore::seal`] stores.
+        #[doc(hidden)]
+        pub fn admit(&self, _hash: u64, _enc: &[u8], _rank: u64) {}
+
+        /// [`TieredStore::insert`].
+        #[doc(hidden)]
+        pub fn seal(&self, hash: u64, enc: &[u8], epoch: u32) {
+            self.insert(hash, enc, epoch);
+        }
+
+        /// Drops the states tier 1 holds from `items`; stores nothing.
+        #[doc(hidden)]
+        pub fn insert_batch(&self, items: &mut Vec<(u64, u64, &[u8])>) {
+            let dead = self.on_disk_batch(&keys(items));
+            if !dead.is_empty() {
+                let mut ix = 0;
+                items.retain(|_| {
+                    ix += 1;
+                    !dead[ix - 1]
+                });
+            }
+        }
+
+        /// [`TieredStore::commit`], the ranks ignored.
+        #[doc(hidden)]
+        pub fn seal_batch(&self, probes: &[(u64, u64, &[u8])], epoch: u32) -> Vec<bool> {
+            self.commit(&keys(probes), epoch)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::tests::{items, states};
+        use super::super::{SpillDir, StateStore, TieredStore};
+        use super::{keys, rank};
+
+        #[test]
+        fn the_ledger_shims_restate_commit() {
+            // Half the states spilled, then one list carrying every state
+            // twice: the shims the ledger's stepper calls must give the
+            // flags, totals and batch counters of one commit.
+            let ss = states(8);
+            let list: Vec<(u64, u64, &[u8])> = (0..2)
+                .flat_map(|round| {
+                    ss.iter()
+                        .enumerate()
+                        .map(move |(i, (h, e))| (*h, rank(round, i), e.as_slice()))
+                })
+                .collect();
+            let run = |shims: bool| {
+                let store = TieredStore::new(0, Some(SpillDir::temp().unwrap()));
+                let (h0, e0) = &ss[0];
+                if shims {
+                    store.admit(*h0, e0, rank(0, 0));
+                    store.seal(*h0, e0, 0);
+                } else {
+                    store.insert(*h0, e0, 0);
+                }
+                store.commit(&items(&ss[1..4]), 1);
+                store.end_of_level().unwrap();
+                let flags = if shims {
+                    let mut admits = list.clone();
+                    store.insert_batch(&mut admits);
+                    assert_eq!(admits.len(), 8, "the 4 spilled states dropped, twice");
+                    store.seal_batch(&list, 2)
+                } else {
+                    store.commit(&keys(&list), 2)
+                };
+                (flags, store.len(), store.mem.len(), store.batch_stats())
+            };
+            let want = run(false);
+            assert_eq!(run(true), want);
+            let winners: Vec<bool> = (0..16).map(|k| (4..8).contains(&k)).collect();
+            assert_eq!(want.0, winners, "new states win at their first occurrence");
+            assert_eq!((want.1, want.2), (8, 4));
+        }
+    }
+}
+
+#[doc(hidden)]
+pub use ledger_shims::rank;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::{encode_state, GlobalState};
 
-    fn states(n: usize) -> Vec<(u64, Vec<u8>)> {
+    pub(super) fn states(n: usize) -> Vec<(u64, Vec<u8>)> {
         // Distinct encodings via distinct channel contents.
         let prog = cfgir::compile("chan c[9]; proc p() { send(c, 1); } process p();").unwrap();
         let base = GlobalState::initial(&prog);
@@ -439,77 +475,67 @@ mod tests {
             .collect()
     }
 
+    /// The `(hash, key)` commit items of `ss`.
+    pub(super) fn items(ss: &[(u64, Vec<u8>)]) -> Vec<(u64, &[u8])> {
+        ss.iter().map(|(h, e)| (*h, e.as_slice())).collect()
+    }
+
     #[test]
-    fn tiered_batches_filter_disk_residents_like_scalar_admission() {
+    fn commit_flags_the_first_occurrence_in_commit_order() {
+        let store = TieredStore::new(0, Some(SpillDir::temp().unwrap()));
+        let ss = states(6);
+        let key = |i: usize| (ss[i].0, ss[i].1.as_slice());
+        // State 0 lives in tier 1; state 1 was sealed at an earlier
+        // epoch and stays in tier 0.
+        store.commit(&[key(0)], 1);
+        store.end_of_level().unwrap();
+        store.commit(&[key(1)], 2);
+        // States 2 and 3 share one fingerprint.
+        let fp = 0x5EED_0000_0000_0042;
+        let list = [
+            key(4),
+            key(0),
+            (fp, key(2).1),
+            key(1),
+            key(4),
+            (fp, key(3).1),
+            (fp, key(2).1),
+            key(5),
+        ];
+        let flags = store.commit(&list, 3);
+        assert_eq!(flags, [true, false, true, false, false, true, false, true]);
+        assert_eq!((store.len(), store.mem.len()), (6, 5));
+        for (h, e) in [key(4), (fp, key(2).1), (fp, key(3).1), key(5)] {
+            assert!(!store.contains_sealed_before(h, e, 3), "sealed at 3");
+            assert!(store.contains_sealed_before(h, e, 4));
+        }
+        assert!(
+            store.contains_sealed_before(ss[1].0, &ss[1].1, 3),
+            "kept epoch 2"
+        );
+        assert_eq!(store.batch_stats().0, 3, "one batch per commit");
+    }
+
+    #[test]
+    fn commit_skips_disk_residents() {
         let dir = SpillDir::temp().unwrap();
         let store = TieredStore::new(0, Some(dir));
         let ss = states(8);
-        // Seal and spill the first half, so the batch mixes disk
-        // residents (must be filtered) with genuinely new states.
-        for (i, (h, e)) in ss[..4].iter().enumerate() {
-            store.admit(*h, e, rank(i, 0));
-            store.seal_if_winner(*h, e, rank(i, 0), 1);
-        }
+        // Seal and spill the first half, so the commit mixes disk
+        // residents (must lose) with genuinely new states.
+        store.commit(&items(&ss[..4]), 1);
         store.end_of_level().unwrap();
         assert_eq!(store.spilled_entries(), 4);
-        let mut batch: Vec<(u64, Rank, &[u8])> = ss
-            .iter()
-            .enumerate()
-            .map(|(i, (h, e))| (*h, rank(10 + i, 0), e.as_slice()))
-            .collect();
-        store.insert_batch(&mut batch);
-        assert_eq!(store.len(), 8, "disk residents not re-admitted");
+        let flags = store.commit(&items(&ss), 2);
+        let want: Vec<bool> = (0..8).map(|i| i >= 4).collect();
+        assert_eq!(flags, want);
+        assert_eq!(store.len(), 8, "disk residents not re-stored");
         assert_eq!(store.mem.len(), 4, "only the new states are tier-0");
-        let probes: Vec<(u64, Rank, &[u8])> = ss[4..]
-            .iter()
-            .enumerate()
-            .map(|(i, (h, e))| (*h, rank(14 + i, 0), e.as_slice()))
-            .collect();
-        let flags = store.seal_batch(&probes, 2);
-        assert_eq!(flags, vec![true; 4], "stored ranks all win");
         for (h, e) in &ss {
             assert!(store.contains_sealed_before(*h, e, 3));
         }
         let (ops, items, _) = store.batch_stats();
-        assert_eq!((ops, items), (2, 8), "4 admits + 4 seals batched");
-    }
-
-    #[test]
-    fn admit_and_seal_matches_the_two_batch_calls() {
-        // Half the states spilled, then one list carrying every state
-        // twice, the second time at a smaller rank: the fused call must
-        // give the flags, totals and batch counters of the two calls.
-        let ss = states(8);
-        let list: Vec<(u64, Rank, &[u8])> = (0..2)
-            .flat_map(|round| {
-                ss.iter()
-                    .enumerate()
-                    .map(move |(i, (h, e))| (*h, rank(10 - round, i), e.as_slice()))
-            })
-            .collect();
-        let run = |fused: bool| {
-            let store = TieredStore::new(0, Some(SpillDir::temp().unwrap()));
-            for (i, (h, e)) in ss[..4].iter().enumerate() {
-                store.admit(*h, e, rank(i, 0));
-                store.seal_if_winner(*h, e, rank(i, 0), 1);
-            }
-            store.end_of_level().unwrap();
-            let flags = if fused {
-                store.admit_and_seal(&list, 2)
-            } else {
-                store.insert_batch(&mut list.clone());
-                store.seal_batch(&list, 2)
-            };
-            (flags, store.len(), store.mem.len(), store.batch_stats())
-        };
-        let want = run(false);
-        assert_eq!(run(true), want);
-        let winners: Vec<bool> = (0..16).map(|k| k >= 12).collect();
-        assert_eq!(
-            want.0, winners,
-            "new states win at their second, smaller rank"
-        );
-        assert_eq!((want.1, want.2), (8, 4));
+        assert_eq!((ops, items), (2, 12));
     }
 
     #[test]
@@ -517,10 +543,7 @@ mod tests {
         let dir = SpillDir::temp().unwrap();
         let store = TieredStore::new(0, Some(dir)); // budget 0: always spill
         let ss = states(20);
-        for (i, (h, e)) in ss.iter().enumerate() {
-            store.admit(*h, e, rank(i, 0));
-            assert!(store.seal_if_winner(*h, e, rank(i, 0), 1));
-        }
+        assert_eq!(store.commit(&items(&ss), 1), vec![true; 20]);
         let total_bytes: usize = ss.iter().map(|(_, e)| e.len()).sum();
         assert_eq!(store.len(), 20);
         assert_eq!(store.bytes(), total_bytes);
@@ -535,29 +558,10 @@ mod tests {
         for (h, e) in &ss {
             assert!(store.contains_sealed_before(*h, e, 2));
             assert!(!store.contains_sealed_before(*h, e, 1), "epoch bound");
-            // Re-admission of a disk-sealed state is a no-op: it can
-            // never win a later round.
-            store.admit(*h, e, rank(0, 0));
-            assert!(!store.seal_if_winner(*h, e, rank(0, 0), 2));
         }
-        assert_eq!(store.mem_bytes(), 0, "re-admissions filtered by tier 1");
-    }
-
-    #[test]
-    fn unsealed_candidates_never_spill() {
-        let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new(0, Some(dir));
-        let ss = states(4);
-        for (i, (h, e)) in ss.iter().enumerate() {
-            store.admit(*h, e, rank(i, 0));
-        }
-        store.end_of_level().unwrap();
-        assert_eq!(store.spill_count(), 0);
-        assert_eq!(store.len(), 4, "candidates stay in tier 0");
-        // Their ranks are still mutable after the (empty) spill.
-        let (h, e) = &ss[0];
-        store.admit(*h, e, rank(0, 0));
-        assert!(store.seal_if_winner(*h, e, rank(0, 0), 1));
+        // A disk-sealed state never wins a later round.
+        assert_eq!(store.commit(&items(&ss), 2), vec![false; 20]);
+        assert_eq!(store.mem_bytes(), 0, "re-commits filtered by tier 1");
     }
 
     #[test]
@@ -565,19 +569,17 @@ mod tests {
         let dir = SpillDir::temp().unwrap();
         let store = TieredStore::new(0, Some(dir));
         let ss = states(2);
-        let (a, b) = (&ss[0].1, &ss[1].1);
+        let (a, b) = (ss[0].1.as_slice(), ss[1].1.as_slice());
         let fake = 7u64; // same fingerprint for two distinct states
-        store.admit(fake, a, rank(0, 0));
-        assert!(store.seal_if_winner(fake, a, rank(0, 0), 1));
+        assert_eq!(store.commit(&[(fake, a)], 1), [true]);
         store.end_of_level().unwrap(); // `a` now lives on disk
         assert!(store.contains_sealed_before(fake, a, 2));
         assert!(
             !store.contains_sealed_before(fake, b, 2),
             "index hit, disk confirmation miss"
         );
-        // `b` is admissible and sealable despite the index collision.
-        store.admit(fake, b, rank(1, 0));
-        assert!(store.seal_if_winner(fake, b, rank(1, 0), 2));
+        // `b` wins despite the index collision.
+        assert_eq!(store.commit(&[(fake, a), (fake, b)], 2), [false, true]);
         assert_eq!(store.len(), 2);
     }
 
@@ -586,26 +588,21 @@ mod tests {
         let prog = cfgir::compile("chan c[9]; proc p() { send(c, 1); } process p();").unwrap();
         let base = GlobalState::initial(&prog);
         let interner = crate::state::ComponentInterner::new();
-        let ss: Vec<(u64, Vec<u8>, usize)> = (0..12)
+        let (ss, raws): (Vec<(u64, Vec<u8>)>, Vec<usize>) = (0..12)
             .map(|i| {
                 let mut s = base.clone();
                 *s.object_mut(0) = crate::state::ObjState::Chan {
                     queue: [crate::value::Value::Int(i as i64)].into(),
                     cap: Some(9),
                 };
-                let (h, cenc) = s.fingerprint_and_intern(&interner);
-                let raw = encode_state(&s).len();
-                (h, cenc, raw)
+                (s.fingerprint_and_intern(&interner), encode_state(&s).len())
             })
-            .collect();
+            .unzip();
         let dir = SpillDir::temp().unwrap();
         let store = TieredStore::new_with(0, Some(dir), true);
-        for (i, (h, e, _)) in ss.iter().enumerate() {
-            store.admit(*h, e, rank(i, 0));
-            assert!(store.seal_if_winner(*h, e, rank(i, 0), 1));
-        }
-        let raw_total: usize = ss.iter().map(|(_, _, r)| r).sum();
-        let stored_total: usize = ss.iter().map(|(_, e, _)| e.len()).sum();
+        assert_eq!(store.commit(&items(&ss), 1), vec![true; 12]);
+        let raw_total: usize = raws.iter().sum();
+        let stored_total: usize = ss.iter().map(|(_, e)| e.len()).sum();
         assert!(stored_total < raw_total, "tuples are smaller than raw");
         assert_eq!(store.bytes(), raw_total);
         assert_eq!(store.stored_bytes(), stored_total);
@@ -614,21 +611,17 @@ mod tests {
         // Spilling changes neither total nor membership.
         assert_eq!(store.bytes(), raw_total);
         assert_eq!(store.stored_bytes(), stored_total);
-        for (h, e, _) in &ss {
+        for (h, e) in &ss {
             assert!(store.contains_sealed_before(*h, e, 2));
-            store.admit(*h, e, rank(0, 0));
-            assert!(!store.seal_if_winner(*h, e, rank(0, 0), 2));
         }
+        assert_eq!(store.commit(&items(&ss), 2), vec![false; 12]);
     }
 
     #[test]
     fn unbounded_store_never_creates_files() {
         let store = TieredStore::new(usize::MAX, None);
         let ss = states(8);
-        for (i, (h, e)) in ss.iter().enumerate() {
-            store.admit(*h, e, rank(i, 0));
-            store.seal_if_winner(*h, e, rank(i, 0), 1);
-        }
+        store.commit(&items(&ss), 1);
         store.end_of_level().unwrap();
         assert_eq!(store.spill_count(), 0);
         assert_eq!(store.spilled_entries(), 0);

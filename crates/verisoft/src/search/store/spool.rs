@@ -2,12 +2,12 @@
 //!
 //! A frontier level can be far larger than the visited set's resident
 //! slice (breadth-first peaks mid-search), so the next level's winners
-//! are pushed into a [`FrontierSpool`]: the first entries — in rank
+//! are pushed into a [`FrontierSpool`]: the first entries — in commit
 //! order, exactly as the ordered commit produces them — stay in memory
 //! up to a byte budget; every entry after that is serialized to an
 //! append-only spool file. Consumption is strictly FIFO
 //! ([`FrontierSpool::next_chunk`]), so entries re-enter the search in
-//! the same rank order an unbounded run processes them in — spooling
+//! the same commit order an unbounded run processes them in — spooling
 //! changes *where* an entry waits, never *when* it runs.
 //!
 //! Chunk boundaries are derived from entry byte *costs* against a fixed
@@ -114,8 +114,8 @@ impl<T: Spoolable> FrontierSpool<T> {
         self.spooled
     }
 
-    /// Append an entry of byte cost `cost` (rank order: callers push in
-    /// commit order). Once an entry has spilled, all later entries
+    /// Append an entry of byte cost `cost` (callers push in commit
+    /// order). Once an entry has spilled, all later entries
     /// spill too — the memory head is always a FIFO *prefix*.
     pub fn push(&mut self, item: T, cost: usize) -> io::Result<()> {
         let spilling = self.disk.as_ref().is_some_and(|d| d.pending > 0);
@@ -340,7 +340,7 @@ mod tests {
             assert!(!chunk.is_empty());
             back.extend(chunk);
         }
-        assert_eq!(back, all, "re-admission order == push (rank) order");
+        assert_eq!(back, all, "re-admission order == push (commit) order");
         assert_eq!(spool.len(), 0);
     }
 

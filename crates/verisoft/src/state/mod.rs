@@ -396,7 +396,7 @@ impl GlobalState {
     /// IDs…]` with each component's dense `u32` ID (little-endian)
     /// standing in for its encoding — under `interner`. The
     /// fingerprint is bit-identical to [`Self::fingerprint`] /
-    /// [`Self::fingerprint_and_encode`], so stripe, shard, and rank
+    /// [`Self::fingerprint_and_encode`], so stripe and shard
     /// assignment cannot depend on whether compression is on. Each
     /// component with a cold memo is encoded exactly once (seeding the
     /// sub-hash cache from those bytes, as the fused encode does); a

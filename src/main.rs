@@ -97,8 +97,9 @@ fn usage() -> String {
                                   memo's hits and misses (every engine), and\n\
                                   (frontier engines) peak resident store\n\
                                   bytes, spilled entries, spill and\n\
-                                  checkpoint counts, and batched-commit\n\
-                                  savings\n\
+                                  checkpoint counts, and the commit's\n\
+                                  batches (one per chunk) and the stripe\n\
+                                  locks they saved\n\
          --coverage               print covered/total CFG nodes, overall and\n\
                                   per procedure (not with --checkpoint-dir)\n\
          --explain                replay and pretty-print each violation\n\

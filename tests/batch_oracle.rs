@@ -1,10 +1,11 @@
-//! Differential oracle for the batched commit path: the frontier
-//! engine's default path (batched store admission, batched winner seals)
-//! must produce reports byte-identical to the scalar reference path
-//! ([`Config::scalar_commit`]) for every worker count, memory budget,
-//! and compression mode — the batched path is an optimization of the
-//! commit *mechanics*, never of the result. The models run through the
-//! `BATCH` slice of `switchsim::oracle`.
+//! The frontier engine's commit, pinned: each model's report must be
+//! byte-identical for every worker count, memory budget, and
+//! compression mode (the `BATCH` slice of `switchsim::oracle`), and the
+//! one at the slice's baseline must hash to the digest pinned below.
+//! The digests were taken from the rank-based commit this one replaced
+//! (the minimum `(frontier index, successor index)` rank won), so which
+//! occurrence of a state the commit lets win is checked against an
+//! independent implementation, not against itself.
 
 use reclose::prelude::*;
 use switchsim::oracle::{assert_agrees, OracleLimits, BATCH};
@@ -54,18 +55,46 @@ const DEADLOCK_SRC: &str = r#"
     process r();
 "#;
 
+/// Per model: its `max_violations`, then the `frontier` leg's report —
+/// its first line and the `stable_hash_bytes` of its whole `Display`
+/// text.
+const PINS: [(&str, &str, usize, &str, u64); 4] = [
+    (
+        "workers",
+        include_str!("../corpus/workers.mc"),
+        usize::MAX,
+        "states: 31, transitions: 30, max depth: 30",
+        0xf662_2ad5_26da_6c66,
+    ),
+    (
+        "racy",
+        RACY_SRC,
+        usize::MAX,
+        "states: 173, transitions: 292, max depth: 20",
+        0x0192_e0e7_6e69_6151,
+    ),
+    // First violation only: under the small budget the stop cut falls
+    // inside a multi-chunk level, and the chunks after it must leave no
+    // trace in the report.
+    (
+        "racy-first",
+        RACY_SRC,
+        1,
+        "states: 19, transitions: 22, max depth: 6",
+        0x1a50_7f36_aaff_5a8d,
+    ),
+    (
+        "deadlock",
+        DEADLOCK_SRC,
+        usize::MAX,
+        "states: 3, transitions: 2, max depth: 2",
+        0xf91f_0497_647f_65cd,
+    ),
+];
+
 #[test]
 fn batched_commit_path_matches_the_scalar_reference() {
-    let models = [
-        ("workers", include_str!("../corpus/workers.mc"), usize::MAX),
-        ("racy", RACY_SRC, usize::MAX),
-        // First violation only: under the small budget the stop cut
-        // falls inside a multi-chunk level, and the chunks after it must
-        // leave no trace in either path's store.
-        ("racy-first", RACY_SRC, 1),
-        ("deadlock", DEADLOCK_SRC, usize::MAX),
-    ];
-    for (name, src, max_violations) in models {
+    for (name, src, max_violations, first_line, digest) in PINS {
         let limits = OracleLimits {
             max_depth: 2_000,
             max_transitions: 5_000_000,
@@ -84,6 +113,14 @@ fn batched_commit_path_matches_the_scalar_reference() {
                 );
             }
         }
-        assert_eq!(runs.get("frontier").unwrap().clean(), name == "workers");
+        let frontier = runs.get("frontier").unwrap();
+        assert_eq!(frontier.clean(), name == "workers");
+        let text = frontier.to_string();
+        assert_eq!(text.lines().next(), Some(first_line), "{name}");
+        assert_eq!(
+            verisoft::stable_hash_bytes(text.as_bytes()),
+            digest,
+            "{name}: the frontier report moved:\n{text}"
+        );
     }
 }

@@ -75,16 +75,18 @@ fn frontier_heap_per_state_stays_under_the_pinned_ceiling() {
     // Each figure is the whole run's peak heap over its states: the
     // visited store (each state's key bytes in a stripe's arena plus one
     // table slot), the frontier or stack of keys, the reproducing paths,
-    // and the interner and transition memo. Measured 112 B/state for the
-    // frontier at one worker and 114 at two, run after run, and 61 for
+    // and the interner and transition memo. Measured 97 B/state for the
+    // frontier at one worker and 98 at two, run after run, and 61 for
     // the depth-first search (which explores 2.7 times as many states).
-    // With a bucket map — a `Vec` bucket and a boxed key per state — the
+    // While tier 0 kept a discovery rank beside each seal epoch (a
+    // 32-byte table entry where it is 24 now) the frontier took 112–114;
+    // with a bucket map — a `Vec` bucket and a boxed key per state — the
     // same runs took 220–222 and 130; with live states in the frontier and
     // in the expansion records, the frontier took 262. Each ceiling is
     // the measurement plus 15 %.
     let legs = [
-        (Engine::StatefulParallel, 1, 134_506, 131),
-        (Engine::StatefulParallel, 2, 134_506, 131),
+        (Engine::StatefulParallel, 1, 134_506, 113),
+        (Engine::StatefulParallel, 2, 134_506, 113),
         (Engine::Stateful, 1, 365_415, 70),
     ];
     for (engine, jobs, states, ceiling) in legs {
