@@ -9,17 +9,19 @@
 //! is *spurious* (it has no counterpart in the open program's real
 //! semantics).
 //!
-//! This pass closes the loop:
+//! The pass has one semantics of the open program `S` under its most
+//! general environment `E_S`: [`EnvMode::Enumerate`], which branches over
+//! every value of an input's declared domain at the read itself — the
+//! semantics `reclose explore --enumerate` runs. It closes the loop:
 //!
 //! 1. **Explore** the closed program `S'` and collect its violating
 //!    traces and verdict set.
-//! 2. **Classify** each violating trace as *real* or *spurious* against
-//!    the open program `S`: a directed search follows the trace's
-//!    process schedule through `S` composed with the concrete
-//!    environment `E_S` synthesized by [`envgen`] (falling back to
-//!    [`EnvMode::Enumerate`] when the explicit construction is
-//!    unavailable), and any witness found is confirmed with
-//!    [`verisoft::Executor::replay`].
+//! 2. **Classify** each violating trace as *real* or *spurious*: a
+//!    directed search follows the trace's process schedule through
+//!    `S × E_S`, branching over every toss and environment choice, and
+//!    any witness found is confirmed with
+//!    [`verisoft::Executor::replay`]. A search that runs out of budget,
+//!    or meets an input too wide to enumerate, answers *unknown*.
 //! 3. **Refine**: a *complete* (untruncated, reduction-free)
 //!    exploration of `S × E_S` yields arc coverage of the open graphs.
 //!    For each toss site recorded by Step 4 (provenance in
@@ -33,8 +35,10 @@
 //! arc any real execution traverses is covered; a toss outcome whose
 //! resume node is unreachable through the covered subgraph therefore
 //! abstracts no real behavior, and removing it removes no real behavior
-//! from `S'`. Conservative failures (truncated coverage, unreachable
-//! sites) only lose precision, never soundness.
+//! from `S'`. An exploration that is truncated, or that an input too
+//! wide to enumerate cut short, is not complete, and the pass then
+//! prunes nothing; unreachable sites are left alone. Both only lose
+//! precision, never soundness.
 //!
 //! Verdict preservation holds *by construction*: every candidate prune
 //! is re-explored and accepted only if the verdict set (the set of
@@ -45,8 +49,8 @@ use crate::transform::{Closed, TossSite};
 use cfgir::{CfgProc, CfgProgram, Guard, NodeId, NodeKind};
 use std::collections::{BTreeMap, BTreeSet};
 use verisoft::{
-    enabled, explore, spec_daemon, Config, Coverage, Decision, Engine, EnvMode, ExecCtx, Executor,
-    GlobalState, Report, Scheduled, SuccOutcome, Violation, ViolationKind,
+    enabled, explore, Config, Coverage, Decision, Engine, EnvMode, ExecCtx, Executor, GlobalState,
+    Report, RtError, Scheduled, SuccOutcome, Violation, ViolationKind,
 };
 
 /// Budgets for the refinement loop.
@@ -98,9 +102,6 @@ pub struct CexReport {
     /// The open-program coverage exploration completed (no pruning
     /// happens otherwise).
     pub open_exploration_complete: bool,
-    /// Coverage came from the explicit `S × E_S` composition rather than
-    /// the `Enumerate` fallback.
-    pub used_synthesized_env: bool,
     /// At least one candidate prune was rejected by the verdict guard.
     pub reverted: bool,
     /// Explored states of the closed program before refinement.
@@ -140,7 +141,7 @@ pub fn refine_cex(
 
     classify_all(open, &base, opts, &mut rep);
 
-    let Some(cov) = open_coverage(open, opts, &mut rep) else {
+    let Some(cov) = open_coverage(open, opts) else {
         return (closed.program.clone(), rep);
     };
     rep.open_exploration_complete = true;
@@ -237,56 +238,23 @@ fn verdicts_match(
 // Coverage of the open program under its most general environment.
 // ---------------------------------------------------------------------
 
-/// A complete, reduction-free exploration of the open program: through
-/// the explicit `S × E_S` composition when [`envgen::synthesize`]
-/// supports the interface (the composed program keeps the original
-/// procedure and node ids, so its coverage indexes the open graphs
-/// directly), through [`EnvMode::Enumerate`] otherwise. `None` when
-/// neither exploration completes within budget — the caller must then
-/// not prune at all.
-fn open_coverage(open: &CfgProgram, opts: &CexOptions, rep: &mut CexReport) -> Option<Coverage> {
-    let mut ccfg = exhaustive_config(EnvMode::Closed, opts);
-    ccfg.track_coverage = true;
-    let mut ecfg = exhaustive_config(EnvMode::Enumerate, opts);
-    ecfg.track_coverage = true;
-    // The composed system's feeder daemons keep the last fed value live
-    // in the state vector, so the composition grows quadratically in
-    // the domain width while `Enumerate` stays linear (it branches on a
-    // value only at the read itself). Try the composition first only on
-    // narrow interfaces; on wide ones it would burn the whole budget
-    // before the fallback ever ran.
-    let synth = envgen::synthesize(open).ok();
-    let composed_first = synth
-        .as_ref()
-        .is_some_and(|s| s.report.total_domain_values <= 256);
-    if composed_first {
-        let r = explore(&synth.as_ref().unwrap().program, &ccfg);
-        if !r.truncated {
-            if let Some(cov) = r.coverage {
-                rep.used_synthesized_env = true;
-                return Some(cov);
-            }
-        }
+/// A complete, reduction-free exploration of the open program under
+/// [`EnvMode::Enumerate`]. `None` when it is not complete — truncated,
+/// or cut short at an input whose domain is too wide to enumerate
+/// ([`RtError::DomainTooLarge`] ends that path, uncovered) — and the
+/// caller must then not prune at all.
+fn open_coverage(open: &CfgProgram, opts: &CexOptions) -> Option<Coverage> {
+    let mut cfg = exhaustive_config(EnvMode::Enumerate, opts);
+    cfg.track_coverage = true;
+    let r = explore(open, &cfg);
+    if r.truncated || r.violations.iter().any(|v| v.kind == DOMAIN_TOO_LARGE) {
+        return None;
     }
-    let r = explore(open, &ecfg);
-    if !r.truncated {
-        if let Some(cov) = r.coverage {
-            return Some(cov);
-        }
-    }
-    if !composed_first {
-        if let Some(s) = &synth {
-            let r = explore(&s.program, &ccfg);
-            if !r.truncated {
-                if let Some(cov) = r.coverage {
-                    rep.used_synthesized_env = true;
-                    return Some(cov);
-                }
-            }
-        }
-    }
-    None
+    r.coverage
 }
+
+/// The verdict of a read that [`EnvMode::Enumerate`] cannot branch over.
+const DOMAIN_TOO_LARGE: ViolationKind = ViolationKind::RuntimeError(RtError::DomainTooLarge);
 
 // ---------------------------------------------------------------------
 // Feasibility and pruning.
@@ -559,47 +527,14 @@ fn prune_proc(
 // ---------------------------------------------------------------------
 
 /// Classify one violating trace of the closed program against the open
-/// program's real semantics. The search follows the trace's process
-/// schedule through `S × E_S` (concrete environment values delivered by
-/// the synthesized feeders) when [`envgen::synthesize`] supports the
-/// interface, and through `S` under [`EnvMode::Enumerate`] otherwise;
-/// any witness is confirmed with [`Executor::replay`].
+/// program's real semantics. Visible operations are preserved
+/// one-to-one by the transformation, so a closed trace's per-process
+/// decision schedule maps directly onto `S` under
+/// [`EnvMode::Enumerate`]: the search follows the same schedule,
+/// branches over every toss and environment choice, and requires a
+/// violation of the same kind at the final step (a deadlock: a dead end
+/// after it). Any witness is confirmed with [`Executor::replay`].
 pub fn classify_trace(open: &CfgProgram, v: &Violation, opts: &CexOptions) -> TraceClass {
-    // Deadlocks are schedule-level dead ends, not failing transitions;
-    // under the composed system the always-runnable daemon feeders mask
-    // them, so they are classified against `Enumerate` semantics where
-    // the dead-end check is exact.
-    if v.kind == ViolationKind::Deadlock {
-        return classify_enumerate(open, v, opts);
-    }
-    match envgen::synthesize(open) {
-        Ok(synth) => classify_composed(&synth.program, v, opts),
-        Err(_) => classify_enumerate(open, v, opts),
-    }
-}
-
-fn classify_all(open: &CfgProgram, base: &Report, opts: &CexOptions, rep: &mut CexReport) {
-    let composed = envgen::synthesize(open).ok().map(|s| s.program);
-    for v in base.violations.iter().take(opts.max_classified) {
-        rep.classified += 1;
-        let class = match &composed {
-            Some(c) if v.kind != ViolationKind::Deadlock => classify_composed(c, v, opts),
-            _ => classify_enumerate(open, v, opts),
-        };
-        match class {
-            TraceClass::Real => rep.real += 1,
-            TraceClass::Spurious => rep.spurious += 1,
-            TraceClass::Unknown => rep.unknown += 1,
-        }
-    }
-}
-
-/// Visible operations are preserved one-to-one by the transformation, so
-/// a closed trace's per-process decision schedule maps directly onto the
-/// open program under [`EnvMode::Enumerate`]: follow the same schedule,
-/// branch over every environment choice, and require a violation of the
-/// same kind at the final step.
-fn classify_enumerate(open: &CfgProgram, v: &Violation, opts: &CexOptions) -> TraceClass {
     let cfg = Config {
         env_mode: EnvMode::Enumerate,
         max_violations: usize::MAX,
@@ -618,6 +553,17 @@ fn classify_enumerate(open: &CfgProgram, v: &Violation, opts: &CexOptions) -> Tr
         &mut path,
     );
     finish_classification(&exec, &cx, found, &path, &v.kind)
+}
+
+fn classify_all(open: &CfgProgram, base: &Report, opts: &CexOptions, rep: &mut CexReport) {
+    for v in base.violations.iter().take(opts.max_classified) {
+        rep.classified += 1;
+        match classify_trace(open, v, opts) {
+            TraceClass::Real => rep.real += 1,
+            TraceClass::Spurious => rep.spurious += 1,
+            TraceClass::Unknown => rep.unknown += 1,
+        }
+    }
 }
 
 fn dfs_exact(
@@ -657,6 +603,12 @@ fn dfs_exact(
                     return true;
                 }
             }
+            // No branch over this read: the search cannot be completed,
+            // so it ends undecided, as if out of budget.
+            SuccOutcome::Violation(k, _) if k == DOMAIN_TOO_LARGE => {
+                cx.truncated = true;
+                return false;
+            }
             SuccOutcome::Violation(k, _) => {
                 if d == trace.len() - 1 && k == *kind {
                     return true;
@@ -664,109 +616,6 @@ fn dfs_exact(
             }
         }
         path.pop();
-    }
-    false
-}
-
-/// The composed program splits transitions at the rewritten
-/// `env_input` reads (now visible `recv`s) and interleaves daemon
-/// feeder steps, so one closed decision may span several composed
-/// steps. The search follows the schedule *skeleton*: daemon processes
-/// may step at any point, and each system step either consumes the
-/// current decision or counts as a split fragment of it, bounded by a
-/// fuel budget.
-fn classify_composed(composed: &CfgProgram, v: &Violation, opts: &CexOptions) -> TraceClass {
-    let cfg = Config {
-        max_violations: usize::MAX,
-        ..Config::default()
-    };
-    let exec = Executor::new(composed, &cfg);
-    let mut cx = ExecCtx::new(&exec, opts.classify_budget);
-    let fuel = v.trace.len() * 2 + 16;
-    let mut path = Vec::new();
-    let found = dfs_composed(
-        &exec,
-        &mut cx,
-        exec.initial(),
-        &v.trace,
-        0,
-        fuel,
-        &v.kind,
-        &mut path,
-    );
-    finish_classification(&exec, &cx, found, &path, &v.kind)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_composed(
-    exec: &Executor<'_>,
-    cx: &mut ExecCtx,
-    state: GlobalState,
-    trace: &[Decision],
-    d: usize,
-    fuel: usize,
-    kind: &ViolationKind,
-    path: &mut Vec<Decision>,
-) -> bool {
-    if d >= trace.len() || cx.truncated {
-        return false;
-    }
-    let prog = exec.program();
-    let sys = trace[d].process;
-
-    // The system process takes a step: consuming the decision first,
-    // then (fuel permitting) as a split fragment of it.
-    if sys < state.procs.len() && enabled(prog, &state, sys) {
-        for (choices, outcome) in exec.successors(cx, &state, sys) {
-            if cx.truncated {
-                return false;
-            }
-            path.push(Decision {
-                process: sys,
-                choices,
-            });
-            match outcome {
-                SuccOutcome::State(s, _) => {
-                    if dfs_composed(exec, cx, (*s).clone(), trace, d + 1, fuel, kind, path) {
-                        return true;
-                    }
-                    if fuel > 0 && dfs_composed(exec, cx, *s, trace, d, fuel - 1, kind, path) {
-                        return true;
-                    }
-                }
-                SuccOutcome::Violation(k, _) => {
-                    if d == trace.len() - 1 && k == *kind {
-                        return true;
-                    }
-                }
-            }
-            path.pop();
-        }
-    }
-
-    // Daemon (environment) steps consume fuel, not decisions.
-    if fuel == 0 {
-        return false;
-    }
-    for pid in 0..state.procs.len() {
-        if !spec_daemon(prog, state.procs[pid].spec) || !enabled(prog, &state, pid) {
-            continue;
-        }
-        for (choices, outcome) in exec.successors(cx, &state, pid) {
-            if cx.truncated {
-                return false;
-            }
-            if let SuccOutcome::State(s, _) = outcome {
-                path.push(Decision {
-                    process: pid,
-                    choices,
-                });
-                if dfs_composed(exec, cx, *s, trace, d, fuel - 1, kind, path) {
-                    return true;
-                }
-                path.pop();
-            }
-        }
     }
     false
 }
@@ -943,5 +792,56 @@ mod tests {
             .map(|v| classify_trace(&open, v, &opts))
             .collect();
         assert!(classes.contains(&TraceClass::Real), "{classes:?}");
+    }
+
+    /// `big`'s span does not fit a toss bound, so enumeration ends the
+    /// `x == 0` path at the read, uncovered. The coverage run is then not
+    /// complete, and the real `send(out, 1)` outcome must survive.
+    #[test]
+    fn coverage_cut_short_by_a_wide_domain_prunes_nothing() {
+        let (closed, refined, rep) = refine_source(
+            r#"
+            extern chan out;
+            input a : 0..1;
+            input big : 0..4294967295;
+            proc p() {
+                int x = env_input(a);
+                if (x == 0) { int b = env_input(big); send(out, 1); }
+                else { send(out, 2); }
+            }
+            process p();
+            "#,
+        );
+        assert!(!rep.open_exploration_complete, "{rep:?}");
+        assert_eq!(rep.outcomes_pruned, 0, "{rep:?}");
+        assert_eq!(refined, closed);
+    }
+
+    /// The assertion fails for every input, but the search cannot branch
+    /// over `big`: it must not call the violation spurious.
+    #[test]
+    fn classification_past_a_wide_domain_is_unknown() {
+        let (_, _, rep) = refine_source(
+            r#"
+            extern chan out;
+            input big : 0..4294967295;
+            proc p() {
+                int b = env_input(big);
+                send(out, 1);
+                VS_assert(0);
+            }
+            process p();
+            "#,
+        );
+        assert_eq!((rep.classified, rep.unknown), (1, 1), "{rep:?}");
+    }
+
+    /// Spawned pids match between `S'` and `S × E_S`, so every violation
+    /// the closed program reports replays in the open one.
+    #[test]
+    fn fuzz_seed_56_violations_are_all_real() {
+        let (_, _, rep) =
+            refine_source(include_str!("../../../corpus/regressions/fuzz_seed_56.mc"));
+        assert_eq!((rep.classified, rep.real), (4, 4), "{rep:?}");
     }
 }

@@ -49,25 +49,41 @@ use std::path::Path;
 pub const MANIFEST: &str = "checkpoint.bin";
 
 /// Digest of the configuration knobs that shape the explored state
-/// space. `jobs`, `mem_limit`, and the checkpoint knobs
-/// themselves are excluded: they are determinism-invariant by
-/// construction, so resuming under different values is sound.
-/// `no_compress` is *included* even though it is report-invariant too —
-/// it changes the on-disk record format (ID tuples vs raw encodings),
-/// so a checkpoint must not be resumed across compression modes.
+/// space. The destructuring is exhaustive, so a new [`Config`] field does
+/// not compile until it is hashed or named here as report-invariant:
+/// `jobs`, `mem_limit` and the checkpoint knobs themselves are
+/// determinism-invariant by construction, so resuming under different
+/// values is sound; only the frontier engine checkpoints, and only the
+/// stateless engine reads `sleep_sets`. `no_compress` is *included* even
+/// though it is report-invariant too — it changes the on-disk record
+/// format (ID tuples vs raw encodings), so a checkpoint must not be
+/// resumed across compression modes.
+///
+/// [`Config`]: crate::search::Config
 pub(crate) fn config_digest(cfg: &crate::search::Config) -> u64 {
+    let crate::search::Config {
+        env_mode,
+        limits,
+        max_depth,
+        max_transitions,
+        por,
+        max_violations,
+        strict_termination_deadlock,
+        collect_traces,
+        track_coverage,
+        no_compress,
+        engine: _,
+        sleep_sets: _,
+        jobs: _,
+        mem_limit: _,
+        checkpoint_dir: _,
+        checkpoint_every: _,
+        resume: _,
+        abort_after_checkpoints: _,
+    } = cfg;
     let s = format!(
-        "{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}",
-        cfg.env_mode,
-        cfg.limits,
-        cfg.max_depth,
-        cfg.max_transitions,
-        cfg.por,
-        cfg.max_violations,
-        cfg.strict_termination_deadlock,
-        cfg.collect_traces,
-        cfg.track_coverage,
-        cfg.no_compress,
+        "{env_mode:?}|{limits:?}|{max_depth}|{max_transitions}|{por}|{max_violations}|\
+         {strict_termination_deadlock}|{collect_traces}|{track_coverage}|{no_compress}"
     );
     crate::hash::stable_hash_bytes(s.as_bytes())
 }
@@ -456,7 +472,45 @@ pub(crate) fn resume<T: Spoolable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::RtError;
+    use crate::interp::{EnvMode, ExecLimits, RtError};
+    use crate::search::{Config, Engine};
+
+    /// The digest is stored in every checkpoint manifest: its bytes must
+    /// not move, and the report-invariant knobs must not reach it.
+    #[test]
+    fn config_digest_is_pinned() {
+        assert_eq!(config_digest(&Config::default()), 0x4a39e913fbf7f257);
+        let invariant = Config {
+            engine: Engine::Stateful,
+            sleep_sets: false,
+            jobs: 8,
+            mem_limit: 1 << 10,
+            checkpoint_dir: Some("x".into()),
+            checkpoint_every: 3,
+            resume: true,
+            abort_after_checkpoints: Some(1),
+            ..Config::default()
+        };
+        assert_eq!(config_digest(&invariant), 0x4a39e913fbf7f257);
+        let semantic = Config {
+            env_mode: EnvMode::Enumerate,
+            limits: ExecLimits {
+                invisible_step_bound: 500,
+                max_stack_depth: 32,
+                max_procs: 8,
+            },
+            max_depth: 300,
+            max_transitions: 123_456,
+            por: false,
+            max_violations: usize::MAX,
+            strict_termination_deadlock: true,
+            collect_traces: true,
+            track_coverage: true,
+            no_compress: true,
+            ..invariant
+        };
+        assert_eq!(config_digest(&semantic), 0x2c8bf3d829eb5c9c);
+    }
 
     #[test]
     fn report_serialization_roundtrips() {

@@ -14,6 +14,32 @@
 use reclose::prelude::*;
 use std::process::ExitCode;
 
+/// `print!` that ends the run, instead of panicking, when stdout fails:
+/// quietly when the reader has gone (`reclose … | head -1`), with a
+/// diagnostic otherwise (e.g. a full disk).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        stdout_written(std::io::Write::write_fmt(&mut std::io::stdout(), format_args!($($arg)*)))
+    };
+}
+
+/// [`out!`] with a trailing newline, like `println!`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn stdout_written(r: std::io::Result<()>) {
+    if let Err(e) = r {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -142,7 +168,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "switchgen" => switchgen(&args[1..]),
         "fuzz" => fuzz_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
@@ -226,7 +252,7 @@ fn load(path: &str) -> Result<CfgProgram, String> {
 
 fn check(path: &str) -> Result<(), String> {
     let prog = load(path)?;
-    println!(
+    outln!(
         "ok: {} procedure(s), {} process(es), {} object(s), {} node(s){}",
         prog.procs.len(),
         prog.processes.len(),
@@ -268,7 +294,7 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
     }
     let closed = &run.closed;
     if args.iter().any(|a| a == "--dot") {
-        println!("{}", cfgir::program_to_dot(&closed.program));
+        outln!("{}", cfgir::program_to_dot(&closed.program));
         return Ok(());
     }
     if args.iter().any(|a| a == "--stats") {
@@ -277,7 +303,7 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
             .iter()
             .zip(closer::compare(&run.program, &closed.program))
         {
-            println!(
+            outln!(
                 "{}: nodes {} -> {} (+{} toss over {} site(s)), params removed {}, branching {} -> {}",
                 r.name,
                 r.nodes_before,
@@ -290,7 +316,7 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
             );
         }
         if let Some(cex) = &run.cex_report {
-            println!(
+            outln!(
                 "refine-cex: {} iteration(s), {} trace(s) classified \
                  ({} real, {} spurious, {} unknown), {} outcome(s) pruned, \
                  {} site(s) bypassed, states {} -> {}{}",
@@ -311,7 +337,7 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
             );
         }
         for p in &run.passes {
-            println!(
+            outln!(
                 "pass {}: {} run(s), {} fact(s), {:.3} ms",
                 p.name,
                 p.invocations,
@@ -322,7 +348,7 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     for p in &closed.program.procs {
-        println!("{}", cfgir::proc_to_listing(p));
+        outln!("{}", cfgir::proc_to_listing(p));
     }
     Ok(())
 }
@@ -465,17 +491,17 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let report = explore(&prog, &config);
     let wall = started.elapsed();
-    println!("{report}");
+    outln!("{report}");
     if flag("--stats") {
         let rate = report.states as f64 / wall.as_secs_f64().max(1e-9);
-        println!(
+        outln!(
             "stats: {:.1} states/sec over {:.3}s",
             rate,
             wall.as_secs_f64()
         );
-        println!("stats: tosses taken: {}", report.tosses_taken);
+        outln!("stats: tosses taken: {}", report.tosses_taken);
         if report.visited_states > 0 {
-            println!(
+            outln!(
                 "stats: visited store: {} states, {} bytes ({:.1} bytes/state)",
                 report.visited_states,
                 report.visited_bytes,
@@ -486,7 +512,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             // Dedup ratio: raw canonical bytes per byte actually stored
             // (tuples + one copy of each distinct component).
             let stored = report.store_stored_bytes + report.interner_bytes;
-            println!(
+            outln!(
                 "stats: compression: {} stored + {} interner bytes \
                  ({:.1} stored bytes/state, {} component(s) interned, \
                  {:.2}x dedup)",
@@ -498,7 +524,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             );
         }
         if report.total_components > 0 {
-            println!(
+            outln!(
                 "stats: CoW sharing: {}/{} successor components shared ({:.1}%)",
                 report.shared_components,
                 report.total_components,
@@ -506,13 +532,14 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             );
         }
         if config.por && report.visited_states > 0 {
-            println!(
+            outln!(
                 "stats: POR: skipped {} process expansions, {} proviso fallbacks",
-                report.por_skipped_procs, report.por_proviso_fallbacks
+                report.por_skipped_procs,
+                report.por_proviso_fallbacks
             );
         }
         if report.store_peak_mem_bytes > 0 {
-            println!(
+            outln!(
                 "stats: store: peak resident {} bytes, {} spilled state(s), \
                  {} frontier entry(ies) spooled, {} spill(s) to the tier-1 \
                  log, {} checkpoint(s)",
@@ -524,7 +551,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             );
         }
         if report.store_batch_ops > 0 {
-            println!(
+            outln!(
                 "stats: batched commit: {} batch(es) carrying {} item(s) \
                  ({:.1} items/batch), {} lock acquisition(s) avoided",
                 report.store_batch_ops,
@@ -535,7 +562,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         }
         let memo = report.memo;
         if memo.lookups() > 0 {
-            println!(
+            outln!(
                 "stats: transition memo: {} hit(s), {} miss(es), {} bypassed \
                  (spawn {}, budget {}, cold {})",
                 memo.hits,
@@ -549,15 +576,15 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
     }
     if let Some(cov) = &report.coverage {
         let (covered, total) = cov.totals();
-        println!("coverage: {covered}/{total} nodes");
+        outln!("coverage: {covered}/{total} nodes");
         for p in &prog.procs {
             let c = cov.covered_count(p.id);
-            println!("  {}: {}/{}", p.name, c, p.nodes.len());
+            outln!("  {}: {}/{}", p.name, c, p.nodes.len());
         }
     }
     if flag("--explain") {
         for v in &report.violations {
-            println!(
+            outln!(
                 "\n{}",
                 verisoft::explain_violation(&prog, v, config.env_mode, &config.limits)
             );
@@ -572,7 +599,7 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 closer::TraceClass::Spurious => "spurious",
                 closer::TraceClass::Unknown => "unknown",
             };
-            println!("classify: violation {i} ({:?}): {label}", v.kind);
+            outln!("classify: violation {i} ({:?}): {label}", v.kind);
         }
     }
     if report.clean() {
@@ -606,12 +633,12 @@ fn run_schedule(args: &[String]) -> Result<(), String> {
         env_mode,
         &verisoft::ExecLimits::default(),
     );
-    print!("{rendered}");
+    out!("{rendered}");
     match state {
         Some(s) => {
             let enabled = verisoft::enabled_processes(&prog, &s);
             if enabled.is_empty() {
-                println!("end: no enabled transitions");
+                outln!("end: no enabled transitions");
             } else {
                 let names: Vec<String> = enabled
                     .iter()
@@ -622,7 +649,7 @@ fn run_schedule(args: &[String]) -> Result<(), String> {
                         )
                     })
                     .collect();
-                println!("end: enabled next: {}", names.join(", "));
+                outln!("end: enabled next: {}", names.join(", "));
             }
             Ok(())
         }
@@ -659,19 +686,21 @@ fn parse_decision(tok: &str) -> Result<verisoft::Decision, String> {
 
 fn graph(path: &str) -> Result<(), String> {
     let prog = load(path)?;
-    println!("{}", cfgir::program_to_dot(&prog));
+    outln!("{}", cfgir::program_to_dot(&prog));
     Ok(())
 }
 
 fn envgen_cmd(path: &str) -> Result<(), String> {
     let prog = load(path)?;
     let syn = synthesize(&prog).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "// E_S: {} environment process(es), {} channel(s), {} domain value(s)",
-        syn.report.env_processes, syn.report.env_channels, syn.report.total_domain_values
+        syn.report.env_processes,
+        syn.report.env_channels,
+        syn.report.total_domain_values
     );
     for p in &syn.program.procs {
-        println!("{}", cfgir::proc_to_listing(p));
+        outln!("{}", cfgir::proc_to_listing(p));
     }
     Ok(())
 }
@@ -701,7 +730,7 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
         limits: switchsim::oracle::OracleLimits::default(),
     };
     let summary = switchsim::corpus::fuzz(&opts);
-    println!("{summary}");
+    outln!("{summary}");
     let out_dir = opt_val("--out").map(std::path::PathBuf::from);
     if let Some(dir) = &out_dir {
         if !summary.divergences.is_empty() {
@@ -760,6 +789,6 @@ fn switchgen(args: &[String]) -> Result<(), String> {
         manual_stub_line0: args.iter().any(|a| a == "--stub"),
         with_voicemail: args.iter().any(|a| a == "--voicemail"),
     };
-    print!("{}", switchsim::generate(&cfg));
+    out!("{}", switchsim::generate(&cfg));
     Ok(())
 }

@@ -419,6 +419,35 @@ fn close_refine_partitions_domain() {
     );
 }
 
+/// Every one of histogram's 64 closed-program violations goes down a
+/// toss outcome no input reaches, and enumeration decides each one.
+#[test]
+fn close_refine_cex_labels_histogram_violations_spurious() {
+    let histogram = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/histogram.mc");
+    let out = reclose(&["close", histogram, "--refine-cex", "--stats"]);
+    assert!(out.status.success());
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        s.contains("64 trace(s) classified (0 real, 64 spurious, 0 unknown)"),
+        "{s}"
+    );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let histogram = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/histogram.mc");
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_reclose"))
+        .args(["explore", histogram, "--close", "--stateful", "--all"])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+}
+
 #[test]
 fn explore_coverage_flag() {
     let path = write_temp(
