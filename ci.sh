@@ -79,6 +79,12 @@ if grep -rn "mutable_key_type\|arc_with_non_send_sync" crates src --include='*.r
 fi
 echo "  no Arc/map-key lint suppressions"
 
+# A doc comment that links to a renamed or deleted item still compiles;
+# rustdoc is what resolves the link, so a broken one fails here.
+echo "== doc links =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
+
 echo "== build (release) =="
 cargo build --release --offline
 

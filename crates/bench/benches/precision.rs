@@ -130,8 +130,7 @@ fn report_refinement() {
     );
     let elim = close(&open);
     let e = verisoft::explore(&elim.program, &trace_config(64));
-    let (refined, reports) =
-        closer::close_with_refinement(src, &closer::RefineOptions::default()).unwrap();
+    let (refined, reports) = closer::close_with_refinement(src).unwrap();
     let r = verisoft::explore(&refined.program, &trace_config(64));
     println!("{:<18} {:>12} {:>10}", "method", "transitions", "behaviors");
     println!(
@@ -176,7 +175,7 @@ fn bench(c: &mut Criterion) {
     "#;
     let prog = compile(mgr);
     c.bench_function("precision/refine_partition", |b| {
-        b.iter(|| closer::refine(black_box(&prog), &closer::RefineOptions::default()))
+        b.iter(|| closer::refine(black_box(&prog)))
     });
 
     // E9: counterexample-guided toss refinement over the precision-gap

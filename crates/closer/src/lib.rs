@@ -56,12 +56,10 @@ pub mod semantic;
 pub mod transform;
 
 pub use metrics::{compare, totals, BranchingReport, Totals};
-pub use partition::{
-    close_with_refinement, reduce_tosses, refine, RefineOptions, RefineReport, RefinedKind,
-};
+pub use partition::{close_with_refinement, reduce_tosses, refine, RefineReport, RefinedKind};
 pub use pipeline::{PassMetrics, Pipeline, PipelineOptions, PipelineRun};
 pub use refine_cex::{classify_trace, refine_cex, verdict_set, CexOptions, CexReport, TraceClass};
-pub use semantic::{refine_semantic, SemanticOptions};
+pub use semantic::refine_semantic;
 pub use transform::{close, close_source, Closed, ProcReport, TossSite};
 
 /// A default [`Pipeline`]'s [`close`](Pipeline::close), under the name the

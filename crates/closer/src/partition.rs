@@ -40,19 +40,10 @@ use dataflow::Analysis;
 use minic::ast::BinOp;
 use std::collections::BTreeSet;
 
-/// Options for domain partitioning.
-#[derive(Debug, Clone)]
-pub struct RefineOptions {
-    /// Refinement applies only when the partition has at most this many
-    /// classes; larger interfaces are left for elimination.
-    pub max_classes: usize,
-}
-
-impl Default for RefineOptions {
-    fn default() -> Self {
-        RefineOptions { max_classes: 16 }
-    }
-}
+/// Refinement applies only when the partition has at most this many
+/// classes — the interface is "small enough" (§7); larger interfaces are
+/// left for elimination.
+const MAX_CLASSES: usize = 16;
 
 /// One successful refinement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,17 +80,14 @@ pub enum RefinedKind {
 /// environment; non-qualifying reads are untouched — run
 /// [`crate::close`] afterwards to eliminate those) and a report per
 /// refinement.
-pub fn refine(prog: &CfgProgram, options: &RefineOptions) -> (CfgProgram, Vec<RefineReport>) {
-    rewrite(prog, options, RefinedKind::EnvInput)
+pub fn refine(prog: &CfgProgram) -> (CfgProgram, Vec<RefineReport>) {
+    rewrite(prog, RefinedKind::EnvInput)
 }
 
 /// Shrink every qualifying `VS_toss` read to one choice per behavioral
 /// equivalence class.
-pub fn reduce_tosses(
-    prog: &CfgProgram,
-    options: &RefineOptions,
-) -> (CfgProgram, Vec<RefineReport>) {
-    rewrite(prog, options, RefinedKind::Toss)
+pub fn reduce_tosses(prog: &CfgProgram) -> (CfgProgram, Vec<RefineReport>) {
+    rewrite(prog, RefinedKind::Toss)
 }
 
 /// Close `src` with interface *simplification* where possible and
@@ -124,7 +112,7 @@ pub fn reduce_tosses(
 ///         else send(deny, 0);
 ///     }
 ///     process manager();
-/// "#, &closer::RefineOptions::default())?;
+/// "#)?;
 /// assert!(closed.program.is_closed());
 /// assert_eq!(refinements.len(), 1);
 /// assert_eq!(refinements[0].classes.len(), 3); // [0,9] [10,999] [1000,1000000]
@@ -132,25 +120,19 @@ pub fn reduce_tosses(
 /// ```
 pub fn close_with_refinement(
     src: &str,
-    options: &RefineOptions,
 ) -> Result<(crate::Closed, Vec<RefineReport>), minic::Diagnostics> {
     let prog = cfgir::compile(src)?;
     // Syntactic interval refinement first, then semantic enumeration for
     // the derived-chain reads the intervals cannot handle, then plain
     // elimination for the rest.
-    let (refined, mut reports) = refine(&prog, options);
-    let (refined, semantic_reports) =
-        crate::semantic::refine_semantic(&refined, &crate::semantic::SemanticOptions::default());
+    let (refined, mut reports) = refine(&prog);
+    let (refined, semantic_reports) = crate::semantic::refine_semantic(&refined);
     reports.extend(semantic_reports);
     let analysis = dataflow::analyze(&refined);
     Ok((crate::close(&refined, &analysis), reports))
 }
 
-fn rewrite(
-    prog: &CfgProgram,
-    options: &RefineOptions,
-    want: RefinedKind,
-) -> (CfgProgram, Vec<RefineReport>) {
+fn rewrite(prog: &CfgProgram, want: RefinedKind) -> (CfgProgram, Vec<RefineReport>) {
     let analysis = dataflow::analyze(prog);
     let mut out = prog.clone();
     let mut reports = Vec::new();
@@ -168,7 +150,7 @@ fn rewrite(
                 continue;
             };
             let classes = intervals(domain, &cuts);
-            if classes.is_empty() || classes.len() > options.max_classes {
+            if classes.is_empty() || classes.len() > MAX_CLASSES {
                 continue;
             }
             if want == RefinedKind::Toss && classes.len() as u64 >= domain_size(domain) {
@@ -402,8 +384,7 @@ mod tests {
 
     #[test]
     fn resource_manager_partitions_into_ranges() {
-        let (closed, reports) =
-            close_with_refinement(RESOURCE_MANAGER, &RefineOptions::default()).unwrap();
+        let (closed, reports) = close_with_refinement(RESOURCE_MANAGER).unwrap();
         assert!(closed.program.is_closed());
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].classes, vec![(0, 9), (10, 99), (100, 255)]);
@@ -417,8 +398,7 @@ mod tests {
         // Ground truth: all 256 inputs enumerated.
         let ground = explore(&open, &trace_cfg(EnvMode::Enumerate)).traces;
         // Refined: 3 representatives.
-        let (refined_closed, _) =
-            close_with_refinement(RESOURCE_MANAGER, &RefineOptions::default()).unwrap();
+        let (refined_closed, _) = close_with_refinement(RESOURCE_MANAGER).unwrap();
         let refined = explore(&refined_closed.program, &trace_cfg(EnvMode::Closed)).traces;
         assert_eq!(ground, refined, "refinement preserves exact trace set");
         // Plain elimination over-approximates: the data payloads sent are
@@ -453,7 +433,7 @@ mod tests {
         assert_eq!(e_traces.len(), 4);
         // Refined: one choice of class, both tests agree — exactly the 2
         // real behaviors.
-        let (refined, reports) = close_with_refinement(src, &RefineOptions::default()).unwrap();
+        let (refined, reports) = close_with_refinement(src).unwrap();
         assert_eq!(reports.len(), 1);
         let r_traces = explore(&refined.program, &trace_cfg(EnvMode::Closed)).traces;
         assert_eq!(
@@ -481,7 +461,7 @@ mod tests {
             process m();
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (_, reports) = refine(&prog, &RefineOptions::default());
+        let (_, reports) = refine(&prog);
         assert!(reports.is_empty(), "escaping value must not be refined");
     }
 
@@ -498,7 +478,7 @@ mod tests {
             process m();
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (_, reports) = refine(&prog, &RefineOptions::default());
+        let (_, reports) = refine(&prog);
         assert!(reports.is_empty());
     }
 
@@ -516,7 +496,7 @@ mod tests {
             process m();
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (_, reports) = refine(&prog, &RefineOptions::default());
+        let (_, reports) = refine(&prog);
         assert!(reports.is_empty());
     }
 
@@ -532,25 +512,24 @@ mod tests {
             process m(7);
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (_, reports) = refine(&prog, &RefineOptions::default());
+        let (_, reports) = refine(&prog);
         assert!(reports.is_empty());
     }
 
     #[test]
     fn too_many_classes_falls_back_to_elimination() {
-        let mut conds = String::new();
-        for i in 0..40 {
-            conds.push_str(&format!("if (t == {i}) send(out, {i});\n"));
-        }
-        let src = format!(
-            "extern chan out;\ninput req : 0..255;\nproc m() {{ int t = env_input(req);\n{conds} }}\nprocess m();"
-        );
-        let prog = cfgir::compile(&src).unwrap();
-        let (_, reports) = refine(&prog, &RefineOptions::default());
-        assert!(reports.is_empty(), "81 classes > max 16");
-        let (_, reports) = refine(&prog, &RefineOptions { max_classes: 100 });
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].classes.len(), 41);
+        // `n` equality tests cut the domain into `n + 1` classes.
+        let refined = |n: usize| {
+            let conds: String = (0..n)
+                .map(|i| format!("if (t == {i}) send(out, {i});\n"))
+                .collect();
+            let src = format!(
+                "extern chan out;\ninput req : 0..255;\nproc m() {{ int t = env_input(req);\n{conds} }}\nprocess m();"
+            );
+            refine(&cfgir::compile(&src).unwrap()).1
+        };
+        assert_eq!(refined(MAX_CLASSES - 1)[0].classes.len(), MAX_CLASSES);
+        assert!(refined(MAX_CLASSES).is_empty(), "one class over the limit");
     }
 
     #[test]
@@ -568,7 +547,7 @@ mod tests {
             }
             process m();
         "#;
-        let (closed, reports) = close_with_refinement(src, &RefineOptions::default()).unwrap();
+        let (closed, reports) = close_with_refinement(src).unwrap();
         assert_eq!(reports.len(), 1);
         // Cuts at 2,3,5,6: [0,1] [2,2] [3,4] [5,5] [6,9].
         assert_eq!(reports[0].classes.len(), 5);
@@ -591,7 +570,7 @@ mod tests {
             process m();
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (reduced, reports) = reduce_tosses(&prog, &RefineOptions::default());
+        let (reduced, reports) = reduce_tosses(&prog);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, RefinedKind::Toss);
         assert_eq!(reports[0].classes, vec![(0, 49), (50, 99)]);
@@ -611,7 +590,7 @@ mod tests {
             process m();
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (_, reports) = reduce_tosses(&prog, &RefineOptions::default());
+        let (_, reports) = reduce_tosses(&prog);
         assert!(reports.is_empty());
     }
 
@@ -630,7 +609,7 @@ mod tests {
             process m();
         "#;
         let prog = cfgir::compile(src).unwrap();
-        let (_, reports) = refine(&prog, &RefineOptions::default());
+        let (_, reports) = refine(&prog);
         assert!(
             reports.is_empty(),
             "bare truthiness is conservatively rejected"
@@ -651,7 +630,7 @@ mod tests {
             }
             process m();
         "#;
-        let (closed, reports) = close_with_refinement(src, &RefineOptions::default()).unwrap();
+        let (closed, reports) = close_with_refinement(src).unwrap();
         assert_eq!(reports.len(), 2);
         let open = cfgir::compile(src).unwrap();
         let ground = explore(&open, &trace_cfg(EnvMode::Enumerate)).traces;

@@ -17,9 +17,9 @@
 //! `closer.pipeline.*` layers. See `docs/PIPELINE.md` for the design
 //! notes.
 
-use crate::partition::{refine, RefineOptions, RefineReport};
+use crate::partition::{refine, RefineReport};
 use crate::refine_cex::{refine_cex, CexOptions, CexReport};
-use crate::semantic::{refine_semantic, SemanticOptions};
+use crate::semantic::refine_semantic;
 use crate::transform::{assemble, close_proc, Closed};
 use cfgir::CfgProgram;
 use dataflow::DefUse;
@@ -48,19 +48,12 @@ pub struct PipelineOptions {
     /// Run the §7 refinement passes (interface simplification) before
     /// closing.
     pub refine: bool,
-    /// Options for the syntactic refinement (when `refine` is set).
-    pub refine_options: RefineOptions,
-    /// Options for the semantic refinement (when `refine` is set).
-    pub semantic_options: SemanticOptions,
     /// Run counterexample-guided toss refinement
-    /// ([`crate::refine_cex`]) on the closed program. The refined
+    /// ([`crate::refine_cex()`]) on the closed program. The refined
     /// program replaces [`Closed::program`] in the run result; the
     /// per-procedure [`ProcReport`](crate::ProcReport)s keep describing
     /// the raw transform.
     pub refine_cex: bool,
-    /// Budgets for the counterexample refinement (when `refine_cex` is
-    /// set).
-    pub cex_options: CexOptions,
 }
 
 /// Metrics for one named pass over one [`Pipeline::close`] call.
@@ -183,8 +176,8 @@ impl Pipeline {
 
         // --- refine (optional) ---------------------------------------
         let (prog, refine_reports) = if self.opts.refine {
-            let (p1, mut reports) = refine(&prog, &self.opts.refine_options);
-            let (p2, more) = refine_semantic(&p1, &self.opts.semantic_options);
+            let (p1, mut reports) = refine(&prog);
+            let (p2, more) = refine_semantic(&p1);
             reports.extend(more);
             m.add("refine", 1, reports.len() as u64);
             (p2, reports)
@@ -233,7 +226,7 @@ impl Pipeline {
 
         // --- refine-cex (optional) ------------------------------------
         let cex_report = if self.opts.refine_cex {
-            let (refined, rep) = refine_cex(&prog, &closed, &self.opts.cex_options);
+            let (refined, rep) = refine_cex(&prog, &closed, &CexOptions::default());
             m.add("refine-cex", 1, rep.outcomes_pruned as u64);
             closed.program = refined;
             Some(rep)
@@ -361,7 +354,7 @@ mod tests {
         })
         .close(src)
         .unwrap();
-        let (direct, reports) = close_with_refinement(src, &RefineOptions::default()).unwrap();
+        let (direct, reports) = close_with_refinement(src).unwrap();
         assert_eq!(run.refine_reports, reports, "{name}: refine reports");
         assert_eq!(
             listings(&run.closed.program),
@@ -390,18 +383,8 @@ mod tests {
 
     #[test]
     fn refine_cex_pass_matches_refine_cex_on_the_corpus() {
-        // Tighter budgets than the defaults keep the debug run short
-        // (the default classification budget alone costs `histogram.mc`
-        // half a minute); both sides get the same options.
-        let opts = CexOptions {
-            max_transitions: 50_000,
-            classify_budget: 5_000,
-            max_classified: 4,
-            ..CexOptions::default()
-        };
         let pl = Pipeline::new(PipelineOptions {
             refine_cex: true,
-            cex_options: opts.clone(),
             ..PipelineOptions::default()
         });
         let mut pruned = 0;
@@ -410,7 +393,7 @@ mod tests {
             let run = pl.close(&src).unwrap();
             let open = cfgir::compile(&src).unwrap();
             let closed = close(&open, &dataflow::analyze(&open));
-            let (refined, rep) = refine_cex(&open, &closed, &opts);
+            let (refined, rep) = refine_cex(&open, &closed, &CexOptions::default());
             assert_eq!(
                 listings(&run.closed.program),
                 listings(&refined),

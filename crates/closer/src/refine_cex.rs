@@ -53,31 +53,30 @@ use verisoft::{
     Report, RtError, Scheduled, SuccOutcome, Violation, ViolationKind,
 };
 
-/// Budgets for the refinement loop.
+/// Maximum refine iterations (each costs one verdict-guard exploration,
+/// plus one per singleton retried after a rejected batch).
+const MAX_ITERS: usize = 4;
+
+/// Transition budget for one trace classification search.
+const CLASSIFY_BUDGET: usize = 200_000;
+
+/// Classify at most this many violating traces.
+const MAX_CLASSIFIED: usize = 64;
+
+/// Exploration bounds for the refinement loop.
 #[derive(Debug, Clone)]
 pub struct CexOptions {
-    /// Maximum refine iterations (each costs one verdict-guard
-    /// exploration, plus one per singleton retried after a rejected
-    /// batch).
-    pub max_iters: usize,
     /// Depth bound for every exploration the pass runs.
     pub max_depth: usize,
     /// Transition budget for every exploration the pass runs.
     pub max_transitions: usize,
-    /// Transition budget for one trace classification search.
-    pub classify_budget: usize,
-    /// Classify at most this many violating traces.
-    pub max_classified: usize,
 }
 
 impl Default for CexOptions {
     fn default() -> Self {
         CexOptions {
-            max_iters: 4,
             max_depth: 300,
             max_transitions: 2_000_000,
-            classify_budget: 200_000,
-            max_classified: 64,
         }
     }
 }
@@ -139,7 +138,7 @@ pub fn refine_cex(
     rep.states_after = base.states;
     let base_verdicts = verdict_set(&base);
 
-    classify_all(open, &base, opts, &mut rep);
+    classify_all(open, &base, &mut rep);
 
     let Some(cov) = open_coverage(open, opts) else {
         return (closed.program.clone(), rep);
@@ -156,7 +155,7 @@ pub fn refine_cex(
     // open-program provenance so they survive node renumbering.
     let mut rejected: BTreeSet<(usize, NodeId, usize)> = BTreeSet::new();
 
-    for _ in 0..opts.max_iters {
+    for _ in 0..MAX_ITERS {
         let candidates = collect_prunes(open, &cov, &program, &sites, &rejected);
         if candidates.is_empty() {
             break;
@@ -534,14 +533,14 @@ fn prune_proc(
 /// branches over every toss and environment choice, and requires a
 /// violation of the same kind at the final step (a deadlock: a dead end
 /// after it). Any witness is confirmed with [`Executor::replay`].
-pub fn classify_trace(open: &CfgProgram, v: &Violation, opts: &CexOptions) -> TraceClass {
+pub fn classify_trace(open: &CfgProgram, v: &Violation) -> TraceClass {
     let cfg = Config {
         env_mode: EnvMode::Enumerate,
         max_violations: usize::MAX,
         ..Config::default()
     };
     let exec = Executor::new(open, &cfg);
-    let mut cx = ExecCtx::new(&exec, opts.classify_budget);
+    let mut cx = ExecCtx::new(&exec, CLASSIFY_BUDGET);
     let mut path = Vec::new();
     let found = dfs_exact(
         &exec,
@@ -555,10 +554,10 @@ pub fn classify_trace(open: &CfgProgram, v: &Violation, opts: &CexOptions) -> Tr
     finish_classification(&exec, &cx, found, &path, &v.kind)
 }
 
-fn classify_all(open: &CfgProgram, base: &Report, opts: &CexOptions, rep: &mut CexReport) {
-    for v in base.violations.iter().take(opts.max_classified) {
+fn classify_all(open: &CfgProgram, base: &Report, rep: &mut CexReport) {
+    for v in base.violations.iter().take(MAX_CLASSIFIED) {
         rep.classified += 1;
-        match classify_trace(open, v, opts) {
+        match classify_trace(open, v) {
             TraceClass::Real => rep.real += 1,
             TraceClass::Spurious => rep.spurious += 1,
             TraceClass::Unknown => rep.unknown += 1,
@@ -789,7 +788,7 @@ mod tests {
         let classes: Vec<TraceClass> = base
             .violations
             .iter()
-            .map(|v| classify_trace(&open, v, &opts))
+            .map(|v| classify_trace(&open, v))
             .collect();
         assert!(classes.contains(&TraceClass::Real), "{classes:?}");
     }

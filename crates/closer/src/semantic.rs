@@ -33,9 +33,8 @@
 //!   taken (uses in conditionals, switches, assertion arguments, and
 //!   send / shared-write payloads are all fine — equal derived values
 //!   imply identical behavior for those);
-//! - the domain is small enough to enumerate
-//!   ([`SemanticOptions::domain_limit`]) and the signature partition is
-//!   small enough to keep ([`SemanticOptions::max_classes`]).
+//! - the domain is small enough to enumerate (`DOMAIN_LIMIT`) and the
+//!   signature partition is small enough to keep (`MAX_CLASSES`).
 
 use crate::partition::{RefineReport, RefinedKind};
 use cfgir::{
@@ -44,34 +43,16 @@ use cfgir::{
 use minic::ast::{BinOp, UnOp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Options for semantic refinement.
-#[derive(Debug, Clone)]
-pub struct SemanticOptions {
-    /// Maximum enumerable domain size (0 disables semantic refinement).
-    pub domain_limit: u64,
-    /// Maximum number of signature classes to keep.
-    pub max_classes: usize,
-}
+/// Maximum enumerable domain size.
+const DOMAIN_LIMIT: u64 = 65_536;
 
-impl Default for SemanticOptions {
-    fn default() -> Self {
-        SemanticOptions {
-            domain_limit: 65_536,
-            max_classes: 64,
-        }
-    }
-}
+/// Maximum number of signature classes to keep.
+const MAX_CLASSES: usize = 64;
 
 /// Refine every `env_input` read whose derivation chain qualifies.
 /// Returns the rewritten program and one report per refined read
 /// (`kind` = [`RefinedKind::EnvInputSemantic`]).
-pub fn refine_semantic(
-    prog: &CfgProgram,
-    options: &SemanticOptions,
-) -> (CfgProgram, Vec<RefineReport>) {
-    if options.domain_limit == 0 {
-        return (prog.clone(), Vec::new());
-    }
+pub fn refine_semantic(prog: &CfgProgram) -> (CfgProgram, Vec<RefineReport>) {
     let analysis = dataflow::analyze(prog);
     let mut out = prog.clone();
     let mut reports = Vec::new();
@@ -89,7 +70,7 @@ pub fn refine_semantic(
             };
             let (lo, hi) = prog.inputs[i.index()].domain;
             let size = (hi - lo) as u64 + 1;
-            if size > options.domain_limit {
+            if size > DOMAIN_LIMIT {
                 continue;
             }
             let Some((chain, v_observed)) = derivation_chain(proc, du, &on_cycle, n, *v) else {
@@ -101,7 +82,7 @@ pub fn refine_semantic(
             if v_observed {
                 continue;
             }
-            let Some(classes) = signature_classes(&chain, *v, lo, hi, options.max_classes) else {
+            let Some(classes) = signature_classes(&chain, *v, lo, hi) else {
                 continue;
             };
             if classes.len() as u64 >= size {
@@ -271,7 +252,6 @@ fn signature_classes(
     v: VarId,
     lo: i64,
     hi: i64,
-    max_classes: usize,
 ) -> Option<Vec<(i64, u64)>> {
     let mut classes: HashMap<Vec<i64>, (i64, u64)> = HashMap::new();
     let mut order: Vec<Vec<i64>> = Vec::new();
@@ -285,7 +265,7 @@ fn signature_classes(
         match classes.get_mut(&sig) {
             Some((_, count)) => *count += 1,
             None => {
-                if classes.len() >= max_classes {
+                if classes.len() >= MAX_CLASSES {
                     return None;
                 }
                 classes.insert(sig.clone(), (x, 1));
@@ -436,7 +416,7 @@ mod tests {
         let ground = explore(&open, &trace_cfg(EnvMode::Enumerate)).traces;
         assert_eq!(ground.len(), 2);
 
-        let (refined, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (refined, reports) = refine_semantic(&open);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, RefinedKind::EnvInputSemantic);
         assert_eq!(reports[0].representatives, vec![0, 1], "even/odd classes");
@@ -476,7 +456,7 @@ mod tests {
             process q();
         "#;
         let open = cfgir::compile(src).unwrap();
-        let (_, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (_, reports) = refine_semantic(&open);
         assert!(reports.is_empty(), "q's chain is loop-carried: {reports:?}");
     }
 
@@ -498,7 +478,7 @@ mod tests {
         let open = cfgir::compile(src).unwrap();
         let ground = explore(&open, &trace_cfg(EnvMode::Enumerate)).traces;
         assert_eq!(ground.len(), 3);
-        let (refined, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (refined, reports) = refine_semantic(&open);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].representatives.len(), 3);
         let closed = crate::close(&refined, &dataflow::analyze(&refined));
@@ -520,7 +500,7 @@ mod tests {
             process m();
         "#;
         let open = cfgir::compile(src).unwrap();
-        let (_, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (_, reports) = refine_semantic(&open);
         assert!(reports.is_empty());
     }
 
@@ -541,39 +521,31 @@ mod tests {
             process m();
         "#;
         let open = cfgir::compile(src).unwrap();
-        let (_, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (_, reports) = refine_semantic(&open);
         assert!(reports.is_empty());
     }
 
     #[test]
     fn domain_limit_respected() {
-        let src = r#"
-            extern chan out;
-            input xin : 0..100000;
-            proc m() {
-                int x = env_input(xin);
-                int y = x % 2;
-                if (y == 0) send(out, 0); else send(out, 1);
-            }
-            process m();
-        "#;
-        let open = cfgir::compile(src).unwrap();
-        let (_, reports) = refine_semantic(
-            &open,
-            &SemanticOptions {
-                domain_limit: 1000,
-                ..SemanticOptions::default()
-            },
+        let refined = |hi: u64| {
+            let src = format!(
+                "extern chan out;
+                input xin : 0..{hi};
+                proc m() {{
+                    int x = env_input(xin);
+                    int y = x % 2;
+                    if (y == 0) send(out, 0); else send(out, 1);
+                }}
+                process m();"
+            );
+            refine_semantic(&cfgir::compile(&src).unwrap()).1.len()
+        };
+        assert_eq!(
+            refined(DOMAIN_LIMIT - 1),
+            1,
+            "a domain of DOMAIN_LIMIT values"
         );
-        assert!(reports.is_empty(), "domain 100001 > limit 1000");
-        let (_, reports) = refine_semantic(
-            &open,
-            &SemanticOptions {
-                domain_limit: 200_000,
-                ..SemanticOptions::default()
-            },
-        );
-        assert_eq!(reports.len(), 1);
+        assert_eq!(refined(DOMAIN_LIMIT), 0, "one value past DOMAIN_LIMIT");
     }
 
     #[test]
@@ -590,7 +562,7 @@ mod tests {
             process m();
         "#;
         let open = cfgir::compile(src).unwrap();
-        let (_, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (_, reports) = refine_semantic(&open);
         assert!(reports.is_empty(), "201 distinct y values > 64 classes");
     }
 
@@ -611,7 +583,7 @@ mod tests {
             process m();
         "#;
         let open = cfgir::compile(src).unwrap();
-        let (refined, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (refined, reports) = refine_semantic(&open);
         assert_eq!(reports.len(), 1);
         let closed = crate::close(&refined, &dataflow::analyze(&refined));
         let r = explore(
@@ -648,7 +620,7 @@ mod soundness_regression {
             process m();
         "#;
         let open = cfgir::compile(src).unwrap();
-        let (_, reports) = refine_semantic(&open, &SemanticOptions::default());
+        let (_, reports) = refine_semantic(&open);
         assert!(
             reports.is_empty(),
             "direct observation of x must disqualify semantic refinement"
@@ -671,8 +643,7 @@ mod soundness_regression {
             },
         )
         .traces;
-        let (closed, _) =
-            crate::close_with_refinement(src, &crate::RefineOptions::default()).unwrap();
+        let (closed, _) = crate::close_with_refinement(src).unwrap();
         let got = explore(&closed.program, &tcfg).traces;
         for t in &ground {
             assert!(got.contains(t), "behavior lost: {t:?}");

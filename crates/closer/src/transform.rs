@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 /// Provenance for one `VS_toss` conditional inserted by Step 4: which
 /// marked node and out-arc of the *open* procedure it abstracts, and the
 /// open-program node each toss outcome resumes at. The
-/// counterexample-guided refinement pass ([`crate::refine_cex`]) uses
+/// counterexample-guided refinement pass ([`crate::refine_cex()`]) uses
 /// this to ask, per outcome, whether the open program can actually reach
 /// that resume point.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,16 +26,53 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
     Parser::new(tokens).program()
 }
 
+/// The deepest nesting a procedure body may have. Each statement, each
+/// expression, each operand of an operator and each parenthesis is one
+/// level below the construct around it. Sema, normalization and CFG
+/// construction recurse once per level, so bounding the parse bounds
+/// them too: a deeper program is a diagnostic, not a stack overflow.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The level of the construct being parsed (0 outside any body).
+    depth: usize,
+    /// The deepest level any node of the current expression reaches.
+    deepest: usize,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            deepest: 0,
+        }
+    }
+
+    /// Parse `f` one level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Note a node at `level`, failing past [`MAX_NESTING`].
+    fn reach(&mut self, level: usize) -> PResult<()> {
+        if level > MAX_NESTING {
+            return Err(Diagnostic::error(
+                format!("nested deeper than {MAX_NESTING} levels"),
+                self.peek().span,
+            ));
+        }
+        self.deepest = self.deepest.max(level);
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -359,6 +396,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> PResult<Stmt> {
         match self.peek_kind().clone() {
             TokenKind::LBrace => Ok(Stmt::Block(self.block()?)),
             TokenKind::Semi => {
@@ -580,10 +621,10 @@ impl Parser {
             self.bump();
             None
         } else if self.at_kw(Keyword::Int) {
-            let s = self.local_stmt()?; // consumes the `;`
+            let s = self.nested(Self::local_stmt)?; // consumes the `;`
             Some(Box::new(s))
         } else {
-            let s = self.simple_stmt(false)?;
+            let s = self.nested(|p| p.simple_stmt(false))?;
             self.expect(TokenKind::Semi)?;
             Some(Box::new(s))
         };
@@ -596,7 +637,7 @@ impl Parser {
         let step = if self.at(&TokenKind::RParen) {
             None
         } else {
-            Some(Box::new(self.simple_stmt(false)?))
+            Some(Box::new(self.nested(|p| p.simple_stmt(false))?))
         };
         self.expect(TokenKind::RParen)?;
         let body = Box::new(self.stmt()?);
@@ -684,20 +725,25 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.binary_expr(0)
+        self.nested(|p| p.binary_expr(0))
     }
 
+    /// A left-associative chain at the current level. Each operator
+    /// moves the chain parsed so far one level down, so the deepest
+    /// level its nodes reach is tracked across the loop.
     fn binary_expr(&mut self, min_prec: u8) -> PResult<Expr> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
         let mut lhs = self.unary_expr()?;
-        loop {
-            let Some((op, prec)) = bin_op_of(self.peek_kind()) else {
-                return Ok(lhs);
-            };
+        let mut lhs_deepest = self.deepest;
+        while let Some((op, prec)) = bin_op_of(self.peek_kind()) {
             if prec < min_prec {
-                return Ok(lhs);
+                break;
             }
             self.bump();
-            let rhs = self.binary_expr(prec + 1)?;
+            self.reach(lhs_deepest + 1)?;
+            self.deepest = self.depth;
+            let rhs = self.nested(|p| p.binary_expr(prec + 1))?;
+            lhs_deepest = (lhs_deepest + 1).max(self.deepest);
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary {
                 op,
@@ -706,13 +752,15 @@ impl Parser {
                 span,
             };
         }
+        self.deepest = outer.max(lhs_deepest);
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
         match self.peek_kind() {
             TokenKind::Minus => {
                 let start = self.bump().span;
-                let inner = self.unary_expr()?;
+                let inner = self.nested(Self::unary_expr)?;
                 let span = start.to(inner.span());
                 Ok(Expr::Unary {
                     op: UnOp::Neg,
@@ -722,7 +770,7 @@ impl Parser {
             }
             TokenKind::Bang => {
                 let start = self.bump().span;
-                let inner = self.unary_expr()?;
+                let inner = self.nested(Self::unary_expr)?;
                 let span = start.to(inner.span());
                 Ok(Expr::Unary {
                     op: UnOp::Not,

@@ -557,7 +557,6 @@ pub fn close_and_check(src: &str, limits: &OracleLimits) -> Result<CheckOutcome,
         let opts = closer::CexOptions {
             max_depth: limits.max_depth,
             max_transitions: limits.max_transitions,
-            ..closer::CexOptions::default()
         };
         let (refined, _) = closer::refine_cex(&run.program, &run.closed, &opts);
         let refined = (refined != run.closed.program).then_some(&refined);

@@ -112,7 +112,7 @@ impl Coverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute_transition_with, EnvMode, ExecLimits, TransitionResult};
+    use crate::interp::{execute_transition_with, EnvMode, TransitionResult};
     use crate::state::GlobalState;
     use cfgir::compile;
 
@@ -123,15 +123,7 @@ mod tests {
         let mut s = GlobalState::initial(&prog);
         // Init transition + send transition.
         for _ in 0..2 {
-            let r = execute_transition_with(
-                &prog,
-                &mut s,
-                0,
-                &[],
-                EnvMode::Closed,
-                &ExecLimits::default(),
-                Some(&mut cov),
-            );
+            let r = execute_transition_with(&prog, &mut s, 0, &[], EnvMode::Closed, Some(&mut cov));
             assert!(matches!(r, TransitionResult::Completed { .. }));
         }
         let m = prog.proc_by_name("m").unwrap();
@@ -148,15 +140,7 @@ mod tests {
         let mut cov = Coverage::new(&prog);
         let mut s = GlobalState::initial(&prog);
         for _ in 0..2 {
-            execute_transition_with(
-                &prog,
-                &mut s,
-                0,
-                &[],
-                EnvMode::Closed,
-                &ExecLimits::default(),
-                Some(&mut cov),
-            );
+            execute_transition_with(&prog, &mut s, 0, &[], EnvMode::Closed, Some(&mut cov));
         }
         let m = prog.proc_by_name("m").unwrap();
         assert_eq!(cov.uncovered(m.id).len(), 1, "the else-send never ran");

@@ -359,12 +359,7 @@ impl<'a> Executor<'a> {
     /// [`crate::por::schedule`]): the one set of rules behind the live
     /// schedule and the stateless walk's ID-space one.
     pub(crate) fn schedule_view(&self, v: &impl ProcView, out: &mut Vec<usize>) -> Schedule {
-        schedule(
-            &self.info,
-            (self.cfg.por, self.cfg.strict_termination_deadlock),
-            v,
-            out,
-        )
+        schedule(&self.info, self.cfg.por, v, out)
     }
 
     /// Whether a dead end at `state` counts as a system deadlock.
@@ -372,13 +367,10 @@ impl<'a> Executor<'a> {
     /// This is the single daemon-flag rule every driver shares (DESIGN
     /// §7): synthesized environment feeders are marked `daemon` and never
     /// make a dead end a deadlock. A dead end is a deadlock iff some
-    /// *non-daemon* process is stuck short of termination, or — under
-    /// [`Config::strict_termination_deadlock`] — any non-daemon process
-    /// exists at all (the paper's strict reading: top-level termination
-    /// blocks forever). Strict mode deliberately does not fire for a
-    /// system whose every process is a daemon feeder.
+    /// *non-daemon* process is stuck short of termination; a system whose
+    /// every process terminated is not deadlocked.
     pub fn deadend_is_deadlock(&self, state: &GlobalState) -> bool {
-        deadlock(&self.live(state), self.cfg.strict_termination_deadlock)
+        deadlock(&self.live(state))
     }
 
     /// Whether `u`'s and `t`'s next transitions from `state` are
@@ -430,7 +422,6 @@ impl<'a> Executor<'a> {
                 pid,
                 &choices,
                 self.cfg.env_mode,
-                &self.cfg.limits,
                 cx.coverage.as_mut(),
             );
             *spawned |= spawns;
@@ -923,7 +914,6 @@ impl<'a> Executor<'a> {
                 d.process,
                 &d.choices,
                 self.cfg.env_mode,
-                &self.cfg.limits,
                 None,
             );
             match r {

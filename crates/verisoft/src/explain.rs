@@ -6,7 +6,7 @@
 //! process name, visible operation with object names, toss choices — ending
 //! with the violation itself.
 
-use crate::interp::{execute_transition, EnvMode, EventOp, ExecLimits, TransitionResult};
+use crate::interp::{execute_transition, EnvMode, EventOp, TransitionResult};
 use crate::report::Violation;
 use crate::state::GlobalState;
 use crate::value::Value;
@@ -43,15 +43,10 @@ fn render_op(prog: &CfgProgram, op: &EventOp) -> String {
 /// Replay `violation`'s trace against `prog` and render a step-by-step
 /// scenario. Robust against stale traces: replay mismatches are reported
 /// in the output rather than panicking.
-pub fn explain_violation(
-    prog: &CfgProgram,
-    violation: &Violation,
-    env_mode: EnvMode,
-    limits: &ExecLimits,
-) -> String {
+pub fn explain_violation(prog: &CfgProgram, violation: &Violation, env_mode: EnvMode) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "violation: {}", violation.kind);
-    let (body, state) = render_schedule(prog, &violation.trace, env_mode, limits);
+    let (body, state) = render_schedule(prog, &violation.trace, env_mode);
     out.push_str(&body);
     // Final-state summary for deadlocks.
     if violation.kind == crate::report::ViolationKind::Deadlock {
@@ -86,7 +81,6 @@ pub fn render_schedule(
     prog: &CfgProgram,
     trace: &[crate::report::Decision],
     env_mode: EnvMode,
-    limits: &ExecLimits,
 ) -> (String, Option<GlobalState>) {
     let mut out = String::new();
     let mut state = GlobalState::initial(prog);
@@ -114,7 +108,7 @@ pub fn render_schedule(
             let _ = writeln!(out, "  {:>3}. <no such process P{}>", i + 1, d.process);
             return (out, None);
         }
-        match execute_transition(prog, &mut state, d.process, &d.choices, env_mode, limits) {
+        match execute_transition(prog, &mut state, d.process, &d.choices, env_mode) {
             TransitionResult::Completed { event } => {
                 let what = event
                     .map(|e| render_op(prog, &e.op))

@@ -36,30 +36,18 @@ pub enum EnvMode {
     Enumerate,
 }
 
-/// Interpreter limits.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecLimits {
-    /// Maximum invisible operations per transition before reporting
-    /// divergence (paper footnote 1: VeriSoft reports a divergence when a
-    /// process does not attempt a visible operation within a bound).
-    pub invisible_step_bound: usize,
-    /// Maximum call-stack depth.
-    pub max_stack_depth: usize,
-    /// Maximum live processes (static plus dynamically spawned); a
-    /// `spawn` past this bound is a runtime error, which keeps state
-    /// spaces of spawn-in-a-loop programs finite.
-    pub max_procs: usize,
-}
+/// Maximum invisible operations per transition before reporting
+/// divergence (paper footnote 1: VeriSoft reports a divergence when a
+/// process does not attempt a visible operation within a bound).
+pub const INVISIBLE_STEP_BOUND: usize = 10_000;
 
-impl Default for ExecLimits {
-    fn default() -> Self {
-        ExecLimits {
-            invisible_step_bound: 10_000,
-            max_stack_depth: 256,
-            max_procs: 64,
-        }
-    }
-}
+/// Maximum call-stack depth.
+pub const MAX_STACK_DEPTH: usize = 256;
+
+/// Maximum processes in a state (static plus dynamically spawned,
+/// terminated ones included); a `spawn` past this bound is a runtime
+/// error, which keeps state spaces of spawn-in-a-loop programs finite.
+pub const MAX_PROCS: usize = 64;
 
 /// Runtime errors. In open-program runs these flag genuine defects; the
 /// closing transformation may freely *remove* statements whose C behavior
@@ -89,7 +77,7 @@ pub enum RtError {
     StackOverflow,
     /// `VS_assert` applied to a non-integer value.
     AssertOnNonInt,
-    /// `spawn` would exceed [`ExecLimits::max_procs`].
+    /// `spawn` would exceed [`MAX_PROCS`].
     TooManyProcesses,
 }
 
@@ -245,41 +233,35 @@ pub fn execute_transition(
     pid: usize,
     choices: &[u32],
     env_mode: EnvMode,
-    limits: &ExecLimits,
 ) -> TransitionResult {
-    execute_transition_with(prog, state, pid, choices, env_mode, limits, None)
+    execute_transition_with(prog, state, pid, choices, env_mode, None)
 }
 
 /// [`execute_transition`] with an optional node-coverage sink: every node
 /// executed (visible or invisible) is recorded per procedure.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_transition_with(
     prog: &CfgProgram,
     state: &mut GlobalState,
     pid: usize,
     choices: &[u32],
     env_mode: EnvMode,
-    limits: &ExecLimits,
     coverage: Option<&mut Coverage>,
 ) -> TransitionResult {
-    execute_transition_noting_spawn(prog, state, pid, choices, env_mode, limits, coverage).0
+    execute_transition_noting_spawn(prog, state, pid, choices, env_mode, coverage).0
 }
 
 /// [`execute_transition_with`], also saying whether the transition
 /// reached a `Spawn` node. A spawn reads `procs.len()` against
-/// [`ExecLimits::max_procs`] and appends a process, so it is the one
-/// operation whose result is not a function of the running process and
-/// the object of its leading visible operation alone — the frontier
-/// engine's transition memo (DESIGN §15) must not record such a
-/// transition.
-#[allow(clippy::too_many_arguments)]
+/// [`MAX_PROCS`] and appends a process, so it is the one operation whose
+/// result is not a function of the running process and the object of its
+/// leading visible operation alone — the frontier engine's transition
+/// memo (DESIGN §15) must not record such a transition.
 pub(crate) fn execute_transition_noting_spawn(
     prog: &CfgProgram,
     state: &mut GlobalState,
     pid: usize,
     choices: &[u32],
     env_mode: EnvMode,
-    limits: &ExecLimits,
     coverage: Option<&mut Coverage>,
 ) -> (TransitionResult, bool) {
     let mut cx = Exec {
@@ -289,7 +271,6 @@ pub(crate) fn execute_transition_noting_spawn(
         choices,
         cursor: 0,
         env_mode,
-        limits,
         coverage,
         spawned: false,
     };
@@ -304,7 +285,6 @@ struct Exec<'a> {
     choices: &'a [u32],
     cursor: usize,
     env_mode: EnvMode,
-    limits: &'a ExecLimits,
     coverage: Option<&'a mut Coverage>,
     /// Set when a `Spawn` node is reached, whether or not it succeeds.
     spawned: bool,
@@ -376,7 +356,7 @@ impl<'a> Exec<'a> {
                 return TransitionResult::Completed { event };
             }
             steps += 1;
-            if steps > self.limits.invisible_step_bound {
+            if steps > INVISIBLE_STEP_BOUND {
                 return TransitionResult::Diverged;
             }
             match self.step_invisible(proc_id, node) {
@@ -601,7 +581,7 @@ impl<'a> Exec<'a> {
                 )))
             }
             NodeKind::Call { callee, args, dst } => {
-                if self.state.procs[self.pid].frames.len() >= self.limits.max_stack_depth {
+                if self.state.procs[self.pid].frames.len() >= MAX_STACK_DEPTH {
                     return Err(TransitionResult::RuntimeError(RtError::StackOverflow));
                 }
                 let target = prog.proc(*callee);
@@ -644,7 +624,7 @@ impl<'a> Exec<'a> {
             }
             NodeKind::Spawn { callee, args } => {
                 self.spawned = true;
-                if self.state.procs.len() >= self.limits.max_procs {
+                if self.state.procs.len() >= MAX_PROCS {
                     return Err(TransitionResult::RuntimeError(RtError::TooManyProcesses));
                 }
                 let target = prog.proc(*callee);

@@ -57,7 +57,7 @@ pub use executor::{ExecCtx, Executor, KeyArena, Scheduled, SuccOutcome};
 pub use explain::explain_violation;
 pub use hash::{stable_hash, stable_hash_bytes, StableHasher};
 pub use interp::{
-    enabled, execute_transition, execute_transition_with, EnvMode, EventOp, ExecLimits, RtError,
+    enabled, execute_transition, execute_transition_with, EnvMode, EventOp, RtError,
     TransitionResult, VisibleEvent,
 };
 pub use por::{enabled_processes, independent, StaticInfo};
@@ -119,7 +119,7 @@ mod tests {
         let v = r.first_assert().expect("assertion violation found");
         assert_eq!(v.process, Some(1));
         // The trace replays to the violation.
-        let replayed = replay(&prog, &v.trace, EnvMode::Closed, &ExecLimits::default());
+        let replayed = replay(&prog, &v.trace, EnvMode::Closed);
         assert_eq!(replayed, Err(TransitionResult::AssertViolation));
     }
 
@@ -212,14 +212,7 @@ mod tests {
             proc m() { while (1) { } }
             process m();
             "#,
-            &Config {
-                limits: ExecLimits {
-                    invisible_step_bound: 100,
-                    max_stack_depth: 16,
-                    ..ExecLimits::default()
-                },
-                ..Config::default()
-            },
+            &Config::default(),
         );
         assert_eq!(r.count(|k| *k == ViolationKind::Divergence), 1, "{r}");
     }
@@ -258,17 +251,33 @@ mod tests {
     }
 
     #[test]
+    fn spawning_past_the_process_cap_is_a_runtime_error() {
+        let src = "proc w() { } proc m() { while (1) { spawn w(); } } process m();";
+        let r = run(src, &Config::default());
+        assert_eq!(
+            r.count(|k| matches!(k, ViolationKind::RuntimeError(RtError::TooManyProcesses))),
+            1,
+            "{r}"
+        );
+        assert!(
+            r.to_string().contains("process limit exceeded by spawn"),
+            "{r}"
+        );
+        // The spawn that fails is the first one past the cap.
+        let prog = compile(src).unwrap();
+        let mut s = GlobalState::initial(&prog);
+        let result = execute_transition(&prog, &mut s, 0, &[], EnvMode::Closed);
+        assert_eq!(
+            result,
+            TransitionResult::RuntimeError(RtError::TooManyProcesses)
+        );
+        assert_eq!(s.procs.len(), interp::MAX_PROCS);
+    }
+
+    #[test]
     fn all_terminated_is_not_a_deadlock_by_default() {
         let r = run("proc m() { int x = 1; } process m();", &Config::default());
         assert!(r.clean(), "{r}");
-        let strict = run(
-            "proc m() { int x = 1; } process m();",
-            &Config {
-                strict_termination_deadlock: true,
-                ..Config::default()
-            },
-        );
-        assert!(strict.first_deadlock().is_some());
     }
 
     #[test]
@@ -792,7 +801,7 @@ mod explain_tests {
         .unwrap();
         let r = explore(&prog, &Config::default());
         let v = r.first_assert().unwrap();
-        let text = explain_violation(&prog, v, EnvMode::Closed, &ExecLimits::default());
+        let text = explain_violation(&prog, v, EnvMode::Closed);
         assert!(text.contains("assertion violation"), "{text}");
         assert!(text.contains("send(link, 41)"), "{text}");
         assert!(text.contains("recv(link) = 41"), "{text}");
@@ -813,7 +822,7 @@ mod explain_tests {
         .unwrap();
         let r = explore(&prog, &Config::default());
         let v = r.first_deadlock().unwrap();
-        let text = explain_violation(&prog, v, EnvMode::Closed, &ExecLimits::default());
+        let text = explain_violation(&prog, v, EnvMode::Closed);
         assert!(text.contains("deadlock"), "{text}");
         assert!(text.contains("all processes blocked"), "{text}");
         assert!(text.contains("blocked at"), "{text}");
@@ -825,7 +834,7 @@ mod explain_tests {
             compile("proc m() { int v = VS_toss(3); VS_assert(v != 2); } process m();").unwrap();
         let r = explore(&prog, &Config::default());
         let v = r.first_assert().unwrap();
-        let text = explain_violation(&prog, v, EnvMode::Closed, &ExecLimits::default());
+        let text = explain_violation(&prog, v, EnvMode::Closed);
         assert!(text.contains("choices: 2"), "{text}");
     }
 
@@ -841,7 +850,7 @@ mod explain_tests {
                 choices: vec![],
             }],
         };
-        let text = explain_violation(&prog, &v, EnvMode::Closed, &ExecLimits::default());
+        let text = explain_violation(&prog, &v, EnvMode::Closed);
         assert!(text.contains("needs a choice"), "{text}");
     }
 }

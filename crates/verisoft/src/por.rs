@@ -293,7 +293,7 @@ pub(crate) enum Schedule {
 /// (ascending), then the POR-skipped ones (ascending, none without POR).
 pub(crate) fn schedule(
     info: &StaticInfo,
-    (por, strict): (bool, bool),
+    por: bool,
     v: &impl ProcView,
     out: &mut Vec<usize>,
 ) -> Schedule {
@@ -306,7 +306,7 @@ pub(crate) fn schedule(
     let enabled = out.len() - base;
     if enabled == 0 {
         return Schedule::DeadEnd {
-            deadlock: deadlock(v, strict),
+            deadlock: deadlock(v),
         };
     }
     let scheduled = if por {
@@ -318,18 +318,10 @@ pub(crate) fn schedule(
 }
 
 /// Whether a dead end counts as a system deadlock: iff some *non-daemon*
-/// process is stuck short of termination, or — under `strict` — any
-/// non-daemon process exists at all. Daemons (synthesized environment
-/// feeders) never make a dead end a deadlock (DESIGN §7).
-pub(crate) fn deadlock(v: &impl ProcView, strict: bool) -> bool {
-    let mut any_nondaemon = false;
-    for q in (0..v.len()).filter(|&q| !v.daemon(q)) {
-        if !v.terminated(q) {
-            return true;
-        }
-        any_nondaemon = true;
-    }
-    strict && any_nondaemon
+/// process is stuck short of termination. Daemons (synthesized
+/// environment feeders) never make a dead end a deadlock (DESIGN §7).
+pub(crate) fn deadlock(v: &impl ProcView) -> bool {
+    (0..v.len()).any(|q| !v.daemon(q) && !v.terminated(q))
 }
 
 /// The conflict closure: reorder `enabled` (ascending) into the smallest
@@ -448,13 +440,13 @@ pub fn enabled_processes(prog: &CfgProgram, state: &GlobalState) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute_transition, EnvMode, ExecLimits, TransitionResult};
+    use crate::interp::{execute_transition, EnvMode, TransitionResult};
     use cfgir::compile;
 
     /// The persistent set [`schedule`] picks at `state`, with POR on.
     fn persistent_set(prog: &CfgProgram, info: &StaticInfo, state: &GlobalState) -> Vec<usize> {
         let mut out = Vec::new();
-        match schedule(info, (true, false), &Live { prog, info, state }, &mut out) {
+        match schedule(info, true, &Live { prog, info, state }, &mut out) {
             Schedule::Procs { scheduled } => {
                 out.truncate(scheduled);
                 out
@@ -468,14 +460,7 @@ mod tests {
     fn init(prog: &CfgProgram) -> GlobalState {
         let mut s = GlobalState::initial(prog);
         for pid in 0..s.procs.len() {
-            let r = execute_transition(
-                prog,
-                &mut s,
-                pid,
-                &[],
-                EnvMode::Closed,
-                &ExecLimits::default(),
-            );
+            let r = execute_transition(prog, &mut s, pid, &[], EnvMode::Closed);
             assert!(matches!(r, TransitionResult::Completed { .. }), "{r:?}");
         }
         s

@@ -31,7 +31,7 @@
 //! toss operations.
 
 use crate::executor::Executor;
-use crate::interp::{EnvMode, ExecLimits};
+use crate::interp::EnvMode;
 use crate::report::Report;
 use cfgir::CfgProgram;
 
@@ -93,8 +93,6 @@ pub struct Config {
     pub engine: Engine,
     /// Open-interface runtime behavior.
     pub env_mode: EnvMode,
-    /// Interpreter limits.
-    pub limits: ExecLimits,
     /// Maximum path length in transitions.
     pub max_depth: usize,
     /// Hard cap on transitions executed; exceeded ⇒ `truncated`.
@@ -109,10 +107,6 @@ pub struct Config {
     pub sleep_sets: bool,
     /// Stop after this many violations.
     pub max_violations: usize,
-    /// Treat the all-terminated state as a deadlock (the paper's strict
-    /// reading: top-level termination blocks forever). Daemon
-    /// (environment-feeder) processes never count either way.
-    pub strict_termination_deadlock: bool,
     /// Collect the set of maximal visible-event traces (stateless
     /// engine; disable reductions for exact trace sets).
     pub collect_traces: bool,
@@ -133,8 +127,8 @@ pub struct Config {
     /// a self-cleaning temp dir; `Some` additionally enables
     /// checkpointing every [`Config::checkpoint_every`] frontier levels.
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Checkpoint period in frontier levels (when
-    /// [`Config::checkpoint_dir`] is set; `0` means the default of 32).
+    /// Checkpoint period in frontier levels, at least 1 (when
+    /// [`Config::checkpoint_dir`] is set).
     pub checkpoint_every: usize,
     /// Resume from the checkpoint in [`Config::checkpoint_dir`] instead
     /// of starting fresh. The resumed run completes with a report
@@ -168,13 +162,11 @@ impl Default for Config {
         Config {
             engine: Engine::Stateless,
             env_mode: EnvMode::Closed,
-            limits: ExecLimits::default(),
             max_depth: 2_000,
             max_transitions: 5_000_000,
             por: true,
             sleep_sets: true,
             max_violations: 1,
-            strict_termination_deadlock: false,
             collect_traces: false,
             track_coverage: false,
             jobs: 1,
@@ -227,11 +219,9 @@ pub fn replay(
     prog: &CfgProgram,
     trace: &[crate::report::Decision],
     env_mode: EnvMode,
-    limits: &ExecLimits,
 ) -> Result<crate::state::GlobalState, crate::interp::TransitionResult> {
     let config = Config {
         env_mode,
-        limits: *limits,
         ..Config::default()
     };
     Executor::new(prog, &config).replay(trace)

@@ -277,6 +277,10 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             !(checkpointing && cfg.track_coverage),
             "coverage maps are not checkpointed; disable --coverage to checkpoint"
         );
+        assert!(
+            !checkpointing || cfg.checkpoint_every >= 1,
+            "the checkpoint period is at least one level"
+        );
         let dir: Option<Arc<SpillDir>> = match (&cfg.checkpoint_dir, cfg.mem_limit) {
             (Some(d), _) => Some(SpillDir::at(d).expect("create checkpoint directory")),
             (None, usize::MAX) => None,
@@ -455,12 +459,11 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         let Some(identity) = self.identity else {
             return true;
         };
-        let every = match cfg.checkpoint_every {
-            0 => 32,
-            n => n,
-        };
         let level = self.level;
-        if level == 0 || !level.is_multiple_of(every) || self.resumed_level == Some(level) {
+        if level == 0
+            || !level.is_multiple_of(cfg.checkpoint_every)
+            || self.resumed_level == Some(level)
+        {
             return true;
         }
         let dirp = self

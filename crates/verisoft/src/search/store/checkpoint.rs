@@ -36,6 +36,7 @@
 
 use super::spool::{FrontierSpool, Spoolable};
 use super::TieredStore;
+use crate::interp::{INVISIBLE_STEP_BOUND, MAX_PROCS, MAX_STACK_DEPTH};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{
     check_header, put_header, put_record, put_u64, read_record, ByteReader, CHECKPOINT_MAGIC,
@@ -63,12 +64,10 @@ pub const MANIFEST: &str = "checkpoint.bin";
 pub(crate) fn config_digest(cfg: &crate::search::Config) -> u64 {
     let crate::search::Config {
         env_mode,
-        limits,
         max_depth,
         max_transitions,
         por,
         max_violations,
-        strict_termination_deadlock,
         collect_traces,
         track_coverage,
         no_compress,
@@ -81,9 +80,15 @@ pub(crate) fn config_digest(cfg: &crate::search::Config) -> u64 {
         resume: _,
         abort_after_checkpoints: _,
     } = cfg;
+    // The interpreter bounds and a strict-termination flag were once
+    // `Config` fields hashed in the second and seventh slots. The slots
+    // keep their old rendering of the values every run now has, so a
+    // checkpoint written before they became constants still resumes.
     let s = format!(
-        "{env_mode:?}|{limits:?}|{max_depth}|{max_transitions}|{por}|{max_violations}|\
-         {strict_termination_deadlock}|{collect_traces}|{track_coverage}|{no_compress}"
+        "{env_mode:?}|ExecLimits {{ invisible_step_bound: {INVISIBLE_STEP_BOUND}, \
+         max_stack_depth: {MAX_STACK_DEPTH}, max_procs: {MAX_PROCS} }}|{max_depth}|\
+         {max_transitions}|{por}|{max_violations}|false|{collect_traces}|{track_coverage}|\
+         {no_compress}"
     );
     crate::hash::stable_hash_bytes(s.as_bytes())
 }
@@ -472,7 +477,7 @@ pub(crate) fn resume<T: Spoolable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{EnvMode, ExecLimits, RtError};
+    use crate::interp::{EnvMode, RtError};
     use crate::search::{Config, Engine};
 
     /// The digest is stored in every checkpoint manifest: its bytes must
@@ -494,22 +499,16 @@ mod tests {
         assert_eq!(config_digest(&invariant), 0x4a39e913fbf7f257);
         let semantic = Config {
             env_mode: EnvMode::Enumerate,
-            limits: ExecLimits {
-                invisible_step_bound: 500,
-                max_stack_depth: 32,
-                max_procs: 8,
-            },
             max_depth: 300,
             max_transitions: 123_456,
             por: false,
             max_violations: usize::MAX,
-            strict_termination_deadlock: true,
             collect_traces: true,
             track_coverage: true,
             no_compress: true,
             ..invariant
         };
-        assert_eq!(config_digest(&semantic), 0x2c8bf3d829eb5c9c);
+        assert_eq!(config_digest(&semantic), 0xf11632e574195b46);
     }
 
     #[test]

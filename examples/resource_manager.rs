@@ -62,8 +62,7 @@ fn main() -> Result<(), minic::Diagnostics> {
     let ground = explore(&open, &trace_cfg(EnvMode::Enumerate));
     let eliminated = close_source(&src)?;
     let elim = explore(&eliminated.program, &trace_cfg(EnvMode::Closed));
-    let (refined, reports) =
-        closer::close_with_refinement(&src, &closer::RefineOptions::default())?;
+    let (refined, reports) = closer::close_with_refinement(&src)?;
     let refd = explore(&refined.program, &trace_cfg(EnvMode::Closed));
 
     println!("domain 0..4095 (ground truth computable):");
@@ -104,8 +103,7 @@ fn main() -> Result<(), minic::Diagnostics> {
     // Now the domain the paper imagines: 32-bit requests. Enumeration is
     // out of the question; refinement still produces 3 classes.
     let big = manager(u32::MAX as u64);
-    let (refined_big, reports_big) =
-        closer::close_with_refinement(&big, &closer::RefineOptions::default())?;
+    let (refined_big, reports_big) = closer::close_with_refinement(&big)?;
     let r = explore(&refined_big.program, &trace_cfg(EnvMode::Closed));
     println!("\ndomain 0..2^32-1 (naive enumeration would need ~10^10 transitions):");
     println!(

@@ -93,8 +93,8 @@ fn usage() -> String {
                                   unbounded run\n\
          --checkpoint-dir D       frontier engines: spill into D and write a\n\
                                   resumable checkpoint at level boundaries\n\
-         --checkpoint-every N     checkpoint period in frontier levels\n\
-                                  (default 32)\n\
+         --checkpoint-every N     checkpoint period in frontier levels, at\n\
+                                  least 1 (default 32)\n\
          --resume D               continue a checkpointed run from D; the\n\
                                   final report is byte-identical to an\n\
                                   uninterrupted run, for any --jobs and any\n\
@@ -278,7 +278,6 @@ fn close_cmd(args: &[String]) -> Result<(), String> {
     let pipeline = closer::Pipeline::new(closer::PipelineOptions {
         refine: args.iter().any(|a| a == "--refine"),
         refine_cex: args.iter().any(|a| a == "--refine-cex"),
-        ..closer::PipelineOptions::default()
     });
     let run = load_with(path, |src| pipeline.close(src))?;
     for r in &run.refine_reports {
@@ -395,6 +394,9 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
             .map(|v| v.parse::<usize>().map_err(|e| format!("{name}: {e}")))
             .transpose()
     };
+    if opt("--checkpoint-every")? == Some(0) {
+        return Err("explore: --checkpoint-every needs a period of at least 1 level".into());
+    }
     // `--close` goes through the same pipeline as `reclose close`; the
     // open program it closed is kept so `--classify-violations` can
     // replay closed-program traces against the open semantics.
@@ -586,15 +588,14 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         for v in &report.violations {
             outln!(
                 "\n{}",
-                verisoft::explain_violation(&prog, v, config.env_mode, &config.limits)
+                verisoft::explain_violation(&prog, v, config.env_mode)
             );
         }
     }
     if flag("--classify-violations") {
         let open = open_prog.as_ref().unwrap();
-        let opts = closer::CexOptions::default();
         for (i, v) in report.violations.iter().enumerate() {
-            let label = match closer::classify_trace(open, v, &opts) {
+            let label = match closer::classify_trace(open, v) {
                 closer::TraceClass::Real => "real",
                 closer::TraceClass::Spurious => "spurious",
                 closer::TraceClass::Unknown => "unknown",
@@ -627,12 +628,7 @@ fn run_schedule(args: &[String]) -> Result<(), String> {
     if trace.is_empty() {
         return Err("no schedule given (e.g. `reclose run prog.mc P0 P1[1] P0`)".into());
     }
-    let (rendered, state) = verisoft::explain::render_schedule(
-        &prog,
-        &trace,
-        env_mode,
-        &verisoft::ExecLimits::default(),
-    );
+    let (rendered, state) = verisoft::explain::render_schedule(&prog, &trace, env_mode);
     out!("{rendered}");
     match state {
         Some(s) => {

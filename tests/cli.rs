@@ -331,6 +331,10 @@ fn unknown_and_valueless_flags_are_rejected() {
         (&["explore", workers, "--depth"], "--depth"),
         (&["explore", workers, "--depth", "--all"], "--depth"),
         (&["explore", workers, "extra.mc"], "extra.mc"),
+        (
+            &["explore", workers, "--bfs", "--checkpoint-every", "0"][..],
+            "--checkpoint-every",
+        ),
         (&["close", workers, "--stat"], "--stat"),
         (
             &["close", workers, "--jobs", "2"][..],
@@ -489,4 +493,58 @@ fn run_rejects_malformed_schedules() {
         let out = reclose(&["run", path.to_str().unwrap(), bad]);
         assert!(!out.status.success(), "accepted {bad}");
     }
+}
+
+/// An open program whose `m` nests `ifs` conditionals around a send of
+/// a left-associative chain of `terms` additions.
+fn nested(ifs: usize, terms: usize) -> String {
+    format!(
+        "extern chan out; input v : 0..1;\nproc m(int x) {{ {} send(out, {}); }}\nprocess m(v);\n",
+        "if (x == 0) ".repeat(ifs),
+        vec!["1"; terms].join(" + "),
+    )
+}
+
+#[test]
+fn hostile_nesting_is_a_diagnostic() {
+    let parens = format!(
+        "chan c[1]; proc m() {{ send(c, {}1{}); }} process m();",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let limit = format!("nested deeper than {} levels", minic::parser::MAX_NESTING);
+    for (name, src) in [("ifs.mc", nested(5_000, 1)), ("parens.mc", parens)] {
+        let path = write_temp(name, &src);
+        for cmd in ["check", "close"] {
+            let out = reclose(&[cmd, path.to_str().unwrap()]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {err}");
+            assert!(err.contains(&limit), "{cmd} {name}: {err}");
+            assert!(!err.contains("overflowed"), "{cmd} {name}: {err}");
+        }
+    }
+}
+
+#[test]
+fn a_program_nested_at_the_limit_closes_and_explores() {
+    let limit = minic::parser::MAX_NESTING;
+    // The deepest node is the chain's first term: below the `ifs`
+    // conditionals, the send statement, its call and the chain's
+    // `terms - 1` operators.
+    let at_limit = [nested(limit - 3, 1), nested(0, limit - 2)];
+    for (ifs, terms) in [(limit - 3, 1), (0, limit - 2)] {
+        assert!(cfgir::compile(&nested(ifs, terms + 1)).is_err());
+    }
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for src in at_limit {
+                let closed = closer::close_source(&src).expect("closes at the limit");
+                let r = verisoft::explore(&closed.program, &verisoft::Config::default());
+                assert!(r.clean() && !r.truncated, "{r}");
+            }
+        })
+        .unwrap()
+        .join()
+        .expect("a 2 MiB thread holds the deepest program");
 }

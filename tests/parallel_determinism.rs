@@ -36,7 +36,7 @@ fn stateless_violation_schedules_replay_on_corpus() {
         };
         for v in &explore(&prog, &config).violations {
             assert!(
-                verisoft::replay(&prog, &v.trace, config.env_mode, &config.limits).is_err(),
+                verisoft::replay(&prog, &v.trace, config.env_mode).is_err(),
                 "{name}: schedule must replay into the violation: {v}"
             );
         }
@@ -324,7 +324,7 @@ fn stateful_parallel_first_violation_is_jobs_invariant() {
         }
         for v in &runs[0].violations {
             assert!(
-                verisoft::replay(&prog, &v.trace, base.env_mode, &base.limits).is_err(),
+                verisoft::replay(&prog, &v.trace, base.env_mode).is_err(),
                 "{name}: schedule must replay into the violation: {v}"
             );
         }

@@ -235,12 +235,7 @@ fn preserved_deadlock_trace_replays_in_closed_program() {
     let v = r.first_deadlock().expect("deadlock found");
     // Replaying the decision trace reaches a state with no enabled system
     // transition.
-    let state = verisoft::replay(
-        &closed.program,
-        &v.trace,
-        EnvMode::Closed,
-        &verisoft::ExecLimits::default(),
-    )
-    .expect("trace replays");
+    let state =
+        verisoft::replay(&closed.program, &v.trace, EnvMode::Closed).expect("trace replays");
     assert!(verisoft::enabled_processes(&closed.program, &state).is_empty());
 }

@@ -395,7 +395,7 @@ fn refinement_exactness_on_random_range_programs() {
             },
         )
         .traces;
-        let (refined, reports) = closer::refine(&open, &closer::RefineOptions::default());
+        let (refined, reports) = closer::refine(&open);
         assert_eq!(reports.len(), 1, "two const comparisons always qualify");
         let closed = closer::close(&refined, &dataflow::analyze(&refined));
         let rt = explore(&closed.program, &tcfg).traces;
