@@ -13,9 +13,12 @@
 //! optional coverage map — travels separately in [`ExecCtx`], so parallel
 //! drivers can give every worker its own context and merge afterwards.
 //!
-//! Every engine expands through `Executor::step` (the stateful engines
-//! via `Executor::expand`): the transition memo, or the interpreter on a
-//! miss. [`Executor::expand_children`] (with [`NodeExpansion`] and
+//! The stateful engines expand a stored state through `Executor::expand`,
+//! in ID space from the facts table and the transition memo until a
+//! lookup misses; from then on, and in the stateless walk on a miss,
+//! every engine steps a built state through `Executor::step`: the
+//! transition memo, or the interpreter on a miss.
+//! [`Executor::expand_children`] (with [`NodeExpansion`] and
 //! [`ChildSucc`]) and [`Executor::independent`] have only the ledger
 //! benchmark's stepper as callers; [`Executor::successors`] also has
 //! `closer::refine_cex`'s trace classifiers.
@@ -27,11 +30,13 @@ use crate::interp::{
 };
 use crate::por::{deadlock, independent, schedule, Live, ProcView, Schedule, StaticInfo};
 use crate::report::{Decision, ViolationKind};
+use crate::search::stateful::rebuild;
 use crate::search::Config;
 use crate::state::intern::{MemoEntry, MemoOutcome};
 use crate::state::{ComponentCache, GlobalState, TransitionMemo};
 use cfgir::CfgProgram;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// What the executor offers a driver at a given state.
 pub enum Scheduled {
@@ -108,9 +113,9 @@ impl KeyArena {
         (h, &self.bytes[s as usize..e as usize])
     }
 
-    /// All keys in child order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
-        self.index
+    /// The keys from the `first`-th on, in child order.
+    pub fn iter_from(&self, first: usize) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        self.index[first..]
             .iter()
             .map(|&(h, s, e)| (h, &self.bytes[s as usize..e as usize]))
     }
@@ -118,15 +123,26 @@ impl KeyArena {
     /// Append a key whose encoding `f` writes onto the arena, returning
     /// the fingerprint.
     pub fn push_with(&mut self, f: impl FnOnce(&mut Vec<u8>) -> u64) {
-        let start = self.bytes.len() as u32;
+        let start = self.end();
         let h = f(&mut self.bytes);
-        self.index.push((h, start, self.bytes.len() as u32));
+        let end = self.end();
+        self.index.push((h, start, end));
     }
 
     /// Append the `(0, empty)` placeholder a violation child carries.
     pub fn push_violation(&mut self) {
-        let end = self.bytes.len() as u32;
+        let end = self.end();
         self.index.push((0, end, end));
+    }
+
+    /// Drop every key, keeping the buffers for the next ones.
+    pub fn clear(&mut self) {
+        self.index.clear();
+        self.bytes.clear();
+    }
+
+    fn end(&self) -> u32 {
+        u32::try_from(self.bytes.len()).expect("a key arena holds under 4 GiB")
     }
 }
 
@@ -135,34 +151,63 @@ impl KeyArena {
 /// violated. There is no successor *state* here: the expansion keyed it
 /// (or took its key from the transition memo without ever building it)
 /// and the key is all a visited store needs.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct LeanChild {
     pub decision: Decision,
     /// `None` for a successor state.
     pub violation: Option<(ViolationKind, Option<usize>)>,
 }
 
-/// One level of POR-aware expansion for the stateful engines
-/// ([`Executor::expand`]): the children, their visited-store keys, and
-/// the partial-order-reduction bookkeeping the drivers fold into the
-/// [`crate::Report`].
-pub(crate) struct Expansion {
-    /// `Some(deadlock)` when the state has no enabled transition.
-    pub dead_end: Option<bool>,
-    /// The children in deterministic order (none at a dead end): the
-    /// persistent set's successors first (each process ascending), then
-    /// — only when a fallback fired — the successors of the POR-skipped
-    /// processes.
+/// Where the stateful engines' expansions put their children: one per
+/// worker, appended to item after item and cleared once the items'
+/// children are consumed (a frontier chunk committed, a DFS item pushed),
+/// so an expanded item allocates no vector of its own.
+#[derive(Debug, Default)]
+pub(crate) struct ExpandArena {
+    /// The children of every expansion since the last clear.
     pub children: Vec<LeanChild>,
     /// Per child, aligned with `children`: the successor state's stable
     /// fingerprint and store key (`(0, empty)` for violation outcomes),
     /// so drivers admit/dedup by comparing bytes without re-encoding.
     pub keys: KeyArena,
+    /// The processes of the item being expanded: scheduled, then skipped.
+    procs: Vec<usize>,
+}
+
+impl ExpandArena {
+    /// Drop every child, keeping the buffers for the next ones.
+    pub fn clear(&mut self) {
+        self.children.clear();
+        self.keys.clear();
+    }
+}
+
+/// One level of POR-aware expansion for the stateful engines
+/// ([`Executor::expand`]): where its children are in the worker's
+/// [`ExpandArena`], and the partial-order-reduction bookkeeping the
+/// drivers fold into the [`crate::Report`].
+pub(crate) struct Expansion {
+    /// `Some(deadlock)` when the state has no enabled transition.
+    pub dead_end: Option<bool>,
+    /// The children's indices in the arena, in deterministic order (none
+    /// at a dead end): the persistent set's successors first (each
+    /// process ascending), then — only when a fallback fired — the
+    /// successors of the POR-skipped processes.
+    pub children: Range<usize>,
     /// Enabled processes whose expansion POR skipped at this state
     /// (after any fallback; 0 when the fallback fired).
     pub por_skipped: usize,
     /// Whether a fallback forced full expansion here.
     pub por_fallback: bool,
+}
+
+/// The item [`Executor::expand`] is expanding: its store key and, once
+/// ID space could not answer for it, the state built from the key; in
+/// debug builds also the state built only to check what ID space said.
+struct Item<'k> {
+    key: &'k [u8],
+    state: Option<GlobalState>,
+    oracle: Option<GlobalState>,
 }
 
 /// Everything below one node of the decision tree, expanded one level:
@@ -573,13 +618,14 @@ impl<'a> Executor<'a> {
         NodeExpansion::Children(children)
     }
 
-    /// Expand one node for the stateful engines: POR-reduced through
-    /// [`Executor::schedule_por`], with the **ignoring/cycle proviso**
-    /// applied — when the persistent set's expansion produces a
-    /// successor for which `closes_cycle(fingerprint, key)` holds (the
-    /// driver's visited store already contains it, so the edge may close
-    /// a cycle in the explored graph), the skipped processes are expanded
-    /// too, restoring full expansion at this state.
+    /// Expand the state whose store key is `key` one level for the
+    /// stateful engines, appending its children and their keys to
+    /// `arena`: POR-reduced, with the **ignoring/cycle proviso** applied —
+    /// when the persistent set's expansion produces a successor for which
+    /// `closes_cycle(fingerprint, key)` holds (the driver's visited store
+    /// already contains it, so the edge may close a cycle in the explored
+    /// graph), the skipped processes are expanded too, restoring full
+    /// expansion at this state.
     ///
     /// Persistent sets alone preserve every deadlock of a finite state
     /// space, but on cyclic graphs a process whose transitions are
@@ -598,51 +644,78 @@ impl<'a> Executor<'a> {
     /// engine only *sealed* entries, fixed for a whole round), so reports
     /// stay byte-identical for any worker count.
     ///
-    /// When `cx` carries the run's interner, each process's outcomes go
-    /// through the lent component cache and transition memo (DESIGN §15):
-    /// they are looked up under `(its component ID, the ID of its leading
-    /// visible operation's object)` and, on a hit, each child's key is the
-    /// parent's tuple with one or two IDs replaced — no successor state
-    /// exists on that path. Without an interner (`--no-compress`) `lent`
-    /// goes unused and every transition goes through the interpreter,
-    /// which is what makes that mode the memo's reference.
+    /// When `cx` carries the run's interner the state is expanded **in
+    /// ID space** while it can be (DESIGN §14, §15): the lent memo views
+    /// the key's component IDs through the lent cache, the schedule comes
+    /// from the facts table, and each process's outcomes from the memo,
+    /// each child's key the parent's tuple with one or two IDs replaced.
+    /// The state is built — once, through the cache — only on the first
+    /// miss: a component this worker has not cached, a fact or an
+    /// enabledness not recorded, a memo miss, a spawn, or a budget too
+    /// short for the recorded answer; the rest of the item then goes
+    /// through `Executor::step` on it. Without an interner
+    /// (`--no-compress`) the key is decoded, `lent` goes unused and every
+    /// transition goes through the interpreter, which is what makes that
+    /// mode the memo's reference.
     pub(crate) fn expand(
         &self,
         cx: &mut ExecCtx,
-        state: &GlobalState,
+        key: &[u8],
         mut lent: (&mut ComponentCache, &mut TransitionMemo),
+        arena: &mut ExpandArena,
         closes_cycle: impl Fn(u64, &[u8]) -> bool,
     ) -> Expansion {
-        if let Some(interner) = &cx.interner {
-            lent.1.view(interner, state);
-        }
-        let mut step = |cx: &mut ExecCtx, e: &mut Expansion, pid| {
-            self.step(
-                cx,
-                &mut lent,
-                state,
-                pid,
-                (&mut e.children, &mut e.keys),
-                None,
-            );
+        let ExpandArena {
+            children,
+            keys,
+            procs,
+        } = arena;
+        let first = children.len();
+        procs.clear();
+        let mut item = Item {
+            key,
+            state: None,
+            oracle: None,
         };
-        let (sched, skipped) = self.schedule_por(state);
+        let (cache, memo) = &mut lent;
+        let viewed = (cx.interner.as_deref()).is_some_and(|i| memo.view_ids(i, cache, key));
+        let sched = match viewed.then(|| memo.schedule_viewed(self, procs)).flatten() {
+            Some(sched) => {
+                if cfg!(debug_assertions) {
+                    let o = rebuild(cx.interner.as_deref(), cache, key);
+                    let mut want = Vec::new();
+                    let live = self.schedule_view(&self.live(&o), &mut want);
+                    assert_eq!(sched, live, "schedule from facts");
+                    assert_eq!(procs[..], want[..], "scheduled processes from facts");
+                    item.oracle = Some(o);
+                }
+                sched
+            }
+            None => {
+                let state = self.build(cx, &mut lent, key);
+                let sched = self.schedule_view(&self.live(&state), procs);
+                item.state = Some(state);
+                sched
+            }
+        };
         let mut e = Expansion {
             dead_end: None,
-            children: Vec::new(),
-            keys: KeyArena::default(),
+            children: first..first,
             por_skipped: 0,
             por_fallback: false,
         };
         match sched {
-            Scheduled::DeadEnd { deadlock } => e.dead_end = Some(deadlock),
-            Scheduled::Init(pid) => step(cx, &mut e, pid),
-            Scheduled::Procs(procs) => {
-                for &t in &procs {
+            Schedule::DeadEnd { deadlock } => e.dead_end = Some(deadlock),
+            Schedule::Init(pid) => {
+                self.expand_step(cx, &mut lent, &mut item, pid, (&mut *children, &mut *keys))
+            }
+            Schedule::Procs { scheduled } => {
+                let (procs, skipped) = procs.split_at(scheduled);
+                for &t in procs {
                     if cx.truncated {
                         break;
                     }
-                    step(cx, &mut e, t);
+                    self.expand_step(cx, &mut lent, &mut item, t, (&mut *children, &mut *keys));
                 }
                 e.por_skipped = skipped.len();
                 // Two fallbacks to full expansion. (1) The proviso: a
@@ -659,21 +732,66 @@ impl<'a> Executor<'a> {
                 // nothing and restores verdict-set completeness.
                 if !skipped.is_empty()
                     && !cx.truncated
-                    && (e.keys.iter().any(|(_, key)| key.is_empty())
-                        || e.keys.iter().any(|(h, key)| closes_cycle(h, key)))
+                    && (keys.iter_from(first).any(|(_, key)| key.is_empty())
+                        || keys.iter_from(first).any(|(h, key)| closes_cycle(h, key)))
                 {
                     e.por_fallback = true;
                     e.por_skipped = 0;
-                    for &t in &skipped {
+                    for &t in skipped {
                         if cx.truncated {
                             break;
                         }
-                        step(cx, &mut e, t);
+                        self.expand_step(cx, &mut lent, &mut item, t, (&mut *children, &mut *keys));
                     }
                 }
             }
         }
+        e.children = first..children.len();
         e
+    }
+
+    /// Process `t`'s outcomes at the item [`Executor::expand`] expands:
+    /// from the memo in ID space while the item has not been built and
+    /// the memo answers within the budget left; otherwise through
+    /// `Executor::step` on the item's state, built here if it was not.
+    fn expand_step(
+        &self,
+        cx: &mut ExecCtx,
+        lent: &mut (&mut ComponentCache, &mut TransitionMemo),
+        item: &mut Item<'_>,
+        t: usize,
+        out: (&mut Vec<LeanChild>, &mut KeyArena),
+    ) {
+        if item.state.is_none() {
+            let left = cx.budget.saturating_sub(cx.transitions);
+            if let Some(hit) = lent.1.hit_viewed(t, left) {
+                let oracle = item.oracle.as_ref();
+                self.take_hit(cx, lent.1, (t, hit), out, None, oracle);
+                return;
+            }
+            item.state = Some(self.build(cx, lent, item.key));
+        }
+        let state = item.state.as_ref().expect("built above");
+        self.step(cx, lent, state, t, out, None);
+    }
+
+    /// The state of store key `key`, built because ID space could not
+    /// answer for it ([`rebuild`]). Under an interner the build is
+    /// counted in the memo's stats, the memo is pointed at the state and
+    /// learns its facts.
+    fn build(
+        &self,
+        cx: &ExecCtx,
+        (cache, memo): &mut (&mut ComponentCache, &mut TransitionMemo),
+        key: &[u8],
+    ) -> GlobalState {
+        let state = rebuild(cx.interner.as_deref(), cache, key);
+        if let Some(interner) = cx.interner.as_deref() {
+            memo.stats.materialised += 1;
+            memo.view(interner, &state);
+            memo.learn_viewed(self, &state);
+        }
+        state
     }
 
     /// Process `pid`'s outcomes from `state`, appended to `children` and
@@ -754,62 +872,17 @@ impl<'a> Executor<'a> {
         let object = next_op_object(self.prog, state, pid).map(|o| o.index());
         let key = memo.key(pid, object);
         let left = cx.budget.saturating_sub(cx.transitions);
-        match memo.get(key) {
-            Some(entry) if entry.executions <= left => {
-                let first = children.len();
-                let mut completed = 0;
-                for (choices, outcome) in &entry.outcomes {
-                    let violation = match outcome {
-                        MemoOutcome::State {
-                            proc,
-                            object: wrote,
-                            event,
-                        } => {
-                            completed += 1;
-                            let wrote = object.zip(wrote.as_ref());
-                            keys.push_with(|out| memo.child_key(pid, proc, wrote, out));
-                            if let Some(events) = events.as_deref_mut() {
-                                events.push(
-                                    event.clone().map(|op| VisibleEvent { process: pid, op }),
-                                );
-                            }
-                            None
-                        }
-                        MemoOutcome::Violation(kind) => {
-                            keys.push_violation();
-                            Some((kind.clone(), Some(pid)))
-                        }
-                    };
-                    children.push(LeanChild {
-                        decision: Decision {
-                            process: pid,
-                            choices: choices.clone(),
-                        },
-                        violation,
-                    });
-                }
-                let total = completed * memo.components();
-                let charged = [
-                    entry.executions,
-                    entry.tosses_taken,
-                    total - entry.unshared,
-                    total,
-                ];
-                if cfg!(debug_assertions) {
-                    let events = events.as_deref().map(|e| &e[e.len() - completed..]);
-                    self.assert_hit_is_what_the_interpreter_does(
-                        cx,
-                        state,
-                        pid,
-                        (&children[first..], keys, charged),
-                        events,
-                    );
-                }
-                cx.transitions += charged[0];
-                cx.tosses_taken += charged[1];
-                cx.shared_components += charged[2];
-                cx.total_components += charged[3];
-                memo.stats.hits += 1;
+        match memo.find(key) {
+            Some(entry) if memo.entry(entry).executions <= left => {
+                let oracle = cfg!(debug_assertions).then_some(state);
+                self.take_hit(
+                    cx,
+                    memo,
+                    (pid, (entry, object)),
+                    (children, keys),
+                    events,
+                    oracle,
+                );
             }
             _ => {
                 let before = (cx.transitions, cx.tosses_taken);
@@ -846,6 +919,71 @@ impl<'a> Executor<'a> {
                 }
             }
         }
+    }
+
+    /// Process `pid`'s outcomes from memo entry `entry`, `object` being
+    /// the index of its leading visible operation's object: each appended
+    /// to `children` and keyed from the viewed state's IDs (and its visible
+    /// event appended to `events`, when given), and `cx` charged what the
+    /// interpreter would have charged. With `oracle` — the viewed state,
+    /// built in debug builds — the hit is held against the interpreter.
+    fn take_hit(
+        &self,
+        cx: &mut ExecCtx,
+        memo: &mut TransitionMemo,
+        (pid, (entry, object)): (usize, (u32, Option<usize>)),
+        (children, keys): (&mut Vec<LeanChild>, &mut KeyArena),
+        mut events: Events<'_>,
+        oracle: Option<&GlobalState>,
+    ) {
+        let first = children.len();
+        let mut completed = 0;
+        let e = memo.entry(entry);
+        for (choices, outcome) in &e.outcomes {
+            let violation = match outcome {
+                MemoOutcome::State {
+                    proc,
+                    object: wrote,
+                    event,
+                } => {
+                    completed += 1;
+                    let wrote = object.zip(wrote.as_ref());
+                    keys.push_with(|out| memo.child_key(pid, proc, wrote, out));
+                    if let Some(events) = events.as_deref_mut() {
+                        events.push(event.clone().map(|op| VisibleEvent { process: pid, op }));
+                    }
+                    None
+                }
+                MemoOutcome::Violation(kind) => {
+                    keys.push_violation();
+                    Some((kind.clone(), Some(pid)))
+                }
+            };
+            children.push(LeanChild {
+                decision: Decision {
+                    process: pid,
+                    choices: choices.clone(),
+                },
+                violation,
+            });
+        }
+        let total = completed * memo.components();
+        let charged = [e.executions, e.tosses_taken, total - e.unshared, total];
+        if let Some(state) = oracle {
+            let events = events.as_deref().map(|e| &e[e.len() - completed..]);
+            self.assert_hit_is_what_the_interpreter_does(
+                cx,
+                state,
+                pid,
+                (&children[first..], keys, charged),
+                events,
+            );
+        }
+        cx.transitions += charged[0];
+        cx.tosses_taken += charged[1];
+        cx.shared_components += charged[2];
+        cx.total_components += charged[3];
+        memo.stats.hits += 1;
     }
 
     /// The debug-build oracle of a memo hit: run the interpreter on the

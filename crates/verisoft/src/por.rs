@@ -22,9 +22,9 @@
 //! its initialization is pending, whether it has terminated or is a
 //! daemon, the object of its next visible operation, its footprint mask
 //! row, and whether it is enabled. A live state answers through `Live`;
-//! the stateless walk answers from its cached `ProcFacts` without
-//! building the state (DESIGN §15). Both run the one `schedule` and the
-//! one conflict closure.
+//! every engine also answers from the transition memo's facts table of
+//! cached `ProcFacts` without building the state (DESIGN §15). Both run
+//! the one `schedule` and the one conflict closure.
 //!
 //! Completeness guarantees (deadlocks / assertion violations) hold for
 //! acyclic state spaces, matching the guarantee VeriSoft itself gives.
@@ -241,9 +241,10 @@ impl ProcView for Live<'_> {
 
 /// One process's scheduling facts: everything [`ProcView`] asks of it
 /// except enabledness. Each is a function of the process component alone
-/// (its position, call stack and spec), which is what lets the stateless
-/// walk cache them under the component's interner ID (DESIGN §15).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// (its position, call stack and spec), which is what lets the facts
+/// table cache them under the component's interner ID, and equal facts
+/// share one fact class (DESIGN §15).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ProcFacts {
     pub pending_init: bool,
     pub terminated: bool,

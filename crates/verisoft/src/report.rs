@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 /// One scheduling decision: which process ran, with which nondeterministic
 /// choices (toss values and — under enumeration — environment values).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Decision {
     /// Process index.
     pub process: usize,
@@ -91,6 +91,10 @@ pub struct MemoStats {
     /// stopped recording: its running miss share said the tree does not
     /// repeat (DESIGN §15).
     pub bypass_cold: usize,
+    /// States built from their component IDs for expansion because the
+    /// facts table or the memo could not answer for them in ID space
+    /// (DESIGN §14): about the misses, not the states.
+    pub materialised: usize,
 }
 
 impl MemoStats {
@@ -112,6 +116,7 @@ impl std::ops::AddAssign for MemoStats {
         self.bypass_spawn += other.bypass_spawn;
         self.bypass_budget += other.bypass_budget;
         self.bypass_cold += other.bypass_cold;
+        self.materialised += other.materialised;
     }
 }
 

@@ -18,7 +18,9 @@
 //! - [`Engine::Stateful`] — a conventional explicit-state DFS that
 //!   stores full visited states (not hashes, so no collision
 //!   unsoundness), used when the state space has cycles or when
-//!   benchmarks need exhaustive state counts.
+//!   benchmarks need exhaustive state counts. Like the frontier search
+//!   below it expands a stored state from its key, in ID space, and
+//!   builds the state only when a lookup misses ([`stateful`]).
 //! - [`Engine::StatefulParallel`] — deterministic explicit-state
 //!   breadth-first frontier search (the first violation reported has a
 //!   *shortest* reproducing trace) over a tiered, spillable
@@ -112,8 +114,8 @@ pub struct Config {
     pub collect_traces: bool,
     /// Record which CFG nodes were executed ([`Report::coverage`]).
     pub track_coverage: bool,
-    /// Worker threads for [`Engine::StatefulParallel`] (ignored by the
-    /// two sequential engines; `0` means 1). Never changes a report.
+    /// Worker threads for [`Engine::StatefulParallel`], at least 1
+    /// (ignored by the two sequential engines). Never changes a report.
     pub jobs: usize,
     /// Soft byte budget for the frontier engines' resident search state
     /// (visited store + frontier). `usize::MAX` (the default) means
@@ -147,8 +149,8 @@ pub struct Config {
     /// hold compact component-ID tuples interned by a per-run
     /// [`crate::state::ComponentInterner`] instead of full canonical
     /// encodings, and every engine answers repeated transitions from the
-    /// transition memo — the stateless walk its schedules from the facts
-    /// table too. Without it every transition is interpreted and every
+    /// transition memo and their schedules from its facts table. Without
+    /// it every transition is interpreted and every
     /// state built, which makes this mode the memo's oracle; reports are
     /// byte-identical either way.
     /// Unlike `jobs`/`mem_limit`, this flag **is** part of the

@@ -4,9 +4,13 @@
 //! ([`Engine::StatefulParallel`](super::Engine::StatefulParallel)) backed
 //! by the tiered spillable [`TieredStore`](super::store).
 //!
-//! Both hold states as store keys (`FrontierItem`), rebuild one through a
-//! [`ComponentCache`] only to expand it, and expand it through
-//! `Executor::expand` and a transition memo: persistent-set partial-order
+//! Both hold states as store keys (`FrontierItem`) and expand each key
+//! through `Executor::expand`, in ID space: the schedule from the facts
+//! table, the children from the transition memo, their keys written into
+//! the worker's [`ExpandArena`]. A state is built ([`rebuild`], through
+//! the worker's [`ComponentCache`]) only when a lookup misses, a few
+//! hundred times on a state space of hundreds of thousands. Expansion is
+//! persistent-set partial-order
 //! reduction with the ignoring/cycle proviso — a state is expanded over
 //! its persistent set only, unless one of the reduced successors is
 //! already in the search's visited store (an edge that may close a
@@ -29,7 +33,7 @@
 use super::store::keyset::KeySet;
 use super::store::{checkpoint, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
-use crate::executor::{ExecCtx, Executor, Expansion, KeyArena, LeanChild};
+use crate::executor::{ExecCtx, Executor, ExpandArena, Expansion};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
 use crate::state::intern::raw_len_of;
@@ -87,7 +91,8 @@ impl Trace {
 /// awaiting expansion, held as its **store key** — the compressed
 /// component-ID tuple the expansion already has in hand for every child
 /// (the raw canonical encoding under `--no-compress`) — not as a live
-/// state. A [`GlobalState`] exists only while the entry is expanded
+/// state. The entry is expanded from its key; a [`GlobalState`] exists
+/// only while an entry ID space could not answer for is expanded
 /// ([`rebuild`], DESIGN §14), so an entry costs a few dozen bytes
 /// instead of a private heap graph.
 struct FrontierItem {
@@ -126,7 +131,9 @@ impl Spoolable for FrontierItem {
 }
 
 /// The state a search key denotes, built for the moment it is
-/// expanded: through the component cache when the run compresses, by
+/// expanded — under compression only when its expansion missed in ID
+/// space (`Executor::expand`), and in debug builds to check what ID space
+/// said: through the component cache when the run compresses, by
 /// decoding the raw encoding otherwise.
 ///
 /// # Panics
@@ -134,7 +141,7 @@ impl Spoolable for FrontierItem {
 /// Panics when `key` does not decode. Keys are this run's own store
 /// keys, so that means a frontier spool or checkpoint file was damaged
 /// on disk; the DFS's keys never leave memory.
-fn rebuild(
+pub(crate) fn rebuild(
     interner: Option<&ComponentInterner>,
     cache: &mut ComponentCache,
     key: &[u8],
@@ -147,20 +154,19 @@ fn rebuild(
 }
 
 /// A worker's expansion of one frontier item, reduced to what the
-/// ordered commit reads. An in-memory level is a single chunk, so these
-/// records exist for *every* child of the widest level at once
-/// (duplicates included): they hold no state, no sleep set and no
-/// visible event.
+/// ordered commit reads. An in-memory level is a single chunk, so the
+/// children of *every* item of the widest level exist at once
+/// (duplicates included), in the workers' arenas: they hold no state, no
+/// sleep set and no visible event.
 struct Expanded {
     /// The item had no enabled transition and that is a deadlock.
     deadlock: bool,
-    /// The children in expansion order (none at a dead end).
-    children: Vec<LeanChild>,
-    /// Per child, aligned with `children`: the state's stable
-    /// fingerprint and store key (`(0, empty)` for violation outcomes),
-    /// arena-flattened. Computed worker-side so the sequential commit
-    /// only compares bytes.
-    keys: KeyArena,
+    /// The worker whose arena holds the item's children and their keys.
+    worker: usize,
+    /// The children's indices in that arena, in expansion order (none at
+    /// a dead end). Their keys were computed worker-side so the
+    /// sequential commit only compares bytes.
+    children: std::ops::Range<usize>,
     transitions: usize,
     truncated: bool,
     /// CoW sharing counters folded from the item's [`ExecCtx`].
@@ -175,11 +181,11 @@ struct Expanded {
 impl Expanded {
     /// An item's commit record: its expansion plus the item's counters,
     /// moved out of `cx` (left zeroed for the worker's next item).
-    fn new(fe: Expansion, cx: &mut ExecCtx) -> Expanded {
+    fn new(fe: Expansion, worker: usize, cx: &mut ExecCtx) -> Expanded {
         Expanded {
             deadlock: fe.dead_end == Some(true),
+            worker,
             children: fe.children,
-            keys: fe.keys,
             transitions: std::mem::take(&mut cx.transitions),
             truncated: std::mem::take(&mut cx.truncated),
             shared_components: std::mem::take(&mut cx.shared_components),
@@ -243,18 +249,28 @@ struct FrontierRun<'e, 'p> {
     frontier: FrontierSpool<FrontierItem>,
     level: usize,
     resumed_level: Option<usize>,
-    /// One component cache and one transition memo per worker, kept for
-    /// the whole run and lent to whichever thread runs that worker for a
-    /// chunk: an out-of-core run has hundreds of chunks, and none of them
-    /// should decode a component, or interpret a transition, its worker
-    /// has already seen. Grown on demand (most explorations are tiny and
-    /// single-worker); the cache is bounded by the interner's table, the
-    /// memo by its distinct (process, object) pairs.
-    leases: Vec<(ComponentCache, TransitionMemo)>,
+    /// One [`Lease`] per worker. Grown on demand (most explorations are
+    /// tiny and single-worker).
+    leases: Vec<Lease>,
     coverage: Option<Coverage>,
     report: Report,
     /// The violation cap was reached: nothing further commits.
     stop: bool,
+}
+
+/// What one frontier worker keeps for the whole run, lent to whichever
+/// thread runs that worker for a chunk: a component cache and a
+/// transition memo — an out-of-core run has hundreds of chunks, and none
+/// of them should decode a component, or interpret a transition, its
+/// worker has already seen; the cache is bounded by the interner's
+/// table, the memo by its distinct (process, object) pairs — and the
+/// arena the worker's expansions of a chunk write their children to,
+/// cleared once the chunk commits.
+#[derive(Default)]
+struct Lease {
+    cache: ComponentCache,
+    memo: TransitionMemo,
+    arena: ExpandArena,
 }
 
 /// What is fixed for every chunk of one level, plus the cursor over it.
@@ -281,6 +297,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             !checkpointing || cfg.checkpoint_every >= 1,
             "the checkpoint period is at least one level"
         );
+        assert!(cfg.jobs >= 1, "a frontier search has at least one worker");
         let dir: Option<Arc<SpillDir>> = match (&cfg.checkpoint_dir, cfg.mem_limit) {
             (Some(d), _) => Some(SpillDir::at(d).expect("create checkpoint directory")),
             (None, usize::MAX) => None,
@@ -508,9 +525,10 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     }
 
     /// One chunk's parallel expansion: each worker claims items through
-    /// the cursor, rebuilds each from its key, expands it, and leaves only
-    /// the lean commit record in the item's slot — the item's state and
-    /// all its successors die on the thread that built them.
+    /// the cursor, expands each from its key into the worker's arena, and
+    /// leaves only the lean commit record in the item's slot — any state
+    /// built on a miss, and every successor, dies on the thread that
+    /// built it.
     ///
     /// This makes **no store writes**: successors are committed by
     /// [`FrontierRun::commit_chunk`], in one pass.
@@ -526,7 +544,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         let cursor = AtomicUsize::new(0);
         let slots: Vec<OnceLock<Expanded>> = (0..n).map(|_| OnceLock::new()).collect();
         // One worker's share of the chunk; returns the worker's coverage.
-        let run = |(cache, memo): &mut (ComponentCache, TransitionMemo)| {
+        let run = |w: usize, lease: &mut Lease| {
+            let Lease { cache, memo, arena } = lease;
             let cov = cfg.track_coverage.then(|| Coverage::new(exec.program()));
             let mut cx = ExecCtx::with_coverage(lvl.remaining, cov);
             cx.interner = interner.clone();
@@ -535,11 +554,11 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 if i >= n {
                     break;
                 }
-                let state = rebuild(interner.as_deref(), cache, &chunk[i].key);
-                let fe = exec.expand(&mut cx, &state, (&mut *cache, &mut *memo), |h, e| {
+                let lent = (&mut *cache, &mut *memo);
+                let fe = exec.expand(&mut cx, &chunk[i].key, lent, arena, |h, e| {
                     store.contains_sealed_before(h, e, lvl.epoch)
                 });
-                let claimed_once = slots[i].set(Expanded::new(fe, &mut cx)).is_ok();
+                let claimed_once = slots[i].set(Expanded::new(fe, w, &mut cx)).is_ok();
                 assert!(claimed_once, "the cursor hands out each item once");
             }
             cx.coverage
@@ -548,7 +567,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             let run = &run;
             let handles: Vec<_> = self.leases[..workers]
                 .iter_mut()
-                .map(|lent| scope.spawn(move || run(lent)))
+                .enumerate()
+                .map(|(w, lease)| scope.spawn(move || run(w, lease)))
                 .collect();
             handles
                 .into_iter()
@@ -571,7 +591,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// and the violation cap cuts at the same child for every worker
     /// count. Flags past a stop cut are never read; the states they
     /// stored are report-invisible (they only gate spill contents and
-    /// later-level probes, and the run is stopping).
+    /// later-level probes, and the run is stopping). The workers' arenas
+    /// are cleared at the end.
     fn commit_chunk(
         &mut self,
         chunk: &[FrontierItem],
@@ -579,14 +600,17 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         lvl: &mut Level,
     ) {
         let cfg = self.exec.config();
-        let n = slots
-            .iter()
-            .map(|s| s.get().map_or(0, |e| e.keys.len()))
-            .sum();
+        let n = self.leases.iter().map(|l| l.arena.keys.len()).sum();
         let mut keys: Vec<(u64, &[u8])> = Vec::with_capacity(n);
         for slot in &slots {
             let e = slot.get().expect("every frontier item is expanded");
-            keys.extend(e.keys.iter().filter(|(_, enc)| !enc.is_empty()));
+            let arena = &self.leases[e.worker].arena.keys;
+            keys.extend(
+                e.children
+                    .clone()
+                    .map(|j| arena.get(j))
+                    .filter(|(_, enc)| !enc.is_empty()),
+            );
         }
         let mut flags = self.store.commit(&keys, lvl.epoch).into_iter();
         drop(keys);
@@ -613,13 +637,15 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 });
                 self.stop |= report.violations.len() >= cfg.max_violations;
             }
-            for (j, c) in e.children.into_iter().enumerate() {
+            let ExpandArena { children, keys, .. } = &mut self.leases[e.worker].arena;
+            for j in e.children {
                 if self.stop {
                     break;
                 }
+                let c = std::mem::take(&mut children[j]);
                 match c.violation {
                     None => {
-                        let enc = e.keys.get(j).1;
+                        let enc = keys.get(j).1;
                         if flags.next().expect("one flag per successor state") {
                             report.states += 1;
                             report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
@@ -647,6 +673,9 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                     }
                 }
             }
+        }
+        for lease in &mut self.leases {
+            lease.arena.clear();
         }
     }
 
@@ -677,8 +706,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             report.store_batch_items,
             report.store_lock_acquisitions_avoided,
         ) = store.batch_stats();
-        for (_, memo) in &leases {
-            report.memo += memo.stats;
+        for lease in &leases {
+            report.memo += lease.memo.stats;
         }
         report
     }
@@ -689,8 +718,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
 /// unsoundness); terminates on cyclic state spaces. Its stack holds
 /// [`FrontierItem`]s under their fingerprints, children pushed in
 /// expansion order and popped last-in first-out; a popped item not yet
-/// visited is rebuilt through the run's one component cache and expanded
-/// through its one transition memo. The POR proviso probes the visited
+/// visited is expanded from its key through the run's one component
+/// cache, transition memo and arena. The POR proviso probes the visited
 /// set at expansion time: the last state of any reduced-graph cycle to
 /// be expanded necessarily sees its cycle successor already visited, so
 /// it is fully expanded and no enabled process is ignored forever (see
@@ -702,6 +731,7 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     let mut cx = ExecCtx::new(exec, cfg.max_transitions);
     cx.interner = interner.clone();
     let (mut cache, mut memo) = (ComponentCache::default(), TransitionMemo::default());
+    let mut arena = ExpandArena::default();
     let mut report = Report::default();
     let mut stop = false;
     // Records a violation; true once the cap is reached.
@@ -747,8 +777,8 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
             report.truncated = true;
             continue;
         }
-        let state = rebuild(interner.as_deref(), &mut cache, &item.key);
-        let e = exec.expand(&mut cx, &state, (&mut cache, &mut memo), |h, k| {
+        let lent = (&mut cache, &mut memo);
+        let e = exec.expand(&mut cx, &item.key, lent, &mut arena, |h, k| {
             visited.contains(h, k)
         });
         report.por_skipped_procs += e.por_skipped;
@@ -761,24 +791,29 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
                 item.path.to_vec(),
             );
         }
-        for (c, (h, key)) in e.children.into_iter().zip(e.keys.iter()) {
+        let keys = &arena.keys;
+        for (c, j) in arena.children.drain(e.children.clone()).zip(e.children) {
             if stop {
                 break;
             }
             match c.violation {
-                None => stack.push((
-                    h,
-                    FrontierItem {
-                        key: key.into(),
-                        depth: item.depth + 1,
-                        path: item.path.push(c.decision),
-                    },
-                )),
+                None => {
+                    let (h, key) = keys.get(j);
+                    stack.push((
+                        h,
+                        FrontierItem {
+                            key: key.into(),
+                            depth: item.depth + 1,
+                            path: item.path.push(c.decision),
+                        },
+                    ));
+                }
                 Some((kind, process)) => {
                     stop |= record(&mut report, kind, process, item.path.pushed_vec(c.decision));
                 }
             }
         }
+        arena.clear();
     }
     report.transitions = cx.transitions;
     report.truncated |= cx.truncated;

@@ -34,7 +34,7 @@
 
 use crate::executor::{ExecCtx, Executor, KeyArena, LeanChild, SuccOutcome};
 use crate::interp::{next_op_object, VisibleEvent};
-use crate::por::{independent_objects, ProcFacts, ProcView, Schedule};
+use crate::por::{independent_objects, Schedule};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::intern::{read_tuple, MemoOutcome};
 use crate::state::{ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
@@ -75,7 +75,6 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         ids: Vec::new(),
         bits: Vec::new(),
         queue: Vec::new(),
-        enabled: Vec::new(),
     };
     let root = if w.interner.is_some() {
         let (_, key) = w.cx.state_key(&exec.initial());
@@ -179,56 +178,6 @@ struct Walk<'e, 'a> {
     ids: Vec<u32>,
     bits: Vec<u64>,
     queue: Vec<usize>,
-    /// Per process of the node being scheduled: its enabledness, read
-    /// from the facts table.
-    enabled: Vec<bool>,
-}
-
-/// A node as the schedule rules read it from the facts table.
-struct Known<'w> {
-    memo: &'w TransitionMemo,
-    ids: &'w [u32],
-    enabled: &'w [bool],
-}
-
-impl Known<'_> {
-    fn facts(&self, q: usize) -> &ProcFacts {
-        self.memo
-            .facts(self.ids[q])
-            .expect("resolved before scheduling")
-    }
-}
-
-impl ProcView for Known<'_> {
-    fn len(&self) -> usize {
-        self.enabled.len()
-    }
-
-    fn pending_init(&self, q: usize) -> bool {
-        self.facts(q).pending_init
-    }
-
-    fn terminated(&self, q: usize) -> bool {
-        self.facts(q).terminated
-    }
-
-    fn daemon(&self, q: usize) -> bool {
-        self.facts(q).daemon
-    }
-
-    fn next_object(&self, q: usize) -> Option<ObjId> {
-        self.facts(q).next_object
-    }
-
-    fn or_footprint(&self, q: usize, dst: &mut [u64]) {
-        for (d, s) in dst.iter_mut().zip(self.facts(q).footprint.iter()) {
-            *d |= s;
-        }
-    }
-
-    fn enabled(&self, q: usize) -> bool {
-        self.enabled[q]
-    }
 }
 
 impl Walk<'_, '_> {
@@ -241,6 +190,12 @@ impl Walk<'_, '_> {
             end: self.ids.len(),
             nprocs,
         }
+    }
+
+    /// The state `node` denotes, built for its expansion.
+    fn build(&mut self, node: Ids) -> GlobalState {
+        self.memo.stats.materialised += 1;
+        self.materialize(node)
     }
 
     /// The state `node` denotes.
@@ -256,26 +211,12 @@ impl Walk<'_, '_> {
             .expect("the walk's own node")
     }
 
-    /// Teach the facts table what the live `state` of `node` shows: each
-    /// process component's facts and, under its memo key, enabledness.
+    /// Teach the facts table what the live `state` of `node` shows,
+    /// unless the walk is cold.
     fn learn(&mut self, node: Ids, state: &GlobalState) {
-        if self.cold {
-            return;
-        }
-        let live = self.exec.live(state);
-        let ids = &self.ids[node.start..node.end];
-        for (q, &id) in ids[..node.nprocs].iter().enumerate() {
-            if self.memo.facts(id).is_none() {
-                self.memo
-                    .record_facts(id, ProcFacts::of(self.exec.info(), &live, q));
-            }
-            let key = (
-                id,
-                live.next_object(q).map(|o| ids[node.nprocs + o.index()]),
-            );
-            if self.memo.enabled(key).is_none() {
-                self.memo.record_enabled(key, live.enabled(q));
-            }
+        if !self.cold {
+            let ids = &self.ids[node.start..node.end];
+            self.memo.learn(self.exec, (ids, node.nprocs), state);
         }
     }
 
@@ -300,22 +241,8 @@ impl Walk<'_, '_> {
     /// `queue`; `None` when a fact is missing.
     fn schedule_known(&mut self, node: Ids) -> Option<Schedule> {
         let ids = &self.ids[node.start..node.end];
-        let memo = &self.memo;
-        self.enabled.clear();
-        for &id in &ids[..node.nprocs] {
-            let f = memo.facts(id)?;
-            // Enabledness is read only once no initialization is
-            // pending, so it need not be known before then.
-            let e = f.pending_init
-                || memo.enabled((id, f.next_object.map(|o| ids[node.nprocs + o.index()])))?;
-            self.enabled.push(e);
-        }
-        let known = Known {
-            memo,
-            ids,
-            enabled: &self.enabled,
-        };
-        Some(self.exec.schedule_view(&known, &mut self.queue))
+        self.memo
+            .schedule_known(self.exec, (ids, node.nprocs), &mut self.queue)
     }
 
     /// The object of process `q`'s next operation at `node`: from the
@@ -457,7 +384,7 @@ impl Walk<'_, '_> {
             None => {
                 if state.is_none() {
                     let node = ids.expect("a node is its IDs or a built state");
-                    let s = self.materialize(node);
+                    let s = self.build(node);
                     self.learn(node, &s);
                     state = Some(s);
                 }
@@ -556,10 +483,10 @@ impl Walk<'_, '_> {
     ) -> bool {
         if state.is_none() {
             let node = ids.expect("a node is its IDs or a built state");
-            if let Some(entry) = self.hit(node, t) {
-                return self.visit_hit(node, oracle, depth, (t, entry), child_sleep);
+            if let Some(hit) = self.hit(node, t) {
+                return self.visit_hit(node, oracle, depth, (t, hit), child_sleep);
             }
-            *state = Some(self.materialize(node));
+            *state = Some(self.build(node));
         }
         let state = state.as_ref().expect("built above");
         if self.cold {
@@ -570,14 +497,12 @@ impl Walk<'_, '_> {
     }
 
     /// The memo entry of process `t`'s next transition at `node`, when
-    /// the budget left covers its recorded executions.
-    fn hit(&self, node: Ids, t: usize) -> Option<u32> {
+    /// the budget left covers its recorded executions, and the index of
+    /// the object of `t`'s leading visible operation.
+    fn hit(&self, node: Ids, t: usize) -> Option<(u32, Option<usize>)> {
         let ids = &self.ids[node.start..node.end];
-        let facts = self.memo.facts(ids[t])?;
-        let object = facts.next_object.map(|o| ids[node.nprocs + o.index()]);
-        let entry = self.memo.find((ids[t], object))?;
         let left = self.cx.budget.saturating_sub(self.cx.transitions);
-        (self.memo.entry(entry).executions <= left).then_some(entry)
+        self.memo.hit((ids, node.nprocs), t, left)
     }
 
     /// [`Walk::step`] on a memo hit: charge what the interpreter would
@@ -588,7 +513,7 @@ impl Walk<'_, '_> {
         node: Ids,
         oracle: Option<&GlobalState>,
         depth: usize,
-        (t, entry): (usize, u32),
+        (t, (entry, object)): (usize, (u32, Option<usize>)),
         child_sleep: Bits,
     ) -> bool {
         let collect = self.exec.config().collect_traces;
@@ -607,12 +532,7 @@ impl Walk<'_, '_> {
         self.cx.shared_components += charged[2];
         self.cx.total_components += charged[3];
         self.memo.stats.hits += 1;
-        let object = self
-            .memo
-            .facts(self.ids[node.start + t])
-            .expect("scheduled from facts")
-            .next_object
-            .map(|o| node.nprocs + o.index());
+        let object = object.map(|o| node.nprocs + o);
         let mut violated = false;
         for j in 0..outcomes {
             if self.stop || self.cx.truncated {

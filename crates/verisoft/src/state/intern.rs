@@ -42,10 +42,12 @@ use super::encode::{
     Encode, INTERN_MAGIC,
 };
 use super::{CowArc, GlobalState, ObjState, ProcState};
-use crate::hash::{mix64, FpBuildHasher};
+use crate::executor::Executor;
+use crate::hash::{mix64, FpBuildHasher, StableBuildHasher};
 use crate::interp::EventOp;
-use crate::por::ProcFacts;
+use crate::por::{ProcFacts, ProcView, Schedule};
 use crate::report::{MemoStats, ViolationKind};
+use cfgir::ObjId;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::io;
@@ -177,7 +179,7 @@ pub(crate) struct MemoEntry {
 /// it: per component (processes, then objects) the interner ID, the
 /// sub-hash and the encoded length, plus the raw encoded length of the
 /// whole state. Reused from item to item.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct ParentView {
     ids: Vec<u32>,
     subs: Vec<u64>,
@@ -217,13 +219,17 @@ fn slot((proc, object): MemoKey) -> u64 {
 /// child's store key from the parent's IDs without a state to clone,
 /// mutate, encode, intern or free.
 ///
-/// Beside the entries sits the stateless walk's **facts table**: per
-/// process component ID the [`ProcFacts`] the schedule rules read, and
-/// per memo key whether that process is enabled — enabledness reads the
-/// process and the object of its next operation, the same two components
-/// a transition reads. A cached fact is as checkable as a cached outcome:
-/// debug builds compare every schedule taken from the table with the one
-/// the live state gives.
+/// Beside the entries sits the **facts table** every engine schedules
+/// from: per process component ID the [`ProcFacts`] the schedule rules
+/// read, and per memo key whether that process is enabled — enabledness
+/// reads the process and the object of its next operation, the same two
+/// components a transition reads. Equal facts share one *fact class*,
+/// and the schedule itself is memoised under each process's class and
+/// the enabled bits ([`TransitionMemo::schedule_known`]): the conflict
+/// closure runs once per distinct key, a few thousand times on a state
+/// space of hundreds of thousands. A cached fact or schedule is as
+/// checkable as a cached outcome: debug builds compare every schedule
+/// taken from the table with the one the live state gives.
 ///
 /// Like the [`ComponentCache`] it lives beside, a memo belongs to **one
 /// worker** (the DFS and the stateless walk are one) for the whole run
@@ -240,12 +246,72 @@ pub(crate) struct TransitionMemo {
     /// index for the rest of the run.
     index: IdMap<u32>,
     entries: Vec<MemoEntry>,
-    /// Scheduling facts by process component ID.
-    facts: Vec<Option<ProcFacts>>,
+    /// Fact class by process component ID.
+    class_of: Vec<Option<u32>>,
+    /// Scheduling facts by fact class, and the class of each.
+    classes: Vec<ProcFacts>,
+    class_ids: HashMap<ProcFacts, u32, StableBuildHasher>,
     /// Enabledness by memo key.
     enabled: IdMap<bool>,
+    /// Schedules by [`TransitionMemo::schedule_known`]'s key.
+    schedules: HashMap<Box<[u32]>, KnownSchedule, StableBuildHasher>,
+    /// Scratch for a schedule key and the enabledness it packs.
+    scratch: (Vec<u32>, Vec<bool>),
     parent: ParentView,
     pub(crate) stats: MemoStats,
+}
+
+/// A memoised schedule: the decision and the processes it lists
+/// (scheduled, then skipped).
+type KnownSchedule = (Schedule, Box<[u32]>);
+
+/// A state as the schedule rules read it from the facts table: its
+/// processes' component IDs, then its objects', and each process's
+/// enabledness.
+struct Known<'m> {
+    memo: &'m TransitionMemo,
+    ids: &'m [u32],
+    enabled: &'m [bool],
+}
+
+impl Known<'_> {
+    fn facts(&self, q: usize) -> &ProcFacts {
+        self.memo
+            .facts(self.ids[q])
+            .expect("resolved before scheduling")
+    }
+}
+
+impl ProcView for Known<'_> {
+    fn len(&self) -> usize {
+        self.enabled.len()
+    }
+
+    fn pending_init(&self, q: usize) -> bool {
+        self.facts(q).pending_init
+    }
+
+    fn terminated(&self, q: usize) -> bool {
+        self.facts(q).terminated
+    }
+
+    fn daemon(&self, q: usize) -> bool {
+        self.facts(q).daemon
+    }
+
+    fn next_object(&self, q: usize) -> Option<ObjId> {
+        self.facts(q).next_object
+    }
+
+    fn or_footprint(&self, q: usize, dst: &mut [u64]) {
+        for (d, s) in dst.iter_mut().zip(self.facts(q).footprint.iter()) {
+            *d |= s;
+        }
+    }
+
+    fn enabled(&self, q: usize) -> bool {
+        self.enabled[q]
+    }
 }
 
 impl TransitionMemo {
@@ -254,8 +320,11 @@ impl TransitionMemo {
         if self.token != token {
             self.index.clear();
             self.entries.clear();
-            self.facts.clear();
+            self.class_of.clear();
+            self.classes.clear();
+            self.class_ids.clear();
             self.enabled.clear();
+            self.schedules.clear();
             self.token = token;
         }
     }
@@ -271,6 +340,49 @@ impl TransitionMemo {
             let warm = self.read_parent(state);
             assert!(warm, "keying a state interns every component");
         }
+    }
+
+    /// Point the memo at the state whose compressed store key is
+    /// `tuple`, without building it: the IDs come from the tuple, each
+    /// component's sub-hash and encoded length from `cache` by ID, the
+    /// raw length from the tuple's prefix. False when `cache` holds no
+    /// decoded component for one of the IDs under `interner` — this
+    /// worker has neither built nor produced it yet — or the tuple does
+    /// not read; the view is then unusable until the next
+    /// [`TransitionMemo::view`].
+    pub(crate) fn view_ids(
+        &mut self,
+        interner: &ComponentInterner,
+        cache: &ComponentCache,
+        tuple: &[u8],
+    ) -> bool {
+        self.adopt(interner.token());
+        let token = self.token;
+        let p = &mut self.parent;
+        p.ids.clear();
+        p.subs.clear();
+        p.lens.clear();
+        let (Some(nprocs), Some(raw)) = (read_tuple(tuple, &mut p.ids), raw_len_of(tuple)) else {
+            return false;
+        };
+        if cache.token != token {
+            return false;
+        }
+        p.nprocs = nprocs;
+        p.raw = raw;
+        for (k, &id) in p.ids.iter().enumerate() {
+            let c = if k < nprocs {
+                cached(&cache.procs, id, token)
+            } else {
+                cached(&cache.objects, id, token)
+            };
+            let Some(c) = c else {
+                return false;
+            };
+            p.subs.push(c.sub_hash);
+            p.lens.push(c.len);
+        }
+        true
     }
 
     /// Fill the parent view from the components' memos; false when one
@@ -321,11 +433,6 @@ impl TransitionMemo {
         &self.entries[index as usize]
     }
 
-    /// The entry recorded under `key`, if any.
-    pub(crate) fn get(&self, key: MemoKey) -> Option<&MemoEntry> {
-        self.find(key).map(|i| self.entry(i))
-    }
-
     /// Record a completed enumeration.
     pub(crate) fn record(&mut self, key: MemoKey, entry: MemoEntry) {
         let next = u32::try_from(self.entries.len()).expect("fewer than 2^32 memo entries");
@@ -337,19 +444,32 @@ impl TransitionMemo {
         }
     }
 
+    /// The fact class of the process component `id`, if its facts are
+    /// recorded.
+    #[inline]
+    fn class(&self, id: u32) -> Option<u32> {
+        *self.class_of.get(id as usize)?
+    }
+
     /// The facts of the process component `id`, if recorded.
     #[inline]
     pub(crate) fn facts(&self, id: u32) -> Option<&ProcFacts> {
-        self.facts.get(id as usize)?.as_ref()
+        Some(&self.classes[self.class(id)? as usize])
     }
 
-    /// Record the facts of the process component `id`.
-    pub(crate) fn record_facts(&mut self, id: u32, facts: ProcFacts) {
+    /// Record the facts of the process component `id`, under the class
+    /// of every component with equal facts.
+    fn record_facts(&mut self, id: u32, facts: ProcFacts) {
+        let next = u32::try_from(self.classes.len()).expect("fewer than 2^32 fact classes");
+        let class = *self.class_ids.entry(facts).or_insert_with_key(|facts| {
+            self.classes.push(facts.clone());
+            next
+        });
         let id = id as usize;
-        if self.facts.len() <= id {
-            self.facts.resize(id + 1, None);
+        if self.class_of.len() <= id {
+            self.class_of.resize(id + 1, None);
         }
-        self.facts[id] = Some(facts);
+        self.class_of[id] = Some(class);
     }
 
     /// Whether the process whose next transition has memo key `key` is
@@ -360,8 +480,132 @@ impl TransitionMemo {
     }
 
     /// Record the enabledness of the process under memo key `key`.
-    pub(crate) fn record_enabled(&mut self, key: MemoKey, enabled: bool) {
+    fn record_enabled(&mut self, key: MemoKey, enabled: bool) {
         self.enabled.insert(slot(key), enabled);
+    }
+
+    /// Teach the facts table what the live `state` shows, `ids` being its
+    /// component IDs (`nprocs` processes, then the objects): each process
+    /// component's facts and, under its memo key, enabledness.
+    pub(crate) fn learn(
+        &mut self,
+        exec: &Executor<'_>,
+        (ids, nprocs): (&[u32], usize),
+        state: &GlobalState,
+    ) {
+        let live = exec.live(state);
+        for (q, &id) in ids[..nprocs].iter().enumerate() {
+            if self.class(id).is_none() {
+                self.record_facts(id, ProcFacts::of(exec.info(), &live, q));
+            }
+            let key = (id, live.next_object(q).map(|o| ids[nprocs + o.index()]));
+            if self.enabled(key).is_none() {
+                self.record_enabled(key, live.enabled(q));
+            }
+        }
+    }
+
+    /// [`TransitionMemo::learn`] for the viewed state, `state`.
+    pub(crate) fn learn_viewed(&mut self, exec: &Executor<'_>, state: &GlobalState) {
+        let ids = std::mem::take(&mut self.parent.ids);
+        self.learn(exec, (&ids, self.parent.nprocs), state);
+        self.parent.ids = ids;
+    }
+
+    /// The schedule of the state with component IDs `ids` (`nprocs`
+    /// processes, then the objects) from the facts table alone, its
+    /// processes appended to `out` as [`crate::por::schedule`] appends
+    /// them; `None` when a fact or an enabledness is not recorded.
+    ///
+    /// The schedule rules read of a process only its facts and its
+    /// enabledness, so the answer is a function of each process's fact
+    /// class and the enabled bits, and is memoised under exactly that
+    /// key: the conflict closure runs once per distinct key.
+    pub(crate) fn schedule_known(
+        &mut self,
+        exec: &Executor<'_>,
+        (ids, nprocs): (&[u32], usize),
+        out: &mut Vec<usize>,
+    ) -> Option<Schedule> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let sched = self.schedule_with(exec, (ids, nprocs), out, &mut scratch);
+        self.scratch = scratch;
+        sched
+    }
+
+    /// [`TransitionMemo::schedule_known`] for the viewed state.
+    pub(crate) fn schedule_viewed(
+        &mut self,
+        exec: &Executor<'_>,
+        out: &mut Vec<usize>,
+    ) -> Option<Schedule> {
+        let ids = std::mem::take(&mut self.parent.ids);
+        let sched = self.schedule_known(exec, (&ids, self.parent.nprocs), out);
+        self.parent.ids = ids;
+        sched
+    }
+
+    fn schedule_with(
+        &mut self,
+        exec: &Executor<'_>,
+        (ids, nprocs): (&[u32], usize),
+        out: &mut Vec<usize>,
+        (key, enabled): &mut (Vec<u32>, Vec<bool>),
+    ) -> Option<Schedule> {
+        key.clear();
+        enabled.clear();
+        for &id in &ids[..nprocs] {
+            let class = self.class(id)?;
+            let f = &self.classes[class as usize];
+            // Enabledness is read only once no initialization is
+            // pending, so it need not be known before then.
+            let e = f.pending_init
+                || self.enabled((id, f.next_object.map(|o| ids[nprocs + o.index()])))?;
+            key.push(class);
+            enabled.push(e);
+        }
+        // The classes, then the enabled bits 32 to a word: a key of `n`
+        // processes is `n + ⌈n/32⌉` long, so process counts never mix.
+        key.extend(enabled.chunks(32).map(|bits| {
+            bits.iter()
+                .enumerate()
+                .fold(0, |word, (b, &e)| word | u32::from(e) << b)
+        }));
+        if let Some((sched, procs)) = self.schedules.get(&key[..]) {
+            out.extend(procs.iter().map(|&q| q as usize));
+            return Some(*sched);
+        }
+        let start = out.len();
+        let known = Known {
+            memo: self,
+            ids,
+            enabled,
+        };
+        let sched = exec.schedule_view(&known, out);
+        let procs = out[start..].iter().map(|&q| q as u32).collect();
+        self.schedules.insert(key[..].into(), (sched, procs));
+        Some(sched)
+    }
+
+    /// The memo entry of process `t`'s next transition at the state with
+    /// component IDs `ids` (`nprocs` processes, then the objects), when
+    /// its facts are recorded and the `left` transitions of the budget
+    /// cover the entry's recorded executions; with the entry, the index
+    /// of the object of `t`'s leading visible operation.
+    pub(crate) fn hit(
+        &self,
+        (ids, nprocs): (&[u32], usize),
+        t: usize,
+        left: usize,
+    ) -> Option<(u32, Option<usize>)> {
+        let object = self.facts(ids[t])?.next_object.map(|o| o.index());
+        let entry = self.find((ids[t], object.map(|o| ids[nprocs + o])))?;
+        (self.entry(entry).executions <= left).then_some((entry, object))
+    }
+
+    /// [`TransitionMemo::hit`] at the viewed state.
+    pub(crate) fn hit_viewed(&self, t: usize, left: usize) -> Option<(u32, Option<usize>)> {
+        self.hit((&self.parent.ids, self.parent.nprocs), t, left)
     }
 
     /// Number of components of the viewed state.
@@ -456,6 +700,11 @@ impl TransitionMemo {
         publish(&mut cache.procs, proc.id, &child.procs[pid]);
         (proc, wrote, unshared)
     }
+}
+
+/// [`changed`] of the cached component `id`, when the cache holds it.
+fn cached<T: Encode>(slots: &[Option<CowArc<T>>], id: u32, token: u64) -> Option<Changed> {
+    changed(slots.get(id as usize)?.as_ref()?, token)
 }
 
 /// A component's ID, sub-hash and encoded length under `token`, when it
@@ -567,8 +816,9 @@ impl ComponentInterner {
     /// [`GlobalState::fingerprint_and_intern`] answers every component
     /// a transition did not touch from the memo, exactly as it does for
     /// a successor that shares its parent's allocations. This is how the
-    /// stateful engines turn a stored key back into a state for the
-    /// moment it is expanded (DESIGN §14). A cache last used with another
+    /// engines turn a stored key or an ID tuple back into a state when
+    /// its expansion misses in ID space (DESIGN §14). A cache last used
+    /// with another
     /// interner is emptied first. `None` when the tuple is malformed or
     /// references an unknown ID.
     pub fn materialize(&self, cache: &mut ComponentCache, tuple: &[u8]) -> Option<GlobalState> {
@@ -938,14 +1188,15 @@ mod tests {
                 let state = interner.materialize(&mut cache, tuple).expect("own tuple");
                 let mut cx = context();
                 let lent = (&mut cache, &mut memo);
-                let fe = exec.expand(&mut cx, &state, lent, |_, _| false);
+                let mut arena = crate::executor::ExpandArena::default();
+                let fe = exec.expand(&mut cx, tuple, lent, &mut arena, |_, _| false);
                 let mut rx = context();
                 let procs = scheduled(&exec, &state);
                 assert_eq!(fe.dead_end.is_some(), procs.is_empty(), "{what}");
                 let mut j = 0;
                 for pid in procs {
                     for (choices, outcome) in exec.successors(&mut rx, &state, pid) {
-                        let (child, (fp, key)) = (&fe.children[j], fe.keys.get(j));
+                        let (child, (fp, key)) = (&arena.children[j], arena.keys.get(j));
                         assert_eq!(
                             (child.decision.process, &child.decision.choices),
                             (pid, &choices)
@@ -968,7 +1219,7 @@ mod tests {
                         j += 1;
                     }
                 }
-                assert_eq!(j, fe.children.len(), "{what}: extra memoised children");
+                assert_eq!(fe.children, 0..j, "{what}: extra memoised children");
                 assert_eq!(
                     (
                         cx.transitions,
@@ -1026,6 +1277,79 @@ mod tests {
         );
     }
 
+    /// On reachable states of two corpus programs, ID space answers what
+    /// the built state answers: `view_ids` on a state's tuple fills the
+    /// parent view `view` fills from the state — IDs, sub-hashes, lengths
+    /// and raw length — `child_key` writes the same key and fingerprint
+    /// from either view (the successor's own), and the schedule taken
+    /// from the facts table — computed, or answered by the schedule memo
+    /// for an earlier state of the same fact classes and enabled bits —
+    /// is the live schedule, with reduction and without.
+    #[test]
+    fn id_space_views_keys_and_schedules_equal_the_live_ones() {
+        use crate::executor::{ExecCtx, Executor, SuccOutcome};
+        use crate::interp::next_op_object;
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        // Both reach states whose processes have equal fact classes and
+        // different enabled bits, which a schedule key must tell apart.
+        for name in ["cyclic/ring.mc", "relay.mc"] {
+            let src = std::fs::read_to_string(format!("{corpus}/{name}")).unwrap();
+            let prog = cfgir::compile(&src).unwrap();
+            let states = reachable(&prog, 400);
+            // A component carries the intern memo of one interner only.
+            let i = ComponentInterner::new();
+            let mut cache = ComponentCache::default();
+            for por in [true, false] {
+                let cfg = crate::search::Config {
+                    env_mode: crate::interp::EnvMode::Enumerate,
+                    por,
+                    ..crate::search::Config::default()
+                };
+                let exec = Executor::new(&prog, &cfg);
+                let (mut live, mut ids, mut facts) = (
+                    TransitionMemo::default(),
+                    TransitionMemo::default(),
+                    TransitionMemo::default(),
+                );
+                let mut answered = 0;
+                for s in &states {
+                    let (_, tuple) = s.fingerprint_and_intern(&i);
+                    i.materialize(&mut cache, &tuple).expect("own tuple");
+                    live.view(&i, s);
+                    assert!(ids.view_ids(&i, &cache, &tuple), "{name}: a cached tuple");
+                    assert_eq!(live.parent, ids.parent, "{name}: parent view");
+                    let mut cx = ExecCtx::with_coverage(usize::MAX, None);
+                    for pid in scheduled(&exec, s) {
+                        let object = next_op_object(&prog, s, pid).map(|o| o.index());
+                        for (_, outcome) in exec.successors(&mut cx, s, pid) {
+                            let SuccOutcome::State(child, _) = outcome else {
+                                continue;
+                            };
+                            let want = child.fingerprint_and_intern(&i);
+                            let (proc, wrote, _) = live.observe(&mut cache, s, &child, pid, object);
+                            let wrote = object.zip(wrote.as_ref());
+                            for memo in [&live, &ids] {
+                                let mut key = Vec::new();
+                                let fp = memo.child_key(pid, &proc, wrote, &mut key);
+                                assert_eq!((fp, key), want, "{name}: child key of P{pid}");
+                            }
+                        }
+                    }
+                    let nprocs = s.procs.len();
+                    let (tuple_ids, schedules) = (ids.parent.ids.clone(), facts.schedules.len());
+                    facts.learn(&exec, (&tuple_ids, nprocs), s);
+                    let mut got = Vec::new();
+                    let sched = facts.schedule_known(&exec, (&tuple_ids, nprocs), &mut got);
+                    let mut want = Vec::new();
+                    let live_sched = exec.schedule_view(&exec.live(s), &mut want);
+                    assert_eq!((sched, got), (Some(live_sched), want), "{name}: schedule");
+                    answered += usize::from(facts.schedules.len() == schedules);
+                }
+                assert!(answered > 0, "{name}: the schedule memo never answered");
+            }
+        }
+    }
+
     #[test]
     fn a_memo_is_emptied_under_another_interners_token() {
         let prog = cfgir::compile(TWO_PROCS).unwrap();
@@ -1034,9 +1358,12 @@ mod tests {
         memo.view(&a, &GlobalState::initial(&prog));
         let key = memo.key(0, None);
         memo.record(key, MemoEntry::default());
-        assert!(memo.get(key).is_some());
+        assert!(memo.find(key).is_some());
         memo.view(&b, &GlobalState::initial(&prog));
-        assert!(memo.get(key).is_none(), "IDs of `a` mean nothing under `b`");
+        assert!(
+            memo.find(key).is_none(),
+            "IDs of `a` mean nothing under `b`"
+        );
     }
 
     #[test]

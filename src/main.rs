@@ -204,14 +204,17 @@ fn one_path(args: &[String], cmd: fn(&str) -> Result<(), String>) -> Result<(), 
     cmd(path)
 }
 
-/// Parse a `--jobs` value: a thread count, or `auto` for one worker per
-/// hardware thread. Everything that takes `--jobs` is deterministic in
-/// the worker count, so `auto` never changes any output, only wall clock.
+/// Parse a `--jobs` value: a thread count of at least 1, or `auto` for
+/// one worker per hardware thread. Everything that takes `--jobs` is
+/// deterministic in the worker count, so `auto` never changes any output,
+/// only wall clock.
 fn parse_jobs(v: &str) -> Result<usize, String> {
     if v == "auto" {
-        Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    } else {
-        v.parse::<usize>().map_err(|e| format!("--jobs: {e}"))
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    }
+    match v.parse::<usize>().map_err(|e| format!("--jobs: {e}"))? {
+        0 => Err("explore: --jobs needs at least 1 worker".into()),
+        n => Ok(n),
     }
 }
 
@@ -566,13 +569,14 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         if memo.lookups() > 0 {
             outln!(
                 "stats: transition memo: {} hit(s), {} miss(es), {} bypassed \
-                 (spawn {}, budget {}, cold {})",
+                 (spawn {}, budget {}, cold {}), {} state(s) materialised",
                 memo.hits,
                 memo.misses,
                 memo.bypassed(),
                 memo.bypass_spawn,
                 memo.bypass_budget,
-                memo.bypass_cold
+                memo.bypass_cold,
+                memo.materialised
             );
         }
     }

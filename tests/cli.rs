@@ -335,6 +335,10 @@ fn unknown_and_valueless_flags_are_rejected() {
             &["explore", workers, "--bfs", "--checkpoint-every", "0"][..],
             "--checkpoint-every",
         ),
+        (
+            &["explore", workers, "--stateful", "--jobs", "0"][..],
+            "--jobs",
+        ),
         (&["close", workers, "--stat"], "--stat"),
         (
             &["close", workers, "--jobs", "2"][..],
