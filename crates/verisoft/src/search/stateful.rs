@@ -4,10 +4,10 @@
 //! ([`Engine::StatefulParallel`](super::Engine::StatefulParallel)) backed
 //! by the tiered spillable [`TieredStore`](super::store).
 //!
-//! Both hold states as store keys (`FrontierItem`) and expand each key
-//! through `Executor::expand`, in ID space: the schedule from the facts
-//! table, the children from the transition memo, their keys written into
-//! the worker's [`ExpandArena`]. A state is built ([`rebuild`], through
+//! Both hold states as store keys (`FrontierItem`, `DfsEntry`) and expand
+//! each key through `Executor::expand`, in ID space: the schedule from the
+//! facts table, the children from the transition memo, their keys written
+//! into the worker's [`ExpandArena`]. A state is built ([`rebuild`], through
 //! the worker's [`ComponentCache`]) only when a lookup misses, a few
 //! hundred times on a state space of hundreds of thousands. Expansion is
 //! persistent-set partial-order
@@ -19,10 +19,16 @@
 //! pure function of the state and a timing-independent store snapshot,
 //! so every report stays byte-identical for any worker count.
 //!
+//! Neither keeps a path per entry. A frontier entry points into the
+//! run's append-only [`TraceLog`], one `(parent, decision)` record per
+//! queued state; the DFS keeps the one path to the entry it expands, a
+//! decision per depth. A path is copied out only into a violation.
+//!
 //! The frontier search additionally runs **out of core** when
 //! [`Config::mem_limit`](super::Config::mem_limit) is finite: sealed
 //! states spill to the tier-1 log, the frontier spools to disk past its
-//! RAM budget, and each level is processed in bounded-memory *chunks*.
+//! RAM budget, the path log is a file in the spill directory, and each
+//! level is processed in bounded-memory *chunks*.
 //! Chunked processing is byte-identical to unbounded processing by
 //! construction — see the commit-order argument at
 //! [`FrontierRun::run_level`] — and with a
@@ -31,6 +37,7 @@
 //! complete with the identical report.
 
 use super::store::keyset::KeySet;
+use super::store::trace::{TraceLog, TraceRef};
 use super::store::{checkpoint, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
 use crate::coverage::Coverage;
 use crate::executor::{ExecCtx, Executor, ExpandArena, Expansion};
@@ -41,92 +48,37 @@ use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState,
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A persistent reproducing path: a parent-pointer list whose nodes are
-/// shared between all successors of a state, so queuing a successor
-/// costs one `Arc` allocation instead of a deep `Vec<Decision>` clone
-/// per child (which is O(depth) and dominated the commit loops). Paths
-/// are materialized root-first only when a violation (or deadlock) is
-/// actually recorded, producing exactly the `Vec<Decision>` the eager
-/// representation would have built.
-#[derive(Clone, Default)]
-struct Trace(Option<Arc<TraceNode>>);
-
-struct TraceNode {
-    decision: Decision,
-    parent: Trace,
-}
-
-impl Trace {
-    /// The path extended by one decision (O(1), shares the prefix).
-    fn push(&self, decision: Decision) -> Trace {
-        Trace(Some(Arc::new(TraceNode {
-            decision,
-            parent: self.clone(),
-        })))
-    }
-
-    /// Materialize into the root-first decision sequence recorded in
-    /// violation reports.
-    fn to_vec(&self) -> Vec<Decision> {
-        let mut out = Vec::new();
-        let mut cur = &self.0;
-        while let Some(n) = cur {
-            out.push(n.decision.clone());
-            cur = &n.parent.0;
-        }
-        out.reverse();
-        out
-    }
-
-    /// [`Trace::to_vec`] with one more trailing decision, without
-    /// allocating a list node for it.
-    fn pushed_vec(&self, decision: Decision) -> Vec<Decision> {
-        let mut out = self.to_vec();
-        out.push(decision);
-        out
-    }
-}
-
-/// One search entry — a frontier level's or the DFS stack's: a state
-/// awaiting expansion, held as its **store key** — the compressed
-/// component-ID tuple the expansion already has in hand for every child
-/// (the raw canonical encoding under `--no-compress`) — not as a live
-/// state. The entry is expanded from its key; a [`GlobalState`] exists
-/// only while an entry ID space could not answer for is expanded
-/// ([`rebuild`], DESIGN §14), so an entry costs a few dozen bytes
-/// instead of a private heap graph.
+/// One frontier entry: a state awaiting expansion, held as its **store
+/// key** — the compressed component-ID tuple the expansion already has
+/// in hand for every child (the raw canonical encoding under
+/// `--no-compress`) — not as a live state, and its reproducing path as a
+/// reference into the run's [`TraceLog`]. The entry is expanded from its
+/// key; a [`GlobalState`] exists only while an entry ID space could not
+/// answer for is expanded ([`rebuild`], DESIGN §14). Its depth is the
+/// level it waits in.
 struct FrontierItem {
     key: Box<[u8]>,
-    depth: usize,
-    path: Trace,
+    trace: TraceRef,
 }
 
 impl Spoolable for FrontierItem {
-    /// `depth ‖ path ‖ key`; the key takes the remaining bytes, so the
-    /// record needs no interner to write or to read back.
+    /// `trace ‖ key`; the key takes the remaining bytes, so the record
+    /// needs no interner to write or to read back.
     fn spool_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.depth as u64);
-        let path = self.path.to_vec();
-        put_u64(out, path.len() as u64);
-        for d in &path {
-            checkpoint::put_decision(out, d);
-        }
+        put_u64(out, self.trace.0);
         out.extend_from_slice(&self.key);
     }
 
     fn spool_decode(bytes: &[u8]) -> Option<Self> {
         let mut r = ByteReader::new(bytes);
-        let depth = usize::try_from(r.u64()?).ok()?;
-        let n = usize::try_from(r.u64()?).ok()?;
-        // The persistent trace is rebuilt by folding `push`; prefix
-        // sharing with sibling items is lost (each spooled item owns its
-        // path), which is the documented cost of spooling an entry.
-        let mut path = Trace::default();
-        for _ in 0..n {
-            path = path.push(checkpoint::read_decision(&mut r)?);
-        }
+        let trace = TraceRef(r.u64()?);
         let key = Box::from(&bytes[r.pos()..]);
-        Some(FrontierItem { key, depth, path })
+        Some(FrontierItem { key, trace })
+    }
+
+    /// Rule of the spool's chunking contract: the key length.
+    fn cost(&self) -> usize {
+        self.key.len()
     }
 }
 
@@ -224,6 +176,10 @@ pub(super) fn frontier(exec: &Executor<'_>) -> Report {
     run.finish()
 }
 
+/// Why a path could not be read back from the trace log: it is this
+/// run's own log, so a spill-dir file was damaged on disk.
+const READ_TRACE: &str = "read trace log (damaged trace.bin?)";
+
 /// Everything one frontier search owns between levels.
 struct FrontierRun<'e, 'p> {
     exec: &'e Executor<'p>,
@@ -247,6 +203,9 @@ struct FrontierRun<'e, 'p> {
     identity: Option<(u64, u64)>,
     /// The sealed states awaiting expansion at `level`.
     frontier: FrontierSpool<FrontierItem>,
+    /// The reproducing paths the frontier's entries point into: in
+    /// memory, or `trace.bin` in the spill dir.
+    trace: TraceLog,
     level: usize,
     resumed_level: Option<usize>,
     /// One [`Lease`] per worker. Grown on demand (most explorations are
@@ -324,6 +283,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 )
             }),
             frontier: FrontierSpool::new(spool_budget, dir.clone(), 0),
+            trace: TraceLog::in_memory(),
             dir,
             spool_budget,
             chunk_budget,
@@ -344,6 +304,9 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
 
     /// Seal the initial state and make it level 0's frontier.
     fn start(&mut self) {
+        if let Some(dir) = &self.dir {
+            self.trace = TraceLog::create(dir.path()).expect("create trace log");
+        }
         let init = self.exec.initial();
         let (h0, enc0) = match &self.interner {
             Some(i) => init.fingerprint_and_intern(i),
@@ -354,15 +317,11 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         if self.exec.config().max_depth == 0 {
             self.report.truncated = true;
         } else {
-            let cost = enc0.len();
             let item = FrontierItem {
                 key: enc0.into(),
-                depth: 0,
-                path: Trace::default(),
+                trace: TraceRef::EMPTY,
             };
-            self.frontier
-                .push(item, cost)
-                .expect("spool initial frontier");
+            self.frontier.push(item).expect("spool initial frontier");
         }
         self.report.frontier_spilled_entries += self.frontier.spooled();
     }
@@ -390,10 +349,9 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         self.report = r.report;
         self.report.checkpoints_written = r.checkpoints_written;
         self.frontier = self.spool(r.level);
-        for (item, cost) in r.frontier {
-            self.frontier
-                .push(item, cost)
-                .expect("respool resumed frontier");
+        self.trace = r.trace;
+        for item in r.frontier {
+            self.frontier.push(item).expect("respool resumed frontier");
         }
         self.report.frontier_spilled_entries += self.frontier.spooled();
     }
@@ -494,7 +452,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             self.report.checkpoints_written + 1,
             identity,
             (&self.store, self.interner.as_deref()),
-            &mut self.frontier,
+            (&mut self.frontier, &mut self.trace),
         )
         .expect("write checkpoint");
         self.report.checkpoints_written += 1;
@@ -588,11 +546,12 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// (violation children carry the empty key and are left out), in
     /// commit order, flags the first occurrences; then the items fold in
     /// the same order: only flagged successors enter the next frontier,
-    /// and the violation cap cuts at the same child for every worker
-    /// count. Flags past a stop cut are never read; the states they
-    /// stored are report-invisible (they only gate spill contents and
-    /// later-level probes, and the run is stopping). The workers' arenas
-    /// are cleared at the end.
+    /// each with its path appended to the trace log, and the violation
+    /// cap cuts at the same child for every worker count. Flags past a
+    /// stop cut are never read; the states they stored are
+    /// report-invisible (they only gate spill contents and later-level
+    /// probes, and the run is stopping). The workers' arenas are cleared
+    /// at the end.
     fn commit_chunk(
         &mut self,
         chunk: &[FrontierItem],
@@ -616,6 +575,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         drop(keys);
         let report = &mut self.report;
         report.pipeline_chunks += 1;
+        let depth = self.level + 1;
         for (i, slot) in slots.into_iter().enumerate() {
             if self.stop {
                 break;
@@ -633,7 +593,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 report.violations.push(Violation {
                     kind: ViolationKind::Deadlock,
                     process: None,
-                    trace: item.path.to_vec(),
+                    trace: self.trace.path(item.trace).expect(READ_TRACE),
                 });
                 self.stop |= report.violations.len() >= cfg.max_violations;
             }
@@ -648,26 +608,29 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                         let enc = keys.get(j).1;
                         if flags.next().expect("one flag per successor state") {
                             report.states += 1;
-                            report.max_depth_seen = report.max_depth_seen.max(item.depth + 1);
-                            if item.depth + 1 >= cfg.max_depth {
+                            report.max_depth_seen = report.max_depth_seen.max(depth);
+                            if depth >= cfg.max_depth {
                                 report.truncated = true;
                             } else {
-                                // Cost rule 1 of the spool's chunking
-                                // contract: the key length.
+                                let trace = self
+                                    .trace
+                                    .push(item.trace, &c.decision)
+                                    .expect("append trace log");
                                 let fi = FrontierItem {
                                     key: enc.into(),
-                                    depth: item.depth + 1,
-                                    path: item.path.push(c.decision),
+                                    trace,
                                 };
-                                lvl.next.push(fi, enc.len()).expect("spool next frontier");
+                                lvl.next.push(fi).expect("spool next frontier");
                             }
                         }
                     }
                     Some((kind, process)) => {
+                        let mut trace = self.trace.path(item.trace).expect(READ_TRACE);
+                        trace.push(c.decision);
                         report.violations.push(Violation {
                             kind,
                             process,
-                            trace: item.path.pushed_vec(c.decision),
+                            trace,
                         });
                         self.stop |= report.violations.len() >= cfg.max_violations;
                     }
@@ -713,17 +676,31 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     }
 }
 
+/// One entry of the depth-first search's stack: a state's store key under
+/// its fingerprint, its depth, and the decision that reached it from its
+/// parent (the root's is never read).
+struct DfsEntry {
+    fp: u64,
+    key: Box<[u8]>,
+    depth: usize,
+    decision: Decision,
+}
+
 /// Explicit-state depth-first search ([`Engine::Stateful`](super::Engine::Stateful))
 /// storing full visited states (not hashes, so no collision
 /// unsoundness); terminates on cyclic state spaces. Its stack holds
-/// [`FrontierItem`]s under their fingerprints, children pushed in
-/// expansion order and popped last-in first-out; a popped item not yet
-/// visited is expanded from its key through the run's one component
-/// cache, transition memo and arena. The POR proviso probes the visited
-/// set at expansion time: the last state of any reduced-graph cycle to
-/// be expanded necessarily sees its cycle successor already visited, so
-/// it is fully expanded and no enabled process is ignored forever (see
-/// [`Executor::expand`]).
+/// [`DfsEntry`]s, children pushed in expansion order and popped last-in
+/// first-out; a popped entry not yet visited is expanded from its key
+/// through the run's one component cache, transition memo and arena. The
+/// path to the entry being expanded is one `Vec<Decision>`, a decision
+/// per depth: an entry at depth `d` replaces the path from depth `d` on
+/// with its own decision. That is exact because an item's children are
+/// pushed together, so every entry expanded between a parent and its
+/// child lies deeper than the child and leaves the parent's path intact.
+/// The POR proviso probes the visited set at expansion time: the last
+/// state of any reduced-graph cycle to be expanded necessarily sees its
+/// cycle successor already visited, so it is fully expanded and no
+/// enabled process is ignored forever (see [`Executor::expand`]).
 pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     let cfg = exec.config();
     let interner: Option<Arc<ComponentInterner>> =
@@ -748,18 +725,19 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
     // collision-safety rule in [`crate::state::encode`].
     let mut visited = KeySet::<()>::default();
     let (h0, key0) = cx.state_key(&exec.initial());
-    let root = FrontierItem {
+    let mut stack = vec![DfsEntry {
+        fp: h0,
         key: key0.into(),
         depth: 0,
-        path: Trace::default(),
-    };
-    let mut stack = vec![(h0, root)];
+        decision: Decision::default(),
+    }];
+    let mut path: Vec<Decision> = Vec::new();
     let mut stored_bytes = 0usize;
-    while let Some((fp, item)) = stack.pop() {
+    while let Some(item) = stack.pop() {
         if stop || cx.truncated {
             break;
         }
-        if !visited.insert(fp, &item.key) {
+        if !visited.insert(item.fp, &item.key) {
             continue;
         }
         // `visited_bytes` is the *raw* logical total either way — a
@@ -777,6 +755,10 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
             report.truncated = true;
             continue;
         }
+        if item.depth > 0 {
+            path.truncate(item.depth - 1);
+            path.push(item.decision);
+        }
         let lent = (&mut cache, &mut memo);
         let e = exec.expand(&mut cx, &item.key, lent, &mut arena, |h, k| {
             visited.contains(h, k)
@@ -784,12 +766,7 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         report.por_skipped_procs += e.por_skipped;
         report.por_proviso_fallbacks += e.por_fallback as usize;
         if e.dead_end == Some(true) {
-            stop |= record(
-                &mut report,
-                ViolationKind::Deadlock,
-                None,
-                item.path.to_vec(),
-            );
+            stop |= record(&mut report, ViolationKind::Deadlock, None, path.clone());
         }
         let keys = &arena.keys;
         for (c, j) in arena.children.drain(e.children.clone()).zip(e.children) {
@@ -798,18 +775,18 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
             }
             match c.violation {
                 None => {
-                    let (h, key) = keys.get(j);
-                    stack.push((
-                        h,
-                        FrontierItem {
-                            key: key.into(),
-                            depth: item.depth + 1,
-                            path: item.path.push(c.decision),
-                        },
-                    ));
+                    let (fp, key) = keys.get(j);
+                    stack.push(DfsEntry {
+                        fp,
+                        key: key.into(),
+                        depth: item.depth + 1,
+                        decision: c.decision,
+                    });
                 }
                 Some((kind, process)) => {
-                    stop |= record(&mut report, kind, process, item.path.pushed_vec(c.decision));
+                    let mut trace = path.clone();
+                    trace.push(c.decision);
+                    stop |= record(&mut report, kind, process, trace);
                 }
             }
         }
@@ -832,40 +809,23 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
 mod tests {
     use super::*;
 
-    fn path() -> Trace {
-        let first = Decision {
-            process: 1,
-            choices: vec![2, 0],
-        };
-        let second = Decision {
-            process: 0,
-            choices: vec![],
-        };
-        Trace::default().push(first).push(second)
-    }
-
     /// The spool and checkpoint record of a frontier item is
-    /// `depth ‖ path ‖ key`, byte for byte what it was when the item
-    /// held a live state and the record its encoding: files written
-    /// before and after mean the same.
+    /// `trace ‖ key`: the item's offset in the trace log, then the key.
     #[test]
-    fn spool_record_is_depth_path_key() {
+    fn spool_record_is_trace_key() {
         let item = FrontierItem {
             key: Box::from([165u8, 1, 2, 0, 7, 1, 3]),
-            depth: 300,
-            path: path(),
+            trace: TraceRef(300),
         };
         let mut out = Vec::new();
         item.spool_encode(&mut out);
         #[rustfmt::skip]
         let golden = [
-            0xAC, 0x02,             // depth 300
-            2,                      // two decisions
-            1, 2, 2, 0,             // P1[2,0]
-            0, 0,                   // P0
+            0xAC, 0x02,             // trace 300
             165, 1, 2, 0, 7, 1, 3,  // the key takes the rest
         ];
         assert_eq!(out, golden);
+        assert_eq!(item.cost(), 7, "an entry costs its key");
     }
 
     #[test]
@@ -882,17 +842,16 @@ mod tests {
         for key in [&compressed, &raw] {
             let item = FrontierItem {
                 key: key.as_slice().into(),
-                depth: 17,
-                path: path(),
+                trace: TraceRef(1 << 20),
             };
             let mut out = Vec::new();
             item.spool_encode(&mut out);
             let back = FrontierItem::spool_decode(&out).expect("own record decodes");
             assert_eq!(back.key, item.key);
-            assert_eq!(back.depth, item.depth);
-            assert_eq!(back.path.to_vec(), item.path.to_vec());
-            // A record cut inside its header is rejected, not guessed at.
-            assert!(FrontierItem::spool_decode(&out[..3]).is_none());
+            assert_eq!(back.trace, item.trace);
+            // A record cut inside its trace reference is rejected, not
+            // guessed at.
+            assert!(FrontierItem::spool_decode(&out[..2]).is_none());
         }
         // Either kind of key rebuilds the state it was taken from.
         let mut cache = ComponentCache::default();

@@ -1,9 +1,10 @@
 //! Level-boundary checkpoints and the resume path.
 //!
 //! The frontier search's entire loop state at a level boundary is
-//! `(sealed visited set with epochs, next frontier in commit order,
-//! report-so-far, level number)` — nothing else survives a round. A
-//! checkpoint therefore persists exactly those four things:
+//! `(sealed visited set with epochs, next frontier in commit order, the
+//! paths its entries point into, report-so-far, level number)` — nothing
+//! else survives a round. A checkpoint therefore persists exactly those
+//! five things:
 //!
 //! - **The tier-1 log** (`tier1.bin`) is append-only and synced per
 //!   spill, so it is referenced by its committed byte length and record
@@ -11,7 +12,10 @@
 //! - **Tier-0 sealed entries** are snapshotted (non-destructively) to
 //!   `mem-<level>.bin` in the log's record format.
 //! - **The frontier spool** is snapshotted to `frontier-<level>.bin`
-//!   without being consumed.
+//!   without being consumed; each record is `trace ‖ key`.
+//! - **The path log** (`trace.bin`) is append-only like the tier-1 log;
+//!   it is synced here and referenced by its committed byte length.
+//!   So is the component interner's table (`intern.bin`).
 //! - **The report and counters** go into the manifest itself.
 //!
 //! The manifest (`checkpoint.bin`) is written to a temp file, synced,
@@ -35,6 +39,7 @@
 //! the byte-identical report.
 
 use super::spool::{FrontierSpool, Spoolable};
+use super::trace::TraceLog;
 use super::TieredStore;
 use crate::interp::{INVISIBLE_STEP_BOUND, MAX_PROCS, MAX_STACK_DEPTH};
 use crate::report::{Decision, Report, Violation, ViolationKind};
@@ -250,7 +255,7 @@ pub(crate) fn write<T: Spoolable>(
     checkpoints_written: usize,
     (program_hash, config_digest): (u64, u64),
     (store, interner): (&TieredStore, Option<&crate::state::ComponentInterner>),
-    frontier: &mut FrontierSpool<T>,
+    (frontier, trace): (&mut FrontierSpool<T>, &mut TraceLog),
 ) -> io::Result<()> {
     // 1. Tier-0 sealed entries, in the log's record format.
     let mem = store.sealed_mem_snapshot();
@@ -278,6 +283,10 @@ pub(crate) fn write<T: Spoolable>(
         None => (0, 0),
     };
 
+    // 2c. The path log the frontier's records point into, synced for the
+    // same reason.
+    let trace_bytes = trace.persist()?;
+
     // 3. The manifest, atomically renamed into place. The log was
     // synced by every spill, so its current extent is durable.
     let (log_bytes, log_entries) = store.log_extent();
@@ -294,6 +303,7 @@ pub(crate) fn write<T: Spoolable>(
     put_u64(&mut buf, fcount as u64);
     put_u64(&mut buf, ientries);
     put_u64(&mut buf, ibytes);
+    put_u64(&mut buf, trace_bytes);
     let tmp = dir.join("checkpoint.tmp");
     write_sync(&tmp, &buf)?;
     std::fs::rename(&tmp, dir.join(MANIFEST))?;
@@ -325,8 +335,10 @@ pub(crate) struct Resumed<T> {
     pub checkpoints_written: usize,
     pub report: Report,
     /// The frontier at the checkpointed level boundary, in commit order,
-    /// as `(entry, byte cost)` pairs to re-push into a fresh spool.
-    pub frontier: Vec<(T, usize)>,
+    /// to re-push into a fresh spool.
+    pub frontier: Vec<T>,
+    /// The path log, reopened at its committed length.
+    pub trace: TraceLog,
 }
 
 fn read_file(path: &Path) -> Result<Vec<u8>, String> {
@@ -398,6 +410,7 @@ pub(crate) fn resume<T: Spoolable>(
     let fcount = r.u64().ok_or_else(bad)? as usize;
     let ientries = r.u64().ok_or_else(bad)?;
     let ibytes = r.u64().ok_or_else(bad)?;
+    let trace_bytes = r.u64().ok_or_else(bad)?;
     if r.remaining() != 0 {
         return Err(bad());
     }
@@ -466,11 +479,16 @@ pub(crate) fn resume<T: Spoolable>(
     let frontier = FrontierSpool::<T>::decode_snapshot(rest, fcount)
         .ok_or_else(|| format!("{}: torn frontier snapshot", f_path.display()))?;
 
+    // The path log: truncate past the committed length, append from there.
+    let trace = TraceLog::reopen(dir, trace_bytes)
+        .map_err(|e| format!("{}: {e}", dir.join(super::trace::TRACE_FILE).display()))?;
+
     Ok(Resumed {
         level,
         checkpoints_written,
         report,
         frontier,
+        trace,
     })
 }
 

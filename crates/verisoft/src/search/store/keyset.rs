@@ -1,7 +1,8 @@
 //! The one fingerprint-keyed key set behind every visited structure of
 //! the stateful engines: tier 0 ([`super::mem`], one set per stripe),
 //! the tier-1 fingerprint index ([`super::index`], likewise) and the
-//! depth-first search's visited set.
+//! depth-first search's visited set. The transition memo's schedule
+//! table keys its schedules with it too.
 //!
 //! ## Layout
 //!

@@ -14,14 +14,19 @@
 //!   membership probes stay O(1) hash lookups; a disk read happens only
 //!   when a fingerprint actually matches.
 //! - `keyset` — the one fingerprint-keyed key set behind tier 0, the
-//!   index and the depth-first search's visited set: keys in a byte
-//!   arena, one inline slot per fingerprint, collisions on a side list.
+//!   index, the depth-first search's visited set and the schedule memo:
+//!   keys in a byte arena, one inline slot per fingerprint, collisions
+//!   on a side list.
 //! - [`spool`] — bounded-memory FIFO spooling of the level-synchronous
 //!   frontier: excess entries spill to disk in commit order and are
 //!   re-admitted deterministically.
+//! - `trace` — the frontier search's reproducing paths: one append-only
+//!   log of `(parent, decision)` records, which a frontier entry points
+//!   into.
 //! - [`checkpoint`] — periodic level-boundary checkpoints (the tier-1
-//!   log's committed length + tier-0 snapshot + frontier spool + report
-//!   counters behind a versioned manifest) and the resume path.
+//!   log's and the path log's committed lengths + tier-0 snapshot +
+//!   frontier spool + report counters behind a versioned manifest) and
+//!   the resume path.
 //!
 //! [`TieredStore`] composes tiers 0 and 1 behind the same commit pass
 //! the in-memory store exposes, so the frontier search in
@@ -43,6 +48,7 @@ pub mod index;
 pub(crate) mod keyset;
 pub mod mem;
 pub mod spool;
+pub(crate) mod trace;
 
 pub use mem::{VisitedStore, STRIPES};
 pub use spool::{FrontierSpool, Spoolable};
@@ -80,8 +86,8 @@ pub trait StateStore: Sync {
     fn bytes(&self) -> usize;
 }
 
-/// A directory used for the tier-1 log, frontier spool files, and
-/// checkpoints. Temp-created directories (`SpillDir::temp`) are removed
+/// A directory used for the tier-1 log, the path log, frontier spool
+/// files, and checkpoints. Temp-created directories (`SpillDir::temp`) are removed
 /// on drop; user-supplied checkpoint directories are left alone.
 pub struct SpillDir {
     path: PathBuf,

@@ -15,24 +15,18 @@
 //! chunking is identical for any worker count (and the report identical
 //! for any memory limit; see `search::stateful`'s commit argument).
 //!
-//! ## The chunking contract: two cost rules
+//! ## The chunking contract: one cost rule
 //!
-//! An entry's cost is one of two numbers, depending on where it waited:
-//!
-//! 1. an entry that stayed in the **memory head** costs what its pusher
-//!    said ([`FrontierSpool::push`]'s `cost`; the frontier engine passes
-//!    the length of the state's store key);
-//! 2. an entry **read back from disk** costs the length of its spool
-//!    record — for a frontier item `depth ‖ path ‖ key`, so more than
-//!    rule 1 would have charged it. A resumed checkpoint re-pushes every
-//!    entry at its record length for the same reason.
-//!
-//! Both are pure functions of the entry, and which rule applies is a
-//! pure function of the entry sequence and the budget, so chunking stays
-//! deterministic. The rules are *not* interchangeable: the operational
-//! counters (`frontier_spilled_entries`, `pipeline_chunks`, checkpoint
-//! and spill counts) depend on where the chunk boundaries fall, so a
-//! change to either rule changes them.
+//! An entry costs [`Spoolable::cost`] — for a frontier item, the length
+//! of the state's store key — wherever it waited: in the memory head,
+//! in the disk tail, or in a checkpoint's frontier snapshot. A decoded
+//! entry holds exactly what the pushed one held (a frontier item's path
+//! is a reference into the path log, not a copy), so nothing makes an
+//! entry read back from disk any bigger. The cost is a pure function of
+//! the entry, so chunking stays deterministic; the operational counters
+//! (`frontier_spilled_entries`, `pipeline_chunks`, checkpoint and spill
+//! counts) depend on where the chunk boundaries fall, so a change to the
+//! rule changes them, and never the report.
 //!
 //! Spool files (`spool-<level>.bin`) use the shared framing of
 //! [`crate::state::encode`] and are deleted when the spool drops; a
@@ -48,14 +42,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// An entry that can round-trip through a spool file. Decoded entries
-/// must be observationally equal to the originals for search purposes
-/// (`FrontierItem` rebuilds its persistent trace from the decision
-/// list; prefix sharing is lost, the decisions are not).
+/// must be observationally equal to the originals for search purposes.
 pub trait Spoolable: Sized {
     /// Append the entry's spool encoding to `out`.
     fn spool_encode(&self, out: &mut Vec<u8>);
     /// Decode one entry from its spool encoding.
     fn spool_decode(bytes: &[u8]) -> Option<Self>;
+    /// The entry's byte cost against the memory and chunk budgets (the
+    /// module docs' chunking contract).
+    fn cost(&self) -> usize;
 }
 
 struct DiskPart {
@@ -67,12 +62,10 @@ struct DiskPart {
 }
 
 /// A FIFO of search-frontier entries with a bounded in-memory head and
-/// a disk tail. Every entry carries a byte cost — supplied at push for
-/// the memory head, the record length for entries read back from disk
-/// (the module docs' chunking contract) — that drives both the memory
+/// a disk tail. Every entry's [`Spoolable::cost`] drives both the memory
 /// budget and chunk boundaries.
 pub struct FrontierSpool<T: Spoolable> {
-    ram: VecDeque<(T, usize)>,
+    ram: VecDeque<T>,
     ram_bytes: usize,
     budget: usize,
     disk: Option<DiskPart>,
@@ -114,14 +107,15 @@ impl<T: Spoolable> FrontierSpool<T> {
         self.spooled
     }
 
-    /// Append an entry of byte cost `cost` (callers push in commit
-    /// order). Once an entry has spilled, all later entries
-    /// spill too — the memory head is always a FIFO *prefix*.
-    pub fn push(&mut self, item: T, cost: usize) -> io::Result<()> {
+    /// Append an entry (callers push in commit order). Once an entry has
+    /// spilled, all later entries spill too — the memory head is always a
+    /// FIFO *prefix*.
+    pub fn push(&mut self, item: T) -> io::Result<()> {
         let spilling = self.disk.as_ref().is_some_and(|d| d.pending > 0);
+        let cost = item.cost();
         if self.dir.is_none() || (!spilling && self.ram_bytes + cost <= self.budget) {
             self.ram_bytes += cost;
-            self.ram.push_back((item, cost));
+            self.ram.push_back(item);
             return Ok(());
         }
         self.scratch.clear();
@@ -160,25 +154,24 @@ impl<T: Spoolable> FrontierSpool<T> {
         let mut chunk = Vec::new();
         let mut used = 0usize;
         while used <= chunk_budget {
-            if let Some((item, cost)) = self.ram.pop_front() {
-                self.ram_bytes -= cost;
-                used += cost;
-                chunk.push(item);
-                continue;
-            }
-            match self.read_one()? {
-                Some((item, cost)) => {
-                    used += cost;
-                    chunk.push(item);
+            let item = match self.ram.pop_front() {
+                Some(item) => {
+                    self.ram_bytes -= item.cost();
+                    item
                 }
-                None => break,
-            }
+                None => match self.read_one()? {
+                    Some(item) => item,
+                    None => break,
+                },
+            };
+            used += item.cost();
+            chunk.push(item);
         }
         Ok(if chunk.is_empty() { None } else { Some(chunk) })
     }
 
     /// Read one record off the disk tail (FIFO order).
-    fn read_one(&mut self) -> io::Result<Option<(T, usize)>> {
+    fn read_one(&mut self) -> io::Result<Option<T>> {
         let Some(d) = &mut self.disk else {
             return Ok(None);
         };
@@ -211,7 +204,7 @@ impl<T: Spoolable> FrontierSpool<T> {
         d.pending -= 1;
         let item = T::spool_decode(&self.scratch)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "torn spool record"))?;
-        Ok(Some((item, len)))
+        Ok(Some(item))
     }
 
     /// Serialize every *remaining* entry (memory head first, then the
@@ -220,7 +213,7 @@ impl<T: Spoolable> FrontierSpool<T> {
     /// entry count.
     pub fn snapshot(&mut self, out: &mut impl Write) -> io::Result<usize> {
         let mut n = 0usize;
-        for (item, _) in &self.ram {
+        for item in &self.ram {
             self.scratch.clear();
             item.spool_encode(&mut self.scratch);
             write_framed(out, &mut self.scratch)?;
@@ -244,15 +237,15 @@ impl<T: Spoolable> FrontierSpool<T> {
     }
 
     /// Decode `count` length-prefixed records from `bytes` (a snapshot
-    /// written by [`FrontierSpool::snapshot`]), yielding `(entry, cost)`
-    /// pairs to re-push into a fresh spool.
-    pub fn decode_snapshot(bytes: &[u8], count: usize) -> Option<Vec<(T, usize)>> {
+    /// written by [`FrontierSpool::snapshot`]), yielding the entries to
+    /// re-push into a fresh spool.
+    pub fn decode_snapshot(bytes: &[u8], count: usize) -> Option<Vec<T>> {
         let mut r = ByteReader::new(bytes);
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::with_capacity(count.min(r.remaining()));
         for _ in 0..count {
             let len = usize::try_from(r.u64()?).ok()?;
             let rec = r.take(len)?;
-            out.push((T::spool_decode(rec)?, len));
+            out.push(T::spool_decode(rec)?);
         }
         (r.remaining() == 0).then_some(out)
     }
@@ -318,6 +311,9 @@ mod tests {
         fn spool_decode(bytes: &[u8]) -> Option<Self> {
             Some(Item(bytes.to_vec()))
         }
+        fn cost(&self) -> usize {
+            self.0.len()
+        }
     }
 
     fn items(n: usize) -> Vec<Item> {
@@ -331,7 +327,7 @@ mod tests {
         // Budget fits only the first few entries; the rest hit disk.
         let mut spool = FrontierSpool::new(6, Some(dir), 3);
         for it in &all {
-            spool.push(it.clone(), it.0.len()).unwrap();
+            spool.push(it.clone()).unwrap();
         }
         assert_eq!(spool.len(), 40);
         assert!(spool.spooled() > 0, "spilling actually happened");
@@ -348,8 +344,7 @@ mod tests {
     fn unbounded_spool_stays_in_memory() {
         let mut spool: FrontierSpool<Item> = FrontierSpool::new(usize::MAX, None, 0);
         for it in items(10) {
-            let c = it.0.len();
-            spool.push(it, c).unwrap();
+            spool.push(it).unwrap();
         }
         assert_eq!(spool.spooled(), 0);
         // One chunk drains everything under a huge budget.
@@ -362,8 +357,7 @@ mod tests {
     fn chunk_boundaries_are_cost_driven_and_nonempty() {
         let mut spool: FrontierSpool<Item> = FrontierSpool::new(usize::MAX, None, 0);
         for it in items(9) {
-            let c = it.0.len();
-            spool.push(it, c).unwrap();
+            spool.push(it).unwrap();
         }
         // A zero budget still makes progress: one entry per chunk.
         let mut chunks = 0;
@@ -380,17 +374,14 @@ mod tests {
         let all = items(25);
         let mut spool = FrontierSpool::new(4, Some(dir), 7);
         for it in &all {
-            spool.push(it.clone(), it.0.len()).unwrap();
+            spool.push(it.clone()).unwrap();
         }
         let mut snap = Vec::new();
         let n = spool.snapshot(&mut snap).unwrap();
         assert_eq!(n, 25);
         assert_eq!(spool.len(), 25, "snapshot consumes nothing");
         let decoded = FrontierSpool::<Item>::decode_snapshot(&snap, n).unwrap();
-        assert_eq!(
-            decoded.iter().map(|(i, _)| i.clone()).collect::<Vec<_>>(),
-            all
-        );
+        assert_eq!(decoded, all);
         // And the spool still drains in order afterwards.
         let mut back = Vec::new();
         while let Some(chunk) = spool.next_chunk(16).unwrap() {

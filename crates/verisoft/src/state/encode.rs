@@ -268,13 +268,17 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RCKP";
 /// File-type magic of the persisted component-interner table.
 pub const INTERN_MAGIC: [u8; 4] = *b"RITN";
 
+/// File-type magic of the frontier search's reproducing-path log.
+pub const TRACE_MAGIC: [u8; 4] = *b"RTRC";
+
 /// Version stamped into every on-disk header this crate writes. Bump on
 /// any layout change; readers reject mismatches instead of guessing.
 /// (v2: compressed ID-tuple records + the interner table side file;
 /// v3: `tosses_taken` counter in the checkpointed report; v4: tier 1 is
 /// one log, committed as `(byte_len, entries)` instead of a segment
-/// list.)
-pub const STORE_FORMAT_VERSION: u64 = 4;
+/// list; v5: frontier records are `trace ‖ key` over the `trace.bin`
+/// path log, whose committed length the manifest records.)
+pub const STORE_FORMAT_VERSION: u64 = 5;
 
 /// Append a versioned container header: 4 magic bytes + format version.
 pub fn put_header(out: &mut Vec<u8>, magic: [u8; 4]) {

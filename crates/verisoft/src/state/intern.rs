@@ -43,10 +43,11 @@ use super::encode::{
 };
 use super::{CowArc, GlobalState, ObjState, ProcState};
 use crate::executor::Executor;
-use crate::hash::{mix64, FpBuildHasher, StableBuildHasher};
+use crate::hash::{mix64, stable_hash_bytes, FpBuildHasher, StableBuildHasher};
 use crate::interp::EventOp;
 use crate::por::{ProcFacts, ProcView, Schedule};
 use crate::report::{MemoStats, ViolationKind};
+use crate::search::store::keyset::KeySet;
 use cfgir::ObjId;
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -238,7 +239,7 @@ fn slot((proc, object): MemoKey) -> u64 {
 /// because the run has one interner (a memo last used under another
 /// interner's token is emptied first, facts included). It is not
 /// checkpointed; a resumed run refills it.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct TransitionMemo {
     /// 0 (no interner's token) until first used.
     token: u64,
@@ -253,17 +254,21 @@ pub(crate) struct TransitionMemo {
     class_ids: HashMap<ProcFacts, u32, StableBuildHasher>,
     /// Enabledness by memo key.
     enabled: IdMap<bool>,
-    /// Schedules by [`TransitionMemo::schedule_known`]'s key.
-    schedules: HashMap<Box<[u32]>, KnownSchedule, StableBuildHasher>,
+    /// Schedules by [`TransitionMemo::schedule_known`]'s key, its bytes
+    /// in one arena.
+    schedules: KeySet<KnownSchedule>,
+    /// The processes of every memoised schedule, end to end.
+    scheduled: Vec<u32>,
     /// Scratch for a schedule key and the enabledness it packs.
-    scratch: (Vec<u32>, Vec<bool>),
+    scratch: (Vec<u8>, Vec<bool>),
     parent: ParentView,
     pub(crate) stats: MemoStats,
 }
 
-/// A memoised schedule: the decision and the processes it lists
-/// (scheduled, then skipped).
-type KnownSchedule = (Schedule, Box<[u32]>);
+/// A memoised schedule: the decision, and the start and length of the
+/// processes it lists (scheduled, then skipped) in
+/// `TransitionMemo::scheduled`.
+type KnownSchedule = (Schedule, u32, u32);
 
 /// A state as the schedule rules read it from the facts table: its
 /// processes' component IDs, then its objects', and each process's
@@ -324,7 +329,8 @@ impl TransitionMemo {
             self.classes.clear();
             self.class_ids.clear();
             self.enabled.clear();
-            self.schedules.clear();
+            self.schedules = KeySet::default();
+            self.scheduled.clear();
             self.token = token;
         }
     }
@@ -550,7 +556,7 @@ impl TransitionMemo {
         exec: &Executor<'_>,
         (ids, nprocs): (&[u32], usize),
         out: &mut Vec<usize>,
-        (key, enabled): &mut (Vec<u32>, Vec<bool>),
+        (key, enabled): &mut (Vec<u8>, Vec<bool>),
     ) -> Option<Schedule> {
         key.clear();
         enabled.clear();
@@ -561,19 +567,24 @@ impl TransitionMemo {
             // pending, so it need not be known before then.
             let e = f.pending_init
                 || self.enabled((id, f.next_object.map(|o| ids[nprocs + o.index()])))?;
-            key.push(class);
+            key.extend_from_slice(&class.to_le_bytes());
             enabled.push(e);
         }
-        // The classes, then the enabled bits 32 to a word: a key of `n`
-        // processes is `n + ⌈n/32⌉` long, so process counts never mix.
-        key.extend(enabled.chunks(32).map(|bits| {
-            bits.iter()
+        // The classes, then the enabled bits 32 to a word, each word's
+        // bytes little-endian: a key of `n` processes is `4(n + ⌈n/32⌉)`
+        // bytes long, so process counts never mix.
+        for bits in enabled.chunks(32) {
+            let word = bits
+                .iter()
                 .enumerate()
-                .fold(0, |word, (b, &e)| word | u32::from(e) << b)
-        }));
-        if let Some((sched, procs)) = self.schedules.get(&key[..]) {
+                .fold(0u32, |word, (b, &e)| word | u32::from(e) << b);
+            key.extend_from_slice(&word.to_le_bytes());
+        }
+        let fp = stable_hash_bytes(key);
+        if let Some(&(sched, start, len)) = self.schedules.get(fp, key) {
+            let procs = &self.scheduled[start as usize..][..len as usize];
             out.extend(procs.iter().map(|&q| q as usize));
-            return Some(*sched);
+            return Some(sched);
         }
         let start = out.len();
         let known = Known {
@@ -582,8 +593,12 @@ impl TransitionMemo {
             enabled,
         };
         let sched = exec.schedule_view(&known, out);
-        let procs = out[start..].iter().map(|&q| q as u32).collect();
-        self.schedules.insert(key[..].into(), (sched, procs));
+        let at = u32::try_from(self.scheduled.len()).expect("schedule memo under 4 G entries");
+        self.scheduled
+            .extend(out[start..].iter().map(|&q| q as u32));
+        // At most the state's process count.
+        let len = (out.len() - start) as u32;
+        self.schedules.push(fp, key, (sched, at, len));
         Some(sched)
     }
 

@@ -75,9 +75,12 @@ fn frontier_heap_per_state_stays_under_the_pinned_ceiling() {
     // Each figure is the whole run's peak heap over its states: the
     // visited store (each state's key bytes in a stripe's arena plus one
     // table slot), the frontier or stack of keys, the reproducing paths,
-    // and the interner and transition memo. Measured 97 B/state for the
-    // frontier at one worker and 98 at two, run after run, and 61 for
-    // the depth-first search (which explores 2.7 times as many states).
+    // and the interner and transition memo. Measured 103 B/state for the
+    // frontier at one worker and 105–106 at two, and 62 for the
+    // depth-first search (which explores 2.7 times as many states). The
+    // frontier's paths are a log of a few bytes per queued state; an
+    // `Arc` node of 64 B per queued state, live while a descendant was,
+    // read the same here, and a path log grown by doubling read 106.
     // While tier 0 kept a discovery rank beside each seal epoch (a
     // 32-byte table entry where it is 24 now) the frontier took 112–114;
     // with a bucket map — a `Vec` bucket and a boxed key per state — the

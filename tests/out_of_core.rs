@@ -124,6 +124,118 @@ fn killed_and_resumed_runs_complete_byte_identically() {
     }
 }
 
+/// `tests/batch_oracle.rs`'s racy model: two processes cycling values
+/// through one shared channel, so some interleavings trip `a`'s
+/// assertion, at depths up to 20.
+const RACY_SRC: &str = r#"
+    chan q[2];
+    proc a() {
+        int i = 0;
+        while (i < 4) {
+            send(q, i);
+            int x = recv(q);
+            VS_assert(x < 4);
+            i = i + 1;
+        }
+    }
+    proc b() {
+        int j = 0;
+        while (j < 3) {
+            send(q, 7);
+            int y = recv(q);
+            j = j + 1;
+        }
+    }
+    process a();
+    process b();
+"#;
+
+#[test]
+fn killed_and_resumed_runs_keep_every_violation_trace() {
+    // A violation found after a resume has a reproducing path that runs
+    // through records the killed run appended to `trace.bin`: resume must
+    // reopen that log at its committed length, even behind a torn tail,
+    // for every worker count and memory budget.
+    let histogram =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/histogram.mc"))
+            .expect("corpus/histogram.mc");
+    let models = [
+        (
+            "histogram",
+            close_source(&histogram).expect("closes").program,
+        ),
+        ("racy", compile(RACY_SRC).unwrap()),
+    ];
+    for (name, prog) in &models {
+        let all = Config {
+            max_violations: usize::MAX,
+            ..frontier_config(1)
+        };
+        let baseline = explore(prog, &all);
+        assert!(
+            !baseline.clean() && !baseline.truncated,
+            "{name}: {baseline}"
+        );
+        for kills in 1..=3 {
+            // Each resume crosses the killed run's worker count and
+            // budget; half of them find a torn tail past the log's
+            // committed length.
+            for (resume_jobs, resume_mem, torn) in [
+                (1, 16, false),
+                (2, usize::MAX, false),
+                (1, usize::MAX, true),
+                (2, 16, true),
+            ] {
+                let dir = temp_dir(&format!("traces-{name}-{kills}-{resume_jobs}-{resume_mem}"));
+                let killed = explore(
+                    prog,
+                    &Config {
+                        mem_limit: if resume_mem == 16 { usize::MAX } else { 16 },
+                        checkpoint_dir: Some(dir.clone()),
+                        checkpoint_every: 1,
+                        abort_after_checkpoints: Some(kills),
+                        jobs: 3 - resume_jobs,
+                        ..all.clone()
+                    },
+                );
+                assert!(
+                    killed.truncated,
+                    "{name}: the abort hook interrupts the run"
+                );
+                assert!(
+                    killed.violations.len() < baseline.violations.len(),
+                    "{name}: violations are left for the resumed run to report"
+                );
+                if torn {
+                    use std::io::Write;
+                    std::fs::OpenOptions::new()
+                        .append(true)
+                        .open(dir.join("trace.bin"))
+                        .expect("the killed run wrote a trace log")
+                        .write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x7F])
+                        .unwrap();
+                }
+                let resumed = explore(
+                    prog,
+                    &Config {
+                        mem_limit: resume_mem,
+                        checkpoint_dir: Some(dir.clone()),
+                        resume: true,
+                        jobs: resume_jobs,
+                        ..all.clone()
+                    },
+                );
+                assert_eq!(
+                    surface(&resumed),
+                    surface(&baseline),
+                    "{name}: kill after {kills} → resume(jobs={resume_jobs},mem={resume_mem}, torn={torn})"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
 #[test]
 fn resume_survives_repeated_kills() {
     // Kill after every single checkpoint until the run finally
@@ -256,7 +368,7 @@ process p();";
 fn every_spill_appends_to_one_log_file() {
     // Tier 1 is one append-only log however many levels spill, so a
     // deep run holds one tier-1 file (and one handle) even when no
-    // checkpoint ever falls due.
+    // checkpoint ever falls due; beside it sits the one path log.
     let prog = compile(DEEP_SRC).unwrap();
     let baseline = explore(&prog, &frontier_config(1));
     assert_eq!(baseline.max_depth_seen, 301);
@@ -273,11 +385,12 @@ fn every_spill_appends_to_one_log_file() {
     assert_eq!(surface(&report), surface(&baseline));
     assert_eq!(report.checkpoints_written, 0);
     assert!(report.store_segments > 250, "nearly every level spilled");
-    let names: Vec<String> = std::fs::read_dir(&dir)
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    assert_eq!(names, ["tier1.bin"]);
+    names.sort();
+    assert_eq!(names, ["tier1.bin", "trace.bin"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
