@@ -303,19 +303,29 @@ cmp -s "$SMOKE/sl.txt" "$SMOKE/sl_nc.txt" \
     || { echo "compression smoke: the stateless walk shows no transition memo"; exit 1; }
 echo "  workers.mc: compression on/off byte-identical, interner engaged by default (frontier + DFS + stateless)"
 
-echo "== counted work: states materialised on switch3 --bfs =="
-# Both stateful engines expand a stored state in ID space — schedule
-# from the facts table, children from the transition memo — and build it
-# only when a lookup misses. The count of states so built is exact at one
-# worker (which items miss depends on which worker claims them at more),
-# so it is gated exactly: a change that starts building states again
-# shows here as a number, long before it shows as time.
+echo "== counted work: states materialised by the three engines =="
+# Every engine takes one ID-space step — schedule from the facts table,
+# children from the transition memo — and builds a state only when a
+# lookup misses. The count of states so built is exact for the DFS and
+# the stateless walk, and for the frontier at one worker (which items
+# miss depends on which worker claims them at more), so it is gated
+# exactly: a change that starts building states again shows here as a
+# number, long before it shows as time.
+counted() {
+    name=$1
+    want=$2
+    shift 2
+    built=$("$BIN" explore "$@" --stats \
+        | sed -n 's/^stats: transition memo: .*, \([0-9]*\) state(s) materialised$/\1/p')
+    [ "$built" = "$want" ] \
+        || { echo "counted work: $name built ${built:-no count of} states, expected $want"; exit 1; }
+    echo "  $name: $want states materialised"
+}
 "$BIN" switchgen --lines 3 --events 1 > "$SMOKE/switch3.mc"
-built=$("$BIN" explore "$SMOKE/switch3.mc" --close --bfs --all --depth 400 --stats \
-    | sed -n 's/^stats: transition memo: .*, \([0-9]*\) state(s) materialised$/\1/p')
-[ "$built" = 1434 ] \
-    || { echo "counted work: switch3 --bfs built ${built:-no count of} states, expected 1434"; exit 1; }
-echo "  switch3 --bfs: 1434 states materialised for 619543 stored"
+"$BIN" switchgen --lines 2 --events 2 > "$SMOKE/switch2x2.mc"
+counted "switch3 --bfs" 1434 "$SMOKE/switch3.mc" --close --bfs --all --depth 400
+counted "switch3 DFS" 1325 "$SMOKE/switch3.mc" --close --stateful --all --depth 400
+counted "switch2x2 stateless" 1033 "$SMOKE/switch2x2.mc" --close --all --max-transitions 50000000
 
 echo "== out-of-core smoke: kill/resume on workers.mc and closed histogram.mc =="
 # Kill the run right after its second level-boundary checkpoint, then

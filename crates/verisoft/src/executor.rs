@@ -13,11 +13,14 @@
 //! optional coverage map — travels separately in [`ExecCtx`], so parallel
 //! drivers can give every worker its own context and merge afterwards.
 //!
-//! The stateful engines expand a stored state through `Executor::expand`,
-//! in ID space from the facts table and the transition memo until a
-//! lookup misses; from then on, and in the stateless walk on a miss,
-//! every engine steps a built state through `Executor::step`: the
-//! transition memo, or the interpreter on a miss.
+//! Every engine takes one ID-space step (DESIGN §15): a node is its
+//! component IDs, scheduled from the facts table
+//! (`Executor::schedule_node`), its outcomes taken from the transition
+//! memo (`Executor::hit`, `Executor::take_hit`, with one debug oracle),
+//! and it is built (`Executor::build`) only when a lookup misses; a built
+//! node steps through `Executor::step` — the transition memo, or the
+//! interpreter on a miss. The stateful engines drive that step through
+//! `Executor::expand`, the stateless walk through its recursion.
 //! [`Executor::expand_children`] (with [`NodeExpansion`] and
 //! [`ChildSucc`]) and [`Executor::independent`] have only the ledger
 //! benchmark's stepper as callers; [`Executor::successors`] also has
@@ -28,12 +31,12 @@ use crate::interp::{
     execute_transition_noting_spawn, execute_transition_with, next_op_object, TransitionResult,
     VisibleEvent,
 };
-use crate::por::{deadlock, independent, schedule, Live, ProcView, Schedule, StaticInfo};
+use crate::por::{independent, schedule, Live, ProcView, Schedule, StaticInfo};
 use crate::report::{Decision, ViolationKind};
-use crate::search::stateful::rebuild;
+use crate::search::stateful::UNDECODABLE;
 use crate::search::Config;
-use crate::state::intern::{MemoEntry, MemoOutcome};
-use crate::state::{ComponentCache, GlobalState, TransitionMemo};
+use crate::state::intern::{raw_len_of, read_tuple, MemoEntry, MemoOutcome};
+use crate::state::{decode_state, ComponentCache, GlobalState, TransitionMemo};
 use cfgir::CfgProgram;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -48,8 +51,10 @@ pub enum Scheduled {
     Procs(Vec<usize>),
     /// No enabled transitions.
     DeadEnd {
-        /// Whether this dead end counts as a system deadlock (see
-        /// [`Executor::deadend_is_deadlock`]).
+        /// Whether this dead end counts as a system deadlock: the
+        /// schedule's deadlock rule, one for every engine (DESIGN §7),
+        /// makes it one iff some non-daemon process is stuck short of
+        /// termination.
         deadlock: bool,
     },
 }
@@ -170,8 +175,11 @@ pub(crate) struct ExpandArena {
     /// fingerprint and store key (`(0, empty)` for violation outcomes),
     /// so drivers admit/dedup by comparing bytes without re-encoding.
     pub keys: KeyArena,
-    /// The processes of the item being expanded: scheduled, then skipped.
+    /// The processes of the item being expanded: scheduled (or the one
+    /// initialising), then skipped.
     procs: Vec<usize>,
+    /// The component IDs of the item being expanded, under an interner.
+    ids: Vec<u32>,
 }
 
 impl ExpandArena {
@@ -201,13 +209,72 @@ pub(crate) struct Expansion {
     pub por_fallback: bool,
 }
 
-/// The item [`Executor::expand`] is expanding: its store key and, once
-/// ID space could not answer for it, the state built from the key; in
-/// debug builds also the state built only to check what ID space said.
-struct Item<'k> {
-    key: &'k [u8],
-    state: Option<GlobalState>,
-    oracle: Option<GlobalState>,
+/// A worker's component cache and transition memo, lent to the step.
+pub(crate) type Lent<'l> = (&'l mut ComponentCache, &'l mut TransitionMemo);
+
+/// Where a node's component IDs are in its engine's ID buffer:
+/// `start..end`, `nprocs` process IDs and then the object IDs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ids {
+    pub start: usize,
+    pub end: usize,
+    pub nprocs: usize,
+}
+
+impl Ids {
+    /// The IDs in `buf`, and the process count.
+    pub fn of(self, buf: &[u32]) -> (&[u32], usize) {
+        (&buf[self.start..self.end], self.nprocs)
+    }
+}
+
+/// A node of the decision tree as the ID-space step reads it (DESIGN
+/// §15): its component IDs while the run interns, the state built from
+/// them once a lookup missed (or the node's only form, without IDs), and
+/// in debug builds the state built only to check what ID space said.
+/// The states are boxed: a node is moved down the walk's recursion, and
+/// a boxed state costs it one word.
+pub(crate) struct Node {
+    pub ids: Option<Ids>,
+    pub state: Option<Box<GlobalState>>,
+    pub oracle: Option<Box<GlobalState>>,
+}
+
+impl Node {
+    /// A node known by its IDs alone.
+    pub fn ids(ids: Ids) -> Node {
+        Node {
+            ids: Some(ids),
+            state: None,
+            oracle: None,
+        }
+    }
+
+    /// A node that is a built state, with no IDs.
+    pub fn built(state: Box<GlobalState>) -> Node {
+        Node {
+            ids: None,
+            state: Some(state),
+            oracle: None,
+        }
+    }
+}
+
+/// Whether a node whose scheduled processes are all stepped must step
+/// the `skipped` ones POR left out too. A violation child (`violated`)
+/// cuts its path short, voiding the persistent-set assumption that the
+/// search keeps running past every selected transition: a skipped
+/// process whose own violation was enabled beside it would be masked for
+/// good. Violating states are rare, so expanding them fully costs almost
+/// nothing and restores verdict-set completeness. The stateful engines
+/// add the cycle proviso (see [`Executor::expand`]); the stateless walk,
+/// which stores nothing, has none.
+pub(crate) fn expands_skipped(
+    skipped: usize,
+    violated: bool,
+    proviso: impl FnOnce() -> bool,
+) -> bool {
+    skipped > 0 && (violated || proviso())
 }
 
 /// Everything below one node of the decision tree, expanded one level:
@@ -407,17 +474,6 @@ impl<'a> Executor<'a> {
         schedule(&self.info, self.cfg.por, v, out)
     }
 
-    /// Whether a dead end at `state` counts as a system deadlock.
-    ///
-    /// This is the single daemon-flag rule every driver shares (DESIGN
-    /// §7): synthesized environment feeders are marked `daemon` and never
-    /// make a dead end a deadlock. A dead end is a deadlock iff some
-    /// *non-daemon* process is stuck short of termination; a system whose
-    /// every process terminated is not deadlocked.
-    pub fn deadend_is_deadlock(&self, state: &GlobalState) -> bool {
-        deadlock(&self.live(state))
-    }
-
     /// Whether `u`'s and `t`'s next transitions from `state` are
     /// independent (the sleep-set hook; delegates to [`crate::por`]).
     /// Its one caller is [`Executor::expand_children`]; the stateless
@@ -429,10 +485,10 @@ impl<'a> Executor<'a> {
     /// Enumerate every outcome of process `pid`'s next transition from
     /// `state` (branching over toss / environment choices), charging the
     /// executed transitions to `cx`. Every engine reaches it on a memo
-    /// miss (`Executor::step`); its direct callers are the stateless walk
-    /// once it has stopped recording (and its debug oracle),
-    /// `closer::refine_cex`'s trace classifiers and the ledger benchmark's
-    /// stepper.
+    /// miss (`Executor::step`) and, in debug builds, through the one memo
+    /// hit oracle; its direct callers are the stateless walk once it has
+    /// stopped recording, `closer::refine_cex`'s trace classifiers and the
+    /// ledger benchmark's stepper.
     pub fn successors(
         &self,
         cx: &mut ExecCtx,
@@ -625,7 +681,8 @@ impl<'a> Executor<'a> {
     /// `closes_cycle(fingerprint, key)` holds (the driver's visited store
     /// already contains it, so the edge may close a cycle in the explored
     /// graph), the skipped processes are expanded too, restoring full
-    /// expansion at this state.
+    /// expansion at this state. So does a violation child, as in every
+    /// engine ([`expands_skipped`]).
     ///
     /// Persistent sets alone preserve every deadlock of a finite state
     /// space, but on cyclic graphs a process whose transitions are
@@ -645,13 +702,15 @@ impl<'a> Executor<'a> {
     /// stay byte-identical for any worker count.
     ///
     /// When `cx` carries the run's interner the state is expanded **in
-    /// ID space** while it can be (DESIGN §14, §15): the lent memo views
-    /// the key's component IDs through the lent cache, the schedule comes
-    /// from the facts table, and each process's outcomes from the memo,
-    /// each child's key the parent's tuple with one or two IDs replaced.
-    /// The state is built — once, through the cache — only on the first
-    /// miss: a component this worker has not cached, a fact or an
-    /// enabledness not recorded, a memo miss, a spawn, or a budget too
+    /// ID space** while it can be, by the step the stateless walk takes
+    /// too (DESIGN §14, §15): the key's IDs are the [`Node`], the lent
+    /// memo views them through the lent cache (so each child's key is the
+    /// parent's tuple with one or two IDs replaced), the schedule comes
+    /// from the facts table ([`Executor::schedule_node`]) and each
+    /// process's outcomes from the memo ([`Executor::hit`]). The state is
+    /// built — once, through the cache ([`Executor::build`]) — only on
+    /// the first miss: a component this worker has not cached, a fact or
+    /// an enabledness not recorded, a memo miss, a spawn, or a budget too
     /// short for the recorded answer; the rest of the item then goes
     /// through `Executor::step` on it. Without an interner
     /// (`--no-compress`) the key is decoded, `lent` goes unused and every
@@ -661,7 +720,7 @@ impl<'a> Executor<'a> {
         &self,
         cx: &mut ExecCtx,
         key: &[u8],
-        mut lent: (&mut ComponentCache, &mut TransitionMemo),
+        mut lent: Lent<'_>,
         arena: &mut ExpandArena,
         closes_cycle: impl Fn(u64, &[u8]) -> bool,
     ) -> Expansion {
@@ -669,129 +728,172 @@ impl<'a> Executor<'a> {
             children,
             keys,
             procs,
+            ids,
         } = arena;
         let first = children.len();
         procs.clear();
-        let mut item = Item {
-            key,
-            state: None,
-            oracle: None,
+        let mut node = match cx.interner.as_deref() {
+            Some(interner) => {
+                ids.clear();
+                let nprocs = read_tuple(key, ids).expect(UNDECODABLE);
+                let raw = raw_len_of(key).expect(UNDECODABLE);
+                let mut node = Node::ids(Ids {
+                    start: 0,
+                    end: ids.len(),
+                    nprocs,
+                });
+                let (cache, memo) = &mut lent;
+                if !memo.view_ids(interner, cache, (ids, nprocs), raw) {
+                    let state = self.build(cx, &mut lent, ids, &mut node, true);
+                    lent.1.view(interner, state);
+                }
+                node
+            }
+            None => Node::built(Box::new(decode_state(key).expect(UNDECODABLE))),
         };
-        let (cache, memo) = &mut lent;
-        let viewed = (cx.interner.as_deref()).is_some_and(|i| memo.view_ids(i, cache, key));
-        let sched = match viewed.then(|| memo.schedule_viewed(self, procs)).flatten() {
-            Some(sched) => {
+        let mut dead_end = None;
+        let scheduled = match self.schedule_node(cx, &mut lent, ids, &mut node, true, procs) {
+            Schedule::DeadEnd { deadlock } => {
+                dead_end = Some(deadlock);
+                0
+            }
+            Schedule::Init(pid) => {
+                procs.push(pid);
+                1
+            }
+            Schedule::Procs { scheduled } => scheduled,
+        };
+        let (mut i, mut end, mut fell_back) = (0, scheduled, false);
+        while i < end && !cx.truncated {
+            let (t, out) = (procs[i], (&mut *children, &mut *keys));
+            match self.hit(cx, lent.1, ids, &node, t) {
+                Some(hit) => {
+                    let oracle = node.oracle.as_deref();
+                    self.hit_children(cx, lent.1, (t, hit), out, None, oracle);
+                }
+                None => {
+                    let state = self.build(cx, &mut lent, ids, &mut node, true);
+                    self.step(cx, &mut lent, state, t, out, None);
+                }
+            }
+            i += 1;
+            // A violation child has an empty key; the proviso asks
+            // whether a State child's is in the store already.
+            if i == scheduled
+                && !cx.truncated
+                && expands_skipped(
+                    procs.len() - scheduled,
+                    keys.iter_from(first).any(|(_, key)| key.is_empty()),
+                    || keys.iter_from(first).any(|(h, key)| closes_cycle(h, key)),
+                )
+            {
+                fell_back = true;
+                end = procs.len();
+            }
+        }
+        Expansion {
+            dead_end,
+            children: first..children.len(),
+            por_skipped: if fell_back {
+                0
+            } else {
+                procs.len() - scheduled
+            },
+            por_fallback: fell_back,
+        }
+    }
+
+    /// Schedule `node`, appending its processes to `out` as
+    /// [`crate::por::schedule`] does — the one place every engine
+    /// schedules a node. While the node is known by its IDs alone the
+    /// facts table answers, and debug builds check the answer against the
+    /// state built for the purpose, kept as the node's oracle; when the
+    /// table misses, the node's state is built ([`Executor::build`],
+    /// teaching the table with `learn`) and schedules live.
+    #[inline]
+    pub(crate) fn schedule_node(
+        &self,
+        cx: &ExecCtx,
+        lent: &mut Lent<'_>,
+        buf: &[u32],
+        node: &mut Node,
+        learn: bool,
+        out: &mut Vec<usize>,
+    ) -> Schedule {
+        if let (Some(ids), None) = (node.ids, &node.state) {
+            let (start, ids) = (out.len(), ids.of(buf));
+            if let Some(sched) = lent.1.schedule_known(self, ids, out) {
                 if cfg!(debug_assertions) {
-                    let o = rebuild(cx.interner.as_deref(), cache, key);
+                    let o = self.materialize(cx, lent.0, ids);
                     let mut want = Vec::new();
                     let live = self.schedule_view(&self.live(&o), &mut want);
                     assert_eq!(sched, live, "schedule from facts");
-                    assert_eq!(procs[..], want[..], "scheduled processes from facts");
-                    item.oracle = Some(o);
+                    assert_eq!(out[start..], want[..], "scheduled processes from facts");
+                    node.oracle = Some(Box::new(o));
                 }
-                sched
-            }
-            None => {
-                let state = self.build(cx, &mut lent, key);
-                let sched = self.schedule_view(&self.live(&state), procs);
-                item.state = Some(state);
-                sched
-            }
-        };
-        let mut e = Expansion {
-            dead_end: None,
-            children: first..first,
-            por_skipped: 0,
-            por_fallback: false,
-        };
-        match sched {
-            Schedule::DeadEnd { deadlock } => e.dead_end = Some(deadlock),
-            Schedule::Init(pid) => {
-                self.expand_step(cx, &mut lent, &mut item, pid, (&mut *children, &mut *keys))
-            }
-            Schedule::Procs { scheduled } => {
-                let (procs, skipped) = procs.split_at(scheduled);
-                for &t in procs {
-                    if cx.truncated {
-                        break;
-                    }
-                    self.expand_step(cx, &mut lent, &mut item, t, (&mut *children, &mut *keys));
-                }
-                e.por_skipped = skipped.len();
-                // Two fallbacks to full expansion. (1) The proviso: a
-                // State child (nonempty key) already known to the
-                // driver's store may close a cycle — expand everything so
-                // nothing is ignored around it. (2) A Violation child
-                // (empty key): the persistent-set argument assumes
-                // every selected transition leads to a successor the
-                // search keeps exploring, but a violating transition
-                // *cuts* its path — a skipped process whose own violation
-                // was simultaneously enabled (e.g. two processes both at
-                // failing assertions) would be masked for good. Violating
-                // states are rare, so expanding them fully costs almost
-                // nothing and restores verdict-set completeness.
-                if !skipped.is_empty()
-                    && !cx.truncated
-                    && (keys.iter_from(first).any(|(_, key)| key.is_empty())
-                        || keys.iter_from(first).any(|(h, key)| closes_cycle(h, key)))
-                {
-                    e.por_fallback = true;
-                    e.por_skipped = 0;
-                    for &t in skipped {
-                        if cx.truncated {
-                            break;
-                        }
-                        self.expand_step(cx, &mut lent, &mut item, t, (&mut *children, &mut *keys));
-                    }
-                }
+                return sched;
             }
         }
-        e.children = first..children.len();
-        e
+        let state = self.build(cx, lent, buf, node, learn);
+        self.schedule_view(&self.live(state), out)
     }
 
-    /// Process `t`'s outcomes at the item [`Executor::expand`] expands:
-    /// from the memo in ID space while the item has not been built and
-    /// the memo answers within the budget left; otherwise through
-    /// `Executor::step` on the item's state, built here if it was not.
-    fn expand_step(
-        &self,
-        cx: &mut ExecCtx,
-        lent: &mut (&mut ComponentCache, &mut TransitionMemo),
-        item: &mut Item<'_>,
-        t: usize,
-        out: (&mut Vec<LeanChild>, &mut KeyArena),
-    ) {
-        if item.state.is_none() {
-            let left = cx.budget.saturating_sub(cx.transitions);
-            if let Some(hit) = lent.1.hit_viewed(t, left) {
-                let oracle = item.oracle.as_ref();
-                self.take_hit(cx, lent.1, (t, hit), out, None, oracle);
-                return;
-            }
-            item.state = Some(self.build(cx, lent, item.key));
-        }
-        let state = item.state.as_ref().expect("built above");
-        self.step(cx, lent, state, t, out, None);
-    }
-
-    /// The state of store key `key`, built because ID space could not
-    /// answer for it ([`rebuild`]). Under an interner the build is
-    /// counted in the memo's stats, the memo is pointed at the state and
-    /// learns its facts.
-    fn build(
+    /// The state of the component IDs `(ids, nprocs)`, through `cache`.
+    pub(crate) fn materialize(
         &self,
         cx: &ExecCtx,
-        (cache, memo): &mut (&mut ComponentCache, &mut TransitionMemo),
-        key: &[u8],
+        cache: &mut ComponentCache,
+        (ids, nprocs): (&[u32], usize),
     ) -> GlobalState {
-        let state = rebuild(cx.interner.as_deref(), cache, key);
-        if let Some(interner) = cx.interner.as_deref() {
+        let interner = cx
+            .interner
+            .as_deref()
+            .expect("IDs exist only under an interner");
+        (interner.materialize_ids(cache, nprocs, ids)).expect("a node's IDs are interned")
+    }
+
+    /// `node`'s state, built from its IDs through the lent cache if it was
+    /// not — because ID space could not answer for it: the build is
+    /// counted in the memo's stats and, with `learn`, the facts table
+    /// learns what the state shows.
+    pub(crate) fn build<'n>(
+        &self,
+        cx: &ExecCtx,
+        (cache, memo): &mut Lent<'_>,
+        buf: &[u32],
+        node: &'n mut Node,
+        learn: bool,
+    ) -> &'n GlobalState {
+        let Node { ids, state, .. } = node;
+        state.get_or_insert_with(|| {
+            let ids = ids.expect("a node is its IDs or a built state").of(buf);
+            let state = self.materialize(cx, cache, ids);
             memo.stats.materialised += 1;
-            memo.view(interner, &state);
-            memo.learn_viewed(self, &state);
+            if learn {
+                memo.learn(self, ids, &state);
+            }
+            Box::new(state)
+        })
+    }
+
+    /// The memo entry of process `t`'s next transition at `node` in ID
+    /// space — while the node is not built and the budget left covers the
+    /// entry's recorded executions — with the index of the object of
+    /// `t`'s leading visible operation.
+    #[inline]
+    pub(crate) fn hit(
+        &self,
+        cx: &ExecCtx,
+        memo: &TransitionMemo,
+        buf: &[u32],
+        node: &Node,
+        t: usize,
+    ) -> Option<(u32, Option<usize>)> {
+        if node.state.is_some() {
+            return None;
         }
-        state
+        let left = cx.budget.saturating_sub(cx.transitions);
+        memo.hit(node.ids?.of(buf), t, left)
     }
 
     /// Process `pid`'s outcomes from `state`, appended to `children` and
@@ -803,7 +905,7 @@ impl<'a> Executor<'a> {
     pub(crate) fn step(
         &self,
         cx: &mut ExecCtx,
-        lent: &mut (&mut ComponentCache, &mut TransitionMemo),
+        lent: &mut Lent<'_>,
         state: &GlobalState,
         pid: usize,
         out: (&mut Vec<LeanChild>, &mut KeyArena),
@@ -863,7 +965,7 @@ impl<'a> Executor<'a> {
     fn step_through_memo(
         &self,
         cx: &mut ExecCtx,
-        (cache, memo): &mut (&mut ComponentCache, &mut TransitionMemo),
+        (cache, memo): &mut Lent<'_>,
         state: &GlobalState,
         pid: usize,
         (children, keys): (&mut Vec<LeanChild>, &mut KeyArena),
@@ -872,17 +974,11 @@ impl<'a> Executor<'a> {
         let object = next_op_object(self.prog, state, pid).map(|o| o.index());
         let key = memo.key(pid, object);
         let left = cx.budget.saturating_sub(cx.transitions);
-        match memo.find(key) {
-            Some(entry) if memo.entry(entry).executions <= left => {
+        match memo.covered(key, left) {
+            Some(entry) => {
                 let oracle = cfg!(debug_assertions).then_some(state);
-                self.take_hit(
-                    cx,
-                    memo,
-                    (pid, (entry, object)),
-                    (children, keys),
-                    events,
-                    oracle,
-                );
+                let hit = (pid, (entry, object));
+                self.hit_children(cx, memo, hit, (children, keys), events, oracle);
             }
             _ => {
                 let before = (cx.transitions, cx.tosses_taken);
@@ -921,13 +1017,13 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Process `pid`'s outcomes from memo entry `entry`, `object` being
-    /// the index of its leading visible operation's object: each appended
-    /// to `children` and keyed from the viewed state's IDs (and its visible
-    /// event appended to `events`, when given), and `cx` charged what the
-    /// interpreter would have charged. With `oracle` — the viewed state,
-    /// built in debug builds — the hit is held against the interpreter.
-    fn take_hit(
+    /// Process `pid`'s children from memo entry `entry`, taken through
+    /// [`Executor::take_hit`], `object` being the index of its leading
+    /// visible operation's object: each appended to `children` and keyed
+    /// from the viewed state's IDs (and its visible event appended to
+    /// `events`, when given). With `oracle`, each key is held against the
+    /// interpreted successor's.
+    fn hit_children(
         &self,
         cx: &mut ExecCtx,
         memo: &mut TransitionMemo,
@@ -936,19 +1032,23 @@ impl<'a> Executor<'a> {
         mut events: Events<'_>,
         oracle: Option<&GlobalState>,
     ) {
-        let first = children.len();
-        let mut completed = 0;
-        let e = memo.entry(entry);
-        for (choices, outcome) in &e.outcomes {
+        let components = memo.components();
+        let interpreted = self.take_hit(cx, memo, (pid, (entry, object)), components, oracle);
+        let mut interpreted = interpreted.iter();
+        for (choices, outcome) in &memo.entry(entry).outcomes {
             let violation = match outcome {
                 MemoOutcome::State {
                     proc,
                     object: wrote,
                     event,
                 } => {
-                    completed += 1;
                     let wrote = object.zip(wrote.as_ref());
                     keys.push_with(|out| memo.child_key(pid, proc, wrote, out));
+                    if let Some(want) = interpreted.next() {
+                        let (h, key) = cx.state_key(want);
+                        let got = keys.get(keys.len() - 1);
+                        assert_eq!(got, (h, &key[..]), "memoised key of P{pid}");
+                    }
                     if let Some(events) = events.as_deref_mut() {
                         events.push(event.clone().map(|op| VisibleEvent { process: pid, op }));
                     }
@@ -967,73 +1067,112 @@ impl<'a> Executor<'a> {
                 violation,
             });
         }
-        let total = completed * memo.components();
+    }
+
+    /// Every engine's one memo-hit path: take entry `entry` for process
+    /// `pid` at a node of `components` components (`object` indexing its
+    /// leading visible operation's object), charging `cx` what the
+    /// interpreter would have and counting the hit. With `oracle` (the
+    /// node, built in debug builds) the entry is first held against the
+    /// interpreter ([`Executor::assert_hit`]), whose successor states are
+    /// returned for the caller to hold its own children against; the
+    /// vector is empty, and allocates nothing, otherwise.
+    #[inline]
+    pub(crate) fn take_hit(
+        &self,
+        cx: &mut ExecCtx,
+        memo: &mut TransitionMemo,
+        (pid, (entry, object)): (usize, (u32, Option<usize>)),
+        components: usize,
+        oracle: Option<&GlobalState>,
+    ) -> Vec<GlobalState> {
+        let e = memo.entry(entry);
+        let completed = (e.outcomes.iter())
+            .filter(|(_, o)| matches!(o, MemoOutcome::State { .. }))
+            .count();
+        let total = completed * components;
         let charged = [e.executions, e.tosses_taken, total - e.unshared, total];
-        if let Some(state) = oracle {
-            let events = events.as_deref().map(|e| &e[e.len() - completed..]);
-            self.assert_hit_is_what_the_interpreter_does(
-                cx,
-                state,
-                pid,
-                (&children[first..], keys, charged),
-                events,
-            );
-        }
+        let interpreted = match oracle {
+            Some(state) => self.assert_hit(cx, state, (pid, object), e, charged),
+            None => Vec::new(),
+        };
         cx.transitions += charged[0];
         cx.tosses_taken += charged[1];
         cx.shared_components += charged[2];
         cx.total_components += charged[3];
         memo.stats.hits += 1;
+        interpreted
     }
 
-    /// The debug-build oracle of a memo hit: run the interpreter on the
-    /// same process of the same state, under the budget the hit saw and
-    /// with no coverage sink (a hit marks nothing), and require the same
-    /// children, the same keys and fingerprints, the same charges to
-    /// `cx`, and — when the hit produced them — the same visible events of
-    /// the successor states. This is what makes `cargo test` a
-    /// differential run of the memo against the interpreter.
-    fn assert_hit_is_what_the_interpreter_does(
+    /// The debug-build oracle of a memo hit, the one every engine runs:
+    /// interpret process `pid` of `state` under the budget the hit saw and
+    /// with no coverage sink (a hit marks nothing), and require the
+    /// entry's choices, violations, visible events and `charged`, and each
+    /// successor to be `state` with the process — and, when the entry says
+    /// the transition wrote it, the object `object` — replaced by the
+    /// component the entry names. Returns the interpreted successor
+    /// states. This is what makes `cargo test` a differential run of the
+    /// memo against the interpreter.
+    fn assert_hit(
         &self,
         cx: &ExecCtx,
         state: &GlobalState,
-        pid: usize,
-        (children, keys, charged): (&[LeanChild], &KeyArena, [usize; 4]),
-        events: Option<&[Option<VisibleEvent>]>,
-    ) {
-        let mut oracle = ExecCtx::with_coverage(cx.budget - cx.transitions, None);
-        oracle.interner = cx.interner.clone();
-        let (mut want, mut want_keys, mut want_events) =
-            (Vec::new(), KeyArena::default(), Vec::new());
-        let spawned = self.step_interpreted(
-            &mut oracle,
-            state,
-            pid,
-            &mut want,
-            &mut want_keys,
-            |_, outcome| {
-                if let SuccOutcome::State(_, ev) = outcome {
-                    want_events.push(ev.clone());
-                }
-            },
-        );
-        if let Some(events) = events {
-            assert_eq!(events, want_events, "memoised events of process {pid}");
-        }
+        (pid, object): (usize, Option<usize>),
+        entry: &MemoEntry,
+        charged: [usize; 4],
+    ) -> Vec<GlobalState> {
+        let interner = cx.interner.as_deref().expect("hits need an interner");
+        let mut oracle = ExecCtx::with_coverage(cx.budget.saturating_sub(cx.transitions), None);
+        let mut spawned = false;
+        let succs = self.successors_noting_spawn(&mut oracle, state, pid, &mut spawned);
         assert!(!spawned, "a spawning transition was memoised");
-        assert!(!oracle.truncated, "a hit was taken past the item's budget");
-        assert_eq!(children, want, "memoised outcomes of process {pid}");
-        let first = keys.len() - children.len();
-        for j in 0..want.len() {
-            assert_eq!(keys.get(first + j), want_keys.get(j), "memoised key {j}");
-        }
+        assert!(!oracle.truncated, "a hit was taken past the budget");
         let interpreted = [
             oracle.transitions,
             oracle.tosses_taken,
             oracle.shared_components,
             oracle.total_components,
         ];
-        assert_eq!(charged, interpreted, "memoised charges of process {pid}");
+        assert_eq!(charged, interpreted, "memoised charges of P{pid}");
+        let outcomes = &entry.outcomes;
+        assert_eq!(outcomes.len(), succs.len(), "memoised outcomes of P{pid}");
+        let mut states = Vec::new();
+        for ((choices, outcome), (want_choices, want)) in outcomes.iter().zip(succs) {
+            assert_eq!(*choices, want_choices, "memoised choices of P{pid}");
+            match (outcome, want) {
+                (
+                    MemoOutcome::State {
+                        proc,
+                        object: wrote,
+                        event,
+                    },
+                    SuccOutcome::State(s, ev),
+                ) => {
+                    assert_eq!(*event, ev.map(|e| e.op), "memoised event of P{pid}");
+                    assert!(
+                        proc.denotes(interner, &*s.procs[pid]),
+                        "memoised process of P{pid}"
+                    );
+                    if let Some(o) = object {
+                        let replaced = match wrote {
+                            Some(c) => c.denotes(interner, &*s.objects[o]),
+                            None => s.objects[o] == state.objects[o],
+                        };
+                        assert!(replaced, "memoised object {o} of P{pid}");
+                    }
+                    states.push(*s);
+                }
+                (MemoOutcome::Violation(kind), SuccOutcome::Violation(want, p)) => {
+                    assert_eq!(
+                        (kind, p),
+                        (&want, Some(pid)),
+                        "memoised violation of P{pid}"
+                    );
+                }
+                _ => panic!("memoised outcome kind of P{pid}"),
+            }
+        }
+        states
     }
 
     /// Replay a decision sequence from the initial state, returning the
@@ -1060,5 +1199,99 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(state)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::ComponentInterner;
+    use std::sync::Arc;
+
+    /// Process 0's first transition sends on `c` — writing the channel,
+    /// the object of its visible operation — and then tosses, so its memo
+    /// entry has two outcomes with choices `[0]` and `[1]`, each replacing
+    /// the process and the channel.
+    const SEND_THEN_TOSS: &str = "chan c[2]; \
+         proc m() { send(c, 1); int x = VS_toss(1); send(c, x); } \
+         process m();";
+
+    /// Record process 0's entry at the first `send` of
+    /// [`SEND_THEN_TOSS`] through a miss, replace it by the entry
+    /// `fault` makes of it, and take the result as a hit with the oracle
+    /// on: the one hit path and oracle every engine goes through.
+    fn take_faulty_hit(fault: impl FnOnce(&mut MemoEntry)) {
+        let prog = cfgir::compile(SEND_THEN_TOSS).unwrap();
+        let exec = Executor::new(&prog, &Config::default());
+        let interner = Arc::new(ComponentInterner::new());
+        let mut cx = ExecCtx::new(&exec, usize::MAX);
+        cx.interner = Some(interner.clone());
+        let (mut cache, mut memo) = (ComponentCache::default(), TransitionMemo::default());
+        // Past the process's invisible prefix, at its first `send`.
+        let mut state = exec.initial();
+        while let Scheduled::Init(pid) = exec.schedule(&state) {
+            let (_, outcome) = exec.successors(&mut cx, &state, pid).remove(0);
+            let SuccOutcome::State(s, _) = outcome else {
+                panic!("the prefix completes")
+            };
+            state = *s;
+        }
+        memo.view(&interner, &state);
+        let (mut children, mut keys) = (Vec::new(), KeyArena::default());
+        let lent = &mut (&mut cache, &mut memo);
+        exec.step(&mut cx, lent, &state, 0, (&mut children, &mut keys), None);
+        let object = next_op_object(&prog, &state, 0).map(|o| o.index());
+        let key = memo.key(0, object);
+        let index = memo.find(key).expect("the miss recorded an entry");
+        let e = memo.entry(index);
+        let written = |(_, o): &(Vec<u32>, MemoOutcome)| {
+            matches!(
+                o,
+                MemoOutcome::State {
+                    object: Some(_),
+                    ..
+                }
+            )
+        };
+        assert!(object.is_some() && e.outcomes.len() == 2 && e.outcomes.iter().all(written));
+        let mut entry = MemoEntry {
+            outcomes: e.outcomes.clone(),
+            executions: e.executions,
+            tosses_taken: e.tosses_taken,
+            unshared: e.unshared,
+        };
+        fault(&mut entry);
+        memo.record(key, entry);
+        let components = memo.components();
+        let hit = (0, (index, object));
+        let interpreted = exec.take_hit(&mut cx, &mut memo, hit, components, Some(&state));
+        assert_eq!(interpreted.len(), 2, "the interpreted successors");
+    }
+
+    #[test]
+    fn the_hit_oracle_passes_a_faithful_entry() {
+        take_faulty_hit(|_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "memoised choices of P0")]
+    fn the_hit_oracle_refuses_a_wrong_choice_vector() {
+        take_faulty_hit(|e| e.outcomes[0].0 = vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "memoised charges of P0")]
+    fn the_hit_oracle_refuses_a_wrong_executions_charge() {
+        take_faulty_hit(|e| e.executions += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "memoised object 0 of P0")]
+    fn the_hit_oracle_refuses_a_child_whose_written_object_is_not_replaced() {
+        take_faulty_hit(|e| {
+            if let MemoOutcome::State { object, .. } = &mut e.outcomes[1].1 {
+                *object = None;
+            }
+        });
     }
 }

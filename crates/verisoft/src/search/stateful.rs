@@ -5,11 +5,12 @@
 //! by the tiered spillable [`TieredStore`](super::store).
 //!
 //! Both hold states as store keys (`FrontierItem`, `DfsEntry`) and expand
-//! each key through `Executor::expand`, in ID space: the schedule from the
-//! facts table, the children from the transition memo, their keys written
-//! into the worker's [`ExpandArena`]. A state is built ([`rebuild`], through
-//! the worker's [`ComponentCache`]) only when a lookup misses, a few
-//! hundred times on a state space of hundreds of thousands. Expansion is
+//! each key through `Executor::expand`, by the ID-space step the stateless
+//! walk takes too: the schedule from the facts table, the children from
+//! the transition memo, their keys written into the worker's
+//! [`ExpandArena`]. A state is built (`Executor::build`, through the
+//! worker's [`ComponentCache`]) only when a lookup misses, a few hundred
+//! times on a state space of hundreds of thousands. Expansion is
 //! persistent-set partial-order
 //! reduction with the ignoring/cycle proviso — a state is expanded over
 //! its persistent set only, unless one of the reduced successors is
@@ -44,7 +45,7 @@ use crate::executor::{ExecCtx, Executor, ExpandArena, Expansion};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
 use crate::state::intern::raw_len_of;
-use crate::state::{decode_state, ComponentCache, ComponentInterner, GlobalState, TransitionMemo};
+use crate::state::{ComponentCache, ComponentInterner, TransitionMemo};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -53,9 +54,9 @@ use std::sync::{Arc, OnceLock};
 /// in hand for every child (the raw canonical encoding under
 /// `--no-compress`) — not as a live state, and its reproducing path as a
 /// reference into the run's [`TraceLog`]. The entry is expanded from its
-/// key; a [`GlobalState`] exists only while an entry ID space could not
-/// answer for is expanded ([`rebuild`], DESIGN §14). Its depth is the
-/// level it waits in.
+/// key; a [`GlobalState`](crate::state::GlobalState) exists only while
+/// an entry ID space could not answer for is expanded
+/// (`Executor::build`, DESIGN §14). Its depth is the level it waits in.
 struct FrontierItem {
     key: Box<[u8]>,
     trace: TraceRef,
@@ -82,28 +83,11 @@ impl Spoolable for FrontierItem {
     }
 }
 
-/// The state a search key denotes, built for the moment it is
-/// expanded — under compression only when its expansion missed in ID
-/// space (`Executor::expand`), and in debug builds to check what ID space
-/// said: through the component cache when the run compresses, by
-/// decoding the raw encoding otherwise.
-///
-/// # Panics
-///
-/// Panics when `key` does not decode. Keys are this run's own store
-/// keys, so that means a frontier spool or checkpoint file was damaged
-/// on disk; the DFS's keys never leave memory.
-pub(crate) fn rebuild(
-    interner: Option<&ComponentInterner>,
-    cache: &mut ComponentCache,
-    key: &[u8],
-) -> GlobalState {
-    match interner {
-        Some(i) => i.materialize(cache, key),
-        None => decode_state(key),
-    }
-    .expect("frontier key does not decode (damaged spool or checkpoint file?)")
-}
+/// Why a store key failed to decode. Keys are the run's own, so its
+/// bytes were damaged on disk (a frontier spool or checkpoint file); the
+/// DFS's keys never leave memory.
+pub(crate) const UNDECODABLE: &str =
+    "frontier key does not decode (damaged spool or checkpoint file?)";
 
 /// A worker's expansion of one frontier item, reduced to what the
 /// ordered commit reads. An in-memory level is a single chunk, so the
@@ -808,6 +792,7 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::{decode_state, GlobalState};
 
     /// The spool and checkpoint record of a frontier item is
     /// `trace ‖ key`: the item's offset in the trace log, then the key.
@@ -855,7 +840,10 @@ mod tests {
         }
         // Either kind of key rebuilds the state it was taken from.
         let mut cache = ComponentCache::default();
-        assert_eq!(rebuild(Some(&interner), &mut cache, &compressed), state);
-        assert_eq!(rebuild(None, &mut cache, &raw), state);
+        assert_eq!(
+            interner.materialize(&mut cache, &compressed),
+            Some(state.clone())
+        );
+        assert_eq!(decode_state(&raw), Some(state));
     }
 }

@@ -7,14 +7,19 @@
 //! use 240 components and 635 answers), false of a program whose data
 //! tells every path apart, where each node brings a component never seen
 //! before. While it pays, the walk carries each node as its component-ID
-//! tuple, takes the schedule from the facts table and the children from
-//! the transition memo (DESIGN §15), and writes each child as its
-//! parent's IDs with one or two replaced: no state is built, keyed or
-//! freed on that path. A node is built (materialised through the
-//! component cache) only when a lookup misses — a component or key the
-//! table has not seen, a spawning transition, a budget too short for the
-//! recorded answer — and then the live state schedules it, teaches the
-//! facts table, and steps through `Executor::step`.
+//! tuple and takes the ID-space step the stateful engines take too
+//! (DESIGN §15): the schedule from the facts table
+//! (`Executor::schedule_node`), the children from the transition memo
+//! (`Executor::hit`, `Executor::take_hit`, with the one debug oracle),
+//! each child written as its parent's IDs with one or two replaced: no
+//! state is built, keyed or freed on that path. A node is built
+//! (`Executor::build`, through the component cache) only when a lookup
+//! misses — a component or key the table has not seen, a spawning
+//! transition, a budget too short for the recorded answer — and then the
+//! live state schedules it, teaches the facts table, and steps through
+//! `Executor::step`. What is the walk's own is its recursion, its sleep
+//! sets, its path of memo references (`Step::Memo`), the children it
+//! writes on its ID stack, and the cold switch below.
 //!
 //! Every miss interns and records what it saw, for the rest of the run.
 //! So the walk watches its running miss share, and once it has missed
@@ -32,7 +37,9 @@
 //! every node a built state, every transition interpreted — the
 //! reference the memoised walk is diffed against.
 
-use crate::executor::{ExecCtx, Executor, KeyArena, LeanChild, SuccOutcome};
+use crate::executor::{
+    expands_skipped, ExecCtx, Executor, Ids, KeyArena, LeanChild, Node, SuccOutcome,
+};
 use crate::interp::{next_op_object, VisibleEvent};
 use crate::por::{independent_objects, Schedule};
 use crate::report::{Decision, Report, Violation, ViolationKind};
@@ -65,7 +72,6 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         cx,
         cold: interner.is_none(),
         window: (0, 0),
-        interner,
         cache: ComponentCache::default(),
         memo,
         report: Report::default(),
@@ -76,16 +82,15 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         bits: Vec::new(),
         queue: Vec::new(),
     };
-    let root = if w.interner.is_some() {
+    let root = if interner.is_some() {
         let (_, key) = w.cx.state_key(&exec.initial());
-        Node::Ids(w.push_key(&key))
+        Node::ids(w.push_key(&key))
     } else {
-        Node::Live(exec.initial())
+        Node::built(Box::new(exec.initial()))
     };
     w.visit(root, 0, Bits::EMPTY);
     let Walk {
         cx,
-        interner,
         memo,
         mut report,
         ..
@@ -100,22 +105,6 @@ pub(super) fn dfs(exec: &Executor<'_>) -> Report {
         report.memo = memo.stats;
     }
     report
-}
-
-/// A tree node: its component-ID tuple on the walk's ID stack, or a built
-/// state once the walk is cold.
-enum Node {
-    Ids(Ids),
-    Live(GlobalState),
-}
-
-/// A component-ID tuple `ids[start..end]`: `nprocs` process IDs, then
-/// the object IDs.
-#[derive(Debug, Clone, Copy)]
-struct Ids {
-    start: usize,
-    end: usize,
-    nprocs: usize,
 }
 
 /// A process set — a sleep set or a done set — as `len` words of the
@@ -160,9 +149,8 @@ enum Step {
 /// and done sets, and the scheduled processes.
 struct Walk<'e, 'a> {
     exec: &'e Executor<'a>,
+    /// With the run's interner, `None` under `--no-compress`.
     cx: ExecCtx,
-    /// The run's interner; `None` under `--no-compress`.
-    interner: Option<Arc<ComponentInterner>>,
     /// Nothing more is interned, learned or recorded; misses are
     /// interpreted into built states.
     cold: bool,
@@ -192,34 +180,6 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// The state `node` denotes, built for its expansion.
-    fn build(&mut self, node: Ids) -> GlobalState {
-        self.memo.stats.materialised += 1;
-        self.materialize(node)
-    }
-
-    /// The state `node` denotes.
-    fn materialize(&mut self, node: Ids) -> GlobalState {
-        self.interner
-            .as_ref()
-            .expect("ID tuples exist only under an interner")
-            .materialize_ids(
-                &mut self.cache,
-                node.nprocs,
-                &self.ids[node.start..node.end],
-            )
-            .expect("the walk's own node")
-    }
-
-    /// Teach the facts table what the live `state` of `node` shows,
-    /// unless the walk is cold.
-    fn learn(&mut self, node: Ids, state: &GlobalState) {
-        if !self.cold {
-            let ids = &self.ids[node.start..node.end];
-            self.memo.learn(self.exec, (ids, node.nprocs), state);
-        }
-    }
-
     /// After a lookup that went through the memo: close the window once
     /// it spans [`COLD_MISSES`] lookups, turning the walk cold when the
     /// run has missed that often and the window's miss share is over
@@ -237,26 +197,13 @@ impl Walk<'_, '_> {
         self.window = (lookups, misses);
     }
 
-    /// The schedule of `node` from the facts table alone, appended to
-    /// `queue`; `None` when a fact is missing.
-    fn schedule_known(&mut self, node: Ids) -> Option<Schedule> {
-        let ids = &self.ids[node.start..node.end];
-        self.memo
-            .schedule_known(self.exec, (ids, node.nprocs), &mut self.queue)
-    }
-
     /// The object of process `q`'s next operation at `node`: from the
     /// built state when there is one, from the facts table otherwise.
-    fn next_object(
-        &self,
-        node: Option<Ids>,
-        state: Option<&GlobalState>,
-        q: usize,
-    ) -> Option<ObjId> {
-        match (state, node) {
+    fn next_object(&self, node: &Node, q: usize) -> Option<ObjId> {
+        match (&node.state, node.ids) {
             (Some(s), _) => next_op_object(self.exec.program(), s, q),
-            (None, Some(node)) => {
-                let id = self.ids[node.start + q];
+            (None, Some(ids)) => {
+                let id = self.ids[ids.start + q];
                 self.memo
                     .facts(id)
                     .expect("scheduled from facts")
@@ -291,20 +238,14 @@ impl Walk<'_, '_> {
     }
 
     /// Push the sleep set of `node`'s children through `t`.
-    fn push_child_sleep(
-        &mut self,
-        node: Option<Ids>,
-        (state, oracle): (Option<&GlobalState>, Option<&GlobalState>),
-        (sleep, done): (Bits, Bits),
-        t: usize,
-    ) -> Bits {
+    fn push_child_sleep(&mut self, node: &Node, (sleep, done): (Bits, Bits), t: usize) -> Bits {
         let child = Bits {
             start: self.bits.len(),
             len: done.len,
         };
         for k in 0..done.len {
-            let word = self.sleep_word((sleep, done, k), t, |q| self.next_object(node, state, q));
-            if let Some(o) = oracle {
+            let word = self.sleep_word((sleep, done, k), t, |q| self.next_object(node, q));
+            if let Some(o) = &node.oracle {
                 let live = self.sleep_word((sleep, done, k), t, |q| {
                     next_op_object(self.exec.program(), o, q)
                 });
@@ -348,7 +289,7 @@ impl Walk<'_, '_> {
         }
     }
 
-    fn visit(&mut self, node: Node, depth: usize, sleep: Bits) {
+    fn visit(&mut self, mut node: Node, depth: usize, sleep: Bits) {
         if self.stop {
             return;
         }
@@ -361,37 +302,11 @@ impl Walk<'_, '_> {
             return;
         }
         let q0 = self.queue.len();
-        // `state` is the node as a built state, when it is one or a miss
-        // built it; `oracle` the node built only so debug builds can
-        // check what the facts table said.
-        let (ids, mut state) = match node {
-            Node::Ids(ids) => (Some(ids), None),
-            Node::Live(s) => (None, Some(s)),
-        };
-        let mut oracle = None;
-        let sched = match ids.and_then(|node| self.schedule_known(node)) {
-            Some(sched) => {
-                if cfg!(debug_assertions) {
-                    let o = self.materialize(ids.expect("scheduled from facts"));
-                    let mut want = Vec::new();
-                    let live = self.exec.schedule_view(&self.exec.live(&o), &mut want);
-                    assert_eq!(sched, live, "schedule from facts");
-                    assert_eq!(self.queue[q0..], want[..], "scheduled processes from facts");
-                    oracle = Some(o);
-                }
-                sched
-            }
-            None => {
-                if state.is_none() {
-                    let node = ids.expect("a node is its IDs or a built state");
-                    let s = self.build(node);
-                    self.learn(node, &s);
-                    state = Some(s);
-                }
-                let s = state.as_ref().expect("built above");
-                self.exec.schedule_view(&self.exec.live(s), &mut self.queue)
-            }
-        };
+        let exec = self.exec;
+        let lent = &mut (&mut self.cache, &mut self.memo);
+        let learn = !self.cold;
+        let sched =
+            exec.schedule_node(&self.cx, lent, &self.ids, &mut node, learn, &mut self.queue);
         match sched {
             Schedule::DeadEnd { deadlock } => {
                 self.record_trace_end();
@@ -400,12 +315,12 @@ impl Walk<'_, '_> {
                 }
             }
             Schedule::Init(pid) => {
-                self.step(ids, (&mut state, oracle.as_ref()), depth, pid, sleep);
+                self.step(&mut node, depth, pid, sleep);
             }
             Schedule::Procs { scheduled } => {
-                let nprocs = match (&state, ids) {
+                let nprocs = match (&node.state, node.ids) {
                     (Some(s), _) => s.procs.len(),
-                    (None, Some(node)) => node.nprocs,
+                    (None, Some(ids)) => ids.nprocs,
                     (None, None) => unreachable!("a node is its IDs or a built state"),
                 };
                 let d0 = self.bits.len();
@@ -427,13 +342,11 @@ impl Walk<'_, '_> {
                     }
                     if !(cfg.sleep_sets && sleep.contains(&self.bits, t)) {
                         let child_sleep = if cfg.sleep_sets {
-                            let built = (state.as_ref(), oracle.as_ref());
-                            self.push_child_sleep(ids, built, (sleep, done), t)
+                            self.push_child_sleep(&node, (sleep, done), t)
                         } else {
                             Bits::EMPTY
                         };
-                        let violated =
-                            self.step(ids, (&mut state, oracle.as_ref()), depth, t, child_sleep);
+                        let violated = self.step(&mut node, depth, t, child_sleep);
                         self.bits.truncate(d0 + done.len);
                         if self.stop {
                             break;
@@ -447,14 +360,10 @@ impl Walk<'_, '_> {
                             self.bits[d0 + t / 64] |= 1 << (t % 64);
                         }
                     }
-                    // A violation transition has no successor state, so
-                    // persistent-set reasoning (which assumes exploration
-                    // continues past every selected transition) cannot
-                    // justify dropping the skipped processes: a distinct
-                    // violation simultaneously enabled in another process
-                    // would be masked forever. Fall back to the full
-                    // enabled set, mirroring the stateful drivers.
-                    if !fell_back && i == end && saw_violation && skipped > 0 {
+                    // A violation brings in the skipped processes, as in
+                    // every engine; the walk stores nothing, so no cycle
+                    // proviso.
+                    if !fell_back && i == end && expands_skipped(skipped, saw_violation, || false) {
                         fell_back = true;
                         end += skipped;
                     }
@@ -473,22 +382,13 @@ impl Walk<'_, '_> {
     /// been built and the memo holds an answer the budget covers;
     /// otherwise the node is built (once) and stepped through the memo
     /// while the walk records, through the interpreter once it is cold.
-    fn step(
-        &mut self,
-        ids: Option<Ids>,
-        (state, oracle): (&mut Option<GlobalState>, Option<&GlobalState>),
-        depth: usize,
-        t: usize,
-        child_sleep: Bits,
-    ) -> bool {
-        if state.is_none() {
-            let node = ids.expect("a node is its IDs or a built state");
-            if let Some(hit) = self.hit(node, t) {
-                return self.visit_hit(node, oracle, depth, (t, hit), child_sleep);
-            }
-            *state = Some(self.build(node));
+    fn step(&mut self, node: &mut Node, depth: usize, t: usize, child_sleep: Bits) -> bool {
+        let exec = self.exec;
+        if let Some(hit) = exec.hit(&self.cx, &self.memo, &self.ids, node, t) {
+            return self.visit_hit(node, depth, (t, hit), child_sleep);
         }
-        let state = state.as_ref().expect("built above");
+        let lent = &mut (&mut self.cache, &mut self.memo);
+        let state = exec.build(&self.cx, lent, &self.ids, node, !self.cold);
         if self.cold {
             self.visit_interpreted(state, depth, t, child_sleep)
         } else {
@@ -496,43 +396,27 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// The memo entry of process `t`'s next transition at `node`, when
-    /// the budget left covers its recorded executions, and the index of
-    /// the object of `t`'s leading visible operation.
-    fn hit(&self, node: Ids, t: usize) -> Option<(u32, Option<usize>)> {
-        let ids = &self.ids[node.start..node.end];
-        let left = self.cx.budget.saturating_sub(self.cx.transitions);
-        self.memo.hit((ids, node.nprocs), t, left)
-    }
-
-    /// [`Walk::step`] on a memo hit: charge what the interpreter would
-    /// have, then visit each child as the parent's IDs with the process
-    /// and (when written) the object replaced.
+    /// [`Walk::step`] on a memo hit, taken through `Executor::take_hit`:
+    /// visit each child as the parent's IDs with the process and (when
+    /// written) the object replaced — in debug builds each held against
+    /// the successor the hit's oracle interpreted.
     fn visit_hit(
         &mut self,
-        node: Ids,
-        oracle: Option<&GlobalState>,
+        node: &Node,
         depth: usize,
         (t, (entry, object)): (usize, (u32, Option<usize>)),
         child_sleep: Bits,
     ) -> bool {
+        let ids = node.ids.expect("a hit is taken in ID space");
         let collect = self.exec.config().collect_traces;
-        let e = self.memo.entry(entry);
-        let completed = e
-            .outcomes
-            .iter()
-            .filter(|(_, o)| matches!(o, MemoOutcome::State { .. }))
-            .count();
-        let total = completed * (node.end - node.start);
-        let charged = [e.executions, e.tosses_taken, total - e.unshared, total];
-        let outcomes = e.outcomes.len();
-        let mut interpreted = oracle.map(|o| self.assert_hit(o, (t, entry), charged).into_iter());
-        self.cx.transitions += charged[0];
-        self.cx.tosses_taken += charged[1];
-        self.cx.shared_components += charged[2];
-        self.cx.total_components += charged[3];
-        self.memo.stats.hits += 1;
-        let object = object.map(|o| node.nprocs + o);
+        let hit = (t, (entry, object));
+        let components = ids.end - ids.start;
+        let oracle = node.oracle.as_deref();
+        let exec = self.exec;
+        let interpreted = exec.take_hit(&mut self.cx, &mut self.memo, hit, components, oracle);
+        let mut interpreted = interpreted.into_iter();
+        let outcomes = self.memo.entry(entry).outcomes.len();
+        let object = object.map(|o| ids.nprocs + o);
         let mut violated = false;
         for j in 0..outcomes {
             if self.stop || self.cx.truncated {
@@ -556,7 +440,7 @@ impl Walk<'_, '_> {
                         op: op.clone(),
                     });
                     let start = self.ids.len();
-                    self.ids.extend_from_within(node.start..node.end);
+                    self.ids.extend_from_within(ids.start..ids.end);
                     self.ids[start + t] = proc;
                     if let (Some(o), Some(id)) = (object, wrote) {
                         self.ids[start + o] = id;
@@ -564,13 +448,13 @@ impl Walk<'_, '_> {
                     let child = Ids {
                         start,
                         end: self.ids.len(),
-                        nprocs: node.nprocs,
+                        nprocs: ids.nprocs,
                     };
-                    if let Some(want) = interpreted.as_mut().and_then(Iterator::next) {
-                        let got = self.materialize(child);
-                        assert!(got == want, "child {j} of process {t} from its IDs");
+                    if let Some(want) = interpreted.next() {
+                        let got = exec.materialize(&self.cx, &mut self.cache, child.of(&self.ids));
+                        assert!(got == want, "child {j} of P{t} from its IDs");
                     }
-                    self.visit_child(Node::Ids(child), depth, event, child_sleep);
+                    self.visit_child(Node::ids(child), depth, event, child_sleep);
                 }
                 MemoOutcome::Violation(kind) => {
                     violated = true;
@@ -593,11 +477,9 @@ impl Walk<'_, '_> {
         child_sleep: Bits,
     ) -> bool {
         let (mut children, mut keys, mut events) = (Vec::new(), KeyArena::default(), Vec::new());
-        let interner = self
-            .interner
-            .as_ref()
-            .expect("a recording walk has an interner");
-        self.memo.view(interner, state);
+        let interner = self.cx.interner.as_deref();
+        self.memo
+            .view(interner.expect("a recording walk interns"), state);
         let collect = self.exec.config().collect_traces;
         self.exec.step(
             &mut self.cx,
@@ -627,7 +509,7 @@ impl Walk<'_, '_> {
                 None => {
                     let child = self.push_key(keys.get(j).1);
                     let event = events.next().flatten();
-                    self.visit_child(Node::Ids(child), depth, event, child_sleep);
+                    self.visit_child(Node::ids(child), depth, event, child_sleep);
                 }
                 Some((kind, process)) => {
                     violated = true;
@@ -648,7 +530,7 @@ impl Walk<'_, '_> {
         t: usize,
         child_sleep: Bits,
     ) -> bool {
-        if self.interner.is_some() {
+        if self.cx.interner.is_some() {
             self.memo.stats.bypass_cold += 1;
         }
         let collect = self.exec.config().collect_traces;
@@ -665,7 +547,7 @@ impl Walk<'_, '_> {
             match outcome {
                 SuccOutcome::State(s, ev) => {
                     let event = ev.filter(|_| collect);
-                    self.visit_child(Node::Live(*s), depth, event, child_sleep);
+                    self.visit_child(Node::built(s), depth, event, child_sleep);
                 }
                 SuccOutcome::Violation(kind, process) => {
                     violated = true;
@@ -680,10 +562,7 @@ impl Walk<'_, '_> {
     /// Visit a child one level down with its event on the trace, then
     /// drop it (an ID tuple's IDs with it).
     fn visit_child(&mut self, child: Node, depth: usize, event: Option<VisibleEvent>, sleep: Bits) {
-        let top = match &child {
-            Node::Ids(ids) => ids.start,
-            Node::Live(_) => self.ids.len(),
-        };
+        let top = child.ids.map_or(self.ids.len(), |ids| ids.start);
         let pushed = event.is_some();
         if let Some(ev) = event {
             self.events.push(ev);
@@ -693,54 +572,5 @@ impl Walk<'_, '_> {
             self.events.pop();
         }
         self.ids.truncate(top);
-    }
-
-    /// The debug-build oracle of a hit taken in ID space: interpret
-    /// process `t` at the built node `o` under the budget the hit saw,
-    /// with no coverage sink (a hit marks nothing), and require the
-    /// entry's choices, violations, visible events and charges. Returns
-    /// the interpreted successor states, which the caller holds each
-    /// child's ID tuple against.
-    fn assert_hit(
-        &self,
-        o: &GlobalState,
-        (t, entry): (usize, u32),
-        charged: [usize; 4],
-    ) -> Vec<GlobalState> {
-        let mut cx = ExecCtx::with_coverage(self.cx.budget - self.cx.transitions, None);
-        let succs = self.exec.successors(&mut cx, o, t);
-        assert!(!cx.truncated, "a hit was taken past the budget");
-        let interpreted = [
-            cx.transitions,
-            cx.tosses_taken,
-            cx.shared_components,
-            cx.total_components,
-        ];
-        assert_eq!(charged, interpreted, "memoised charges of process {t}");
-        let outcomes = &self.memo.entry(entry).outcomes;
-        assert_eq!(
-            outcomes.len(),
-            succs.len(),
-            "memoised outcomes of process {t}"
-        );
-        let mut states = Vec::new();
-        for ((choices, outcome), (want_choices, want)) in outcomes.iter().zip(succs) {
-            assert_eq!(*choices, want_choices, "memoised choices of process {t}");
-            match (outcome, want) {
-                (MemoOutcome::State { event, .. }, SuccOutcome::State(s, ev)) => {
-                    assert_eq!(*event, ev.map(|e| e.op), "memoised event of process {t}");
-                    states.push(*s);
-                }
-                (MemoOutcome::Violation(kind), SuccOutcome::Violation(want, p)) => {
-                    assert_eq!(
-                        (kind, p),
-                        (&want, Some(t)),
-                        "memoised violation of process {t}"
-                    );
-                }
-                _ => panic!("memoised outcome kind of process {t}"),
-            }
-        }
-        states
     }
 }

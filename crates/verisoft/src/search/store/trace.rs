@@ -20,10 +20,12 @@
 //! it is `trace.bin`,
 //! appended through a buffered writer, so at most the writer's buffer is
 //! resident; building a path flushes the writer and reads the records
-//! back. A checkpoint syncs the file and commits its length
-//! ([`TraceLog::persist`]); resume truncates anything past that length
-//! ([`TraceLog::reopen`]), as it does for the tier-1 log and the interner
-//! table.
+//! back. Either way a walk back stops at the first record on the last
+//! path built and takes the rest from it, so sibling violations read
+//! their own records only. A checkpoint syncs the file and commits its
+//! length ([`TraceLog::persist`]); resume truncates anything past that
+//! length ([`TraceLog::reopen`]), as it does for the tier-1 log and the
+//! interner table.
 
 use super::checkpoint::{put_decision, read_decision};
 use crate::report::Decision;
@@ -63,6 +65,10 @@ pub(crate) struct TraceLog {
     /// Bytes appended, header included: the next record's offset.
     len: u64,
     scratch: Vec<u8>,
+    /// The records of the last path built, root first. Records never
+    /// change once appended, so a later walk that meets one of them has
+    /// the rest of its path here.
+    last: Vec<(TraceRef, Decision)>,
 }
 
 /// The header every log starts with.
@@ -83,6 +89,7 @@ impl TraceLog {
             sink: Sink::Mem(Vec::new()),
             len: 0,
             scratch: header(),
+            last: Vec::new(),
         };
         log.append_scratch().expect("memory appends cannot fail");
         log
@@ -103,6 +110,7 @@ impl TraceLog {
             sink: Sink::File(BufWriter::new(file)),
             len: 0,
             scratch: header(),
+            last: Vec::new(),
         };
         log.append_scratch()?;
         Ok(log)
@@ -136,6 +144,7 @@ impl TraceLog {
             sink: Sink::File(BufWriter::new(file)),
             len: byte_len,
             scratch: Vec::new(),
+            last: Vec::new(),
         })
     }
 
@@ -169,15 +178,29 @@ impl TraceLog {
         Ok(())
     }
 
-    /// The decisions of `path`, root first.
+    /// The decisions of `path`, root first. The walk back reads records
+    /// only until it meets one on the last path built: violations found
+    /// side by side share all but their last few records, and a file
+    /// read per record is what a walk costs out of core.
     pub(crate) fn path(&mut self, mut path: TraceRef) -> io::Result<Vec<Decision>> {
-        let mut out = Vec::new();
-        while path != TraceRef::EMPTY {
+        let mut fresh = Vec::new();
+        // A record's parent precedes it, so `last`'s offsets ascend.
+        let shared = loop {
+            if path == TraceRef::EMPTY {
+                break 0;
+            }
+            if let Ok(i) = self.last.binary_search_by_key(&path.0, |(r, _)| r.0) {
+                break i + 1;
+            }
             let (parent, decision) = self.record(path)?;
-            out.push(decision);
+            fresh.push((path, decision));
             path = parent;
-        }
-        out.reverse();
+        };
+        self.last.truncate(shared);
+        self.last.extend(fresh.into_iter().rev());
+        // Room for the violating decision an assertion's path ends in.
+        let mut out = Vec::with_capacity(self.last.len() + 1);
+        out.extend(self.last.iter().map(|(_, d)| d.clone()));
         Ok(out)
     }
 
@@ -306,6 +329,55 @@ mod tests {
             }
             assert!(log.len > 2 * BLOCK as u64);
             assert_eq!(log.path(last).unwrap(), chain);
+        }
+    }
+
+    /// A tree of paths — siblings, cousins, a path and its own prefix —
+    /// walked in shuffled orders reads back exactly as each path was
+    /// pushed, and as a cold walk (nothing kept from an earlier one)
+    /// reads it, from memory and from a file alike.
+    #[test]
+    fn walks_in_any_order_equal_cold_walks() {
+        let dir = SpillDir::temp().unwrap();
+        for on_disk in [false, true] {
+            let mut log = if on_disk {
+                TraceLog::create(dir.path()).unwrap()
+            } else {
+                TraceLog::in_memory()
+            };
+            // Node `k`'s parent is an earlier node (or the root), so the
+            // tree is 200 nodes deep at most and mostly bushy.
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move |n: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            let mut nodes: Vec<(TraceRef, Vec<Decision>)> = Vec::new();
+            for k in 0..200u32 {
+                let at = next(u64::from(k) + 1) as usize;
+                let (parent, mut path) = match at.checked_sub(1) {
+                    Some(p) => nodes[p].clone(),
+                    None => (TraceRef::EMPTY, Vec::new()),
+                };
+                let d = decision(k as usize % 5, (0..k % 3).collect());
+                let r = log.push(parent, &d).unwrap();
+                path.push(d);
+                nodes.push((r, path));
+            }
+            for _ in 0..4 {
+                let mut order: Vec<usize> = (0..nodes.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, next(i as u64 + 1) as usize);
+                }
+                for &k in &order {
+                    let (r, want) = &nodes[k];
+                    assert_eq!(log.path(*r).unwrap(), *want, "node {k}");
+                    log.last.clear();
+                    assert_eq!(log.path(*r).unwrap(), *want, "node {k}, cold");
+                }
+            }
         }
     }
 

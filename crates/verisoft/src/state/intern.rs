@@ -144,6 +144,19 @@ pub(crate) struct Changed {
     pub len: u32,
 }
 
+impl Changed {
+    /// Whether this is what `comp` interns to under `interner`: the ID's
+    /// bytes are `comp`'s encoding, and the sub-hash and length are that
+    /// encoding's. The memo-hit oracle's check of a memoised successor.
+    pub(crate) fn denotes<T: Encode>(&self, interner: &ComponentInterner, comp: &T) -> bool {
+        let mut bytes = Vec::new();
+        comp.encode(&mut bytes);
+        interner.get(self.id).is_some_and(|b| *b == bytes[..])
+            && self.len as usize == bytes.len()
+            && self.sub_hash == stable_hash_bytes(&bytes)
+    }
+}
+
 /// One outcome of a memoised transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum MemoOutcome {
@@ -348,29 +361,28 @@ impl TransitionMemo {
         }
     }
 
-    /// Point the memo at the state whose compressed store key is
-    /// `tuple`, without building it: the IDs come from the tuple, each
-    /// component's sub-hash and encoded length from `cache` by ID, the
-    /// raw length from the tuple's prefix. False when `cache` holds no
+    /// Point the memo at the state with component IDs `ids` (`nprocs`
+    /// processes, then the objects) and raw encoded length `raw` (a
+    /// compressed tuple's prefix, [`raw_len_of`]), without building it:
+    /// each component's sub-hash and encoded length come from `cache` by
+    /// ID, for [`TransitionMemo::child_key`]. False when `cache` holds no
     /// decoded component for one of the IDs under `interner` — this
-    /// worker has neither built nor produced it yet — or the tuple does
-    /// not read; the view is then unusable until the next
-    /// [`TransitionMemo::view`].
+    /// worker has neither built nor produced it yet; the view is then
+    /// unusable until the next [`TransitionMemo::view`].
     pub(crate) fn view_ids(
         &mut self,
         interner: &ComponentInterner,
         cache: &ComponentCache,
-        tuple: &[u8],
+        (ids, nprocs): (&[u32], usize),
+        raw: usize,
     ) -> bool {
         self.adopt(interner.token());
         let token = self.token;
         let p = &mut self.parent;
         p.ids.clear();
+        p.ids.extend_from_slice(ids);
         p.subs.clear();
         p.lens.clear();
-        let (Some(nprocs), Some(raw)) = (read_tuple(tuple, &mut p.ids), raw_len_of(tuple)) else {
-            return false;
-        };
         if cache.token != token {
             return false;
         }
@@ -431,6 +443,16 @@ impl TransitionMemo {
     #[inline]
     pub(crate) fn find(&self, key: MemoKey) -> Option<u32> {
         self.index.get(&slot(key)).copied()
+    }
+
+    /// The index of the entry recorded under `key`, when the `left`
+    /// transitions of the budget cover its recorded executions: a hit
+    /// that charged more would overshoot the budget where the interpreter
+    /// stops, so every engine takes a hit only through here.
+    #[inline]
+    pub(crate) fn covered(&self, key: MemoKey, left: usize) -> Option<u32> {
+        let entry = self.find(key)?;
+        (self.entry(entry).executions <= left).then_some(entry)
     }
 
     /// The entry at an index [`TransitionMemo::find`] returned.
@@ -511,13 +533,6 @@ impl TransitionMemo {
         }
     }
 
-    /// [`TransitionMemo::learn`] for the viewed state, `state`.
-    pub(crate) fn learn_viewed(&mut self, exec: &Executor<'_>, state: &GlobalState) {
-        let ids = std::mem::take(&mut self.parent.ids);
-        self.learn(exec, (&ids, self.parent.nprocs), state);
-        self.parent.ids = ids;
-    }
-
     /// The schedule of the state with component IDs `ids` (`nprocs`
     /// processes, then the objects) from the facts table alone, its
     /// processes appended to `out` as [`crate::por::schedule`] appends
@@ -536,18 +551,6 @@ impl TransitionMemo {
         let mut scratch = std::mem::take(&mut self.scratch);
         let sched = self.schedule_with(exec, (ids, nprocs), out, &mut scratch);
         self.scratch = scratch;
-        sched
-    }
-
-    /// [`TransitionMemo::schedule_known`] for the viewed state.
-    pub(crate) fn schedule_viewed(
-        &mut self,
-        exec: &Executor<'_>,
-        out: &mut Vec<usize>,
-    ) -> Option<Schedule> {
-        let ids = std::mem::take(&mut self.parent.ids);
-        let sched = self.schedule_known(exec, (&ids, self.parent.nprocs), out);
-        self.parent.ids = ids;
         sched
     }
 
@@ -614,13 +617,8 @@ impl TransitionMemo {
         left: usize,
     ) -> Option<(u32, Option<usize>)> {
         let object = self.facts(ids[t])?.next_object.map(|o| o.index());
-        let entry = self.find((ids[t], object.map(|o| ids[nprocs + o])))?;
-        (self.entry(entry).executions <= left).then_some((entry, object))
-    }
-
-    /// [`TransitionMemo::hit`] at the viewed state.
-    pub(crate) fn hit_viewed(&self, t: usize, left: usize) -> Option<(u32, Option<usize>)> {
-        self.hit((&self.parent.ids, self.parent.nprocs), t, left)
+        let entry = self.covered((ids[t], object.map(|o| ids[nprocs + o])), left)?;
+        Some((entry, object))
     }
 
     /// Number of components of the viewed state.
@@ -1331,7 +1329,11 @@ mod tests {
                     let (_, tuple) = s.fingerprint_and_intern(&i);
                     i.materialize(&mut cache, &tuple).expect("own tuple");
                     live.view(&i, s);
-                    assert!(ids.view_ids(&i, &cache, &tuple), "{name}: a cached tuple");
+                    let mut tuple_ids = Vec::new();
+                    let nprocs = read_tuple(&tuple, &mut tuple_ids).expect("own tuple");
+                    let raw = raw_len_of(&tuple).expect("own tuple");
+                    let viewed = ids.view_ids(&i, &cache, (&tuple_ids, nprocs), raw);
+                    assert!(viewed, "{name}: a cached tuple");
                     assert_eq!(live.parent, ids.parent, "{name}: parent view");
                     let mut cx = ExecCtx::with_coverage(usize::MAX, None);
                     for pid in scheduled(&exec, s) {
@@ -1350,8 +1352,7 @@ mod tests {
                             }
                         }
                     }
-                    let nprocs = s.procs.len();
-                    let (tuple_ids, schedules) = (ids.parent.ids.clone(), facts.schedules.len());
+                    let schedules = facts.schedules.len();
                     facts.learn(&exec, (&tuple_ids, nprocs), s);
                     let mut got = Vec::new();
                     let sched = facts.schedule_known(&exec, (&tuple_ids, nprocs), &mut got);

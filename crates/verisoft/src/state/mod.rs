@@ -318,11 +318,6 @@ impl GlobalState {
         self.objects[o].make_mut()
     }
 
-    /// True when every process has terminated.
-    pub fn all_terminated(&self) -> bool {
-        self.procs.iter().all(|p| p.status == Status::Terminated)
-    }
-
     /// A compact, *toolchain-stable* 64-bit fingerprint (for statistics
     /// and visited-store stripe/shard assignment; the stateful searches
     /// store canonical state encodings, not hashes, so collisions cannot
