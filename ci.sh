@@ -125,8 +125,9 @@ for p in corpus/*.mc; do
     echo "  $p: jobs {1,2,8} byte-identical"
 done
 
-echo "== bench smoke: 10 iterations on switchgen --lines 2 =="
+echo "== bench smoke: 10 iterations on switchgen --lines 2 and --lines 3 =="
 "$BIN" switchgen --lines 2 > "$SMOKE/switch.mc"
+"$BIN" switchgen --lines 3 --events 1 > "$SMOKE/switch3.mc"
 sl_min=0 sl_max=0 sf_min=0 sf_max=0
 i=1
 while [ "$i" -le 10 ]; do
@@ -139,8 +140,11 @@ while [ "$i" -le 10 ]; do
     e=$(date +%s%N)
     sl=$(( (e - s) / 1000000 ))
     s=$(date +%s%N)
-    "$BIN" explore "$SMOKE/switch.mc" --close --stateful --all --jobs 2 \
-        --max-transitions 100000 > "$SMOKE/sf.txt" || :
+    # The whole `--lines 2` frontier space takes about 0.1 s, too short to
+    # time; 600k transitions of `--lines 3` keep the stateful run near
+    # the stateless one's 0.3 s.
+    "$BIN" explore "$SMOKE/switch3.mc" --close --stateful --all --jobs 2 \
+        --depth 400 --max-transitions 600000 > "$SMOKE/sf.txt" || :
     e=$(date +%s%N)
     sf=$(( (e - s) / 1000000 ))
     if [ "$i" -eq 1 ]; then

@@ -44,15 +44,18 @@ pub mod store;
 pub use store::{StateStore, TieredStore, VisitedStore};
 
 /// Validate a checkpoint directory against the program and configuration
-/// about to resume it (cheap: reads only the manifest prologue). The CLI
-/// calls this before starting the engine so a mismatched `--resume`
-/// surfaces as a clean error instead of a mid-run panic.
+/// about to resume it, and open every file its manifest names as resume
+/// will (reading no record). The CLI calls this before starting the
+/// engine so a mismatched or damaged `--resume` surfaces as a clean
+/// error instead of a mid-run panic.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the mismatch (missing or
-/// torn manifest, incompatible store format version, different program
-/// content hash, or different exploration configuration).
+/// Returns a human-readable description of the problem, naming the file
+/// (missing or torn manifest, incompatible store format version,
+/// different program content hash or exploration configuration, or a
+/// named file that is missing, shorter than the manifest commits, or
+/// headed for another format).
 pub fn validate_checkpoint(
     dir: &std::path::Path,
     prog: &CfgProgram,
@@ -63,6 +66,7 @@ pub fn validate_checkpoint(
         cfgir::program_content_hash(prog),
         store::checkpoint::config_digest(cfg),
     )
+    .map(drop)
 }
 
 /// Which exploration engine to use.

@@ -182,6 +182,8 @@ struct FrontierRun<'e, 'p> {
     /// appear in a report, and checkpoints persist the assignment so
     /// resumed tuples keep meaning the same states.
     interner: Option<Arc<ComponentInterner>>,
+    /// The interner's table as the last checkpoint wrote it.
+    table: Option<checkpoint::InternTable>,
     store: TieredStore,
     /// `(program hash, config digest)` when the run checkpoints.
     identity: Option<(u64, u64)>,
@@ -272,6 +274,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             spool_budget,
             chunk_budget,
             interner,
+            table: None,
             level: 0,
             resumed_level: None,
             leases: Vec::new(),
@@ -334,6 +337,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         self.report.checkpoints_written = r.checkpoints_written;
         self.frontier = self.spool(r.level);
         self.trace = r.trace;
+        self.table = r.table;
         for item in r.frontier {
             self.frontier.push(item).expect("respool resumed frontier");
         }
@@ -435,7 +439,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             &self.report,
             self.report.checkpoints_written + 1,
             identity,
-            (&self.store, self.interner.as_deref()),
+            (&self.store, self.interner.as_deref(), &mut self.table),
             (&mut self.frontier, &mut self.trace),
         )
         .expect("write checkpoint");

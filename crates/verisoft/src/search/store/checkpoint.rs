@@ -6,26 +6,23 @@
 //! else survives a round. A checkpoint therefore persists exactly those
 //! five things:
 //!
-//! - **The tier-1 log** (`tier1.bin`) is append-only and synced per
-//!   spill, so it is referenced by its committed byte length and record
-//!   count.
-//! - **Tier-0 sealed entries** are snapshotted (non-destructively) to
+//! - **The tier-1 log** (`tier1.bin`), by its committed byte length and
+//!   record count.
+//! - **Tier-0 sealed entries**, snapshotted (non-destructively) to
 //!   `mem-<level>.bin` in the log's record format.
-//! - **The frontier spool** is snapshotted to `frontier-<level>.bin`
+//! - **The frontier spool**, snapshotted to `frontier-<level>.bin`
 //!   without being consumed; each record is `trace ‖ key`.
-//! - **The path log** (`trace.bin`) is append-only like the tier-1 log;
-//!   it is synced here and referenced by its committed byte length.
-//!   So is the component interner's table (`intern.bin`).
-//! - **The report and counters** go into the manifest itself.
+//! - **The path log** (`trace.bin`) and the component interner's table
+//!   (`intern.bin`, `InternTable`), by their committed lengths.
+//! - **The report and counters**, in the manifest itself.
 //!
-//! The manifest (`checkpoint.bin`) is written to a temp file, synced,
-//! and atomically renamed over the previous manifest — a SIGKILL at any
-//! instant leaves either the old or the new checkpoint fully valid,
-//! never a torn one. Side files are written and synced *before* the
-//! rename and garbage-collected only *after* it, so whatever manifest
-//! survives only ever references complete files; a spill appended to
-//! the log after the rename lies past the committed length, which
-//! resume truncates.
+//! Every file goes through the store's file layer (`store::log`), whose
+//! durability rule is half the crash-safety argument. The manifest
+//! (`checkpoint.bin`) is the other half: written to a temp file, synced,
+//! and atomically renamed over the previous one, after every file it
+//! names is synced and before older side files are garbage-collected —
+//! so a SIGKILL at any instant leaves either the old or the new
+//! checkpoint fully valid.
 //!
 //! **Not stored**: coverage maps (`--coverage` is rejected when
 //! checkpointing), collected visible-event trace sets (the frontier
@@ -38,17 +35,20 @@
 //! resumed at `--jobs 1` with a tiny memory budget and still produce
 //! the byte-identical report.
 
+use super::disk::LOG_FILE;
+use super::log::{self, Log};
 use super::spool::{FrontierSpool, Spoolable};
-use super::trace::TraceLog;
+use super::trace::{TraceLog, TRACE_FILE};
 use super::TieredStore;
 use crate::interp::{INVISIBLE_STEP_BOUND, MAX_PROCS, MAX_STACK_DEPTH};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{
-    check_header, put_header, put_record, put_u64, read_record, ByteReader, CHECKPOINT_MAGIC,
-    SEGMENT_MAGIC, SPOOL_MAGIC,
+    put_record, put_u64, read_record, ByteReader, CHECKPOINT_MAGIC, INTERN_MAGIC, SEGMENT_MAGIC,
+    SPOOL_MAGIC, TRACE_MAGIC,
 };
+use crate::state::ComponentInterner;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// The manifest file name inside a checkpoint directory.
@@ -237,14 +237,78 @@ fn read_report(r: &mut ByteReader<'_>) -> Option<Report> {
     Some(rep)
 }
 
-fn write_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()
-}
-
 /// The interner table file name inside a checkpoint directory.
 pub(crate) const INTERN_FILE: &str = "intern.bin";
+
+fn mem_file(level: usize) -> String {
+    format!("mem-{level}.bin")
+}
+
+fn frontier_file(level: usize) -> String {
+    format!("frontier-{level}.bin")
+}
+
+/// The component interner's table as `intern.bin`: one `[len][bytes]`
+/// record per component, appended in ID order, so re-interning the
+/// records in order reproduces the run's exact ID assignment — the one
+/// the stored tuples were built under.
+pub(crate) struct InternTable {
+    log: Log,
+    /// Components on file: appends continue from this ID.
+    entries: u64,
+}
+
+impl InternTable {
+    /// Append the components `interner` assigned since the last
+    /// checkpoint to `table` (created at the first), sync it, and return
+    /// its `(bytes, entries)` for the manifest.
+    fn sync(
+        table: &mut Option<InternTable>,
+        dir: &Path,
+        interner: &ComponentInterner,
+    ) -> io::Result<(u64, u64)> {
+        if table.is_none() {
+            let log = Log::create(dir.join(INTERN_FILE), INTERN_MAGIC)?;
+            *table = Some(InternTable { log, entries: 0 });
+        }
+        let t = table.as_mut().expect("created above");
+        let mut buf = Vec::new();
+        for id in t.entries..interner.len() as u64 {
+            let enc = interner.get(id as u32).expect("IDs are dense");
+            put_u64(&mut buf, enc.len() as u64);
+            buf.extend_from_slice(&enc);
+        }
+        t.log.write_all(&buf)?;
+        t.entries = interner.len() as u64;
+        Ok((t.log.sync()?, t.entries))
+    }
+
+    /// Reopen the table a manifest committed at `(bytes, entries)` and
+    /// re-intern its records into the fresh `interner`.
+    fn load(
+        dir: &Path,
+        interner: &ComponentInterner,
+        (bytes, entries): (u64, u64),
+    ) -> io::Result<InternTable> {
+        let mut log = Log::reopen(dir.join(INTERN_FILE), INTERN_MAGIC, bytes)?;
+        let buf = log.read_all()?;
+        let mut r = log::body(&buf);
+        let torn = || log::invalid(log.path(), "torn interner record");
+        for id in 0..entries {
+            let len = r.u64().and_then(|l| usize::try_from(l).ok());
+            let enc = len.and_then(|len| r.take(len)).ok_or_else(torn)?;
+            assert_eq!(
+                u64::from(interner.intern(enc)),
+                id,
+                "records re-intern in ID order"
+            );
+        }
+        if r.remaining() != 0 {
+            return Err(torn());
+        }
+        Ok(InternTable { log, entries })
+    }
+}
 
 /// Write one checkpoint for the level boundary `level`. See the module
 /// docs for the crash-safety argument.
@@ -254,44 +318,38 @@ pub(crate) fn write<T: Spoolable>(
     report: &Report,
     checkpoints_written: usize,
     (program_hash, config_digest): (u64, u64),
-    (store, interner): (&TieredStore, Option<&crate::state::ComponentInterner>),
+    (store, interner, table): (
+        &TieredStore,
+        Option<&ComponentInterner>,
+        &mut Option<InternTable>,
+    ),
     (frontier, trace): (&mut FrontierSpool<T>, &mut TraceLog),
 ) -> io::Result<()> {
     // 1. Tier-0 sealed entries, in the log's record format.
     let mem = store.sealed_mem_snapshot();
     let mut buf = Vec::new();
-    put_header(&mut buf, SEGMENT_MAGIC);
     for (fp, epoch, enc) in &mem {
         put_record(&mut buf, *fp, *epoch, enc);
     }
-    write_sync(&dir.join(format!("mem-{level}.bin")), &buf)?;
+    log::write(dir.join(mem_file(level)), SEGMENT_MAGIC, &buf)?;
 
     // 2. The remaining frontier, without consuming it.
-    buf.clear();
-    put_header(&mut buf, SPOOL_MAGIC);
-    let mut fsnap = Vec::new();
-    let fcount = frontier.snapshot(&mut fsnap)?;
-    buf.extend_from_slice(&fsnap);
-    write_sync(&dir.join(format!("frontier-{level}.bin")), &buf)?;
+    let mut snap = Log::create(dir.join(frontier_file(level)), SPOOL_MAGIC)?;
+    let fcount = frontier.snapshot(&mut snap)?;
+    snap.sync()?;
 
-    // 2b. The component interner table the compressed records refer
-    // into — appended incrementally and synced before the manifest
-    // records its committed length, so resume reconstructs exactly the
-    // per-run ID assignment the stored tuples were built under.
-    let (ientries, ibytes) = match interner {
-        Some(i) => i.persist(&dir.join(INTERN_FILE))?,
+    // 3. The logs, synced at the lengths the manifest commits: the
+    // interner table the compressed records refer into, the path log
+    // the frontier's records point into, and tier 1.
+    let (ibytes, ientries) = match interner {
+        Some(i) => InternTable::sync(table, dir, i)?,
         None => (0, 0),
     };
+    let trace_bytes = trace.sync()?;
+    let (log_bytes, log_entries) = store.sync_log()?;
 
-    // 2c. The path log the frontier's records point into, synced for the
-    // same reason.
-    let trace_bytes = trace.persist()?;
-
-    // 3. The manifest, atomically renamed into place. The log was
-    // synced by every spill, so its current extent is durable.
-    let (log_bytes, log_entries) = store.log_extent();
+    // 4. The manifest, atomically renamed into place.
     buf.clear();
-    put_header(&mut buf, CHECKPOINT_MAGIC);
     put_u64(&mut buf, program_hash);
     put_u64(&mut buf, config_digest);
     put_u64(&mut buf, level as u64);
@@ -305,25 +363,20 @@ pub(crate) fn write<T: Spoolable>(
     put_u64(&mut buf, ibytes);
     put_u64(&mut buf, trace_bytes);
     let tmp = dir.join("checkpoint.tmp");
-    write_sync(&tmp, &buf)?;
+    log::write(tmp.clone(), CHECKPOINT_MAGIC, &buf)?;
     std::fs::rename(&tmp, dir.join(MANIFEST))?;
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all(); // persist the rename itself
     }
 
-    // 4. GC side files of older checkpoints (safe: the manifest no
+    // 5. GC side files of older checkpoints (safe: the manifest no
     // longer references them).
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            for prefix in ["mem-", "frontier-"] {
-                if let Some(rest) = name.strip_prefix(prefix) {
-                    if rest != format!("{level}.bin") && rest.ends_with(".bin") {
-                        let _ = std::fs::remove_file(e.path());
-                    }
-                }
-            }
+    let keep = [mem_file(level), frontier_file(level)];
+    for e in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = e.file_name().to_string_lossy().into_owned();
+        let side = name.starts_with("mem-") || name.starts_with("frontier-");
+        if side && name.ends_with(".bin") && !keep.contains(&name) {
+            let _ = std::fs::remove_file(e.path());
         }
     }
     Ok(())
@@ -339,46 +392,81 @@ pub(crate) struct Resumed<T> {
     pub frontier: Vec<T>,
     /// The path log, reopened at its committed length.
     pub trace: TraceLog,
+    /// The interner table, reopened at its committed length (`None`
+    /// without compression).
+    pub table: Option<InternTable>,
 }
 
-fn read_file(path: &Path) -> Result<Vec<u8>, String> {
-    let mut buf = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(buf)
+/// What a manifest records besides the run's identity.
+pub(crate) struct Manifest {
+    level: usize,
+    checkpoints_written: usize,
+    report: Report,
+    /// The tier-1 log's committed `(bytes, entries)`.
+    log: (u64, u64),
+    mem_count: usize,
+    frontier_count: usize,
+    /// The interner table's committed `(bytes, entries)`.
+    intern: (u64, u64),
+    trace_bytes: u64,
 }
 
 /// Validate a checkpoint directory against the program and
-/// configuration about to resume it. Cheap (reads only the manifest
-/// prologue); the CLI calls this before starting the engine so
-/// mismatches surface as clean errors.
-pub fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<(), String> {
-    let buf = read_file(&dir.join(MANIFEST))?;
-    let mut r = ByteReader::new(&buf);
-    if !check_header(&mut r, CHECKPOINT_MAGIC) {
-        return Err(format!(
-            "{}: not a checkpoint manifest (or written by an \
-             incompatible store format version)",
-            dir.display()
-        ));
-    }
-    let (ph, cd) = (r.u64(), r.u64());
-    if ph != Some(program_hash) {
+/// configuration about to resume it, and return its manifest: the
+/// manifest's identity is checked, and every file it names is opened as
+/// resume opens it, so a mismatch or a missing, short or foreign file
+/// surfaces as a clean error before any record is read. The CLI calls
+/// this before starting the engine; [`resume`] starts with it.
+pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Manifest, String> {
+    let buf = log::read(&dir.join(MANIFEST), CHECKPOINT_MAGIC).map_err(|e| e.to_string())?;
+    let mut r = log::body(&buf);
+    if r.u64() != Some(program_hash) {
         return Err(format!(
             "{}: checkpoint was written for a different program \
              (content hash mismatch)",
             dir.display()
         ));
     }
-    if cd != Some(digest) {
+    if r.u64() != Some(digest) {
         return Err(format!(
             "{}: checkpoint was written under a different exploration \
              configuration (depth/transition caps, POR, or mode differ)",
             dir.display()
         ));
     }
-    Ok(())
+    let bad = || format!("{}: torn checkpoint manifest", dir.display());
+    let mut next = || r.u64().ok_or_else(bad);
+    let (level, checkpoints_written) = (next()? as usize, next()? as usize);
+    let report = read_report(&mut r).ok_or_else(bad)?;
+    let mut next = || r.u64().ok_or_else(bad);
+    let m = Manifest {
+        level,
+        checkpoints_written,
+        report,
+        log: (next()?, next()?),
+        mem_count: next()? as usize,
+        frontier_count: next()? as usize,
+        intern: {
+            let entries = next()?;
+            (next()?, entries)
+        },
+        trace_bytes: next()?,
+    };
+    if r.remaining() != 0 {
+        return Err(bad());
+    }
+    let check =
+        |name: &str, magic, len| log::check(&dir.join(name), magic, len).map_err(|e| e.to_string());
+    if m.log.0 > 0 {
+        check(LOG_FILE, SEGMENT_MAGIC, Some(m.log.0))?;
+    }
+    if m.intern.0 > 0 {
+        check(INTERN_FILE, INTERN_MAGIC, Some(m.intern.0))?;
+    }
+    check(TRACE_FILE, TRACE_MAGIC, Some(m.trace_bytes))?;
+    check(&mem_file(m.level), SEGMENT_MAGIC, None)?;
+    check(&frontier_file(m.level), SPOOL_MAGIC, None)?;
+    Ok(m)
 }
 
 /// Load a checkpoint: rebuild the store's tiers (and the component
@@ -391,69 +479,41 @@ pub(crate) fn resume<T: Spoolable>(
     program_hash: u64,
     digest: u64,
     store: &TieredStore,
-    interner: Option<&crate::state::ComponentInterner>,
+    interner: Option<&ComponentInterner>,
 ) -> Result<Resumed<T>, String> {
-    validate(dir, program_hash, digest)?;
-    let buf = read_file(&dir.join(MANIFEST))?;
-    let mut r = ByteReader::new(&buf);
-    let bad = || format!("{}: torn checkpoint manifest", dir.display());
-    if !check_header(&mut r, CHECKPOINT_MAGIC) {
-        return Err(bad());
-    }
-    let _hashes = (r.u64().ok_or_else(bad)?, r.u64().ok_or_else(bad)?);
-    let level = r.u64().ok_or_else(bad)? as usize;
-    let checkpoints_written = r.u64().ok_or_else(bad)? as usize;
-    let report = read_report(&mut r).ok_or_else(bad)?;
-    let log_bytes = r.u64().ok_or_else(bad)?;
-    let log_entries = r.u64().ok_or_else(bad)?;
-    let mem_count = r.u64().ok_or_else(bad)? as usize;
-    let fcount = r.u64().ok_or_else(bad)? as usize;
-    let ientries = r.u64().ok_or_else(bad)?;
-    let ibytes = r.u64().ok_or_else(bad)?;
-    let trace_bytes = r.u64().ok_or_else(bad)?;
-    if r.remaining() != 0 {
-        return Err(bad());
-    }
+    let m = validate(dir, program_hash, digest)?;
+    let err = |e: io::Error| e.to_string();
 
     // The interner table first: the stored records are ID tuples into
-    // it, and re-interning it in record order reproduces the exact
-    // per-run assignment they were written under.
-    match interner {
-        Some(i) => i
-            .load(&dir.join(INTERN_FILE), ientries, ibytes)
-            .map_err(|e| format!("{}: {e}", dir.join(INTERN_FILE).display()))?,
-        None => {
-            // The config digest already pins the compression mode; a
-            // nonzero table here means a hand-edited manifest.
-            if ientries != 0 {
-                return Err(format!(
-                    "{}: manifest references an interner table but \
-                     compression is off",
-                    dir.display()
-                ));
-            }
+    // it.
+    let table = match interner {
+        Some(i) => Some(InternTable::load(dir, i, m.intern).map_err(err)?),
+        // The config digest already pins the compression mode; a
+        // nonzero table here means a hand-edited manifest.
+        None if m.intern.1 != 0 => {
+            return Err(format!(
+                "{}: manifest references an interner table but \
+                 compression is off",
+                dir.display()
+            ))
         }
-    }
+        None => None,
+    };
 
     // The tier-1 log: truncate past the committed length, scan, index.
-    let log_path = dir.join(super::disk::LOG_FILE);
-    let n = store
-        .load_log(log_bytes)
-        .map_err(|e| format!("{}: {e}", log_path.display()))?;
-    if n as u64 != log_entries {
+    let n = store.load_log(m.log.0).map_err(err)?;
+    if n as u64 != m.log.1 {
         return Err(format!(
-            "{}: holds {n} records, manifest says {log_entries}",
-            log_path.display()
+            "{}: holds {n} records, manifest says {}",
+            dir.join(LOG_FILE).display(),
+            m.log.1
         ));
     }
 
     // Tier-0 sealed entries.
-    let mem_path = dir.join(format!("mem-{level}.bin"));
-    let mbuf = read_file(&mem_path)?;
-    let mut mr = ByteReader::new(&mbuf);
-    if !check_header(&mut mr, SEGMENT_MAGIC) {
-        return Err(format!("{}: bad header", mem_path.display()));
-    }
+    let mem_path = dir.join(mem_file(m.level));
+    let mbuf = log::read(&mem_path, SEGMENT_MAGIC).map_err(err)?;
+    let mut mr = log::body(&mbuf);
     let mut loaded = 0usize;
     while mr.remaining() > 0 {
         let (fp, epoch, _, enc) =
@@ -461,34 +521,30 @@ pub(crate) fn resume<T: Spoolable>(
         store.insert(fp, enc, epoch);
         loaded += 1;
     }
-    if loaded != mem_count {
+    if loaded != m.mem_count {
         return Err(format!(
-            "{}: holds {loaded} records, manifest says {mem_count}",
-            mem_path.display()
+            "{}: holds {loaded} records, manifest says {}",
+            mem_path.display(),
+            m.mem_count
         ));
     }
 
     // The frontier.
-    let f_path = dir.join(format!("frontier-{level}.bin"));
-    let fbuf = read_file(&f_path)?;
-    let mut fr = ByteReader::new(&fbuf);
-    if !check_header(&mut fr, SPOOL_MAGIC) {
-        return Err(format!("{}: bad header", f_path.display()));
-    }
-    let rest = &fbuf[fr.pos()..];
-    let frontier = FrontierSpool::<T>::decode_snapshot(rest, fcount)
+    let f_path = dir.join(frontier_file(m.level));
+    let fbuf = log::read(&f_path, SPOOL_MAGIC).map_err(err)?;
+    let frontier = FrontierSpool::<T>::decode_snapshot(log::body(&fbuf), m.frontier_count)
         .ok_or_else(|| format!("{}: torn frontier snapshot", f_path.display()))?;
 
     // The path log: truncate past the committed length, append from there.
-    let trace = TraceLog::reopen(dir, trace_bytes)
-        .map_err(|e| format!("{}: {e}", dir.join(super::trace::TRACE_FILE).display()))?;
+    let trace = TraceLog::reopen(dir, m.trace_bytes).map_err(err)?;
 
     Ok(Resumed {
-        level,
-        checkpoints_written,
-        report,
+        level: m.level,
+        checkpoints_written: m.checkpoints_written,
+        report: m.report,
         frontier,
         trace,
+        table,
     })
 }
 
@@ -597,19 +653,22 @@ mod tests {
     #[test]
     fn validate_rejects_mismatches() {
         let dir = super::super::SpillDir::temp().unwrap();
-        assert!(validate(dir.path(), 1, 2).is_err(), "no manifest");
+        let manifest = dir.path().join(MANIFEST);
+        let refused = |hash, digest| validate(dir.path(), hash, digest).err().unwrap();
+        assert!(refused(1, 2).contains("No such file"), "no manifest");
         let mut buf = Vec::new();
-        put_header(&mut buf, CHECKPOINT_MAGIC);
         put_u64(&mut buf, 11); // program hash
         put_u64(&mut buf, 22); // config digest
-        std::fs::write(dir.path().join(MANIFEST), &buf).unwrap();
-        assert!(validate(dir.path(), 11, 22).is_ok());
-        let e = validate(dir.path(), 99, 22).unwrap_err();
+        log::write(manifest.clone(), CHECKPOINT_MAGIC, &buf).unwrap();
+        let e = refused(99, 22);
         assert!(e.contains("different program"), "{e}");
-        let e = validate(dir.path(), 11, 99).unwrap_err();
+        let e = refused(11, 99);
         assert!(e.contains("different exploration configuration"), "{e}");
-        std::fs::write(dir.path().join(MANIFEST), b"RXXX....").unwrap();
-        let e = validate(dir.path(), 11, 22).unwrap_err();
+        // The identity alone is no checkpoint.
+        let e = refused(11, 22);
+        assert!(e.contains("torn checkpoint manifest"), "{e}");
+        std::fs::write(&manifest, b"RXXX....").unwrap();
+        let e = refused(11, 22);
         assert!(e.contains("not a checkpoint manifest"), "{e}");
         // A manifest of the v3 layout (a segment list, not one log) is
         // refused by its header before anything else is read.
@@ -618,8 +677,45 @@ mod tests {
         put_u64(&mut buf, 3);
         put_u64(&mut buf, 11);
         put_u64(&mut buf, 22);
-        std::fs::write(dir.path().join(MANIFEST), &buf).unwrap();
-        let e = validate(dir.path(), 11, 22).unwrap_err();
+        std::fs::write(&manifest, &buf).unwrap();
+        let e = refused(11, 22);
         assert!(e.contains("incompatible store format version"), "{e}");
+    }
+
+    #[test]
+    fn intern_table_appends_per_checkpoint_and_reloads_the_assignment() {
+        let dir = super::super::SpillDir::temp().unwrap();
+        let i = ComponentInterner::new();
+        let encs: Vec<Vec<u8>> = (0..5u8).map(|n| vec![n; n as usize + 1]).collect();
+        for e in &encs[..3] {
+            i.intern(e);
+        }
+        let mut table = None;
+        let (b1, n1) = InternTable::sync(&mut table, dir.path(), &i).unwrap();
+        assert_eq!(n1, 3);
+        for e in &encs[3..] {
+            i.intern(e);
+        }
+        // An incremental append, then a sync with nothing new.
+        let (b2, n2) = InternTable::sync(&mut table, dir.path(), &i).unwrap();
+        assert_eq!((n2, b2 > b1), (5, true));
+        assert_eq!(
+            InternTable::sync(&mut table, dir.path(), &i).unwrap(),
+            (b2, 5)
+        );
+        drop(table);
+        let j = ComponentInterner::new();
+        InternTable::load(dir.path(), &j, (b2, n2)).unwrap();
+        assert_eq!(j.len(), 5);
+        for (want, e) in encs.iter().enumerate() {
+            assert_eq!(j.intern(e) as usize, want, "assignment reproduced");
+        }
+        // A committed count past the records is a torn table.
+        let e = InternTable::load(dir.path(), &ComponentInterner::new(), (b2, 6));
+        assert!(e
+            .err()
+            .unwrap()
+            .to_string()
+            .contains("torn interner record"));
     }
 }

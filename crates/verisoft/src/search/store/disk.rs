@@ -8,26 +8,21 @@
 //! Records use the shared framing of [`crate::state::encode`]:
 //!
 //! ```text
-//! RSEG <version>                        (header, put_header; once)
+//! RSEG <version>                        (header, once)
 //! [fingerprint][epoch][len][enc bytes]  (per record, put_record)
 //! ...
 //! ```
 //!
-//! The file is created by the first spill and synced after every
-//! append, so a checkpoint manifest can commit the log by its byte
-//! length and record count alone: after a crash, anything past the
-//! committed length (a spill that landed after the manifest, or a torn
-//! append) is truncated by [`SpillLog::reopen`]. One file means one open
-//! handle however many levels spill.
+//! The file is created by the first spill and written through the
+//! store's file layer (`store::log`), whose durability rule it follows.
+//! One file means one open handle however many levels spill.
 
+use super::log::{self, Log};
 use super::SpillDir;
-use crate::state::encode::{
-    check_header, put_header, put_record, read_record, ByteReader, SEGMENT_MAGIC,
-};
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use crate::state::encode::{put_record, read_record, SEGMENT_MAGIC};
+use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// The tier-1 log's file name inside the spill directory.
 pub(crate) const LOG_FILE: &str = "tier1.bin";
@@ -53,44 +48,16 @@ pub struct DiskRef {
     pub epoch: u32,
 }
 
-/// The open log: its one handle plus what a manifest commits.
-struct Log {
-    file: File,
-    /// Bytes written and synced (header included).
-    byte_len: u64,
-    /// Records written.
-    entries: u64,
-    /// Appends this store has made (the `store_segments` counter; a
-    /// reopened log starts at 0).
-    spills: usize,
-}
-
-/// The tier-1 log under one spill dir. `None` until the first spill
-/// (or a resumed non-empty log) creates the file.
+/// The tier-1 log under one spill dir.
 pub(crate) struct SpillLog {
     dir: Arc<SpillDir>,
     /// Whether records are compressed ID tuples (decides how a record's
     /// raw length is derived).
     compressed: bool,
+    /// `None` until the first spill (or a resumed non-empty log) creates
+    /// the file. Appends take the write lock at a level boundary; the
+    /// workers' confirms share the read lock.
     log: RwLock<Option<Log>>,
-    /// Serializes positional reads on non-unix hosts (see [`pread`]).
-    #[allow(dead_code)]
-    read_lock: Mutex<()>,
-}
-
-#[cfg(unix)]
-fn pread(store: &SpillLog, f: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    let _ = store;
-    std::os::unix::fs::FileExt::read_exact_at(f, buf, off)
-}
-
-#[cfg(not(unix))]
-fn pread(store: &SpillLog, f: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    // No positional-read API: seek-then-read under a store-wide lock.
-    let _guard = store.read_lock.lock().unwrap();
-    let mut f = f;
-    f.seek(SeekFrom::Start(off))?;
-    f.read_exact(buf)
 }
 
 impl SpillLog {
@@ -99,7 +66,6 @@ impl SpillLog {
             dir,
             compressed,
             log: RwLock::new(None),
-            read_lock: Mutex::new(()),
         }
     }
 
@@ -127,95 +93,51 @@ impl SpillLog {
 
     /// Append `records` (`(fingerprint, epoch, enc)` triples, already in
     /// deterministic order) to the log, returning the index entries to
-    /// publish. The file is synced before the records become visible,
-    /// so a checkpoint manifest may commit the new length.
+    /// publish. The records reach the file before they become visible,
+    /// because workers confirm against it.
     pub(crate) fn append(
         &self,
         records: &[(u64, u32, Box<[u8]>)],
     ) -> io::Result<Vec<(u64, DiskRef)>> {
         let mut guard = self.log.write().expect(POISONED);
         if guard.is_none() {
-            // Read+write: the same handle later serves positional reads
-            // in `confirm` (a write-only fd would fail them with EBADF).
-            // Truncation drops a stale log no manifest of this run
-            // commits.
-            let file = File::options()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(self.path())?;
-            *guard = Some(Log {
-                file,
-                byte_len: 0,
-                entries: 0,
-                spills: 0,
-            });
+            *guard = Some(Log::create(self.path(), SEGMENT_MAGIC)?);
         }
         let log = guard.as_mut().expect("log opened above");
         let mut buf = Vec::new();
-        // The header goes with the first append that succeeds.
-        if log.byte_len == 0 {
-            put_header(&mut buf, SEGMENT_MAGIC);
-        }
         let mut refs = Vec::with_capacity(records.len());
         for (fp, epoch, enc) in records {
             put_record(&mut buf, *fp, *epoch, enc);
-            let off = log.byte_len + (buf.len() - enc.len()) as u64;
+            let off = log.len() + (buf.len() - enc.len()) as u64;
             refs.push((*fp, self.disk_ref(off, enc, *epoch)));
         }
-        log.file.seek(SeekFrom::Start(log.byte_len))?;
-        log.file.write_all(&buf)?;
-        log.file.sync_all()?;
-        log.byte_len += buf.len() as u64;
-        log.entries += records.len() as u64;
-        log.spills += 1;
+        log.write_all(&buf)?;
+        log.flush()?;
         Ok(refs)
     }
 
     /// Reopen and scan the log a manifest committed at `byte_len` bytes
-    /// (resume path): anything beyond is a post-manifest spill or a torn
-    /// tail and is truncated away. Returns the index entries of every
-    /// committed record. A zero length means no spill was committed;
-    /// the next [`SpillLog::append`] then starts the file afresh.
+    /// (resume path), returning the index entries of every committed
+    /// record. A zero length means no spill was committed; the next
+    /// [`SpillLog::append`] then starts the file afresh.
     pub(crate) fn reopen(&self, byte_len: u64) -> io::Result<Vec<(u64, DiskRef)>> {
         if byte_len == 0 {
             return Ok(Vec::new());
         }
-        let mut file = File::options().read(true).write(true).open(self.path())?;
-        if file.metadata()?.len() > byte_len {
-            file.set_len(byte_len)?;
-        }
-        let mut buf = Vec::new();
-        Read::by_ref(&mut file)
-            .take(byte_len)
-            .read_to_end(&mut buf)?;
-        if buf.len() as u64 != byte_len {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("{} bytes on disk, manifest says {byte_len}", buf.len()),
-            ));
-        }
-        let mut r = ByteReader::new(&buf);
-        if !check_header(&mut r, SEGMENT_MAGIC) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad header"));
-        }
+        let mut log = Log::reopen(self.path(), SEGMENT_MAGIC, byte_len)?;
+        let bytes = log.read_all()?;
+        let mut r = log::body(&bytes);
         let mut refs = Vec::new();
         while r.remaining() > 0 {
             let Some((fp, epoch, off, enc)) = read_record(&mut r) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
+                return Err(log::invalid(
+                    log.path(),
                     format!("torn record at byte {}", r.pos()),
                 ));
             };
             refs.push((fp, self.disk_ref(off as u64, enc, epoch)));
         }
-        *self.log.write().expect(POISONED) = Some(Log {
-            file,
-            byte_len,
-            entries: refs.len() as u64,
-            spills: 0,
-        });
+        *self.log.write().expect(POISONED) = Some(log);
         Ok(refs)
     }
 
@@ -227,27 +149,17 @@ impl SpillLog {
         let guard = self.log.read().expect(POISONED);
         let log = guard.as_ref().expect("an index ref implies an open log");
         let mut buf = vec![0u8; r.len as usize];
-        pread(self, &log.file, &mut buf, r.off)?;
+        log.read_at(&mut buf, r.off)?;
         Ok(buf == enc)
     }
 
-    /// `(byte_len, entries)` of the log — what a checkpoint manifest
-    /// commits; `(0, 0)` before the first spill.
-    pub(crate) fn extent(&self) -> (u64, u64) {
-        self.log
-            .read()
-            .expect(POISONED)
-            .as_ref()
-            .map_or((0, 0), |l| (l.byte_len, l.entries))
-    }
-
-    /// Appends this store has made to the log.
-    pub(crate) fn spills(&self) -> usize {
-        self.log
-            .read()
-            .expect(POISONED)
-            .as_ref()
-            .map_or(0, |l| l.spills)
+    /// Sync the log and return its byte length — what a checkpoint
+    /// manifest commits; 0 before the first spill.
+    pub(crate) fn sync(&self) -> io::Result<u64> {
+        match self.log.write().expect(POISONED).as_mut() {
+            Some(log) => log.sync(),
+            None => Ok(0),
+        }
     }
 }
 
@@ -268,12 +180,11 @@ mod tests {
     fn appends_share_one_file_and_confirm() {
         let dir = SpillDir::temp().unwrap();
         let log = SpillLog::new(dir.clone(), false);
-        assert_eq!(log.extent(), (0, 0));
+        assert_eq!(log.sync().unwrap(), 0);
         let rs = records(5);
         let mut refs = log.append(&rs[..2]).unwrap();
         refs.extend(log.append(&rs[2..]).unwrap());
-        assert_eq!(log.spills(), 2);
-        assert_eq!(log.extent().1, 5);
+        assert_eq!(refs.len(), 5);
         assert_eq!(
             std::fs::read_dir(dir.path()).unwrap().count(),
             1,
@@ -294,11 +205,11 @@ mod tests {
     fn reopen_rebuilds_refs_and_truncates_torn_tails() {
         let dir = SpillDir::temp().unwrap();
         let path = dir.path().join(LOG_FILE);
-        let ((byte_len, entries), rs) = {
+        let (byte_len, rs) = {
             let log = SpillLog::new(dir.clone(), false);
             let rs = records(4);
             log.append(&rs[..3]).unwrap();
-            let committed = log.extent();
+            let committed = log.sync().unwrap();
             // A spill that lands after the manifest committed the
             // first three records, then a torn append past it.
             log.append(&rs[3..]).unwrap();
@@ -312,14 +223,13 @@ mod tests {
             .unwrap();
         let log = SpillLog::new(dir, false);
         let refs = log.reopen(byte_len).unwrap();
-        assert_eq!(refs.len() as u64, entries);
+        assert_eq!(refs.len(), 3);
         for ((_, _, enc), (_, r)) in rs.iter().zip(&refs) {
             assert!(log.confirm(r, enc).unwrap());
         }
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), byte_len);
         // Appends continue at the committed length.
         let (_, r) = log.append(&rs[3..]).unwrap()[0];
         assert!(log.confirm(&r, &rs[3].2).unwrap());
-        assert_eq!(log.extent().1, entries + 1);
+        assert_eq!(r.off, byte_len + 3, "after the committed length");
     }
 }

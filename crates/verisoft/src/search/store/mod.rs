@@ -23,6 +23,8 @@
 //! - `trace` — the frontier search's reproducing paths: one append-only
 //!   log of `(parent, decision)` records, which a frontier entry points
 //!   into.
+//! - `log` — the file layer every file above goes through: headers,
+//!   buffered appends, syncs, and reopening at a committed length.
 //! - [`checkpoint`] — periodic level-boundary checkpoints (the tier-1
 //!   log's and the path log's committed lengths + tier-0 snapshot +
 //!   frontier spool + report counters behind a versioned manifest) and
@@ -46,6 +48,7 @@ pub mod checkpoint;
 pub mod disk;
 pub mod index;
 pub(crate) mod keyset;
+mod log;
 pub mod mem;
 pub mod spool;
 pub(crate) mod trace;
@@ -149,7 +152,10 @@ pub struct TieredStore {
     budget: usize,
     tier1: Option<Tier1>,
     peak_mem: AtomicUsize,
+    /// Entries moved to (or reloaded from) tier 1: the log's records.
     spilled: AtomicUsize,
+    /// Appends this store made to the log.
+    spills: AtomicUsize,
 }
 
 impl TieredStore {
@@ -177,6 +183,7 @@ impl TieredStore {
             }),
             peak_mem: AtomicUsize::new(0),
             spilled: AtomicUsize::new(0),
+            spills: AtomicUsize::new(0),
         }
     }
 
@@ -238,6 +245,7 @@ impl TieredStore {
             t1.index.insert(fp, r);
         }
         self.spilled.fetch_add(records.len(), Ordering::Relaxed);
+        self.spills.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -263,10 +271,11 @@ impl TieredStore {
         self.mem.sealed_snapshot()
     }
 
-    /// The tier-1 log's `(byte_len, entries)` for the checkpoint
-    /// manifest.
-    pub(crate) fn log_extent(&self) -> (u64, u64) {
-        self.tier1.as_ref().map_or((0, 0), |t| t.log.extent())
+    /// Sync the tier-1 log and return its `(bytes, entries)` for the
+    /// checkpoint manifest; `(0, 0)` before the first spill.
+    pub(crate) fn sync_log(&self) -> io::Result<(u64, u64)> {
+        let bytes = self.tier1.as_ref().map_or(Ok(0), |t| t.log.sync())?;
+        Ok((bytes, self.spilled_entries() as u64))
     }
 
     /// Tier-0 resident payload bytes right now.
@@ -288,7 +297,7 @@ impl TieredStore {
 
     /// Spills this store appended to the tier-1 log.
     pub fn spill_count(&self) -> usize {
-        self.tier1.as_ref().map_or(0, |t| t.log.spills())
+        self.spills.load(Ordering::Relaxed)
     }
 
     /// Bytes the store actually holds across tiers — equal to

@@ -28,17 +28,17 @@
 //! counts) depend on where the chunk boundaries fall, so a change to the
 //! rule changes them, and never the report.
 //!
-//! Spool files (`spool-<level>.bin`) use the shared framing of
-//! [`crate::state::encode`] and are deleted when the spool drops; a
-//! checkpoint serializes the *remaining* entries via
-//! [`FrontierSpool::snapshot`] without consuming them.
+//! Spool files (`spool-<level>.bin`) are written through the store's
+//! file layer (`store::log`), hold length-prefixed records, and are
+//! deleted when the spool drops; a checkpoint serializes the *remaining*
+//! entries via [`FrontierSpool::snapshot`] without consuming them.
 
+use super::log::Log;
 use super::SpillDir;
-use crate::state::encode::{put_header, put_u64, ByteReader, SPOOL_MAGIC};
+use crate::state::encode::{put_u64, ByteReader, SPOOL_MAGIC};
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::io::{self, BufReader, Read, Write};
 use std::sync::Arc;
 
 /// An entry that can round-trip through a spool file. Decoded entries
@@ -54,8 +54,7 @@ pub trait Spoolable: Sized {
 }
 
 struct DiskPart {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: Log,
     /// Records written and not yet read back.
     pending: usize,
     reader: Option<BufReader<File>>,
@@ -125,19 +124,14 @@ impl<T: Spoolable> FrontierSpool<T> {
             None => {
                 let dir = self.dir.as_ref().expect("spill requires a dir");
                 let path = dir.path().join(format!("spool-{}.bin", self.tag));
-                let mut writer = BufWriter::new(File::create(&path)?);
-                let mut hdr = Vec::new();
-                put_header(&mut hdr, SPOOL_MAGIC);
-                writer.write_all(&hdr)?;
                 self.disk.insert(DiskPart {
-                    path,
-                    writer,
+                    log: Log::create(path, SPOOL_MAGIC)?,
                     pending: 0,
                     reader: None,
                 })
             }
         };
-        write_framed(&mut d.writer, &mut self.scratch)?;
+        write_framed(&mut d.log, &mut self.scratch)?;
         d.pending += 1;
         self.spooled += 1;
         Ok(())
@@ -178,25 +172,11 @@ impl<T: Spoolable> FrontierSpool<T> {
         if d.pending == 0 {
             return Ok(None);
         }
+        // Levels never interleave pushes with pops, so by the first read
+        // the writer is done.
         let reader = match &mut d.reader {
             Some(r) => r,
-            None => {
-                // First read: flush the write side, then start a fresh
-                // sequential reader past the header. Levels never
-                // interleave pushes with pops, so the writer is done.
-                d.writer.flush()?;
-                let mut f = File::open(&d.path)?;
-                let mut hdr = vec![0u8; header_len()];
-                f.read_exact(&mut hdr)?;
-                let mut hr = ByteReader::new(&hdr);
-                if !crate::state::encode::check_header(&mut hr, SPOOL_MAGIC) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "bad spool header",
-                    ));
-                }
-                d.reader.insert(BufReader::new(f))
-            }
+            None => d.reader.insert(d.log.reader()?),
         };
         let len = read_varint(reader)? as usize;
         self.scratch.resize(len, 0);
@@ -226,21 +206,17 @@ impl<T: Spoolable> FrontierSpool<T> {
                     "checkpoints snapshot level-start spools only"
                 );
                 // Raw copy: records are already length-prefixed.
-                d.writer.flush()?;
-                let mut f = File::open(&d.path)?;
-                f.seek(SeekFrom::Start(header_len() as u64))?;
-                io::copy(&mut f, out)?;
+                io::copy(&mut d.log.reader()?, out)?;
                 n += d.pending;
             }
         }
         Ok(n)
     }
 
-    /// Decode `count` length-prefixed records from `bytes` (a snapshot
+    /// Decode the `count` length-prefixed records `r` holds (a snapshot
     /// written by [`FrontierSpool::snapshot`]), yielding the entries to
     /// re-push into a fresh spool.
-    pub fn decode_snapshot(bytes: &[u8], count: usize) -> Option<Vec<T>> {
-        let mut r = ByteReader::new(bytes);
+    pub fn decode_snapshot(mut r: ByteReader<'_>, count: usize) -> Option<Vec<T>> {
         let mut out = Vec::with_capacity(count.min(r.remaining()));
         for _ in 0..count {
             let len = usize::try_from(r.u64()?).ok()?;
@@ -260,13 +236,6 @@ fn write_framed(out: &mut impl Write, record: &mut Vec<u8>) -> io::Result<()> {
     let (body, prefix) = record.split_at(len);
     out.write_all(prefix)?;
     out.write_all(body)
-}
-
-/// Byte length of the `put_header` preamble (magic + version varint).
-fn header_len() -> usize {
-    let mut v = Vec::new();
-    put_header(&mut v, SPOOL_MAGIC);
-    v.len()
 }
 
 fn read_varint(r: &mut impl Read) -> io::Result<u64> {
@@ -292,7 +261,7 @@ fn read_varint(r: &mut impl Read) -> io::Result<u64> {
 impl<T: Spoolable> Drop for FrontierSpool<T> {
     fn drop(&mut self) {
         if let Some(d) = &self.disk {
-            let _ = std::fs::remove_file(&d.path);
+            let _ = std::fs::remove_file(d.log.path());
         }
     }
 }
@@ -380,7 +349,7 @@ mod tests {
         let n = spool.snapshot(&mut snap).unwrap();
         assert_eq!(n, 25);
         assert_eq!(spool.len(), 25, "snapshot consumes nothing");
-        let decoded = FrontierSpool::<Item>::decode_snapshot(&snap, n).unwrap();
+        let decoded = FrontierSpool::<Item>::decode_snapshot(ByteReader::new(&snap), n).unwrap();
         assert_eq!(decoded, all);
         // And the spool still drains in order afterwards.
         let mut back = Vec::new();

@@ -10,28 +10,24 @@
 //! has: the root's empty path.
 //!
 //! ```text
-//! RTRC <version>                                (header, put_header; once)
+//! RTRC <version>                                (header, once)
 //! [parent ref][process][#choices][choice]...    (per record)
 //! ```
 //!
 //! Records are appended by the ordered commit, in commit order, so every
 //! offset is the same for any worker count and memory budget. Without a
 //! spill directory the log is a list of fixed-size byte blocks. With one
-//! it is `trace.bin`,
-//! appended through a buffered writer, so at most the writer's buffer is
-//! resident; building a path flushes the writer and reads the records
-//! back. Either way a walk back stops at the first record on the last
-//! path built and takes the rest from it, so sibling violations read
-//! their own records only. A checkpoint syncs the file and commits its
-//! length ([`TraceLog::persist`]); resume truncates anything past that
-//! length ([`TraceLog::reopen`]), as it does for the tier-1 log and the
-//! interner table.
+//! it is `trace.bin`, appended through the store's file layer
+//! (`store::log`), so at most its buffer is resident; building a path
+//! flushes it and reads the records back. Either way a walk back stops
+//! at the first record on the last path built and takes the rest from
+//! it, so sibling violations read their own records only.
 
 use super::checkpoint::{put_decision, read_decision};
+use super::log::{self, Log};
 use crate::report::Decision;
-use crate::state::encode::{check_header, put_header, put_u64, ByteReader, TRACE_MAGIC};
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use crate::state::encode::{put_u64, ByteReader, TRACE_MAGIC};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// The path log's file name inside the spill directory.
@@ -56,7 +52,7 @@ const BLOCK: usize = 1 << 16;
 enum Sink {
     /// Full blocks, then the one being filled; a record may straddle two.
     Mem(Vec<Vec<u8>>),
-    File(BufWriter<File>),
+    File(Log),
 }
 
 /// The append-only path log. See the module docs.
@@ -71,13 +67,6 @@ pub(crate) struct TraceLog {
     last: Vec<(TraceRef, Decision)>,
 }
 
-/// The header every log starts with.
-fn header() -> Vec<u8> {
-    let mut h = Vec::new();
-    put_header(&mut h, TRACE_MAGIC);
-    h
-}
-
 fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -85,67 +74,32 @@ fn corrupt(msg: String) -> io::Error {
 impl TraceLog {
     /// An empty log in memory.
     pub(crate) fn in_memory() -> TraceLog {
-        let mut log = TraceLog {
-            sink: Sink::Mem(Vec::new()),
-            len: 0,
-            scratch: header(),
-            last: Vec::new(),
-        };
-        log.append_scratch().expect("memory appends cannot fail");
-        log
+        TraceLog::new(
+            Sink::Mem(vec![log::header(TRACE_MAGIC).to_vec()]),
+            log::HEADER_LEN as u64,
+        )
     }
 
-    /// An empty log in `trace.bin` under `dir`, created afresh (a stale
-    /// file no manifest of this run commits is truncated away).
+    /// An empty log in `trace.bin` under `dir`, created afresh.
     pub(crate) fn create(dir: &Path) -> io::Result<TraceLog> {
-        // Read+write: building a path reads records back through the
-        // same handle.
-        let file = File::options()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join(TRACE_FILE))?;
-        let mut log = TraceLog {
-            sink: Sink::File(BufWriter::new(file)),
-            len: 0,
-            scratch: header(),
-            last: Vec::new(),
-        };
-        log.append_scratch()?;
-        Ok(log)
+        let log = Log::create(dir.join(TRACE_FILE), TRACE_MAGIC)?;
+        Ok(TraceLog::new(Sink::File(log), log::HEADER_LEN as u64))
     }
 
     /// The `trace.bin` under `dir` that a checkpoint committed at
-    /// `byte_len` bytes, reopened for appending: anything past that
-    /// length (records of levels after the checkpoint, or a torn append)
-    /// is truncated away.
+    /// `byte_len` bytes, reopened for appending.
     pub(crate) fn reopen(dir: &Path, byte_len: u64) -> io::Result<TraceLog> {
-        let mut file = File::options()
-            .read(true)
-            .write(true)
-            .open(dir.join(TRACE_FILE))?;
-        let actual = file.metadata()?.len();
-        if actual < byte_len {
-            return Err(corrupt(format!(
-                "{actual} bytes on disk, manifest says {byte_len}"
-            )));
-        }
-        file.set_len(byte_len)?;
-        let mut head = vec![0u8; header().len()];
-        file.read_exact(&mut head)?;
-        if !check_header(&mut ByteReader::new(&head), TRACE_MAGIC) {
-            return Err(corrupt(
-                "not a trace log (or written by an incompatible store format version)".into(),
-            ));
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(TraceLog {
-            sink: Sink::File(BufWriter::new(file)),
-            len: byte_len,
+        let log = Log::reopen(dir.join(TRACE_FILE), TRACE_MAGIC, byte_len)?;
+        Ok(TraceLog::new(Sink::File(log), byte_len))
+    }
+
+    fn new(sink: Sink, len: u64) -> TraceLog {
+        TraceLog {
+            sink,
+            len,
             scratch: Vec::new(),
             last: Vec::new(),
-        })
+        }
     }
 
     /// Append the path `parent` extended by `decision`, and return it.
@@ -230,10 +184,10 @@ impl TraceLog {
     fn read_scratch(&mut self, off: u64, n: usize) -> io::Result<()> {
         self.scratch.clear();
         match &mut self.sink {
-            Sink::File(w) => {
+            Sink::File(log) => {
                 self.scratch.resize(n, 0);
-                w.flush()?;
-                read_at(w.get_mut(), &mut self.scratch, off)?;
+                log.flush()?;
+                log.read_at(&mut self.scratch, off)?;
             }
             Sink::Mem(blocks) => {
                 let mut off = off as usize;
@@ -250,27 +204,12 @@ impl TraceLog {
 
     /// Sync the log and return its length — what a checkpoint manifest
     /// commits. An in-memory log has nothing to sync.
-    pub(crate) fn persist(&mut self) -> io::Result<u64> {
-        if let Sink::File(w) = &mut self.sink {
-            w.flush()?;
-            w.get_ref().sync_all()?;
+    pub(crate) fn sync(&mut self) -> io::Result<u64> {
+        match &mut self.sink {
+            Sink::File(log) => log.sync(),
+            Sink::Mem(_) => Ok(self.len),
         }
-        Ok(self.len)
     }
-}
-
-/// Fill `buf` from `f` at offset `off`, leaving the write position at
-/// the end of the file: one positional read where the platform has one.
-#[cfg(unix)]
-fn read_at(f: &mut File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    std::os::unix::fs::FileExt::read_exact_at(f, buf, off)
-}
-
-#[cfg(not(unix))]
-fn read_at(f: &mut File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    f.seek(SeekFrom::Start(off))?;
-    f.read_exact(buf)?;
-    f.seek(SeekFrom::End(0)).map(drop)
 }
 
 /// Decode the record at the front of `bytes`, which sits at offset `at`.
@@ -389,7 +328,7 @@ mod tests {
         let mut log = TraceLog::create(dir.path()).unwrap();
         let p = log.push(TraceRef::EMPTY, &decision(1, vec![2, 0])).unwrap();
         log.push(p, &decision(0, vec![])).unwrap();
-        let len = log.persist().unwrap();
+        let len = log.sync().unwrap();
         let bytes = std::fs::read(dir.path().join(TRACE_FILE)).unwrap();
         #[rustfmt::skip]
         let golden = [
@@ -402,21 +341,16 @@ mod tests {
     }
 
     #[test]
-    fn reopen_truncates_past_the_committed_length() {
+    fn reopen_appends_at_the_committed_length() {
         let dir = SpillDir::temp().unwrap();
         let mut log = TraceLog::create(dir.path()).unwrap();
         let a = decision(3, vec![1]);
         let pa = log.push(TraceRef::EMPTY, &a).unwrap();
-        let committed = log.persist().unwrap();
+        let committed = log.sync().unwrap();
         log.push(pa, &decision(4, vec![])).unwrap();
-        log.persist().unwrap();
+        log.sync().unwrap();
         drop(log);
-        let path = dir.path().join(TRACE_FILE);
-        let mut f = File::options().append(true).open(&path).unwrap();
-        f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x7F]).unwrap();
-        drop(f);
         let mut log = TraceLog::reopen(dir.path(), committed).unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
         let b = decision(5, vec![]);
         let pb = log.push(pa, &b).unwrap();
         assert_eq!(
@@ -425,10 +359,5 @@ mod tests {
             "appends resume at the committed end"
         );
         assert_eq!(log.path(pb).unwrap(), [a, b]);
-        // A length past the file, or a file that is not a trace log, is
-        // refused.
-        assert!(TraceLog::reopen(dir.path(), committed + 100).is_err());
-        std::fs::write(&path, b"not a trace log").unwrap();
-        assert!(TraceLog::reopen(dir.path(), 10).is_err());
     }
 }

@@ -280,17 +280,6 @@ pub const TRACE_MAGIC: [u8; 4] = *b"RTRC";
 /// path log, whose committed length the manifest records.)
 pub const STORE_FORMAT_VERSION: u64 = 5;
 
-/// Append a versioned container header: 4 magic bytes + format version.
-pub fn put_header(out: &mut Vec<u8>, magic: [u8; 4]) {
-    out.extend_from_slice(&magic);
-    put_u64(out, STORE_FORMAT_VERSION);
-}
-
-/// Consume and validate a container header written by [`put_header`].
-pub fn check_header(r: &mut ByteReader<'_>, magic: [u8; 4]) -> bool {
-    r.take(4) == Some(&magic[..]) && r.u64() == Some(STORE_FORMAT_VERSION)
-}
-
 /// Append one framed state record: `[fingerprint][epoch][len][enc]`.
 /// The shared framing of the tier-1 log, checkpoint memory snapshots,
 /// and (with epoch 0) any future record stream over state encodings.
@@ -506,11 +495,9 @@ mod tests {
     #[test]
     fn record_framing_roundtrips() {
         let mut buf = Vec::new();
-        put_header(&mut buf, SEGMENT_MAGIC);
         put_record(&mut buf, 0xdead_beef, 7, b"abc");
         put_record(&mut buf, 42, 0, b"");
         let mut r = ByteReader::new(&buf);
-        assert!(check_header(&mut r, SEGMENT_MAGIC));
         let (fp, epoch, off, enc) = read_record(&mut r).unwrap();
         assert_eq!((fp, epoch, enc), (0xdead_beef, 7, &b"abc"[..]));
         assert_eq!(&buf[off..off + 3], b"abc");
@@ -518,11 +505,8 @@ mod tests {
         assert_eq!((fp2, epoch2, enc2.len()), (42, 0, 0));
         assert_eq!(r.remaining(), 0);
         assert!(read_record(&mut r).is_none(), "end of stream");
-        // Wrong magic and truncated payloads are rejected.
-        let mut wrong = ByteReader::new(&buf);
-        assert!(!check_header(&mut wrong, CHECKPOINT_MAGIC));
+        // Truncated payloads are rejected.
         let mut cut = ByteReader::new(&buf[..buf.len() - 1]);
-        assert!(check_header(&mut cut, SEGMENT_MAGIC));
         assert!(read_record(&mut cut).is_some());
         assert!(read_record(&mut cut).is_none(), "truncated record");
     }

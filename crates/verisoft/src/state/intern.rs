@@ -25,9 +25,9 @@
 //! standing in for the raw encoding. IDs are **not** stable across runs
 //! (worker timing decides which thread interns a new component first),
 //! which is why they never appear in reports and why checkpoints must
-//! persist the table: `--resume` reloads the exact ID assignment the
-//! interrupted run used ([`ComponentInterner::load`]), reconstructing
-//! identical membership.
+//! persist the table: `--resume` re-interns it in ID order, reproducing
+//! the exact assignment the interrupted run used and so identical
+//! membership.
 //!
 //! Each interner carries a process-unique nonzero token; the per-
 //! allocation memo in [`CowArc`] is tagged with it, so a memo produced
@@ -37,10 +37,7 @@
 //! [`GlobalState`]: super::GlobalState
 //! [`GlobalState::fingerprint_and_intern`]: super::GlobalState::fingerprint_and_intern
 
-use super::encode::{
-    check_header, decode_obj_state, decode_proc_state, put_header, put_u64, varint_len, ByteReader,
-    Encode, INTERN_MAGIC,
-};
+use super::encode::{decode_obj_state, decode_proc_state, put_u64, varint_len, ByteReader, Encode};
 use super::{CowArc, GlobalState, ObjState, ProcState};
 use crate::executor::Executor;
 use crate::hash::{mix64, stable_hash_bytes, FpBuildHasher, StableBuildHasher};
@@ -51,8 +48,6 @@ use crate::search::store::keyset::KeySet;
 use cfgir::ObjId;
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -65,16 +60,9 @@ const STRIPES: usize = 64;
 /// can never match).
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// How many table entries (and committed file bytes) a checkpoint has
-/// already persisted; appends continue from here.
-struct PersistCursor {
-    entries: u64,
-    bytes: u64,
-}
-
 /// A concurrent, lock-striped interner of component encodings: dense
-/// `u32` IDs, append-only ID→bytes table, crash-safe persistence for
-/// checkpoints. See the module docs for the injectivity contract.
+/// `u32` IDs and an append-only ID→bytes table. See the module docs for
+/// the injectivity contract.
 pub struct ComponentInterner {
     /// Process-unique tag for per-allocation memos (see [`CowArc`]).
     token: u64,
@@ -86,7 +74,6 @@ pub struct ComponentInterner {
     table: RwLock<Vec<Arc<[u8]>>>,
     /// Total bytes across table entries.
     payload: AtomicUsize,
-    persisted: Mutex<PersistCursor>,
 }
 
 /// Decoded components by interner ID, for
@@ -755,10 +742,6 @@ impl ComponentInterner {
             stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
             table: RwLock::new(Vec::new()),
             payload: AtomicUsize::new(0),
-            persisted: Mutex::new(PersistCursor {
-                entries: 0,
-                bytes: 0,
-            }),
         }
     }
 
@@ -889,96 +872,6 @@ impl ComponentInterner {
     pub fn decode_compressed(&self, cenc: &[u8]) -> Option<GlobalState> {
         self.materialize(&mut ComponentCache::default(), cenc)
     }
-
-    /// Append the table entries not yet on disk to the table file at
-    /// `path` (`[header][len][bytes]…`, IDs implicit in record order),
-    /// fsync, and return the committed `(entries, byte length)` for the
-    /// checkpoint manifest. Any torn tail a crash left beyond the
-    /// previously committed prefix is truncated before appending, so
-    /// the file's first `byte_len` bytes are always exactly the records
-    /// the manifest describes.
-    pub(crate) fn persist(&self, path: &Path) -> io::Result<(u64, u64)> {
-        let mut cur = self.persisted.lock().unwrap();
-        let fresh: Vec<Arc<[u8]>> = {
-            let table = self.table.read().unwrap();
-            table[cur.entries as usize..].to_vec()
-        };
-        let mut buf = Vec::new();
-        if cur.entries == 0 {
-            put_header(&mut buf, INTERN_MAGIC);
-        }
-        for e in &fresh {
-            put_u64(&mut buf, e.len() as u64);
-            buf.extend_from_slice(e);
-        }
-        if !buf.is_empty() {
-            use std::io::{Seek, SeekFrom, Write};
-            let mut f = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(path)?;
-            f.set_len(cur.bytes)?;
-            f.seek(SeekFrom::End(0))?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        cur.entries += fresh.len() as u64;
-        cur.bytes += buf.len() as u64;
-        Ok((cur.entries, cur.bytes))
-    }
-
-    /// Load a persisted table into this (empty) interner: read exactly
-    /// the manifest-committed prefix, truncating any torn post-crash
-    /// tail, and re-assign IDs in record order — which reproduces the
-    /// interrupted run's assignment exactly, because records were
-    /// appended in ID order.
-    pub(crate) fn load(&self, path: &Path, entries: u64, byte_len: u64) -> io::Result<()> {
-        use std::io::Read;
-        let corrupt = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        assert!(
-            self.is_empty(),
-            "interner tables load into a fresh interner"
-        );
-        let mut f = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        let actual = f.metadata()?.len();
-        if actual < byte_len {
-            return Err(corrupt("interner table shorter than its manifest length"));
-        }
-        if actual > byte_len {
-            f.set_len(byte_len)?; // torn post-crash tail
-        }
-        let mut bytes = vec![0u8; usize::try_from(byte_len).expect("table fits in memory")];
-        f.read_exact(&mut bytes)?;
-        let mut r = ByteReader::new(&bytes);
-        if !check_header(&mut r, INTERN_MAGIC) {
-            return Err(corrupt(
-                "not an interner table (or written by an incompatible store format version)",
-            ));
-        }
-        for i in 0..entries {
-            let len = r
-                .u64()
-                .and_then(|l| usize::try_from(l).ok())
-                .ok_or_else(|| corrupt("truncated interner record"))?;
-            let enc = r
-                .take(len)
-                .ok_or_else(|| corrupt("truncated interner record"))?;
-            let id = self.intern(enc);
-            assert_eq!(id as u64, i, "records re-intern in ID order");
-        }
-        if r.remaining() != 0 {
-            return Err(corrupt("trailing bytes inside the interner table prefix"));
-        }
-        let mut cur = self.persisted.lock().unwrap();
-        cur.entries = entries;
-        cur.bytes = byte_len;
-        Ok(())
-    }
 }
 
 /// Append a compressed tuple's IDs to `out` — its processes', then its
@@ -1011,7 +904,6 @@ pub fn raw_len_of(cenc: &[u8]) -> Option<usize> {
 mod tests {
     use super::super::{encode_state, ObjState};
     use super::*;
-    use crate::value::Value;
 
     fn enc(o: &ObjState) -> Vec<u8> {
         use super::super::encode::Encode;
@@ -1451,52 +1343,5 @@ mod tests {
         let _ = i.materialize(&mut cache, &varints(&[0, 1, chan_id, 0]));
         // And the cache is still good for well-formed tuples afterwards.
         assert_eq!(i.materialize(&mut cache, &tuple), Some(s));
-    }
-
-    #[test]
-    fn persist_and_load_reconstruct_the_assignment() {
-        let dir = std::env::temp_dir().join(format!("reclose-intern-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("intern.bin");
-        let i = ComponentInterner::new();
-        let encs: Vec<Vec<u8>> = (0..5)
-            .map(|n| enc(&ObjState::Shared(Value::Int(n))))
-            .collect();
-        for e in &encs[..3] {
-            i.intern(e);
-        }
-        let (n1, b1) = i.persist(&path).unwrap();
-        assert_eq!(n1, 3);
-        for e in &encs[3..] {
-            i.intern(e);
-        }
-        // Incremental append, then a redundant persist with no growth.
-        let (n2, b2) = i.persist(&path).unwrap();
-        assert_eq!((n2, i.persist(&path).unwrap().0), (5, 5));
-        assert!(b2 > b1);
-        // A torn tail (crash mid-append) is truncated away on load.
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(b"torn garbage").unwrap();
-        }
-        let j = ComponentInterner::new();
-        j.load(&path, n2, b2).unwrap();
-        assert_eq!(j.len(), 5);
-        for (want, e) in encs.iter().enumerate() {
-            assert_eq!(j.intern(e) as usize, want, "assignment reproduced");
-        }
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), b2, "tail gone");
-        // A manifest length pointing past the file is corruption.
-        let k = ComponentInterner::new();
-        assert!(k.load(&path, n2, b2 + 9).is_err());
-        // Garbage content under a correct length is rejected too.
-        std::fs::write(&path, b"not an interner table at all....").unwrap();
-        assert!(ComponentInterner::new().load(&path, 1, 20).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

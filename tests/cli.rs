@@ -552,3 +552,90 @@ fn a_program_nested_at_the_limit_closes_and_explores() {
         .join()
         .expect("a 2 MiB thread holds the deepest program");
 }
+
+#[test]
+fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
+    // `--resume` opens every file the manifest names before the engine
+    // starts: a missing, short or foreign one ends the run with an error
+    // naming it (exit 1), not a panic.
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    let base = std::env::temp_dir().join(format!("reclose-cli-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let good = base.join("good");
+    let killed = reclose(&[
+        "explore",
+        workers,
+        "--bfs",
+        "--all",
+        "--mem-limit",
+        "300",
+        "--checkpoint-dir",
+        good.to_str().unwrap(),
+        "--checkpoint-every",
+        "4",
+        "--abort-after-checkpoints",
+        "1",
+    ]);
+    assert!(killed.status.success());
+    let files: Vec<std::path::PathBuf> = std::fs::read_dir(&good)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    let mem = files
+        .iter()
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("mem-"))
+        .expect("a tier-0 snapshot")
+        .file_name()
+        .unwrap()
+        .to_string_lossy()
+        .into_owned();
+    type Damage = fn(&std::path::Path);
+    let damages: [(&str, Damage, &str); 3] = [
+        (
+            "intern.bin",
+            |p| std::fs::remove_file(p).unwrap(),
+            "No such file",
+        ),
+        (
+            "trace.bin",
+            |p| {
+                let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
+                f.set_len(10).unwrap();
+            },
+            "10 bytes on disk, manifest says",
+        ),
+        (
+            &mem,
+            |p| {
+                let mut bytes = std::fs::read(p).unwrap();
+                bytes[..4].copy_from_slice(b"XXXX");
+                std::fs::write(p, bytes).unwrap();
+            },
+            "incompatible store format version",
+        ),
+    ];
+    for (name, damage, why) in damages {
+        let dir = base.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in &files {
+            std::fs::copy(f, dir.join(f.file_name().unwrap())).unwrap();
+        }
+        damage(&dir.join(name));
+        let out = reclose(&[
+            "explore",
+            workers,
+            "--bfs",
+            "--all",
+            "--resume",
+            dir.to_str().unwrap(),
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        let path = dir.join(name);
+        let want = format!("error: {}: ", path.display());
+        assert!(err.starts_with(&want), "{name}: {err}");
+        assert!(err.contains(why), "{name}: {err}");
+        assert!(out.stdout.is_empty(), "{name}: nothing explored");
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
