@@ -380,6 +380,24 @@ for model in "workers.mc" "histogram.mc --close"; do
     done
     echo "  $name: two --jobs 1 runs wrote byte-identical checkpoints"
 done
+# A record torn inside the tier-0 snapshot is found before the engine
+# starts: an error naming the file and exit 1, not a panic.
+TORN="$SMOKE/ckpt_torn"
+explore_to /dev/null corpus/workers.mc --stateful --all --jobs 2 --mem-limit 300 \
+    --checkpoint-dir "$TORN" --checkpoint-every 1 --abort-after-checkpoints 2
+MEM=$(ls "$TORN"/mem-*.bin)
+[ "$(wc -c < "$MEM")" -gt 5 ] \
+    || { echo "out-of-core smoke: $MEM holds no record to tear"; exit 1; }
+truncate -s -1 "$MEM"
+st=0
+"$BIN" explore corpus/workers.mc --bfs --all --resume "$TORN" \
+    > /dev/null 2> "$SMOKE/torn.err" || st=$?
+if [ "$st" -ne 1 ] || ! grep -q "^error: $MEM: torn record" "$SMOKE/torn.err"; then
+    echo "out-of-core smoke: a torn $MEM exits $st, not 1 with an error naming it"
+    cat "$SMOKE/torn.err"
+    exit 1
+fi
+echo "  workers.mc: a record torn inside $(basename "$MEM") is an error naming it"
 
 # The gated benches are built once, here, so that none of them is timed
 # in the seconds after its own compile.

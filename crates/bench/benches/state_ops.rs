@@ -14,7 +14,7 @@ use reclose_bench::{criterion_group, criterion_main};
 use std::collections::HashSet;
 use std::hint::black_box;
 use switchsim::SwitchConfig;
-use verisoft::search::store::VisitedStore;
+use verisoft::search::store::Store;
 use verisoft::state::{decode_state, encode_state};
 use verisoft::{ComponentInterner, Config, ExecCtx, Executor, GlobalState, Scheduled, SuccOutcome};
 
@@ -119,11 +119,11 @@ fn bench(c: &mut Criterion) {
         },
     );
 
-    // Visited-store insertion of canonical encodings, one locked
-    // `insert` per state.
+    // Visited-store insertion of canonical encodings, one `insert` per
+    // state.
     g.bench_with_input(BenchmarkId::new("visited_insert", n), &encs, |b, encs| {
         b.iter(|| {
-            let store = VisitedStore::default();
+            let mut store = Store::new(usize::MAX, None);
             for (h, e) in encs {
                 store.insert(*h, e, 1);
             }
@@ -132,13 +132,13 @@ fn bench(c: &mut Criterion) {
     });
 
     // The same insertions through the commit pass the frontier engine
-    // issues per chunk: one stripe-grouped `commit`, flags returned.
+    // issues per chunk: one `commit` in commit order, flags returned.
     g.bench_with_input(
         BenchmarkId::new("visited_insert_batch", n),
         &encs,
         |b, encs| {
             b.iter(|| {
-                let store = VisitedStore::default();
+                let mut store = Store::new(usize::MAX, None);
                 let items: Vec<(u64, &[u8])> =
                     encs.iter().map(|(h, e)| (*h, e.as_slice())).collect();
                 black_box(store.commit(&items, 1));

@@ -13,7 +13,7 @@ use reclose_bench::{criterion_group, criterion_main};
 use std::collections::HashSet;
 use std::hint::black_box;
 use switchsim::SwitchConfig;
-use verisoft::search::store::{SpillDir, StateStore, TieredStore};
+use verisoft::search::store::{SpillDir, Store};
 use verisoft::state::encode_state;
 use verisoft::{ComponentInterner, Config, ExecCtx, Executor, GlobalState, Scheduled, SuccOutcome};
 
@@ -64,9 +64,9 @@ fn reachable_states(exec: &Executor<'_>) -> Vec<GlobalState> {
 
 /// A store with every encoding sealed (epoch 1), either unbounded in
 /// memory or fully spilled to the tier-1 log.
-fn sealed_store(encs: &[(u64, Vec<u8>)], spill: bool) -> TieredStore {
+fn sealed_store(encs: &[(u64, Vec<u8>)], spill: bool) -> Store {
     let dir = spill.then(|| SpillDir::temp().expect("temp spill dir"));
-    let store = TieredStore::new(if spill { 0 } else { usize::MAX }, dir);
+    let mut store = Store::new(if spill { 0 } else { usize::MAX }, dir);
     for (h, e) in encs {
         store.insert(*h, e, 1);
     }
@@ -100,10 +100,10 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("visited_store");
     g.throughput(Throughput::Elements(n));
 
-    // Sealed insertion into the memory tier, one locked call per state.
+    // Sealed insertion into the memory tier, one call per state.
     g.bench_with_input(BenchmarkId::new("insert", n), &encs, |b, encs| {
         b.iter(|| {
-            let store = TieredStore::new(usize::MAX, None);
+            let mut store = Store::new(usize::MAX, None);
             for (h, e) in encs {
                 store.insert(*h, e, 1);
             }
@@ -111,11 +111,11 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The frontier's write path: the one stripe-grouped `commit` it
-    // issues per chunk, flags returned.
+    // The frontier's write path: the one `commit` it issues per chunk,
+    // in commit order, flags returned.
     g.bench_with_input(BenchmarkId::new("insert_batch", n), &encs, |b, encs| {
         b.iter(|| {
-            let store = TieredStore::new(usize::MAX, None);
+            let mut store = Store::new(usize::MAX, None);
             let items: Vec<(u64, &[u8])> = encs.iter().map(|(h, e)| (*h, e.as_slice())).collect();
             black_box(store.commit(&items, 1));
             black_box(store.len())
@@ -153,7 +153,7 @@ fn bench(c: &mut Criterion) {
         .collect();
     let spilled_compressed = {
         let dir = SpillDir::temp().expect("temp spill dir");
-        let store = TieredStore::new_with(0, Some(dir), true);
+        let mut store = Store::new_with(0, Some(dir), true);
         for (h, e) in &cencs {
             store.insert(*h, e, 1);
         }

@@ -2,7 +2,7 @@
 //!
 //! `std::collections::hash_map::DefaultHasher` is SipHash with keys that
 //! the standard library explicitly reserves the right to change between
-//! releases, so anything derived from it — the visited-store stripe a
+//! releases, so anything derived from it — the visited-store partition a
 //! state lands in, a fingerprint logged next to a counterexample, the
 //! content key a memoized analysis artifact files under — could drift
 //! between toolchains. This hasher is built from the same SplitMix64
@@ -117,7 +117,7 @@ impl Hasher for StableHasher {
 ///
 /// Only sound for keys whose bits are uniformly mixed — which a
 /// [`StableHasher`] output is, by construction (its finalizer is the
-/// invertible SplitMix64 mixer). The visited stores key their stripe
+/// invertible SplitMix64 mixer). The visited stores key their partition
 /// maps by fingerprint, so with the default SipHash they would pay a
 /// full keyed hash on every admit/seal/probe just to re-mix an already
 /// mixed value.

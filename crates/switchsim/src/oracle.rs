@@ -363,13 +363,7 @@ fn surface_diff(a: (&Config, &Report), b: (&Config, &Report)) -> Option<&'static
     let chunks = |c: &Config| (c.mem_limit, c.mem_limit != usize::MAX && c.no_compress);
     let same_chunks = chunks(ca) == chunks(cb);
     let totals = same_chunks || a.violations.len() < ca.max_violations;
-    let batch = |r: &Report| {
-        (
-            r.store_batch_ops,
-            r.store_batch_items,
-            r.store_lock_acquisitions_avoided,
-        )
-    };
+    let batch = |r: &Report| (r.store_batch_ops, r.store_batch_items);
     let store = |r: &Report| (r.visited_states, r.visited_bytes);
     let sharing = |r: &Report| (r.shared_components, r.total_components);
     let por = |r: &Report| (r.por_skipped_procs, r.por_proviso_fallbacks);

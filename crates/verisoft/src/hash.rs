@@ -1,4 +1,4 @@
-//! Stable hashing for state fingerprints and stripe/shard keys.
+//! Stable hashing for state fingerprints and partition/shard keys.
 //!
 //! The implementation lives in the dependency-free [`stablehash`] crate
 //! so the closing pipeline (`closer`) and the IR (`cfgir`) can key

@@ -63,7 +63,7 @@ pub use interp::{
 pub use por::{enabled_processes, independent, StaticInfo};
 pub use report::{Decision, MemoStats, Report, Violation, ViolationKind};
 pub use search::{
-    explore, replay, validate_checkpoint, Config, Engine, StateStore, TieredStore, VisitedStore,
+    explore, replay, validate_checkpoint, Config, Engine, StateStore, Store, TieredStore,
 };
 pub use state::{
     decode_state, dynamic_spec, encode_state, spec_daemon, spec_display_name, spec_proc,

@@ -214,9 +214,9 @@ pub struct Report {
     pub store_batch_ops: usize,
     /// Items carried by those commits (operational).
     pub store_batch_items: usize,
-    /// Lock acquisitions the commits saved versus one lock per item:
-    /// items sharing a stripe run take the stripe lock once
-    /// (operational).
+    /// Always 0: the commit holds the store as `&mut` and takes no lock.
+    /// Kept because the frozen ledger benchmark reads it by name; goes
+    /// with the next benchmark-only PR.
     pub store_lock_acquisitions_avoided: usize,
     /// Always 0: no filter sits in front of the tier-1 index
     /// (EXPERIMENTS.md E22). Kept because the frozen ledger benchmark

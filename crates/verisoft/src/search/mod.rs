@@ -24,7 +24,7 @@
 //! - [`Engine::StatefulParallel`] — deterministic explicit-state
 //!   breadth-first frontier search (the first violation reported has a
 //!   *shortest* reproducing trace) over a tiered, spillable
-//!   [`TieredStore`] with a jobs-invariant admission order (see
+//!   [`Store`] with a jobs-invariant admission order (see
 //!   [`store`]); byte-identical reports for any worker count, any
 //!   memory budget, and across checkpoint/resume.
 //!
@@ -41,7 +41,7 @@ pub mod stateful;
 pub mod stateless;
 pub mod store;
 
-pub use store::{StateStore, TieredStore, VisitedStore};
+pub use store::{StateStore, Store, TieredStore};
 
 /// Validate a checkpoint directory against the program and configuration
 /// about to resume it, and open every file its manifest names as resume
@@ -84,9 +84,10 @@ pub enum Engine {
     /// Explicit-state DFS storing visited states.
     Stateful,
     /// Explicit-state breadth-first frontier search across
-    /// [`Config::jobs`] worker threads, sharing a lock-striped visited
-    /// store that one thread commits to in a jobs-invariant order;
-    /// deterministic — same report for any job count. The first
+    /// [`Config::jobs`] worker threads, which share the visited store
+    /// read-only while a level expands; one thread then commits to it in
+    /// a jobs-invariant order, so the store takes no lock. Deterministic
+    /// — same report for any job count. The first
     /// violation reported has a *shortest* reproducing trace (best for
     /// debugging); the CLI's `--bfs` is this engine at `jobs = 1`.
     StatefulParallel,
@@ -124,7 +125,7 @@ pub struct Config {
     /// Soft byte budget for the frontier engines' resident search state
     /// (visited store + frontier). `usize::MAX` (the default) means
     /// unbounded: everything stays in memory and no disk is ever
-    /// touched. A finite budget makes the [`TieredStore`] spill sealed
+    /// touched. A finite budget makes the [`Store`] spill sealed
     /// states to the tier-1 log and the frontier spool excess entries —
     /// the report is byte-identical either way (see [`store`]).
     pub mem_limit: usize,

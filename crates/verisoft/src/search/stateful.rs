@@ -2,7 +2,7 @@
 //! ([`Engine::Stateful`](super::Engine::Stateful)) and the deterministic
 //! level-synchronous frontier search
 //! ([`Engine::StatefulParallel`](super::Engine::StatefulParallel)) backed
-//! by the tiered spillable [`TieredStore`](super::store).
+//! by the tiered spillable [`Store`].
 //!
 //! Both hold states as store keys (`FrontierItem`, `DfsEntry`) and expand
 //! each key through `Executor::expand`, by the ID-space step the stateless
@@ -39,7 +39,7 @@
 
 use super::store::keyset::KeySet;
 use super::store::trace::{TraceLog, TraceRef};
-use super::store::{checkpoint, FrontierSpool, SpillDir, Spoolable, StateStore, TieredStore};
+use super::store::{checkpoint, FrontierSpool, SpillDir, Spoolable, Store};
 use crate::coverage::Coverage;
 use crate::executor::{ExecCtx, Executor, ExpandArena, Expansion};
 use crate::report::{Decision, Report, Violation, ViolationKind};
@@ -140,8 +140,8 @@ impl Expanded {
 /// reproducing trace.
 ///
 /// Each level, workers expand the frontier's states concurrently
-/// (claiming items through an atomic cursor) without writing the shared
-/// [`TieredStore`]. The level then commits on one thread in commit
+/// (claiming items through an atomic cursor), sharing the [`Store`]
+/// read-only. The level then commits on one thread in commit
 /// order, `(frontier index, successor index)`: a successor joins the
 /// next frontier iff it is the first occurrence of its state, so the
 /// explored set, the violation order, every reproducing trace, and all
@@ -184,7 +184,7 @@ struct FrontierRun<'e, 'p> {
     interner: Option<Arc<ComponentInterner>>,
     /// The interner's table as the last checkpoint wrote it.
     table: Option<checkpoint::InternTable>,
-    store: TieredStore,
+    store: Store,
     /// `(program hash, config digest)` when the run checkpoints.
     identity: Option<(u64, u64)>,
     /// The sealed states awaiting expansion at `level`.
@@ -261,7 +261,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         FrontierRun {
             exec,
             hw: None,
-            store: TieredStore::new_with(store_budget, dir.clone(), interner.is_some()),
+            store: Store::new_with(store_budget, dir.clone(), interner.is_some()),
             identity: checkpointing.then(|| {
                 (
                     cfgir::program_content_hash(exec.program()),
@@ -327,7 +327,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             dirp,
             program_hash,
             config_digest,
-            &self.store,
+            &mut self.store,
             self.interner.as_deref(),
         )
         .unwrap_or_else(|e| panic!("resume failed: {e}"));
@@ -359,7 +359,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     ///    `(frontier index, successor index)` order — so the chunks
     ///    together commit the level's successors in exactly the order a
     ///    single-chunk run does, and the first occurrence of any state,
-    ///    the one [`TieredStore::commit`] lets win, is the same
+    ///    the one [`Store::commit`] lets win, is the same
     ///    occurrence the unbounded commit picks.
     /// 2. **The proviso is epoch-bounded.** Workers probe
     ///    `contains_sealed_before(h, e, level+1)`: entries sealed by
@@ -439,7 +439,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             &self.report,
             self.report.checkpoints_written + 1,
             identity,
-            (&self.store, self.interner.as_deref(), &mut self.table),
+            (&mut self.store, self.interner.as_deref(), &mut self.table),
             (&mut self.frontier, &mut self.trace),
         )
         .expect("write checkpoint");
@@ -476,7 +476,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// built on a miss, and every successor, dies on the thread that
     /// built it.
     ///
-    /// This makes **no store writes**: successors are committed by
+    /// This makes **no store writes**, and the borrow checker says so: the
+    /// workers hold the store as `&`. Successors are committed by
     /// [`FrontierRun::commit_chunk`], in one pass.
     fn expand_chunk(&mut self, chunk: &[FrontierItem], lvl: &Level) -> Vec<OnceLock<Expanded>> {
         let n = chunk.len();
@@ -530,7 +531,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     }
 
     /// The sequential ordered commit of one expanded chunk. One
-    /// [`TieredStore::commit`] over every successor *state* of the chunk
+    /// [`Store::commit`] over every successor *state* of the chunk
     /// (violation children carry the empty key and are left out), in
     /// commit order, flags the first occurrences; then the items fold in
     /// the same order: only flagged successors enter the next frontier,
@@ -650,13 +651,8 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         report.store_stored_bytes = store.stored_bytes();
         report.interner_entries = interner.as_ref().map_or(0, |i| i.len());
         report.interner_bytes = interner.as_ref().map_or(0, |i| i.bytes());
-        // Commit observability (also operational): how much the store's
-        // stripe grouping actually saved.
-        (
-            report.store_batch_ops,
-            report.store_batch_items,
-            report.store_lock_acquisitions_avoided,
-        ) = store.batch_stats();
+        // Commit observability (also operational).
+        (report.store_batch_ops, report.store_batch_items) = store.batch_stats();
         for lease in &leases {
             report.memo += lease.memo.stats;
         }

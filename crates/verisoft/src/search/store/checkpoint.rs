@@ -39,7 +39,7 @@ use super::disk::LOG_FILE;
 use super::log::{self, Log};
 use super::spool::{FrontierSpool, Spoolable};
 use super::trace::{TraceLog, TRACE_FILE};
-use super::TieredStore;
+use super::Store;
 use crate::interp::{INVISIBLE_STEP_BOUND, MAX_PROCS, MAX_STACK_DEPTH};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{
@@ -47,6 +47,7 @@ use crate::state::encode::{
     SPOOL_MAGIC, TRACE_MAGIC,
 };
 use crate::state::ComponentInterner;
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
@@ -248,6 +249,13 @@ fn frontier_file(level: usize) -> String {
     format!("frontier-{level}.bin")
 }
 
+/// One length-prefixed record: an `intern.bin` component, or a frontier
+/// snapshot's entry.
+fn framed<'a>(r: &mut ByteReader<'a>) -> Option<&'a [u8]> {
+    let len = usize::try_from(r.u64()?).ok()?;
+    r.take(len)
+}
+
 /// The component interner's table as `intern.bin`: one `[len][bytes]`
 /// record per component, appended in ID order, so re-interning the
 /// records in order reproduces the run's exact ID assignment — the one
@@ -295,13 +303,11 @@ impl InternTable {
         let mut r = log::body(&buf);
         let torn = || log::invalid(log.path(), "torn interner record");
         for id in 0..entries {
-            let len = r.u64().and_then(|l| usize::try_from(l).ok());
-            let enc = len.and_then(|len| r.take(len)).ok_or_else(torn)?;
-            assert_eq!(
-                u64::from(interner.intern(enc)),
-                id,
-                "records re-intern in ID order"
-            );
+            let enc = framed(&mut r).ok_or_else(torn)?;
+            if u64::from(interner.intern(enc)) != id {
+                let msg = format!("record {id} is a repeated component");
+                return Err(log::invalid(log.path(), msg));
+            }
         }
         if r.remaining() != 0 {
             return Err(torn());
@@ -319,7 +325,7 @@ pub(crate) fn write<T: Spoolable>(
     checkpoints_written: usize,
     (program_hash, config_digest): (u64, u64),
     (store, interner, table): (
-        &TieredStore,
+        &mut Store,
         Option<&ComponentInterner>,
         &mut Option<InternTable>,
     ),
@@ -411,14 +417,44 @@ pub(crate) struct Manifest {
     trace_bytes: u64,
 }
 
+/// Read the file at `path` as resume reads it — refused unless it is
+/// headed `magic` and, given a committed `len`, holds that many bytes —
+/// and walk its records up to `len` with `record`, which reads one
+/// record or says why it cannot. The records must number `count`.
+fn walk(
+    path: &Path,
+    magic: [u8; 4],
+    len: Option<u64>,
+    count: u64,
+    mut record: impl FnMut(&mut ByteReader<'_>) -> Result<(), &'static str>,
+) -> Result<(), String> {
+    let bytes = log::read(path, magic, len).map_err(|e| e.to_string())?;
+    let mut r = log::body(&bytes);
+    let mut n = 0u64;
+    while r.remaining() > 0 {
+        let at = r.pos();
+        record(&mut r).map_err(|why| format!("{}: {why} at byte {at}", path.display()))?;
+        n += 1;
+    }
+    if n != count {
+        let msg = format!("holds {n} records, manifest says {count}");
+        return Err(format!("{}: {msg}", path.display()));
+    }
+    Ok(())
+}
+
 /// Validate a checkpoint directory against the program and
 /// configuration about to resume it, and return its manifest: the
-/// manifest's identity is checked, and every file it names is opened as
-/// resume opens it, so a mismatch or a missing, short or foreign file
-/// surfaces as a clean error before any record is read. The CLI calls
-/// this before starting the engine; [`resume`] starts with it.
+/// manifest's identity is checked, and every record the manifest commits
+/// is walked, read-only, in every file it names — their headers, their
+/// committed lengths, their record framing and counts, and that the
+/// interner table names no component twice (re-interning it must give
+/// each record its own ID). So a mismatch, or a missing, short, foreign
+/// or torn file, surfaces as an error naming it before the engine
+/// starts. The CLI calls this before starting the engine; [`resume`]
+/// starts with it.
 pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Manifest, String> {
-    let buf = log::read(&dir.join(MANIFEST), CHECKPOINT_MAGIC).map_err(|e| e.to_string())?;
+    let buf = log::read(&dir.join(MANIFEST), CHECKPOINT_MAGIC, None).map_err(|e| e.to_string())?;
     let mut r = log::body(&buf);
     if r.u64() != Some(program_hash) {
         return Err(format!(
@@ -455,17 +491,31 @@ pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Man
     if r.remaining() != 0 {
         return Err(bad());
     }
-    let check =
-        |name: &str, magic, len| log::check(&dir.join(name), magic, len).map_err(|e| e.to_string());
-    if m.log.0 > 0 {
-        check(LOG_FILE, SEGMENT_MAGIC, Some(m.log.0))?;
+    const TORN: &str = "torn record";
+    let state_record = |r: &mut ByteReader<'_>| read_record(r).map(drop).ok_or(TORN);
+    if m.log != (0, 0) {
+        let path = dir.join(LOG_FILE);
+        walk(&path, SEGMENT_MAGIC, Some(m.log.0), m.log.1, state_record)?;
     }
-    if m.intern.0 > 0 {
-        check(INTERN_FILE, INTERN_MAGIC, Some(m.intern.0))?;
+    if m.intern != (0, 0) {
+        let mut seen = HashSet::new();
+        let path = dir.join(INTERN_FILE);
+        walk(&path, INTERN_MAGIC, Some(m.intern.0), m.intern.1, |r| {
+            let enc = framed(r).ok_or(TORN)?;
+            match seen.insert(enc.to_vec()) {
+                true => Ok(()),
+                false => Err("a repeated component"),
+            }
+        })?;
     }
-    check(TRACE_FILE, TRACE_MAGIC, Some(m.trace_bytes))?;
-    check(&mem_file(m.level), SEGMENT_MAGIC, None)?;
-    check(&frontier_file(m.level), SPOOL_MAGIC, None)?;
+    log::read(&dir.join(TRACE_FILE), TRACE_MAGIC, Some(m.trace_bytes))
+        .map_err(|e| e.to_string())?;
+    let path = dir.join(mem_file(m.level));
+    walk(&path, SEGMENT_MAGIC, None, m.mem_count as u64, state_record)?;
+    let path = dir.join(frontier_file(m.level));
+    walk(&path, SPOOL_MAGIC, None, m.frontier_count as u64, |r| {
+        framed(r).map(drop).ok_or(TORN)
+    })?;
     Ok(m)
 }
 
@@ -474,11 +524,12 @@ pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Man
 /// frontier to continue from. `interner` must be the one the engine
 /// goes on to run with: the frontier comes back as the ID tuples that
 /// were written, and only the reloaded table gives them their meaning.
+/// Every record was walked by [`validate`] first.
 pub(crate) fn resume<T: Spoolable>(
     dir: &Path,
     program_hash: u64,
     digest: u64,
-    store: &TieredStore,
+    store: &mut Store,
     interner: Option<&ComponentInterner>,
 ) -> Result<Resumed<T>, String> {
     let m = validate(dir, program_hash, digest)?;
@@ -501,37 +552,19 @@ pub(crate) fn resume<T: Spoolable>(
     };
 
     // The tier-1 log: truncate past the committed length, scan, index.
-    let n = store.load_log(m.log.0).map_err(err)?;
-    if n as u64 != m.log.1 {
-        return Err(format!(
-            "{}: holds {n} records, manifest says {}",
-            dir.join(LOG_FILE).display(),
-            m.log.1
-        ));
-    }
+    store.load_log(m.log.0).map_err(err)?;
 
     // Tier-0 sealed entries.
     let mem_path = dir.join(mem_file(m.level));
-    let mbuf = log::read(&mem_path, SEGMENT_MAGIC).map_err(err)?;
+    let mbuf = log::read(&mem_path, SEGMENT_MAGIC, None).map_err(err)?;
     let mut mr = log::body(&mbuf);
-    let mut loaded = 0usize;
-    while mr.remaining() > 0 {
-        let (fp, epoch, _, enc) =
-            read_record(&mut mr).ok_or_else(|| format!("{}: torn record", mem_path.display()))?;
+    while let Some((fp, epoch, _, enc)) = read_record(&mut mr) {
         store.insert(fp, enc, epoch);
-        loaded += 1;
-    }
-    if loaded != m.mem_count {
-        return Err(format!(
-            "{}: holds {loaded} records, manifest says {}",
-            mem_path.display(),
-            m.mem_count
-        ));
     }
 
     // The frontier.
     let f_path = dir.join(frontier_file(m.level));
-    let fbuf = log::read(&f_path, SPOOL_MAGIC).map_err(err)?;
+    let fbuf = log::read(&f_path, SPOOL_MAGIC, None).map_err(err)?;
     let frontier = FrontierSpool::<T>::decode_snapshot(log::body(&fbuf), m.frontier_count)
         .ok_or_else(|| format!("{}: torn frontier snapshot", f_path.display()))?;
 

@@ -22,12 +22,10 @@ use super::SpillDir;
 use crate::state::encode::{put_record, read_record, SEGMENT_MAGIC};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// The tier-1 log's file name inside the spill directory.
 pub(crate) const LOG_FILE: &str = "tier1.bin";
-
-const POISONED: &str = "tier-1 log lock poisoned by a panicked thread";
 
 /// Where one state encoding lives in the log: absolute payload offset,
 /// payload length, and the epoch it was sealed in. Entries of the
@@ -48,6 +46,22 @@ pub struct DiskRef {
     pub epoch: u32,
 }
 
+/// The index entry of the record `enc` at payload offset `off`: a
+/// compressed record's raw length is its tuple's prefix.
+fn disk_ref(compressed: bool, off: u64, enc: &[u8], epoch: u32) -> DiskRef {
+    let raw = if compressed {
+        crate::state::intern::raw_len_of(enc).expect("compressed tuple prefix")
+    } else {
+        enc.len()
+    };
+    DiskRef {
+        off,
+        len: enc.len() as u32,
+        raw: raw as u32,
+        epoch,
+    }
+}
+
 /// The tier-1 log under one spill dir.
 pub(crate) struct SpillLog {
     dir: Arc<SpillDir>,
@@ -55,9 +69,9 @@ pub(crate) struct SpillLog {
     /// raw length is derived).
     compressed: bool,
     /// `None` until the first spill (or a resumed non-empty log) creates
-    /// the file. Appends take the write lock at a level boundary; the
-    /// workers' confirms share the read lock.
-    log: RwLock<Option<Log>>,
+    /// the file. Appends take `&mut self` at a level boundary; the
+    /// workers' confirms share `&self`.
+    log: Option<Log>,
 }
 
 impl SpillLog {
@@ -65,7 +79,7 @@ impl SpillLog {
         SpillLog {
             dir,
             compressed,
-            log: RwLock::new(None),
+            log: None,
         }
     }
 
@@ -73,43 +87,24 @@ impl SpillLog {
         self.dir.path().join(LOG_FILE)
     }
 
-    /// The raw canonical-encoding length a stored record stands for.
-    fn raw_of(&self, enc: &[u8]) -> u32 {
-        if self.compressed {
-            crate::state::intern::raw_len_of(enc).expect("compressed tuple prefix") as u32
-        } else {
-            enc.len() as u32
-        }
-    }
-
-    fn disk_ref(&self, off: u64, enc: &[u8], epoch: u32) -> DiskRef {
-        DiskRef {
-            off,
-            len: enc.len() as u32,
-            raw: self.raw_of(enc),
-            epoch,
-        }
-    }
-
     /// Append `records` (`(fingerprint, epoch, enc)` triples, already in
     /// deterministic order) to the log, returning the index entries to
     /// publish. The records reach the file before they become visible,
     /// because workers confirm against it.
     pub(crate) fn append(
-        &self,
+        &mut self,
         records: &[(u64, u32, Box<[u8]>)],
     ) -> io::Result<Vec<(u64, DiskRef)>> {
-        let mut guard = self.log.write().expect(POISONED);
-        if guard.is_none() {
-            *guard = Some(Log::create(self.path(), SEGMENT_MAGIC)?);
+        if self.log.is_none() {
+            self.log = Some(Log::create(self.path(), SEGMENT_MAGIC)?);
         }
-        let log = guard.as_mut().expect("log opened above");
+        let log = self.log.as_mut().expect("log opened above");
         let mut buf = Vec::new();
         let mut refs = Vec::with_capacity(records.len());
         for (fp, epoch, enc) in records {
             put_record(&mut buf, *fp, *epoch, enc);
             let off = log.len() + (buf.len() - enc.len()) as u64;
-            refs.push((*fp, self.disk_ref(off, enc, *epoch)));
+            refs.push((*fp, disk_ref(self.compressed, off, enc, *epoch)));
         }
         log.write_all(&buf)?;
         log.flush()?;
@@ -120,7 +115,7 @@ impl SpillLog {
     /// (resume path), returning the index entries of every committed
     /// record. A zero length means no spill was committed; the next
     /// [`SpillLog::append`] then starts the file afresh.
-    pub(crate) fn reopen(&self, byte_len: u64) -> io::Result<Vec<(u64, DiskRef)>> {
+    pub(crate) fn reopen(&mut self, byte_len: u64) -> io::Result<Vec<(u64, DiskRef)>> {
         if byte_len == 0 {
             return Ok(Vec::new());
         }
@@ -135,9 +130,9 @@ impl SpillLog {
                     format!("torn record at byte {}", r.pos()),
                 ));
             };
-            refs.push((fp, self.disk_ref(off as u64, enc, epoch)));
+            refs.push((fp, disk_ref(self.compressed, off as u64, enc, epoch)));
         }
-        *self.log.write().expect(POISONED) = Some(log);
+        self.log = Some(log);
         Ok(refs)
     }
 
@@ -146,8 +141,7 @@ impl SpillLog {
     /// the caller via [`DiskRef::len`] before paying for the read.
     pub(crate) fn confirm(&self, r: &DiskRef, enc: &[u8]) -> io::Result<bool> {
         debug_assert_eq!(r.len as usize, enc.len());
-        let guard = self.log.read().expect(POISONED);
-        let log = guard.as_ref().expect("an index ref implies an open log");
+        let log = self.log.as_ref().expect("an index ref implies an open log");
         let mut buf = vec![0u8; r.len as usize];
         log.read_at(&mut buf, r.off)?;
         Ok(buf == enc)
@@ -155,8 +149,8 @@ impl SpillLog {
 
     /// Sync the log and return its byte length — what a checkpoint
     /// manifest commits; 0 before the first spill.
-    pub(crate) fn sync(&self) -> io::Result<u64> {
-        match self.log.write().expect(POISONED).as_mut() {
+    pub(crate) fn sync(&mut self) -> io::Result<u64> {
+        match self.log.as_mut() {
             Some(log) => log.sync(),
             None => Ok(0),
         }
@@ -179,7 +173,7 @@ mod tests {
     #[test]
     fn appends_share_one_file_and_confirm() {
         let dir = SpillDir::temp().unwrap();
-        let log = SpillLog::new(dir.clone(), false);
+        let mut log = SpillLog::new(dir.clone(), false);
         assert_eq!(log.sync().unwrap(), 0);
         let rs = records(5);
         let mut refs = log.append(&rs[..2]).unwrap();
@@ -206,7 +200,7 @@ mod tests {
         let dir = SpillDir::temp().unwrap();
         let path = dir.path().join(LOG_FILE);
         let (byte_len, rs) = {
-            let log = SpillLog::new(dir.clone(), false);
+            let mut log = SpillLog::new(dir.clone(), false);
             let rs = records(4);
             log.append(&rs[..3]).unwrap();
             let committed = log.sync().unwrap();
@@ -221,7 +215,7 @@ mod tests {
             .unwrap()
             .write_all(&[0xab; 7])
             .unwrap();
-        let log = SpillLog::new(dir, false);
+        let mut log = SpillLog::new(dir, false);
         let refs = log.reopen(byte_len).unwrap();
         assert_eq!(refs.len(), 3);
         for ((_, _, enc), (_, r)) in rs.iter().zip(&refs) {

@@ -1,5 +1,5 @@
 //! The one fingerprint-keyed key set behind every visited structure of
-//! the stateful engines: tier 0 ([`super::mem`], one set per stripe),
+//! the stateful engines: tier 0 ([`super::mem`], one set per partition),
 //! the tier-1 fingerprint index ([`super::index`], likewise) and the
 //! depth-first search's visited set. The transition memo's schedule
 //! table keys its schedules with it too.

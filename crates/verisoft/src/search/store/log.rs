@@ -74,17 +74,14 @@ fn open(path: &Path, magic: [u8; 4], len: Option<u64>, write: bool) -> io::Resul
     Ok(file)
 }
 
-/// Refuse the file at `path` as [`Log::reopen`] would, without
-/// changing it.
-pub(crate) fn check(path: &Path, magic: [u8; 4], len: Option<u64>) -> io::Result<()> {
-    open(path, magic, len, false).map(drop)
-}
-
-/// The whole file at `path`, header included and checked.
-pub(crate) fn read(path: &Path, magic: [u8; 4]) -> io::Result<Vec<u8>> {
-    let mut file = open(path, magic, None, false)?;
+/// The file at `path`, header included and checked: with a committed
+/// `len`, refused as [`Log::reopen`] would refuse it and read up to
+/// `len` (the file is left as it is); otherwise read whole.
+pub(crate) fn read(path: &Path, magic: [u8; 4], len: Option<u64>) -> io::Result<Vec<u8>> {
+    let file = open(path, magic, len, false)?;
     let mut bytes = header(magic).to_vec();
-    file.read_to_end(&mut bytes)?;
+    let body = len.map_or(u64::MAX, |len| len - HEADER_LEN as u64);
+    file.take(body).read_to_end(&mut bytes)?;
     Ok(bytes)
 }
 
@@ -248,6 +245,12 @@ mod tests {
             torn.write_all(&[0xDE, 0xAD]).unwrap();
             drop(torn);
 
+            let read_back = read(&path, magic, Some(committed)).unwrap();
+            assert_eq!(
+                read_back[HEADER_LEN..],
+                *b"first",
+                "{name}: up to the length"
+            );
             let mut log = Log::reopen(path.clone(), magic, committed).unwrap();
             assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
             let bytes = log.read_all().unwrap();
@@ -263,7 +266,7 @@ mod tests {
                 let e = e.to_string();
                 assert!(e.starts_with(&path.display().to_string()), "{e}");
                 assert!(e.contains(why), "{name}: {e}");
-                let e = check(path, magic, Some(len)).unwrap_err().to_string();
+                let e = read(path, magic, Some(len)).unwrap_err().to_string();
                 assert!(e.contains(why), "{name}: {e}");
             };
             refused(&path, committed + 5, "manifest says");
@@ -275,7 +278,7 @@ mod tests {
             refused(&path, 10, "not a");
             std::fs::write(&path, [&magic[..], &[4], b"old"].concat()).unwrap();
             refused(&path, 8, "incompatible store format version");
-            assert!(read(&path, magic).is_err());
+            assert!(read(&path, magic, None).is_err());
         }
     }
 }

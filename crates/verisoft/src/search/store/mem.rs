@@ -1,5 +1,8 @@
-//! Tier 0: a lock-striped canonical-state visited store whose commit
-//! order makes the frontier search jobs-invariant.
+//! Tier 0: the partitioned canonical-state visited store whose commit
+//! order makes the frontier search jobs-invariant. It holds no lock:
+//! writes take `&mut self` and run on the driving thread after a chunk's
+//! workers have joined, and the workers share `&self` for the proviso
+//! probe, so the borrow checker proves no worker sees a write.
 //!
 //! ## Why admission needs an order
 //!
@@ -29,14 +32,14 @@
 //!
 //! ## Storage and collision safety
 //!
-//! Stripes are picked by the canonical state's *stable* 64-bit hash
+//! Partitions are picked by the canonical state's *stable* 64-bit hash
 //! ([`crate::state::GlobalState::fingerprint`], a
 //! [`crate::hash::StableHasher`] — never SipHash, whose keys may drift
-//! between toolchains and would re-stripe the store). Each stripe is a
-//! `KeySet` (`store/keyset.rs`): every state's **store key** (its
+//! between toolchains and would re-partition the store). Each partition
+//! is a `KeySet` (`store/keyset.rs`): every state's **store key** (its
 //! canonical byte encoding, [`crate::state::encode_state`], or its
-//! collapse-compressed tuple) is appended to the stripe's byte arena,
-//! and the stripe's table holds one inline `(offset, len, seal epoch)`
+//! collapse-compressed tuple) is appended to the partition's byte arena,
+//! and the partition's table holds one inline `(offset, len, seal epoch)`
 //! slot per fingerprint, so a stored state costs its key bytes plus one
 //! table slot and no allocation of its own. Membership is a `memcmp`
 //! against the arena.
@@ -50,94 +53,61 @@
 //! decide.
 
 use super::keyset::KeySet;
-use super::StateStore;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Number of stripes: enough that 8–16 workers rarely contend, small
-/// enough that an empty store is cheap.
-pub const STRIPES: usize = 64;
+/// Number of partitions. One table over every state would hold a
+/// rehash transient the size of the whole table when it grows;
+/// partitions grow one at a time.
+pub const PARTITIONS: usize = 64;
 
-/// One stripe: store keys under their stable hash, each with the epoch
-/// that sealed it (see the module docs).
-type Stripe = KeySet<u32>;
-
-/// A batch's items grouped by stripe: `ix` lists item indices stripe by
-/// stripe, input order kept within a stripe, and stripe `s`'s run is
-/// `ix[start[s]..start[s + 1]]`. Built once per commit by a counting
-/// sort.
-struct StripeOrder {
-    ix: Vec<u32>,
-    start: Vec<u32>,
-}
-
-impl StripeOrder {
-    /// The stripe runs, in stripe order, empty stripes skipped.
-    fn runs(&self) -> impl Iterator<Item = (usize, &[u32])> {
-        self.start
-            .windows(2)
-            .enumerate()
-            .map(|(s, w)| (s, &self.ix[w[0] as usize..w[1] as usize]))
-            .filter(|(_, run)| !run.is_empty())
-    }
-}
-
-/// The lock-striped tier-0 visited store. See the module docs for the
-/// commit order.
+/// The tier-0 visited store: store keys in partitions, each with the
+/// epoch that sealed it. See the module docs for the commit order.
 pub struct VisitedStore {
-    stripes: Vec<Mutex<Stripe>>,
+    parts: Vec<KeySet<u32>>,
     /// Entries hold collapse-compressed component-ID tuples instead of
     /// full canonical encodings (see [`crate::state::intern`]). Only the
     /// byte accounting cares: membership is still `memcmp` either way,
     /// because the tuple encoding is injective per interner.
     compressed: bool,
-    /// O(1) mirrors of the entry count and payload bytes, maintained on
-    /// every insert/drain — `len()`/`bytes()` run per level boundary
-    /// (spill checks) and must not scan every stripe.
-    count: AtomicUsize,
+    /// O(1) totals, maintained on every insert and drain — `len()` and
+    /// `bytes()` run per level boundary (spill checks) and must not scan
+    /// every partition.
+    count: usize,
     /// *Raw* canonical-encoding bytes the entries stand for — the
     /// logical total `bytes()` reports (== resident when uncompressed).
-    payload: AtomicUsize,
+    payload: usize,
     /// Key bytes the entries hold: the logical sum of their lengths,
     /// which the spill budget bounds.
-    stored: AtomicUsize,
+    stored: usize,
     /// Commit observability (operational, never in the deterministic
-    /// report surface): commit calls, items they carried, and stripe-lock
-    /// acquisitions the grouping avoided versus one lock per item.
-    batch_ops: AtomicUsize,
-    batch_items: AtomicUsize,
-    locks_avoided: AtomicUsize,
+    /// report surface): commit calls and the items they carried.
+    batch_ops: usize,
+    batch_items: usize,
 }
 
 impl Default for VisitedStore {
     fn default() -> Self {
-        VisitedStore::new(STRIPES)
+        VisitedStore::new(PARTITIONS)
     }
 }
 
-const POISONED: &str = "tier-0 stripe lock poisoned by a panicked thread";
-
 impl VisitedStore {
-    /// A store with `stripes` lock stripes (rounded up to at least 1),
-    /// holding uncompressed canonical encodings.
-    pub fn new(stripes: usize) -> Self {
-        VisitedStore::new_with(stripes, false)
+    /// A store of `parts` partitions (at least 1), holding uncompressed
+    /// canonical encodings.
+    pub fn new(parts: usize) -> Self {
+        VisitedStore::new_with(parts, false)
     }
 
     /// A store whose entries are collapse-compressed tuples when
     /// `compressed` is set.
-    pub fn new_with(stripes: usize, compressed: bool) -> Self {
+    pub fn new_with(parts: usize, compressed: bool) -> Self {
         VisitedStore {
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
+            parts: (0..parts.max(1)).map(|_| KeySet::default()).collect(),
             compressed,
-            count: AtomicUsize::new(0),
-            payload: AtomicUsize::new(0),
-            stored: AtomicUsize::new(0),
-            batch_ops: AtomicUsize::new(0),
-            batch_items: AtomicUsize::new(0),
-            locks_avoided: AtomicUsize::new(0),
+            count: 0,
+            payload: 0,
+            stored: 0,
+            batch_ops: 0,
+            batch_items: 0,
         }
     }
 
@@ -152,109 +122,50 @@ impl VisitedStore {
         }
     }
 
-    /// The stripe index of `hash`: its high bits, since the stable hash
-    /// mixes well and low bits already pick the slot inside the stripe.
+    /// The partition of `hash`: its high bits, since the stable hash
+    /// mixes well and low bits already pick the slot inside the table.
     #[inline]
-    fn stripe_of(&self, hash: u64) -> usize {
-        (hash >> 32) as usize % self.stripes.len()
-    }
-
-    #[inline]
-    fn stripe(&self, hash: u64) -> std::sync::MutexGuard<'_, Stripe> {
-        self.stripes[self.stripe_of(hash)].lock().expect(POISONED)
-    }
-
-    /// Store `enc` in `stripe` sealed at `epoch` unless it is present;
-    /// true when it was absent.
-    fn insert_locked(&self, stripe: &mut Stripe, hash: u64, enc: &[u8], epoch: u32) -> bool {
-        let new = stripe.get_or_insert(hash, enc, epoch).1;
-        if new {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.payload.fetch_add(self.raw_of(enc), Ordering::Relaxed);
-            self.stored.fetch_add(enc.len(), Ordering::Relaxed);
-        }
-        new
+    fn part(&self, hash: u64) -> usize {
+        (hash >> 32) as usize % self.parts.len()
     }
 
     /// Store the state encoded as `enc`, sealed at `epoch`, unless it is
     /// present; true when it was absent. A present state keeps the epoch
     /// it was sealed at.
-    pub fn insert(&self, hash: u64, enc: &[u8], epoch: u32) -> bool {
-        self.insert_locked(&mut self.stripe(hash), hash, enc, epoch)
+    pub fn insert(&mut self, hash: u64, enc: &[u8], epoch: u32) -> bool {
+        let p = self.part(hash);
+        let new = self.parts[p].get_or_insert(hash, enc, epoch).1;
+        if new {
+            self.count += 1;
+            self.payload += self.raw_of(enc);
+            self.stored += enc.len();
+        }
+        new
     }
 
     /// One chunk's commit: insert each `(hash, enc)` of `items` — the
     /// chunk's successors in commit order — sealed at `epoch`, and flag,
     /// aligned with `items`, the ones that were absent. Of several
-    /// occurrences of one state, the first in `items` wins. Each stripe
-    /// lock is taken once: the items are grouped by stripe, keeping
-    /// their order within a stripe, which is all the first-occurrence
-    /// rule needs since equal keys share a stripe.
-    pub fn commit(&self, items: &[(u64, &[u8])], epoch: u32) -> Vec<bool> {
-        self.commit_skipping(items, &[], epoch)
-    }
-
-    /// [`VisitedStore::commit`], leaving out (and flagging `false`) the
-    /// items `skip` flags: `skip` is empty (skip nothing) or aligned with
-    /// `items`.
-    pub(crate) fn commit_skipping(
-        &self,
-        items: &[(u64, &[u8])],
-        skip: &[bool],
-        epoch: u32,
-    ) -> Vec<bool> {
+    /// occurrences of one state, the first in `items` wins. The items
+    /// `skip` flags are left out (and flagged `false`): `skip` is empty
+    /// (skip nothing) or aligned with `items`.
+    pub fn commit(&mut self, items: &[(u64, &[u8])], skip: &[bool], epoch: u32) -> Vec<bool> {
         let mut won = vec![false; items.len()];
-        if items.is_empty() {
-            return won;
-        }
-        let order = self.stripe_order(items);
-        let mut runs = 0;
-        for (si, run) in order.runs() {
-            let mut stripe = self.stripes[si].lock().expect(POISONED);
-            runs += 1;
-            for &ix in run {
-                let ix = ix as usize;
-                if !skip.get(ix).copied().unwrap_or(false) {
-                    let (h, enc) = items[ix];
-                    won[ix] = self.insert_locked(&mut stripe, h, enc, epoch);
-                }
+        for (ix, &(h, enc)) in items.iter().enumerate() {
+            if !skip.get(ix).copied().unwrap_or(false) {
+                won[ix] = self.insert(h, enc, epoch);
             }
         }
-        self.batch_ops.fetch_add(1, Ordering::Relaxed);
-        self.batch_items.fetch_add(items.len(), Ordering::Relaxed);
-        self.locks_avoided
-            .fetch_add(items.len() - runs, Ordering::Relaxed);
+        if !items.is_empty() {
+            self.batch_ops += 1;
+            self.batch_items += items.len();
+        }
         won
     }
 
-    /// Group `items` by stripe, keeping input order within a stripe.
-    fn stripe_order(&self, items: &[(u64, &[u8])]) -> StripeOrder {
-        let n = self.stripes.len();
-        let mut start = vec![0u32; n + 1];
-        for &(h, _) in items {
-            start[self.stripe_of(h) + 1] += 1;
-        }
-        for s in 0..n {
-            start[s + 1] += start[s];
-        }
-        let mut next = start.clone();
-        let mut ix = vec![0u32; items.len()];
-        for (i, &(h, _)) in items.iter().enumerate() {
-            let s = self.stripe_of(h);
-            ix[next[s] as usize] = i as u32;
-            next[s] += 1;
-        }
-        StripeOrder { ix, start }
-    }
-
-    /// Commit observability counters:
-    /// `(commit calls, items committed, stripe locks avoided)`.
-    pub fn batch_stats(&self) -> (usize, usize, usize) {
-        (
-            self.batch_ops.load(Ordering::Relaxed),
-            self.batch_items.load(Ordering::Relaxed),
-            self.locks_avoided.load(Ordering::Relaxed),
-        )
+    /// Commit observability counters: `(commit calls, items committed)`.
+    pub fn batch_stats(&self) -> (usize, usize) {
+        (self.batch_ops, self.batch_items)
     }
 
     /// Whether the state encoded as `enc` is stored with a seal epoch
@@ -267,26 +178,22 @@ impl VisitedStore {
     /// count, chunking, or timing, which keeps the proviso (and with it
     /// the whole report) jobs- and memory-limit-invariant.
     pub fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        self.stripe(hash)
+        self.parts[self.part(hash)]
             .get(hash, enc)
             .is_some_and(|&ep| ep < epoch_bound)
     }
 
     /// Remove every entry, returning `(hash, epoch, enc)` triples sorted
     /// by `(epoch, hash, enc)` — a deterministic spill layout regardless
-    /// of table order. Each stripe is taken whole, so its table and arena
-    /// are released.
-    pub fn drain_sealed(&self) -> Vec<(u64, u32, Box<[u8]>)> {
-        let mut out = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
-            let taken = std::mem::take(&mut *stripe.lock().expect(POISONED));
-            out.extend(taken.iter().map(|(hash, enc, &ep)| {
-                self.count.fetch_sub(1, Ordering::Relaxed);
-                self.payload.fetch_sub(self.raw_of(enc), Ordering::Relaxed);
-                self.stored.fetch_sub(enc.len(), Ordering::Relaxed);
-                (hash, ep, enc.into())
-            }));
+    /// of table order. Each partition is taken whole, so its table and
+    /// arena are released.
+    pub fn drain_sealed(&mut self) -> Vec<(u64, u32, Box<[u8]>)> {
+        let mut out = Vec::with_capacity(self.count);
+        for part in &mut self.parts {
+            let taken = std::mem::take(part);
+            out.extend(taken.iter().map(|(hash, enc, &ep)| (hash, ep, enc.into())));
         }
+        (self.count, self.payload, self.stored) = (0, 0, 0);
         out.sort_unstable_by(|a, b| (a.1, a.0, &a.2).cmp(&(b.1, b.0, &b.2)));
         out
     }
@@ -294,10 +201,9 @@ impl VisitedStore {
     /// Like [`VisitedStore::drain_sealed`] but non-destructive — the
     /// checkpoint writer's snapshot of tier 0.
     pub fn sealed_snapshot(&self) -> Vec<(u64, u32, Box<[u8]>)> {
-        let mut out = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
-            let s = stripe.lock().expect(POISONED);
-            out.extend(s.iter().map(|(hash, enc, &ep)| (hash, ep, enc.into())));
+        let mut out = Vec::with_capacity(self.count);
+        for part in &self.parts {
+            out.extend(part.iter().map(|(hash, enc, &ep)| (hash, ep, enc.into())));
         }
         out.sort_unstable_by(|a, b| (a.1, a.0, &a.2).cmp(&(b.1, b.0, &b.2)));
         out
@@ -305,12 +211,12 @@ impl VisitedStore {
 
     /// Number of states currently stored.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// True when no state is currently stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.count == 0
     }
 
     /// Total *raw* payload bytes the entries stand for (excluding map
@@ -318,7 +224,7 @@ impl VisitedStore {
     /// Deliberately the logical (uncompressed) total so the figure is
     /// identical whether compression is on or off.
     pub fn bytes(&self) -> usize {
-        self.payload.load(Ordering::Relaxed)
+        self.payload
     }
 
     /// The sum of the stored keys' lengths — what the tiered store's
@@ -326,21 +232,7 @@ impl VisitedStore {
     /// uncompressed). Table slots and spare arena capacity are not
     /// counted.
     pub fn stored_bytes(&self) -> usize {
-        self.stored.load(Ordering::Relaxed)
-    }
-}
-
-impl StateStore for VisitedStore {
-    fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        VisitedStore::contains_sealed_before(self, hash, enc, epoch_bound)
-    }
-
-    fn len(&self) -> usize {
-        VisitedStore::len(self)
-    }
-
-    fn bytes(&self) -> usize {
-        VisitedStore::bytes(self)
+        self.stored
     }
 }
 
@@ -368,10 +260,10 @@ mod tests {
     fn sealing_blocks_later_rounds() {
         let s = state();
         let h = crate::hash::stable_hash_bytes(&s);
-        let store = VisitedStore::default();
-        assert_eq!(store.commit(&[(h, &s)], 1), [true]);
+        let mut store = VisitedStore::default();
+        assert_eq!(store.commit(&[(h, &s)], &[], 1), [true]);
         // A later round re-discovers the state; the first seal stands.
-        assert_eq!(store.commit(&[(h, &s)], 2), [false]);
+        assert_eq!(store.commit(&[(h, &s)], &[], 2), [false]);
         assert!(!store.insert(h, &s, 0));
         assert!(!store.contains_sealed_before(h, &s, 1), "epoch 1 kept");
         assert!(store.contains_sealed_before(h, &s, 2));
@@ -383,12 +275,12 @@ mod tests {
     fn contains_sealed_sees_only_committed_rounds() {
         let s = state();
         let h = crate::hash::stable_hash_bytes(&s);
-        let store = VisitedStore::default();
+        let mut store = VisitedStore::default();
         assert!(
             !store.contains_sealed_before(h, &s, u32::MAX),
             "empty store"
         );
-        store.commit(&[(h, &s)], 3);
+        store.commit(&[(h, &s)], &[], 3);
         assert!(store.contains_sealed_before(h, &s, u32::MAX));
         let o = other_state();
         let ho = crate::hash::stable_hash_bytes(&o);
@@ -406,8 +298,8 @@ mod tests {
         // single-chunk (unbounded-memory) run observes.
         let s = state();
         let h = crate::hash::stable_hash_bytes(&s);
-        let store = VisitedStore::default();
-        store.commit(&[(h, &s)], 5);
+        let mut store = VisitedStore::default();
+        store.commit(&[(h, &s)], &[], 5);
         assert!(!store.contains_sealed_before(h, &s, 5), "same level");
         assert!(store.contains_sealed_before(h, &s, 6), "next level");
     }
@@ -417,10 +309,10 @@ mod tests {
         let a = state();
         let b = other_state();
         assert_ne!(a, b);
-        let store = VisitedStore::new(1);
+        let mut store = VisitedStore::new(1);
         let fake_hash = 42; // force both under one fingerprint
         let items: [(u64, &[u8]); 3] = [(fake_hash, &a), (fake_hash, &b), (fake_hash, &a)];
-        assert_eq!(store.commit(&items, 1), [true, true, false]);
+        assert_eq!(store.commit(&items, &[], 1), [true, true, false]);
         assert_eq!(store.len(), 2);
         assert_eq!(store.bytes(), a.len() + b.len());
     }
@@ -431,7 +323,7 @@ mod tests {
         // at different epochs.
         let (a, b) = (state(), other_state());
         let fp = 0x5EED_0000_0000_0042;
-        let store = VisitedStore::new(4);
+        let mut store = VisitedStore::new(4);
         assert!(store.insert(fp, &b, 2));
         assert!(store.contains_sealed_before(fp, &b, 3));
         assert!(!store.contains_sealed_before(fp, &b, 2), "epoch bound");
@@ -464,7 +356,7 @@ mod tests {
     #[test]
     fn drain_orders_by_epoch_then_hash_and_empties_the_store() {
         let (a, b) = (state(), other_state());
-        let store = VisitedStore::new(2);
+        let mut store = VisitedStore::new(2);
         for (i, h) in [9u64 << 32, 3 << 32, 5 << 32].into_iter().enumerate() {
             store.insert(h, &a, 7 - i as u32 % 2);
         }
@@ -490,8 +382,8 @@ mod tests {
         let (h, cenc) = s.fingerprint_and_intern(&interner);
         let raw = encode_state(&s).len();
         assert_ne!(cenc.len(), raw, "tuple and raw encoding differ");
-        let store = VisitedStore::new_with(2, true);
-        store.commit(&[(h, &cenc)], 1);
+        let mut store = VisitedStore::new_with(2, true);
+        store.commit(&[(h, &cenc)], &[], 1);
         assert_eq!(store.bytes(), raw, "logical total is the raw length");
         assert_eq!(store.stored_bytes(), cenc.len());
         let drained = store.drain_sealed();
@@ -502,18 +394,14 @@ mod tests {
     }
 
     #[test]
-    fn commit_counts_one_batch_and_one_lock_per_stripe_run() {
+    fn commit_counts_one_batch_per_nonempty_commit() {
         let (a, b) = (state(), other_state());
-        let store = VisitedStore::new(4);
-        // Stripes 0, 1, 0, 0: two runs over four items.
+        let mut store = VisitedStore::new(4);
+        // Partitions 0, 1, 0, 0: the first occurrence wins in every one.
         let items: [(u64, &[u8]); 4] = [(0, &a), (1 << 32, &b), (0, &a), (4 << 32, &b)];
-        assert_eq!(store.commit(&items, 1), [true, true, false, true]);
-        assert_eq!(store.batch_stats(), (1, 4, 2));
-        assert!(store.commit(&[], 2).is_empty());
-        assert_eq!(
-            store.batch_stats(),
-            (1, 4, 2),
-            "an empty commit is no batch"
-        );
+        assert_eq!(store.commit(&items, &[], 1), [true, true, false, true]);
+        assert_eq!(store.batch_stats(), (1, 4));
+        assert!(store.commit(&[], &[], 2).is_empty());
+        assert_eq!(store.batch_stats(), (1, 4), "an empty commit is no batch");
     }
 }

@@ -3,14 +3,14 @@
 //!
 //! The module tree splits the storage subsystem by concern:
 //!
-//! - [`mem`] — tier 0: the lock-striped in-memory [`VisitedStore`] and
+//! - [`mem`] — tier 0: the partitioned in-memory [`VisitedStore`] and
 //!   its commit pass, where the first occurrence of a state in commit
 //!   order wins; each entry keeps the *epoch* (frontier level) it was
 //!   sealed in.
 //! - [`disk`] — tier 1: one append-only log file of canonical state
 //!   encodings; every spill appends to it, and records are only read
 //!   back for full-state collision confirmation.
-//! - [`index`] — the per-stripe in-memory fingerprint index over tier 1:
+//! - [`index`] — the partitioned in-memory fingerprint index over tier 1:
 //!   membership probes stay O(1) hash lookups; a disk read happens only
 //!   when a fingerprint actually matches.
 //! - `keyset` — the one fingerprint-keyed key set behind tier 0, the
@@ -30,9 +30,12 @@
 //!   frontier spool + report counters behind a versioned manifest) and
 //!   the resume path.
 //!
-//! [`TieredStore`] composes tiers 0 and 1 behind the same commit pass
-//! the in-memory store exposes, so the frontier search in
+//! [`Store`] composes tiers 0 and 1 behind the same commit pass the
+//! in-memory tier exposes, so the frontier search in
 //! [`super::stateful`] is oblivious to where a sealed state resides.
+//! The search takes no lock on it: it writes the store through `&mut`
+//! on its driving thread, and its workers share `&` for the proviso
+//! probe while a level expands (see [`Store`]).
 //!
 //! ## Why spilling cannot change a report
 //!
@@ -53,41 +56,16 @@ pub mod mem;
 pub mod spool;
 pub(crate) mod trace;
 
-pub use mem::{VisitedStore, STRIPES};
+pub use ledger_shims::{rank, StateStore, TieredStore};
+pub use mem::{VisitedStore, PARTITIONS};
 pub use spool::{FrontierSpool, Spoolable};
 
 use disk::{DiskRef, SpillLog};
 use index::FpIndex;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The read side the frontier engine's workers run against while a
-/// level expands: the POR-proviso membership probe and the logical
-/// totals. Implemented by the in-memory tier ([`VisitedStore`]) and the
-/// tiered store ([`TieredStore`]); writes happen only in the serial
-/// commit ([`TieredStore::commit`]).
-pub trait StateStore: Sync {
-    /// Whether the state is sealed with an epoch `< epoch_bound` — the
-    /// ignoring-proviso probe. Bounding by epoch (not "any sealed")
-    /// lets a level be processed in memory-bounded chunks: entries
-    /// sealed by earlier chunks of the *same* level are invisible, so
-    /// the probe sees exactly the set a single-chunk (unbounded) run
-    /// would — the report stays byte-identical for any memory limit.
-    fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool;
-
-    /// Number of states stored across all tiers.
-    fn len(&self) -> usize;
-
-    /// True when no state was ever stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total payload bytes across all tiers (the encodings themselves).
-    fn bytes(&self) -> usize;
-}
 
 /// A directory used for the tier-1 log, the path log, frontier spool
 /// files, and checkpoints. Temp-created directories (`SpillDir::temp`) are removed
@@ -141,69 +119,79 @@ struct Tier1 {
     index: FpIndex,
 }
 
-/// The two-tier visited store: tier 0 is the lock-striped in-memory
+/// The two-tier visited store: tier 0 is the partitioned in-memory
 /// [`VisitedStore`]; tier 1 is one append-only log file behind an
 /// in-memory fingerprint index. When tier 0's payload exceeds the
 /// budget at a level boundary, all its entries are appended to the
-/// log ([`TieredStore::end_of_level`]). Unbounded stores (budget
+/// log ([`Store::end_of_level`]). Unbounded stores (budget
 /// `usize::MAX`, no spill dir) never touch the filesystem.
-pub struct TieredStore {
+///
+/// It holds no lock. Every write — [`Store::insert`], [`Store::commit`],
+/// [`Store::end_of_level`], a checkpoint's sync and resume's reload —
+/// takes `&mut self` on the frontier search's driving thread, after a
+/// chunk's workers have joined; the workers share `&self` for the
+/// proviso probe ([`Store::contains_sealed_before`]) and nothing else.
+pub struct Store {
     mem: VisitedStore,
     budget: usize,
     tier1: Option<Tier1>,
-    peak_mem: AtomicUsize,
-    /// Entries moved to (or reloaded from) tier 1: the log's records.
-    spilled: AtomicUsize,
+    peak_mem: usize,
     /// Appends this store made to the log.
-    spills: AtomicUsize,
+    spills: usize,
 }
 
-impl TieredStore {
+impl Store {
     /// A store holding at most ~`budget` payload bytes in memory,
     /// spilling sealed entries into the log under `dir`. With no
     /// `dir`, the budget is ignored and the store is purely in-memory.
     pub fn new(budget: usize, dir: Option<Arc<SpillDir>>) -> Self {
-        TieredStore::new_with(budget, dir, false)
+        Store::new_with(budget, dir, false)
     }
 
-    /// Like [`TieredStore::new`], but when `compressed` is set the
-    /// entries handed to the store are collapse-compressed component-ID
-    /// tuples (see [`crate::state::intern`]): byte accounting then
-    /// splits into logical raw totals ([`StateStore::bytes`]) and the
-    /// resident footprint ([`TieredStore::stored_bytes`]), and the spill
-    /// budget bounds the latter. Membership logic is untouched — tuple
-    /// equality is state equality under a fixed interner.
+    /// Like [`Store::new`], but when `compressed` is set the entries
+    /// handed to the store are collapse-compressed component-ID tuples
+    /// (see [`crate::state::intern`]): byte accounting then splits into
+    /// logical raw totals ([`Store::bytes`]) and the resident footprint
+    /// ([`Store::stored_bytes`]), and the spill budget bounds the latter.
+    /// Membership logic is untouched — tuple equality is state equality
+    /// under a fixed interner.
     pub fn new_with(budget: usize, dir: Option<Arc<SpillDir>>, compressed: bool) -> Self {
-        TieredStore {
-            mem: VisitedStore::new_with(STRIPES, compressed),
+        Store {
+            mem: VisitedStore::new_with(PARTITIONS, compressed),
             budget,
             tier1: dir.map(|d| Tier1 {
                 log: SpillLog::new(d, compressed),
-                index: FpIndex::new(STRIPES),
+                index: FpIndex::new(PARTITIONS),
             }),
-            peak_mem: AtomicUsize::new(0),
-            spilled: AtomicUsize::new(0),
-            spills: AtomicUsize::new(0),
+            peak_mem: 0,
+            spills: 0,
         }
     }
 
-    /// Whether `enc` is on disk, sealed before `epoch_bound`. The index
-    /// keeps probes O(1): disk is read only to confirm a fingerprint
-    /// match against the full encoding.
-    fn on_disk(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        let Some(t1) = &self.tier1 else { return false };
-        t1.index.candidates(hash, |r: &DiskRef| {
-            r.epoch < epoch_bound
-                && r.len as usize == enc.len()
-                && t1.log.confirm(r, enc).expect("tier-1 log read")
-        })
+    /// Whether the state is sealed with an epoch `< epoch_bound` — the
+    /// ignoring-proviso probe. Bounding by epoch (not "any sealed")
+    /// lets a level be processed in memory-bounded chunks: entries
+    /// sealed by earlier chunks of the *same* level are invisible, so
+    /// the probe sees exactly the set a single-chunk (unbounded) run
+    /// would — the report stays byte-identical for any memory limit.
+    /// On disk, the index keeps probes O(1): the log is read only to
+    /// confirm a fingerprint match against the full encoding.
+    pub fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
+        self.mem.contains_sealed_before(hash, enc, epoch_bound)
+            || self.tier1.as_ref().is_some_and(|t1| {
+                t1.index.refs(hash).any(|r| {
+                    r.epoch < epoch_bound
+                        && r.len as usize == enc.len()
+                        && t1.log.confirm(r, enc).expect("tier-1 log read")
+                })
+            })
     }
 
     /// Store the state in tier 0, sealed at `epoch`, unless tier 0
     /// holds it; true when it was absent. Tier 1 is not consulted: this
     /// is for the initial state and for resume's reload of tier 0, whose
     /// entries are never on disk.
-    pub fn insert(&self, hash: u64, enc: &[u8], epoch: u32) -> bool {
+    pub fn insert(&mut self, hash: u64, enc: &[u8], epoch: u32) -> bool {
         self.mem.insert(hash, enc, epoch)
     }
 
@@ -213,9 +201,9 @@ impl TieredStore {
     /// returns flags aligned with `items`: an item wins iff its state
     /// was absent, so of several occurrences the first wins. See
     /// [`VisitedStore::commit`].
-    pub fn commit(&self, items: &[(u64, &[u8])], epoch: u32) -> Vec<bool> {
-        self.mem
-            .commit_skipping(items, &self.on_disk_batch(items), epoch)
+    pub fn commit(&mut self, items: &[(u64, &[u8])], epoch: u32) -> Vec<bool> {
+        let skip = self.on_disk_batch(items);
+        self.mem.commit(items, &skip, epoch)
     }
 
     /// Level-boundary maintenance: record the tier-0 peak and, when the
@@ -224,19 +212,14 @@ impl TieredStore {
     /// ([`VisitedStore::stored_bytes`]) — compression therefore defers
     /// spilling, which is report-invisible by the same argument that
     /// makes the budget itself report-invisible.
-    pub fn end_of_level(&self) -> io::Result<()> {
-        self.peak_mem
-            .fetch_max(self.mem.stored_bytes(), Ordering::Relaxed);
+    pub fn end_of_level(&mut self) -> io::Result<()> {
+        self.peak_mem = self.peak_mem_bytes();
         if self.mem.stored_bytes() <= self.budget {
             return Ok(());
         }
-        self.spill_sealed()
-    }
-
-    /// Append all tier-0 entries to the log (no-op when tier 0 is empty
-    /// or there is no spill directory).
-    pub fn spill_sealed(&self) -> io::Result<()> {
-        let Some(t1) = &self.tier1 else { return Ok(()) };
+        let Some(t1) = &mut self.tier1 else {
+            return Ok(());
+        };
         let records = self.mem.drain_sealed();
         if records.is_empty() {
             return Ok(());
@@ -244,25 +227,21 @@ impl TieredStore {
         for (fp, r) in t1.log.append(&records)? {
             t1.index.insert(fp, r);
         }
-        self.spilled.fetch_add(records.len(), Ordering::Relaxed);
-        self.spills.fetch_add(1, Ordering::Relaxed);
+        self.spills += 1;
         Ok(())
     }
 
     /// Reopen the log a manifest committed at `byte_len` bytes (resume
     /// path): truncate what lies past it and index every record.
-    pub(crate) fn load_log(&self, byte_len: u64) -> io::Result<usize> {
+    pub(crate) fn load_log(&mut self, byte_len: u64) -> io::Result<()> {
         let t1 = self
             .tier1
-            .as_ref()
+            .as_mut()
             .expect("resume requires a spill directory");
-        let refs = t1.log.reopen(byte_len)?;
-        let n = refs.len();
-        for (fp, r) in refs {
+        for (fp, r) in t1.log.reopen(byte_len)? {
             t1.index.insert(fp, r);
         }
-        self.spilled.fetch_add(n, Ordering::Relaxed);
-        Ok(n)
+        Ok(())
     }
 
     /// A sorted, non-destructive snapshot of every tier-0 entry
@@ -273,9 +252,25 @@ impl TieredStore {
 
     /// Sync the tier-1 log and return its `(bytes, entries)` for the
     /// checkpoint manifest; `(0, 0)` before the first spill.
-    pub(crate) fn sync_log(&self) -> io::Result<(u64, u64)> {
-        let bytes = self.tier1.as_ref().map_or(Ok(0), |t| t.log.sync())?;
+    pub(crate) fn sync_log(&mut self) -> io::Result<(u64, u64)> {
+        let bytes = self.tier1.as_mut().map_or(Ok(0), |t| t.log.sync())?;
         Ok((bytes, self.spilled_entries() as u64))
+    }
+
+    /// Number of states stored across both tiers.
+    pub fn len(&self) -> usize {
+        self.mem.len() + self.tier1.as_ref().map_or(0, |t| t.index.len())
+    }
+
+    /// True when no state was ever stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total raw payload bytes across both tiers (the encodings the
+    /// entries stand for).
+    pub fn bytes(&self) -> usize {
+        self.mem.bytes() + self.tier1.as_ref().map_or(0, |t| t.index.bytes())
     }
 
     /// Tier-0 resident payload bytes right now.
@@ -283,25 +278,25 @@ impl TieredStore {
         self.mem.stored_bytes()
     }
 
-    /// Largest tier-0 resident payload observed at any level boundary.
+    /// Largest tier-0 resident payload observed at any level boundary,
+    /// or now.
     pub fn peak_mem_bytes(&self) -> usize {
-        self.peak_mem
-            .fetch_max(self.mem.stored_bytes(), Ordering::Relaxed);
-        self.peak_mem.load(Ordering::Relaxed)
+        self.peak_mem.max(self.mem.stored_bytes())
     }
 
-    /// Entries moved to (or reloaded from) tier 1 over the store's life.
+    /// Entries moved to (or reloaded from) tier 1 over the store's life:
+    /// the log's records.
     pub fn spilled_entries(&self) -> usize {
-        self.spilled.load(Ordering::Relaxed)
+        self.tier1.as_ref().map_or(0, |t| t.index.len())
     }
 
     /// Spills this store appended to the tier-1 log.
     pub fn spill_count(&self) -> usize {
-        self.spills.load(Ordering::Relaxed)
+        self.spills
     }
 
     /// Bytes the store actually holds across tiers — equal to
-    /// [`StateStore::bytes`] when uncompressed, the compressed footprint
+    /// [`Store::bytes`] when uncompressed, the compressed footprint
     /// otherwise (the numerator of the `--stats` dedup ratio).
     pub fn stored_bytes(&self) -> usize {
         self.mem.stored_bytes() + self.tier1.as_ref().map_or(0, |t| t.index.stored_bytes())
@@ -316,12 +311,10 @@ impl TieredStore {
             return Vec::new();
         };
         let mut cands: Vec<(u32, DiskRef)> = Vec::new();
-        let mut refs = Vec::new();
         for (ix, &(h, e)) in items.iter().enumerate() {
-            refs.clear();
-            t1.index.collect_refs(h, &mut refs);
             cands.extend(
-                refs.iter()
+                t1.index
+                    .refs(h)
                     .filter(|r| r.len as usize == e.len())
                     .map(|&r| (ix as u32, r)),
             );
@@ -341,35 +334,31 @@ impl TieredStore {
     }
 
     /// Tier-0 commit observability counters:
-    /// `(commit calls, items committed, lock acquisitions avoided)`.
-    pub fn batch_stats(&self) -> (usize, usize, usize) {
+    /// `(commit calls, items committed)`.
+    pub fn batch_stats(&self) -> (usize, usize) {
         self.mem.batch_stats()
     }
 }
 
-impl StateStore for TieredStore {
-    fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
-        self.mem.contains_sealed_before(hash, enc, epoch_bound)
-            || self.on_disk(hash, enc, epoch_bound)
-    }
-
-    fn len(&self) -> usize {
-        self.mem.len() + self.tier1.as_ref().map_or(0, |t| t.index.len())
-    }
-
-    fn bytes(&self) -> usize {
-        self.mem.bytes() + self.tier1.as_ref().map_or(0, |t| t.index.bytes())
-    }
-}
-
-/// Shims for the benchmark ledger's frozen stepper
-/// (`crates/bench/src/bin/ledger/src/stepper.rs`), which still speaks the
-/// rank protocol this store replaced with [`TieredStore::commit`]. Each
-/// restates one of its calls in terms of the commit pass; nothing else
-/// calls them. ROADMAP item 3a(ii) deletes the stepper, and this block
-/// with it.
+/// What the benchmark ledger's frozen stepper
+/// (`crates/bench/src/bin/ledger/src/stepper.rs`) compiles against: a
+/// `&self` view of a [`Store`], and the rank protocol [`Store::commit`]
+/// replaced. Each call restates one of the stepper's in terms of the
+/// store; nothing else calls them, and the engine never takes the lock.
+/// ROADMAP item 3a(ii) deletes the stepper, and this block with it.
 mod ledger_shims {
-    use super::TieredStore;
+    use super::{SpillDir, Store};
+    use std::io;
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// The proviso probe the stepper runs through `&TieredStore`.
+    pub trait StateStore {
+        /// [`Store::contains_sealed_before`].
+        fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool;
+    }
+
+    /// A [`Store`] behind the one lock its `&self` calls need.
+    pub struct TieredStore(Mutex<Store>);
 
     /// The stepper's discovery rank, `(frontier item, successor)` packed
     /// into a `u64`. The store ignores it: commit order is list order.
@@ -384,20 +373,31 @@ mod ledger_shims {
     }
 
     impl TieredStore {
+        /// [`Store::new_with`].
+        pub fn new_with(budget: usize, dir: Option<Arc<SpillDir>>, compressed: bool) -> Self {
+            TieredStore(Mutex::new(Store::new_with(budget, dir, compressed)))
+        }
+
+        fn store(&self) -> MutexGuard<'_, Store> {
+            self.0
+                .lock()
+                .expect("store lock poisoned by a panicked thread")
+        }
+
         /// Stores nothing: [`TieredStore::seal`] stores.
         #[doc(hidden)]
         pub fn admit(&self, _hash: u64, _enc: &[u8], _rank: u64) {}
 
-        /// [`TieredStore::insert`].
+        /// [`Store::insert`].
         #[doc(hidden)]
         pub fn seal(&self, hash: u64, enc: &[u8], epoch: u32) {
-            self.insert(hash, enc, epoch);
+            self.store().insert(hash, enc, epoch);
         }
 
         /// Drops the states tier 1 holds from `items`; stores nothing.
         #[doc(hidden)]
         pub fn insert_batch(&self, items: &mut Vec<(u64, u64, &[u8])>) {
-            let dead = self.on_disk_batch(&keys(items));
+            let dead = self.store().on_disk_batch(&keys(items));
             if !dead.is_empty() {
                 let mut ix = 0;
                 items.retain(|_| {
@@ -407,18 +407,29 @@ mod ledger_shims {
             }
         }
 
-        /// [`TieredStore::commit`], the ranks ignored.
+        /// [`Store::commit`], the ranks ignored.
         #[doc(hidden)]
         pub fn seal_batch(&self, probes: &[(u64, u64, &[u8])], epoch: u32) -> Vec<bool> {
-            self.commit(&keys(probes), epoch)
+            self.store().commit(&keys(probes), epoch)
+        }
+
+        /// [`Store::end_of_level`].
+        pub fn end_of_level(&self) -> io::Result<()> {
+            self.store().end_of_level()
+        }
+    }
+
+    impl StateStore for TieredStore {
+        fn contains_sealed_before(&self, hash: u64, enc: &[u8], epoch_bound: u32) -> bool {
+            self.store().contains_sealed_before(hash, enc, epoch_bound)
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::super::tests::{items, states};
-        use super::super::{SpillDir, StateStore, TieredStore};
-        use super::{keys, rank};
+        use super::super::{SpillDir, Store};
+        use super::{keys, rank, StateStore, TieredStore};
 
         #[test]
         fn the_ledger_shims_restate_commit() {
@@ -433,38 +444,34 @@ mod ledger_shims {
                         .map(move |(i, (h, e))| (*h, rank(round, i), e.as_slice()))
                 })
                 .collect();
-            let run = |shims: bool| {
-                let store = TieredStore::new(0, Some(SpillDir::temp().unwrap()));
-                let (h0, e0) = &ss[0];
-                if shims {
-                    store.admit(*h0, e0, rank(0, 0));
-                    store.seal(*h0, e0, 0);
-                } else {
-                    store.insert(*h0, e0, 0);
-                }
-                store.commit(&items(&ss[1..4]), 1);
-                store.end_of_level().unwrap();
-                let flags = if shims {
-                    let mut admits = list.clone();
-                    store.insert_batch(&mut admits);
-                    assert_eq!(admits.len(), 8, "the 4 spilled states dropped, twice");
-                    store.seal_batch(&list, 2)
-                } else {
-                    store.commit(&keys(&list), 2)
-                };
-                (flags, store.len(), store.mem.len(), store.batch_stats())
-            };
-            let want = run(false);
-            assert_eq!(run(true), want);
+            let (h0, e0) = &ss[0];
+            let mut store = Store::new(0, Some(SpillDir::temp().unwrap()));
+            store.insert(*h0, e0, 0);
+            store.commit(&items(&ss[1..4]), 1);
+            store.end_of_level().unwrap();
+            let want = store.commit(&keys(&list), 2);
+
+            let shims = TieredStore::new_with(0, Some(SpillDir::temp().unwrap()), false);
+            shims.admit(*h0, e0, rank(0, 0));
+            shims.seal(*h0, e0, 0);
+            shims.seal_batch(&list[1..4], 1);
+            shims.end_of_level().unwrap();
+            let mut admits = list.clone();
+            shims.insert_batch(&mut admits);
+            assert_eq!(admits.len(), 8, "the 4 spilled states dropped, twice");
+            assert_eq!(shims.seal_batch(&list, 2), want);
+            for (h, e) in &ss {
+                assert!(shims.contains_sealed_before(*h, e, 3));
+            }
+            let shim_store = shims.store();
+            let totals = |s: &Store| (s.len(), s.mem.len(), s.batch_stats());
+            assert_eq!(totals(&shim_store), totals(&store));
             let winners: Vec<bool> = (0..16).map(|k| (4..8).contains(&k)).collect();
-            assert_eq!(want.0, winners, "new states win at their first occurrence");
-            assert_eq!((want.1, want.2), (8, 4));
+            assert_eq!(want, winners, "new states win at their first occurrence");
+            assert_eq!((store.len(), store.mem.len()), (8, 4));
         }
     }
 }
-
-#[doc(hidden)]
-pub use ledger_shims::rank;
 
 #[cfg(test)]
 mod tests {
@@ -497,7 +504,7 @@ mod tests {
 
     #[test]
     fn commit_flags_the_first_occurrence_in_commit_order() {
-        let store = TieredStore::new(0, Some(SpillDir::temp().unwrap()));
+        let mut store = Store::new(0, Some(SpillDir::temp().unwrap()));
         let ss = states(6);
         let key = |i: usize| (ss[i].0, ss[i].1.as_slice());
         // State 0 lives in tier 1; state 1 was sealed at an earlier
@@ -534,7 +541,7 @@ mod tests {
     #[test]
     fn commit_skips_disk_residents() {
         let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new(0, Some(dir));
+        let mut store = Store::new(0, Some(dir));
         let ss = states(8);
         // Seal and spill the first half, so the commit mixes disk
         // residents (must lose) with genuinely new states.
@@ -549,14 +556,13 @@ mod tests {
         for (h, e) in &ss {
             assert!(store.contains_sealed_before(*h, e, 3));
         }
-        let (ops, items, _) = store.batch_stats();
-        assert_eq!((ops, items), (2, 12));
+        assert_eq!(store.batch_stats(), (2, 12));
     }
 
     #[test]
     fn spill_preserves_membership_and_totals() {
         let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new(0, Some(dir)); // budget 0: always spill
+        let mut store = Store::new(0, Some(dir)); // budget 0: always spill
         let ss = states(20);
         assert_eq!(store.commit(&items(&ss), 1), vec![true; 20]);
         let total_bytes: usize = ss.iter().map(|(_, e)| e.len()).sum();
@@ -582,7 +588,7 @@ mod tests {
     #[test]
     fn colliding_fingerprints_confirm_against_disk_bytes() {
         let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new(0, Some(dir));
+        let mut store = Store::new(0, Some(dir));
         let ss = states(2);
         let (a, b) = (ss[0].1.as_slice(), ss[1].1.as_slice());
         let fake = 7u64; // same fingerprint for two distinct states
@@ -614,7 +620,7 @@ mod tests {
             })
             .unzip();
         let dir = SpillDir::temp().unwrap();
-        let store = TieredStore::new_with(0, Some(dir), true);
+        let mut store = Store::new_with(0, Some(dir), true);
         assert_eq!(store.commit(&items(&ss), 1), vec![true; 12]);
         let raw_total: usize = raws.iter().sum();
         let stored_total: usize = ss.iter().map(|(_, e)| e.len()).sum();
@@ -634,7 +640,7 @@ mod tests {
 
     #[test]
     fn unbounded_store_never_creates_files() {
-        let store = TieredStore::new(usize::MAX, None);
+        let mut store = Store::new(usize::MAX, None);
         let ss = states(8);
         store.commit(&items(&ss), 1);
         store.end_of_level().unwrap();

@@ -48,32 +48,35 @@ use crate::search::store::keyset::KeySet;
 use cfgir::ObjId;
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-
-/// Lock stripes for the bytes→ID map, mirroring the visited store's
-/// striping so concurrent workers interning disjoint components rarely
-/// contend.
-const STRIPES: usize = 64;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Source of process-unique interner tokens (nonzero, so a zeroed memo
 /// can never match).
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// A concurrent, lock-striped interner of component encodings: dense
-/// `u32` IDs and an append-only ID→bytes table. See the module docs for
-/// the injectivity contract.
+/// A concurrent interner of component encodings: dense `u32` IDs and an
+/// append-only ID→bytes table. See the module docs for the injectivity
+/// contract.
+///
+/// One lock guards the whole table: interning happens when a run starts
+/// and on a transition-memo miss (a few hundred components against
+/// millions of memo hits, none of which touch the interner), and reading
+/// a component's bytes happens when a worker's cache first decodes it
+/// and in the debug builds' memo-hit oracle.
 pub struct ComponentInterner {
     /// Process-unique tag for per-allocation memos (see [`CowArc`]).
     token: u64,
-    /// bytes → id, striped by a stable hash of the bytes.
-    stripes: Vec<Mutex<HashMap<Arc<[u8]>, u32>>>,
-    /// id → bytes. Appends are serialized by the writer lock (they are
-    /// rare: one per *distinct* component); probes by ID take the read
-    /// lock only.
-    table: RwLock<Vec<Arc<[u8]>>>,
-    /// Total bytes across table entries.
-    payload: AtomicUsize,
+    table: Mutex<Table>,
+}
+
+/// What [`ComponentInterner`]'s lock guards.
+#[derive(Default)]
+struct Table {
+    /// bytes → id.
+    ids: HashMap<Arc<[u8]>, u32>,
+    /// id → bytes.
+    encs: Vec<Arc<[u8]>>,
 }
 
 /// Decoded components by interner ID, for
@@ -739,9 +742,7 @@ impl ComponentInterner {
     pub fn new() -> Self {
         ComponentInterner {
             token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            table: RwLock::new(Vec::new()),
-            payload: AtomicUsize::new(0),
+            table: Mutex::default(),
         }
     }
 
@@ -752,45 +753,39 @@ impl ComponentInterner {
         self.token
     }
 
-    #[inline]
-    fn stripe(&self, bytes: &[u8]) -> &Mutex<HashMap<Arc<[u8]>, u32>> {
-        let h = crate::hash::stable_hash_bytes(bytes);
-        &self.stripes[(h >> 32) as usize % self.stripes.len()]
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table
+            .lock()
+            .expect("interner lock poisoned by a panicked thread")
     }
 
     /// The dense ID of `bytes`, assigning the next one on first sight.
     /// Equal byte strings always return equal IDs (per interner).
     pub fn intern(&self, bytes: &[u8]) -> u32 {
-        let mut map = self.stripe(bytes).lock().unwrap();
-        if let Some(&id) = map.get(bytes) {
+        let mut t = self.table();
+        if let Some(&id) = t.ids.get(bytes) {
             return id;
         }
+        // `u32::MAX` is never assigned, which keeps a memo key packable
+        // into 64 bits (`slot`).
+        let id = u32::try_from(t.encs.len())
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("fewer than 2^32 - 1 distinct components");
         let entry: Arc<[u8]> = Arc::from(bytes);
-        let id = {
-            // Stripe lock → table lock is the fixed acquisition order.
-            let mut table = self.table.write().unwrap();
-            // `u32::MAX` is never assigned, which keeps a memo key
-            // packable into 64 bits (`slot`).
-            let id = u32::try_from(table.len())
-                .ok()
-                .filter(|&id| id != u32::MAX)
-                .expect("fewer than 2^32 - 1 distinct components");
-            table.push(Arc::clone(&entry));
-            id
-        };
-        self.payload.fetch_add(bytes.len(), Ordering::Relaxed);
-        map.insert(entry, id);
+        t.encs.push(Arc::clone(&entry));
+        t.ids.insert(entry, id);
         id
     }
 
     /// The encoding interned under `id`, if assigned.
     pub fn get(&self, id: u32) -> Option<Arc<[u8]>> {
-        self.table.read().unwrap().get(id as usize).cloned()
+        self.table().encs.get(id as usize).cloned()
     }
 
     /// Number of distinct components interned.
     pub fn len(&self) -> usize {
-        self.table.read().unwrap().len()
+        self.table().encs.len()
     }
 
     /// True when nothing has been interned.
@@ -801,7 +796,7 @@ impl ComponentInterner {
     /// Total bytes across interned component encodings (the table's
     /// payload — what `--stats` reports as the interner size).
     pub fn bytes(&self) -> usize {
-        self.payload.load(Ordering::Relaxed)
+        self.table().encs.iter().map(|e| e.len()).sum()
     }
 
     /// Rebuild the state a compressed ID tuple denotes, taking every

@@ -319,13 +319,13 @@ impl GlobalState {
     }
 
     /// A compact, *toolchain-stable* 64-bit fingerprint (for statistics
-    /// and visited-store stripe/shard assignment; the stateful searches
+    /// and visited-store partition/shard assignment; the stateful searches
     /// store canonical state encodings, not hashes, so collisions cannot
     /// cause missed states). The fingerprint is a
     /// [`crate::hash::StableHasher`] combine over the components'
     /// memoized sub-hashes — an unchanged process contributes one cached
     /// 64-bit word instead of being re-traversed — and a debug assertion
-    /// checks it against a from-scratch recomputation, so stripe/shard
+    /// checks it against a from-scratch recomputation, so partition/shard
     /// assignment cannot drift from the sequential baseline.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::hash::StableHasher::new();
@@ -391,7 +391,7 @@ impl GlobalState {
     /// IDs…]` with each component's dense `u32` ID (little-endian)
     /// standing in for its encoding — under `interner`. The
     /// fingerprint is bit-identical to [`Self::fingerprint`] /
-    /// [`Self::fingerprint_and_encode`], so stripe and shard
+    /// [`Self::fingerprint_and_encode`], so partition and shard
     /// assignment cannot depend on whether compression is on. Each
     /// component with a cold memo is encoded exactly once (seeding the
     /// sub-hash cache from those bytes, as the fused encode does); a

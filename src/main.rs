@@ -124,8 +124,7 @@ fn usage() -> String {
                                   (frontier engines) peak resident store\n\
                                   bytes, spilled entries, spill and\n\
                                   checkpoint counts, and the commit's\n\
-                                  batches (one per chunk) and the stripe\n\
-                                  locks they saved\n\
+                                  batches (one per chunk) and their items\n\
          --coverage               print covered/total CFG nodes, overall and\n\
                                   per procedure (not with --checkpoint-dir)\n\
          --explain                replay and pretty-print each violation\n\
@@ -558,11 +557,10 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
         if report.store_batch_ops > 0 {
             outln!(
                 "stats: batched commit: {} batch(es) carrying {} item(s) \
-                 ({:.1} items/batch), {} lock acquisition(s) avoided",
+                 ({:.1} items/batch)",
                 report.store_batch_ops,
                 report.store_batch_items,
-                report.store_batch_items as f64 / report.store_batch_ops as f64,
-                report.store_lock_acquisitions_avoided
+                report.store_batch_items as f64 / report.store_batch_ops as f64
             );
         }
         let memo = report.memo;

@@ -1,5 +1,8 @@
 //! Integration tests for the `reclose` CLI binary.
 
+mod common;
+
+use common::TempDir;
 use std::io::Write as _;
 use std::process::Command;
 
@@ -228,8 +231,7 @@ fn bfs_is_the_frontier_engine_at_one_worker() {
     }
     // The engine is not in the checkpoint's config digest: a run killed
     // under `--bfs` completes under `--stateful --jobs 2`.
-    let dir = std::env::temp_dir().join(format!("reclose-cli-bfs-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("reclose-cli-bfs-ckpt");
     let d = dir.to_str().unwrap();
     let whole = reclose(&["explore", workers, "--bfs", "--all"]);
     let killed = reclose(&[
@@ -261,7 +263,6 @@ fn bfs_is_the_frontier_engine_at_one_worker() {
         String::from_utf8_lossy(&resumed.stderr)
     );
     assert_eq!(whole.stdout, resumed.stdout);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[cfg(unix)]
@@ -555,24 +556,25 @@ fn a_program_nested_at_the_limit_closes_and_explores() {
 
 #[test]
 fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
-    // `--resume` opens every file the manifest names before the engine
-    // starts: a missing, short or foreign one ends the run with an error
-    // naming it (exit 1), not a panic.
+    // `--resume` walks every record the manifest commits before the
+    // engine starts: a missing, short, foreign or torn file, or an
+    // interner table naming one component twice, ends the run with an
+    // error naming it (exit 1), not a panic.
     let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
-    let base = std::env::temp_dir().join(format!("reclose-cli-damaged-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = TempDir::new("reclose-cli-damaged");
     let good = base.join("good");
+    // Killed at level 6 with states in both tiers.
     let killed = reclose(&[
         "explore",
         workers,
         "--bfs",
         "--all",
         "--mem-limit",
-        "300",
+        "100",
         "--checkpoint-dir",
         good.to_str().unwrap(),
         "--checkpoint-every",
-        "4",
+        "6",
         "--abort-after-checkpoints",
         "1",
     ]);
@@ -590,7 +592,7 @@ fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
         .to_string_lossy()
         .into_owned();
     type Damage = fn(&std::path::Path);
-    let damages: [(&str, Damage, &str); 3] = [
+    let damages: [(&str, Damage, &str); 6] = [
         (
             "intern.bin",
             |p| std::fs::remove_file(p).unwrap(),
@@ -613,6 +615,26 @@ fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
             },
             "incompatible store format version",
         ),
+        (
+            &mem,
+            |p| {
+                let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
+                let len = f.metadata().unwrap().len();
+                assert!(len > 5, "the snapshot holds a record");
+                f.set_len(len - 1).unwrap();
+            },
+            "torn record",
+        ),
+        (
+            "tier1.bin",
+            |p| {
+                let mut bytes = std::fs::read(p).unwrap();
+                bytes[5..].fill(0xFF);
+                std::fs::write(p, bytes).unwrap();
+            },
+            "torn record",
+        ),
+        ("intern.bin", repeat_an_intern_record, "repeated component"),
     ];
     for (name, damage, why) in damages {
         let dir = base.join(name);
@@ -637,5 +659,26 @@ fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
         assert!(err.contains(why), "{name}: {err}");
         assert!(out.stdout.is_empty(), "{name}: nothing explored");
     }
-    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Overwrite a record of the interner table at `p` with an earlier one
+/// of the same length: every record still reads, and one component is
+/// named twice.
+fn repeat_an_intern_record(p: &std::path::Path) {
+    let mut bytes = std::fs::read(p).unwrap();
+    let mut spans: Vec<std::ops::Range<usize>> = Vec::new();
+    let mut at = 5; // past the header
+    while at < bytes.len() {
+        let len = bytes[at] as usize;
+        assert!(len < 0x80, "a one-byte length prefix");
+        spans.push(at + 1..at + 1 + len);
+        at += 1 + len;
+    }
+    let (earlier, later) = (0..spans.len())
+        .flat_map(|j| (0..j).map(move |i| (i, j)))
+        .find(|&(i, j)| spans[i].len() == spans[j].len())
+        .expect("two components of one length");
+    let copy = bytes[spans[earlier].clone()].to_vec();
+    bytes[spans[later].clone()].copy_from_slice(&copy);
+    std::fs::write(p, bytes).unwrap();
 }

@@ -73,7 +73,7 @@ fn frontier_heap_per_state_stays_under_the_pinned_ceiling() {
     });
     let closed = close_source(&src).expect("the generated switch closes");
     // Each figure is the whole run's peak heap over its states: the
-    // visited store (each state's key bytes in a stripe's arena plus one
+    // visited store (each state's key bytes in a partition's arena plus one
     // table slot), the frontier or stack of keys, the reproducing paths,
     // and the interner and transition memo. Measured 103 B/state for the
     // frontier at one worker and 105–106 at two, and 62 for the

@@ -3,6 +3,9 @@
 //! byte-identical to an unbounded, uninterrupted run — for any worker
 //! count and any memory limit.
 
+mod common;
+
+use common::TempDir;
 use reclose::prelude::*;
 
 fn workers_src() -> String {
@@ -34,10 +37,8 @@ fn surface(r: &Report) -> (String, usize, usize, usize, usize, usize, usize) {
     )
 }
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("reclose-ooc-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("reclose-ooc-{name}"))
 }
 
 #[test]
@@ -86,7 +87,7 @@ fn killed_and_resumed_runs_complete_byte_identically() {
                 &prog,
                 &Config {
                     mem_limit: kill_mem,
-                    checkpoint_dir: Some(dir.clone()),
+                    checkpoint_dir: Some(dir.to_path_buf()),
                     checkpoint_every: 1,
                     abort_after_checkpoints: Some(2),
                     ..frontier_config(kill_jobs)
@@ -106,7 +107,7 @@ fn killed_and_resumed_runs_complete_byte_identically() {
                 &prog,
                 &Config {
                     mem_limit: resume_mem,
-                    checkpoint_dir: Some(dir.clone()),
+                    checkpoint_dir: Some(dir.to_path_buf()),
                     resume: true,
                     ..frontier_config(resume_jobs)
                 },
@@ -119,7 +120,6 @@ fn killed_and_resumed_runs_complete_byte_identically() {
             // The transition memo is not part of a checkpoint: the
             // resumed run starts with none and fills its own.
             assert!(killed.memo.misses > 0 && resumed.memo.misses > 0);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -191,7 +191,7 @@ fn killed_and_resumed_runs_keep_every_violation_trace() {
                     prog,
                     &Config {
                         mem_limit: if resume_mem == 16 { usize::MAX } else { 16 },
-                        checkpoint_dir: Some(dir.clone()),
+                        checkpoint_dir: Some(dir.to_path_buf()),
                         checkpoint_every: 1,
                         abort_after_checkpoints: Some(kills),
                         jobs: 3 - resume_jobs,
@@ -219,7 +219,7 @@ fn killed_and_resumed_runs_keep_every_violation_trace() {
                     prog,
                     &Config {
                         mem_limit: resume_mem,
-                        checkpoint_dir: Some(dir.clone()),
+                        checkpoint_dir: Some(dir.to_path_buf()),
                         resume: true,
                         jobs: resume_jobs,
                         ..all.clone()
@@ -230,7 +230,6 @@ fn killed_and_resumed_runs_keep_every_violation_trace() {
                     surface(&baseline),
                     "{name}: kill after {kills} → resume(jobs={resume_jobs},mem={resume_mem}, torn={torn})"
                 );
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }
@@ -245,7 +244,7 @@ fn resume_survives_repeated_kills() {
     let dir = temp_dir("repeated");
     let mut config = Config {
         mem_limit: 300,
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(dir.to_path_buf()),
         checkpoint_every: 1,
         abort_after_checkpoints: Some(1),
         ..frontier_config(2)
@@ -260,7 +259,6 @@ fn resume_survives_repeated_kills() {
     }
     assert!(kills > 2, "several kill/resume cycles actually happened");
     assert_eq!(surface(&report), surface(&baseline));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -276,7 +274,7 @@ fn interner_table_survives_a_torn_tail() {
         &prog,
         &Config {
             mem_limit: 300,
-            checkpoint_dir: Some(dir.clone()),
+            checkpoint_dir: Some(dir.to_path_buf()),
             checkpoint_every: 1,
             abort_after_checkpoints: Some(2),
             ..frontier_config(2)
@@ -302,13 +300,12 @@ fn interner_table_survives_a_torn_tail() {
     let resumed = explore(
         &prog,
         &Config {
-            checkpoint_dir: Some(dir.clone()),
+            checkpoint_dir: Some(dir.to_path_buf()),
             resume: true,
             ..frontier_config(1)
         },
     );
     assert_eq!(surface(&resumed), surface(&baseline));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -321,7 +318,7 @@ fn resume_rejects_a_different_compression_mode() {
         let dir = temp_dir(&format!("mode-{killed_no_compress}"));
         let config = Config {
             no_compress: killed_no_compress,
-            checkpoint_dir: Some(dir.clone()),
+            checkpoint_dir: Some(dir.to_path_buf()),
             checkpoint_every: 1,
             abort_after_checkpoints: Some(1),
             ..frontier_config(1)
@@ -346,7 +343,6 @@ fn resume_rejects_a_different_compression_mode() {
             },
         );
         assert!(!resumed.truncated);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -377,7 +373,7 @@ fn every_spill_appends_to_one_log_file() {
         &prog,
         &Config {
             mem_limit: 1,
-            checkpoint_dir: Some(dir.clone()),
+            checkpoint_dir: Some(dir.to_path_buf()),
             checkpoint_every: 1000,
             ..frontier_config(1)
         },
@@ -385,13 +381,13 @@ fn every_spill_appends_to_one_log_file() {
     assert_eq!(surface(&report), surface(&baseline));
     assert_eq!(report.checkpoints_written, 0);
     assert!(report.store_segments > 250, "nearly every level spilled");
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
+    let mut names: Vec<String> = dir
+        .read_dir()
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     names.sort();
     assert_eq!(names, ["tier1.bin", "trace.bin"]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -405,7 +401,7 @@ fn resume_truncates_a_post_manifest_spill_and_a_torn_log_tail() {
     let dir = temp_dir("log-tail");
     let config = Config {
         mem_limit: 16,
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(dir.to_path_buf()),
         checkpoint_every: 1,
         abort_after_checkpoints: Some(3),
         ..frontier_config(1)
@@ -416,7 +412,8 @@ fn resume_truncates_a_post_manifest_spill_and_a_torn_log_tail() {
     let committed = std::fs::metadata(&log)
         .expect("the tiny budget spilled")
         .len();
-    let manifest: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+    let manifest: Vec<(std::path::PathBuf, Vec<u8>)> = dir
+        .read_dir()
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| !p.ends_with("tier1.bin") && !p.ends_with("intern.bin"))
@@ -453,13 +450,12 @@ fn resume_truncates_a_post_manifest_spill_and_a_torn_log_tail() {
         &prog,
         &Config {
             mem_limit: 16,
-            checkpoint_dir: Some(dir.clone()),
+            checkpoint_dir: Some(dir.to_path_buf()),
             resume: true,
             ..frontier_config(2)
         },
     );
     assert_eq!(surface(&resumed), surface(&baseline));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -467,7 +463,7 @@ fn resume_rejects_a_different_program_or_config() {
     let prog = compile(&workers_src()).unwrap();
     let dir = temp_dir("reject");
     let config = Config {
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(dir.to_path_buf()),
         checkpoint_every: 1,
         abort_after_checkpoints: Some(1),
         ..frontier_config(1)
@@ -494,5 +490,51 @@ fn resume_rejects_a_different_program_or_config() {
         ..config.clone()
     };
     verisoft::validate_checkpoint(&dir, &prog, &retuned).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_files_keep_their_bytes() {
+    // One spilling run at one worker, killed after its sixth checkpoint
+    // with states in both tiers, pinned file by file. The digests were
+    // taken from the lock-striped store this one replaced, so a store
+    // that spills, snapshots or sorts its records differently fails
+    // here; comparing two runs of one binary cannot see that.
+    let histogram =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/histogram.mc"))
+            .expect("corpus/histogram.mc");
+    let prog = close_source(&histogram).expect("closes").program;
+    let dir = temp_dir("pinned");
+    let killed = explore(
+        &prog,
+        &Config {
+            max_violations: usize::MAX,
+            mem_limit: 3000,
+            checkpoint_dir: Some(dir.to_path_buf()),
+            checkpoint_every: 1,
+            abort_after_checkpoints: Some(6),
+            ..frontier_config(1)
+        },
+    );
+    assert!(killed.truncated && killed.store_spilled_entries > 0);
+    let mut digests: Vec<(String, u64)> = dir
+        .read_dir()
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let bytes = std::fs::read(e.path()).unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, verisoft::stable_hash_bytes(&bytes))
+        })
+        .collect();
+    digests.sort();
+    let pinned = [
+        ("checkpoint.bin", 0x4b9c752afc73b2d0),
+        ("frontier-6.bin", 0xe18896222d3c30e8),
+        ("intern.bin", 0xa9607cd25dea91a9),
+        ("mem-6.bin", 0x7bedf25cd18c7fa3),
+        ("tier1.bin", 0xb801f98c30fc69e5),
+        ("trace.bin", 0xbf1dc5386f21b054),
+    ]
+    .map(|(name, digest)| (name.to_string(), digest));
+    assert_eq!(digests, pinned);
 }
