@@ -380,8 +380,8 @@ for model in "workers.mc" "histogram.mc --close"; do
     done
     echo "  $name: two --jobs 1 runs wrote byte-identical checkpoints"
 done
-# A record torn inside the tier-0 snapshot is found before the engine
-# starts: an error naming the file and exit 1, not a panic.
+# A record torn inside the tier-0 snapshot is refused as resume loads
+# it: an error naming the file and exit 1, not a panic.
 TORN="$SMOKE/ckpt_torn"
 explore_to /dev/null corpus/workers.mc --stateful --all --jobs 2 --mem-limit 300 \
     --checkpoint-dir "$TORN" --checkpoint-every 1 --abort-after-checkpoints 2

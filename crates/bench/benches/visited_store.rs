@@ -117,7 +117,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut store = Store::new(usize::MAX, None);
             let items: Vec<(u64, &[u8])> = encs.iter().map(|(h, e)| (*h, e.as_slice())).collect();
-            black_box(store.commit(&items, 1));
+            black_box(store.commit(&items, 1).unwrap());
             black_box(store.len())
         })
     });

@@ -62,9 +62,7 @@ pub use interp::{
 };
 pub use por::{enabled_processes, independent, StaticInfo};
 pub use report::{Decision, MemoStats, Report, Violation, ViolationKind};
-pub use search::{
-    explore, replay, validate_checkpoint, Config, Engine, StateStore, Store, TieredStore,
-};
+pub use search::{explore, replay, try_explore, Config, Engine, StateStore, Store, TieredStore};
 pub use state::{
     decode_state, dynamic_spec, encode_state, spec_daemon, spec_display_name, spec_proc,
     ComponentInterner, CowArc, Frame, GlobalState, ObjState, ProcState, Status,

@@ -2,7 +2,7 @@
 //! [`Executor`](crate::executor::Executor) transition-system API.
 //!
 //! The engines share one transition semantics (the executor layer) and
-//! differ only in search policy; [`explore`] dispatches on
+//! differ only in search policy; [`try_explore`] dispatches on
 //! [`Config::engine`]:
 //!
 //! - [`Engine::Stateless`] — the faithful VeriSoft search: no visited
@@ -36,38 +36,13 @@ use crate::executor::Executor;
 use crate::interp::EnvMode;
 use crate::report::Report;
 use cfgir::CfgProgram;
+use std::io;
 
 pub mod stateful;
 pub mod stateless;
 pub mod store;
 
 pub use store::{StateStore, Store, TieredStore};
-
-/// Validate a checkpoint directory against the program and configuration
-/// about to resume it, and open every file its manifest names as resume
-/// will (reading no record). The CLI calls this before starting the
-/// engine so a mismatched or damaged `--resume` surfaces as a clean
-/// error instead of a mid-run panic.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the problem, naming the file
-/// (missing or torn manifest, incompatible store format version,
-/// different program content hash or exploration configuration, or a
-/// named file that is missing, shorter than the manifest commits, or
-/// headed for another format).
-pub fn validate_checkpoint(
-    dir: &std::path::Path,
-    prog: &CfgProgram,
-    cfg: &Config,
-) -> Result<(), String> {
-    store::checkpoint::validate(
-        dir,
-        cfgir::program_content_hash(prog),
-        store::checkpoint::config_digest(cfg),
-    )
-    .map(drop)
-}
 
 /// Which exploration engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -202,16 +177,37 @@ impl Config {
 
 /// Explore the state space of `prog` under `config`.
 ///
+/// # Errors
+///
+/// Returns the I/O error that ended a frontier search using the disk
+/// ([`Config::mem_limit`], [`Config::checkpoint_dir`]), naming the file:
+/// a spill or checkpoint directory that cannot be created or written, or
+/// a checkpoint resumed from ([`Config::resume`]) that is missing, was
+/// written for another program or configuration, or is damaged. The
+/// stateless and depth-first engines touch no file and always return
+/// `Ok`.
+///
 /// # Panics
 ///
 /// Panics when `prog` fails [`cfgir::validate()`] (malformed graphs).
-pub fn explore(prog: &CfgProgram, config: &Config) -> Report {
+pub fn try_explore(prog: &CfgProgram, config: &Config) -> io::Result<Report> {
     let exec = Executor::new(prog, config);
     match config.engine {
-        Engine::Stateless => stateless::dfs(&exec),
-        Engine::Stateful => stateful::dfs(&exec),
+        Engine::Stateless => Ok(stateless::dfs(&exec)),
+        Engine::Stateful => Ok(stateful::dfs(&exec)),
         Engine::StatefulParallel => stateful::frontier(&exec),
     }
+}
+
+/// [`try_explore`], panicking on its error. It stays because the
+/// benchmark ledger's frozen driver returns its `Report`; ROADMAP item
+/// 3a(ii), which retires the frozen stepper, removes it.
+///
+/// # Panics
+///
+/// Panics when [`try_explore`] fails or panics.
+pub fn explore(prog: &CfgProgram, config: &Config) -> Report {
+    try_explore(prog, config).unwrap_or_else(|e| panic!("explore: {e}"))
 }
 
 /// Replay a decision sequence from the initial state, returning the final

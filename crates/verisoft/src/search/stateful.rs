@@ -46,6 +46,7 @@ use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{put_u64, ByteReader};
 use crate::state::intern::raw_len_of;
 use crate::state::{ComponentCache, ComponentInterner, TransitionMemo};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -149,20 +150,20 @@ impl Expanded {
 /// predicate (successor already *sealed*, i.e. committed in an earlier
 /// level) depends only on the frontier level, never on intra-level
 /// processing order.
-pub(super) fn frontier(exec: &Executor<'_>) -> Report {
-    let mut run = FrontierRun::new(exec);
+///
+/// Every I/O failure on the driving thread — a spill or checkpoint
+/// directory that cannot be created, a damaged checkpoint being resumed,
+/// a full disk — ends the search as an error naming the file.
+pub(super) fn frontier(exec: &Executor<'_>) -> io::Result<Report> {
+    let mut run = FrontierRun::new(exec)?;
     if exec.config().resume {
-        run.resume();
+        run.resume()?;
     } else {
-        run.start();
+        run.start()?;
     }
-    while run.run_level() {}
-    run.finish()
+    while run.run_level()? {}
+    Ok(run.finish())
 }
-
-/// Why a path could not be read back from the trace log: it is this
-/// run's own log, so a spill-dir file was damaged on disk.
-const READ_TRACE: &str = "read trace log (damaged trace.bin?)";
 
 /// Everything one frontier search owns between levels.
 struct FrontierRun<'e, 'p> {
@@ -231,7 +232,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// A run with its store, interner and budgets set up and an empty
     /// frontier; [`FrontierRun::start`] or [`FrontierRun::resume`]
     /// fills it.
-    fn new(exec: &'e Executor<'p>) -> Self {
+    fn new(exec: &'e Executor<'p>) -> io::Result<Self> {
         let cfg = exec.config();
         let checkpointing = cfg.checkpoint_dir.is_some();
         assert!(
@@ -243,10 +244,13 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             "the checkpoint period is at least one level"
         );
         assert!(cfg.jobs >= 1, "a frontier search has at least one worker");
+        // A resumed directory is taken as it stands: resume reads its
+        // manifest first, and creates nothing where there is none.
         let dir: Option<Arc<SpillDir>> = match (&cfg.checkpoint_dir, cfg.mem_limit) {
-            (Some(d), _) => Some(SpillDir::at(d).expect("create checkpoint directory")),
+            (Some(d), _) if cfg.resume => Some(SpillDir::existing(d)),
+            (Some(d), _) => Some(SpillDir::at(d)?),
             (None, usize::MAX) => None,
-            (None, _) => Some(SpillDir::temp().expect("create spill temp directory")),
+            (None, _) => Some(SpillDir::temp()?),
         };
         // Budget split: half for the visited store's resident tier, a
         // quarter for the frontier spool's memory head, a quarter for the
@@ -258,7 +262,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             ((m / 2).max(1), (m / 4).max(1), (m / 4).max(1))
         };
         let interner = (!cfg.no_compress).then(|| Arc::new(ComponentInterner::new()));
-        FrontierRun {
+        Ok(FrontierRun {
             exec,
             hw: None,
             store: Store::new_with(store_budget, dir.clone(), interner.is_some()),
@@ -281,7 +285,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             coverage: cfg.track_coverage.then(|| Coverage::new(exec.program())),
             report: Report::default(),
             stop: false,
-        }
+        })
     }
 
     /// An empty spool for the frontier of `level`.
@@ -290,9 +294,9 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     }
 
     /// Seal the initial state and make it level 0's frontier.
-    fn start(&mut self) {
+    fn start(&mut self) -> io::Result<()> {
         if let Some(dir) = &self.dir {
-            self.trace = TraceLog::create(dir.path()).expect("create trace log");
+            self.trace = TraceLog::create(dir.path())?;
         }
         let init = self.exec.initial();
         let (h0, enc0) = match &self.interner {
@@ -308,14 +312,15 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 key: enc0.into(),
                 trace: TraceRef::EMPTY,
             };
-            self.frontier.push(item).expect("spool initial frontier");
+            self.frontier.push(item)?;
         }
         self.report.frontier_spilled_entries += self.frontier.spooled();
+        Ok(())
     }
 
     /// Reload store, interner, report and frontier from the checkpoint in
     /// [`Config::checkpoint_dir`](super::Config::checkpoint_dir).
-    fn resume(&mut self) {
+    fn resume(&mut self) -> io::Result<()> {
         let dirp = self
             .exec
             .config()
@@ -329,8 +334,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             config_digest,
             &mut self.store,
             self.interner.as_deref(),
-        )
-        .unwrap_or_else(|e| panic!("resume failed: {e}"));
+        )?;
         self.level = r.level;
         self.resumed_level = Some(r.level);
         self.report = r.report;
@@ -339,9 +343,10 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         self.trace = r.trace;
         self.table = r.table;
         for item in r.frontier {
-            self.frontier.push(item).expect("respool resumed frontier");
+            self.frontier.push(item)?;
         }
         self.report.frontier_spilled_entries += self.frontier.spooled();
+        Ok(())
     }
 
     /// Expand and commit the current frontier, leaving its winners as the
@@ -378,15 +383,15 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// Chunk boundaries themselves depend only on entry byte sizes against
     /// a fixed budget, never on timing, so the whole argument also holds
     /// for any worker count.
-    fn run_level(&mut self) -> bool {
-        if self.frontier.is_empty() || self.stop || !self.checkpoint_if_due() {
-            return false;
+    fn run_level(&mut self) -> io::Result<bool> {
+        if self.frontier.is_empty() || self.stop || !self.checkpoint_if_due()? {
+            return Ok(false);
         }
         let cfg = self.exec.config();
         let remaining = cfg.max_transitions.saturating_sub(self.report.transitions);
         if remaining == 0 {
             self.report.truncated = true;
-            return false;
+            return Ok(false);
         }
         let mut lvl = Level {
             remaining,
@@ -394,21 +399,17 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             next: self.spool(self.level + 1),
         };
         while !self.stop {
-            let Some(chunk) = self
-                .frontier
-                .next_chunk(self.chunk_budget)
-                .expect("read frontier spool")
-            else {
+            let Some(chunk) = self.frontier.next_chunk(self.chunk_budget)? else {
                 break;
             };
             let slots = self.expand_chunk(&chunk, &lvl);
-            self.commit_chunk(&chunk, slots, &mut lvl);
+            self.commit_chunk(&chunk, slots, &mut lvl)?;
         }
         self.report.frontier_spilled_entries += lvl.next.spooled();
         self.frontier = lvl.next;
         self.level += 1;
-        self.store.end_of_level().expect("spill visited store");
-        true
+        self.store.end_of_level()?;
+        Ok(true)
     }
 
     /// Checkpoint at the level boundary — the only instant where the run
@@ -417,17 +418,17 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
     /// Returns `false` when the
     /// [`abort_after_checkpoints`](super::Config::abort_after_checkpoints)
     /// hook ends the run here.
-    fn checkpoint_if_due(&mut self) -> bool {
+    fn checkpoint_if_due(&mut self) -> io::Result<bool> {
         let cfg = self.exec.config();
         let Some(identity) = self.identity else {
-            return true;
+            return Ok(true);
         };
         let level = self.level;
         if level == 0
             || !level.is_multiple_of(cfg.checkpoint_every)
             || self.resumed_level == Some(level)
         {
-            return true;
+            return Ok(true);
         }
         let dirp = self
             .dir
@@ -441,8 +442,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             identity,
             (&mut self.store, self.interner.as_deref(), &mut self.table),
             (&mut self.frontier, &mut self.trace),
-        )
-        .expect("write checkpoint");
+        )?;
         self.report.checkpoints_written += 1;
         if cfg
             .abort_after_checkpoints
@@ -452,9 +452,9 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
             // durable. The partial report is marked truncated; a
             // `--resume` run completes it.
             self.report.truncated = true;
-            return false;
+            return Ok(false);
         }
-        true
+        Ok(true)
     }
 
     /// How many workers a chunk of `n` items gets. Never more than the
@@ -546,7 +546,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         chunk: &[FrontierItem],
         slots: Vec<OnceLock<Expanded>>,
         lvl: &mut Level,
-    ) {
+    ) -> io::Result<()> {
         let cfg = self.exec.config();
         let n = self.leases.iter().map(|l| l.arena.keys.len()).sum();
         let mut keys: Vec<(u64, &[u8])> = Vec::with_capacity(n);
@@ -560,7 +560,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                     .filter(|(_, enc)| !enc.is_empty()),
             );
         }
-        let mut flags = self.store.commit(&keys, lvl.epoch).into_iter();
+        let mut flags = self.store.commit(&keys, lvl.epoch)?.into_iter();
         drop(keys);
         let report = &mut self.report;
         report.pipeline_chunks += 1;
@@ -582,7 +582,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                 report.violations.push(Violation {
                     kind: ViolationKind::Deadlock,
                     process: None,
-                    trace: self.trace.path(item.trace).expect(READ_TRACE),
+                    trace: self.trace.path(item.trace)?,
                 });
                 self.stop |= report.violations.len() >= cfg.max_violations;
             }
@@ -601,20 +601,17 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
                             if depth >= cfg.max_depth {
                                 report.truncated = true;
                             } else {
-                                let trace = self
-                                    .trace
-                                    .push(item.trace, &c.decision)
-                                    .expect("append trace log");
+                                let trace = self.trace.push(item.trace, &c.decision)?;
                                 let fi = FrontierItem {
                                     key: enc.into(),
                                     trace,
                                 };
-                                lvl.next.push(fi).expect("spool next frontier");
+                                lvl.next.push(fi)?;
                             }
                         }
                     }
                     Some((kind, process)) => {
-                        let mut trace = self.trace.path(item.trace).expect(READ_TRACE);
+                        let mut trace = self.trace.path(item.trace)?;
                         trace.push(c.decision);
                         report.violations.push(Violation {
                             kind,
@@ -629,6 +626,7 @@ impl<'e, 'p> FrontierRun<'e, 'p> {
         for lease in &mut self.leases {
             lease.arena.clear();
         }
+        Ok(())
     }
 
     /// Fold the store's and the workers' totals into the report.

@@ -24,6 +24,14 @@
 //! so a SIGKILL at any instant leaves either the old or the new
 //! checkpoint fully valid.
 //!
+//! `resume` is the only reader of a checkpoint, and reads each file
+//! once: the manifest, then every file it names, each checked while it
+//! loads (header, committed length, whole records, the manifest's
+//! record count, no component interned twice). A missing, short, foreign
+//! or torn file is an `io::Error` naming it, which the CLI prints as
+//! `error: <path>: …`. A bit flip that keeps a record's framing is not
+//! caught (ROADMAP item 20).
+//!
 //! **Not stored**: coverage maps (`--coverage` is rejected when
 //! checkpointing), collected visible-event trace sets (the frontier
 //! engines never produce them), and anything derivable (`visited_bytes`
@@ -35,19 +43,17 @@
 //! resumed at `--jobs 1` with a tiny memory budget and still produce
 //! the byte-identical report.
 
-use super::disk::LOG_FILE;
+use super::disk;
 use super::log::{self, Log};
 use super::spool::{FrontierSpool, Spoolable};
-use super::trace::{TraceLog, TRACE_FILE};
+use super::trace::TraceLog;
 use super::Store;
 use crate::interp::{INVISIBLE_STEP_BOUND, MAX_PROCS, MAX_STACK_DEPTH};
 use crate::report::{Decision, Report, Violation, ViolationKind};
 use crate::state::encode::{
-    put_record, put_u64, read_record, ByteReader, CHECKPOINT_MAGIC, INTERN_MAGIC, SEGMENT_MAGIC,
-    SPOOL_MAGIC, TRACE_MAGIC,
+    put_record, put_u64, ByteReader, CHECKPOINT_MAGIC, INTERN_MAGIC, SEGMENT_MAGIC, SPOOL_MAGIC,
 };
 use crate::state::ComponentInterner;
-use std::collections::HashSet;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
@@ -249,13 +255,6 @@ fn frontier_file(level: usize) -> String {
     format!("frontier-{level}.bin")
 }
 
-/// One length-prefixed record: an `intern.bin` component, or a frontier
-/// snapshot's entry.
-fn framed<'a>(r: &mut ByteReader<'a>) -> Option<&'a [u8]> {
-    let len = usize::try_from(r.u64()?).ok()?;
-    r.take(len)
-}
-
 /// The component interner's table as `intern.bin`: one `[len][bytes]`
 /// record per component, appended in ID order, so re-interning the
 /// records in order reproduces the run's exact ID assignment — the one
@@ -303,7 +302,8 @@ impl InternTable {
         let mut r = log::body(&buf);
         let torn = || log::invalid(log.path(), "torn interner record");
         for id in 0..entries {
-            let enc = framed(&mut r).ok_or_else(torn)?;
+            let len = r.u64().and_then(|len| usize::try_from(len).ok());
+            let enc = len.and_then(|len| r.take(len)).ok_or_else(torn)?;
             if u64::from(interner.intern(enc)) != id {
                 let msg = format!("record {id} is a repeated component");
                 return Err(log::invalid(log.path(), msg));
@@ -410,67 +410,29 @@ pub(crate) struct Manifest {
     report: Report,
     /// The tier-1 log's committed `(bytes, entries)`.
     log: (u64, u64),
-    mem_count: usize,
+    mem_count: u64,
     frontier_count: usize,
     /// The interner table's committed `(bytes, entries)`.
     intern: (u64, u64),
     trace_bytes: u64,
 }
 
-/// Read the file at `path` as resume reads it — refused unless it is
-/// headed `magic` and, given a committed `len`, holds that many bytes —
-/// and walk its records up to `len` with `record`, which reads one
-/// record or says why it cannot. The records must number `count`.
-fn walk(
-    path: &Path,
-    magic: [u8; 4],
-    len: Option<u64>,
-    count: u64,
-    mut record: impl FnMut(&mut ByteReader<'_>) -> Result<(), &'static str>,
-) -> Result<(), String> {
-    let bytes = log::read(path, magic, len).map_err(|e| e.to_string())?;
-    let mut r = log::body(&bytes);
-    let mut n = 0u64;
-    while r.remaining() > 0 {
-        let at = r.pos();
-        record(&mut r).map_err(|why| format!("{}: {why} at byte {at}", path.display()))?;
-        n += 1;
-    }
-    if n != count {
-        let msg = format!("holds {n} records, manifest says {count}");
-        return Err(format!("{}: {msg}", path.display()));
-    }
-    Ok(())
-}
-
-/// Validate a checkpoint directory against the program and
-/// configuration about to resume it, and return its manifest: the
-/// manifest's identity is checked, and every record the manifest commits
-/// is walked, read-only, in every file it names — their headers, their
-/// committed lengths, their record framing and counts, and that the
-/// interner table names no component twice (re-interning it must give
-/// each record its own ID). So a mismatch, or a missing, short, foreign
-/// or torn file, surfaces as an error naming it before the engine
-/// starts. The CLI calls this before starting the engine; [`resume`]
-/// starts with it.
-pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Manifest, String> {
-    let buf = log::read(&dir.join(MANIFEST), CHECKPOINT_MAGIC, None).map_err(|e| e.to_string())?;
+/// Read the manifest of the checkpoint in `dir`, refusing it unless it
+/// was written for this program and configuration: the head of
+/// [`resume`]'s one pass.
+fn read_manifest(dir: &Path, program_hash: u64, digest: u64) -> io::Result<Manifest> {
+    let buf = log::read(&dir.join(MANIFEST), CHECKPOINT_MAGIC, None)?;
     let mut r = log::body(&buf);
     if r.u64() != Some(program_hash) {
-        return Err(format!(
-            "{}: checkpoint was written for a different program \
-             (content hash mismatch)",
-            dir.display()
-        ));
+        let msg = "checkpoint was written for a different program (content hash mismatch)";
+        return Err(log::invalid(dir, msg));
     }
     if r.u64() != Some(digest) {
-        return Err(format!(
-            "{}: checkpoint was written under a different exploration \
-             configuration (depth/transition caps, POR, or mode differ)",
-            dir.display()
-        ));
+        let msg = "checkpoint was written under a different exploration configuration \
+                   (depth/transition caps, POR, or mode differ)";
+        return Err(log::invalid(dir, msg));
     }
-    let bad = || format!("{}: torn checkpoint manifest", dir.display());
+    let bad = || log::invalid(dir, "torn checkpoint manifest");
     let mut next = || r.u64().ok_or_else(bad);
     let (level, checkpoints_written) = (next()? as usize, next()? as usize);
     let report = read_report(&mut r).ok_or_else(bad)?;
@@ -480,7 +442,7 @@ pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Man
         checkpoints_written,
         report,
         log: (next()?, next()?),
-        mem_count: next()? as usize,
+        mem_count: next()?,
         frontier_count: next()? as usize,
         intern: {
             let entries = next()?;
@@ -491,85 +453,61 @@ pub(crate) fn validate(dir: &Path, program_hash: u64, digest: u64) -> Result<Man
     if r.remaining() != 0 {
         return Err(bad());
     }
-    const TORN: &str = "torn record";
-    let state_record = |r: &mut ByteReader<'_>| read_record(r).map(drop).ok_or(TORN);
-    if m.log != (0, 0) {
-        let path = dir.join(LOG_FILE);
-        walk(&path, SEGMENT_MAGIC, Some(m.log.0), m.log.1, state_record)?;
-    }
-    if m.intern != (0, 0) {
-        let mut seen = HashSet::new();
-        let path = dir.join(INTERN_FILE);
-        walk(&path, INTERN_MAGIC, Some(m.intern.0), m.intern.1, |r| {
-            let enc = framed(r).ok_or(TORN)?;
-            match seen.insert(enc.to_vec()) {
-                true => Ok(()),
-                false => Err("a repeated component"),
-            }
-        })?;
-    }
-    log::read(&dir.join(TRACE_FILE), TRACE_MAGIC, Some(m.trace_bytes))
-        .map_err(|e| e.to_string())?;
-    let path = dir.join(mem_file(m.level));
-    walk(&path, SEGMENT_MAGIC, None, m.mem_count as u64, state_record)?;
-    let path = dir.join(frontier_file(m.level));
-    walk(&path, SPOOL_MAGIC, None, m.frontier_count as u64, |r| {
-        framed(r).map(drop).ok_or(TORN)
-    })?;
     Ok(m)
 }
 
-/// Load a checkpoint: rebuild the store's tiers (and the component
-/// interner, when compression is on) and return the level, report, and
-/// frontier to continue from. `interner` must be the one the engine
-/// goes on to run with: the frontier comes back as the ID tuples that
-/// were written, and only the reloaded table gives them their meaning.
-/// Every record was walked by [`validate`] first.
+/// Load a checkpoint in one pass, the only reader of its files: the
+/// manifest, checked against `program_hash` and `digest`, then each
+/// file it names read once and checked while it loads — its header, its
+/// committed length, whole records, and the record count the manifest
+/// commits; an interner table may name no component twice. The path
+/// log is reopened, not read. A refusal is an error naming the file,
+/// and truncates no log below its committed length. Rebuilds the
+/// store's tiers (and the component interner, when compression is on)
+/// and returns the level, report, and frontier to continue from.
+/// `interner` must be the one the engine goes on to run with: the
+/// frontier comes back as the ID tuples that were written, and only the
+/// reloaded table gives them their meaning.
 pub(crate) fn resume<T: Spoolable>(
     dir: &Path,
     program_hash: u64,
     digest: u64,
     store: &mut Store,
     interner: Option<&ComponentInterner>,
-) -> Result<Resumed<T>, String> {
-    let m = validate(dir, program_hash, digest)?;
-    let err = |e: io::Error| e.to_string();
+) -> io::Result<Resumed<T>> {
+    let m = read_manifest(dir, program_hash, digest)?;
 
     // The interner table first: the stored records are ID tuples into
     // it.
     let table = match interner {
-        Some(i) => Some(InternTable::load(dir, i, m.intern).map_err(err)?),
+        Some(i) => Some(InternTable::load(dir, i, m.intern)?),
         // The config digest already pins the compression mode; a
         // nonzero table here means a hand-edited manifest.
         None if m.intern.1 != 0 => {
-            return Err(format!(
-                "{}: manifest references an interner table but \
-                 compression is off",
-                dir.display()
-            ))
+            let msg = "manifest references an interner table but compression is off";
+            return Err(log::invalid(dir, msg));
         }
         None => None,
     };
 
     // The tier-1 log: truncate past the committed length, scan, index.
-    store.load_log(m.log.0).map_err(err)?;
+    store.load_log(m.log)?;
 
     // Tier-0 sealed entries.
-    let mem_path = dir.join(mem_file(m.level));
-    let mbuf = log::read(&mem_path, SEGMENT_MAGIC, None).map_err(err)?;
-    let mut mr = log::body(&mbuf);
-    while let Some((fp, epoch, _, enc)) = read_record(&mut mr) {
+    let path = dir.join(mem_file(m.level));
+    let buf = log::read(&path, SEGMENT_MAGIC, None)?;
+    disk::records(&path, log::body(&buf), m.mem_count, |fp, epoch, _, enc| {
         store.insert(fp, enc, epoch);
-    }
+    })?;
 
     // The frontier.
-    let f_path = dir.join(frontier_file(m.level));
-    let fbuf = log::read(&f_path, SPOOL_MAGIC, None).map_err(err)?;
-    let frontier = FrontierSpool::<T>::decode_snapshot(log::body(&fbuf), m.frontier_count)
-        .ok_or_else(|| format!("{}: torn frontier snapshot", f_path.display()))?;
+    let path = dir.join(frontier_file(m.level));
+    let buf = log::read(&path, SPOOL_MAGIC, None)?;
+    let frontier = FrontierSpool::<T>::decode_snapshot(log::body(&buf), m.frontier_count)
+        .ok_or_else(|| log::invalid(&path, "torn frontier snapshot"))?;
 
     // The path log: truncate past the committed length, append from there.
-    let trace = TraceLog::reopen(dir, m.trace_bytes).map_err(err)?;
+    let trace = TraceLog::reopen(dir, m.trace_bytes)?;
 
     Ok(Resumed {
         level: m.level,
@@ -684,10 +622,13 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_mismatches() {
+    fn read_manifest_rejects_mismatches() {
         let dir = super::super::SpillDir::temp().unwrap();
         let manifest = dir.path().join(MANIFEST);
-        let refused = |hash, digest| validate(dir.path(), hash, digest).err().unwrap();
+        let refused = |hash, digest| {
+            let e = read_manifest(dir.path(), hash, digest).err().unwrap();
+            e.to_string()
+        };
         assert!(refused(1, 2).contains("No such file"), "no manifest");
         let mut buf = Vec::new();
         put_u64(&mut buf, 11); // program hash

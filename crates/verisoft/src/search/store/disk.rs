@@ -19,9 +19,9 @@
 
 use super::log::{self, Log};
 use super::SpillDir;
-use crate::state::encode::{put_record, read_record, SEGMENT_MAGIC};
+use crate::state::encode::{put_record, read_record, ByteReader, SEGMENT_MAGIC};
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The tier-1 log's file name inside the spill directory.
@@ -60,6 +60,33 @@ fn disk_ref(compressed: bool, off: u64, enc: &[u8], epoch: u32) -> DiskRef {
         raw: raw as u32,
         epoch,
     }
+}
+
+/// Hand each state record `r` holds to `record`, in file order, and
+/// refuse the file at `path` unless they are whole and number `count`:
+/// the one reader of a record file, the tier-1 log's and a checkpoint's
+/// tier-0 snapshot's alike.
+pub(crate) fn records<'a>(
+    path: &Path,
+    mut r: ByteReader<'a>,
+    count: u64,
+    mut record: impl FnMut(u64, u32, usize, &'a [u8]),
+) -> io::Result<()> {
+    let mut n = 0u64;
+    while r.remaining() > 0 {
+        let at = r.pos();
+        let (fp, epoch, off, enc) = read_record(&mut r)
+            .ok_or_else(|| log::invalid(path, format!("torn record at byte {at}")))?;
+        record(fp, epoch, off, enc);
+        n += 1;
+    }
+    if n != count {
+        return Err(log::invalid(
+            path,
+            format!("holds {n} records, manifest says {count}"),
+        ));
+    }
+    Ok(())
 }
 
 /// The tier-1 log under one spill dir.
@@ -111,27 +138,28 @@ impl SpillLog {
         Ok(refs)
     }
 
-    /// Reopen and scan the log a manifest committed at `byte_len` bytes
-    /// (resume path), returning the index entries of every committed
-    /// record. A zero length means no spill was committed; the next
+    /// Reopen and scan the log a manifest committed at `(bytes,
+    /// entries)` (resume path), returning the index entries of every
+    /// committed record. `(0, 0)` means no spill was committed; the next
     /// [`SpillLog::append`] then starts the file afresh.
-    pub(crate) fn reopen(&mut self, byte_len: u64) -> io::Result<Vec<(u64, DiskRef)>> {
-        if byte_len == 0 {
-            return Ok(Vec::new());
-        }
-        let mut log = Log::reopen(self.path(), SEGMENT_MAGIC, byte_len)?;
-        let bytes = log.read_all()?;
-        let mut r = log::body(&bytes);
+    pub(crate) fn reopen(
+        &mut self,
+        (bytes, entries): (u64, u64),
+    ) -> io::Result<Vec<(u64, DiskRef)>> {
         let mut refs = Vec::new();
-        while r.remaining() > 0 {
-            let Some((fp, epoch, off, enc)) = read_record(&mut r) else {
-                return Err(log::invalid(
-                    log.path(),
-                    format!("torn record at byte {}", r.pos()),
-                ));
-            };
-            refs.push((fp, disk_ref(self.compressed, off as u64, enc, epoch)));
+        if (bytes, entries) == (0, 0) {
+            return Ok(refs);
         }
+        let mut log = Log::reopen(self.path(), SEGMENT_MAGIC, bytes)?;
+        let buf = log.read_all()?;
+        records(
+            log.path(),
+            log::body(&buf),
+            entries,
+            |fp, epoch, off, enc| {
+                refs.push((fp, disk_ref(self.compressed, off as u64, enc, epoch)));
+            },
+        )?;
         self.log = Some(log);
         Ok(refs)
     }
@@ -215,8 +243,8 @@ mod tests {
             .unwrap()
             .write_all(&[0xab; 7])
             .unwrap();
-        let mut log = SpillLog::new(dir, false);
-        let refs = log.reopen(byte_len).unwrap();
+        let mut log = SpillLog::new(dir.clone(), false);
+        let refs = log.reopen((byte_len, 3)).unwrap();
         assert_eq!(refs.len(), 3);
         for ((_, _, enc), (_, r)) in rs.iter().zip(&refs) {
             assert!(log.confirm(r, enc).unwrap());
@@ -225,5 +253,12 @@ mod tests {
         let (_, r) = log.append(&rs[3..]).unwrap()[0];
         assert!(log.confirm(&r, &rs[3].2).unwrap());
         assert_eq!(r.off, byte_len + 3, "after the committed length");
+        // A record count off the manifest's is refused.
+        drop(log);
+        let e = SpillLog::new(dir, false).reopen((byte_len, 4)).unwrap_err();
+        assert!(
+            e.to_string().contains("holds 3 records, manifest says 4"),
+            "{e}"
+        );
     }
 }

@@ -50,7 +50,7 @@ pub(crate) fn invalid(path: &Path, msg: impl std::fmt::Display) -> io::Error {
 }
 
 /// `e`, prefixed with the file it happened to.
-fn at(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+pub(crate) fn at(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
     move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 

@@ -81,11 +81,17 @@ impl SpillDir {
     /// Use (and create if missing) a caller-owned directory — not
     /// removed on drop.
     pub fn at(path: &Path) -> io::Result<Arc<SpillDir>> {
-        std::fs::create_dir_all(path)?;
-        Ok(Arc::new(SpillDir {
+        std::fs::create_dir_all(path).map_err(log::at(path))?;
+        Ok(SpillDir::existing(path))
+    }
+
+    /// A caller-owned directory as it stands, created by no one: the
+    /// checkpoint a resume reads, whose manifest must already be there.
+    pub(crate) fn existing(path: &Path) -> Arc<SpillDir> {
+        Arc::new(SpillDir {
             path: path.to_path_buf(),
             owned: false,
-        }))
+        })
     }
 
     /// Create a fresh process-unique temp directory, removed on drop.
@@ -95,7 +101,7 @@ impl SpillDir {
             std::process::id(),
             TEMP_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::create_dir_all(&path)?;
+        std::fs::create_dir_all(&path).map_err(log::at(&path))?;
         Ok(Arc::new(SpillDir { path, owned: true }))
     }
 
@@ -201,9 +207,14 @@ impl Store {
     /// returns flags aligned with `items`: an item wins iff its state
     /// was absent, so of several occurrences the first wins. See
     /// [`VisitedStore::commit`].
-    pub fn commit(&mut self, items: &[(u64, &[u8])], epoch: u32) -> Vec<bool> {
-        let skip = self.on_disk_batch(items);
-        self.mem.commit(items, &skip, epoch)
+    ///
+    /// # Errors
+    ///
+    /// Fails when a tier-1 record cannot be read back to confirm a
+    /// fingerprint match.
+    pub fn commit(&mut self, items: &[(u64, &[u8])], epoch: u32) -> io::Result<Vec<bool>> {
+        let skip = self.on_disk_batch(items)?;
+        Ok(self.mem.commit(items, &skip, epoch))
     }
 
     /// Level-boundary maintenance: record the tier-0 peak and, when the
@@ -231,14 +242,14 @@ impl Store {
         Ok(())
     }
 
-    /// Reopen the log a manifest committed at `byte_len` bytes (resume
+    /// Reopen the log a manifest committed at `(bytes, entries)` (resume
     /// path): truncate what lies past it and index every record.
-    pub(crate) fn load_log(&mut self, byte_len: u64) -> io::Result<()> {
+    pub(crate) fn load_log(&mut self, committed: (u64, u64)) -> io::Result<()> {
         let t1 = self
             .tier1
             .as_mut()
             .expect("resume requires a spill directory");
-        for (fp, r) in t1.log.reopen(byte_len)? {
+        for (fp, r) in t1.log.reopen(committed)? {
             t1.index.insert(fp, r);
         }
         Ok(())
@@ -306,9 +317,9 @@ impl Store {
     /// disk (a spilled state is sealed by definition); empty when
     /// nothing is spilled. The disk confirms are read in log-offset
     /// order — sequential positional reads instead of a random walk.
-    fn on_disk_batch(&self, items: &[(u64, &[u8])]) -> Vec<bool> {
+    fn on_disk_batch(&self, items: &[(u64, &[u8])]) -> io::Result<Vec<bool>> {
         let Some(t1) = &self.tier1 else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
         let mut cands: Vec<(u32, DiskRef)> = Vec::new();
         for (ix, &(h, e)) in items.iter().enumerate() {
@@ -320,17 +331,17 @@ impl Store {
             );
         }
         if cands.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         cands.sort_unstable_by_key(|&(_, r)| r.off);
         let mut dead = vec![false; items.len()];
         for (ix, r) in cands {
             let ix = ix as usize;
-            if !dead[ix] && t1.log.confirm(&r, items[ix].1).expect("tier-1 log read") {
+            if !dead[ix] && t1.log.confirm(&r, items[ix].1)? {
                 dead[ix] = true;
             }
         }
-        dead
+        Ok(dead)
     }
 
     /// Tier-0 commit observability counters:
@@ -397,7 +408,10 @@ mod ledger_shims {
         /// Drops the states tier 1 holds from `items`; stores nothing.
         #[doc(hidden)]
         pub fn insert_batch(&self, items: &mut Vec<(u64, u64, &[u8])>) {
-            let dead = self.store().on_disk_batch(&keys(items));
+            let dead = self
+                .store()
+                .on_disk_batch(&keys(items))
+                .expect("tier-1 log read");
             if !dead.is_empty() {
                 let mut ix = 0;
                 items.retain(|_| {
@@ -410,7 +424,9 @@ mod ledger_shims {
         /// [`Store::commit`], the ranks ignored.
         #[doc(hidden)]
         pub fn seal_batch(&self, probes: &[(u64, u64, &[u8])], epoch: u32) -> Vec<bool> {
-            self.store().commit(&keys(probes), epoch)
+            self.store()
+                .commit(&keys(probes), epoch)
+                .expect("tier-1 log read")
         }
 
         /// [`Store::end_of_level`].
@@ -447,9 +463,9 @@ mod ledger_shims {
             let (h0, e0) = &ss[0];
             let mut store = Store::new(0, Some(SpillDir::temp().unwrap()));
             store.insert(*h0, e0, 0);
-            store.commit(&items(&ss[1..4]), 1);
+            store.commit(&items(&ss[1..4]), 1).unwrap();
             store.end_of_level().unwrap();
-            let want = store.commit(&keys(&list), 2);
+            let want = store.commit(&keys(&list), 2).unwrap();
 
             let shims = TieredStore::new_with(0, Some(SpillDir::temp().unwrap()), false);
             shims.admit(*h0, e0, rank(0, 0));
@@ -509,9 +525,9 @@ mod tests {
         let key = |i: usize| (ss[i].0, ss[i].1.as_slice());
         // State 0 lives in tier 1; state 1 was sealed at an earlier
         // epoch and stays in tier 0.
-        store.commit(&[key(0)], 1);
+        store.commit(&[key(0)], 1).unwrap();
         store.end_of_level().unwrap();
-        store.commit(&[key(1)], 2);
+        store.commit(&[key(1)], 2).unwrap();
         // States 2 and 3 share one fingerprint.
         let fp = 0x5EED_0000_0000_0042;
         let list = [
@@ -524,7 +540,7 @@ mod tests {
             (fp, key(2).1),
             key(5),
         ];
-        let flags = store.commit(&list, 3);
+        let flags = store.commit(&list, 3).unwrap();
         assert_eq!(flags, [true, false, true, false, false, true, false, true]);
         assert_eq!((store.len(), store.mem.len()), (6, 5));
         for (h, e) in [key(4), (fp, key(2).1), (fp, key(3).1), key(5)] {
@@ -545,10 +561,10 @@ mod tests {
         let ss = states(8);
         // Seal and spill the first half, so the commit mixes disk
         // residents (must lose) with genuinely new states.
-        store.commit(&items(&ss[..4]), 1);
+        store.commit(&items(&ss[..4]), 1).unwrap();
         store.end_of_level().unwrap();
         assert_eq!(store.spilled_entries(), 4);
-        let flags = store.commit(&items(&ss), 2);
+        let flags = store.commit(&items(&ss), 2).unwrap();
         let want: Vec<bool> = (0..8).map(|i| i >= 4).collect();
         assert_eq!(flags, want);
         assert_eq!(store.len(), 8, "disk residents not re-stored");
@@ -564,7 +580,7 @@ mod tests {
         let dir = SpillDir::temp().unwrap();
         let mut store = Store::new(0, Some(dir)); // budget 0: always spill
         let ss = states(20);
-        assert_eq!(store.commit(&items(&ss), 1), vec![true; 20]);
+        assert_eq!(store.commit(&items(&ss), 1).unwrap(), vec![true; 20]);
         let total_bytes: usize = ss.iter().map(|(_, e)| e.len()).sum();
         assert_eq!(store.len(), 20);
         assert_eq!(store.bytes(), total_bytes);
@@ -581,7 +597,7 @@ mod tests {
             assert!(!store.contains_sealed_before(*h, e, 1), "epoch bound");
         }
         // A disk-sealed state never wins a later round.
-        assert_eq!(store.commit(&items(&ss), 2), vec![false; 20]);
+        assert_eq!(store.commit(&items(&ss), 2).unwrap(), vec![false; 20]);
         assert_eq!(store.mem_bytes(), 0, "re-commits filtered by tier 1");
     }
 
@@ -592,7 +608,7 @@ mod tests {
         let ss = states(2);
         let (a, b) = (ss[0].1.as_slice(), ss[1].1.as_slice());
         let fake = 7u64; // same fingerprint for two distinct states
-        assert_eq!(store.commit(&[(fake, a)], 1), [true]);
+        assert_eq!(store.commit(&[(fake, a)], 1).unwrap(), [true]);
         store.end_of_level().unwrap(); // `a` now lives on disk
         assert!(store.contains_sealed_before(fake, a, 2));
         assert!(
@@ -600,7 +616,10 @@ mod tests {
             "index hit, disk confirmation miss"
         );
         // `b` wins despite the index collision.
-        assert_eq!(store.commit(&[(fake, a), (fake, b)], 2), [false, true]);
+        assert_eq!(
+            store.commit(&[(fake, a), (fake, b)], 2).unwrap(),
+            [false, true]
+        );
         assert_eq!(store.len(), 2);
     }
 
@@ -621,7 +640,7 @@ mod tests {
             .unzip();
         let dir = SpillDir::temp().unwrap();
         let mut store = Store::new_with(0, Some(dir), true);
-        assert_eq!(store.commit(&items(&ss), 1), vec![true; 12]);
+        assert_eq!(store.commit(&items(&ss), 1).unwrap(), vec![true; 12]);
         let raw_total: usize = raws.iter().sum();
         let stored_total: usize = ss.iter().map(|(_, e)| e.len()).sum();
         assert!(stored_total < raw_total, "tuples are smaller than raw");
@@ -635,14 +654,14 @@ mod tests {
         for (h, e) in &ss {
             assert!(store.contains_sealed_before(*h, e, 2));
         }
-        assert_eq!(store.commit(&items(&ss), 2), vec![false; 12]);
+        assert_eq!(store.commit(&items(&ss), 2).unwrap(), vec![false; 12]);
     }
 
     #[test]
     fn unbounded_store_never_creates_files() {
         let mut store = Store::new(usize::MAX, None);
         let ss = states(8);
-        store.commit(&items(&ss), 1);
+        store.commit(&items(&ss), 1).unwrap();
         store.end_of_level().unwrap();
         assert_eq!(store.spill_count(), 0);
         assert_eq!(store.spilled_entries(), 0);

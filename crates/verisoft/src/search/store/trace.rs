@@ -67,10 +67,6 @@ pub(crate) struct TraceLog {
     last: Vec<(TraceRef, Decision)>,
 }
 
-fn corrupt(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
 impl TraceLog {
     /// An empty log in memory.
     pub(crate) fn in_memory() -> TraceLog {
@@ -161,10 +157,8 @@ impl TraceLog {
     /// The record at `at`: its parent and its decision.
     fn record(&mut self, at: TraceRef) -> io::Result<(TraceRef, Decision)> {
         if at.0 >= self.len {
-            return Err(corrupt(format!(
-                "trace record at byte {} past the log's {} bytes",
-                at.0, self.len
-            )));
+            let msg = format!("record at byte {} past the log's {} bytes", at.0, self.len);
+            return Err(self.corrupt(msg));
         }
         // A record is a handful of varints: read a small window, and a
         // wider one only for a decision with many choices.
@@ -174,9 +168,19 @@ impl TraceLog {
             let n = window.min(left) as usize;
             self.read_scratch(at.0, n)?;
             match decode(&self.scratch, at) {
-                Err(_) if (n as u64) < left => window *= 4,
-                rec => return rec,
+                None if (n as u64) < left => window *= 4,
+                None => return Err(self.corrupt(format!("torn record at byte {}", at.0))),
+                Some(rec) => return Ok(rec),
             }
+        }
+    }
+
+    /// An error about damaged records: it is this run's own log, so a
+    /// spill-dir file was damaged on disk; the error names it.
+    fn corrupt(&self, msg: String) -> io::Error {
+        match &self.sink {
+            Sink::File(log) => log::invalid(log.path(), msg),
+            Sink::Mem(_) => io::Error::new(io::ErrorKind::InvalidData, format!("trace log: {msg}")),
         }
     }
 
@@ -215,13 +219,10 @@ impl TraceLog {
 /// Decode the record at the front of `bytes`, which sits at offset `at`.
 /// A record's parent precedes it, so a damaged log cannot send a walk
 /// round a cycle.
-fn decode(bytes: &[u8], at: TraceRef) -> io::Result<(TraceRef, Decision)> {
+fn decode(bytes: &[u8], at: TraceRef) -> Option<(TraceRef, Decision)> {
     let mut r = ByteReader::new(bytes);
-    let rec = r
-        .u64()
-        .filter(|&parent| parent < at.0)
-        .and_then(|parent| Some((TraceRef(parent), read_decision(&mut r)?)));
-    rec.ok_or_else(|| corrupt(format!("torn trace record at byte {}", at.0)))
+    let parent = r.u64().filter(|&parent| parent < at.0)?;
+    Some((TraceRef(parent), read_decision(&mut r)?))
 }
 
 #[cfg(test)]

@@ -63,5 +63,5 @@ pub mod prelude {
     pub use closer::{close, close_source, Closed};
     pub use dataflow::analyze;
     pub use envgen::synthesize;
-    pub use verisoft::{explore, Config, Engine, EnvMode, Executor, Report};
+    pub use verisoft::{explore, try_explore, Config, Engine, EnvMode, Executor, Report};
 }

@@ -485,15 +485,8 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    if config.resume {
-        verisoft::search::validate_checkpoint(
-            std::path::Path::new(config.checkpoint_dir.as_ref().unwrap()),
-            &prog,
-            &config,
-        )?;
-    }
     let started = std::time::Instant::now();
-    let report = explore(&prog, &config);
+    let report = try_explore(&prog, &config).map_err(|e| e.to_string())?;
     let wall = started.elapsed();
     outln!("{report}");
     if flag("--stats") {

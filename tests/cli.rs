@@ -3,7 +3,6 @@
 mod common;
 
 use common::TempDir;
-use std::io::Write as _;
 use std::process::Command;
 
 fn reclose(args: &[&str]) -> std::process::Output {
@@ -13,13 +12,15 @@ fn reclose(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("reclose-cli-tests");
-    std::fs::create_dir_all(&dir).unwrap();
+/// Write `contents` to `name` in a scratch directory of this process's
+/// own, removed when the returned guard drops: hold the guard as long as
+/// the file is used.
+fn write_temp(name: &str, contents: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new(&format!("reclose-cli-{name}"));
+    std::fs::create_dir_all(&*dir).unwrap();
     let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(contents.as_bytes()).unwrap();
-    path
+    std::fs::write(&path, contents).unwrap();
+    (dir, path)
 }
 
 const OPEN_SRC: &str = r#"
@@ -62,7 +63,7 @@ fn unknown_command_fails() {
 
 #[test]
 fn check_reports_open_system() {
-    let path = write_temp("open.mc", OPEN_SRC);
+    let (_dir, path) = write_temp("open.mc", OPEN_SRC);
     let out = reclose(&["check", path.to_str().unwrap()]);
     assert!(out.status.success());
     let s = String::from_utf8_lossy(&out.stdout);
@@ -71,7 +72,7 @@ fn check_reports_open_system() {
 
 #[test]
 fn check_rejects_invalid_source() {
-    let path = write_temp("bad.mc", "proc m() { y = 1; } process m();");
+    let (_dir, path) = write_temp("bad.mc", "proc m() { y = 1; } process m();");
     let out = reclose(&["check", path.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown variable"));
@@ -79,7 +80,7 @@ fn check_rejects_invalid_source() {
 
 #[test]
 fn close_prints_listing_with_toss() {
-    let path = write_temp("open2.mc", OPEN_SRC);
+    let (_dir, path) = write_temp("open2.mc", OPEN_SRC);
     let out = reclose(&["close", path.to_str().unwrap()]);
     assert!(out.status.success());
     let s = String::from_utf8_lossy(&out.stdout);
@@ -88,7 +89,7 @@ fn close_prints_listing_with_toss() {
 
 #[test]
 fn close_stats_row_per_proc() {
-    let path = write_temp("open3.mc", OPEN_SRC);
+    let (_dir, path) = write_temp("open3.mc", OPEN_SRC);
     let out = reclose(&["close", path.to_str().unwrap(), "--stats"]);
     assert!(out.status.success());
     let s = String::from_utf8_lossy(&out.stdout);
@@ -127,7 +128,7 @@ fn close_stats_pass_rows_name_the_chain() {
 
 #[test]
 fn close_dot_is_graphviz() {
-    let path = write_temp("open4.mc", OPEN_SRC);
+    let (_dir, path) = write_temp("open4.mc", OPEN_SRC);
     let out = reclose(&["close", path.to_str().unwrap(), "--dot"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("digraph"));
@@ -135,7 +136,7 @@ fn close_dot_is_graphviz() {
 
 #[test]
 fn explore_open_program_requires_mode() {
-    let path = write_temp("buggy.mc", BUGGY_SRC);
+    let (_dir, path) = write_temp("buggy.mc", BUGGY_SRC);
     let out = reclose(&["explore", path.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--enumerate"));
@@ -143,7 +144,7 @@ fn explore_open_program_requires_mode() {
 
 #[test]
 fn explore_close_finds_violation_and_explains() {
-    let path = write_temp("buggy2.mc", BUGGY_SRC);
+    let (_dir, path) = write_temp("buggy2.mc", BUGGY_SRC);
     let out = reclose(&["explore", path.to_str().unwrap(), "--close", "--explain"]);
     assert!(!out.status.success(), "violation sets exit code");
     let s = String::from_utf8_lossy(&out.stdout);
@@ -154,7 +155,7 @@ fn explore_close_finds_violation_and_explains() {
 
 #[test]
 fn explore_enumerate_matches_closed_verdict() {
-    let path = write_temp("buggy3.mc", BUGGY_SRC);
+    let (_dir, path) = write_temp("buggy3.mc", BUGGY_SRC);
     let a = reclose(&["explore", path.to_str().unwrap(), "--enumerate"]);
     let b = reclose(&["explore", path.to_str().unwrap(), "--close"]);
     assert!(!a.status.success());
@@ -163,7 +164,7 @@ fn explore_enumerate_matches_closed_verdict() {
 
 #[test]
 fn explore_clean_program_succeeds() {
-    let path = write_temp(
+    let (_dir, path) = write_temp(
         "clean.mc",
         "chan c[1]; proc m() { send(c, 1); int x = recv(c); } process m();",
     );
@@ -174,7 +175,7 @@ fn explore_clean_program_succeeds() {
 
 #[test]
 fn explore_stateful_engine_flag() {
-    let path = write_temp(
+    let (_dir, path) = write_temp(
         "clean2.mc",
         "chan c[1]; proc m() { while (1) { send(c, 1); int x = recv(c); } } process m();",
     );
@@ -281,7 +282,7 @@ fn a_deep_out_of_core_run_fits_in_64_file_handles() {
             }
         }
         process p();";
-    let path = write_temp("deep_rounds.mc", src);
+    let (_dir, path) = write_temp("deep_rounds.mc", src);
     let p = path.to_str().unwrap();
     let whole = reclose(&["explore", p, "--bfs"]);
     assert!(String::from_utf8_lossy(&whole.stdout).contains("max depth: 301"));
@@ -367,7 +368,7 @@ fn unknown_and_valueless_flags_are_rejected() {
 
 #[test]
 fn graph_emits_dot() {
-    let path = write_temp("open5.mc", OPEN_SRC);
+    let (_dir, path) = write_temp("open5.mc", OPEN_SRC);
     let out = reclose(&["graph", path.to_str().unwrap()]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("subgraph cluster_0"));
@@ -375,7 +376,7 @@ fn graph_emits_dot() {
 
 #[test]
 fn envgen_lists_environment_processes() {
-    let path = write_temp("buggy4.mc", BUGGY_SRC);
+    let (_dir, path) = write_temp("buggy4.mc", BUGGY_SRC);
     let out = reclose(&["envgen", path.to_str().unwrap()]);
     assert!(out.status.success());
     let s = String::from_utf8_lossy(&out.stdout);
@@ -414,7 +415,7 @@ fn close_refine_partitions_domain() {
         }
         process m();
     "#;
-    let path = write_temp("refine.mc", src);
+    let (_dir, path) = write_temp("refine.mc", src);
     let out = reclose(&["close", path.to_str().unwrap(), "--refine"]);
     assert!(out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
@@ -459,7 +460,7 @@ fn a_closed_stdout_ends_the_run_quietly() {
 
 #[test]
 fn explore_coverage_flag() {
-    let path = write_temp(
+    let (_dir, path) = write_temp(
         "cov.mc",
         "chan c[1]; proc m() { send(c, 1); int x = recv(c); } process m();",
     );
@@ -472,7 +473,7 @@ fn explore_coverage_flag() {
 
 #[test]
 fn run_replays_a_schedule() {
-    let path = write_temp(
+    let (_dir, path) = write_temp(
         "sched.mc",
         "chan c[1]; proc m() { int v = VS_toss(1); send(c, v); int w = recv(c); } process m();",
     );
@@ -490,7 +491,7 @@ fn run_replays_a_schedule() {
 
 #[test]
 fn run_rejects_malformed_schedules() {
-    let path = write_temp(
+    let (_dir, path) = write_temp(
         "sched2.mc",
         "chan c[1]; proc m() { send(c, 1); } process m();",
     );
@@ -519,7 +520,7 @@ fn hostile_nesting_is_a_diagnostic() {
     );
     let limit = format!("nested deeper than {} levels", minic::parser::MAX_NESTING);
     for (name, src) in [("ifs.mc", nested(5_000, 1)), ("parens.mc", parens)] {
-        let path = write_temp(name, &src);
+        let (_dir, path) = write_temp(name, &src);
         for cmd in ["check", "close"] {
             let out = reclose(&[cmd, path.to_str().unwrap()]);
             let err = String::from_utf8_lossy(&out.stderr);
@@ -556,10 +557,12 @@ fn a_program_nested_at_the_limit_closes_and_explores() {
 
 #[test]
 fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
-    // `--resume` walks every record the manifest commits before the
-    // engine starts: a missing, short, foreign or torn file, or an
-    // interner table naming one component twice, ends the run with an
-    // error naming it (exit 1), not a panic.
+    // `--resume` reads each file once and checks it as it loads: a
+    // missing, short, foreign or torn file, or an interner table naming
+    // one component twice, ends the run with an error naming it (exit
+    // 1), not a panic. A refused resume truncates no file below what
+    // the manifest commits: with the good file put back, the directory
+    // resumes as an undamaged copy does.
     let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
     let base = TempDir::new("reclose-cli-damaged");
     let good = base.join("good");
@@ -583,16 +586,36 @@ fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
-    let mem = files
-        .iter()
-        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("mem-"))
-        .expect("a tier-0 snapshot")
-        .file_name()
-        .unwrap()
-        .to_string_lossy()
-        .into_owned();
+    let side = |prefix: &str| {
+        let names = files
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy());
+        let mut names = names.filter(|n| n.starts_with(prefix));
+        names.next().expect("a level's snapshot").into_owned()
+    };
+    let (mem, frontier) = (side("mem-"), side("frontier-"));
+    let copy_of_good = |name: &str| {
+        let dir = base.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in &files {
+            std::fs::copy(f, dir.join(f.file_name().unwrap())).unwrap();
+        }
+        dir
+    };
+    let resume = |dir: &std::path::Path| {
+        reclose(&[
+            "explore",
+            workers,
+            "--bfs",
+            "--all",
+            "--resume",
+            dir.to_str().unwrap(),
+        ])
+    };
+    let undamaged = resume(&copy_of_good("undamaged"));
+    assert!(undamaged.status.success());
     type Damage = fn(&std::path::Path);
-    let damages: [(&str, Damage, &str); 6] = [
+    let damages: [(&str, Damage, &str); 7] = [
         (
             "intern.bin",
             |p| std::fs::remove_file(p).unwrap(),
@@ -615,16 +638,7 @@ fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
             },
             "incompatible store format version",
         ),
-        (
-            &mem,
-            |p| {
-                let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
-                let len = f.metadata().unwrap().len();
-                assert!(len > 5, "the snapshot holds a record");
-                f.set_len(len - 1).unwrap();
-            },
-            "torn record",
-        ),
+        (&mem, cut_the_last_byte, "torn record"),
         (
             "tier1.bin",
             |p| {
@@ -635,30 +649,32 @@ fn a_damaged_checkpoint_is_a_diagnostic_naming_the_file() {
             "torn record",
         ),
         ("intern.bin", repeat_an_intern_record, "repeated component"),
+        (&frontier, cut_the_last_byte, "torn"),
     ];
-    for (name, damage, why) in damages {
-        let dir = base.join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        for f in &files {
-            std::fs::copy(f, dir.join(f.file_name().unwrap())).unwrap();
-        }
-        damage(&dir.join(name));
-        let out = reclose(&[
-            "explore",
-            workers,
-            "--bfs",
-            "--all",
-            "--resume",
-            dir.to_str().unwrap(),
-        ]);
+    for (i, (name, damage, why)) in damages.into_iter().enumerate() {
+        let dir = copy_of_good(&format!("{i}-{name}"));
+        let path = dir.join(name);
+        damage(&path);
+        let out = resume(&dir);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{name}: {err}");
-        let path = dir.join(name);
         let want = format!("error: {}: ", path.display());
         assert!(err.starts_with(&want), "{name}: {err}");
         assert!(err.contains(why), "{name}: {err}");
         assert!(out.stdout.is_empty(), "{name}: nothing explored");
+        std::fs::copy(good.join(name), &path).unwrap();
+        let again = resume(&dir);
+        assert!(again.status.success(), "{name}: put back");
+        assert_eq!(again.stdout, undamaged.stdout, "{name}: put back");
     }
+}
+
+/// Cut the last byte of the file at `p`, which holds a record.
+fn cut_the_last_byte(p: &std::path::Path) {
+    let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
+    let len = f.metadata().unwrap().len();
+    assert!(len > 5, "the file holds a record");
+    f.set_len(len - 1).unwrap();
 }
 
 /// Overwrite a record of the interner table at `p` with an earlier one
@@ -681,4 +697,39 @@ fn repeat_an_intern_record(p: &std::path::Path) {
     let copy = bytes[spans[earlier].clone()].to_vec();
     bytes[spans[later].clone()].copy_from_slice(&copy);
     std::fs::write(p, bytes).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn a_directory_the_engine_cannot_use_is_a_diagnostic_naming_it() {
+    // A checkpoint directory that names a regular file, and a spill
+    // directory under a `TMPDIR` that is one, end the run with an error
+    // naming the path (exit 1), not a panic. `--resume` of a directory
+    // that is not there is refused at its manifest and creates nothing.
+    let workers = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/workers.mc");
+    let base = TempDir::new("reclose-cli-unusable");
+    std::fs::create_dir_all(&*base).unwrap();
+    let file = base.join("a-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let missing = base.join("missing");
+    let (f, m) = (file.to_str().unwrap(), missing.to_str().unwrap());
+    let rows: [(&[&str], Option<&str>, std::path::PathBuf); 3] = [
+        (&["--checkpoint-dir", f], None, file.clone()),
+        (&["--mem-limit", "10"], Some(f), file.clone()),
+        (&["--resume", m], None, missing.join("checkpoint.bin")),
+    ];
+    for (flags, tmpdir, named) in rows {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_reclose"));
+        cmd.args(["explore", workers, "--bfs", "--all"]).args(flags);
+        if let Some(t) = tmpdir {
+            cmd.env("TMPDIR", t);
+        }
+        let out = cmd.output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {err}");
+        let want = format!("error: {}", named.display());
+        assert!(err.starts_with(&want), "{flags:?}: {err}");
+        assert!(out.stdout.is_empty(), "{flags:?}: nothing explored");
+    }
+    assert!(!missing.exists(), "--resume created nothing");
 }

@@ -328,12 +328,13 @@ fn resume_rejects_a_different_compression_mode() {
 
         let flipped = Config {
             no_compress: !killed_no_compress,
+            resume: true,
             ..config.clone()
         };
-        let err = verisoft::validate_checkpoint(&dir, &prog, &flipped).unwrap_err();
+        let err = try_explore(&prog, &flipped).unwrap_err().to_string();
         assert!(err.contains("different exploration configuration"), "{err}");
 
-        // The matching mode still validates and completes.
+        // The matching mode still resumes and completes.
         let resumed = explore(
             &prog,
             &Config {
@@ -471,25 +472,29 @@ fn resume_rejects_a_different_program_or_config() {
     let killed = explore(&prog, &config);
     assert!(killed.truncated);
 
+    let resume = Config {
+        resume: true,
+        ..config
+    };
     let other = compile("chan c[1]; proc p() { send(c, 1); } process p();").unwrap();
-    let err = verisoft::validate_checkpoint(&dir, &other, &config).unwrap_err();
+    let err = try_explore(&other, &resume).unwrap_err().to_string();
     assert!(err.contains("different program"), "{err}");
 
     let narrower = Config {
         max_depth: 7,
-        ..config.clone()
+        ..resume.clone()
     };
-    let err = verisoft::validate_checkpoint(&dir, &prog, &narrower).unwrap_err();
+    let err = try_explore(&prog, &narrower).unwrap_err().to_string();
     assert!(err.contains("different exploration configuration"), "{err}");
 
-    // The knobs that are *excluded* from the digest validate fine.
+    // The knobs that are *excluded* from the digest resume fine.
     let retuned = Config {
         jobs: 64,
         mem_limit: 128,
         checkpoint_every: 9,
-        ..config.clone()
+        ..resume
     };
-    verisoft::validate_checkpoint(&dir, &prog, &retuned).unwrap();
+    try_explore(&prog, &retuned).unwrap();
 }
 
 #[test]
